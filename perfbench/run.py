@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload paper-sweep --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload paper-sweep --seed 1 --seconds 40 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with no wrapper installed;
 ``--trace 1`` runs the workload once untraced (the throughput baseline)
@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -40,6 +41,12 @@ WORKLOADS = ("paper-sweep", "route-300", "netsim-64", "serve-churn")
 TAIL_PERCENTILE = {"paper-sweep": 90, "route-300": 90, "netsim-64": 90,
                    "serve-churn": 99}
 
+#: Where a run times at least two windows of this many operations (serve-churn),
+#: ``op_tail_ms`` is the median of each window's tail percentile (at least 20
+#: samples beyond it): a stall of a few seconds then moves it less than it
+#: moves one percentile over the whole run.
+TAIL_WINDOW = 2000
+
 #: What one timed operation is, per workload (for the report).
 OPERATION = {
     "paper-sweep": "SweepExecutor.run of one trial",
@@ -53,22 +60,17 @@ SETUPS = 3
 
 
 def git_commit() -> str:
-    """The checkout's commit, read from ``.git`` without leaving the checkout."""
-    git = ROOT / ".git"
+    """The checkout's commit, or ``unknown`` outside a git repository.
+
+    The ceiling keeps git from searching the directories above the checkout.
+    """
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent))
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        loose = git / ref
-        if loose.is_file():
-            return loose.read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
 def digest(items: Any) -> str:
@@ -82,17 +84,27 @@ def percentile(values: List[float], q: float) -> float:
     return float(np.percentile(values, q)) if values else 0.0
 
 
+def tail_ms(latencies: List[float], q: float) -> Tuple[float, str]:
+    """``op_tail_ms`` and its sample description (see ``TAIL_WINDOW``)."""
+    count = len(latencies) // TAIL_WINDOW
+    if count < 2:
+        return percentile(latencies, q), f"{len(latencies)} ops, p{q}"
+    windows = [latencies[i * TAIL_WINDOW:(i + 1) * TAIL_WINDOW] for i in range(count)]
+    return (median(percentile(window, q) for window in windows),
+            f"median p{q} of {count} windows of {TAIL_WINDOW} ops")
+
+
 def end_to_end(workload: str, m, unit_name: str) -> Dict[str, Tuple[float, str, str]]:
     samples = f"{len(m.latencies_ms)} ops"
-    tail = TAIL_PERCENTILE[workload]
     windows = "runs of 512 completions" if workload == "serve-churn" else "passes"
+    tail, tail_samples = tail_ms(m.latencies_ms, TAIL_PERCENTILE[workload])
     return {
         "setup_s": (median(m.setup_s), "s", f"{len(m.setup_s)} set-ups"),
         "ops_per_s": (median(m.rates), "1/s",
                       f"median of {len(m.rates)} {windows}; {m.ops} {unit_name} "
                       f"in {m.elapsed_s:.3f} s"),
         "op_p50_ms": (percentile(m.latencies_ms, 50), "ms", samples),
-        "op_tail_ms": (percentile(m.latencies_ms, tail), "ms", f"{samples}, p{tail}"),
+        "op_tail_ms": (tail, "ms", tail_samples),
         "peak_rss_mib": (m.peak_rss_mib, "MiB",
                          "daemon process" if workload == "serve-churn" else "1 process"),
     }
@@ -122,8 +134,9 @@ def run_traced(args, workloads, tracing) -> Tuple[Any, Dict[str, Tuple[float, st
             "serve.degraded_flushes": delta["degraded"],
             "serve.journal_bytes": delta["journal_bytes"],
         }
-        # Only the request windows count: set-up is single-threaded, but
-        # the daemon idles between coroutines while serving.
+        # The daemon traces the traced request window only, the window the
+        # status deltas cover; its spans are set against its CPU time there,
+        # because it idles between coroutines while serving.
         cpu = sum(cpu for _, cpu in trace["windows"])
         layers = tracing.layer_metrics(trace, reference_s=cpu, cache_info=cache,
                                        serve_status=status)
@@ -139,10 +152,8 @@ def run_traced(args, workloads, tracing) -> Tuple[Any, Dict[str, Tuple[float, st
         m = run(args.seed, args.seconds, args.scale, 1)
         tracer.deactivate()
         trace = tracer.aggregate()
-        session = m.state.get("session")
         layers = tracing.layer_metrics(
-            trace, reference_s=tracer.windows[0][0],
-            cache_info=session.cache_info if session is not None else None,
+            trace, reference_s=tracer.windows[0][0], cache_info=m.state.get("cache_info")
         )
         tracer.dump(workloads.WORK / f"trace-{args.workload}.jsonl")
         repeat = [("digest repeats across the untraced and traced passes",
@@ -167,7 +178,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scale", choices=("full", "tiny"), default="full",
                         help="input sizes; 'tiny' is for the self-test")

@@ -11,7 +11,7 @@ hand.  It prints one JSON line per event on stdout:
     client knows the switch has landed before it sends more load;
 ``exit``
     after a ``shutdown`` request: peak RSS and, when traced, the span
-    aggregates of the traced windows with their CPU time.
+    aggregates of the traced window with its CPU time (set-up is untraced).
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ async def serve(args: argparse.Namespace, tracer: Tracer | None) -> None:
 
     setup_s = []
     daemon = journal = None
-    if tracer is not None:
-        tracer.activate()
     for index in range(args.setups):
         if daemon is not None:
             await daemon.stop()
@@ -58,7 +56,8 @@ async def serve(args: argparse.Namespace, tracer: Tracer | None) -> None:
         await daemon.start()
         setup_s.append(time.perf_counter() - start)
     if tracer is not None:
-        tracer.deactivate()
+        # Tracing covers the client's traced request window only, the
+        # window the status counters it is reported with cover too.
         loop = asyncio.get_running_loop()
 
         def switch(on: bool) -> None:

@@ -20,7 +20,7 @@ import dataclasses
 import functools
 import json
 import time
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from pathlib import Path
 from statistics import median
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -533,14 +533,15 @@ def install(tracer: Tracer) -> None:
     # serve: protocol codec, coalescer flushes and their queue waits, journal.
     daemon.decode_line = tracer.span("serve.decode", daemon.decode_line)
     daemon.encode = tracer.span("serve.encode", daemon.encode, _count_bytes)
-    submitted: Dict[int, deque] = defaultdict(deque)
+    submitted: Dict[int, List[float]] = {}
     submit = RouteCoalescer.submit
 
     @functools.wraps(submit)
     async def traced_submit(self, pairs, **kwargs):
-        # submit() appends to the pending list before its first await, so
-        # submission times queue up in the order flush_now() drains them.
-        submitted[id(self)].append(perf())
+        if tracer.active:
+            # submit() appends to the pending list before its first await,
+            # so the stamps are of the newest pending requests, in order.
+            submitted.setdefault(id(self), []).append(perf())
         return await submit(self, pairs, **kwargs)
 
     RouteCoalescer.submit = traced_submit
@@ -549,13 +550,15 @@ def install(tracer: Tracer) -> None:
 
     @functools.wraps(flush_now)
     def traced_flush_now(self):
-        queue = submitted[id(self)]
-        now = perf()
-        waits = [now - queue.popleft() for _ in range(len(self._pending))]
-        if not waits:  # a mutation's pre-flush with nothing buffered
+        if not tracer.active:
+            if submitted:  # stamps left over from a closed window
+                submitted.clear()
             return flush_now(self)
-        if tracer.active:
-            tracer.samples["serve.queue_wait_ms"].extend(w * 1000.0 for w in waits)
+        stamps = submitted.pop(id(self), ())
+        if not self._pending:  # a mutation's pre-flush with nothing buffered
+            return flush_now(self)
+        now = perf()
+        tracer.samples["serve.queue_wait_ms"].extend((now - t) * 1000.0 for t in stamps)
         return timed_flush(self)
 
     RouteCoalescer.flush_now = traced_flush_now

@@ -22,6 +22,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
@@ -80,8 +81,8 @@ EXPECTED_SPANS: Dict[str, Tuple[str, ...]] = {
                   "routing.assign_channels", "netsim.plan", "netsim.arbitrate",
                   "netsim.grant"),
     "serve-churn": ("session.merge", "core.mfp", "routing.router_build",
-                    "routing.route_batch", "routing.scan_lanes", "serve.decode",
-                    "serve.encode", "serve.flush", "serve.journal"),
+                    "routing.route_batch", "routing.ring_pack", "routing.scan_lanes",
+                    "serve.decode", "serve.encode", "serve.flush", "serve.journal"),
 }
 
 #: Name of each workload's throughput unit and its metric name in the issue.
@@ -174,7 +175,9 @@ def _attempt(errors: List[str], call: Callable[[], Any]) -> Tuple[Any, float]:
 #: The one known input defect: FB/FP labelling scheme 1 gives up after
 #: ``2 * (width + height)`` rounds, and a few percent of 700-800-fault
 #: patterns need more.  The sweep skips such fault patterns (drawing the
-#: next seed) and reports how many it skipped; any other error fails.
+#: next seed) and reports how many it skipped; any other error fails.  A
+#: skipped attempt's time still counts as busy time and as a latency
+#: sample, since the program did that work.
 LABELLING_CAP = "labelling scheme 1 did not converge"
 
 
@@ -201,28 +204,29 @@ def run_paper_sweep(seed: int, seconds: float, scale: str, setups: int) -> Measu
     skipped = [0]
 
     def one_trial(index: int, d_index: int, count: int) -> float:
-        attempt = 0
-        while True:
+        busy, attempt, capped = 0.0, 0, True
+        while capped:
             base_seed = subseed(seed, 1, index, d_index, count, attempt)
             start = perf()
+            points, capped = None, False
             try:
                 points = executor.run(
                     [count], trials=1, width=width, distribution=DISTRIBUTIONS[d_index],
                     cluster_factor=2.0, base_seed=base_seed,
                 )
             except Exception as exc:  # noqa: BLE001 - a raised trial counts as failed
-                if isinstance(exc, RuntimeError) and str(exc) == LABELLING_CAP:
-                    skipped[0] += 1
-                    attempt += 1
-                    continue
-                errors.append(f"{type(exc).__name__}: {exc}")
-                points = None
+                capped = isinstance(exc, RuntimeError) and str(exc) == LABELLING_CAP
+                if not capped:
+                    errors.append(f"{type(exc).__name__}: {exc}")
             took = perf() - start
+            busy += took
             latencies.append(took * 1000.0)
             if points is not None:
                 trials.append((index, DISTRIBUTIONS[d_index], count, base_seed,
                                points[0].scenarios[0]))
-            return took
+            skipped[0] += capped
+            attempt += 1
+        return busy
 
     def one_pass(index: int) -> Tuple[float, int]:
         before = len(trials)
@@ -252,7 +256,8 @@ def run_paper_sweep(seed: int, seconds: float, scale: str, setups: int) -> Measu
         failed=len(errors),
         peak_rss_mib=peak_rss_mib(),
         extras={
-            "failed_frac": (len(errors) / len(latencies), "ratio", f"{len(latencies)} trials"),
+            "failed_frac": (len(errors) / len(latencies), "ratio",
+                            f"{len(latencies)} trial attempts"),
             "skipped_patterns": (float(skipped[0]), "count",
                                  "fault patterns past the labelling round cap"),
         },
@@ -375,7 +380,8 @@ def run_route(seed: int, seconds: float, scale: str, setups: int) -> Measurement
             for _, pattern, batch_seed, stats in batches
         ],
         errors=errors,
-        state={"session": session, "batches": batches, "size": size, "seed": seed},
+        state={"session": session, "cache_info": session.cache_info, "batches": batches,
+               "size": size, "seed": seed},
     )
 
 
@@ -436,32 +442,45 @@ def check_route(m: Measurement) -> List[Tuple[str, bool, str]]:
 
 # -- netsim-64 ------------------------------------------------------------------------
 
+#: What a run keeps of each simulate call's stats: the digest fields, not
+#: the per-message and per-channel arrays.
 NETSIM_FIELDS = ("attempted", "unroutable", "delivered", "in_flight", "deadlocked",
-                 "cycles_run", "delivery_fingerprint")
+                 "cycles_run", "delivery_fingerprint", "sim")
 
 
-def run_netsim(seed: int, seconds: float, scale: str, setups: int) -> Measurement:
+def _netsim_session(seed: int, size: Dict[str, Any], index: int):
+    """Session of pass *index*: its own clustered mesh, MFP, router and context."""
     from repro.api import MeshSession
     from repro.faults import scenario as scenario_mod
 
+    scenario = scenario_mod.generate_scenario(
+        size["faults"], width=size["width"], model="clustered", seed=subseed(seed, 0, index)
+    )
+    session = MeshSession.from_scenario(scenario)
+    session.routing.context("extended-ecube", "mfp")
+    return session
+
+
+def run_netsim(seed: int, seconds: float, scale: str, setups: int) -> Measurement:
     size = SCALES[scale]["netsim-64"]
     setup_s = []
-    session = None
+    first = None
     for _ in range(setups):
-        session = None
+        first = None
         start = perf()
-        scenario = scenario_mod.generate_scenario(
-            size["faults"], width=size["width"], model="clustered", seed=subseed(seed, 0)
-        )
-        session = MeshSession.from_scenario(scenario)
-        session.routing.context("extended-ecube", "mfp")  # MFP, router, context
+        first = _netsim_session(seed, size, 0)
         setup_s.append(perf() - start)
 
     runs: List[Tuple[int, float, int, Any]] = []
     latencies: List[float] = []
     errors: List[str] = []
+    cache_info: Counter = Counter()
 
     def one_pass(index: int) -> Tuple[float, int]:
+        # Each pass simulates on its own mesh, set up outside the timed
+        # calls, so a run's figures cover many meshes' path lengths and
+        # deadlocks rather than one's.
+        session = first if index == 0 else _netsim_session(seed, size, index)
         busy, done = 0.0, 0
         for l_index, load in enumerate(size["loads"]):
             run_seed = subseed(seed, 1, index, l_index)
@@ -473,14 +492,16 @@ def run_netsim(seed: int, seconds: float, scale: str, setups: int) -> Measuremen
             latencies.append(took * 1000.0)
             if stats is not None:
                 done += stats.attempted
-                runs.append((index, load, run_seed, stats))
+                runs.append((index, load, run_seed,
+                             {name: getattr(stats, name) for name in NETSIM_FIELDS}))
+        cache_info.update({k: v for k, v in session.cache_info.items() if isinstance(v, int)})
         return busy, done
 
     # Normalised by offered work and by the time spent inside simulate().
     elapsed, offered, rates = _run_passes(seconds, size["pass_s"], one_pass)
     rss = peak_rss_mib()
-    failed = sum(stats.unroutable + stats.in_flight for *_, stats in runs)
-    sims = sorted({stats.sim for *_, stats in runs}) or ["unused"]
+    failed = sum(stats["unroutable"] + stats["in_flight"] for *_, stats in runs)
+    sims = sorted({stats["sim"] for *_, stats in runs}) or ["unused"]
     return Measurement(
         setup_s=setup_s,
         ops=offered,
@@ -493,16 +514,13 @@ def run_netsim(seed: int, seconds: float, scale: str, setups: int) -> Measuremen
         extras={
             "failed_frac": (failed / offered if offered else 0.0, "ratio",
                             f"{offered} offered messages"),
-            "deadlocked_runs": (float(sum(stats.deadlocked for *_, stats in runs)),
+            "deadlocked_runs": (float(sum(stats["deadlocked"] for *_, stats in runs)),
                                 "count", f"{len(runs)} simulate calls"),
         },
         labels=_default_labels(sim="+".join(sims)),
-        digest_items=[
-            [load, run_seed, [getattr(stats, name) for name in NETSIM_FIELDS]]
-            for _, load, run_seed, stats in runs
-        ],
+        digest_items=[[load, run_seed, stats] for _, load, run_seed, stats in runs],
         errors=errors,
-        state={"session": session, "runs": runs, "size": size},
+        state={"session": first, "cache_info": dict(cache_info), "runs": runs, "size": size},
     )
 
 
@@ -517,12 +535,12 @@ def check_netsim(m: Measurement) -> List[Tuple[str, bool, str]]:
         seed=run_seed, sim="scalar",
     )
     same = (
-        oracle.delivery_fingerprint == stats.delivery_fingerprint
-        and oracle.attempted == stats.attempted
+        oracle.delivery_fingerprint == stats["delivery_fingerprint"]
+        and oracle.attempted == stats["attempted"]
     )
     return [(
-        f"scalar simulator == {stats.sim} simulator (delivery fingerprint)",
-        same, f"load {load}, {stats.attempted} messages",
+        f"scalar simulator == {stats['sim']} simulator (delivery fingerprint)",
+        same, f"load {load}, {stats['attempted']} messages",
     )]
 
 
