@@ -34,18 +34,12 @@ SRC = ROOT / "src"
 
 WORKLOADS = ("paper-sweep", "route-300", "netsim-64", "serve-churn")
 
-#: Percentile reported as ``op_tail_ms``: the highest with at least ten
-#: samples beyond it in a run where there is one (serve-churn, paper-sweep);
-#: route-300 and netsim-64 time too few operations for that, so p90 there
-#: tracks their slowest operation class.
+#: Percentile reported as ``op_tail_ms``: one with at least ten samples
+#: beyond it in the fastest windows of a 40-s run where there is one
+#: (serve-churn, paper-sweep); route-300 and netsim-64 time too few
+#: operations for that, so p90 there tracks their slowest operation class.
 TAIL_PERCENTILE = {"paper-sweep": 90, "route-300": 90, "netsim-64": 90,
                    "serve-churn": 99}
-
-#: Where a run times at least two windows of this many operations (serve-churn),
-#: ``op_tail_ms`` is the median of each window's tail percentile (at least 20
-#: samples beyond it): a stall of a few seconds then moves it less than it
-#: moves one percentile over the whole run.
-TAIL_WINDOW = 2000
 
 #: What one timed operation is, per workload (for the report).
 OPERATION = {
@@ -56,7 +50,8 @@ OPERATION = {
 }
 
 #: Set-up repetitions of an end-to-end run; ``setup_s`` is their median.
-SETUPS = 3
+#: The listed workloads set up in 0.05-0.2 s, so nine cost about a second.
+SETUPS = 9
 
 
 def git_commit() -> str:
@@ -84,37 +79,61 @@ def percentile(values: List[float], q: float) -> float:
     return float(np.percentile(values, q)) if values else 0.0
 
 
-def tail_ms(latencies: List[float], q: float) -> Tuple[float, str]:
-    """``op_tail_ms`` and its sample description (see ``TAIL_WINDOW``)."""
-    count = len(latencies) // TAIL_WINDOW
-    if count < 2:
-        return percentile(latencies, q), f"{len(latencies)} ops, p{q}"
-    windows = [latencies[i * TAIL_WINDOW:(i + 1) * TAIL_WINDOW] for i in range(count)]
-    return (median(percentile(window, q) for window in windows),
-            f"median p{q} of {count} windows of {TAIL_WINDOW} ops")
+def scaled_rate(workloads, windows) -> float:
+    """Throughput of the fastest windows at the reference machine speed."""
+    rate, _, _, speed = workloads.fastest(windows)
+    return rate / speed
 
 
-def end_to_end(workload: str, m, unit_name: str) -> Dict[str, Tuple[float, str, str]]:
-    samples = f"{len(m.latencies_ms)} ops"
+def end_to_end(workload: str, m, workloads) -> Tuple[Dict, Dict]:
+    """The JSON metrics, and the report-only figures they come from.
+
+    The timings cover the run's fastest windows and are scaled to the
+    reference machine speed measured by the probes taken in those windows
+    (set-up: by the probes taken right after each set-up).  The report
+    also prints them as timed, and over the whole run, where a change that
+    adds stalls shows while the fastest windows skip them.
+    """
+    rate, latencies, count, speed = workloads.fastest(m.windows)
+    setup_speed = workloads.speed(m.setup_probes_ms)
     windows = "runs of 512 completions" if workload == "serve-churn" else "passes"
-    tail, tail_samples = tail_ms(m.latencies_ms, TAIL_PERCENTILE[workload])
-    return {
-        "setup_s": (median(m.setup_s), "s", f"{len(m.setup_s)} set-ups"),
-        "ops_per_s": (median(m.rates), "1/s",
-                      f"median of {len(m.rates)} {windows}; {m.ops} {unit_name} "
-                      f"in {m.elapsed_s:.3f} s"),
-        "op_p50_ms": (percentile(m.latencies_ms, 50), "ms", samples),
-        "op_tail_ms": (tail, "ms", tail_samples),
+    chosen = f"fastest {count} of {len(m.windows)} {windows}"
+    q = TAIL_PERCENTILE[workload]
+    setup, p50, tail = median(m.setup_s), percentile(latencies, 50), percentile(latencies, q)
+    metrics = {
+        "setup_s": (setup * setup_speed, "s", f"median of {len(m.setup_s)} set-ups"),
+        "ops_per_s": (rate / speed, "1/s", chosen),
+        "op_p50_ms": (p50 * speed, "ms", f"{len(latencies)} ops, {chosen}"),
+        "op_tail_ms": (tail * speed, "ms", f"p{q} of {len(latencies)} ops, {chosen}"),
         "peak_rss_mib": (m.peak_rss_mib, "MiB",
                          "daemon process" if workload == "serve-churn" else "1 process"),
     }
+    unit_name = workloads.OP_NAMES[workload][0]
+    probes = sum(len(w.probes_ms) for w in m.windows)
+    report = {
+        "machine.speed": (speed, "ratio", f"mean over the fastest windows' probes "
+                          f"({probes} in the run); {setup_speed:.3f} at set-up"),
+        "timed.setup_s": (setup, "s", "as timed"),
+        "timed.ops_per_s": (rate, "1/s", "as timed"),
+        "timed.op_p50_ms": (p50, "ms", "as timed"),
+        "timed.op_tail_ms": (tail, "ms", "as timed"),
+        "all.ops_per_s": (m.ops / m.elapsed_s, "1/s",
+                          f"as timed, {m.ops} {unit_name} in {m.elapsed_s:.3f} s"),
+        "all.op_p50_ms": (percentile(m.latencies_ms, 50), "ms",
+                          f"as timed, {len(m.latencies_ms)} ops"),
+        "all.op_tail_ms": (percentile(m.latencies_ms, q), "ms",
+                           f"as timed, p{q} of {len(m.latencies_ms)} ops"),
+    }
+    return metrics, report
 
 
 def run_untraced(args, workloads) -> Tuple[Any, Dict[str, Tuple[float, str, str]], list]:
     run, check = workloads.RUNNERS[args.workload]
     m = run(args.seed, args.seconds, args.scale, SETUPS)
     checks = check(m)
-    return m, end_to_end(args.workload, m, workloads.OP_NAMES[args.workload][0]), checks
+    metrics, report = end_to_end(args.workload, m, workloads)
+    m.extras.update(report)
+    return m, metrics, checks
 
 
 def run_traced(args, workloads, tracing) -> Tuple[Any, Dict[str, Tuple[float, str, str]], list]:
@@ -140,11 +159,11 @@ def run_traced(args, workloads, tracing) -> Tuple[Any, Dict[str, Tuple[float, st
         cpu = sum(cpu for _, cpu in trace["windows"])
         layers = tracing.layer_metrics(trace, reference_s=cpu, cache_info=cache,
                                        serve_status=status)
-        baseline = m.state["baseline"]
+        baseline = scaled_rate(workloads, m.state["baseline"])
         repeat = []
     else:
         baseline_m = run(args.seed, args.seconds, args.scale, 1)
-        baseline = median(baseline_m.rates)
+        baseline = scaled_rate(workloads, baseline_m.windows)
         baseline_m.state.clear()
         tracer = tracing.Tracer()
         tracing.install(tracer)
@@ -158,7 +177,7 @@ def run_traced(args, workloads, tracing) -> Tuple[Any, Dict[str, Tuple[float, st
         tracer.dump(workloads.WORK / f"trace-{args.workload}.jsonl")
         repeat = [("digest repeats across the untraced and traced passes",
                    digest(baseline_m.digest_items) == digest(m.digest_items), "")]
-    layers["trace.overhead_frac"] = 1.0 - median(m.rates) / baseline
+    layers["trace.overhead_frac"] = 1.0 - scaled_rate(workloads, m.windows) / baseline
     missing = tracing.expected_spans_missing(trace, expected)
     checks = check(m) + repeat + [(
         "every expected span recorded calls", not missing,

@@ -4,8 +4,9 @@ Started by the serve-churn workload (``workloads.run_serve``), never by
 hand.  It prints one JSON line per event on stdout:
 
 ``ready``
-    the listening port, the journal path and the set-up times (scenario
-    draw, session, MFP build and router, until the socket listens);
+    the listening port, the journal path, the set-up times (scenario
+    draw, session, MFP build and router, until the socket listens) and a
+    machine-speed probe taken after each set-up;
 ``traced``
     after each tracing switch (``SIGUSR1`` on, ``SIGUSR2`` off), so the
     client knows the switch has landed before it sends more load;
@@ -28,7 +29,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from tracing import Tracer, install  # noqa: E402
-from workloads import WORK, peak_rss_mib, subseed  # noqa: E402
+from workloads import WORK, peak_rss_mib, probe_ms, subseed  # noqa: E402
 
 
 def emit(event: str, **fields) -> None:
@@ -40,7 +41,7 @@ async def serve(args: argparse.Namespace, tracer: Tracer | None) -> None:
     from repro.faults import scenario as scenario_mod
     from repro.serve import RouteDaemon
 
-    setup_s = []
+    setup_s, setup_probes = [], []
     daemon = journal = None
     for index in range(args.setups):
         if daemon is not None:
@@ -55,6 +56,7 @@ async def serve(args: argparse.Namespace, tracer: Tracer | None) -> None:
         session.routing.context("extended-ecube", "mfp")  # MFP, router, context
         await daemon.start()
         setup_s.append(time.perf_counter() - start)
+        setup_probes.append(probe_ms())
     if tracer is not None:
         # Tracing covers the client's traced request window only, the
         # window the status counters it is reported with cover too.
@@ -69,7 +71,8 @@ async def serve(args: argparse.Namespace, tracer: Tracer | None) -> None:
 
         loop.add_signal_handler(signal.SIGUSR1, switch, True)
         loop.add_signal_handler(signal.SIGUSR2, switch, False)
-    emit("ready", port=daemon.address[1], journal=str(journal), setup_s=setup_s)
+    emit("ready", port=daemon.address[1], journal=str(journal), setup_s=setup_s,
+         setup_probes_ms=setup_probes)
     await daemon.serve_forever()
     report = {"peak_rss_mib": peak_rss_mib()}
     if tracer is not None:

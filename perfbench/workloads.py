@@ -13,7 +13,9 @@ for the oracle on purpose.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import json
+import math
 import os
 import resource
 import select
@@ -25,8 +27,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from statistics import median
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -103,18 +104,91 @@ def peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+#: What :func:`probe_ms` takes at the reference machine speed (the fast
+#: phase of a 2-core x86 VM, Python 3.11).  Timings are reported as they
+#: would read at that speed (see ``NOTES.md``).
+PROBE_REF_MS = 0.5
+
+#: Seconds between two machine-speed probes of the serve-churn client.
+PROBE_EVERY = 0.2
+
+
+def probe_ms() -> float:
+    """Milliseconds a fixed pure-Python kernel takes now: the machine's speed.
+
+    The kernel touches no ``repro`` code, so a change to the program cannot
+    move it.  Best of three, so a preemption inside one run does not count.
+    """
+    best = float("inf")
+    for _ in range(3):
+        start = perf()
+        table: Dict[int, str] = {}
+        total = 0
+        for i in range(1500):
+            table[i] = f"{i}:{i * 7 % 13}"
+            total += len(table[i >> 1])
+        best = min(best, perf() - start)
+    return best * 1000.0
+
+
+class Window(NamedTuple):
+    """One pass of a timed loop (serve-churn: 512 consecutive completions)."""
+
+    seconds: float
+    ops: int
+    #: Caller-visible latency of each operation completed in the window.
+    latencies_ms: List[float]
+    #: Machine-speed probes taken during the window or right after it.
+    probes_ms: List[float]
+
+
+#: Share of a run's windows, the fastest, that the timing metrics cover.
+FAST_SHARE = 0.25
+
+
+def speed(probes: List[float]) -> float:
+    """Mean machine speed over *probes*, relative to the reference speed.
+
+    The machine flips between two speeds every few hundred milliseconds,
+    so a mean of many short probes follows the share of time spent in
+    each, where their median would jump between the two.
+    """
+    return float(np.mean([PROBE_REF_MS / ms for ms in probes]))
+
+
+def fastest(windows: List[Window]) -> Tuple[float, List[float], int, float]:
+    """Throughput and latencies over the fastest quarter of *windows*.
+
+    The shared machine's speed swings by up to 2x between phases that last
+    seconds to minutes, and interference only ever slows the program, so
+    the run's fastest windows measure the program itself, the way a best
+    of several repeats does.  Returns ``(ops per second, latencies, number
+    of windows, machine speed)``; at least two windows are used where there
+    are two, and the speed falls back to every window's probes when the
+    chosen ones took none.
+    """
+    count = min(len(windows), max(2, math.ceil(len(windows) * FAST_SHARE)))
+    chosen = sorted(windows, key=lambda w: w.ops / w.seconds, reverse=True)[:count]
+    latencies = [ms for window in chosen for ms in window.latencies_ms]
+    probes = ([ms for window in chosen for ms in window.probes_ms]
+              or [ms for window in windows for ms in window.probes_ms])
+    rate = sum(w.ops for w in chosen) / sum(w.seconds for w in chosen)
+    return rate, latencies, count, speed(probes)
+
+
 @dataclass
 class Measurement:
     """What one workload run measured, plus the state its checks need."""
 
     setup_s: List[float]
+    #: A machine-speed probe taken right after each set-up.
+    setup_probes_ms: List[float]
     #: Work units completed, and the seconds spent in the timed operations.
     ops: int
     elapsed_s: float
-    #: Throughput of each pass (serve-churn: of each run of 512 consecutive
-    #: completions); ``ops_per_s`` is their median, so a brief stall of the
-    #: machine does not move it.
-    rates: List[float]
+    #: Every window of the timed loop; the timing metrics come from the
+    #: fastest of them (see :func:`fastest`).
+    windows: List[Window]
     #: Caller-visible latency of every timed operation.
     latencies_ms: List[float]
     #: Operations attempted, and those that raised or answered an error.
@@ -139,23 +213,27 @@ def _default_labels(**known: str) -> Dict[str, str]:
 
 
 def _run_passes(
-    seconds: float, pass_s: float, one_pass: Callable[[int], Tuple[float, int]]
-) -> Tuple[float, int, List[float]]:
+    seconds: float, pass_s: float, one_pass: Callable[[int], Tuple[float, int]],
+    latencies: List[float], probes: List[float],
+) -> Tuple[float, int, List[Window]]:
     """Run the passes that fill *seconds* at the nominal *pass_s* per pass.
 
     The pass count depends on the arguments only, so a run's work -- and
     its outputs and memory -- is the same on a busy machine as on an idle
     one.  ``one_pass(index)`` returns ``(seconds inside the timed
-    operations, work units)``.  Returns the total busy seconds, the total
-    work units and each pass's throughput.
+    operations, work units)``; after each operation it appends the
+    operation's latency to *latencies* and a machine-speed probe to
+    *probes*.  Returns the total busy seconds, the total work units and one
+    window per pass.
     """
-    busy, ops, rates = 0.0, 0, []
+    busy, ops, windows = 0.0, 0, []
     for index in range(max(2, round(seconds / pass_s))):
+        first, first_probe = len(latencies), len(probes)
         took, done = one_pass(index)
         busy += took
         ops += done
-        rates.append(done / took)
-    return busy, ops, rates
+        windows.append(Window(took, done, latencies[first:], probes[first_probe:]))
+    return busy, ops, windows
 
 
 def _attempt(errors: List[str], call: Callable[[], Any]) -> Tuple[Any, float]:
@@ -186,7 +264,7 @@ def run_paper_sweep(seed: int, seconds: float, scale: str, setups: int) -> Measu
 
     size = SCALES[scale]["paper-sweep"]
     width, counts = size["width"], size["counts"]
-    setup_s = []
+    setup_s, setup_probes = [], []
     for _ in range(setups):
         start = perf()
         executor = SweepExecutor(models=SWEEP_MODELS, workers=1)
@@ -197,9 +275,11 @@ def run_paper_sweep(seed: int, seconds: float, scale: str, setups: int) -> Measu
             executor.run([counts[0]], trials=size["warm_trials"], width=width,
                          distribution=distribution, base_seed=subseed(seed, 0))
         setup_s.append(perf() - start)
+        setup_probes.append(probe_ms())
 
     trials: List[Tuple[int, str, int, int, Any]] = []
     latencies: List[float] = []
+    probes: List[float] = []
     errors: List[str] = []
     skipped = [0]
 
@@ -221,6 +301,7 @@ def run_paper_sweep(seed: int, seconds: float, scale: str, setups: int) -> Measu
             took = perf() - start
             busy += took
             latencies.append(took * 1000.0)
+            probes.append(probe_ms())
             if points is not None:
                 trials.append((index, DISTRIBUTIONS[d_index], count, base_seed,
                                points[0].scenarios[0]))
@@ -237,7 +318,8 @@ def run_paper_sweep(seed: int, seconds: float, scale: str, setups: int) -> Measu
         )
         return busy, len(trials) - before
 
-    elapsed, ops, rates = _run_passes(seconds, size["pass_s"], one_pass)
+    elapsed, ops, windows = _run_passes(seconds, size["pass_s"], one_pass, latencies,
+                                        probes)
     outputs = [
         [distribution, count, base_seed, {
             label: [m.num_regions, m.disabled_nonfaulty, round(m.mean_region_size, 9),
@@ -248,9 +330,10 @@ def run_paper_sweep(seed: int, seconds: float, scale: str, setups: int) -> Measu
     ]
     return Measurement(
         setup_s=setup_s,
+        setup_probes_ms=setup_probes,
         ops=ops,
         elapsed_s=elapsed,
-        rates=rates,
+        windows=windows,
         latencies_ms=latencies,
         attempted=len(latencies),
         failed=len(errors),
@@ -324,7 +407,7 @@ def run_route(seed: int, seconds: float, scale: str, setups: int) -> Measurement
     from repro.faults import scenario as scenario_mod
 
     size = SCALES[scale]["route-300"]
-    setup_s = []
+    setup_s, setup_probes = [], []
     session = None
     for _ in range(setups):
         session = None  # free the previous set-up before drawing again
@@ -338,9 +421,11 @@ def run_route(seed: int, seconds: float, scale: str, setups: int) -> Measurement
         session.route("mfp", traffic="uniform", messages=size["warm_messages"],
                       seed=subseed(seed, 1))
         setup_s.append(perf() - start)
+        setup_probes.append(probe_ms())
 
     batches: List[Tuple[int, str, int, Any]] = []
     latencies: List[float] = []
+    probes: List[float] = []
     errors: List[str] = []
 
     def one_pass(index: int) -> Tuple[float, int]:
@@ -352,21 +437,24 @@ def run_route(seed: int, seconds: float, scale: str, setups: int) -> Measurement
             ))
             busy += took
             latencies.append(took * 1000.0)
+            probes.append(probe_ms())
             if stats is not None:
                 done += stats.attempted
                 batches.append((index, pattern, batch_seed, stats))
         return busy, done
 
-    elapsed, attempted, rates = _run_passes(seconds, size["pass_s"], one_pass)
+    elapsed, attempted, windows = _run_passes(seconds, size["pass_s"], one_pass, latencies,
+                                              probes)
     rss = peak_rss_mib()
     undelivered = sum(stats.failed for *_, stats in batches)
     engines = sorted({stats.engine for *_, stats in batches}) or ["unused"]
     backends = sorted({stats.backend for *_, stats in batches})
     return Measurement(
         setup_s=setup_s,
+        setup_probes_ms=setup_probes,
         ops=attempted,
         elapsed_s=elapsed,
-        rates=rates,
+        windows=windows,
         latencies_ms=latencies,
         attempted=len(latencies),
         failed=len(errors),
@@ -463,16 +551,18 @@ def _netsim_session(seed: int, size: Dict[str, Any], index: int):
 
 def run_netsim(seed: int, seconds: float, scale: str, setups: int) -> Measurement:
     size = SCALES[scale]["netsim-64"]
-    setup_s = []
+    setup_s, setup_probes = [], []
     first = None
     for _ in range(setups):
         first = None
         start = perf()
         first = _netsim_session(seed, size, 0)
         setup_s.append(perf() - start)
+        setup_probes.append(probe_ms())
 
     runs: List[Tuple[int, float, int, Any]] = []
     latencies: List[float] = []
+    probes: List[float] = []
     errors: List[str] = []
     cache_info: Counter = Counter()
 
@@ -490,6 +580,7 @@ def run_netsim(seed: int, seconds: float, scale: str, setups: int) -> Measuremen
             ))
             busy += took
             latencies.append(took * 1000.0)
+            probes.append(probe_ms())
             if stats is not None:
                 done += stats.attempted
                 runs.append((index, load, run_seed,
@@ -498,15 +589,17 @@ def run_netsim(seed: int, seconds: float, scale: str, setups: int) -> Measuremen
         return busy, done
 
     # Normalised by offered work and by the time spent inside simulate().
-    elapsed, offered, rates = _run_passes(seconds, size["pass_s"], one_pass)
+    elapsed, offered, windows = _run_passes(seconds, size["pass_s"], one_pass, latencies,
+                                            probes)
     rss = peak_rss_mib()
     failed = sum(stats["unroutable"] + stats["in_flight"] for *_, stats in runs)
     sims = sorted({stats["sim"] for *_, stats in runs}) or ["unused"]
     return Measurement(
         setup_s=setup_s,
+        setup_probes_ms=setup_probes,
         ops=offered,
         elapsed_s=elapsed,
-        rates=rates,
+        windows=windows,
         latencies_ms=latencies,
         attempted=len(latencies),
         failed=len(errors),
@@ -642,15 +735,27 @@ class _Churn:
 
     async def loop(
         self, connections: List[_Connection], seconds: float
-    ) -> Tuple[float, int, List[float]]:
+    ) -> Tuple[float, int, List[Window]]:
         """Closed loop for *seconds* (then to the end of the mutation cycle).
 
-        Returns the elapsed seconds, the completed requests and the request
-        rate of each run of ``8 * outstanding`` consecutive completions.
+        Returns the elapsed seconds, the completed requests and a window per
+        run of ``8 * outstanding`` consecutive completions, holding the
+        latencies of the route requests completed in it and the
+        machine-speed probes this process took meanwhile, every
+        ``PROBE_EVERY`` seconds while the daemon works on the other core.
         """
         slots = asyncio.Semaphore(self.size["outstanding"])
         tasks: set = set()
         completed_at: List[float] = []
+        #: (completion index, latency) of each route response of this loop.
+        routes: List[Tuple[int, float]] = []
+        #: (time, probe) of each machine-speed probe of this loop.
+        probes: List[Tuple[float, float]] = []
+
+        async def sample() -> None:
+            while True:
+                await asyncio.sleep(PROBE_EVERY)
+                probes.append((perf(), probe_ms()))
 
         async def issue(index: int, request: Dict[str, Any]) -> None:
             try:
@@ -662,11 +767,13 @@ class _Churn:
                 self.errors.append(f"{request['op']}: {response.get('error')}")
             elif request["op"] == "route":
                 self.route_ms.append(took * 1000.0)
+                routes.append((len(completed_at) - 1, took * 1000.0))
             else:
                 self.mutation_ms.append(took * 1000.0)
 
         start = perf()
         deadline = start + seconds
+        sampler = asyncio.ensure_future(sample())
         while True:
             await slots.acquire()
             if perf() >= deadline and not self.mid_cycle:
@@ -678,10 +785,27 @@ class _Churn:
         if tasks:
             await asyncio.gather(*tuple(tasks))
         elapsed = perf() - start
+        sampler.cancel()
+        await asyncio.gather(sampler, return_exceptions=True)
         chunk = 8 * self.size["outstanding"]
         marks = [start] + completed_at[chunk - 1::chunk]
-        rates = [chunk / (end - begin) for begin, end in zip(marks, marks[1:])]
-        return elapsed, len(completed_at), rates or [len(completed_at) / elapsed]
+        if len(marks) < 2:  # shorter than one window: the loop is the window
+            return elapsed, len(completed_at), [Window(
+                elapsed, len(completed_at), [ms for _, ms in routes],
+                [ms for _, ms in probes] or [probe_ms()],
+            )]
+        latencies: List[List[float]] = [[] for _ in marks[1:]]
+        for index, ms in routes:
+            if index // chunk < len(latencies):
+                latencies[index // chunk].append(ms)
+        speeds: List[List[float]] = [[] for _ in marks[1:]]
+        for at, ms in probes:
+            window = bisect.bisect_left(marks, at) - 1
+            if 0 <= window < len(speeds):
+                speeds[window].append(ms)
+        windows = [Window(end - begin, chunk, lat, speed) for begin, end, lat, speed
+                   in zip(marks, marks[1:], latencies, speeds)]
+        return elapsed, len(completed_at), windows
 
 
 def _read_event(proc: subprocess.Popen, timeout: float) -> Dict[str, Any]:
@@ -761,9 +885,10 @@ def run_serve(seed: int, seconds: float, scale: str, setups: int,
     status = outcome["status"]
     return Measurement(
         setup_s=ready["setup_s"],
+        setup_probes_ms=ready["setup_probes_ms"],
         ops=outcome["completed"],
         elapsed_s=outcome["elapsed"],
-        rates=outcome["rates"],
+        windows=outcome["windows"],
         latencies_ms=routes,
         attempted=outcome["sent"],
         failed=len(churn.errors),
@@ -798,16 +923,17 @@ async def _drive(proc, port: int, churn: _Churn, seconds: float, size, seed: int
 
     outcome: Dict[str, Any] = {}
     if trace:
-        _, _, base_rates = await churn.loop(connections, seconds)
-        outcome["baseline"] = median(base_rates)
+        _, _, base_windows = await churn.loop(connections, seconds)
+        outcome["baseline"] = base_windows
         churn.route_ms.clear()
         churn.mutation_ms.clear()
         before = _status_counters(await status())
         proc.send_signal(signal.SIGUSR1)
         await asyncio.get_running_loop().run_in_executor(None, _read_event, proc, 30)
-    elapsed, completed, rates = await churn.loop(connections, seconds)
+    elapsed, completed, windows = await churn.loop(connections, seconds)
     # Errors are counted over every stream request, baseline pass included.
-    outcome.update(elapsed=elapsed, completed=completed, rates=rates, sent=churn.sequence)
+    outcome.update(elapsed=elapsed, completed=completed, windows=windows,
+                   sent=churn.sequence)
     if trace:
         proc.send_signal(signal.SIGUSR2)
         await asyncio.get_running_loop().run_in_executor(None, _read_event, proc, 30)
