@@ -11,7 +11,10 @@ Replays the paper's simulation shape -- faults sequentially added to a
   cache, so only components touched by the new faults are recomputed.
 
 Both paths must produce identical results at every step (asserted); the
-recorded table reports the wall-clock ratio.
+recorded table reports the wall-clock ratio.  DMFP's per-component outcomes
+come from a process-wide shape memo that both paths would share, so the
+memo is cleared before each timed path: a warm memo would hand the second
+path the first path's work.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import time
 from conftest import MESH_WIDTH, record_result
 
 from repro.api import MeshSession, get_construction
+from repro.distributed.dmfp import shape_outcome
 from repro.faults.scenario import generate_scenario
 
 #: Sequential-insertion schedule: 16 batches of 50 faults, i.e. the paper's
@@ -49,6 +53,7 @@ def _run_sequential(key: str, width: int = MESH_WIDTH):
 
     session = MeshSession(topology=topology)
     incremental_results = []
+    shape_outcome.cache_clear()
     start = time.perf_counter()
     for batch in batches:
         session.add_faults(batch)
@@ -57,6 +62,7 @@ def _run_sequential(key: str, width: int = MESH_WIDTH):
 
     full_results = []
     prefix = []
+    shape_outcome.cache_clear()
     start = time.perf_counter()
     for batch in batches:
         prefix.extend(batch)

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro._array_ops import active_backend_key
 from repro.core.mfp import build_minimum_polygons
-from repro.distributed.dmfp import build_minimum_polygons_distributed
+from repro.distributed.dmfp import build_minimum_polygons_distributed, shape_outcome
 from repro.faults.scenario import generate_scenario
 from repro.geometry import masks
 from repro.routing.registry import get_router
@@ -50,10 +50,15 @@ DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_kernel.json"
 
 
 def _best_time(fn, trials: int):
-    """Return ``(best_seconds, last_result)`` over *trials* runs of *fn*."""
+    """Return ``(best_seconds, last_result)`` over *trials* runs of *fn*.
+
+    Every run starts with DMFP's process-wide shape memo empty, so a run
+    never reuses the component outcomes of the run before it.
+    """
     best = float("inf")
     result = None
     for _ in range(trials):
+        shape_outcome.cache_clear()
         start = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - start)

@@ -4,20 +4,21 @@ The paper's simulation shape -- "faults are sequentially added" to a
 100x100 mesh, with every construction re-run after each insertion -- makes
 a full rebuild per step needlessly expensive: most fault components are
 untouched by a new batch of faults, yet the one-shot builders recompute
-every per-component polygon, labelling emulation and boundary ring from
-scratch.
+every per-component polygon and labelling emulation from scratch.
 
 :class:`MeshSession` owns a topology plus the evolving fault set and keeps
 the component partition *incrementally*: ``add_faults`` merges each new
 fault into the adjacent components in O(batch) instead of re-scanning the
-whole fault set.  Component-local artefacts (minimum-polygon hulls,
-labelling-emulation rounds, boundary rings) are cached keyed by the
-component's node set, so after an update only the components actually
-touched by new faults -- the *dirty* components -- are recomputed; the
-cheap network-wide piling step then reassembles the full result.  The
-cached hull/labelling entries carry their polygons as coordinate arrays
-built by the mask kernel (:mod:`repro.geometry.masks`), so the reassembly
-concatenates whole arrays instead of iterating frozensets.  The
+whole fault set.  Component-local artefacts (minimum-polygon hulls and
+labelling-emulation rounds) are cached keyed by the component's node set,
+so after an update only the components actually touched by new faults --
+the *dirty* components -- are recomputed; the cheap network-wide piling
+step then reassembles the full result.  The cached hull/labelling entries
+carry their polygons as coordinate arrays built by the mask kernel
+(:mod:`repro.geometry.masks`), so the reassembly concatenates whole arrays
+instead of iterating frozensets.  DMFP keeps no session cache: its
+per-component outcomes come from a process-wide memo keyed by component
+shape (:func:`repro.distributed.dmfp.component_outcome`).  The
 incremental results are bit-identical to one-shot builds on the same fault
 set (asserted by the property tests in ``tests/test_api_session.py``).
 
@@ -65,9 +66,7 @@ from repro.core.mfp import (
     component_polygon_via_labelling,
     emulate_rounds_each,
 )
-from repro.distributed.dmfp import ComponentConstruction, assemble_distributed
-from repro.distributed.notification import plan_notifications
-from repro.distributed.ring import construct_boundary_ring
+from repro.distributed.dmfp import assemble_distributed
 from repro.faults.links import links_to_node_faults, make_link_fault_set
 from repro.faults.scenario import FaultScenario
 from repro.geometry import masks
@@ -128,7 +127,6 @@ class MeshSession:
         self._hull_cache: Dict[FrozenSet[Coord], ComponentPolygon] = {}
         self._labelling_cache: Dict[FrozenSet[Coord], ComponentPolygon] = {}
         self._rounds_cache: Dict[FrozenSet[Coord], int] = {}
-        self._ring_cache: Dict[FrozenSet[Coord], object] = {}
         # Whole-result cache: (key, options) -> (version, result).
         self._results: Dict[Tuple[str, ConstructionOptions], Tuple[int, ConstructionResult]] = {}
         # Routing facade, created lazily on first router/route/routing use;
@@ -319,7 +317,7 @@ class MeshSession:
         each is re-partitioned by a flood fill over its *remaining* members
         under the paper's 8-adjacency, since removing a cut node can split
         one component into several.  Untouched components (and therefore
-        their cached polygons, rounds and rings) survive unchanged.
+        their cached polygons and rounds) survive unchanged.
         """
         batch: List[Coord] = []
         for node in nodes:
@@ -400,7 +398,6 @@ class MeshSession:
         self._hull_cache.clear()
         self._labelling_cache.clear()
         self._rounds_cache.clear()
-        self._ring_cache.clear()
         self._results.clear()
 
     # -- components ----------------------------------------------------------------
@@ -436,7 +433,6 @@ class MeshSession:
             self._hull_cache,
             self._labelling_cache,
             self._rounds_cache,
-            self._ring_cache,
             self._component_objects,
         ):
             for key in [k for k in cache if k not in live]:
@@ -508,19 +504,6 @@ class MeshSession:
         return max(
             (self._rounds_cache[c.nodes] for c in components), default=0
         )
-
-    def component_ring(self, component: FaultComponent):
-        """The component's boundary-ring construction, cached."""
-        entry = self._component_artifact(
-            self._ring_cache, component, construct_boundary_ring
-        )
-        if entry.component is not component:
-            # Re-anchor on the current component object (indices shift as
-            # components appear) so incremental results stay identical to
-            # one-shot builds; keep the re-wrapped entry for later hits.
-            entry = dataclasses.replace(entry, component=component)
-            self._ring_cache[component.nodes] = entry
-        return entry
 
     # -- construction builds ---------------------------------------------------------
 
@@ -654,25 +637,15 @@ def _incremental_minimum_polygons(
 def _incremental_distributed(
     session: MeshSession, spec: ConstructionSpec, options: ConstructionOptions
 ) -> ConstructionResult:
-    """Incremental DMFP: cache boundary rings, recompute notification plans.
+    """Incremental DMFP: the session's component partition, no rescan.
 
-    The boundary ring depends only on the component's own shape and is the
-    expensive part of the distributed construction; the notification plans
-    must be recomputed because their detours depend on the faults of *other*
-    components (blocking polygons), which any update may change.
+    The per-component outcomes come from the process-wide shape memo of
+    :func:`repro.distributed.dmfp.component_outcome`, which serves clean
+    and dirty components alike and re-plans exactly the components whose
+    concave sections hold another component's fault.
     """
-    components = session.components()
-    fault_set = set(session.faults)
-    per_component: List[ComponentConstruction] = []
-    for component in components:
-        ring = session.component_ring(component)
-        blocking = fault_set - set(component.nodes)
-        plan = plan_notifications(component, ring, blocking)
-        per_component.append(
-            ComponentConstruction(component=component, ring=ring, plan=plan)
-        )
     construction = assemble_distributed(
-        session.faults, session.topology, components, per_component
+        session.faults, session.topology, session.components()
     )
     return spec.wrap(construction, options)
 

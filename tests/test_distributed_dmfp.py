@@ -1,12 +1,16 @@
 """Integration tests for the distributed MFP construction (DMFP)."""
 
 
+from repro.core.components import find_components
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import build_minimum_polygons
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.distributed.dmfp import (
     build_distributed_for_scenario,
     build_minimum_polygons_distributed,
+    component_outcome,
+    construct_component,
+    shape_outcome,
 )
 from repro.faults.scenario import generate_scenario
 from repro.types import FaultRegionModel
@@ -101,3 +105,48 @@ class TestDistributedConstruction:
     def test_mean_region_size_zero_without_regions(self):
         result = build_minimum_polygons_distributed([], width=6)
         assert result.mean_region_size == 0.0
+
+
+#: An upside-down U: its two concave row sections are (1..3, 0) and (1..3, 1).
+CAP = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (4, 1), (4, 0)]
+
+
+def _notified(outcome):
+    return set(map(tuple, outcome.notified.tolist()))
+
+
+class TestShapeMemo:
+    def test_fault_on_a_concave_section_replans_exactly(self):
+        # A lone fault of another component on the cap's lower section: the
+        # notification has to detour around it, which the unblocked shape
+        # outcome knows nothing about.
+        faults = CAP + [(2, 0)]
+        cap = next(c for c in find_components(faults) if len(c.nodes) == len(CAP))
+        exact = construct_component(cap, set(faults))
+        outcome = component_outcome(cap, set(faults))
+        assert outcome.rounds == exact.rounds
+        assert _notified(outcome) == exact.plan.disabled_nodes
+        unblocked = shape_outcome(cap.nodes)
+        assert exact.rounds > unblocked.rounds
+        assert (2, 0) not in exact.plan.disabled_nodes
+        result = build_minimum_polygons_distributed(faults, width=8)
+        assert result.rounds == max(e.rounds for e in result.per_component)
+        assert result.rounds == exact.rounds
+
+    def test_translated_shapes_share_one_outcome(self):
+        shift = (10, 7)
+        moved = [(x + shift[0], y + shift[1]) for x, y in CAP]
+        faults = CAP + moved
+        shape_outcome.cache_clear()
+        here, there = find_components(faults)
+        first = component_outcome(here, set(faults))
+        second = component_outcome(there, set(faults))
+        assert shape_outcome.cache_info().misses == 1
+        assert first.rounds == second.rounds
+        assert _notified(second) == {
+            (x + shift[0], y + shift[1]) for x, y in _notified(first)
+        }
+        for component, outcome in ((here, first), (there, second)):
+            exact = construct_component(component, set(faults))
+            assert outcome.rounds == exact.rounds
+            assert _notified(outcome) == exact.plan.disabled_nodes

@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core.components import find_components
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import build_minimum_polygons, component_minimum_polygon
-from repro.core.regions import extract_regions
+from repro.core.regions import convexify_regions, extract_regions
 from repro.core.sub_minimum import build_sub_minimum_polygons
-from repro.distributed.dmfp import build_minimum_polygons_distributed
+from repro.distributed.dmfp import build_minimum_polygons_distributed, component_outcome
 from repro.geometry.boundary import boundary_ring, region_perimeter
 from repro.geometry.orthogonal import is_orthogonal_convex, orthogonal_convex_hull
 from repro.geometry.rectangle import bounding_rectangle
 from repro.geometry.sections import concave_sections, section_nodes
-from repro.mesh.topology import Mesh2D
+from repro.mesh.status import StatusGrid
+from repro.mesh.topology import Mesh2D, Torus2D
 
 #: Strategy: a small set of distinct fault coordinates on a 12x12 grid.
 fault_sets = st.sets(
@@ -93,15 +94,31 @@ def test_construction_hierarchy_invariants(region):
     assert mfp.num_disabled_nonfaulty <= fp.num_disabled_nonfaulty
 
 
-@settings(max_examples=25, deadline=None)
-@given(fault_sets)
-def test_distributed_equals_centralized(region):
+@settings(max_examples=40, deadline=None)
+@given(fault_sets, st.booleans())
+def test_distributed_equals_centralized(region, torus):
     faults = sorted(region)
-    topology = Mesh2D(12, 12)
+    topology = Torus2D(12, 12) if torus else Mesh2D(12, 12)
     centralized = build_minimum_polygons(faults, topology=topology, compute_rounds=False)
     distributed = build_minimum_polygons_distributed(faults, topology=topology)
     assert distributed.grid.disabled_set() == centralized.grid.disabled_set()
-    assert distributed.rounds >= 0
+    # The shape memo against the exact per-component construction.
+    fault_set = set(faults)
+    exact = distributed.per_component
+    for component, entry in zip(distributed.components, exact):
+        outcome = component_outcome(component, fault_set)
+        assert outcome.rounds == entry.rounds
+        assert set(map(tuple, outcome.notified.tolist())) == entry.plan.disabled_nodes
+    assert distributed.rounds == max(entry.rounds for entry in exact)
+    # The disabled grid is the union of the exact polygons, after the same
+    # convexity repair.
+    grid = StatusGrid(topology, faults)
+    for entry in exact:
+        for node in entry.polygon:
+            if topology.contains(node):
+                grid.mark_disabled(node)
+    convexify_regions(grid)
+    assert distributed.grid.disabled_set() == grid.disabled_set()
 
 
 @settings(max_examples=40, deadline=None)
