@@ -38,6 +38,7 @@ from __future__ import annotations
 import base64
 import json
 import multiprocessing
+import os
 import queue
 import socket
 import threading
@@ -113,8 +114,12 @@ def _local_worker_main(
 
     The plan is expanded *here*, once per worker process (same move as
     :func:`run_tcp_worker`): tasks address trials as ``(point, trial)``
-    cells, so the parent never materializes descriptors.
+    cells, so the parent never materializes descriptors.  An idle worker
+    looks every *heartbeat_interval* seconds whether its parent is still
+    the one that started it, and returns once the parent has died: a
+    killed runner never sends the stop sentinel.
     """
+    parent = os.getppid()
     kind = get_campaign_kind(campaign.kind)
     codec = campaign.codec()
     by_cell: Dict[Tuple[int, int], TrialDescriptor] = {
@@ -122,7 +127,12 @@ def _local_worker_main(
     }
     event_queue.put(("hello", worker_id, None))
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=heartbeat_interval)
+        except queue.Empty:
+            if os.getppid() != parent:
+                return
+            continue
         if task is None:
             break
         event_queue.put(("start", worker_id, task.task_id))

@@ -84,10 +84,13 @@ def generate_scenario(
     """Generate one reproducible fault scenario.
 
     Defaults mirror the paper's simulation setup: a 100 x 100 mesh with the
-    requested number of sequentially inserted faults.
+    requested number of sequentially inserted faults.  *model* is matched
+    ignoring case and surrounding whitespace, and the scenario records its
+    canonical name.
     """
     if height is None:
         height = width
+    model = model.strip().lower()
     topology: Topology = Torus2D(width, height) if torus else Mesh2D(width, height)
     rng = np.random.default_rng(seed)
     kwargs = {"cluster_factor": cluster_factor} if model == "clustered" else {}

@@ -276,9 +276,37 @@ def test_rerun_skips_every_trial(tmp_path):
     assert summary["skipped"] == summary["planned"] == spec.total_trials
 
 
+def _proc_stat(pid):
+    """``/proc/<pid>/stat`` fields after the command name, or ``None``.
+
+    Index 0 is the state, 1 the parent pid, 19 the start time.
+    """
+    try:
+        stat = Path("/proc", str(pid), "stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def _children(pid):
+    """``{child pid: start time}`` for the processes whose parent is *pid*."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        fields = _proc_stat(entry) if entry.isdigit() else None
+        if fields is not None and int(fields[1]) == pid:
+            children[int(entry)] = fields[19]
+    return children
+
+
+def _gone_or_zombie(pid, start_time):
+    fields = _proc_stat(pid)
+    return fields is None or fields[19] != start_time or fields[0] == "Z"
+
+
 def test_kill9_mid_campaign_resume_bit_identical(tmp_path):
     """A real SIGKILL mid-flight loses at most the chunk being written;
-    resuming completes the campaign with bit-identical reduced points."""
+    resuming completes the campaign with bit-identical reduced points, and
+    the killed runner's workers exit instead of waiting forever."""
     store_dir = tmp_path / "store"
     script = textwrap.dedent(
         """
@@ -296,12 +324,16 @@ def test_kill9_mid_campaign_resume_bit_identical(tmp_path):
         env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
     )
     manifest = store_dir / "manifest.jsonl"
+    on_proc = Path("/proc/self/stat").exists()
+    children = {}
     deadline = time.time() + 60
     try:
         while time.time() < deadline:
             if proc.poll() is not None:
                 break
             if manifest.exists() and manifest.read_bytes().count(b'"chunk"') >= 2:
+                if on_proc:
+                    children = _children(proc.pid)
                 proc.send_signal(signal.SIGKILL)
                 break
             time.sleep(0.005)
@@ -310,6 +342,18 @@ def test_kill9_mid_campaign_resume_bit_identical(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+    if on_proc and proc.returncode == -signal.SIGKILL:
+        assert children, "the runner had no worker process to orphan"
+        deadline = time.time() + 10
+        while time.time() < deadline and not all(
+            _gone_or_zombie(pid, start) for pid, start in children.items()
+        ):
+            time.sleep(0.05)
+        orphans = [pid for pid, start in children.items() if not _gone_or_zombie(pid, start)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert not orphans, f"workers outlived their killed runner: {orphans}"
 
     spec = CampaignSpec.construction(
         [6, 12], 60, models=("fb", "fp", "mfp"), width=20, include_rounds=False

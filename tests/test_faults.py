@@ -1,5 +1,7 @@
 """Unit tests for repro.faults (fault models and scenarios)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,8 +51,9 @@ class TestClusteredFaultModel:
         assert len(set(faults)) == 60
 
     def test_rejects_non_positive_cluster_factor(self, mesh10):
-        with pytest.raises(ValueError):
-            ClusteredFaultModel(mesh10, cluster_factor=0)
+        for factor in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cluster_factor"):
+                ClusteredFaultModel(mesh10, cluster_factor=factor)
 
     def test_clustering_increases_adjacency(self, mesh20):
         """Clustered faults touch existing faults more often than random ones."""
@@ -82,6 +85,119 @@ class TestClusteredFaultModel:
         assert all(fault in torus10 for fault in faults)
 
 
+def choice_loop(topology, rng, factor, count):
+    """The clustered draw with one ``rng.choice(p=...)`` per fault over a
+    rebuilt probability vector: the oracle the sum-tree sampler must equal."""
+    width, height = topology.width, topology.height
+    weights = np.ones((width, height), dtype=float)
+    faulty = np.zeros((width, height), dtype=bool)
+    faults = []
+    for _ in range(count):
+        available = ~faulty
+        probs = np.where(available, weights, 0.0).ravel()
+        total = probs.sum()
+        if total <= 0:
+            raise RuntimeError("no available node left for fault injection")
+        probs /= total
+        flat_index = int(rng.choice(width * height, p=probs))
+        x, y = flat_index // height, flat_index % height
+        faults.append((x, y))
+        faulty[x, y] = True
+        for nx, ny in topology.adjacent_nodes((x, y)):
+            weights[nx, ny] *= factor
+    return faults
+
+
+def tree_draw(topology, rng, factor, count):
+    return ClusteredFaultModel(topology, rng, cluster_factor=factor).draw_faults(count)
+
+
+#: (width, height, torus, cluster factor, count, seed) of the golden draws.
+GOLDEN_CASES = (
+    (1, 7, False, 2.0, 7, 0),
+    (2, 3, True, 2.0, 6, 1),
+    (7, 5, True, 8.0, 35, 2),
+    (10, 10, False, 2.0, 60, 3),
+    (12, 9, True, 3.7, 100, 4),
+    (20, 20, False, 8.0, 150, 5),
+    (33, 17, True, 1.5, 200, 6),
+    (100, 100, False, 2.0, 800, 7),
+)
+
+#: sha256 of the ``repr`` of every golden case's draws, in order, as the
+#: ``rng.choice`` loop (``choice_loop``) drew them.
+GOLDEN_DIGEST = "c7b0af794034585681df5f37e74c97e280dc9abdddaebd8e9ed5183f07103b78"
+
+
+class FixedRandom:
+    """An rng stub whose every ``random()`` is one fixed double."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class TestClusteredSampler:
+    """The sum-tree sampler draws exactly what ``Generator.choice`` draws."""
+
+    @pytest.mark.parametrize(
+        "topology",
+        [Mesh2D(1, 7), Torus2D(1, 7), Mesh2D(2, 3), Torus2D(2, 3), Mesh2D(9, 8), Torus2D(9, 8)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("factor", [1.0, 1.5, 2.0, 3.7, 8.0])
+    def test_equals_choice_loop_until_full(self, topology, factor):
+        # A 2x3 torus lists some neighbours twice; each copy multiplies.
+        count = topology.num_nodes
+        for seed in range(20):
+            expected = choice_loop(topology, np.random.default_rng(seed), factor, count)
+            assert tree_draw(topology, np.random.default_rng(seed), factor, count) == expected
+
+    def test_leaves_the_rng_where_choice_does(self, mesh20):
+        tree_rng, choice_rng = np.random.default_rng(11), np.random.default_rng(11)
+        tree_draw(mesh20, tree_rng, 2.0, 50)
+        choice_loop(mesh20, choice_rng, 2.0, 50)
+        assert tree_rng.random() == choice_rng.random()
+
+    def test_golden_digest(self):
+        digest = hashlib.sha256()
+        for width, height, torus, factor, count, seed in GOLDEN_CASES:
+            topology = (Torus2D if torus else Mesh2D)(width, height)
+            faults = tree_draw(topology, np.random.default_rng(seed), factor, count)
+            digest.update(repr(faults).encode())
+        assert digest.hexdigest() == GOLDEN_DIGEST
+
+    def test_draw_on_a_cdf_step_falls_back_to_numpy(self):
+        # 0.6 * 5 == 3.0 puts the tree exactly on the boundary of leaf 3,
+        # but numpy's cdf[2] is 0.6000000000000001 > 0.6, so choice picks 2.
+        assert tree_draw(Mesh2D(1, 5), FixedRandom(0.6), 2.0, 1) == [(0, 2)]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "topology, factor", [(Mesh2D(6, 6), 1e150), (Mesh2D(2, 2), 1e-150)], ids=["huge", "tiny"]
+    )
+    def test_untrusted_totals_equal_choice_loop(self, topology, factor):
+        # The third draw's total is ~1e300 or ~1e-300, outside the range
+        # where the tree is trusted, so numpy's arithmetic draws it.
+        for seed in range(20):
+            expected = choice_loop(topology, np.random.default_rng(seed), factor, 3)
+            assert tree_draw(topology, np.random.default_rng(seed), factor, 3) == expected
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("draw", [choice_loop, tree_draw])
+    def test_overflowing_weights_raise_value_error(self, draw):
+        with pytest.raises(ValueError, match="Probabilities contain NaN"):
+            draw(Mesh2D(10, 10), np.random.default_rng(0), 1e200, 30)
+
+    @pytest.mark.parametrize("draw", [choice_loop, tree_draw])
+    def test_underflowing_weights_raise_runtime_error(self, draw):
+        with pytest.raises(RuntimeError, match="no available node"):
+            draw(Mesh2D(2, 2), np.random.default_rng(0), 1e-200, 4)
+
+
 class TestMakeFaultModel:
     def test_dispatch(self, mesh10):
         assert isinstance(make_fault_model("random", mesh10), RandomFaultModel)
@@ -109,6 +225,12 @@ class TestScenario:
     def test_generate_scenario_torus(self):
         scenario = generate_scenario(num_faults=5, width=8, torus=True, seed=2)
         assert isinstance(scenario.topology(), Torus2D)
+
+    def test_model_name_is_canonicalised_and_factor_forwarded(self):
+        loose = generate_scenario(60, width=20, model=" Clustered ", seed=3, cluster_factor=8.0)
+        exact = generate_scenario(60, width=20, model="clustered", seed=3, cluster_factor=8.0)
+        assert loose.model == "clustered"
+        assert loose == exact
 
     def test_scenario_is_reproducible(self):
         a = generate_scenario(num_faults=20, width=20, model="clustered", seed=9)
