@@ -74,7 +74,8 @@ MODELS = ("fb", "fp", "mfp")
 
 
 def construction_spec(fault_counts, trials, width, seed):
-    return CampaignSpec.construction(
+    return CampaignSpec.create(
+        "construction",
         fault_counts,
         trials,
         models=MODELS,

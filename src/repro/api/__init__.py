@@ -19,9 +19,10 @@ exported from its top level:
   "bit-reversal" | "hotspot" | "nearest-neighbour" | "permutation")``),
   routers cached per construction and invalidated on fault updates.
 * :mod:`repro.api.executor` -- :class:`SweepExecutor`, which fans
-  construction sweeps (``run``), routing sweeps (``run_routing``) and
-  latency-vs-load sweeps (``run_latency``) out over ``multiprocessing``
-  with deterministic per-trial seeds and pluggable reducers.
+  sweeps out over ``multiprocessing`` with deterministic per-trial seeds
+  and pluggable reducers.  ``run(axis, trials, kind=...)`` runs any entry
+  of :data:`TRIAL_KINDS`: construction sweeps (the paper's figures),
+  routing sweeps and latency-vs-load sweeps.
 
 On top of the routing facade sits the network simulator of
 :mod:`repro.netsim` (:class:`NetSimSession`, reachable as
@@ -49,8 +50,8 @@ Quickstart::
     print(stats.delivery_rate, stats.mean_detour)
 
     points = SweepExecutor(workers=4).run([100, 200, 400], trials=3)
-    routing = SweepExecutor(models=("fb", "fp", "mfp"), workers=4).run_routing(
-        [100, 200, 400], trials=3, traffic="hotspot", messages=500
+    routing = SweepExecutor(models=("fb", "fp", "mfp"), workers=4).run(
+        [100, 200, 400], trials=3, kind="routing", traffic="hotspot", messages=500
     )
 """
 
@@ -88,9 +89,11 @@ from repro.api.executor import (
     DEFAULT_MODELS,
     DEFAULT_NETSIM_MODELS,
     DEFAULT_ROUTING_MODELS,
+    TRIAL_KINDS,
     NetSimTrialSpec,
     RoutingTrialSpec,
     SweepExecutor,
+    TrialKind,
     TrialSpec,
     collect_scenario_metrics,
     latency_point_reducer,
@@ -223,6 +226,8 @@ __all__ = [
     "use_simulator",
     # executor
     "SweepExecutor",
+    "TRIAL_KINDS",
+    "TrialKind",
     "TrialSpec",
     "RoutingTrialSpec",
     "NetSimTrialSpec",

@@ -5,8 +5,17 @@ The paper's evaluation repeats every construction over a fault-count sweep
 trials per point.  Trials are embarrassingly parallel -- they share no
 state beyond their deterministic seeds -- so :class:`SweepExecutor` fans
 them out over a ``multiprocessing`` pool and reduces the per-trial
-:class:`~repro.sim.metrics.ScenarioMetrics` into one record per sweep
-point with a pluggable reducer.
+metrics into one record per sweep point with a pluggable reducer.
+
+Three trial kinds share that machinery, one entry each in
+:data:`TRIAL_KINDS`: ``construction`` (the paper's Figures 9-11),
+``routing`` (routed synthetic traffic) and ``latency`` (the contention
+simulator over an offered-load axis).  An entry names the kind's
+trial-spec dataclass -- whose field defaults are the only copy of the
+kind's sweep defaults -- its axis, worker entry point, default point
+reducer and per-model store columns.  The executor, the campaign layer
+(:mod:`repro.campaign`) and the CLI all read the table, so a sweep means
+the same thing in memory, on disk and on the command line.
 
 Determinism: every trial's seed comes from
 :func:`repro.faults.scenario.derive_trial_seed`, which spaces seeds by a
@@ -14,8 +23,9 @@ large prime stride, so a sweep produces identical metrics whether it runs
 serially, across 2 workers or across 32 (asserted by
 ``tests/test_api_executor.py``).
 
-``repro.sim.experiments.run_sweep`` is a thin wrapper over this class and
-keeps its historical serial default (``workers=1``).
+``repro.sim.experiments.run_sweep`` / ``run_routing_sweep`` /
+``run_latency_sweep`` are thin wrappers over this class and keep their
+historical serial default (``workers=1``).
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro._registry import SpecRegistry
 from repro.api.registry import (
     ConstructionSpec,
     _build_cmfp,
@@ -38,6 +49,8 @@ from repro.faults.scenario import (
     derive_trial_seed,
     generate_scenario,
 )
+from repro.netsim.registry import get_simulator, register_simulator
+from repro.routing.engine import get_engine, register_engine
 from repro.routing.registry import (
     RouterOptions,
     RouterSpec,
@@ -60,8 +73,14 @@ DEFAULT_MODELS: Tuple[str, ...] = ("fb", "fp", "mfp", "cmfp", "dmfp")
 #: again would only repeat the MFP curve).
 DEFAULT_ROUTING_MODELS: Tuple[str, ...] = ("fb", "fp", "mfp")
 
-#: A reducer folds the trial metrics of one sweep point into one record.
-Reducer = Callable[[int, str, List[Any]], Any]
+#: Construction keys latency sweeps compare by default (MFP only: the
+#: latency axis is about contention, and the other models mostly shift the
+#: enabled-node count; pass more keys for a paired model comparison).
+DEFAULT_NETSIM_MODELS: Tuple[str, ...] = ("mfp",)
+
+#: A reducer folds the trial metrics of one sweep point into one record:
+#: ``reducer(x, distribution, trial_metrics)``.
+Reducer = Callable[[Any, str, List[Any]], Any]
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,122 +108,6 @@ class TrialSpec:
     #: ``-1`` marks a hand-built spec outside any sweep.
     point_index: int = -1
     trial: int = -1
-
-
-def collect_scenario_metrics(
-    scenario: FaultScenario,
-    models: Sequence[str] = DEFAULT_MODELS,
-    include_rounds: bool = True,
-):
-    """Run the requested constructions on one scenario via the registry.
-
-    ``mfp`` and ``cmfp`` share a single build (they are the same
-    construction, re-reported under the CMFP label for the Figure 11 round
-    comparison); *include_rounds* toggles its round emulation.
-    """
-    from repro.sim.metrics import ScenarioMetrics
-
-    topology = scenario.topology()
-    metrics = ScenarioMetrics(
-        num_faults=scenario.num_faults,
-        distribution=scenario.model,
-        seed=scenario.seed,
-    )
-    shared_mfp = None
-    mfp_spec = get_construction("mfp")
-    sharable = (_build_mfp, _build_cmfp) if mfp_spec.builder is _build_mfp else ()
-    for key in models:
-        spec = get_construction(key)
-        # The built-in MFP and CMFP rows describe the same construction, so
-        # one build serves both (with *include_rounds* deciding whether the
-        # round emulation runs, as the legacy harness did).  A spec replaced
-        # through the registry opts out of the sharing and builds itself.
-        if spec.builder in sharable:
-            if shared_mfp is None:
-                shared_mfp = mfp_spec.build(
-                    scenario.faults, topology, compute_rounds=include_rounds
-                )
-            result = shared_mfp
-        else:
-            # Forward the round toggle to any spec whose options understand
-            # it (e.g. a replacement MFP), so include_rounds=False keeps
-            # skipping the emulation cost the flag exists to avoid.
-            overrides = {}
-            if any(
-                f.name == "compute_rounds"
-                for f in dataclasses.fields(spec.options_type)
-            ):
-                overrides["compute_rounds"] = include_rounds
-            result = spec.build(scenario.faults, topology, **overrides)
-        metrics.add(result.metrics(num_faults=scenario.num_faults, label=spec.label))
-    return metrics
-
-
-def _restore_worker_registry(specs: Tuple[ConstructionSpec, ...]) -> None:
-    """Re-register the parent's construction specs in a worker process.
-
-    A spawned worker starts from a fresh registry holding only the
-    built-in models; re-register anything the parent plugged in.  The
-    builder comparison is by reference: specs pickle their builders as
-    module-level names, so built-ins resolve to the same function and
-    are left alone (keeping their incremental builders registered).
-    """
-    for construction_spec in specs:
-        try:
-            registered = get_construction(construction_spec.key)
-        except KeyError:
-            register_construction(construction_spec)
-        else:
-            if registered.builder is not construction_spec.builder:
-                register_construction(construction_spec, replace=True)
-
-
-def run_trial(spec: TrialSpec):
-    """Generate one scenario and collect its metrics (worker entry point)."""
-    _restore_worker_registry(spec.specs)
-    scenario = generate_scenario(
-        num_faults=spec.num_faults,
-        width=spec.width,
-        height=spec.height,
-        model=spec.distribution,
-        seed=spec.seed,
-        torus=spec.torus,
-        cluster_factor=spec.cluster_factor,
-    )
-    return collect_scenario_metrics(
-        scenario, models=spec.models, include_rounds=spec.include_rounds
-    )
-
-
-def _custom_fb_for_tests(faults, topology, options):
-    """Module-level custom builder used by the worker-registry tests.
-
-    Lives here (not in the test file) so that it pickles by reference in
-    spawned workers the same way a real user-defined builder would.
-    """
-    from repro.core.faulty_block import build_faulty_blocks
-
-    return build_faulty_blocks(faults, topology=topology)
-
-
-def _custom_traffic_for_tests(context, count, rng, options):
-    """Module-level custom generator used by the worker-registry tests."""
-    from repro.routing import traffic as _traffic
-
-    return _traffic._uniform(context, count, rng, options)
-
-
-def sweep_point_reducer(num_faults: int, distribution: str, trials: List[Any]):
-    """Default reducer: fold trial metrics into a ``SweepPoint`` average."""
-    from repro.sim.metrics import SweepPoint
-
-    point = SweepPoint(num_faults=num_faults, distribution=distribution)
-    for metrics in trials:
-        point.add(metrics)
-    return point
-
-
-# -- routing sweeps -----------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,105 +147,6 @@ class RoutingTrialSpec:
     #: Sweep position (see :class:`TrialSpec`); ``-1`` = outside a sweep.
     point_index: int = -1
     trial: int = -1
-
-
-def run_routing_trial(spec: RoutingTrialSpec):
-    """Route one scenario's traffic over every model (worker entry point).
-
-    All models inside a trial share the same fault pattern and traffic
-    seed (paired comparison); the batches themselves still differ per
-    model because each model's enabled endpoint set differs.
-    """
-    from repro.sim.metrics import RoutingMetrics, RoutingScenarioMetrics
-
-    from repro.routing.engine import get_engine, register_engine
-
-    _restore_worker_registry(spec.specs)
-    # Same re-registration dance for the routing registries: a spawned
-    # worker only knows the built-in routers/workloads/engines.  The
-    # implementation comparison is by reference (builders/generators/
-    # runners pickle as module-level names), so built-ins are left alone.
-    for carried, getter, registrar, implementation in (
-        (spec.router_spec, get_router, register_router, "builder"),
-        (spec.traffic_spec, get_traffic, register_traffic, "generator"),
-        (spec.engine_spec, get_engine, register_engine, "runner"),
-    ):
-        if carried is None:
-            continue
-        try:
-            registered = getter(carried.key)
-        except KeyError:
-            registrar(carried)
-        else:
-            if getattr(registered, implementation) is not getattr(carried, implementation):
-                registrar(carried, replace=True)
-    # Imported lazily to keep the executor module import-light (sessions
-    # pull in the whole construction stack).
-    from repro.api.session import MeshSession
-
-    scenario = generate_scenario(
-        num_faults=spec.num_faults,
-        width=spec.width,
-        height=spec.height,
-        model=spec.distribution,
-        seed=spec.seed,
-        torus=spec.torus,
-        cluster_factor=spec.cluster_factor,
-    )
-    session = MeshSession.from_scenario(scenario)
-    metrics = RoutingScenarioMetrics(
-        num_faults=scenario.num_faults,
-        distribution=scenario.model,
-        seed=scenario.seed,
-        traffic=get_traffic(spec.traffic).key,
-        router=get_router(spec.router).key,
-    )
-    for key in spec.models:
-        # Routing metrics never read the CMFP round counts: skip the
-        # emulation on any construction that exposes the toggle (the
-        # regions are identical either way).
-        construction_spec = get_construction(key)
-        construction_options = None
-        if any(
-            f.name == "compute_rounds"
-            for f in dataclasses.fields(construction_spec.options_type)
-        ):
-            construction_options = construction_spec.make_options(
-                None, {"compute_rounds": False}
-            )
-        stats = session.route(
-            key,
-            router=spec.router,
-            traffic=spec.traffic,
-            messages=spec.messages,
-            seed=spec.seed,
-            traffic_options=spec.traffic_options,
-            router_options=spec.router_options,
-            construction_options=construction_options,
-            engine=spec.engine,
-        )
-        metrics.add(
-            RoutingMetrics.from_stats(stats, num_faults=scenario.num_faults)
-        )
-    return metrics
-
-
-def routing_point_reducer(num_faults: int, distribution: str, trials: List[Any]):
-    """Default routing reducer: fold trials into a ``RoutingSweepPoint``."""
-    from repro.sim.metrics import RoutingSweepPoint
-
-    point = RoutingSweepPoint(num_faults=num_faults, distribution=distribution)
-    for metrics in trials:
-        point.add(metrics)
-    return point
-
-
-# -- latency-vs-load sweeps (network simulation) ------------------------------------
-
-#: Construction keys latency sweeps compare by default (MFP only: the
-#: latency axis is about contention, and the other models mostly shift the
-#: enabled-node count; pass more keys for a paired model comparison).
-DEFAULT_NETSIM_MODELS: Tuple[str, ...] = ("mfp",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,34 +191,87 @@ class NetSimTrialSpec:
     trial: int = -1
 
 
-def run_netsim_trial(spec: NetSimTrialSpec):
-    """Simulate one load point over every model (worker entry point).
+# -- registry-key fields ------------------------------------------------------------
 
-    All models inside a trial share the fault pattern and the traffic /
-    injection seed (paired comparison).
+#: Registry behind each registry-key trial field: (lookup, registration,
+#: implementation attribute).  ``model`` covers the constructions carried
+#: in ``specs``; every other entry is carried as ``<field>_spec``.
+_REGISTRIES: Dict[str, Tuple[Callable[..., Any], Callable[..., Any], str]] = {
+    "model": (get_construction, register_construction, "builder"),
+    "router": (get_router, register_router, "builder"),
+    "traffic": (get_traffic, register_traffic, "generator"),
+    "arrival": (get_traffic, register_traffic, "generator"),
+    "engine": (get_engine, register_engine, "runner"),
+    "sim": (get_simulator, register_simulator, "runner"),
+}
+
+#: Trial-spec fields holding a registry key.
+KEY_FIELDS: Tuple[str, ...] = ("router", "traffic", "arrival", "engine", "sim")
+
+#: Trial-spec fields that planning fills in and callers never set: the
+#: seed, the model set, the carried registry specs and the sweep position.
+_PLANNED_FIELDS = frozenset(
+    {"seed", "models", "specs", "point_index", "trial"}
+    | {f"{name}_spec" for name in KEY_FIELDS}
+)
+
+
+def resolve_key(name: str, key: Optional[str]) -> Tuple[Optional[str], Any]:
+    """Resolve the registry-key trial field *name*: ``(canonical key, spec)``.
+
+    The perf selectors ``engine`` and ``sim`` keep ``None`` and
+    ``"auto"`` (the worker's ambient default) and resolve them to no
+    spec.  An unknown key raises ``KeyError``, so typos fail before any
+    work is dispatched.  Planning, worker re-registration, campaign key
+    normalisation and campaign option revival all resolve through here.
     """
-    from repro.netsim.registry import get_simulator, register_simulator
-    from repro.sim.metrics import NetSimMetrics, NetSimScenarioMetrics
+    if name in ("engine", "sim"):
+        if key is None:
+            return None, None
+        key = SpecRegistry.normalise(key)
+        if key == "auto":
+            return key, None
+    spec = _REGISTRIES[name][0](key)
+    return spec.key, spec
 
-    _restore_worker_registry(spec.specs)
-    for carried, getter, registrar, implementation in (
-        (spec.router_spec, get_router, register_router, "builder"),
-        (spec.traffic_spec, get_traffic, register_traffic, "generator"),
-        (spec.arrival_spec, get_traffic, register_traffic, "generator"),
-        (spec.sim_spec, get_simulator, register_simulator, "runner"),
-    ):
-        if carried is None:
+
+def _restore_worker_registry(spec: Any) -> None:
+    """Re-register the parent's carried registry specs in a worker process.
+
+    A spawned worker starts from fresh registries holding only the
+    built-in constructions, routers, workloads, engines and simulators;
+    re-register anything the parent plugged in.  The implementation
+    comparison is by reference: specs pickle their builders / generators
+    / runners as module-level names, so built-ins resolve to the same
+    function and are left alone (keeping their incremental builders
+    registered).
+    """
+    carried = [("model", construction) for construction in spec.specs]
+    carried += [(name, getattr(spec, f"{name}_spec", None)) for name in KEY_FIELDS]
+    for name, carried_spec in carried:
+        if carried_spec is None:
             continue
+        _, register, implementation = _REGISTRIES[name]
         try:
-            registered = getter(carried.key)
+            registered = resolve_key(name, carried_spec.key)[1]
         except KeyError:
-            registrar(carried)
+            register(carried_spec)
         else:
-            if getattr(registered, implementation) is not getattr(carried, implementation):
-                registrar(carried, replace=True)
-    from repro.api.session import MeshSession
+            if getattr(registered, implementation) is not getattr(carried_spec, implementation):
+                register(carried_spec, replace=True)
 
-    scenario = generate_scenario(
+
+# -- worker entry points ------------------------------------------------------------
+
+
+def _scenario(spec: Any) -> FaultScenario:
+    """Worker set-up shared by every kind: registries, then the fault draw.
+
+    ``generate_scenario`` is looked up in this module per call, so a
+    tracer that replaces the module attribute sees every draw.
+    """
+    _restore_worker_registry(spec)
+    return generate_scenario(
         num_faults=spec.num_faults,
         width=spec.width,
         height=spec.height,
@@ -423,6 +280,128 @@ def run_netsim_trial(spec: NetSimTrialSpec):
         torus=spec.torus,
         cluster_factor=spec.cluster_factor,
     )
+
+
+def _round_overrides(spec: ConstructionSpec, compute_rounds: bool) -> Dict[str, bool]:
+    """``{"compute_rounds": ...}`` for a spec whose options take the toggle.
+
+    Forwarding the toggle to any spec that understands it (e.g. a
+    replacement MFP) keeps skipping the round emulation the flag exists
+    to avoid; specs without it build as they are.
+    """
+    if any(f.name == "compute_rounds" for f in dataclasses.fields(spec.options_type)):
+        return {"compute_rounds": compute_rounds}
+    return {}
+
+
+def _without_rounds(spec: ConstructionSpec) -> Any:
+    """Construction options that skip the round emulation, if it has one.
+
+    Routing and latency metrics never read the CMFP round counts, and the
+    regions are identical either way.
+    """
+    overrides = _round_overrides(spec, False)
+    return spec.make_options(None, overrides) if overrides else None
+
+
+def collect_scenario_metrics(
+    scenario: FaultScenario,
+    models: Sequence[str] = DEFAULT_MODELS,
+    include_rounds: bool = True,
+):
+    """Run the requested constructions on one scenario via the registry.
+
+    ``mfp`` and ``cmfp`` share a single build (they are the same
+    construction, re-reported under the CMFP label for the Figure 11 round
+    comparison); *include_rounds* toggles its round emulation.
+    """
+    from repro.sim.metrics import ScenarioMetrics
+
+    topology = scenario.topology()
+    metrics = ScenarioMetrics(
+        num_faults=scenario.num_faults,
+        distribution=scenario.model,
+        seed=scenario.seed,
+    )
+    shared_mfp = None
+    mfp_spec = get_construction("mfp")
+    sharable = (_build_mfp, _build_cmfp) if mfp_spec.builder is _build_mfp else ()
+    for key in models:
+        spec = get_construction(key)
+        # The built-in MFP and CMFP rows describe the same construction, so
+        # one build serves both (with *include_rounds* deciding whether the
+        # round emulation runs, as the legacy harness did).  A spec replaced
+        # through the registry opts out of the sharing and builds itself.
+        if spec.builder in sharable:
+            if shared_mfp is None:
+                shared_mfp = mfp_spec.build(
+                    scenario.faults, topology, compute_rounds=include_rounds
+                )
+            result = shared_mfp
+        else:
+            result = spec.build(
+                scenario.faults, topology, **_round_overrides(spec, include_rounds)
+            )
+        metrics.add(result.metrics(num_faults=scenario.num_faults, label=spec.label))
+    return metrics
+
+
+def run_trial(spec: TrialSpec):
+    """Generate one scenario and collect its metrics (worker entry point)."""
+    return collect_scenario_metrics(
+        _scenario(spec), models=spec.models, include_rounds=spec.include_rounds
+    )
+
+
+def run_routing_trial(spec: RoutingTrialSpec):
+    """Route one scenario's traffic over every model (worker entry point).
+
+    All models inside a trial share the same fault pattern and traffic
+    seed (paired comparison); the batches themselves still differ per
+    model because each model's enabled endpoint set differs.
+    """
+    # Imported lazily to keep the executor module import-light (sessions
+    # pull in the whole construction stack).
+    from repro.api.session import MeshSession
+    from repro.sim.metrics import RoutingMetrics, RoutingScenarioMetrics
+
+    scenario = _scenario(spec)
+    session = MeshSession.from_scenario(scenario)
+    metrics = RoutingScenarioMetrics(
+        num_faults=scenario.num_faults,
+        distribution=scenario.model,
+        seed=scenario.seed,
+        traffic=get_traffic(spec.traffic).key,
+        router=get_router(spec.router).key,
+    )
+    for key in spec.models:
+        stats = session.route(
+            key,
+            router=spec.router,
+            traffic=spec.traffic,
+            messages=spec.messages,
+            seed=spec.seed,
+            traffic_options=spec.traffic_options,
+            router_options=spec.router_options,
+            construction_options=_without_rounds(get_construction(key)),
+            engine=spec.engine,
+        )
+        metrics.add(
+            RoutingMetrics.from_stats(stats, num_faults=scenario.num_faults)
+        )
+    return metrics
+
+
+def run_netsim_trial(spec: NetSimTrialSpec):
+    """Simulate one load point over every model (worker entry point).
+
+    All models inside a trial share the fault pattern and the traffic /
+    injection seed (paired comparison).
+    """
+    from repro.api.session import MeshSession
+    from repro.sim.metrics import NetSimMetrics, NetSimScenarioMetrics
+
+    scenario = _scenario(spec)
     session = MeshSession.from_scenario(scenario)
     metrics = NetSimScenarioMetrics(
         load=spec.load,
@@ -434,15 +413,6 @@ def run_netsim_trial(spec: NetSimTrialSpec):
         router=get_router(spec.router).key,
     )
     for key in spec.models:
-        construction_spec = get_construction(key)
-        construction_options = None
-        if any(
-            f.name == "compute_rounds"
-            for f in dataclasses.fields(construction_spec.options_type)
-        ):
-            construction_options = construction_spec.make_options(
-                None, {"compute_rounds": False}
-            )
         stats = session.simulate(
             key,
             traffic=spec.traffic,
@@ -457,10 +427,33 @@ def run_netsim_trial(spec: NetSimTrialSpec):
             traffic_options=spec.traffic_options,
             arrival_options=spec.arrival_options,
             router_options=spec.router_options,
-            construction_options=construction_options,
+            construction_options=_without_rounds(get_construction(key)),
         )
         metrics.add(NetSimMetrics.from_stats(stats, num_faults=scenario.num_faults))
     return metrics
+
+
+# -- point reducers -----------------------------------------------------------------
+
+
+def sweep_point_reducer(num_faults: int, distribution: str, trials: List[Any]):
+    """Default reducer: fold trial metrics into a ``SweepPoint`` average."""
+    from repro.sim.metrics import SweepPoint
+
+    point = SweepPoint(num_faults=num_faults, distribution=distribution)
+    for metrics in trials:
+        point.add(metrics)
+    return point
+
+
+def routing_point_reducer(num_faults: int, distribution: str, trials: List[Any]):
+    """Default routing reducer: fold trials into a ``RoutingSweepPoint``."""
+    from repro.sim.metrics import RoutingSweepPoint
+
+    point = RoutingSweepPoint(num_faults=num_faults, distribution=distribution)
+    for metrics in trials:
+        point.add(metrics)
+    return point
 
 
 def latency_point_reducer(load: float, distribution: str, trials: List[Any]):
@@ -473,106 +466,216 @@ def latency_point_reducer(load: float, distribution: str, trials: List[Any]):
     return point
 
 
+# -- the trial-kind table -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrialKind:
+    """One sweep trial kind, as the executor, campaigns and the CLI see it."""
+
+    key: str
+    #: The trial-spec dataclass; its field defaults are the kind's only
+    #: copy of every sweep default.
+    spec_type: type
+    #: The trial-spec field the sweep axis sets, and its type.
+    axis: str
+    axis_type: type
+    #: Worker entry point: ``runner(trial_spec) -> scenario metrics``.
+    runner: Callable[[Any], Any]
+    #: Name of this module's default point reducer.  It is looked up per
+    #: call, so a tracer that replaces the module attribute wraps it.
+    reducer: str
+    #: ``(scenario, per-model)`` metrics class names in
+    #: :mod:`repro.sim.metrics` (a campaign row decodes into them).
+    metrics: Tuple[str, str]
+    #: Per-model store columns: ``(metric attribute, numpy format)``.
+    columns: Tuple[Tuple[str, str], ...]
+
+    @property
+    def default_models(self) -> Tuple[str, ...]:
+        """The construction keys a sweep of this kind runs by default."""
+        return next(
+            f.default for f in dataclasses.fields(self.spec_type) if f.name == "models"
+        )
+
+    def defaults(self) -> Dict[str, Any]:
+        """Every sweep parameter of this kind, mapped to its default.
+
+        The parameters are the trial-spec fields a caller may set (all
+        but the axis and what planning fills in) plus ``base_seed``.
+        """
+        values = {
+            f.name: f.default
+            for f in dataclasses.fields(self.spec_type)
+            if f.name != self.axis and f.name not in _PLANNED_FIELDS
+        }
+        values["base_seed"] = 0
+        return values
+
+    def reduce(
+        self,
+        axis: Sequence[Any],
+        distribution: str,
+        per_point: Sequence[List[Any]],
+        reducer: Optional[Reducer] = None,
+    ) -> List[Any]:
+        """Fold each point's trial metrics into one record, in axis order."""
+        reduce_point = reducer if reducer is not None else globals()[self.reducer]
+        return [
+            reduce_point(self.axis_type(x), distribution, trials)
+            for x, trials in zip(axis, per_point)
+        ]
+
+
+#: The sweep trial kinds, by key.
+TRIAL_KINDS: Dict[str, TrialKind] = {
+    kind.key: kind
+    for kind in (
+        TrialKind(
+            key="construction",
+            spec_type=TrialSpec,
+            axis="num_faults",
+            axis_type=int,
+            runner=run_trial,
+            reducer="sweep_point_reducer",
+            metrics=("ScenarioMetrics", "ConstructionMetrics"),
+            columns=(
+                ("num_regions", "<i8"),
+                ("disabled_nonfaulty", "<i8"),
+                ("mean_region_size", "<f8"),
+                ("rounds", "<i8"),
+            ),
+        ),
+        TrialKind(
+            key="routing",
+            spec_type=RoutingTrialSpec,
+            axis="num_faults",
+            axis_type=int,
+            runner=run_routing_trial,
+            reducer="routing_point_reducer",
+            metrics=("RoutingScenarioMetrics", "RoutingMetrics"),
+            columns=(
+                ("enabled", "<i8"),
+                ("attempted", "<i8"),
+                ("delivered", "<i8"),
+                ("delivery_rate", "<f8"),
+                ("mean_hops", "<f8"),
+                ("mean_detour", "<f8"),
+                ("minimal_fraction", "<f8"),
+                ("abnormal_fraction", "<f8"),
+            ),
+        ),
+        TrialKind(
+            key="latency",
+            spec_type=NetSimTrialSpec,
+            axis="load",
+            axis_type=float,
+            runner=run_netsim_trial,
+            reducer="latency_point_reducer",
+            metrics=("NetSimScenarioMetrics", "NetSimMetrics"),
+            columns=(
+                ("sim", "S16"),
+                ("enabled", "<i8"),
+                ("attempted", "<i8"),
+                ("unroutable", "<i8"),
+                ("delivered", "<i8"),
+                ("in_flight", "<i8"),
+                ("cycles_run", "<i8"),
+                ("delivery_rate", "<f8"),
+                ("mean_latency", "<f8"),
+                ("mean_queueing", "<f8"),
+                ("mean_hops", "<f8"),
+                ("accepted_load", "<f8"),
+                ("saturated", "<i1"),
+                ("deadlocked", "<i1"),
+            ),
+        ),
+    )
+}
+
+
 class SweepExecutor:
-    """Run construction sweeps, optionally fanned out over processes.
+    """Run sweeps of any trial kind, optionally fanned out over processes.
 
     Parameters
     ----------
     models:
         Registry keys of the constructions to run per trial (validated
-        eagerly so typos fail before any work is dispatched).
+        eagerly so typos fail before any work is dispatched); ``None``
+        runs each kind's default models.
     workers:
         Process count.  ``1`` (the default) runs serially in-process;
         ``None`` uses every available CPU.
-    reducer:
-        Per-point reduction ``reducer(num_faults, distribution, trial_metrics)``;
-        defaults to :func:`sweep_point_reducer` (mean-aggregating
-        ``SweepPoint``).  Runs in the parent process, so it does not need
-        to be picklable.
     """
 
     def __init__(
         self,
-        models: Sequence[str] = DEFAULT_MODELS,
+        models: Optional[Sequence[str]] = None,
         *,
         workers: Optional[int] = 1,
-        reducer: Optional[Reducer] = None,
     ) -> None:
-        self.models = tuple(get_construction(key).key for key in models)
+        self.models: Optional[Tuple[str, ...]] = (
+            None if models is None else tuple(get_construction(key).key for key in models)
+        )
         self.workers = workers
-        self.reducer: Reducer = reducer if reducer is not None else sweep_point_reducer
 
     def _resolve_workers(self, num_tasks: int) -> int:
         workers = self.workers if self.workers is not None else (os.cpu_count() or 1)
         return max(1, min(workers, num_tasks))
 
+    def _models(self, kind: str) -> Tuple[str, ...]:
+        """The construction keys a sweep of *kind* runs on this executor."""
+        if self.models is not None:
+            return self.models
+        return tuple(get_construction(key).key for key in TRIAL_KINDS[kind].default_models)
+
     def plan(
-        self,
-        fault_counts: Sequence[int],
-        trials: int,
-        *,
-        width: int = 100,
-        height: Optional[int] = None,
-        distribution: str = "random",
-        base_seed: int = 0,
-        torus: bool = False,
-        cluster_factor: float = 2.0,
-        include_rounds: bool = True,
-    ) -> List[TrialSpec]:
+        self, axis: Sequence[Any], trials: int, *, kind: str = "construction", **params: Any
+    ) -> List[Any]:
         """Expand a sweep into its deterministic per-trial specs."""
-        return list(
-            self.iter_plan(
-                fault_counts,
-                trials,
-                width=width,
-                height=height,
-                distribution=distribution,
-                base_seed=base_seed,
-                torus=torus,
-                cluster_factor=cluster_factor,
-                include_rounds=include_rounds,
-            )
-        )
+        return list(self.iter_plan(axis, trials, kind=kind, **params))
 
     def iter_plan(
-        self,
-        fault_counts: Sequence[int],
-        trials: int,
-        *,
-        width: int = 100,
-        height: Optional[int] = None,
-        distribution: str = "random",
-        base_seed: int = 0,
-        torus: bool = False,
-        cluster_factor: float = 2.0,
-        include_rounds: bool = True,
-    ) -> Iterator[TrialSpec]:
+        self, axis: Sequence[Any], trials: int, *, kind: str = "construction", **params: Any
+    ) -> Iterator[Any]:
         """Stream the sweep's per-trial specs without materializing them.
 
-        The campaign runner plans 100k+-trial sweeps through this
-        generator so the parent never holds the whole plan; arguments
-        are validated eagerly (before the first ``next``).
+        *axis* holds the fault counts (``construction`` / ``routing``) or
+        offered loads (``latency``); *params* set any field of the kind's
+        trial spec plus ``base_seed``, and everything omitted takes the
+        trial spec's default.  Registry keys are validated and resolved
+        eagerly (before the first ``next``), and the resolved specs are
+        carried for spawned workers.  Seeds come from
+        :func:`~repro.faults.scenario.derive_trial_seed`, indexed by axis
+        position, so a sweep is bit-identical at any worker count -- and
+        under either routing engine or simulator.  The campaign runner
+        plans 100k+-trial sweeps through this generator so the parent
+        never holds the whole plan.
         """
+        trial_kind = TRIAL_KINDS[kind]
         if trials < 1:
             raise ValueError("trials must be at least 1")
-        construction_specs = tuple(get_construction(key) for key in self.models)
+        values = trial_kind.defaults()
+        for name in params:
+            if name not in values:
+                raise TypeError(f"{kind} sweeps take no parameter {name!r}")
+        values.update(params)
+        base_seed = values.pop("base_seed")
+        for name in KEY_FIELDS:
+            if name in values:
+                values[name], values[f"{name}_spec"] = resolve_key(name, values[name])
+        values["models"] = self._models(kind)
+        values["specs"] = tuple(get_construction(key) for key in values["models"])
 
-        def generate() -> Iterator[TrialSpec]:
-            for count_index, num_faults in enumerate(fault_counts):
+        def generate() -> Iterator[Any]:
+            for index, x in enumerate(axis):
                 for trial in range(trials):
-                    yield TrialSpec(
-                        num_faults=num_faults,
-                        seed=derive_trial_seed(base_seed, count_index, trials, trial),
-                        width=width,
-                        height=height,
-                        distribution=distribution,
-                        torus=torus,
-                        cluster_factor=cluster_factor,
-                        models=self.models,
-                        include_rounds=include_rounds,
-                        specs=construction_specs,
-                        point_index=count_index,
+                    yield trial_kind.spec_type(
+                        **{trial_kind.axis: trial_kind.axis_type(x)},
+                        seed=derive_trial_seed(base_seed, index, trials, trial),
+                        point_index=index,
                         trial=trial,
+                        **values,
                     )
 
         return generate()
@@ -591,63 +694,29 @@ class SweepExecutor:
         with context.Pool(processes=workers) as pool:
             return pool.map(runner, specs)
 
-    @staticmethod
-    def _reduce_by_identity(
-        axis: Sequence[Any],
-        distribution: str,
-        specs: Sequence[Any],
-        results: Sequence[Any],
-        reducer: Callable[[Any, str, List[Any]], Any],
-    ) -> List[Any]:
-        """Reduce ``(spec, result)`` pairs into one record per sweep point.
-
-        Results are keyed by each spec's carried ``(point_index, trial)``
-        identity rather than by list position, so any ordering of the
-        result stream -- ``pool.map``, out-of-order streaming, a resumed
-        campaign -- reduces to the same records.  Trials fold in trial
-        order within each point, which keeps the fold bit-identical to
-        the in-order serial run.
-        """
-        slots: Dict[int, Dict[int, Any]] = {}
-        for spec, result in zip(specs, results):
-            slots.setdefault(spec.point_index, {})[spec.trial] = result
-        points: List[Any] = []
-        for point_index, x in enumerate(axis):
-            by_trial = slots.get(point_index, {})
-            chunk = [by_trial[trial] for trial in sorted(by_trial)]
-            points.append(reducer(x, distribution, chunk))
-        return points
-
-    def map_trials(self, specs: Sequence[TrialSpec]) -> List[Any]:
-        """Run the trial specs, serially or over a process pool."""
-        return self._map(run_trial, specs)
-
-    def map_routing_trials(self, specs: Sequence[RoutingTrialSpec]) -> List[Any]:
-        """Run the routing trial specs, serially or over a process pool."""
-        return self._map(run_routing_trial, specs)
-
-    def map_netsim_trials(self, specs: Sequence[NetSimTrialSpec]) -> List[Any]:
-        """Run the contention trial specs, serially or over a process pool."""
-        return self._map(run_netsim_trial, specs)
-
     def run(
         self,
-        fault_counts: Sequence[int],
-        trials: int = 3,
+        axis: Sequence[Any],
+        trials: int,
         *,
-        width: int = 100,
-        height: Optional[int] = None,
-        distribution: str = "random",
-        base_seed: int = 0,
-        torus: bool = False,
-        cluster_factor: float = 2.0,
-        include_rounds: bool = True,
+        kind: str = "construction",
+        reducer: Optional[Reducer] = None,
         campaign: Optional[Any] = None,
+        **params: Any,
     ) -> List[Any]:
-        """Run the sweep and return one reduced record per fault count.
+        """Run a sweep and return one reduced record per axis point.
 
-        With the default reducer the return value is a list of
-        ``SweepPoint`` -- exactly what the figure-series builders consume.
+        Every trial generates one fault pattern and runs this executor's
+        models on it (paired comparison): the constructions themselves,
+        a routed traffic batch per model (``kind="routing"``), or an
+        open-loop contention simulation per model at the point's offered
+        load (``kind="latency"``).  *params* are those of
+        :meth:`iter_plan`.  With the default reducer the return value is
+        a list of :class:`~repro.sim.metrics.SweepPoint`,
+        ``RoutingSweepPoint`` or ``LatencySweepPoint`` -- what the figure
+        builders consume; pass *reducer* for a custom per-point reduction
+        ``reducer(x, distribution, trial_metrics)`` (it runs in the parent
+        process, so it does not need to be picklable).
 
         Pass ``campaign=<directory>`` to route the sweep through the
         resumable campaign runner: trials stream to a content-addressed
@@ -655,454 +724,25 @@ class SweepExecutor:
         on re-runs, and the reduced points are bit-identical to the
         in-memory path.
         """
-        # Materialise once: fault_counts is iterated for planning and again
+        trial_kind = TRIAL_KINDS[kind]
+        # Materialise once: the axis is iterated for planning and again
         # for reduction, which would silently drain a generator input.
-        fault_counts = list(fault_counts)
+        axis = list(axis)
+        values = {**trial_kind.defaults(), **params}
         if campaign is not None:
             from repro.campaign import CampaignRunner, CampaignSpec
 
-            spec = CampaignSpec.construction(
-                fault_counts=fault_counts,
-                trials=trials,
-                models=self.models,
-                width=width,
-                height=height,
-                distribution=distribution,
-                base_seed=base_seed,
-                torus=torus,
-                cluster_factor=cluster_factor,
-                include_rounds=include_rounds,
+            # Every parameter is spelled out, defaults included, so the
+            # campaign's fingerprint names exactly the sweep that ran.
+            spec = CampaignSpec.create(
+                kind, axis, trials, models=self._models(kind), **values
             )
             runner = CampaignRunner(spec, campaign, workers=self.workers)
-            runner.run()
-            return runner.sweep_points(reducer=self.reducer)
-        specs = self.plan(
-            fault_counts,
-            trials,
-            width=width,
-            height=height,
-            distribution=distribution,
-            base_seed=base_seed,
-            torus=torus,
-            cluster_factor=cluster_factor,
-            include_rounds=include_rounds,
-        )
-        results = self.map_trials(specs)
-        return self._reduce_by_identity(
-            fault_counts, distribution, specs, results, self.reducer
-        )
-
-    # -- routing sweeps --------------------------------------------------------------
-
-    def plan_routing(
-        self,
-        fault_counts: Sequence[int],
-        trials: int,
-        *,
-        width: int = 100,
-        height: Optional[int] = None,
-        distribution: str = "random",
-        base_seed: int = 0,
-        torus: bool = False,
-        cluster_factor: float = 2.0,
-        router: str = "extended-ecube",
-        traffic: str = "uniform",
-        messages: int = 500,
-        traffic_options: Optional[TrafficOptions] = None,
-        router_options: Optional[RouterOptions] = None,
-        engine: Optional[str] = None,
-    ) -> List[RoutingTrialSpec]:
-        """Expand a routing sweep into its deterministic per-trial specs.
-
-        The router, traffic and engine keys are validated eagerly (typos
-        fail before any work is dispatched); seeds come from the same
-        :func:`~repro.faults.scenario.derive_trial_seed` scheme as the
-        construction sweeps, so a routing sweep is bit-identical whether
-        it runs serially or over any number of workers (the scalar and
-        batch engines produce identical statistics, so the engine choice
-        never affects the sweep results either).
-        """
-        return list(
-            self.iter_plan_routing(
-                fault_counts,
-                trials,
-                width=width,
-                height=height,
-                distribution=distribution,
-                base_seed=base_seed,
-                torus=torus,
-                cluster_factor=cluster_factor,
-                router=router,
-                traffic=traffic,
-                messages=messages,
-                traffic_options=traffic_options,
-                router_options=router_options,
-                engine=engine,
-            )
-        )
-
-    def iter_plan_routing(
-        self,
-        fault_counts: Sequence[int],
-        trials: int,
-        *,
-        width: int = 100,
-        height: Optional[int] = None,
-        distribution: str = "random",
-        base_seed: int = 0,
-        torus: bool = False,
-        cluster_factor: float = 2.0,
-        router: str = "extended-ecube",
-        traffic: str = "uniform",
-        messages: int = 500,
-        traffic_options: Optional[TrafficOptions] = None,
-        router_options: Optional[RouterOptions] = None,
-        engine: Optional[str] = None,
-    ) -> Iterator[RoutingTrialSpec]:
-        """Stream a routing sweep's per-trial specs (see :meth:`iter_plan`)."""
-        if trials < 1:
-            raise ValueError("trials must be at least 1")
-        router_spec = get_router(router)
-        traffic_spec = get_traffic(traffic)
-        router, traffic = router_spec.key, traffic_spec.key
-        engine_spec = None
-        if engine is not None:
-            from repro._registry import SpecRegistry
-            from repro.routing.engine import get_engine
-
-            engine = SpecRegistry.normalise(engine)
-            if engine != "auto":
-                engine_spec = get_engine(engine)
-                engine = engine_spec.key
-        construction_specs = tuple(get_construction(key) for key in self.models)
-
-        def generate() -> Iterator[RoutingTrialSpec]:
-            for count_index, num_faults in enumerate(fault_counts):
-                for trial in range(trials):
-                    yield RoutingTrialSpec(
-                        num_faults=num_faults,
-                        seed=derive_trial_seed(base_seed, count_index, trials, trial),
-                        width=width,
-                        height=height,
-                        distribution=distribution,
-                        torus=torus,
-                        cluster_factor=cluster_factor,
-                        models=self.models,
-                        router=router,
-                        traffic=traffic,
-                        messages=messages,
-                        traffic_options=traffic_options,
-                        router_options=router_options,
-                        engine=engine,
-                        specs=construction_specs,
-                        router_spec=router_spec,
-                        traffic_spec=traffic_spec,
-                        engine_spec=engine_spec,
-                        point_index=count_index,
-                        trial=trial,
-                    )
-
-        return generate()
-
-    def run_routing(
-        self,
-        fault_counts: Sequence[int],
-        trials: int = 3,
-        *,
-        width: int = 100,
-        height: Optional[int] = None,
-        distribution: str = "random",
-        base_seed: int = 0,
-        torus: bool = False,
-        cluster_factor: float = 2.0,
-        router: str = "extended-ecube",
-        traffic: str = "uniform",
-        messages: int = 500,
-        traffic_options: Optional[TrafficOptions] = None,
-        router_options: Optional[RouterOptions] = None,
-        engine: Optional[str] = None,
-        reducer: Optional[Reducer] = None,
-        campaign: Optional[Any] = None,
-    ) -> List[Any]:
-        """Run a routing sweep and return one reduced record per fault count.
-
-        Every trial builds this executor's models on one generated fault
-        pattern and routes the same seeded traffic batch over each
-        (paired comparison).  With the default reducer the return value is
-        a list of :class:`~repro.sim.metrics.RoutingSweepPoint`; pass
-        *reducer* for a custom per-point reduction (it runs in the parent
-        process, so it does not need to be picklable).  ``campaign=``
-        routes the sweep through the resumable campaign store (see
-        :meth:`run`).
-        """
-        fault_counts = list(fault_counts)
-        point_reducer: Reducer = reducer if reducer is not None else routing_point_reducer
-        if campaign is not None:
-            from repro.campaign import CampaignRunner, CampaignSpec
-
-            spec = CampaignSpec.routing(
-                fault_counts=fault_counts,
-                trials=trials,
-                models=self.models,
-                width=width,
-                height=height,
-                distribution=distribution,
-                base_seed=base_seed,
-                torus=torus,
-                cluster_factor=cluster_factor,
-                router=router,
-                traffic=traffic,
-                messages=messages,
-                traffic_options=traffic_options,
-                router_options=router_options,
-                engine=engine,
-            )
-            runner = CampaignRunner(spec, campaign, workers=self.workers)
-            runner.run()
-            return runner.sweep_points(reducer=point_reducer)
-        specs = self.plan_routing(
-            fault_counts,
-            trials,
-            width=width,
-            height=height,
-            distribution=distribution,
-            base_seed=base_seed,
-            torus=torus,
-            cluster_factor=cluster_factor,
-            router=router,
-            traffic=traffic,
-            messages=messages,
-            traffic_options=traffic_options,
-            router_options=router_options,
-            engine=engine,
-        )
-        results = self.map_routing_trials(specs)
-        return self._reduce_by_identity(
-            fault_counts, distribution, specs, results, point_reducer
-        )
-
-    # -- latency-vs-load sweeps ------------------------------------------------------
-
-    def plan_latency(
-        self,
-        loads: Sequence[float],
-        trials: int,
-        *,
-        num_faults: int = 0,
-        width: int = 16,
-        height: Optional[int] = None,
-        distribution: str = "clustered",
-        base_seed: int = 0,
-        torus: bool = False,
-        cluster_factor: float = 2.0,
-        router: str = "extended-ecube",
-        traffic: str = "uniform",
-        arrival: str = "poisson",
-        cycles: int = 256,
-        drain_factor: int = 8,
-        messages: Optional[int] = None,
-        traffic_options: Optional[TrafficOptions] = None,
-        arrival_options: Optional[TrafficOptions] = None,
-        router_options: Optional[RouterOptions] = None,
-        sim: Optional[str] = None,
-    ) -> List[NetSimTrialSpec]:
-        """Expand a latency-vs-load sweep into its deterministic trial specs.
-
-        The x axis is the offered *loads* (messages per node per cycle);
-        the fault configuration is fixed across the sweep.  Registry keys
-        are validated eagerly and the resolved specs carried for spawned
-        workers, mirroring :meth:`plan_routing`; seeds come from the same
-        :func:`~repro.faults.scenario.derive_trial_seed` scheme (indexed
-        by load position), so the sweep is bit-identical at any worker
-        count -- and under either simulator.
-        """
-        return list(
-            self.iter_plan_latency(
-                loads,
-                trials,
-                num_faults=num_faults,
-                width=width,
-                height=height,
-                distribution=distribution,
-                base_seed=base_seed,
-                torus=torus,
-                cluster_factor=cluster_factor,
-                router=router,
-                traffic=traffic,
-                arrival=arrival,
-                cycles=cycles,
-                drain_factor=drain_factor,
-                messages=messages,
-                traffic_options=traffic_options,
-                arrival_options=arrival_options,
-                router_options=router_options,
-                sim=sim,
-            )
-        )
-
-    def iter_plan_latency(
-        self,
-        loads: Sequence[float],
-        trials: int,
-        *,
-        num_faults: int = 0,
-        width: int = 16,
-        height: Optional[int] = None,
-        distribution: str = "clustered",
-        base_seed: int = 0,
-        torus: bool = False,
-        cluster_factor: float = 2.0,
-        router: str = "extended-ecube",
-        traffic: str = "uniform",
-        arrival: str = "poisson",
-        cycles: int = 256,
-        drain_factor: int = 8,
-        messages: Optional[int] = None,
-        traffic_options: Optional[TrafficOptions] = None,
-        arrival_options: Optional[TrafficOptions] = None,
-        router_options: Optional[RouterOptions] = None,
-        sim: Optional[str] = None,
-    ) -> Iterator[NetSimTrialSpec]:
-        """Stream a latency sweep's per-trial specs (see :meth:`iter_plan`)."""
-        if trials < 1:
-            raise ValueError("trials must be at least 1")
-        from repro.netsim.registry import get_simulator
-
-        router_spec = get_router(router)
-        traffic_spec = get_traffic(traffic)
-        arrival_spec = get_traffic(arrival)
-        sim_spec = None
-        if sim is not None:
-            from repro._registry import SpecRegistry
-
-            sim = SpecRegistry.normalise(sim)
-            if sim != "auto":
-                sim_spec = get_simulator(sim)
-                sim = sim_spec.key
-        construction_specs = tuple(get_construction(key) for key in self.models)
-
-        def generate() -> Iterator[NetSimTrialSpec]:
-            for load_index, load in enumerate(loads):
-                for trial in range(trials):
-                    yield NetSimTrialSpec(
-                        load=float(load),
-                        seed=derive_trial_seed(base_seed, load_index, trials, trial),
-                        num_faults=num_faults,
-                        width=width,
-                        height=height,
-                        distribution=distribution,
-                        torus=torus,
-                        cluster_factor=cluster_factor,
-                        models=self.models,
-                        router=router_spec.key,
-                        traffic=traffic_spec.key,
-                        arrival=arrival_spec.key,
-                        cycles=cycles,
-                        drain_factor=drain_factor,
-                        messages=messages,
-                        traffic_options=traffic_options,
-                        arrival_options=arrival_options,
-                        router_options=router_options,
-                        sim=sim,
-                        specs=construction_specs,
-                        router_spec=router_spec,
-                        traffic_spec=traffic_spec,
-                        arrival_spec=arrival_spec,
-                        sim_spec=sim_spec,
-                        point_index=load_index,
-                        trial=trial,
-                    )
-
-        return generate()
-
-    def run_latency(
-        self,
-        loads: Sequence[float],
-        trials: int = 2,
-        *,
-        num_faults: int = 0,
-        width: int = 16,
-        height: Optional[int] = None,
-        distribution: str = "clustered",
-        base_seed: int = 0,
-        torus: bool = False,
-        cluster_factor: float = 2.0,
-        router: str = "extended-ecube",
-        traffic: str = "uniform",
-        arrival: str = "poisson",
-        cycles: int = 256,
-        drain_factor: int = 8,
-        messages: Optional[int] = None,
-        traffic_options: Optional[TrafficOptions] = None,
-        arrival_options: Optional[TrafficOptions] = None,
-        router_options: Optional[RouterOptions] = None,
-        sim: Optional[str] = None,
-        reducer: Optional[Callable[[float, str, List[Any]], Any]] = None,
-        campaign: Optional[Any] = None,
-    ) -> List[Any]:
-        """Run a latency-vs-load sweep: one reduced record per offered load.
-
-        Every trial generates one fault pattern at ``num_faults``, builds
-        this executor's models on it and runs one open-loop contention
-        simulation per model (paired comparison).  With the default
-        reducer the return value is a list of
-        :class:`~repro.sim.metrics.LatencySweepPoint` -- the
-        latency-throughput curve of the classic interconnect evaluation.
-        ``campaign=`` routes the sweep through the resumable campaign
-        store (see :meth:`run`).
-        """
-        loads = [float(load) for load in loads]
-        point_reducer = reducer if reducer is not None else latency_point_reducer
-        if campaign is not None:
-            from repro.campaign import CampaignRunner, CampaignSpec
-
-            spec = CampaignSpec.latency(
-                loads=loads,
-                trials=trials,
-                models=self.models,
-                num_faults=num_faults,
-                width=width,
-                height=height,
-                distribution=distribution,
-                base_seed=base_seed,
-                torus=torus,
-                cluster_factor=cluster_factor,
-                router=router,
-                traffic=traffic,
-                arrival=arrival,
-                cycles=cycles,
-                drain_factor=drain_factor,
-                messages=messages,
-                traffic_options=traffic_options,
-                arrival_options=arrival_options,
-                router_options=router_options,
-                sim=sim,
-            )
-            runner = CampaignRunner(spec, campaign, workers=self.workers)
-            runner.run()
-            return runner.sweep_points(reducer=point_reducer)
-        specs = self.plan_latency(
-            loads,
-            trials,
-            num_faults=num_faults,
-            width=width,
-            height=height,
-            distribution=distribution,
-            base_seed=base_seed,
-            torus=torus,
-            cluster_factor=cluster_factor,
-            router=router,
-            traffic=traffic,
-            arrival=arrival,
-            cycles=cycles,
-            drain_factor=drain_factor,
-            messages=messages,
-            traffic_options=traffic_options,
-            arrival_options=arrival_options,
-            router_options=router_options,
-            sim=sim,
-        )
-        results = self.map_netsim_trials(specs)
-        return self._reduce_by_identity(
-            loads, distribution, specs, results, point_reducer
-        )
+            try:
+                runner.run()
+                return runner.sweep_points(reducer=reducer)
+            finally:
+                runner.close()
+        results = self._map(trial_kind.runner, self.plan(axis, trials, kind=kind, **params))
+        per_point = [results[index * trials : (index + 1) * trials] for index in range(len(axis))]
+        return trial_kind.reduce(axis, values["distribution"], per_point, reducer)

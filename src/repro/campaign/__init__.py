@@ -7,7 +7,9 @@ crash:
 
 * :class:`CampaignSpec` -- canonical campaign identity (kind, axis,
   trials, models, params) with a content fingerprint; every trial gets
-  a content key via :func:`trial_key`.
+  a content key via :func:`trial_key`.  The kind is a key of
+  :data:`repro.api.executor.TRIAL_KINDS`, the table the in-memory
+  ``SweepExecutor`` plans, runs and reduces from as well.
 * :class:`CampaignStore` -- append-only chunked columnar store (NumPy
   structured chunks + an NDJSON manifest with the journal's torn-tail
   discipline).
@@ -22,8 +24,9 @@ crash:
   decodes rows back to the exact metrics objects for bit-identical
   legacy ``SweepPoint`` reductions.
 
-Entry points: ``SweepExecutor.run/run_routing/run_latency(campaign=
-dir)`` and the ``repro-mesh campaign`` CLI verbs.
+Entry points: ``SweepExecutor.run(..., kind=..., campaign=dir)``,
+``CampaignSpec.create`` with :class:`CampaignRunner`, and the
+``repro-mesh campaign`` CLI verbs.
 """
 
 from repro.campaign.reducers import (
@@ -43,12 +46,8 @@ from repro.campaign.runner import (
 from repro.campaign.spec import (
     CODE_VERSION,
     CampaignError,
-    CampaignKindSpec,
     CampaignSpec,
     TrialDescriptor,
-    available_campaign_kinds,
-    get_campaign_kind,
-    register_campaign_kind,
     trial_key,
 )
 from repro.campaign.store import CampaignStore
@@ -68,7 +67,6 @@ __all__ = [
     "DEFAULT_RETRY",
     "Z95",
     "CampaignError",
-    "CampaignKindSpec",
     "CampaignPoint",
     "CampaignRunner",
     "CampaignSpec",
@@ -81,14 +79,11 @@ __all__ = [
     "TcpTransport",
     "TransportSpec",
     "TrialDescriptor",
-    "available_campaign_kinds",
     "available_transports",
     "campaign_status",
     "fold_moments",
     "format_status",
-    "get_campaign_kind",
     "get_transport",
-    "register_campaign_kind",
     "register_transport",
     "run_tcp_worker",
     "trial_key",

@@ -8,7 +8,9 @@ fields are scalars, so a row round-trips the metrics object *exactly* --
 :class:`~repro.sim.metrics.ScenarioMetrics` /
 ``RoutingScenarioMetrics`` / ``NetSimScenarioMetrics`` the worker
 produced, which is what lets a campaign-backed sweep return reduced
-points bit-identical to the in-memory path.
+points bit-identical to the in-memory path.  One codec serves every
+trial kind: the columns come from the kind's entry in
+:data:`repro.api.executor.TRIAL_KINDS`.
 
 Aggregation is streaming: :class:`Moments` folds values with Welford's
 algorithm (numerically stable, O(1) memory), and
@@ -29,8 +31,8 @@ quoted precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,40 +92,54 @@ def _ascii(value: Any) -> str:
     return value.decode("ascii") if isinstance(value, bytes) else str(value)
 
 
+#: How a stored column value becomes the metric attribute it encodes.
+_DECODERS = {"<i8": int, "<f8": float, "<i1": bool, "S16": _ascii}
+
+
+def _instance(cls: type, values: Dict[str, Any]) -> Any:
+    """An instance of dataclass *cls* from the *values* it has fields for."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+
+
 class RowCodec:
     """Maps one trial's metrics to/from one structured-array row.
 
-    Subclasses declare ``METRIC_FIELDS`` (per-model ``(name, dtype)``
-    columns) and implement ``_encode_model`` / ``_decode_row``.  The
-    per-model column order follows the campaign's model tuple with the
-    registry labels as prefixes (``"FB.mean_region_size"``).
+    The per-model columns are the campaign kind's
+    :attr:`~repro.api.executor.TrialKind.columns`, in the campaign's
+    model order with the registry labels as prefixes
+    (``"FB.mean_region_size"``).  A row stores the trial's position,
+    seed, x value and distribution, not the labels every trial of the
+    campaign shares (``traffic``, ``router``, ``arrival``, a latency
+    campaign's ``num_faults``): :meth:`decode` takes those from the
+    campaign's first planned trial spec.
     """
 
-    #: Per-model scalar columns: (metric attribute, numpy dtype string).
-    METRIC_FIELDS: Tuple[Tuple[str, str], ...] = ()
-    #: Extra per-model non-numeric columns (kept out of the moments).
-    TAG_FIELDS: Tuple[Tuple[str, str], ...] = ()
-
     def __init__(self, campaign: Any) -> None:
+        from repro.api.executor import TRIAL_KINDS
         from repro.api.registry import get_construction
 
         self.campaign = campaign
+        self.kind = TRIAL_KINDS[campaign.kind]
         self.labels: Tuple[str, ...] = tuple(
             get_construction(key).label for key in campaign.models
         )
-        fields = list(ID_FIELDS)
-        for label in self.labels:
-            for name, fmt in self.TAG_FIELDS:
-                fields.append((f"{label}.{name}", fmt))
-            for name, fmt in self.METRIC_FIELDS:
-                fields.append((f"{label}.{name}", fmt))
-        self.dtype = np.dtype(fields)
-        #: Numeric columns the streaming reducer aggregates.
+        self.dtype = np.dtype(
+            list(ID_FIELDS)
+            + [
+                (f"{label}.{name}", fmt)
+                for label in self.labels
+                for name, fmt in self.kind.columns
+            ]
+        )
+        #: Numeric columns the streaming reducer aggregates (the string
+        #: tags, e.g. a latency row's simulator key, stay out).
         self.numeric_columns: Tuple[str, ...] = tuple(
             f"{label}.{name}"
             for label in self.labels
-            for name, _ in self.METRIC_FIELDS
+            for name, fmt in self.kind.columns
+            if np.dtype(fmt).kind != "S"
         )
+        self._shared: Optional[Dict[str, Any]] = None
 
     def empty(self, count: int) -> np.ndarray:
         """An uninitialised row buffer of *count* rows."""
@@ -138,183 +154,34 @@ class RowCodec:
         row["x"] = descriptor.x
         row["distribution"] = _ascii(metrics.distribution).encode("ascii")
         for label in self.labels:
-            self._encode_model(row, label, metrics.per_model[label])
-
-    def encode(self, descriptor: Any, metrics: Any) -> np.ndarray:
-        """One-row convenience wrapper over :meth:`encode_into`."""
-        rows = self.empty(1)
-        self.encode_into(rows[0], descriptor, metrics)
-        return rows
-
-    # -- subclass hooks -------------------------------------------------------------
-
-    def _encode_model(self, row: np.ndarray, label: str, metrics: Any) -> None:
-        raise NotImplementedError
+            model = metrics.per_model[label]
+            for name, _ in self.kind.columns:
+                value = getattr(model, name)
+                row[f"{label}.{name}"] = (
+                    value.encode("ascii") if isinstance(value, str) else value
+                )
 
     def decode(self, row: np.ndarray) -> Any:
         """Rebuild the exact scenario-metrics object of one row."""
-        raise NotImplementedError
+        from repro.sim import metrics as sim_metrics
 
-
-class ConstructionRowCodec(RowCodec):
-    """Rows of :class:`~repro.sim.metrics.ScenarioMetrics`."""
-
-    METRIC_FIELDS = (
-        ("num_regions", "<i8"),
-        ("disabled_nonfaulty", "<i8"),
-        ("mean_region_size", "<f8"),
-        ("rounds", "<i8"),
-    )
-
-    def _encode_model(self, row: np.ndarray, label: str, metrics: Any) -> None:
-        row[f"{label}.num_regions"] = metrics.num_regions
-        row[f"{label}.disabled_nonfaulty"] = metrics.disabled_nonfaulty
-        row[f"{label}.mean_region_size"] = metrics.mean_region_size
-        row[f"{label}.rounds"] = metrics.rounds
-
-    def decode(self, row: np.ndarray) -> Any:
-        from repro.sim.metrics import ConstructionMetrics, ScenarioMetrics
-
-        num_faults = int(row["x"])
-        scenario = ScenarioMetrics(
-            num_faults=num_faults,
-            distribution=_ascii(row["distribution"]),
-            seed=int(row["seed"]),
+        scenario_type, model_type = (
+            getattr(sim_metrics, name) for name in self.kind.metrics
         )
+        if self._shared is None:
+            first = next(self.campaign.iter_plan()).spec
+            self._shared = {f.name: getattr(first, f.name) for f in fields(first)}
+        values = dict(self._shared)
+        values[self.kind.axis] = self.kind.axis_type(row["x"])
+        values["distribution"] = _ascii(row["distribution"])
+        values["seed"] = int(row["seed"])
+        scenario = _instance(scenario_type, values)
         for label in self.labels:
-            scenario.add(
-                ConstructionMetrics(
-                    model=label,
-                    num_faults=num_faults,
-                    num_regions=int(row[f"{label}.num_regions"]),
-                    disabled_nonfaulty=int(row[f"{label}.disabled_nonfaulty"]),
-                    mean_region_size=float(row[f"{label}.mean_region_size"]),
-                    rounds=int(row[f"{label}.rounds"]),
-                )
-            )
-        return scenario
-
-
-class RoutingRowCodec(RowCodec):
-    """Rows of :class:`~repro.sim.metrics.RoutingScenarioMetrics`."""
-
-    METRIC_FIELDS = (
-        ("enabled", "<i8"),
-        ("attempted", "<i8"),
-        ("delivered", "<i8"),
-        ("delivery_rate", "<f8"),
-        ("mean_hops", "<f8"),
-        ("mean_detour", "<f8"),
-        ("minimal_fraction", "<f8"),
-        ("abnormal_fraction", "<f8"),
-    )
-
-    def _encode_model(self, row: np.ndarray, label: str, metrics: Any) -> None:
-        for name, _ in self.METRIC_FIELDS:
-            row[f"{label}.{name}"] = getattr(metrics, name)
-
-    def decode(self, row: np.ndarray) -> Any:
-        from repro.sim.metrics import RoutingMetrics, RoutingScenarioMetrics
-
-        params = self.campaign.params
-        traffic = str(params.get("traffic", "uniform"))
-        router = str(params.get("router", "extended-ecube"))
-        num_faults = int(row["x"])
-        scenario = RoutingScenarioMetrics(
-            num_faults=num_faults,
-            distribution=_ascii(row["distribution"]),
-            seed=int(row["seed"]),
-            traffic=traffic,
-            router=router,
-        )
-        for label in self.labels:
-            scenario.add(
-                RoutingMetrics(
-                    model=label,
-                    traffic=traffic,
-                    router=router,
-                    num_faults=num_faults,
-                    enabled=int(row[f"{label}.enabled"]),
-                    attempted=int(row[f"{label}.attempted"]),
-                    delivered=int(row[f"{label}.delivered"]),
-                    delivery_rate=float(row[f"{label}.delivery_rate"]),
-                    mean_hops=float(row[f"{label}.mean_hops"]),
-                    mean_detour=float(row[f"{label}.mean_detour"]),
-                    minimal_fraction=float(row[f"{label}.minimal_fraction"]),
-                    abnormal_fraction=float(row[f"{label}.abnormal_fraction"]),
-                )
-            )
-        return scenario
-
-
-class LatencyRowCodec(RowCodec):
-    """Rows of :class:`~repro.sim.metrics.NetSimScenarioMetrics`."""
-
-    TAG_FIELDS = (("sim", "S16"),)
-    METRIC_FIELDS = (
-        ("enabled", "<i8"),
-        ("attempted", "<i8"),
-        ("unroutable", "<i8"),
-        ("delivered", "<i8"),
-        ("in_flight", "<i8"),
-        ("cycles_run", "<i8"),
-        ("delivery_rate", "<f8"),
-        ("mean_latency", "<f8"),
-        ("mean_queueing", "<f8"),
-        ("mean_hops", "<f8"),
-        ("accepted_load", "<f8"),
-        ("saturated", "<i1"),
-        ("deadlocked", "<i1"),
-    )
-
-    def _encode_model(self, row: np.ndarray, label: str, metrics: Any) -> None:
-        row[f"{label}.sim"] = metrics.sim.encode("ascii")
-        for name, _ in self.METRIC_FIELDS:
-            row[f"{label}.{name}"] = getattr(metrics, name)
-
-    def decode(self, row: np.ndarray) -> Any:
-        from repro.sim.metrics import NetSimMetrics, NetSimScenarioMetrics
-
-        params = self.campaign.params
-        traffic = str(params.get("traffic", "uniform"))
-        arrival = str(params.get("arrival", "poisson"))
-        router = str(params.get("router", "extended-ecube"))
-        num_faults = int(params.get("num_faults", 0))
-        load = float(row["x"])
-        scenario = NetSimScenarioMetrics(
-            load=load,
-            num_faults=num_faults,
-            distribution=_ascii(row["distribution"]),
-            seed=int(row["seed"]),
-            traffic=traffic,
-            arrival=arrival,
-            router=router,
-        )
-        for label in self.labels:
-            scenario.add(
-                NetSimMetrics(
-                    model=label,
-                    traffic=traffic,
-                    arrival=arrival,
-                    router=router,
-                    sim=_ascii(row[f"{label}.sim"]),
-                    load=load,
-                    num_faults=num_faults,
-                    enabled=int(row[f"{label}.enabled"]),
-                    attempted=int(row[f"{label}.attempted"]),
-                    unroutable=int(row[f"{label}.unroutable"]),
-                    delivered=int(row[f"{label}.delivered"]),
-                    in_flight=int(row[f"{label}.in_flight"]),
-                    delivery_rate=float(row[f"{label}.delivery_rate"]),
-                    mean_latency=float(row[f"{label}.mean_latency"]),
-                    mean_queueing=float(row[f"{label}.mean_queueing"]),
-                    mean_hops=float(row[f"{label}.mean_hops"]),
-                    accepted_load=float(row[f"{label}.accepted_load"]),
-                    cycles_run=int(row[f"{label}.cycles_run"]),
-                    saturated=bool(row[f"{label}.saturated"]),
-                    deadlocked=bool(row[f"{label}.deadlocked"]),
-                )
-            )
+            columns = {
+                name: _DECODERS[fmt](row[f"{label}.{name}"])
+                for name, fmt in self.kind.columns
+            }
+            scenario.add(_instance(model_type, {**values, **columns, "model": label}))
         return scenario
 
 

@@ -310,31 +310,14 @@ class CampaignRunner:
         the same per-point reducer ``SweepExecutor`` would have used --
         so ``run(campaign=...)`` returns exactly what ``run()`` returns.
         """
-        store = self._open_store()
-        if reducer is None:
-            from repro.api.executor import (
-                latency_point_reducer,
-                routing_point_reducer,
-                sweep_point_reducer,
-            )
+        from repro.api.executor import TRIAL_KINDS
 
-            reducer = {
-                "construction": sweep_point_reducer,
-                "routing": routing_point_reducer,
-                "latency": latency_point_reducer,
-            }[self.spec.kind]
-        distribution = str(
-            self.spec.params.get(
-                "distribution",
-                "clustered" if self.spec.kind == "latency" else "random",
-            )
-        )
+        store = self._open_store()
+        first = next(self.spec.iter_plan()).spec
         per_point = scenario_chunks(self.spec, store.iter_chunks())
-        points: List[Any] = []
-        for index, x in enumerate(self.spec.axis):
-            value: Any = x if self.spec.kind == "latency" else int(x)
-            points.append(reducer(value, distribution, per_point[index]))
-        return points
+        return TRIAL_KINDS[self.spec.kind].reduce(
+            self.spec.axis, first.distribution, per_point, reducer
+        )
 
 
 def campaign_status(directory: Union[str, Path]) -> Dict[str, Any]:

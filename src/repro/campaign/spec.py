@@ -25,9 +25,10 @@ excluded from both hashes.  Carried registry spec objects are excluded
 too: they pickle builder *references*, which have no stable canonical
 form; workers resolve them from their registries instead.
 
-Campaign kinds live in a :class:`~repro._registry.SpecRegistry` like
-every other pluggable axis of the package, so tests (and future trial
-kinds) can register their own runner/planner/codec triple.
+The campaign *kind* is a key of :data:`repro.api.executor.TRIAL_KINDS`:
+the same table plans, runs and reduces in-memory sweeps, so a campaign
+and a ``SweepExecutor`` run of the same parameters execute the same
+trials.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro import __version__
-from repro._registry import SpecRegistry
 
 #: Code-version component of every content hash.  Bump the ``+campaign``
 #: revision whenever trial semantics change without a package release --
@@ -131,49 +131,14 @@ class TrialDescriptor:
 
 
 @dataclass(frozen=True)
-class CampaignKindSpec:
-    """One registered campaign kind (runner + planner + row codec)."""
-
-    key: str
-    label: str
-    #: Worker entry point: ``runner(trial_spec) -> scenario metrics``.
-    runner: Callable[[Any], Any]
-    #: ``planner(campaign) -> Iterator[trial_spec]`` in (point, trial)
-    #: order; kwargs are validated before the first trial is yielded.
-    planner: Callable[["CampaignSpec"], Iterator[Any]]
-    #: ``codec(campaign) -> RowCodec`` mapping metrics <-> store rows.
-    codec: Callable[["CampaignSpec"], Any]
-    aliases: Tuple[str, ...] = ()
-
-
-_REGISTRY = SpecRegistry("campaign kind")
-
-
-def register_campaign_kind(spec: CampaignKindSpec, replace: bool = False) -> CampaignKindSpec:
-    """Register a campaign kind (``replace=True`` to swap an existing one)."""
-    return _REGISTRY.register(spec, replace=replace)
-
-
-def get_campaign_kind(key: str) -> CampaignKindSpec:
-    """Look up a campaign kind by key or alias (case-insensitive)."""
-    return _REGISTRY.get(key)
-
-
-def available_campaign_kinds() -> Tuple[str, ...]:
-    """The registered campaign kind keys."""
-    return _REGISTRY.keys()
-
-
-@dataclass(frozen=True)
 class CampaignSpec:
     """Canonical description of one campaign (picklable, JSON-stable).
 
     ``axis`` holds the sweep's x values (fault counts or offered loads,
-    stored as floats), ``params`` the kind-specific keyword arguments of
-    the matching ``SweepExecutor.plan*`` method.  Use the
-    :meth:`construction` / :meth:`routing` / :meth:`latency`
-    constructors: they validate registry keys eagerly, so typos fail
-    before a single trial is planned.
+    stored as floats), ``params`` the keyword arguments of
+    ``SweepExecutor.iter_plan`` for the campaign's ``kind``.  Build specs
+    with :meth:`create`: it validates registry keys eagerly, so typos
+    fail before a single trial is planned.
     """
 
     kind: str
@@ -191,76 +156,38 @@ class CampaignSpec:
     # -- constructors ---------------------------------------------------------------
 
     @classmethod
-    def construction(
-        cls,
-        fault_counts: Sequence[int],
-        trials: int,
-        models: Optional[Sequence[str]] = None,
-        **params: Any,
-    ) -> "CampaignSpec":
-        """A construction-metrics campaign (Figures 9-11 statistics)."""
-        return cls._build("construction", fault_counts, trials, models, params)
-
-    @classmethod
-    def routing(
-        cls,
-        fault_counts: Sequence[int],
-        trials: int,
-        models: Optional[Sequence[str]] = None,
-        **params: Any,
-    ) -> "CampaignSpec":
-        """A routed-traffic campaign (delivery/hops/detour statistics)."""
-        return cls._build("routing", fault_counts, trials, models, params)
-
-    @classmethod
-    def latency(
-        cls,
-        loads: Sequence[float],
-        trials: int,
-        models: Optional[Sequence[str]] = None,
-        **params: Any,
-    ) -> "CampaignSpec":
-        """A latency-vs-load campaign (contention-simulator statistics)."""
-        return cls._build("latency", loads, trials, models, params)
-
-    @classmethod
-    def _build(
+    def create(
         cls,
         kind: str,
         axis: Sequence[Any],
         trials: int,
-        models: Optional[Sequence[str]],
-        params: Dict[str, Any],
+        models: Optional[Sequence[str]] = None,
+        **params: Any,
     ) -> "CampaignSpec":
+        """A campaign of one trial *kind* (``construction`` / ``routing`` /
+        ``latency``) over *axis* (fault counts or offered loads).
+
+        *models* default to the kind's; *params* are those of
+        :meth:`~repro.api.executor.SweepExecutor.iter_plan` and enter the
+        fingerprint as given, so pass only what differs from the
+        defaults.  Registry keys are validated and normalised eagerly and
+        one point is planned, so typos fail before a single trial runs.
+        """
+        from repro.api.executor import KEY_FIELDS, TRIAL_KINDS, resolve_key
         from repro.api.registry import get_construction
 
-        kind_spec = get_campaign_kind(kind)
+        trial_kind = TRIAL_KINDS[kind]
         if models is None:
-            from repro.api.executor import DEFAULT_MODELS, DEFAULT_NETSIM_MODELS, DEFAULT_ROUTING_MODELS
-
-            models = {
-                "construction": DEFAULT_MODELS,
-                "routing": DEFAULT_ROUTING_MODELS,
-                "latency": DEFAULT_NETSIM_MODELS,
-            }.get(kind_spec.key, DEFAULT_MODELS)
-        resolved_models = tuple(get_construction(key).key for key in models)
-        # Resolve registry-key params eagerly (typo -> KeyError here, and
-        # the canonical form always holds the normalised key).
+            models = trial_kind.default_models
         params = dict(params)
-        if "router" in params and params["router"] is not None:
-            from repro.routing.registry import get_router
-
-            params["router"] = get_router(params["router"]).key
-        for name in ("traffic", "arrival"):
-            if name in params and params[name] is not None:
-                from repro.routing.traffic import get_traffic
-
-                params[name] = get_traffic(params[name]).key
+        for name in KEY_FIELDS:
+            if params.get(name) is not None:
+                params[name] = resolve_key(name, params[name])[0]
         spec = cls(
-            kind=kind_spec.key,
+            kind=trial_kind.key,
             axis=tuple(float(x) for x in axis),
             trials=int(trials),
-            models=resolved_models,
+            models=tuple(get_construction(key).key for key in models),
             params=params,
         )
         spec.plan_check()
@@ -297,8 +224,7 @@ class CampaignSpec:
 
     def plan_check(self) -> None:
         """Plan one point eagerly so bad params fail at spec build time."""
-        probe = dataclasses.replace(self, axis=self.axis[:1], trials=1)
-        list(get_campaign_kind(self.kind).planner(probe))
+        list(dataclasses.replace(self, axis=self.axis[:1], trials=1).iter_plan())
 
     def plan(self) -> List[TrialDescriptor]:
         """Expand into keyed trial descriptors, in (point, trial) order."""
@@ -311,10 +237,14 @@ class CampaignSpec:
         list; the runner and workers iterate this instead, keeping only
         the (point, trial) cells and completed-key set resident.
         """
-        kind = get_campaign_kind(self.kind)
-        for spec in kind.planner(self):
+        from repro.api.executor import SweepExecutor
+
+        executor = SweepExecutor(self.models, workers=1)
+        for spec in executor.iter_plan(
+            self.axis, self.trials, kind=self.kind, **self.params
+        ):
             yield TrialDescriptor(
-                key=trial_key(kind.key, spec),
+                key=trial_key(self.kind, spec),
                 point=spec.point_index,
                 trial=spec.trial,
                 x=self.axis[spec.point_index],
@@ -323,8 +253,10 @@ class CampaignSpec:
             )
 
     def codec(self) -> Any:
-        """The row codec of this campaign's kind."""
-        return get_campaign_kind(self.kind).codec(self)
+        """The row codec of this campaign (columns from its kind)."""
+        from repro.campaign.reducers import RowCodec
+
+        return RowCodec(self)
 
     # -- wire form (TCP workers receive the canonical dict) -------------------------
 
@@ -343,12 +275,15 @@ class CampaignSpec:
                 f"campaign code version {payload.get('code')!r} does not match "
                 f"this worker's {CODE_VERSION!r}"
             )
-        params = {
-            name: _revive_param(name, value, dict(payload.get("params", {})))
-            for name, value in dict(payload.get("params", {})).items()
-        }
+        from repro.api.executor import TRIAL_KINDS
+
+        kind = str(payload["kind"])
+        if kind not in TRIAL_KINDS:
+            raise CampaignError(f"unknown campaign kind {kind!r}")
+        raw = dict(payload.get("params", {}))
+        params = {name: _revive_param(kind, name, value, raw) for name, value in raw.items()}
         return cls(
-            kind=str(payload["kind"]),
+            kind=kind,
             axis=tuple(float(x) for x in payload["axis"]),
             trials=int(payload["trials"]),
             models=tuple(str(m) for m in payload["models"]),
@@ -356,118 +291,20 @@ class CampaignSpec:
         )
 
 
-def _revive_param(name: str, value: Any, params: Mapping[str, Any]) -> Any:
-    """Revive one canonical param value (see :meth:`CampaignSpec.from_canonical`)."""
+def _revive_param(kind: str, name: str, value: Any, params: Mapping[str, Any]) -> Any:
+    """Revive one canonical param value (see :meth:`CampaignSpec.from_canonical`).
+
+    A typed option set revives through the registry of the key it
+    configures (``traffic_options`` through ``traffic``, ...); a key the
+    campaign left out takes the kind's trial-spec default.
+    """
     if not isinstance(value, Mapping) or "__type__" not in value:
         return value
+    from repro.api.executor import KEY_FIELDS, TRIAL_KINDS, resolve_key
+
     fields = {k: v for k, v in value.items() if k != "__type__"}
-    if name in ("traffic_options", "arrival_options"):
-        from repro.routing.traffic import get_traffic
-
-        owner = params.get("arrival" if name == "arrival_options" else "traffic", "uniform")
-        return get_traffic(str(owner)).make_options(None, fields)
-    if name == "router_options":
-        from repro.routing.registry import get_router
-
-        return get_router(str(params.get("router", "extended-ecube"))).make_options(
-            None, fields
-        )
+    owner = name[: -len("_options")]
+    if name.endswith("_options") and owner in KEY_FIELDS:
+        key = params.get(owner, TRIAL_KINDS[kind].defaults().get(owner))
+        return resolve_key(owner, str(key))[1].make_options(None, fields)
     raise CampaignError(f"cannot revive campaign param {name!r} of type {value['__type__']!r}")
-
-
-# -- built-in kinds -----------------------------------------------------------------
-
-
-def _plan_construction(campaign: CampaignSpec) -> Iterator[Any]:
-    from repro.api.executor import SweepExecutor
-
-    executor = SweepExecutor(campaign.models, workers=1)
-    return executor.iter_plan(
-        [int(x) for x in campaign.axis], campaign.trials, **campaign.params
-    )
-
-
-def _plan_routing(campaign: CampaignSpec) -> Iterator[Any]:
-    from repro.api.executor import SweepExecutor
-
-    executor = SweepExecutor(campaign.models, workers=1)
-    return executor.iter_plan_routing(
-        [int(x) for x in campaign.axis], campaign.trials, **campaign.params
-    )
-
-
-def _plan_latency(campaign: CampaignSpec) -> Iterator[Any]:
-    from repro.api.executor import SweepExecutor
-
-    executor = SweepExecutor(campaign.models, workers=1)
-    return executor.iter_plan_latency(
-        list(campaign.axis), campaign.trials, **campaign.params
-    )
-
-
-def _run_construction_trial(spec: Any) -> Any:
-    from repro.api.executor import run_trial
-
-    return run_trial(spec)
-
-
-def _run_routing_trial(spec: Any) -> Any:
-    from repro.api.executor import run_routing_trial
-
-    return run_routing_trial(spec)
-
-
-def _run_latency_trial(spec: Any) -> Any:
-    from repro.api.executor import run_netsim_trial
-
-    return run_netsim_trial(spec)
-
-
-def _construction_codec(campaign: CampaignSpec) -> Any:
-    from repro.campaign.reducers import ConstructionRowCodec
-
-    return ConstructionRowCodec(campaign)
-
-
-def _routing_codec(campaign: CampaignSpec) -> Any:
-    from repro.campaign.reducers import RoutingRowCodec
-
-    return RoutingRowCodec(campaign)
-
-
-def _latency_codec(campaign: CampaignSpec) -> Any:
-    from repro.campaign.reducers import LatencyRowCodec
-
-    return LatencyRowCodec(campaign)
-
-
-register_campaign_kind(
-    CampaignKindSpec(
-        key="construction",
-        label="Construction metrics",
-        runner=_run_construction_trial,
-        planner=_plan_construction,
-        codec=_construction_codec,
-        aliases=("sweep",),
-    )
-)
-register_campaign_kind(
-    CampaignKindSpec(
-        key="routing",
-        label="Routed traffic",
-        runner=_run_routing_trial,
-        planner=_plan_routing,
-        codec=_routing_codec,
-        aliases=("route",),
-    )
-)
-register_campaign_kind(
-    CampaignKindSpec(
-        key="latency",
-        label="Latency vs load",
-        runner=_run_latency_trial,
-        planner=_plan_latency,
-        codec=_latency_codec,
-        aliases=("netsim", "simulate"),
-    )
-)

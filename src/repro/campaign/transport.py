@@ -15,7 +15,7 @@ axis of the package:
   :meth:`~repro.api.executor.SweepExecutor._map`).  Workers heartbeat
   between trials; a dead or silent worker is terminated, its task is
   reported failed, and a replacement is spawned.
-* ``tcp`` -- an NDJSON shard protocol modeled on
+* ``tcp`` -- an NDJSON shard protocol framed by
   :mod:`repro.serve.protocol`: remote workers (``repro-mesh campaign
   worker --connect``) dial in, receive the canonical campaign spec,
   re-plan it locally (the plan is deterministic) and pull tasks
@@ -36,7 +36,6 @@ Event tuples a transport may emit from ``poll``::
 from __future__ import annotations
 
 import base64
-import json
 import multiprocessing
 import os
 import queue
@@ -44,17 +43,13 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._registry import SpecRegistry
-from repro.campaign.spec import (
-    CampaignError,
-    CampaignSpec,
-    TrialDescriptor,
-    get_campaign_kind,
-)
+from repro.campaign.spec import CampaignError, CampaignSpec
+from repro.serve.protocol import ProtocolError, decode_line, encode
 
 
 @dataclass(frozen=True)
@@ -100,6 +95,36 @@ def available_transports() -> Tuple[str, ...]:
     return _REGISTRY.keys()
 
 
+# -- workers ------------------------------------------------------------------------
+
+
+class _TrialCells:
+    """One worker's copy of a campaign: its plan by cell, runner and codec.
+
+    The plan is expanded once per worker process, local or remote: tasks
+    address trials as ``(point, trial)`` cells, so the parent never
+    materializes descriptors.
+    """
+
+    def __init__(self, campaign: CampaignSpec) -> None:
+        from repro.api.executor import TRIAL_KINDS
+
+        self.runner = TRIAL_KINDS[campaign.kind].runner
+        self.codec = campaign.codec()
+        self.by_cell = {(d.point, d.trial): d for d in campaign.plan()}
+
+    def run(
+        self, cells: Sequence[Tuple[int, int]], beat: Callable[[], None] = lambda: None
+    ) -> np.ndarray:
+        """Run the trials of *cells* into encoded rows; *beat* after each."""
+        rows = self.codec.empty(len(cells))
+        for index, cell in enumerate(cells):
+            descriptor = self.by_cell[cell]
+            self.codec.encode_into(rows[index], descriptor, self.runner(descriptor.spec))
+            beat()
+        return rows
+
+
 # -- local process pool -------------------------------------------------------------
 
 
@@ -112,19 +137,12 @@ def _local_worker_main(
 ) -> None:
     """Worker loop: pull a task, run its trials, push encoded rows.
 
-    The plan is expanded *here*, once per worker process (same move as
-    :func:`run_tcp_worker`): tasks address trials as ``(point, trial)``
-    cells, so the parent never materializes descriptors.  An idle worker
-    looks every *heartbeat_interval* seconds whether its parent is still
-    the one that started it, and returns once the parent has died: a
-    killed runner never sends the stop sentinel.
+    An idle worker looks every *heartbeat_interval* seconds whether its
+    parent is still the one that started it, and returns once the parent
+    has died: a killed runner never sends the stop sentinel.
     """
     parent = os.getppid()
-    kind = get_campaign_kind(campaign.kind)
-    codec = campaign.codec()
-    by_cell: Dict[Tuple[int, int], TrialDescriptor] = {
-        (d.point, d.trial): d for d in campaign.plan()
-    }
+    cells = _TrialCells(campaign)
     event_queue.put(("hello", worker_id, None))
     while True:
         try:
@@ -136,17 +154,17 @@ def _local_worker_main(
         if task is None:
             break
         event_queue.put(("start", worker_id, task.task_id))
+        last_beat = time.monotonic()
+
+        def beat() -> None:
+            nonlocal last_beat
+            now = time.monotonic()
+            if now - last_beat >= heartbeat_interval:
+                event_queue.put(("hb", worker_id, task.task_id))
+                last_beat = now
+
         try:
-            rows = codec.empty(len(task.cells))
-            last_beat = time.monotonic()
-            for index, cell in enumerate(task.cells):
-                descriptor = by_cell[cell]
-                result = kind.runner(descriptor.spec)
-                codec.encode_into(rows[index], descriptor, result)
-                now = time.monotonic()
-                if now - last_beat >= heartbeat_interval:
-                    event_queue.put(("hb", worker_id, task.task_id))
-                    last_beat = now
+            rows = cells.run(task.cells, beat)
             event_queue.put(("done", worker_id, task.task_id, rows))
         except BaseException as exc:  # report, then keep serving
             event_queue.put(
@@ -293,28 +311,25 @@ class LocalTransport:
 TCP_SCHEMA = "repro.campaign.tcp/v1"
 
 
-def _send_frame(sock: socket.socket, payload: Dict[str, Any]) -> None:
-    sock.sendall(json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n")
-
-
 class _LineReader:
-    """Buffered NDJSON frame reader over a socket."""
+    """Buffered NDJSON frame reader over a socket (:mod:`repro.serve.protocol`)."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._buffer = b""
 
     def read_frame(self) -> Optional[Dict[str, Any]]:
+        """The next frame, ``None`` at end of stream; ``CampaignError`` if malformed."""
         while b"\n" not in self._buffer:
             data = self._sock.recv(65536)
             if not data:
                 return None
             self._buffer += data
         line, self._buffer = self._buffer.split(b"\n", 1)
-        payload = json.loads(line.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise CampaignError("malformed campaign TCP frame")
-        return payload
+        try:
+            return decode_line(line)
+        except ProtocolError as exc:
+            raise CampaignError(f"malformed campaign TCP frame: {exc}") from None
 
 
 class TcpTransport:
@@ -386,14 +401,8 @@ class TcpTransport:
         try:
             with conn:
                 conn.settimeout(60.0)
-                _send_frame(
-                    conn,
-                    {
-                        "op": "hello",
-                        "schema": TCP_SCHEMA,
-                        "spec": self.campaign.canonical(),
-                    },
-                )
+                hello = {"op": "hello", "schema": TCP_SCHEMA, "spec": self.campaign.canonical()}
+                conn.sendall(encode(hello))
                 reader = _LineReader(conn)
                 ready = reader.read_frame()
                 if ready is None or ready.get("op") != "ready":
@@ -405,16 +414,10 @@ class TcpTransport:
                     except queue.Empty:
                         continue
                     if task is None:
-                        _send_frame(conn, {"op": "shutdown"})
+                        conn.sendall(encode({"op": "shutdown"}))
                         return
-                    _send_frame(
-                        conn,
-                        {
-                            "op": "task",
-                            "id": task.task_id,
-                            "cells": [list(cell) for cell in task.cells],
-                        },
-                    )
+                    cells = [list(cell) for cell in task.cells]
+                    conn.sendall(encode({"op": "task", "id": task.task_id, "cells": cells}))
                     reply = reader.read_frame()
                     if reply is None:
                         raise CampaignError("worker connection closed mid-task")
@@ -481,13 +484,8 @@ def run_tcp_worker(
             raise CampaignError("campaign server did not greet with hello")
         if hello.get("schema") != TCP_SCHEMA:
             raise CampaignError(f"unknown campaign wire schema {hello.get('schema')!r}")
-        campaign = CampaignSpec.from_canonical(hello["spec"])
-        kind = get_campaign_kind(campaign.kind)
-        codec = campaign.codec()
-        by_cell = {
-            (d.point, d.trial): d for d in campaign.plan()
-        }
-        _send_frame(sock, {"op": "ready"})
+        cells = _TrialCells(CampaignSpec.from_canonical(hello["spec"]))
+        sock.sendall(encode({"op": "ready"}))
         done = 0
         while max_tasks is None or done < max_tasks:
             frame = reader.read_frame()
@@ -495,34 +493,18 @@ def run_tcp_worker(
                 break
             if frame.get("op") != "task":
                 raise CampaignError(f"unexpected server frame {frame.get('op')!r}")
-            cells = [(int(p), int(t)) for p, t in frame["cells"]]
+            task_cells = [(int(p), int(t)) for p, t in frame["cells"]]
             if on_task is not None:
-                on_task(int(frame["id"]), len(cells))
+                on_task(int(frame["id"]), len(task_cells))
             try:
-                rows = codec.empty(len(cells))
-                for index, cell in enumerate(cells):
-                    descriptor = by_cell[cell]
-                    result = kind.runner(descriptor.spec)
-                    codec.encode_into(rows[index], descriptor, result)
+                rows = cells.run(task_cells)
             except Exception as exc:
-                _send_frame(
-                    sock,
-                    {
-                        "op": "error",
-                        "id": int(frame["id"]),
-                        "error": f"{type(exc).__name__}: {exc}",
-                    },
-                )
+                error = f"{type(exc).__name__}: {exc}"
+                sock.sendall(encode({"op": "error", "id": int(frame["id"]), "error": error}))
                 continue
-            _send_frame(
-                sock,
-                {
-                    "op": "rows",
-                    "id": int(frame["id"]),
-                    "rows": int(len(rows)),
-                    "data": base64.b64encode(rows.tobytes()).decode("ascii"),
-                },
-            )
+            data = base64.b64encode(rows.tobytes()).decode("ascii")
+            reply = {"op": "rows", "id": int(frame["id"]), "rows": int(len(rows)), "data": data}
+            sock.sendall(encode(reply))
             done += 1
         return done
 

@@ -76,6 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._array_ops import active_backend_key
 from repro.api import (
+    TRIAL_KINDS,
     ConstructionResult,
     MeshSession,
     backend_keys,
@@ -94,6 +95,7 @@ from repro.core.verify import (
 from repro.faults.scenario import generate_scenario
 from repro.sim.experiments import run_routing_sweep, run_sweep
 from repro.sim.figures import (
+    DEFAULT_FAULT_COUNTS,
     figure9_series,
     figure10_series,
     figure11_series,
@@ -216,7 +218,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _apply_backend(args)
-    fault_counts = args.fault_counts or [100, 200, 300, 400, 500, 600, 700, 800]
+    fault_counts = args.fault_counts or list(DEFAULT_FAULT_COUNTS)
     if args.routing:
         points = run_routing_sweep(
             fault_counts=fault_counts,
@@ -511,54 +513,43 @@ def _campaign_spec_from(args: argparse.Namespace):
     Only flags the user actually passed enter ``params``: the content
     fingerprint canonicalises the params dict, so spelling a planner
     default out explicitly would make the CLI's campaign a different
-    campaign than the identical API call.
+    campaign than the identical API call.  A flag that sets no field of
+    the kind's trial spec is an error, never silently dropped.
     """
     from repro.campaign import CampaignSpec
 
-    params = {
-        name: value
-        for name, value in (
-            ("width", args.width),
-            ("distribution", args.distribution),
-            ("base_seed", args.seed),
-            ("cluster_factor", args.cluster_factor),
-        )
-        if value is not None
+    kind = TRIAL_KINDS[args.kind]
+    axes = {"num_faults": ("--fault-counts", args.fault_counts), "load": ("--loads", args.loads)}
+    given = {  # sweep parameter -> (flag, value or None when not passed)
+        "width": ("--width", args.width),
+        "distribution": ("--distribution", args.distribution),
+        "base_seed": ("--seed", args.seed),
+        "cluster_factor": ("--cluster-factor", args.cluster_factor),
+        "torus": ("--torus", True if args.torus else None),
+        "include_rounds": ("--skip-rounds", False if args.skip_rounds else None),
+        "router": ("--router", args.router),
+        "traffic": ("--traffic", args.traffic),
+        "messages": ("--messages", args.messages),
+        "num_faults": ("--num-faults", args.num_faults),
+        "arrival": ("--arrival", args.arrival),
+        "cycles": ("--cycles", args.cycles),
     }
-    if args.torus:
-        params["torus"] = True
-    if args.kind in ("construction", "routing") and args.loads:
-        raise SystemExit("--loads only applies to --kind latency")
-    if args.kind == "construction":
-        if args.skip_rounds:
-            params["include_rounds"] = False
-        return CampaignSpec.construction(
-            args.fault_counts, args.trials, models=args.models, **params
-        )
-    for name, value in (
-        ("router", args.router),
-        ("traffic", args.traffic),
-    ):
-        if value is not None:
-            params[name] = value
-    if args.kind == "routing":
-        if args.messages is not None:
-            params["messages"] = args.messages
-        return CampaignSpec.routing(
-            args.fault_counts, args.trials, models=args.models, **params
-        )
-    if not args.loads:
-        raise SystemExit("--kind latency requires --loads")
-    for name, value in (
-        ("num_faults", args.num_faults),
-        ("arrival", args.arrival),
-        ("cycles", args.cycles),
-    ):
-        if value is not None:
-            params[name] = value
-    return CampaignSpec.latency(
-        args.loads, args.trials, models=args.models, **params
-    )
+    accepted = kind.defaults()
+    foreign = [
+        flag for name, (flag, value) in axes.items() if value is not None and name != kind.axis
+    ]
+    foreign += [
+        flag for name, (flag, value) in given.items() if value is not None and name not in accepted
+    ]
+    if foreign:
+        raise SystemExit(f"--kind {args.kind} takes no {', '.join(foreign)}")
+    axis = axes[kind.axis][1]
+    if axis is None:
+        if kind.axis != "num_faults":
+            raise SystemExit(f"--kind {args.kind} requires {axes[kind.axis][0]}")
+        axis = DEFAULT_FAULT_COUNTS
+    params = {name: value for name, (_, value) in given.items() if value is not None}
+    return CampaignSpec.create(args.kind, axis, args.trials, models=args.models, **params)
 
 
 def _campaign_execute(args: argparse.Namespace, spec) -> int:
@@ -1032,13 +1023,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_campaign_runner_arguments(campaign_run)
     campaign_run.add_argument(
-        "--kind", choices=("construction", "routing", "latency"),
-        default="construction", help="trial kind (campaign-kind registry key)",
+        "--kind", choices=tuple(TRIAL_KINDS), default="construction",
+        help="trial kind (a key of repro.api.executor.TRIAL_KINDS)",
     )
     campaign_run.add_argument(
-        "--fault-counts", type=int, nargs="+", dest="fault_counts",
-        default=[100, 200, 300, 400, 500, 600, 700, 800],
-        help="sweep axis of construction/routing campaigns",
+        "--fault-counts", type=int, nargs="+", dest="fault_counts", default=None,
+        help="sweep axis of construction/routing campaigns "
+        "(default: 100 200 ... 800)",
     )
     campaign_run.add_argument(
         "--loads", type=float, nargs="+", default=None,
@@ -1072,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_run.add_argument(
         "--messages", type=int, default=None,
-        help="routing campaigns: messages per trial",
+        help="routing/latency campaigns: messages per trial",
     )
     campaign_run.add_argument(
         "--num-faults", type=int, default=None,

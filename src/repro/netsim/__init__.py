@@ -14,8 +14,9 @@ default -- and ``scalar`` -- the dict-based oracle), switchable via the
 ``REPRO_MASK_KERNEL`` toggles before it.
 
 Entry points: :meth:`repro.api.MeshSession.simulate` (one call),
-:class:`NetSimSession` (the facade), ``SweepExecutor.run_latency`` /
-:func:`repro.sim.experiments.run_latency_sweep` (latency-vs-load curves),
+:class:`NetSimSession` (the facade), ``SweepExecutor.run(...,
+kind="latency")`` / :func:`repro.sim.experiments.run_latency_sweep`
+(latency-vs-load curves),
 the ``repro-mesh simulate`` CLI command and
 ``benchmarks/bench_saturation.py``.
 """

@@ -17,12 +17,10 @@ producing the classic latency-vs-offered-load curve.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 from repro.api.executor import (
     DEFAULT_MODELS,
-    DEFAULT_NETSIM_MODELS,
-    DEFAULT_ROUTING_MODELS,
     SweepExecutor,
     collect_scenario_metrics,
 )
@@ -69,15 +67,10 @@ def compare_constructions(
 def run_sweep(
     fault_counts: Sequence[int],
     trials: int = 3,
-    width: int = 100,
-    distribution: str = "random",
-    base_seed: int = 0,
     include_distributed: bool = True,
-    include_rounds: bool = True,
-    cluster_factor: float = 2.0,
-    torus: bool = False,
-    workers: int = 1,
+    workers: Optional[int] = 1,
     campaign=None,
+    **params: Any,
 ) -> List[SweepPoint]:
     """Run the constructions over a fault-count sweep.
 
@@ -86,124 +79,75 @@ def run_sweep(
     inside a trial share the same fault pattern (paired comparison).  Pass
     ``workers`` > 1 (or ``None`` for all CPUs) to fan the trials out over a
     process pool; the per-trial seeds are deterministic either way.
-    ``torus`` runs the sweep on a 2-D torus instead of the paper's mesh.
+    *params* (``width``, ``distribution``, ``base_seed``, ``torus``, ...)
+    are those of :meth:`repro.api.SweepExecutor.iter_plan`, with the
+    defaults of :class:`~repro.api.executor.TrialSpec`.
     ``campaign=<directory>`` streams the sweep through the resumable
     content-addressed campaign store (see :mod:`repro.campaign`).
     """
     executor = SweepExecutor(
         models=_model_keys(include_distributed), workers=workers
     )
-    return executor.run(
-        fault_counts,
-        trials,
-        width=width,
-        distribution=distribution,
-        base_seed=base_seed,
-        cluster_factor=cluster_factor,
-        torus=torus,
-        include_rounds=include_rounds,
-        campaign=campaign,
-    )
+    return executor.run(fault_counts, trials, campaign=campaign, **params)
 
 
 def run_routing_sweep(
     fault_counts: Sequence[int],
     trials: int = 3,
-    width: int = 100,
-    distribution: str = "random",
-    base_seed: int = 0,
-    models: Tuple[str, ...] = DEFAULT_ROUTING_MODELS,
-    router: str = "extended-ecube",
-    traffic: str = "uniform",
-    messages: int = 500,
-    cluster_factor: float = 2.0,
-    torus: bool = False,
-    workers: int = 1,
-    engine=None,
+    models: Optional[Sequence[str]] = None,
+    workers: Optional[int] = 1,
     reducer=None,
     campaign=None,
+    **params: Any,
 ) -> List[RoutingSweepPoint]:
     """Route synthetic traffic over a fault-count sweep.
 
     Returns one :class:`~repro.sim.metrics.RoutingSweepPoint` per entry of
     *fault_counts*.  Every trial builds *models* (construction registry
-    keys) on one generated fault pattern and routes the same seeded
-    *traffic* batch (traffic registry key) through *router* (router
-    registry key) over each -- the paired comparison of the routing
-    ablation, generalised to the whole synthetic workload suite.  Like
-    :func:`run_sweep`, trials fan out over ``workers`` processes with
-    deterministic per-trial seeds.  *engine* picks the routing engine
+    keys; default ``DEFAULT_ROUTING_MODELS``) on one generated fault
+    pattern and routes the same seeded ``traffic`` batch (traffic registry
+    key) through ``router`` (router registry key) over each -- the paired
+    comparison of the routing ablation, generalised to the whole synthetic
+    workload suite.  *params* are the fields of
+    :class:`~repro.api.executor.RoutingTrialSpec` plus ``base_seed``.
+    Like :func:`run_sweep`, trials fan out over ``workers`` processes with
+    deterministic per-trial seeds.  ``engine`` picks the routing engine
     (``"scalar"`` / ``"batch"`` / ``"auto"``; ``None`` follows the
     ambient default) -- the engines are bit-identical, so the choice only
     affects the sweep's wall-clock time.
     """
     executor = SweepExecutor(models=models, workers=workers)
-    return executor.run_routing(
-        fault_counts,
-        trials,
-        width=width,
-        distribution=distribution,
-        base_seed=base_seed,
-        cluster_factor=cluster_factor,
-        torus=torus,
-        router=router,
-        traffic=traffic,
-        messages=messages,
-        engine=engine,
-        reducer=reducer,
-        campaign=campaign,
+    return executor.run(
+        fault_counts, trials, kind="routing", reducer=reducer, campaign=campaign, **params
     )
 
 
 def run_latency_sweep(
     loads: Sequence[float],
     trials: int = 2,
-    num_faults: int = 0,
-    width: int = 16,
-    distribution: str = "clustered",
-    base_seed: int = 0,
-    models: Tuple[str, ...] = DEFAULT_NETSIM_MODELS,
-    router: str = "extended-ecube",
-    traffic: str = "uniform",
-    arrival: str = "poisson",
-    cycles: int = 256,
-    drain_factor: int = 8,
-    cluster_factor: float = 2.0,
-    torus: bool = False,
-    workers: int = 1,
-    sim=None,
+    models: Optional[Sequence[str]] = None,
+    workers: Optional[int] = 1,
     reducer=None,
     campaign=None,
+    **params: Any,
 ) -> List[LatencySweepPoint]:
     """Run an open-loop latency-vs-load sweep over the network simulator.
 
     Returns one :class:`~repro.sim.metrics.LatencySweepPoint` per entry of
     *loads* (offered messages per node per cycle).  Every trial generates
-    one fault pattern at *num_faults*, builds *models* on it and replays a
-    timed traffic batch (*traffic* endpoints, *arrival* injection times)
-    through the contention simulator -- the paper-standard interconnect
-    evaluation the contention-free routing sweeps cannot produce.  Like
-    the other sweeps, trials fan out over ``workers`` processes with
-    deterministic seeds; *sim* picks the simulator (``"array"`` /
-    ``"scalar"`` / ``"auto"``; ``None`` follows ``REPRO_NETSIM``), which
-    never affects the results -- the simulators are bit-identical.
+    one fault pattern at ``num_faults``, builds *models* (default
+    ``DEFAULT_NETSIM_MODELS``) on it and replays a timed traffic batch
+    (``traffic`` endpoints, ``arrival`` injection times) through the
+    contention simulator -- the paper-standard interconnect evaluation
+    the contention-free routing sweeps cannot produce.  *params* are the
+    fields of :class:`~repro.api.executor.NetSimTrialSpec` plus
+    ``base_seed``.  Like the other sweeps, trials fan out over
+    ``workers`` processes with deterministic seeds; ``sim`` picks the
+    simulator (``"array"`` / ``"scalar"`` / ``"auto"``; ``None`` follows
+    ``REPRO_NETSIM``), which never affects the results -- the simulators
+    are bit-identical.
     """
     executor = SweepExecutor(models=models, workers=workers)
-    return executor.run_latency(
-        loads,
-        trials,
-        num_faults=num_faults,
-        width=width,
-        distribution=distribution,
-        base_seed=base_seed,
-        cluster_factor=cluster_factor,
-        torus=torus,
-        router=router,
-        traffic=traffic,
-        arrival=arrival,
-        cycles=cycles,
-        drain_factor=drain_factor,
-        sim=sim,
-        reducer=reducer,
-        campaign=campaign,
+    return executor.run(
+        loads, trials, kind="latency", reducer=reducer, campaign=campaign, **params
     )

@@ -20,6 +20,14 @@ from repro.sim.experiments import run_sweep
 ALL_LABELS = ("FB", "FP", "MFP", "CMFP", "DMFP")
 
 
+def _custom_fb(faults, topology, options):
+    """A module-level custom builder: it pickles by reference, the way a
+    user-defined builder reaches spawned workers."""
+    from repro.core.faulty_block import build_faulty_blocks
+
+    return build_faulty_blocks(faults, topology=topology)
+
+
 def _point_fingerprint(point):
     return tuple(
         (point.mean_disabled_nonfaulty(m), point.mean_region_size(m), point.mean_rounds(m))
@@ -78,12 +86,20 @@ class TestDeterminism:
             _point_fingerprint(p) for p in b
         ]
 
-    def test_parallel_equals_serial(self):
-        serial = SweepExecutor(workers=1).run([8, 16], trials=2, width=12)
-        parallel = SweepExecutor(workers=2).run([8, 16], trials=2, width=12)
-        assert [_point_fingerprint(p) for p in serial] == [
-            _point_fingerprint(p) for p in parallel
-        ]
+    @pytest.mark.parametrize(
+        "kind, axis, params",
+        [
+            ("construction", [8, 16], dict(width=12)),
+            ("routing", [20], dict(width=16, messages=50)),
+            ("latency", [0.02, 0.08], dict(num_faults=6, width=10, cycles=48)),
+        ],
+        ids=["construction", "routing", "latency"],
+    )
+    def test_every_kind_parallel_equals_serial(self, kind, axis, params):
+        serial = SweepExecutor(workers=1).run(axis, 2, kind=kind, **params)
+        parallel = SweepExecutor(workers=2).run(axis, 2, kind=kind, **params)
+        assert len(serial) == len(axis)
+        assert serial == parallel
 
     def test_run_sweep_wrapper_parallel_matches_serial(self):
         serial = run_sweep([10], trials=2, width=12, include_distributed=False)
@@ -113,6 +129,13 @@ class TestExecution:
         executor = SweepExecutor(models=("faulty-block", "distributed"), workers=1)
         assert executor.models == ("fb", "dmfp")
 
+    def test_unknown_parameter_rejected(self):
+        """Sweep parameters are the kind's trial-spec fields, nothing else."""
+        with pytest.raises(TypeError, match="messages"):
+            SweepExecutor(workers=1).plan([10], 1, messages=5)
+        with pytest.raises(TypeError, match="include_rounds"):
+            SweepExecutor(workers=1).plan([10], 1, kind="routing", include_rounds=False)
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             SweepExecutor(workers=1).run([10], trials=0, width=12)
@@ -134,8 +157,8 @@ class TestExecution:
                 max(m.disabled_nonfaulty("FB") for m in trials_metrics),
             )
 
-        points = SweepExecutor(workers=1, reducer=max_fb_disabled).run(
-            [10, 20], trials=2, width=12
+        points = SweepExecutor(workers=1).run(
+            [10, 20], trials=2, width=12, reducer=max_fb_disabled
         )
         assert [p[0] for p in points] == [10, 20]
         assert all(isinstance(p[1], int) for p in points)
@@ -171,13 +194,12 @@ class TestWorkerRegistry:
 
         from repro.api import ConstructionSpec, get_construction
         from repro.api.registry import _REGISTRY
-        from repro.api.executor import _custom_fb_for_tests  # noqa: F401
 
         spec = ConstructionSpec(
             key="custom-fb-exec-test",
             label="CFB",
             description="worker re-registration test",
-            builder=_custom_fb_for_tests,
+            builder=_custom_fb,
         )
         trial = TrialSpec(
             num_faults=5,
@@ -200,13 +222,12 @@ class TestWorkerRegistry:
     def test_parallel_sweep_with_custom_registered_model(self):
         from repro.api import ConstructionSpec, register_construction
         from repro.api.registry import _REGISTRY
-        from repro.api.executor import _custom_fb_for_tests
 
         spec = ConstructionSpec(
             key="custom-fb-exec-test2",
             label="CFB2",
             description="parallel custom model",
-            builder=_custom_fb_for_tests,
+            builder=_custom_fb,
         )
         try:
             register_construction(spec)

@@ -22,6 +22,14 @@ from repro.sim.experiments import run_routing_sweep
 from repro.sim.figures import routing_series
 
 
+def _custom_traffic(context, count, rng, options):
+    """A module-level custom generator: it pickles by reference, the way
+    a user-defined workload reaches spawned workers."""
+    from repro.routing import traffic as _traffic
+
+    return _traffic._uniform(context, count, rng, options)
+
+
 @pytest.fixture
 def clustered_session():
     scenario = generate_scenario(num_faults=50, width=20, model="clustered", seed=13)
@@ -211,16 +219,6 @@ class TestRoutingSweeps:
             run_routing_sweep(**kwargs)
         )
 
-    def test_serial_equals_parallel(self):
-        kwargs = dict(fault_counts=[20], trials=2, width=16, messages=50)
-        serial = run_routing_sweep(workers=1, **kwargs)
-        parallel = run_routing_sweep(workers=2, **kwargs)
-        for a, b in zip(serial, parallel):
-            assert a.num_faults == b.num_faults
-            for model in a.models():
-                assert a.mean_delivery_rate(model) == b.mean_delivery_rate(model)
-                assert a.mean_hops(model) == b.mean_hops(model)
-
     def test_pluggable_reducer(self):
         seen = []
 
@@ -228,16 +226,16 @@ class TestRoutingSweeps:
             seen.append((num_faults, distribution, len(trials)))
             return num_faults
 
-        points = SweepExecutor(models=("fb",), workers=1).run_routing(
-            [10, 20], trials=2, width=14, messages=30, reducer=reducer
+        points = SweepExecutor(models=("fb",), workers=1).run(
+            [10, 20], trials=2, kind="routing", width=14, messages=30, reducer=reducer
         )
         assert points == [10, 20]
         assert seen == [(10, "random", 2), (20, "random", 2)]
 
     def test_trial_spec_round_trip(self):
         executor = SweepExecutor(models=("fb", "mfp"), workers=1)
-        specs = executor.plan_routing(
-            [12], 2, width=14, traffic="transpose", messages=40
+        specs = executor.plan(
+            [12], 2, kind="routing", width=14, traffic="transpose", messages=40
         )
         assert len(specs) == 2
         assert specs[0].seed != specs[1].seed
@@ -247,21 +245,20 @@ class TestRoutingSweeps:
 
     def test_bad_traffic_key_fails_before_dispatch(self):
         with pytest.raises(KeyError, match="unknown traffic"):
-            SweepExecutor(models=("fb",)).plan_routing([10], 1, traffic="nope")
+            SweepExecutor(models=("fb",)).plan([10], 1, kind="routing", traffic="nope")
 
     def test_worker_reregisters_custom_traffic(self):
         """A trial spec carries its traffic spec so workers whose fresh
         registry lacks a custom workload can re-register it (regression:
         previously only construction specs were carried)."""
         from repro.api import RoutingTrialSpec, get_construction
-        from repro.api.executor import _custom_traffic_for_tests
         from repro.routing.traffic import TrafficSpec, _WORKLOADS
 
         spec_obj = TrafficSpec(
             key="custom-traffic-test",
             label="CT",
             description="worker re-registration test",
-            generator=_custom_traffic_for_tests,
+            generator=_custom_traffic,
         )
         trial = RoutingTrialSpec(
             num_faults=8,

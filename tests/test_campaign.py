@@ -18,6 +18,7 @@ The load-bearing guarantees:
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import SweepExecutor
+from repro.api import TRIAL_KINDS, SweepExecutor
 from repro.campaign import (
     CampaignError,
     CampaignRunner,
@@ -39,38 +40,35 @@ from repro.campaign import (
     CampaignStore,
     StreamingReducer,
     TcpTransport,
-    available_campaign_kinds,
     available_transports,
     campaign_status,
     fold_moments,
     format_status,
     run_tcp_worker,
-    trial_key,
 )
-from repro.campaign.spec import get_campaign_kind, register_campaign_kind
 
 #: Small, fast campaign definitions per kind: (spec builder, executor call).
 KIND_CASES = {
     "construction": dict(
-        spec=lambda: CampaignSpec.construction(
-            [4, 8], 3, models=("fb", "fp", "mfp"), width=16,
+        spec=lambda: CampaignSpec.create(
+            "construction", [4, 8], 3, models=("fb", "fp", "mfp"), width=16,
             include_rounds=False,
         ),
         baseline=lambda ex: ex.run([4, 8], 3, width=16, include_rounds=False),
         models=("fb", "fp", "mfp"),
     ),
     "routing": dict(
-        spec=lambda: CampaignSpec.routing(
-            [4], 2, models=("fb", "fp", "mfp"), width=12, messages=40
+        spec=lambda: CampaignSpec.create(
+            "routing", [4], 2, models=("fb", "fp", "mfp"), width=12, messages=40
         ),
-        baseline=lambda ex: ex.run_routing([4], 2, width=12, messages=40),
+        baseline=lambda ex: ex.run([4], 2, kind="routing", width=12, messages=40),
         models=("fb", "fp", "mfp"),
     ),
     "latency": dict(
-        spec=lambda: CampaignSpec.latency(
-            [0.02], 2, models=("fb", "mfp"), width=8, cycles=32
+        spec=lambda: CampaignSpec.create(
+            "latency", [0.02], 2, models=("fb", "mfp"), width=8, cycles=32
         ),
-        baseline=lambda ex: ex.run_latency([0.02], 2, width=8, cycles=32),
+        baseline=lambda ex: ex.run([0.02], 2, kind="latency", width=8, cycles=32),
         models=("fb", "mfp"),
     ),
 }
@@ -84,9 +82,132 @@ def _executor(kind: str) -> SweepExecutor:
 
 
 def test_registries_expose_builtins():
-    kinds = available_campaign_kinds()
-    assert {"construction", "routing", "latency"} <= set(kinds)
+    assert {"construction", "routing", "latency"} <= set(TRIAL_KINDS)
     assert {"local", "tcp"} <= set(available_transports())
+
+
+#: Store columns shared by every kind, then the per-model columns of each
+#: kind (format strings as ``np.dtype.str`` spells them).
+_ID_COLUMNS = [
+    ["key", "|S32"], ["point", "<i4"], ["trial", "<i4"], ["seed", "<i8"],
+    ["x", "<f8"], ["distribution", "|S32"],
+]
+_MODEL_COLUMNS = {
+    "construction": [
+        ["num_regions", "<i8"], ["disabled_nonfaulty", "<i8"],
+        ["mean_region_size", "<f8"], ["rounds", "<i8"],
+    ],
+    "routing": [
+        ["enabled", "<i8"], ["attempted", "<i8"], ["delivered", "<i8"],
+        ["delivery_rate", "<f8"], ["mean_hops", "<f8"], ["mean_detour", "<f8"],
+        ["minimal_fraction", "<f8"], ["abnormal_fraction", "<f8"],
+    ],
+    "latency": [
+        ["sim", "|S16"], ["enabled", "<i8"], ["attempted", "<i8"],
+        ["unroutable", "<i8"], ["delivered", "<i8"], ["in_flight", "<i8"],
+        ["cycles_run", "<i8"], ["delivery_rate", "<f8"], ["mean_latency", "<f8"],
+        ["mean_queueing", "<f8"], ["mean_hops", "<f8"], ["accepted_load", "<f8"],
+        ["saturated", "|i1"], ["deadlocked", "|i1"],
+    ],
+}
+
+#: Content identity of the KIND_CASES campaigns: (fingerprint, sha256 of
+#: the concatenated trial keys in plan order, model labels).  Pinned from
+#: the release that wrote ``benchmarks/results/campaign_100k``; a change
+#: here orphans every existing store.
+PINNED_IDENTITY = {
+    "construction": (
+        "19b78557c0935afb56cf2278c322c75d0b64f481d1716cea7ae5d2540d839bbf",
+        "373db0b80e6043f1cb2242c1091799c098953ade11b23103b59930155fd221b3",
+        ("FB", "FP", "MFP"),
+    ),
+    "routing": (
+        "c2b4acccc79f29b67e133c76207f2326c5fd9f74d4bc88b9822c5c9ad8d46f00",
+        "b84f5348c4bb8b768907807e9cc198da6450b7a38ab1a1bd2f8356b0aabad9ef",
+        ("FB", "FP", "MFP"),
+    ),
+    "latency": (
+        "c2cdab8eb1a85a9de26549cf3e60e8342440258f128643b7738b6a925b023f98",
+        "034eb7729d1fcb9eaa383bf53b1db754afc905d52fc26c88bbe7882a44e1b04f",
+        ("FB", "MFP"),
+    ),
+}
+
+
+def _wire_dtype(spec):
+    dtype = spec.codec().dtype
+    return [[name, dtype.fields[name][0].str] for name in dtype.names]
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_CASES))
+def test_pinned_campaign_identity(kind):
+    fingerprint, keys_digest, labels = PINNED_IDENTITY[kind]
+    spec = KIND_CASES[kind]["spec"]()
+    keys = "".join(d.key for d in spec.plan())
+    assert spec.fingerprint() == fingerprint
+    assert hashlib.sha256(keys.encode("ascii")).hexdigest() == keys_digest
+    assert _wire_dtype(spec) == _ID_COLUMNS + [
+        [f"{label}.{name}", fmt]
+        for label in labels
+        for name, fmt in _MODEL_COLUMNS[kind]
+    ]
+
+
+#: Manifest fingerprints of campaigns built by ``SweepExecutor.run(...,
+#: campaign=dir)``, which spells out every parameter plus ``base_seed``.
+PINNED_EXECUTOR_FINGERPRINTS = {
+    "construction": "cb29d1d159066667383a6a047b65c770cbdc95e569c4a7caafc822e2dd4f8072",
+    "routing": "2ccfcd14f37a4701db2213d6e37608e16fbae82b8029277e5f2d637a0c84b634",
+    "latency": "cce63bb3f5ee0dbde295b304e35ca284321594a234488d96835006daa97962fd",
+}
+
+
+#: ``SweepExecutor(models).run(axis, 1, kind=..., **params, campaign=dir)``
+#: calls behind PINNED_EXECUTOR_FINGERPRINTS: (models, axis, params).
+EXECUTOR_CAMPAIGNS = {
+    "construction": (("fb", "fp", "mfp"), [4], dict(width=8, include_rounds=False)),
+    "routing": (("fb", "fp", "mfp"), [4], dict(width=8, messages=10)),
+    "latency": (("mfp",), [0.02], dict(width=6, cycles=16)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_EXECUTOR_FINGERPRINTS))
+def test_pinned_executor_campaign_fingerprints(tmp_path, kind):
+    models, axis, params = EXECUTOR_CAMPAIGNS[kind]
+    store = tmp_path / "store"
+    SweepExecutor(models).run(axis, 1, kind=kind, campaign=store, **params)
+    header = json.loads((store / "manifest.jsonl").read_text().splitlines()[0])
+    assert header["fingerprint"] == PINNED_EXECUTOR_FINGERPRINTS[kind]
+
+
+def test_committed_100k_header_rederives():
+    """The committed artifact's spec still hashes to its fingerprint and
+    still lays its rows out in the stored dtype."""
+    manifest = (
+        Path(__file__).parent.parent
+        / "benchmarks" / "results" / "campaign_100k" / "manifest.jsonl"
+    )
+    header = json.loads(manifest.read_text().splitlines()[0])
+    spec = CampaignSpec.from_canonical(header["spec"])
+    assert spec.fingerprint() == header["fingerprint"]
+    assert _wire_dtype(spec) == header["dtype"]
+
+
+def test_latency_arrival_options_survive_reopen(tmp_path):
+    """``arrival_options`` revive through the arrival process the trial
+    spec defaults to (poisson), so the store reopens without a spec."""
+    from repro.routing.traffic import get_traffic
+
+    spec = CampaignSpec.create(
+        "latency", [0.02], 1, models=("mfp",), width=8, cycles=16,
+        arrival_options=get_traffic("poisson").make_options(None, {}),
+    )
+    revived = CampaignSpec.from_canonical(spec.canonical())
+    assert revived.fingerprint() == spec.fingerprint()
+    CampaignStore.create(tmp_path / "store", spec).close()
+    reopened = CampaignStore.open(tmp_path / "store")
+    reopened.close()
+    assert reopened.campaign.fingerprint() == spec.fingerprint()
 
 
 def test_trial_keys_shared_by_extended_campaigns():
@@ -96,11 +217,11 @@ def test_trial_keys_shared_by_extended_campaigns():
     at the end of its axis -- or deepened with more trials per point --
     plans a strict superset of the original keys (add-more-data without
     re-running what is stored)."""
-    narrow = CampaignSpec.construction(
-        [4], 2, models=("fb", "fp", "mfp"), width=16, include_rounds=False
+    narrow = CampaignSpec.create(
+        "construction", [4], 2, models=("fb", "fp", "mfp"), width=16, include_rounds=False
     )
-    wide = CampaignSpec.construction(
-        [4, 8], 3, models=("fb", "fp", "mfp"), width=16, include_rounds=False
+    wide = CampaignSpec.create(
+        "construction", [4, 8], 3, models=("fb", "fp", "mfp"), width=16, include_rounds=False
     )
     narrow_keys = {d.key for d in narrow.plan()}
     wide_keys = {d.key for d in wide.plan()}
@@ -115,8 +236,8 @@ def test_trial_keys_stable_across_processes(tmp_path):
         """
         import json, sys
         from repro.campaign import CampaignSpec
-        spec = CampaignSpec.construction(
-            [4, 8], 3, models=("fb", "fp", "mfp"), width=16, include_rounds=False
+        spec = CampaignSpec.create(
+            "construction", [4, 8], 3, models=("fb", "fp", "mfp"), width=16, include_rounds=False
         )
         print(json.dumps([d.key for d in spec.plan()]))
         """
@@ -132,34 +253,36 @@ def test_trial_keys_stable_across_processes(tmp_path):
 
 
 def test_fingerprint_excludes_perf_knobs():
-    plain = CampaignSpec.routing([4], 2, width=12, messages=40)
-    batch = CampaignSpec.routing([4], 2, width=12, messages=40, engine="batch")
+    plain = CampaignSpec.create("routing", [4], 2, width=12, messages=40)
+    batch = CampaignSpec.create("routing", [4], 2, width=12, messages=40, engine="batch")
     assert plain.fingerprint() == batch.fingerprint()
 
 
 def test_fingerprint_changes_with_results():
-    base = CampaignSpec.construction([4], 2, width=16, include_rounds=False)
-    other = CampaignSpec.construction([4], 2, width=20, include_rounds=False)
+    base = CampaignSpec.create("construction", [4], 2, width=16, include_rounds=False)
+    other = CampaignSpec.create("construction", [4], 2, width=20, include_rounds=False)
     assert base.fingerprint() != other.fingerprint()
 
 
 def test_spec_round_trips_canonical():
-    spec = CampaignSpec.routing([4, 8], 2, width=12, messages=40, router="extended-ecube")
+    spec = CampaignSpec.create("routing", [4, 8], 2, width=12, messages=40, router="extended-ecube")
     revived = CampaignSpec.from_canonical(spec.canonical())
     assert revived.fingerprint() == spec.fingerprint()
+    with pytest.raises(CampaignError, match="unknown campaign kind"):
+        CampaignSpec.from_canonical({**spec.canonical(), "kind": "nope"})
 
 
 def test_bad_registry_key_fails_at_build_time():
     with pytest.raises(KeyError):
-        CampaignSpec.routing([4], 1, width=12, router="no-such-router")
+        CampaignSpec.create("routing", [4], 1, width=12, router="no-such-router")
 
 
 # -- store crash-safety --------------------------------------------------------------
 
 
 def test_store_refuses_foreign_fingerprint(tmp_path):
-    spec_a = CampaignSpec.construction([4], 1, width=16, include_rounds=False)
-    spec_b = CampaignSpec.construction([8], 1, width=16, include_rounds=False)
+    spec_a = CampaignSpec.create("construction", [4], 1, width=16, include_rounds=False)
+    spec_b = CampaignSpec.create("construction", [8], 1, width=16, include_rounds=False)
     CampaignStore.create(tmp_path / "store", spec_a).close()
     with pytest.raises(CampaignError, match="fingerprint"):
         CampaignStore.open(tmp_path / "store", spec_b)
@@ -312,8 +435,8 @@ def test_kill9_mid_campaign_resume_bit_identical(tmp_path):
         """
         import sys
         from repro.campaign import CampaignRunner, CampaignSpec
-        spec = CampaignSpec.construction(
-            [6, 12], 60, models=("fb", "fp", "mfp"), width=20,
+        spec = CampaignSpec.create(
+            "construction", [6, 12], 60, models=("fb", "fp", "mfp"), width=20,
             include_rounds=False,
         )
         CampaignRunner(spec, sys.argv[1], workers=1, chunk_trials=2).run()
@@ -355,8 +478,8 @@ def test_kill9_mid_campaign_resume_bit_identical(tmp_path):
             os.kill(pid, signal.SIGKILL)
         assert not orphans, f"workers outlived their killed runner: {orphans}"
 
-    spec = CampaignSpec.construction(
-        [6, 12], 60, models=("fb", "fp", "mfp"), width=20, include_rounds=False
+    spec = CampaignSpec.create(
+        "construction", [6, 12], 60, models=("fb", "fp", "mfp"), width=20, include_rounds=False
     )
     resumed = CampaignRunner(spec, store_dir, workers=1, chunk_trials=2)
     summary = resumed.run()
@@ -375,9 +498,9 @@ def test_kill9_mid_campaign_resume_bit_identical(tmp_path):
 # -- failure detection ---------------------------------------------------------------
 
 
-def test_dead_worker_task_is_rescheduled(tmp_path):
+def test_dead_worker_task_is_rescheduled(tmp_path, monkeypatch):
     """A worker killed mid-task (os._exit) is detected and replaced."""
-    original = get_campaign_kind("construction")
+    original = TRIAL_KINDS["construction"]
     flag = tmp_path / "crashed-once"
 
     def crash_once(spec):
@@ -390,27 +513,26 @@ def test_dead_worker_task_is_rescheduled(tmp_path):
             os._exit(9)
         return original.runner(spec)
 
-    register_campaign_kind(
-        dataclasses.replace(original, runner=crash_once), replace=True
+    # Forked workers inherit the patched table.
+    monkeypatch.setitem(
+        TRIAL_KINDS, "construction", dataclasses.replace(original, runner=crash_once)
     )
-    try:
-        spec = KIND_CASES["construction"]["spec"]()
-        runner = CampaignRunner(
-            spec,
-            tmp_path / "store",
-            workers=2,
-            chunk_trials=1,
-            task_timeout=10.0,
-            transport_options={
-                "heartbeat_interval": 0.05,
-                "heartbeat_timeout": 2.0,
-            },
-        )
-        summary = runner.run()
-        points = runner.sweep_points()
-        runner.close()
-    finally:
-        register_campaign_kind(original, replace=True)
+    spec = KIND_CASES["construction"]["spec"]()
+    runner = CampaignRunner(
+        spec,
+        tmp_path / "store",
+        workers=2,
+        chunk_trials=1,
+        task_timeout=10.0,
+        transport_options={
+            "heartbeat_interval": 0.05,
+            "heartbeat_timeout": 2.0,
+        },
+    )
+    summary = runner.run()
+    points = runner.sweep_points()
+    runner.close()
+    monkeypatch.undo()
     assert summary["complete"]
     assert summary["rescheduled"] >= 1
     assert points == KIND_CASES["construction"]["baseline"](
@@ -442,6 +564,31 @@ def test_tcp_transport_bit_identical(tmp_path):
     assert points == KIND_CASES["construction"]["baseline"](
         _executor("construction")
     )
+
+
+def test_tcp_worker_rejects_malformed_frame():
+    """A frame that is not UTF-8 JSON fails the worker with CampaignError."""
+    import socket
+
+    server = socket.create_server(("127.0.0.1", 0))
+    host, port = server.getsockname()[:2]
+
+    def serve():
+        conn, _ = server.accept()
+        with conn:
+            conn.settimeout(10)
+            conn.sendall(b"\xff\xfe not json\n")
+            conn.recv(1)  # returns once the worker hangs up
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(CampaignError):
+            run_tcp_worker(host, port)
+    finally:
+        thread.join(timeout=10)
+        server.close()
+    assert not thread.is_alive()
 
 
 # -- streaming reduction -------------------------------------------------------------
@@ -588,3 +735,37 @@ def test_cli_campaign_verbs(tmp_path, capsys):
     assert main(["campaign", "resume", store, "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["skipped"] == 4 and summary["executed"] == 0
+
+    def header_params(directory):
+        manifest = Path(directory) / "manifest.jsonl"
+        return json.loads(manifest.read_text().splitlines()[0])["spec"]["params"]
+
+    # Only the flags given are stored, and every flag a kind's trial spec
+    # accepts reaches it (latency trials take --messages).
+    assert header_params(store) == {"width": 16, "include_rounds": False}
+    latency = str(tmp_path / "latency")
+    assert main(
+        [
+            "campaign", "run", latency, "--kind", "latency", "--loads", "0.02",
+            "--trials", "1", "--width", "6", "--cycles", "8", "--messages", "7",
+            "--quiet",
+        ]
+    ) == 0
+    assert header_params(latency) == {"width": 6, "cycles": 8, "messages": 7}
+
+    # A flag that sets nothing in the kind's trial spec is refused, never
+    # silently dropped.
+    for kind, extra in [
+        ("construction", ["--messages", "40"]),
+        ("construction", ["--cycles", "99"]),
+        ("routing", ["--skip-rounds"]),
+        ("routing", ["--cycles", "99"]),
+        ("latency", ["--skip-rounds"]),
+        ("latency", ["--fault-counts", "4"]),
+    ]:
+        axis = ["--loads", "0.02"] if kind == "latency" else ["--fault-counts", "4"]
+        refused = tmp_path / f"refused-{kind}"
+        with pytest.raises(SystemExit, match=extra[0]):
+            main(["campaign", "run", str(refused), "--kind", kind, *axis,
+                  "--trials", "1", "--width", "8", *extra, "--quiet"])
+        assert not refused.exists()

@@ -403,7 +403,7 @@ class TestRegionRingCache:
 class TestSweepAndCLI:
     def test_routing_sweep_engine_choice_is_bit_identical(self):
         kwargs = dict(
-            fault_counts=[12, 25],
+            axis=[12, 25],
             trials=2,
             width=14,
             distribution="clustered",
@@ -411,8 +411,8 @@ class TestSweepAndCLI:
             messages=60,
         )
         executor = SweepExecutor(models=("fb", "mfp"))
-        scalar_points = executor.run_routing(engine="scalar", **kwargs)
-        batch_points = executor.run_routing(engine="batch", **kwargs)
+        scalar_points = executor.run(kind="routing", engine="scalar", **kwargs)
+        batch_points = executor.run(kind="routing", engine="batch", **kwargs)
         for scalar_point, batch_point in zip(scalar_points, batch_points):
             assert scalar_point.models() == batch_point.models()
             for model in scalar_point.models():
@@ -421,20 +421,20 @@ class TestSweepAndCLI:
                         model, metric
                     )
 
-    def test_plan_routing_validates_and_carries_engine(self):
+    def test_routing_plan_validates_and_carries_engine(self):
         import pickle
 
         executor = SweepExecutor(models=("mfp",))
         with pytest.raises(KeyError):
-            executor.plan_routing([10], 1, engine="warpdrive")
-        specs = executor.plan_routing([10], 1, engine="lockstep")
+            executor.plan([10], 1, kind="routing", engine="warpdrive")
+        specs = executor.plan([10], 1, kind="routing", engine="lockstep")
         assert specs[0].engine == "batch"
         # The resolved spec rides along (like router/traffic specs) so
         # spawn-started workers can re-register custom engines -- which
         # requires the trial spec to survive pickling.
         assert specs[0].engine_spec is get_engine("batch")
         assert pickle.loads(pickle.dumps(specs[0])).engine == "batch"
-        default = executor.plan_routing([10], 1)[0]
+        default = executor.plan([10], 1, kind="routing")[0]
         assert default.engine is None and default.engine_spec is None
 
     def test_cli_route_engine_flag(self, capsys):
