@@ -1,20 +1,18 @@
 #!/usr/bin/env python
-"""Benchmark: the array backends against each other on the hot primitives.
+"""Benchmark: the NumPy hot primitives against their loop-nest reference.
 
-Sweeps every measurable backend of :mod:`repro._array_ops` (``numpy``,
-``numba`` when installed, the uncompiled ``loops`` reference) over the
-three hot workloads the facade dispatches: a 1000x1000 component
-labelling + orthogonal-convex-hull round, a 10^6-message batch-routing
-run, and a 64x64 open-loop netsim round.  All backends must be
-**bit-identical** -- the benchmark refuses to report a speedup (and exits
-non-zero) when any backend's results differ from the numpy baseline.
+Times both primitive sets -- ``numpy`` (:data:`repro._array_ops.NUMPY_OPS`,
+what the library runs) and ``loops`` (:data:`repro._array_loops.OPS`, the
+reference the differential tests pin it against) -- on three workloads: a
+1000x1000 component labelling + orthogonal-convex-hull round, a
+10^6-message batch-routing run, and a 64x64 open-loop netsim round.  The
+routing and netsim workloads reach the primitives through the library, so
+the reference is swapped in through the ``_array_ops.active_ops`` seam.
+Both sets must be **bit-identical**: the benchmark exits non-zero when
+the reference's results differ from the numpy baseline.
 
-JIT warm-up is excluded by construction: every backend runs each workload
-once (compiling numba kernels, priming session caches) before the timed
-best-of-``--repeats`` passes.  Backends whose dependencies are missing
-(numba/cupy on this machine) are recorded in the payload's
-``unavailable`` block instead of being silently re-measured as numpy --
-the committed JSON says exactly which implementations actually ran.
+Every primitive set runs each workload once (priming session caches)
+before the timed best-of-``--repeats`` passes.
 
 The measurements are written as machine-readable JSON (schema
 ``repro.bench_backends/v1``).  ``--compare`` checks the result fields of
@@ -39,6 +37,7 @@ import json
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 if __package__ in (None, ""):  # allow running straight from a checkout
@@ -48,12 +47,15 @@ if __package__ in (None, ""):  # allow running straight from a checkout
 
 import numpy as np
 
-from repro import _array_ops
+from repro import _array_loops, _array_ops
 from repro.api import MeshSession
 from repro.faults.scenario import generate_scenario
 
 SCHEMA = "repro.bench_backends/v1"
 DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_backends.json"
+
+#: The primitive sets this benchmark times, by ``ArrayOps.key``.
+OPS = {ops.key: ops for ops in (_array_ops.NUMPY_OPS, _array_loops.OPS)}
 
 #: RoutingStats fields that must be bit-identical across backends.
 STATS_FIELDS = (
@@ -65,6 +67,17 @@ STATS_FIELDS = (
     "minimal_routes",
     "abnormal_routes",
 )
+
+
+@contextmanager
+def running(ops):
+    """Run the library on *ops* by replacing the ``active_ops`` seam."""
+    original = _array_ops.active_ops
+    _array_ops.active_ops = lambda: ops
+    try:
+        yield
+    finally:
+        _array_ops.active_ops = original
 
 
 def _best_of(repeats: int, run) -> float:
@@ -82,13 +95,13 @@ def bench_labelling_hull(args, backends) -> dict:
     mask = rng.random((args.mask_width, args.mask_width)) < args.fill
     reports = {}
     for key in backends:
-        ops = _array_ops.get_backend(key).ops()
+        ops = OPS[key]
 
         def round_trip(ops=ops):
             labels, count = ops.label_components(mask, 4)
             return labels, count, ops.hull_fixpoint(mask)
 
-        labels, count, hull = round_trip()  # warm-up: JIT compile, caches
+        labels, count, hull = round_trip()  # warm-up
         seconds = _best_of(args.repeats, round_trip)
         reports[key] = {
             "effective": ops.key,
@@ -127,13 +140,15 @@ def bench_batch_routing(args, backends) -> dict:
             messages=args.messages,
             seed=args.seed,
             engine="batch",
-            backend=key,
         )
-        # Warm-up: compile the backend's kernels and prime the session
-        # caches (construction, router, rings, jump tables).
-        warm = session.route("mfp", **{**route, "messages": min(args.messages, 1000)})
-        seconds = _best_of(args.repeats, lambda: session.route("mfp", **route))
-        stats = session.route("mfp", **route)
+        with running(OPS[key]):
+            # Warm-up: prime the session caches (construction, router,
+            # rings, jump tables).
+            warm = session.route(
+                "mfp", **{**route, "messages": min(args.messages, 1000)}
+            )
+            seconds = _best_of(args.repeats, lambda: session.route("mfp", **route))
+            stats = session.route("mfp", **route)
         reports[key] = {
             "effective": warm.backend,
             "seconds": seconds,
@@ -166,10 +181,12 @@ def bench_netsim_round(args, backends) -> dict:
             load=args.netsim_load,
             cycles=args.netsim_cycles,
             seed=args.seed,
-            backend=key,
         )
-        warm = session.simulate("mfp", **simulate)  # warm-up (JIT + caches)
-        seconds = _best_of(args.repeats, lambda: session.simulate("mfp", **simulate))
+        with running(OPS[key]):
+            warm = session.simulate("mfp", **simulate)  # warm-up (caches)
+            seconds = _best_of(
+                args.repeats, lambda: session.simulate("mfp", **simulate)
+            )
         reports[key] = {
             "effective": warm.backend,
             "seconds": seconds,
@@ -223,9 +240,8 @@ def compare_reference(payload: dict, reference_path: Path) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
-        "--backends", nargs="+", default=None,
-        help="backend registry keys to measure (default: every backend "
-        "whose own implementation can run here)",
+        "--backends", nargs="+", choices=tuple(OPS), default=list(OPS),
+        help="primitive sets to measure (default: all)",
     )
     parser.add_argument("--mask-width", type=int, default=1000)
     parser.add_argument(
@@ -241,38 +257,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=2)
     parser.add_argument(
-        "--min-numba-speedup", type=float, default=None,
-        help="fail unless the numba backend (when measurable) reaches this "
-        "speedup over numpy on every workload",
-    )
-    parser.add_argument(
         "--compare", type=Path, default=None,
         help="reference JSON whose result fields this run must reproduce",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
-    status = _array_ops.backend_status()
-    if args.backends is None:
-        # Measure backends that run their own implementation; re-timing a
-        # fallen-back backend would just measure numpy twice and lie about
-        # the label.
-        args.backends = [
-            key
-            for key in _array_ops.backend_keys()
-            if _array_ops.get_backend(key).ops().key == key
-        ]
-    unavailable = {
-        key: {
-            "available": False,
-            "effective": _array_ops.get_backend(key).ops().key,
-        }
-        for key in _array_ops.backend_keys()
-        if key not in args.backends
-    }
-    print(f"measuring backends: {', '.join(args.backends)}")
-    if unavailable:
-        print(f"not measurable here (fall back to numpy): {', '.join(unavailable)}")
+    print(f"measuring: {', '.join(args.backends)}")
 
     workloads = {}
     for name, bench in (
@@ -294,9 +285,7 @@ def main(argv=None) -> int:
         "schema": SCHEMA,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "backend_status": status,
         "measured": list(args.backends),
-        "unavailable": unavailable,
         "config": {
             "mask_width": args.mask_width,
             "fill": args.fill,
@@ -312,12 +301,6 @@ def main(argv=None) -> int:
         },
         "workloads": workloads,
     }
-    if not status.get("numba", False):
-        payload["notes"] = (
-            "numba is not installed in this environment: the numba backend "
-            "falls back to the numpy ops and cannot be measured; the loops "
-            "timings show the exact kernels numba would JIT, interpreted."
-        )
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"[written to {args.out}]")
@@ -329,17 +312,6 @@ def main(argv=None) -> int:
                 print(
                     f"BACKEND MISMATCH at {name}/{backend}: results differ "
                     "from the numpy baseline"
-                )
-                exit_code = 1
-            if (
-                args.min_numba_speedup
-                and backend == "numba"
-                and report["effective"] == "numba"
-                and report["speedup_vs_numpy"] < args.min_numba_speedup
-            ):
-                print(
-                    f"SPEEDUP BELOW TARGET at {name}/numba: "
-                    f"{report['speedup_vs_numpy']:.2f}x < {args.min_numba_speedup}x"
                 )
                 exit_code = 1
     if args.compare is not None and compare_reference(payload, args.compare):

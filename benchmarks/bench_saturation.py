@@ -74,9 +74,9 @@ STATS_FIELDS = (
 
 def stats_fields(stats) -> dict:
     fields = {field: getattr(stats, field) for field in STATS_FIELDS}
-    # The effective array backend is part of the compared record: a
-    # reference produced under one backend cannot silently pass the
-    # ``--compare`` guard of a run under another.
+    # The array-primitive label ("numpy"; "loops" under the test
+    # reference) stays in the compared record because the committed
+    # references hold it.
     fields["array_backend"] = stats.backend
     return fields
 

@@ -34,13 +34,10 @@ Quickstart
 >>> mfp.num_disabled_nonfaulty <= fb.num_disabled_nonfaulty
 True
 
-The historical loose construction functions (``build_faulty_blocks`` and
-friends) remain importable from the top level as deprecation shims; new
-code should go through :mod:`repro.api`.
+The model-specific construction functions (``build_faulty_blocks`` and
+friends) live in their own modules (:mod:`repro.core`,
+:mod:`repro.distributed`); the construction registry calls them.
 """
-
-import warnings as _warnings
-from importlib import import_module as _import_module
 
 from repro.types import (
     ActivityLabel,
@@ -92,7 +89,6 @@ from repro.distributed import (
 from repro.routing import (
     ECubeRouter,
     ExtendedECubeRouter,
-    RoutingSimulator,
     RoutingStats,
     ecube_path,
 )
@@ -125,86 +121,6 @@ from repro.api import (
 )
 
 __version__ = "1.1.0"
-
-#: Legacy loose functions kept as deprecation shims: name -> (module, attr,
-#: replacement hint).  They resolve lazily via the module __getattr__ below
-#: and emit a DeprecationWarning on first access per import site.
-_DEPRECATED = {
-    "build_faulty_blocks": (
-        "repro.core.faulty_block",
-        "build_faulty_blocks",
-        'repro.api.get_construction("fb").build(scenario)',
-    ),
-    "build_sub_minimum_polygons": (
-        "repro.core.sub_minimum",
-        "build_sub_minimum_polygons",
-        'repro.api.get_construction("fp").build(scenario)',
-    ),
-    "build_minimum_polygons": (
-        "repro.core.mfp",
-        "build_minimum_polygons",
-        'repro.api.get_construction("mfp").build(scenario)',
-    ),
-    "build_minimum_polygons_via_labelling": (
-        "repro.core.mfp",
-        "build_minimum_polygons_via_labelling",
-        'repro.api.get_construction("mfp").build(scenario, via_labelling=True)',
-    ),
-    "component_minimum_polygon": (
-        "repro.core.mfp",
-        "component_minimum_polygon",
-        "repro.api.MeshSession.component_hull(component)",
-    ),
-    "build_minimum_polygons_distributed": (
-        "repro.distributed.dmfp",
-        "build_minimum_polygons_distributed",
-        'repro.api.get_construction("dmfp").build(scenario)',
-    ),
-    "compare_constructions": (
-        "repro.sim.experiments",
-        "compare_constructions",
-        "repro.api.collect_scenario_metrics(scenario)",
-    ),
-    "run_sweep": (
-        "repro.sim.experiments",
-        "run_sweep",
-        "repro.api.SweepExecutor(...).run(fault_counts, trials)",
-    ),
-}
-
-
-def array_backends():
-    """Registered array-backend key -> whether it can run here (probed lazily).
-
-    The hot primitives (mask labelling/hulls, routing-engine scans, netsim
-    arbitration) dispatch through the pluggable backend registry of
-    :mod:`repro._array_ops`, selected by ``REPRO_ARRAY_BACKEND`` /
-    :func:`repro.api.use_backend`.  Calling this probes the optional
-    dependencies (importing numba/cupy when installed); a plain ``import
-    repro`` never does -- numpy-only users pay no import-time JIT cost.
-    """
-    from repro._array_ops import backend_status
-
-    return backend_status()
-
-
-def __getattr__(name):
-    """Resolve deprecated top-level names lazily, with a warning."""
-    if name in _DEPRECATED:
-        module, attr, replacement = _DEPRECATED[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated; use {replacement} instead "
-            f"(the object itself still lives in {module})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_import_module(module), attr)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_DEPRECATED))
-
 
 __all__ = [
     # types
@@ -257,7 +173,6 @@ __all__ = [
     "get_traffic",
     "available_traffic",
     "register_traffic",
-    "array_backends",
     # core constructions (result types and analysis helpers)
     "apply_labelling_scheme_1",
     "apply_labelling_scheme_2",
@@ -276,7 +191,6 @@ __all__ = [
     "ECubeRouter",
     "ExtendedECubeRouter",
     "RoutingStats",
-    "RoutingSimulator",
     # simulation harness
     "FigureSeries",
     "figure9_series",
@@ -284,14 +198,5 @@ __all__ = [
     "figure11_series",
     "routing_series",
     "format_series_table",
-    # deprecated shims (resolved via __getattr__ with a DeprecationWarning)
-    "build_faulty_blocks",
-    "build_sub_minimum_polygons",
-    "build_minimum_polygons",
-    "build_minimum_polygons_via_labelling",
-    "component_minimum_polygon",
-    "build_minimum_polygons_distributed",
-    "compare_constructions",
-    "run_sweep",
     "__version__",
 ]

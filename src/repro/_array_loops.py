@@ -1,31 +1,28 @@
-"""Loop-nest kernels of the array-backend facade (njit-able reference).
+"""Loop-nest reference implementation of the hot array primitives.
 
-Every hot primitive :mod:`repro._array_ops` dispatches -- component
-labelling, span-fill fixpoints, jump-table scans, traversal-window lane
-scans and the netsim grant kernel -- has a second implementation here as a
-plain scalar loop nest over NumPy arrays.  The functions are written in
-the strict subset of Python that Numba's ``nopython`` mode compiles
-(explicit loops, preallocated output arrays, no dicts/sets/closures, no
-fancy indexing, no cross-function calls), which gives them two jobs:
-
-* the **numba backend** of :mod:`repro._array_ops` wraps each function in
-  ``numba.njit(cache=True)`` -- one compilation per process (cached on
-  disk across processes), then machine-code speed;
-* the **loops backend** registers the same functions *uninterpreted*, so
-  the exact code the JIT compiles is exercised by the differential test
-  suite (``tests/test_array_ops.py``) on every environment, including the
-  ones where numba is not installed.
+Every primitive of :mod:`repro._array_ops` -- component labelling,
+span-fill fixpoints, the Definition-1 check, jump-table scans,
+traversal-window lane scans and the netsim grant kernel -- has a second
+implementation here as a plain scalar loop nest over NumPy arrays:
+explicit loops, preallocated outputs, no fancy indexing.  Bundled as
+:data:`OPS`, it is the reference the vectorized primitives are pinned
+against.  ``tests/test_array_ops.py`` compares each primitive on
+Hypothesis-generated inputs and swaps :data:`OPS` in through the
+``_array_ops.active_ops`` seam to check whole routes and netsim runs;
+``benchmarks/bench_backends.py`` times both sets on the same workloads.
 
 Each function must be *bit-identical* to its vectorized NumPy counterpart
-in :mod:`repro._array_ops` -- same values, same tie-breaking, same
-first-occurrence semantics -- which the Hypothesis suites assert against
-the set-based oracles as well.  Keep any change to a kernel here in
-lockstep with the NumPy implementation.
+-- same values, same tie-breaking, same first-occurrence semantics --
+which the Hypothesis suites assert against the set-based oracles as well.
+Keep any change to a kernel here in lockstep with the NumPy
+implementation.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro._array_ops import ArrayOps
 
 
 def label_components(mask: np.ndarray, connectivity: int):
@@ -371,3 +368,15 @@ def grant_messages(
                 granted[position] = keys[i] % big
                 position += 1
     return granted
+
+
+OPS = ArrayOps(
+    key="loops",
+    label_components=label_components,
+    span_fill=span_fill,
+    hull_fixpoint=hull_fixpoint,
+    nonconvex_labels=nonconvex_labels,
+    jump_tables=jump_tables,
+    scan_lanes=scan_lanes,
+    grant_messages=grant_messages,
+)

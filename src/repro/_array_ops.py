@@ -1,56 +1,37 @@
-"""Pluggable array backends for the hot primitives (one ops facade).
+"""The hot array primitives, implemented once in NumPy.
 
 Every hot path of the reproduction bottoms out in a handful of array
-primitives: the mask kernel's component labelling and span-fill fixpoints
-(:mod:`repro.geometry.masks`), the batch engine's jump-table accumulate
-scans and windowed ring-lane traversals (:mod:`repro.routing.engine`), and
-the netsim grant/arbitration kernel (:mod:`repro.netsim.simulators`).
-This module factors those primitives behind one :class:`ArrayOps` facade
-and a backend registry -- the same :class:`~repro._registry.SpecRegistry`
-plus env-toggle idiom as ``REPRO_MASK_KERNEL`` / ``REPRO_ROUTE_ENGINE`` /
-``REPRO_NETSIM`` -- so a consumer calls ``active_ops().span_fill(mask)``
-and never knows which implementation ran.
+primitives: the mask kernel's component labelling, span-fill fixpoints
+and Definition-1 check (:mod:`repro.geometry.masks`), the batch engine's
+jump-table accumulate scans and windowed ring-lane traversals
+(:mod:`repro.routing.engine`), and the netsim grant/arbitration kernel
+(:mod:`repro.netsim.simulators`).  This module holds their vectorized
+implementations and bundles them into one frozen :class:`ArrayOps`,
+:data:`NUMPY_OPS`.
 
-Registered backends:
+**The seam.**  Consumers never import a primitive directly: they call
+``_array_ops.active_ops()`` through the module attribute at call time,
+e.g. ``_array_ops.active_ops().span_fill(mask)``.  Replacing that
+attribute swaps every primitive at once, which is how two clients see
+inside the hot paths:
 
-* ``numpy`` (default): the vectorized implementations extracted verbatim
-  from the consumer modules -- bit-identical to the pre-facade code by
-  construction.
-* ``numba``: the loop-nest kernels of :mod:`repro._array_loops` wrapped in
-  ``numba.njit(cache=True)``.  Compilation happens once per process (and
-  is cached on disk across processes); when :mod:`numba` is not importable
-  the backend *resolves to the numpy ops* instead of failing, so selecting
-  it is always safe.
-* ``loops``: the same :mod:`repro._array_loops` kernels uninterpreted --
-  slow, but it exercises exactly the code the JIT compiles, which is what
-  the differential suite pins against the numpy backend and the set-based
-  oracles on numba-less environments.
-* ``cupy``: a gated stub.  Registered only so the key resolves; until
-  device kernels land it also resolves to the numpy ops (and the probe
-  reports whether :mod:`cupy` is importable at all).
+* the differential tests swap in the loop-nest reference of
+  :mod:`repro._array_loops` (``_array_loops.OPS``) and assert labels,
+  hulls, routes and delivery fingerprints are unchanged;
+* the pipeline benchmark's tracer wraps the returned ops'
+  fields in timing spans.
 
-Selection mirrors the engine/simulator toggles: the environment variable
-``REPRO_ARRAY_BACKEND`` (read once at import), :func:`set_default_backend`
-/ :func:`use_backend` at runtime, ``backend=...`` per call on
-:meth:`repro.api.RoutingSession.route` / ``session.simulate``, and
-``--backend`` on the CLI ``route`` / ``sweep`` / ``simulate`` commands.
-``auto`` means numpy today.  The *effective* backend (after any fallback)
-is what lands in ``RoutingStats.backend`` / ``NetSimStats.backend`` /
-``session.cache_info["array_backend"]`` -- stats never claim a JIT ran
-when it did not.
+``ArrayOps.key`` names the primitive set that ran; it lands in
+``RoutingStats.backend`` / ``NetSimStats.backend`` and the daemon's
+``status["backend"]``, so stats say ``"loops"`` under the reference.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
-
-from repro import _array_loops
-from repro._registry import SpecRegistry
 
 try:  # pragma: no cover - exercised implicitly depending on the environment
     from scipy import ndimage as _ndimage
@@ -84,7 +65,7 @@ _OFFSETS_8: Tuple[Tuple[int, int], ...] = _OFFSETS_4 + (
 )
 
 
-# -- numpy backend: labelling ---------------------------------------------------------
+# -- labelling -------------------------------------------------------------------------
 
 
 def propagate_labels(mask: np.ndarray, offsets) -> np.ndarray:
@@ -145,7 +126,7 @@ def _label_components_numpy(mask: np.ndarray, connectivity: int):
     return canonicalise_labels(raw, int(count)), int(count)
 
 
-# -- numpy backend: span fills and hulls ----------------------------------------------
+# -- span fills and hulls --------------------------------------------------------------
 
 
 def _span_fill_axis(mask: np.ndarray, axis: int) -> np.ndarray:
@@ -202,7 +183,7 @@ def _nonconvex_labels_numpy(labels: np.ndarray, count: int) -> np.ndarray:
     return np.unique(np.concatenate((lab_c[1:][col_gaps], lab_r[1:][row_gaps])))
 
 
-# -- numpy backend: routing-engine scans ----------------------------------------------
+# -- routing-engine scans --------------------------------------------------------------
 
 
 def _jump_tables_numpy(disabled: np.ndarray):
@@ -288,7 +269,7 @@ def _scan_lanes_numpy(
     )
 
 
-# -- numpy backend: netsim arbitration ------------------------------------------------
+# -- netsim arbitration ----------------------------------------------------------------
 
 
 def _grant_messages_numpy(
@@ -309,17 +290,15 @@ def _grant_messages_numpy(
     return active[perm[grantable]]
 
 
-# -- the ops facade -------------------------------------------------------------------
+# -- the primitive set -----------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class ArrayOps:
-    """The primitive set one backend implements.
+    """One implementation of every hot primitive.
 
-    ``key`` is the *effective* backend -- a backend that resolved by
-    falling back (numba without numba installed, the cupy stub) carries
-    ``"numpy"`` here, so stats labels never claim an implementation that
-    did not run.  All operations are bit-identical across backends; the
+    ``key`` names the implementation (``"numpy"`` or ``"loops"``) for the
+    stats labels.  Both implementations are bit-identical; the
     differential suite in ``tests/test_array_ops.py`` is the witness.
     """
 
@@ -341,290 +320,24 @@ class ArrayOps:
     grant_messages: Callable
 
 
-def _numpy_ops() -> ArrayOps:
-    return ArrayOps(
-        key="numpy",
-        label_components=_label_components_numpy,
-        span_fill=_span_fill_numpy,
-        hull_fixpoint=_hull_fixpoint_numpy,
-        nonconvex_labels=_nonconvex_labels_numpy,
-        jump_tables=_jump_tables_numpy,
-        scan_lanes=_scan_lanes_numpy,
-        grant_messages=_grant_messages_numpy,
-    )
-
-
-def _loops_ops() -> ArrayOps:
-    return ArrayOps(
-        key="loops",
-        label_components=_array_loops.label_components,
-        span_fill=_array_loops.span_fill,
-        hull_fixpoint=_array_loops.hull_fixpoint,
-        nonconvex_labels=_array_loops.nonconvex_labels,
-        jump_tables=_array_loops.jump_tables,
-        scan_lanes=_array_loops.scan_lanes,
-        grant_messages=_array_loops.grant_messages,
-    )
-
-
-def _numba_ops() -> ArrayOps:
-    """JIT-compile the loop kernels (only called when numba imports).
-
-    ``cache=True`` persists the compiled machine code next to the source,
-    so repeat processes skip compilation entirely; within a process each
-    kernel compiles once on first call per argument-type signature.
-    """
-    import numba
-
-    def jit(function):
-        return numba.njit(cache=True)(function)
-
-    return ArrayOps(
-        key="numba",
-        label_components=jit(_array_loops.label_components),
-        span_fill=jit(_array_loops.span_fill),
-        hull_fixpoint=jit(_array_loops.hull_fixpoint),
-        nonconvex_labels=jit(_array_loops.nonconvex_labels),
-        jump_tables=jit(_array_loops.jump_tables),
-        scan_lanes=jit(_array_loops.scan_lanes),
-        grant_messages=jit(_array_loops.grant_messages),
-    )
-
-
-# -- the backend registry -------------------------------------------------------------
-
-
-_available_probe_cache: Dict[str, bool] = {}
-
-
-def _probe_import(module: str) -> bool:
-    """Whether *module* imports cleanly (memoised; probed lazily, never at
-    ``repro`` import time, so numpy-only users pay no numba import cost)."""
-    cached = _available_probe_cache.get(module)
-    if cached is None:
-        import importlib
-
-        try:
-            importlib.import_module(module)
-        except Exception:
-            cached = False
-        else:
-            cached = True
-        _available_probe_cache[module] = cached
-    return cached
-
-
-def _always(available: bool = True) -> Callable[[], bool]:
-    def probe() -> bool:
-        return available
-
-    return probe
-
-
-def _probe_numba() -> bool:
-    return _probe_import("numba")
-
-
-def _probe_cupy() -> bool:
-    return _probe_import("cupy")
-
-
-@dataclass(frozen=True, eq=False)
-class BackendSpec:
-    """One registered array backend."""
-
-    key: str
-    label: str
-    description: str
-    #: Builds the backend's :class:`ArrayOps` (called at most once; only
-    #: when :meth:`available` says the backend can run).
-    loader: Callable[[], ArrayOps]
-    #: Whether the backend's dependencies are importable *now*.
-    probe: Callable[[], bool]
-    aliases: Tuple[str, ...] = ()
-
-    def available(self) -> bool:
-        """Whether selecting this backend runs its own implementation
-        (``False`` means selection silently falls back to numpy ops)."""
-        return bool(self.probe())
-
-    def ops(self) -> ArrayOps:
-        """This backend's (memoised) ops, falling back to numpy ops when
-        the backend cannot run here."""
-        cached = _OPS_CACHE.get(self.key)
-        if cached is None:
-            cached = self.loader() if self.available() else _BACKENDS.get("numpy").ops()
-            _OPS_CACHE[self.key] = cached
-        return cached
-
-
-_BACKENDS = SpecRegistry("array backend")
-_OPS_CACHE: Dict[str, ArrayOps] = {}
-
-#: The resolved ops of the ambient selection; rebuilt after every
-#: default-backend change so the hot paths pay one ``None`` check, not a
-#: registry lookup, per call.
-_active_ops: Optional[ArrayOps] = None
-
-
-def _invalidate_active() -> None:
-    global _active_ops
-    _active_ops = None
-
-
-def register_backend(spec: BackendSpec, replace: bool = False) -> BackendSpec:
-    """Register *spec* (and its aliases) in the global backend registry.
-
-    Registration makes the backend selectable through
-    ``REPRO_ARRAY_BACKEND`` / :func:`use_backend` / the CLI ``--backend``
-    option.  Raises ``ValueError`` on key collisions unless *replace*.
-    Cache invalidation happens only after the registry accepts the spec,
-    so a rejected registration leaves the resolved ops untouched.
-    """
-    registered = _BACKENDS.register(spec, replace)
-    _OPS_CACHE.pop(SpecRegistry.normalise(spec.key), None)
-    _invalidate_active()
-    return registered
-
-
-def get_backend(key: str) -> BackendSpec:
-    """Look up an array backend by key or alias (case-insensitive)."""
-    return _BACKENDS.get(key)
-
-
-def available_backends() -> List[BackendSpec]:
-    """Return every registered backend spec, in registration order."""
-    return _BACKENDS.available()
-
-
-def backend_keys() -> Tuple[str, ...]:
-    """Return the registered backend keys, in registration order."""
-    return _BACKENDS.keys()
-
-
-def backend_status() -> Dict[str, bool]:
-    """Registered backend key -> whether its own implementation can run.
-
-    Probing is lazy but happens here, so calling this imports numba/cupy
-    if present; :func:`repro.array_backends` is the import-free view.
-    """
-    return {spec.key: spec.available() for spec in available_backends()}
-
-
-register_backend(
-    BackendSpec(
-        key="numpy",
-        label="NP",
-        description="vectorized NumPy implementations (the default)",
-        loader=_numpy_ops,
-        probe=_always(True),
-        aliases=("np", "vectorized"),
-    )
+NUMPY_OPS = ArrayOps(
+    key="numpy",
+    label_components=_label_components_numpy,
+    span_fill=_span_fill_numpy,
+    hull_fixpoint=_hull_fixpoint_numpy,
+    nonconvex_labels=_nonconvex_labels_numpy,
+    jump_tables=_jump_tables_numpy,
+    scan_lanes=_scan_lanes_numpy,
+    grant_messages=_grant_messages_numpy,
 )
-register_backend(
-    BackendSpec(
-        key="numba",
-        label="NB",
-        description=(
-            "numba.njit-compiled loop kernels (cached); falls back to the "
-            "numpy ops when numba is not importable"
-        ),
-        loader=_numba_ops,
-        probe=_probe_numba,
-        aliases=("jit",),
-    )
-)
-register_backend(
-    BackendSpec(
-        key="loops",
-        label="LP",
-        description=(
-            "uncompiled loop kernels (the exact code the numba backend "
-            "JITs; slow -- differential testing only)"
-        ),
-        loader=_loops_ops,
-        probe=_always(True),
-        aliases=("python", "reference"),
-    )
-)
-register_backend(
-    BackendSpec(
-        key="cupy",
-        label="CP",
-        description=(
-            "GPU stub, gated on cupy importability; resolves to the numpy "
-            "ops until device kernels land"
-        ),
-        loader=_numpy_ops,
-        probe=_probe_cupy,
-        aliases=("gpu",),
-    )
-)
-
-
-# -- default-backend switch (mirrors the engine/simulator toggles) --------------------
-
-_default_backend = SpecRegistry.normalise(os.environ.get("REPRO_ARRAY_BACKEND", "auto"))
-
-
-def default_backend() -> str:
-    """The ambient backend selection (``auto`` unless switched)."""
-    return _default_backend
-
-
-def set_default_backend(key: str) -> str:
-    """Set the ambient backend selection; returns the previous value.
-
-    *key* is ``auto`` (numpy today) or any registered backend key/alias
-    (validated eagerly, like the registry lookups).
-    """
-    global _default_backend
-    key = SpecRegistry.normalise(key)
-    if key != "auto":
-        key = get_backend(key).key
-    previous = _default_backend
-    _default_backend = key
-    _invalidate_active()
-    return previous
-
-
-@contextmanager
-def use_backend(key: str):
-    """Temporarily switch the ambient backend selection (context manager).
-
-    Mirrors :func:`repro.routing.engine.use_engine`::
-
-        with use_backend("numba"):
-            stats = session.route("mfp", messages=100_000)
-
-    Selection is always lenient: a backend whose dependencies are missing
-    resolves to the numpy ops instead of raising (only unknown *keys*
-    raise), so ``REPRO_ARRAY_BACKEND=numba`` is safe everywhere.
-    """
-    previous = set_default_backend(key)
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
-
-
-def resolve_backend(key: Optional[str] = None) -> BackendSpec:
-    """Resolve a selection (``None`` = the ambient default) to its spec."""
-    normalised = SpecRegistry.normalise(key) if key is not None else default_backend()
-    if normalised == "auto":
-        normalised = "numpy"
-    return get_backend(normalised)
 
 
 def active_ops() -> ArrayOps:
-    """The ops of the ambient backend selection (memoised until switched)."""
-    global _active_ops
-    ops = _active_ops
-    if ops is None:
-        ops = _active_ops = resolve_backend(None).ops()
-    return ops
+    """The primitives the hot paths run (:data:`NUMPY_OPS`; see the seam
+    in the module docstring)."""
+    return NUMPY_OPS
 
 
 def active_backend_key() -> str:
-    """The *effective* key of the ambient selection (after any fallback)."""
+    """The ``key`` of the primitives the hot paths run."""
     return active_ops().key

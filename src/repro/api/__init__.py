@@ -31,11 +31,9 @@ contention, latency / saturation verdicts, with the ``array`` / ``scalar``
 simulator registry switched by ``REPRO_NETSIM``.
 
 Underneath all of it, the hot array primitives (labelling, span fills,
-jump-table scans, traversal windows, netsim arbitration) dispatch through
-the pluggable backend registry of :mod:`repro._array_ops` --
-``REPRO_ARRAY_BACKEND`` / :func:`use_backend` / ``backend=...`` per call
--- with ``numpy`` (default), JIT-compiled ``numba`` (graceful fallback),
-``loops`` (differential reference) and a gated ``cupy`` stub.
+jump-table scans, traversal windows, netsim arbitration) have one NumPy
+implementation in :mod:`repro._array_ops`, pinned by the differential
+tests against the loop-nest reference of :mod:`repro._array_loops`.
 
 Quickstart::
 
@@ -55,19 +53,6 @@ Quickstart::
     )
 """
 
-from repro._array_ops import (
-    ArrayOps,
-    BackendSpec,
-    active_backend_key,
-    available_backends,
-    backend_keys,
-    backend_status,
-    default_backend,
-    get_backend,
-    register_backend,
-    set_default_backend,
-    use_backend,
-)
 from repro.api.registry import (
     ConstructionOptions,
     ConstructionResult,
@@ -189,18 +174,6 @@ __all__ = [
     "register_traffic",
     "traffic_keys",
     "available_traffic",
-    # array-backend registry
-    "ArrayOps",
-    "BackendSpec",
-    "active_backend_key",
-    "get_backend",
-    "register_backend",
-    "backend_keys",
-    "available_backends",
-    "backend_status",
-    "default_backend",
-    "set_default_backend",
-    "use_backend",
     # engine registry
     "EngineSpec",
     "get_engine",

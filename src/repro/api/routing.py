@@ -44,7 +44,6 @@ maps, bounding boxes) of every region the update did not change.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -92,9 +91,6 @@ class RoutingSession:
         session.cache_info.setdefault("jump_rebuilds", 0)
         session.cache_info.setdefault("ring_rebuilds", 0)
         session.cache_info.setdefault("delta_applies", 0)
-        # The effective array backend of the session's last routed /
-        # simulated batch (ambient selection until one runs).
-        session.cache_info.setdefault("array_backend", _array_ops.active_backend_key())
         # Session-level boundary-ring geometry, keyed by region identity
         # (the frozen node set): survives add_faults, so rebuilt routers
         # only recompute the rings of regions the update actually changed.
@@ -212,7 +208,6 @@ class RoutingSession:
         collect_results: bool = False,
         check_deadlock: bool = False,
         engine: Optional[str] = None,
-        backend: Optional[str] = None,
         **traffic_overrides: Any,
     ) -> RoutingStats:
         """Route one generated message batch and return the statistics.
@@ -243,44 +238,33 @@ class RoutingSession:
         run the network simulator instead (:meth:`simulate`), whose
         :class:`~repro.netsim.stats.NetSimStats` reports a ``deadlocked``
         verdict without keeping per-route results.
-
-        *backend* scopes this call to one array backend
-        (:mod:`repro._array_ops` registry key; default: the ambient
-        ``REPRO_ARRAY_BACKEND`` selection).  The *effective* backend --
-        after the numba backend's fallback when numba is missing -- is
-        recorded on ``stats.backend`` and mirrored into
-        ``session.cache_info["array_backend"]``.
         """
-        scope = _array_ops.use_backend(backend) if backend is not None else nullcontext()
-        with scope:
-            backend_key = _array_ops.active_backend_key()
-            self._session.cache_info["array_backend"] = backend_key
-            traffic_spec = get_traffic(traffic)
-            router_spec, result, router_obj, context = self._resolve(
-                router, construction, router_options, construction_options
-            )
-            batch = traffic_spec.generate(
-                context,
-                messages,
-                rng=np.random.default_rng(seed),
-                options=traffic_options,
-                **traffic_overrides,
-            )
-            collect = collect_results or check_deadlock
-            engine_spec = resolve_engine(router_obj, engine, collect)
-            stats = RoutingStats(
-                collect_results=collect,
-                enabled=context.num_enabled,
-                model=result.label,
-                traffic=traffic_spec.key,
-                router=router_spec.key,
-                engine=engine_spec.key,
-                backend=backend_key,
-            )
-            engine_spec.runner(router_obj, batch, stats)
-            if check_deadlock:
-                stats.deadlock_free()
-            return stats
+        traffic_spec = get_traffic(traffic)
+        router_spec, result, router_obj, context = self._resolve(
+            router, construction, router_options, construction_options
+        )
+        batch = traffic_spec.generate(
+            context,
+            messages,
+            rng=np.random.default_rng(seed),
+            options=traffic_options,
+            **traffic_overrides,
+        )
+        collect = collect_results or check_deadlock
+        engine_spec = resolve_engine(router_obj, engine, collect)
+        stats = RoutingStats(
+            collect_results=collect,
+            enabled=context.num_enabled,
+            model=result.label,
+            traffic=traffic_spec.key,
+            router=router_spec.key,
+            engine=engine_spec.key,
+            backend=_array_ops.active_backend_key(),
+        )
+        engine_spec.runner(router_obj, batch, stats)
+        if check_deadlock:
+            stats.deadlock_free()
+        return stats
 
     # -- network simulation ----------------------------------------------------------
 

@@ -133,9 +133,8 @@ class MeshSession:
         # its router caches are keyed by the session version, so add_faults
         # invalidates them without an explicit hook.
         self._routing = None
-        # Int hit/miss counters, plus the "array_backend" provenance string
-        # the routing facade maintains.
-        self.cache_info: Dict[str, Any] = {
+        # Int hit/miss counters; the routing facade adds its own.
+        self.cache_info: Dict[str, int] = {
             "result_hits": 0,
             "result_misses": 0,
             "component_hits": 0,

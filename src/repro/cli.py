@@ -23,11 +23,7 @@ command resolves its fault-region models through the construction registry
     delivery/detour statistics.  ``--engine`` picks the routing engine
     (``auto`` / ``scalar`` / ``batch``; the engines are bit-identical, so
     the choice only affects wall-clock time) -- available on ``sweep
-    --routing`` too.  ``--backend`` picks the array backend the hot
-    primitives run on (``auto`` / ``numpy`` / ``numba`` / ``loops`` /
-    ``cupy``; bit-identical by construction, see
-    :mod:`repro._array_ops`) -- available on ``sweep`` and ``simulate``
-    too, and exported to worker processes via ``REPRO_ARRAY_BACKEND``.
+    --routing`` too.
 
 ``repro-mesh simulate``
     Run the open-loop contention simulator (:mod:`repro.netsim`) over one
@@ -69,20 +65,16 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._array_ops import active_backend_key
 from repro.api import (
     TRIAL_KINDS,
     ConstructionResult,
     MeshSession,
-    backend_keys,
     engine_keys,
     router_keys,
-    set_default_backend,
     simulator_keys,
     traffic_keys,
 )
@@ -151,30 +143,6 @@ def _add_routing_arguments(parser: argparse.ArgumentParser) -> None:
         help="routing engine (engine registry key; auto picks the batch "
         "kernel when it can serve the request)",
     )
-    _add_backend_argument(parser)
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=("auto",) + backend_keys(),
-        default="auto",
-        help="array backend for the hot primitives (backend registry key; "
-        "all backends are bit-identical, unavailable ones fall back to "
-        "numpy)",
-    )
-
-
-def _apply_backend(args: argparse.Namespace) -> str:
-    """Install ``--backend`` as the process-wide default and return the
-    effective key (after any unavailable-backend fallback).
-
-    The selection is also exported through ``REPRO_ARRAY_BACKEND`` so
-    worker processes spawned by ``sweep --workers`` inherit it.
-    """
-    set_default_backend(args.backend)
-    os.environ["REPRO_ARRAY_BACKEND"] = args.backend
-    return active_backend_key()
 
 
 def _session_from(args: argparse.Namespace):
@@ -217,7 +185,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _apply_backend(args)
     fault_counts = args.fault_counts or list(DEFAULT_FAULT_COUNTS)
     if args.routing:
         points = run_routing_sweep(
@@ -271,13 +238,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    backend = _apply_backend(args)
     scenario, session = _session_from(args)
     print(f"scenario: {scenario.describe()}")
     print(
         f"traffic: {args.traffic}, router: {args.router}, "
-        f"messages: {args.messages}, engine: {args.engine}, "
-        f"backend: {backend}"
+        f"messages: {args.messages}, engine: {args.engine}"
     )
     print(
         f"{'model':>5} {'enabled':>8} {'delivery':>9} {'mean hops':>10} "
@@ -301,13 +266,12 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    backend = _apply_backend(args)
     scenario, session = _session_from(args)
     print(f"scenario: {scenario.describe()}")
     print(
         f"traffic: {args.traffic}, arrival: {args.arrival}, "
         f"router: {args.router}, model: {args.model}, sim: {args.sim}, "
-        f"cycles: {args.cycles}, backend: {backend}"
+        f"cycles: {args.cycles}"
     )
     print(
         f"{'load':>7} {'attempted':>10} {'delivered':>10} {'inflight':>9} "
@@ -337,7 +301,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    backend = _apply_backend(args)
     # Imported lazily: the serving layer is optional machinery on top of
     # the session API.
     from repro.serve import RouteDaemon
@@ -375,7 +338,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(scenario_line)
         print(
             f"serving on {host}:{port} (model: {args.model}, router: "
-            f"{args.router}, engine: {args.engine}, backend: {backend}, "
+            f"{args.router}, engine: {args.engine}, "
             f"window: {args.window * 1000:.3g} ms, max-batch: {args.max_batch})",
             flush=True,
         )
@@ -826,7 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="contention simulator (simulator registry key; the array "
         "simulator and the scalar oracle are bit-identical)",
     )
-    _add_backend_argument(simulate)
     simulate.set_defaults(func=cmd_simulate)
 
     serve = subparsers.add_parser(
@@ -902,7 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-connection cap on concurrently handled requests "
         "(excess pipelined lines wait in the socket)",
     )
-    _add_backend_argument(serve)
     serve.set_defaults(func=cmd_serve)
 
     query = subparsers.add_parser(

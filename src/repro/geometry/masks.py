@@ -21,10 +21,9 @@ schemes in :mod:`repro.core.labelling`:
   instead; both paths are canonicalised to the same deterministic label
   order (ascending lexicographic minimum node), so results are
   bit-identical to the BFS oracle in :mod:`repro.core.components`.
-  The labelling, span-fill and hull primitives dispatch through the
-  pluggable array-backend facade (:mod:`repro._array_ops`,
-  ``REPRO_ARRAY_BACKEND``), so a JIT backend accelerates them without
-  touching this module.
+  The labelling, span-fill, hull and Definition-1 primitives themselves
+  live in :mod:`repro._array_ops` and are reached through its
+  ``active_ops()`` seam, where the tests swap in the loop-nest reference.
 * **Orthogonal convexity / hull** (:func:`is_convex_mask`,
   :func:`span_violations`, :func:`hull_mask`): per-row and per-column
   occupied spans are computed with two ``argmax`` sweeps; a region is
@@ -36,55 +35,31 @@ schemes in :mod:`repro.core.labelling`:
   region, the perimeter counts the exposed cell sides via four shifts.
 
 The kernel can be switched off globally (environment variable
-``REPRO_MASK_KERNEL=0``) or locally (:func:`use_kernel`), which makes every
-rewired consumer fall back to its legacy set-based implementation; the
-differential benchmark ``benchmarks/bench_kernel.py`` uses the switch to
-time both paths on the same inputs.
+``REPRO_MASK_KERNEL=0``, or ``false`` / ``no`` / ``off``) or locally
+(:func:`use_kernel`), which makes every rewired consumer fall back to its
+legacy set-based implementation; the differential benchmark
+``benchmarks/bench_kernel.py`` uses the switch to time both paths on the
+same inputs.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro import _array_ops
+from repro._array_ops import _OFFSETS_4, _OFFSETS_8, _shift
+from repro._registry import env_flag
 from repro.types import Coord
-
-_shift_impl = None
-
-
-def _shift(mask: np.ndarray, dx: int, dy: int, wrap: bool, fill=None) -> np.ndarray:
-    """The shared shifted-view primitive of :mod:`repro.core.labelling`.
-
-    Imported lazily: ``repro.core`` transitively imports this module, so a
-    top-level import would be circular.
-    """
-    global _shift_impl
-    if _shift_impl is None:
-        from repro.core.labelling import _shift as shift
-
-        _shift_impl = shift
-    return _shift_impl(mask, dx, dy, wrap, fill)
-
-
-#: Neighbour offsets of the two adjacency notions used by the paper.
-_OFFSETS_4: Tuple[Tuple[int, int], ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_OFFSETS_8: Tuple[Tuple[int, int], ...] = _OFFSETS_4 + (
-    (1, 1),
-    (1, -1),
-    (-1, 1),
-    (-1, -1),
-)
 
 #: Largest local bounding-box area (cells) the kernel will materialise as a
 #: dense mask; a sparser region falls back to the set-based oracle.  16M
 #: boolean cells is ~16 MB -- far beyond any mesh the benchmarks sweep.
 MAX_LOCAL_AREA = 16_000_000
 
-_kernel_enabled = os.environ.get("REPRO_MASK_KERNEL", "1") != "0"
+_kernel_enabled = env_flag("REPRO_MASK_KERNEL")
 
 
 def kernel_enabled() -> bool:
@@ -200,18 +175,6 @@ def mask_to_frozenset(
 
 
 # -- connected-component labelling ---------------------------------------------------
-
-
-def _propagate_labels(mask: np.ndarray, offsets) -> np.ndarray:
-    """Minimum-label propagation over *mask* (numpy reference; see
-    :func:`repro._array_ops.propagate_labels`)."""
-    return _array_ops.propagate_labels(mask, offsets)
-
-
-def _canonicalise(labels: np.ndarray, count: int) -> np.ndarray:
-    """Relabel 1..count in ascending order of each component's first cell
-    (see :func:`repro._array_ops.canonicalise_labels`)."""
-    return _array_ops.canonicalise_labels(labels, count)
 
 
 def label_mask(mask: np.ndarray, connectivity: int = 8) -> Tuple[np.ndarray, int]:

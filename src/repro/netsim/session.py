@@ -24,7 +24,6 @@ cost.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -95,7 +94,6 @@ class NetSimSession:
         seed: int = 0,
         router: str = "extended-ecube",
         sim: Optional[str] = None,
-        backend: Optional[str] = None,
         drain_factor: int = 8,
         traffic_options=None,
         arrival_options=None,
@@ -119,10 +117,6 @@ class NetSimSession:
         Everything is deterministic in *seed* -- and in the simulator
         choice, since the array simulator and the scalar oracle are
         bit-identical (``stats.delivery_fingerprint`` is the witness).
-        The same holds for *backend*, which scopes the call to one array
-        backend (:mod:`repro._array_ops` key; default: the ambient
-        ``REPRO_ARRAY_BACKEND`` selection) -- the effective key is
-        recorded on ``stats.backend``.
         """
         if load <= 0.0:
             raise ValueError("load must be positive (messages per node per cycle)")
@@ -143,43 +137,40 @@ class NetSimSession:
                 f"spatial workload {traffic_spec.key!r} is an arrival process; "
                 "pass it as arrival=... and pick a spatial traffic pattern"
             )
-        scope = _array_ops.use_backend(backend) if backend is not None else nullcontext()
-        with scope:
-            backend_key = _array_ops.active_backend_key()
-            self._routing.session.cache_info["array_backend"] = backend_key
-            sim_spec = resolve_simulator(sim)
-            router_spec, result, router_obj, context = self._routing._resolve(
-                router, construction, router_options, construction_options
-            )
-            rate = load * context.num_enabled
-            if messages is None:
-                messages = int(round(rate * cycles))
-            spatial_options = traffic_spec.make_options(
-                traffic_options, traffic_overrides
-            )
-            arrival_opts = arrival_spec.make_options(
-                arrival_options,
-                {
-                    "pattern": traffic_spec.key,
-                    "rate": rate,
-                    "pattern_options": spatial_options,
-                },
-            )
-            batch = arrival_spec.generate(
-                context,
-                messages,
-                rng=np.random.default_rng(seed),
-                options=arrival_opts,
-            )
-            cache_key = (
-                router_spec.key,
-                result.key,
-                result.options,
-                router_spec.make_options(router_options, None),
-            )
-            plan = build_plan(router_obj, batch, path_cache=self._path_cache(cache_key))
-            max_cycles = cycles * drain_factor
-            outcome = sim_spec.runner(plan, max_cycles)
+        backend_key = _array_ops.active_backend_key()
+        sim_spec = resolve_simulator(sim)
+        router_spec, result, router_obj, context = self._routing._resolve(
+            router, construction, router_options, construction_options
+        )
+        rate = load * context.num_enabled
+        if messages is None:
+            messages = int(round(rate * cycles))
+        spatial_options = traffic_spec.make_options(
+            traffic_options, traffic_overrides
+        )
+        arrival_opts = arrival_spec.make_options(
+            arrival_options,
+            {
+                "pattern": traffic_spec.key,
+                "rate": rate,
+                "pattern_options": spatial_options,
+            },
+        )
+        batch = arrival_spec.generate(
+            context,
+            messages,
+            rng=np.random.default_rng(seed),
+            options=arrival_opts,
+        )
+        cache_key = (
+            router_spec.key,
+            result.key,
+            result.options,
+            router_spec.make_options(router_options, None),
+        )
+        plan = build_plan(router_obj, batch, path_cache=self._path_cache(cache_key))
+        max_cycles = cycles * drain_factor
+        outcome = sim_spec.runner(plan, max_cycles)
 
         routing_stats = RoutingStats(
             enabled=context.num_enabled,

@@ -32,11 +32,9 @@ scalar routing engine):
   change in between.
 
 The array simulator keeps message state in NumPy arrays and resolves each
-cycle's arbitration through the pluggable array-backend facade
-(:func:`repro._array_ops.active_ops`): one lexsort over ``(channel,
-message index)`` on the numpy backend, a JIT-compiled combined-key sort on
-the numba backend; the
-scalar oracle walks plain dictionaries message by message.  Keeping the
+cycle's arbitration with the ``grant_messages`` primitive of
+:func:`repro._array_ops.active_ops` (one lexsort over ``(channel, message
+index)``); the scalar oracle walks plain dictionaries message by message.  Keeping the
 oracle around (selectable via ``REPRO_NETSIM=scalar``) pins down the
 contract the fast path must honour.
 """
@@ -102,7 +100,7 @@ def simulate_array(plan: SimPlan, max_cycles: int) -> SimOutcome:
                 break
             t = min(int(sorted_inject[pointer]), max_cycles)
             continue
-        # Arbitration is an array-backend primitive: each free channel
+        # Arbitration is an array primitive: each free channel
         # grants its lowest-index requester (losers stall in place).
         granted = grant_messages(nxt[active], active, occupied)
         if granted.size == 0:

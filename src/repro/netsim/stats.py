@@ -39,8 +39,8 @@ class NetSimStats:
     arrival: str = ""
     router: str = ""
     sim: str = ""
-    #: Effective array-backend key (:mod:`repro._array_ops`) the run
-    #: dispatched to; provenance -- backends are asserted bit-identical.
+    #: ``ArrayOps.key`` of the hot primitives the run used
+    #: (:mod:`repro._array_ops`; ``"loops"`` under the test reference).
     backend: str = ""
 
     # -- run configuration -----------------------------------------------------------

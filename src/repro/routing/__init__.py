@@ -24,9 +24,7 @@ models (FB / FP / MFP) on routing can be measured:
 * :mod:`repro.routing.channels` -- the four-virtual-channel assignment and a
   channel-dependency-cycle check (deadlock-freedom evidence);
 * :mod:`repro.routing.stats` -- the aggregate :class:`RoutingStats` record
-  shared by every routing entry point;
-* :mod:`repro.routing.simulator` -- the legacy whole-network simulator,
-  kept as a deprecation shim over the registry/traffic machinery.
+  shared by every routing entry point.
 
 The canonical way to run routing experiments is
 :meth:`repro.api.MeshSession.route`, which caches routers per construction
@@ -83,7 +81,6 @@ from repro.routing.traffic import (
     register_traffic,
     traffic_keys,
 )
-from repro.routing.simulator import RoutingSimulator
 
 __all__ = [
     "ecube_path",
@@ -133,8 +130,7 @@ __all__ = [
     "default_engine",
     "set_default_engine",
     "use_engine",
-    # stats + legacy simulator
+    # stats
     "RoutingStats",
     "MissingRouteResultsError",
-    "RoutingSimulator",
 ]

@@ -69,7 +69,7 @@ from typing import (
 import numpy as np
 
 from repro import _array_ops
-from repro._registry import SpecRegistry
+from repro._registry import SpecRegistry, env_flag
 from repro.geometry.boundary import boundary_ring
 from repro.geometry.rectangle import bounding_rectangle
 from repro.routing.stats import RoutingStats
@@ -144,7 +144,7 @@ class JumpTables:
 
     @classmethod
     def from_disabled(cls, disabled: np.ndarray) -> "JumpTables":
-        """Build the four tables through the active array backend."""
+        """Build the four tables with the ``jump_tables`` array primitive."""
         east, west, north, south = _array_ops.active_ops().jump_tables(
             np.ascontiguousarray(disabled)
         )
@@ -170,7 +170,7 @@ class JumpTables:
         that changed the cells ``(changed_x, changed_y)`` therefore only
         needs the scan re-run on those lines and columns -- the sub-array
         ``disabled[:, ys]`` (respectively ``disabled[xs, :]``) goes
-        through the same backend primitive as a full build, so the result
+        through the same array primitive as a full build, so the result
         equals :meth:`from_disabled` bit for bit (asserted by the
         differential suite in ``tests/test_engine_deltas.py``).  The
         untouched lines are copied from this table.
@@ -690,10 +690,10 @@ def _scan_lanes(
     the first failure position (node off the mesh or inside another
     region).  Lanes beyond a row's own ring length are masked out.
 
-    The scan itself is an array-backend primitive
-    (:attr:`repro._array_ops.ArrayOps.scan_lanes`): the numpy backend
-    materialises the padded ``(rows x lanes)`` matrix and argmax-reduces
-    it; the numba backend walks each row's lanes with early exit.
+    The scan itself is an array primitive
+    (:attr:`repro._array_ops.ArrayOps.scan_lanes`): it materialises the
+    padded ``(rows x lanes)`` matrix and argmax-reduces it.  The loop-nest
+    reference of :mod:`repro._array_loops` walks each row's lanes instead.
     """
     return _array_ops.active_ops().scan_lanes(
         packed.ring_x,
@@ -1042,12 +1042,7 @@ def route_batch(
 
 # -- incremental engine deltas ------------------------------------------------------
 
-_engine_deltas = os.environ.get("REPRO_ENGINE_DELTAS", "1").strip().lower() not in (
-    "0",
-    "false",
-    "off",
-    "no",
-)
+_engine_deltas = env_flag("REPRO_ENGINE_DELTAS")
 
 
 def engine_deltas_enabled() -> bool:

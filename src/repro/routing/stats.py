@@ -2,17 +2,15 @@
 
 :class:`RoutingStats` folds per-message :class:`RouteResult` records into
 the scalar aggregates the evaluation harness reports (delivery rate, mean
-hops, detour overhead, abnormal-route fraction).  It is shared by the
-legacy :class:`repro.routing.simulator.RoutingSimulator` and the canonical
-:meth:`repro.api.MeshSession.route` path, so both produce bit-identical
+hops, detour overhead, abnormal-route fraction).  Both routing engines of
+:meth:`repro.api.MeshSession.route` fill it, and produce bit-identical
 records on the same message batch.
 
 Deadlock-freedom evidence (the channel-dependency-cycle check of
 :mod:`repro.routing.channels`) needs the individual route results, which
 large sweeps do not keep by default.  Requesting the check without them is
-a structured :class:`MissingRouteResultsError` -- and the run entry points
-(``RoutingSimulator.run(check_deadlock=True)``,
-``MeshSession.route(check_deadlock=True)``) auto-enable result collection
+a structured :class:`MissingRouteResultsError` -- and
+``MeshSession.route(check_deadlock=True)`` auto-enables result collection
 so the footgun cannot trigger mid-analysis at all.
 """
 
@@ -79,11 +77,10 @@ class RoutingStats:
     #: empty for contention-free routing).  Like ``engine``, provenance:
     #: the simulators are asserted bit-identical.
     sim: str = ""
-    #: Effective array-backend key (:mod:`repro._array_ops`) the run's hot
-    #: primitives dispatched to (``"numpy"`` / ``"numba"`` / ...; empty for
-    #: ad-hoc accumulation).  Provenance like ``engine``/``sim``: backends
-    #: are asserted bit-identical, and a backend that fell back (numba
-    #: without numba installed) reports the backend that actually ran.
+    #: ``ArrayOps.key`` of the hot primitives the run used
+    #: (:mod:`repro._array_ops`): ``"numpy"``, or ``"loops"`` when the tests
+    #: swap in the reference; empty for ad-hoc accumulation.  Provenance
+    #: like ``engine``/``sim``: the two are asserted bit-identical.
     backend: str = ""
     #: Cached deadlock-freedom verdict (filled by :meth:`deadlock_free`).
     _deadlock_free: Optional[bool] = field(default=None, repr=False)

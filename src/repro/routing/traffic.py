@@ -355,10 +355,9 @@ def _bump_collisions(src: np.ndarray, dst: np.ndarray, num: int) -> np.ndarray:
 def _uniform(context, count, rng, options):
     """Independent uniform source/destination draws.
 
-    Bit-for-bit the draw the legacy ``RoutingSimulator.random_pairs`` used:
-    one ``(count, 2)`` integer draw with same-index collisions bumped to
-    the next enabled node, so the legacy and the session path produce
-    identical batches from identical generator state.
+    One ``(count, 2)`` integer draw with same-index collisions bumped to
+    the next enabled node, so identical generator state yields identical
+    batches (``tests/test_routing_traffic.py`` pins the draw).
     """
     num = context.num_enabled
     indices = rng.integers(0, num, size=(count, 2))

@@ -18,7 +18,7 @@ rings of the routing facade) and serves verbs over the protocol of
 ``status``
     Health and statistics: uptime, queue depth, coalescer counters
     (including the coalesce ratio), session ``cache_info``, the
-    effective engine/backend, and the mesh shape.
+    engine and array-primitive (``backend``) labels, and the mesh shape.
 ``simulate``
     One open-loop contention simulation on the warm
     :class:`~repro.netsim.NetSimSession` (scalar summary fields only).

@@ -1,7 +1,5 @@
 """Tests for the construction registry (repro.api.registry)."""
 
-import warnings
-
 import pytest
 
 from repro.api import (
@@ -179,48 +177,11 @@ class TestPluggability:
 
 
 class TestDeprecatedShims:
-    def test_legacy_names_warn_and_work(self, scenario):
-        import repro
-
-        for name in (
-            "build_faulty_blocks",
-            "build_sub_minimum_polygons",
-            "build_minimum_polygons",
-            "build_minimum_polygons_distributed",
-        ):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                builder = getattr(repro, name)
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            ), name
-            construction = builder(scenario.faults, topology=scenario.topology())
-            assert construction.grid.num_faulty == scenario.num_faults
-
-    def test_legacy_sim_names_warn(self):
-        import repro
-
-        for name in ("compare_constructions", "run_sweep"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                getattr(repro, name)
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            ), name
-
     def test_unknown_attribute_raises(self):
         import repro
 
         with pytest.raises(AttributeError):
             repro.definitely_not_a_name
-
-    def test_canonical_api_names_do_not_warn(self):
-        import repro
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert repro.MeshSession is not None
-            assert repro.get_construction("fb") is not None
 
 
 class TestReplaceSafety:

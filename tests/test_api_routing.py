@@ -1,5 +1,5 @@
 """Tests for the unified routing API (router registry, RoutingSession,
-SweepExecutor routing sweeps) and the legacy RoutingSimulator shim."""
+SweepExecutor routing sweeps) and the routing behaviour behind it."""
 
 
 import pytest
@@ -8,8 +8,12 @@ from repro.api import (
     MeshSession,
     MissingRouteResultsError,
     RouterSpec,
+    RoutingStats,
     SweepExecutor,
+    TrafficContext,
+    get_engine,
     get_router,
+    get_traffic,
     register_router,
     router_keys,
     run_routing_trial,
@@ -17,7 +21,6 @@ from repro.api import (
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D
 from repro.routing.registry import ECubeRouter, ExtendedECubeOptions
-from repro.routing.simulator import RoutingSimulator
 from repro.sim.experiments import run_routing_sweep
 from repro.sim.figures import routing_series
 
@@ -168,32 +171,73 @@ class TestDeadlockFootgun:
         # The structured error still satisfies legacy ValueError handlers.
         assert issubclass(MissingRouteResultsError, ValueError)
 
-    def test_legacy_run_check_deadlock_auto_collects(self, figure2_region):
-        with pytest.warns(DeprecationWarning):
-            simulator = RoutingSimulator(Mesh2D(10, 10), [figure2_region], seed=4)
-        stats = simulator.run(50, check_deadlock=True)
-        assert stats.results
-        assert simulator.deadlock_free(stats) in (True, False)
+
+def _route_uniform(topology, regions, messages, seed):
+    """Route one uniform batch around explicit *regions* through the
+    router, traffic and engine registries."""
+    router = get_router("extended-ecube").build(regions=regions, topology=topology)
+    context = TrafficContext.from_router(router)
+    batch = get_traffic("uniform").generate(context, messages, seed=seed)
+    stats = RoutingStats(enabled=context.num_enabled)
+    get_engine("scalar").runner(router, batch, stats)
+    return router, batch, stats
 
 
-class TestLegacySimulatorShim:
-    def test_constructor_and_from_construction_warn(self, clustered_session):
-        result = clustered_session.build("mfp")
-        with pytest.warns(DeprecationWarning, match="MeshSession.route"):
-            RoutingSimulator(clustered_session.topology, result.regions)
-        with pytest.warns(DeprecationWarning, match="from_construction"):
-            RoutingSimulator.from_construction(result)
+class TestRoutingStats:
+    def test_empty_stats_defaults(self):
+        stats = RoutingStats()
+        assert stats.delivery_rate == 1.0
+        assert stats.mean_hops == 0.0
+        assert stats.minimal_fraction == 1.0
+        assert stats.abnormal_fraction == 0.0
 
-    def test_legacy_uniform_stats_identical_to_session(self, clustered_session):
-        result = clustered_session.build("mfp")
-        with pytest.warns(DeprecationWarning):
-            simulator = RoutingSimulator.from_construction(result, seed=21)
-        legacy = simulator.run(250)
-        session_stats = clustered_session.route(
-            "mfp", traffic="uniform", messages=250, seed=21
+
+class TestRoutingBehaviour:
+    def test_fault_free_routes_are_all_minimal(self):
+        stats = MeshSession(width=12).route(
+            "mfp", messages=200, seed=1, check_deadlock=True
         )
-        assert _stats_fingerprint(legacy) == _stats_fingerprint(session_stats)
-        assert legacy.enabled == session_stats.enabled
+        assert stats.attempted == 200
+        assert stats.delivery_rate == 1.0
+        assert stats.minimal_fraction == 1.0
+        assert stats.mean_detour == 0.0
+        # Dimension-ordered traffic alone has no channel-dependency cycle.
+        assert stats.deadlock_free()
+
+    def test_single_polygon_is_routed_around(self, figure2_region):
+        _, _, stats = _route_uniform(Mesh2D(10, 10), [figure2_region], 300, seed=3)
+        assert stats.delivery_rate == 1.0
+        assert 0 < stats.abnormal_fraction < 0.5
+        assert stats.mean_hops >= 1.0
+
+    def test_endpoints_are_enabled_nodes_only(self, figure2_region):
+        router, batch, stats = _route_uniform(
+            Mesh2D(10, 10), [figure2_region], 50, seed=2
+        )
+        assert stats.enabled == 100 - len(figure2_region)
+        for source, destination in batch.pairs():
+            assert not router.is_disabled(source)
+            assert not router.is_disabled(destination)
+            assert source != destination
+
+    def test_seeded_routes_are_reproducible(self, figure2_region):
+        a = _route_uniform(Mesh2D(10, 10), [figure2_region], 100, seed=5)[2]
+        b = _route_uniform(Mesh2D(10, 10), [figure2_region], 100, seed=5)[2]
+        assert _stats_fingerprint(a) == _stats_fingerprint(b)
+
+    def test_mfp_keeps_at_least_as_many_endpoints_as_fb(self):
+        # The practical payoff of the minimum polygons: more nodes stay
+        # usable as message endpoints for the same fault pattern.
+        scenario = generate_scenario(num_faults=60, width=20, model="clustered", seed=13)
+        session = MeshSession.from_scenario(scenario)
+        fb = session.route("fb", messages=10, seed=0)
+        mfp = session.route("mfp", messages=10, seed=0)
+        assert mfp.enabled >= fb.enabled
+
+    def test_two_node_mesh(self):
+        # Degenerate case: only two enabled nodes left.
+        _, _, stats = _route_uniform(Mesh2D(2, 2), [{(0, 0), (1, 1)}], 10, seed=6)
+        assert stats.attempted == 10
 
 
 class TestRoutingSweeps:

@@ -1,28 +1,26 @@
-"""Differential tests: the array-backend ops against each other and oracles.
+"""Differential tests: the NumPy hot primitives against their references.
 
-Every primitive of the :mod:`repro._array_ops` facade (component
+Every primitive of :data:`repro._array_ops.NUMPY_OPS` (component
 labelling, span fills, hull fixpoints, non-convexity detection, jump
-tables, lane scans, netsim arbitration) is asserted bit-identical across
-every *runnable* backend -- ``numpy``, the uncompiled ``loops`` kernels
-(the exact code the numba backend JITs), and ``numba`` itself when it is
-installed -- and against independent set-based oracles on
-Hypothesis-generated inputs.  The registry / toggle machinery
-(``REPRO_ARRAY_BACKEND``, :func:`use_backend`, fallback semantics, stats
-provenance labels) is tested in the same style as the mask-kernel and
-engine toggles.
+tables, lane scans, netsim arbitration) is asserted bit-identical to the
+loop-nest reference :data:`repro._array_loops.OPS` and to independent
+set-based oracles on Hypothesis-generated inputs.  The reference is also
+swapped in through the ``_array_ops.active_ops`` seam to check that whole
+constructions, routed batches and contention runs come out identical, and
+that the stats label says which primitive set ran.
 """
 
-import subprocess
-import sys
+import dataclasses
+from contextlib import contextmanager
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import _array_loops, _array_ops
 from repro.api.session import MeshSession
 from repro.core.components import find_components_bfs
 from repro.core.labelling import faults_to_mask
+from repro.faults.scenario import generate_scenario
 from repro.geometry.orthogonal import (
     is_orthogonal_convex_sets,
     orthogonal_convex_hull_sets,
@@ -33,32 +31,49 @@ WIDTH = 15
 coords = st.tuples(st.integers(0, WIDTH - 1), st.integers(0, WIDTH - 1))
 fault_sets = st.sets(coords, min_size=0, max_size=40)
 
-#: Backends whose own implementation can run here.  ``numba`` joins the
-#: list only when it is importable; ``loops`` always runs the identical
-#: source, so the JIT path is pinned even on numba-less environments.
-RUNNABLE = ["numpy", "loops"] + (
-    ["numba"] if _array_ops.get_backend("numba").available() else []
-)
-DIFFERENTIAL = [key for key in RUNNABLE if key != "numpy"]
+NUMPY_OPS = _array_ops.NUMPY_OPS
+LOOPS_OPS = _array_loops.OPS
 
-NUMPY_OPS = _array_ops.get_backend("numpy").ops()
+#: RoutingStats fields a route must reproduce under either primitive set.
+ROUTE_FIELDS = (
+    "attempted",
+    "delivered",
+    "failed",
+    "total_hops",
+    "total_detour",
+    "minimal_routes",
+    "abnormal_routes",
+)
+
+
+@contextmanager
+def running(ops):
+    """Run the library on *ops* by replacing the ``active_ops`` seam."""
+    original = _array_ops.active_ops
+    _array_ops.active_ops = lambda: ops
+    try:
+        yield
+    finally:
+        _array_ops.active_ops = original
 
 
 def _mask(faults: set) -> np.ndarray:
     return faults_to_mask(sorted(faults), WIDTH, WIDTH)
 
 
-# -- primitive equivalence: every backend vs numpy vs a set-based oracle --------------
+def _route_fields(stats) -> tuple:
+    return tuple(getattr(stats, field) for field in ROUTE_FIELDS)
 
 
-@pytest.mark.parametrize("backend", DIFFERENTIAL)
+# -- primitive equivalence: numpy vs the loops reference vs a set-based oracle --------
+
+
 class TestPrimitiveDifferential:
     @settings(max_examples=60, deadline=None)
     @given(faults=fault_sets, connectivity=st.sampled_from([4, 8]))
-    def test_label_components(self, backend, faults, connectivity):
+    def test_label_components(self, faults, connectivity):
         mask = _mask(faults)
-        ops = _array_ops.get_backend(backend).ops()
-        labels, count = ops.label_components(mask, connectivity)
+        labels, count = LOOPS_OPS.label_components(mask, connectivity)
         base_labels, base_count = NUMPY_OPS.label_components(mask, connectivity)
         assert count == base_count
         assert np.array_equal(labels, base_labels)
@@ -70,10 +85,9 @@ class TestPrimitiveDifferential:
 
     @settings(max_examples=60, deadline=None)
     @given(faults=fault_sets)
-    def test_span_fill(self, backend, faults):
+    def test_span_fill(self, faults):
         mask = _mask(faults)
-        ops = _array_ops.get_backend(backend).ops()
-        filled = ops.span_fill(mask)
+        filled = LOOPS_OPS.span_fill(mask)
         assert np.array_equal(filled, NUMPY_OPS.span_fill(mask))
         expected = set()
         for x in range(WIDTH):
@@ -88,21 +102,19 @@ class TestPrimitiveDifferential:
 
     @settings(max_examples=60, deadline=None)
     @given(faults=fault_sets)
-    def test_hull_fixpoint(self, backend, faults):
+    def test_hull_fixpoint(self, faults):
         mask = _mask(faults)
-        ops = _array_ops.get_backend(backend).ops()
-        hull = ops.hull_fixpoint(mask)
+        hull = LOOPS_OPS.hull_fixpoint(mask)
         assert np.array_equal(hull, NUMPY_OPS.hull_fixpoint(mask))
         expected = set(orthogonal_convex_hull_sets(faults))
         assert {tuple(c) for c in np.argwhere(hull)} == expected
 
     @settings(max_examples=60, deadline=None)
     @given(faults=fault_sets)
-    def test_nonconvex_labels(self, backend, faults):
+    def test_nonconvex_labels(self, faults):
         mask = _mask(faults)
         labels, count = NUMPY_OPS.label_components(mask, 4)
-        ops = _array_ops.get_backend(backend).ops()
-        flagged = ops.nonconvex_labels(labels, count)
+        flagged = LOOPS_OPS.nonconvex_labels(labels, count)
         base = NUMPY_OPS.nonconvex_labels(labels, count)
         # Values (not dtypes) are the contract: the loop kernel returns
         # int64, numpy's ``unique`` keeps the label dtype.
@@ -115,10 +127,9 @@ class TestPrimitiveDifferential:
 
     @settings(max_examples=60, deadline=None)
     @given(faults=fault_sets)
-    def test_jump_tables(self, backend, faults):
+    def test_jump_tables(self, faults):
         disabled = _mask(faults)
-        ops = _array_ops.get_backend(backend).ops()
-        tables = ops.jump_tables(disabled)
+        tables = LOOPS_OPS.jump_tables(disabled)
         base = NUMPY_OPS.jump_tables(disabled)
         for table, expected in zip(tables, base):
             assert table.dtype == np.int64
@@ -135,9 +146,40 @@ class TestPrimitiveDifferential:
                 blocked_south = [by for (bx, by) in faults if bx == x and by < y]
                 assert south[x, y] == (max(blocked_south) if blocked_south else -1)
 
+    def test_scan_lanes_on_recorded_calls(self):
+        # No input strategy reproduces the engine's packed rings, so record
+        # every scan a real batch route makes through the seam and replay
+        # the same arguments through the reference.
+        calls = []
+
+        def record(*args):
+            result = NUMPY_OPS.scan_lanes(*args)
+            calls.append(
+                (
+                    [np.copy(a) if isinstance(a, np.ndarray) else a for a in args],
+                    [np.copy(r) for r in result],
+                )
+            )
+            return result
+
+        with running(dataclasses.replace(NUMPY_OPS, scan_lanes=record)):
+            for seed in range(20):
+                scenario = generate_scenario(
+                    num_faults=25, width=WIDTH, model="clustered", seed=seed
+                )
+                MeshSession.from_scenario(scenario).route(
+                    "mfp", messages=150, seed=seed, engine="batch"
+                )
+        assert len(calls) >= 100
+        for args, expected in calls:
+            replayed = LOOPS_OPS.scan_lanes(*args)
+            for got, want in zip(replayed, expected):
+                assert np.array_equal(got, want)
+
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
-    def test_grant_messages(self, backend, data):
+    def test_grant_messages(self, data):
         channels = 20
         active = np.array(
             sorted(data.draw(st.sets(st.integers(0, 99), max_size=30))),
@@ -159,8 +201,7 @@ class TestPrimitiveDifferential:
             ),
             dtype=bool,
         )
-        ops = _array_ops.get_backend(backend).ops()
-        granted = ops.grant_messages(requested, active, occupied)
+        granted = LOOPS_OPS.grant_messages(requested, active, occupied)
         base = NUMPY_OPS.grant_messages(requested, active, occupied)
         assert granted.tolist() == base.tolist()
         lowest_bidder = {}
@@ -175,219 +216,63 @@ class TestPrimitiveDifferential:
         assert granted.tolist() == expected
 
 
-# -- end-to-end equivalence: routed batches and contention runs per backend -----------
+# -- end-to-end equivalence: the reference swapped in through the seam ---------------
 
 
 class TestEndToEndEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(faults=fault_sets)
     def test_route_stats_identical_across_backends(self, faults):
-        session = MeshSession(width=WIDTH, faults=sorted(faults))
         records = {}
-        for backend in RUNNABLE:
-            stats = session.route(
-                "mfp",
-                traffic="transpose",
-                messages=150,
-                seed=3,
-                engine="batch",
-                backend=backend,
-            )
-            records[backend] = (
-                stats.attempted,
-                stats.delivered,
-                stats.failed,
-                stats.total_hops,
-                stats.total_detour,
-                stats.minimal_routes,
-                stats.abnormal_routes,
-            )
-        assert len(set(records.values())) == 1, records
+        for ops in (NUMPY_OPS, LOOPS_OPS):
+            with running(ops):
+                stats = MeshSession(width=WIDTH, faults=sorted(faults)).route(
+                    "mfp", traffic="transpose", messages=150, seed=3, engine="batch"
+                )
+            assert stats.backend == ops.key
+            records[ops.key] = _route_fields(stats)
+        assert records["numpy"] == records["loops"]
 
     def test_simulate_fingerprint_identical_across_backends(self):
-        from repro.faults.scenario import generate_scenario
-
         scenario = generate_scenario(num_faults=20, width=16, seed=4)
-        session = MeshSession.from_scenario(scenario)
-        fingerprints = set()
-        for backend in RUNNABLE:
-            stats = session.simulate(
-                "mfp", load=0.05, cycles=48, seed=2, backend=backend
-            )
-            assert stats.backend == backend
-            fingerprints.add(
-                (
-                    stats.delivery_fingerprint,
-                    stats.attempted,
-                    stats.delivered,
-                    stats.total_latency,
-                    stats.cycles_run,
+        runs = {}
+        for ops in (NUMPY_OPS, LOOPS_OPS):
+            with running(ops):
+                stats = MeshSession.from_scenario(scenario).simulate(
+                    "mfp", load=0.05, cycles=48, seed=2
                 )
+            assert stats.backend == ops.key
+            runs[ops.key] = (
+                stats.delivery_fingerprint,
+                stats.attempted,
+                stats.delivered,
+                stats.total_latency,
+                stats.cycles_run,
             )
-        assert len(fingerprints) == 1
+        assert runs["numpy"] == runs["loops"]
 
-
-# -- registry / toggle machinery ------------------------------------------------------
-
-
-class TestBackendRegistry:
-    def test_registered_keys(self):
-        assert set(_array_ops.backend_keys()) >= {"numpy", "numba", "loops", "cupy"}
-
-    def test_status_reports_unconditional_backends(self):
-        status = _array_ops.backend_status()
-        assert status["numpy"] is True
-        assert status["loops"] is True
-        assert isinstance(status["numba"], bool)
-        assert isinstance(status["cupy"], bool)
-
-    def test_aliases_resolve(self):
-        assert _array_ops.get_backend("np") is _array_ops.get_backend("numpy")
-        assert _array_ops.get_backend("JIT") is _array_ops.get_backend("numba")
-        assert _array_ops.get_backend("reference") is _array_ops.get_backend("loops")
-        assert _array_ops.get_backend("gpu") is _array_ops.get_backend("cupy")
-
-    def test_unknown_backend_raises_with_known_keys(self):
-        with pytest.raises(KeyError, match="array backend"):
-            _array_ops.get_backend("fortran")
-        with pytest.raises(KeyError, match="numpy"):
-            _array_ops.set_default_backend("fortran")
-
-    def test_collision_rejected(self):
-        spec = _array_ops.BackendSpec(
-            key="numpy",
-            label="dup",
-            description="collides",
-            loader=_array_ops._numpy_ops,
-            probe=_array_ops._always(True),
-        )
-        with pytest.raises(ValueError, match="already registered"):
-            _array_ops.register_backend(spec)
-
-    def test_register_custom_backend(self):
-        spec = _array_ops.BackendSpec(
-            key="custom-test-backend",
-            label="CT",
-            description="registration smoke test",
-            loader=_array_ops._loops_ops,
-            probe=_array_ops._always(True),
-            aliases=("ctb",),
-        )
-        _array_ops.register_backend(spec)
-        try:
-            assert _array_ops.get_backend("ctb") is spec
-            with _array_ops.use_backend("custom-test-backend"):
-                # The loader's key wins: provenance reports what ran.
-                assert _array_ops.active_backend_key() == "loops"
-        finally:
-            del _array_ops._BACKENDS.specs["custom-test-backend"]
-            del _array_ops._BACKENDS.aliases["ctb"]
-            _array_ops._OPS_CACHE.pop("custom-test-backend", None)
-            _array_ops._invalidate_active()
-
-    def test_ops_are_memoised(self):
-        spec = _array_ops.get_backend("loops")
-        assert spec.ops() is spec.ops()
-
-
-class TestBackendSwitch:
-    def test_use_backend_restores_previous_state(self):
-        initial = _array_ops.default_backend()
-        with _array_ops.use_backend("loops"):
-            assert _array_ops.default_backend() == "loops"
-            assert _array_ops.active_backend_key() == "loops"
-            with _array_ops.use_backend("numpy"):
-                assert _array_ops.active_backend_key() == "numpy"
-            assert _array_ops.default_backend() == "loops"
-        assert _array_ops.default_backend() == initial
-
-    def test_set_default_backend_returns_previous_and_canonicalises(self):
-        previous = _array_ops.set_default_backend("reference")
-        try:
-            assert _array_ops.default_backend() == "loops"
-        finally:
-            assert _array_ops.set_default_backend(previous) == "loops"
-
-    def test_auto_resolves_to_numpy(self):
-        with _array_ops.use_backend("auto"):
-            assert _array_ops.resolve_backend(None).key == "numpy"
-            assert _array_ops.active_backend_key() == "numpy"
-
-    def test_unavailable_backend_falls_back_to_numpy_ops(self):
-        for key in ("numba", "cupy"):
-            spec = _array_ops.get_backend(key)
-            with _array_ops.use_backend(key):
-                effective = _array_ops.active_backend_key()
-                if spec.available() and key == "numba":
-                    assert effective == "numba"
-                else:
-                    # cupy is a stub and numba may be missing: both resolve
-                    # to the numpy ops, and stats say so.
-                    assert effective == "numpy"
-                    assert _array_ops.active_ops() is NUMPY_OPS
-
-    def test_environment_variable_selects_backend(self):
-        script = (
-            "from repro import _array_ops\n"
-            "assert _array_ops.default_backend() == 'loops'\n"
-            "assert _array_ops.active_backend_key() == 'loops'\n"
-        )
-        subprocess.run(
-            [sys.executable, "-c", script],
-            check=True,
-            env={**_subprocess_env(), "REPRO_ARRAY_BACKEND": "loops"},
-        )
-
-    def test_import_repro_does_not_import_optional_backends(self):
-        script = (
-            "import sys\n"
-            "import repro\n"
-            "assert 'numba' not in sys.modules\n"
-            "assert 'cupy' not in sys.modules\n"
-            "status = repro.array_backends()\n"
-            "assert status['numpy'] and status['loops']\n"
-        )
-        subprocess.run(
-            [sys.executable, "-c", script], check=True, env=_subprocess_env()
-        )
+    @settings(max_examples=25, deadline=None)
+    @given(faults=fault_sets, torus=st.booleans())
+    def test_constructions_identical_across_backends(self, faults, torus):
+        disabled = {}
+        for ops in (NUMPY_OPS, LOOPS_OPS):
+            with running(ops):
+                session = MeshSession(width=WIDTH, faults=sorted(faults), torus=torus)
+                disabled[ops.key] = {
+                    key: session.build(key).disabled_set() for key in ("fb", "fp", "mfp")
+                }
+        assert disabled["numpy"] == disabled["loops"]
 
 
 class TestStatsProvenance:
     def test_route_records_effective_backend(self):
-        # The ambient default may itself be forced (CI runs this suite
-        # under REPRO_ARRAY_BACKEND=loops), so derive the expectation
-        # from the registry rather than hard-coding numpy.
-        ambient = _array_ops.active_ops().key
-        session = MeshSession(width=10, faults=[(2, 2), (2, 3), (7, 7)])
-        stats = session.route("mfp", messages=50, seed=0, backend="loops")
-        assert stats.backend == "loops"
-        assert session.cache_info["array_backend"] == "loops"
-        stats = session.route("mfp", messages=50, seed=0)
-        assert stats.backend == ambient
-        assert session.cache_info["array_backend"] == ambient
-
-    def test_numba_selection_reports_what_actually_ran(self):
-        session = MeshSession(width=10, faults=[(4, 4), (4, 5)])
-        stats = session.route("mfp", messages=40, seed=1, backend="numba")
-        expected = (
-            "numba" if _array_ops.get_backend("numba").available() else "numpy"
-        )
-        assert stats.backend == expected
-
-    def test_session_cache_info_seeds_ambient_backend(self):
-        session = MeshSession(width=8)
-        assert (
-            session.routing.session.cache_info["array_backend"]
-            == _array_ops.active_backend_key()
-        )
-
-
-def _subprocess_env():
-    import os
-
-    env = dict(os.environ)
-    env.pop("REPRO_ARRAY_BACKEND", None)
-    src = str(__import__("pathlib").Path(__file__).resolve().parent.parent / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
-    return env
+        faults = [(2, 2), (2, 3), (7, 7)]
+        stats = MeshSession(width=10, faults=faults).route("mfp", messages=50, seed=0)
+        assert stats.backend == "numpy"
+        assert _array_ops.active_backend_key() == "numpy"
+        with running(LOOPS_OPS):
+            stats = MeshSession(width=10, faults=faults).route(
+                "mfp", messages=50, seed=0
+            )
+            assert stats.backend == "loops"
+        assert _array_ops.active_ops() is NUMPY_OPS

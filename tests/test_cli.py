@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -184,3 +186,26 @@ class TestCommands:
         captured = capsys.readouterr().out
         assert "Figure 10(a)" in captured
         assert "bench_fig10_region_size.py" in captured
+
+
+class TestInProcessCalls:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["route", "--faults", "10", "--width", "10", "--messages", "20"],
+            ["simulate", "--width", "8", "--faults", "4", "--loads", "0.02",
+             "--cycles", "16"],
+            ["sweep", "--width", "10", "--fault-counts", "4", "--trials", "1",
+             "--skip-distributed"],
+        ],
+        ids=["route", "simulate", "sweep"],
+    )
+    def test_commands_leave_the_environment_unchanged(self, argv, monkeypatch, capsys):
+        # The environment reaches every later subprocess, so an in-process
+        # main() call must not write to it.  Each call gets a private copy,
+        # so a write cannot leak into later tests either.
+        before = dict(os.environ)
+        monkeypatch.setattr(os, "environ", dict(before))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert os.environ == before

@@ -5,20 +5,21 @@ rows, columns and regions a fault update touched; the full rebuild is the
 oracle.  The Hypothesis suites here assert the two are bit-identical --
 at the jump-table level on random mask edits, and end-to-end through
 ``MeshSession`` routing stats for random fault/repair sequences on mesh
-and torus, both engines, numpy and loops backends.  The repair path
-(``remove_faults``) is itself differential-tested against one-shot
-component discovery and fresh-session builds.
+and torus, both engines, and both the NumPy and the loop-nest array
+primitives.  The repair path (``remove_faults``) is itself
+differential-tested against one-shot component discovery and
+fresh-session builds.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import _array_loops, _array_ops
 from repro.api import (
     MeshSession,
     engine_deltas_enabled,
     set_engine_deltas,
-    use_backend,
     use_engine_deltas,
 )
 from repro.core.components import find_components
@@ -39,22 +40,25 @@ STATS_FIELDS = (
 
 coords10 = st.tuples(st.integers(0, 9), st.integers(0, 9))
 
+READ_DELTAS = "from repro.routing.engine import engine_deltas_enabled"
+
 
 def fingerprint(stats):
     return tuple(getattr(stats, field) for field in STATS_FIELDS)
 
 
 class TestDeltaToggle:
-    def test_default_follows_environment(self):
-        import os
+    def test_default_follows_environment(self, run_python):
+        # A fresh interpreter with this process's environment reads the
+        # toggle the way this one did at import.
+        fresh = run_python(f"{READ_DELTAS}; print(engine_deltas_enabled())")
+        assert fresh.returncode == 0, fresh.stderr
+        assert engine_deltas_enabled() == (fresh.stdout.strip() == "True")
 
-        expected = os.environ.get("REPRO_ENGINE_DELTAS", "1").strip().lower() not in (
-            "0",
-            "false",
-            "off",
-            "no",
-        )
-        assert engine_deltas_enabled() == expected
+    def test_environment_rejects_non_boolean(self, run_python):
+        fresh = run_python(READ_DELTAS, REPRO_ENGINE_DELTAS="maybe")
+        assert fresh.returncode != 0
+        assert "ValueError: REPRO_ENGINE_DELTAS='maybe'" in fresh.stderr
 
     def test_set_returns_previous(self):
         original = engine_deltas_enabled()
@@ -202,20 +206,21 @@ class TestSessionDeltaDifferential:
         assert info_rebuild["delta_applies"] == 0
 
     @pytest.mark.parametrize("backend", ["numpy", "loops"])
-    def test_delta_equals_rebuild_across_backends(self, backend):
+    def test_delta_equals_rebuild_across_backends(self, backend, monkeypatch):
+        ops = {"numpy": _array_ops.NUMPY_OPS, "loops": _array_loops.OPS}[backend]
+        monkeypatch.setattr(_array_ops, "active_ops", lambda: ops)
         scenario = generate_scenario(num_faults=10, width=10, model="clustered", seed=3)
         events = [
             ("add", [(2, 2), (2, 3)]),
             ("remove", [(2, 2)]),
             ("add", [(7, 7)]),
         ]
-        with use_backend(backend):
-            with_deltas, _ = _churn_stats(
-                scenario, events, torus=False, engine="batch", deltas=True
-            )
-            without, _ = _churn_stats(
-                scenario, events, torus=False, engine="batch", deltas=False
-            )
+        with_deltas, _ = _churn_stats(
+            scenario, events, torus=False, engine="batch", deltas=True
+        )
+        without, _ = _churn_stats(
+            scenario, events, torus=False, engine="batch", deltas=False
+        )
         assert with_deltas == without
 
 

@@ -225,6 +225,36 @@ class TestKernelUtilities:
             assert not masks.kernel_enabled()
         assert masks.kernel_enabled() == initial
 
+    def test_environment_accepts_boolean_words(self, run_python):
+        fresh = run_python(
+            "from repro.geometry.masks import kernel_enabled; print(kernel_enabled())",
+            REPRO_MASK_KERNEL="False",
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout.strip() == "False"
+
+    def test_environment_rejects_non_boolean(self, run_python):
+        fresh = run_python("import repro.geometry.masks", REPRO_MASK_KERNEL="maybe")
+        assert fresh.returncode != 0
+        assert "ValueError: REPRO_MASK_KERNEL='maybe'" in fresh.stderr
+
+    def test_env_flag_spellings(self, monkeypatch):
+        from repro._registry import env_flag
+
+        monkeypatch.delenv("REPRO_TEST_FLAG", raising=False)
+        assert env_flag("REPRO_TEST_FLAG") is True
+        assert env_flag("REPRO_TEST_FLAG", default=False) is False
+        for value, expected in [
+            ("1", True), ("TRUE", True), ("yes", True), (" On ", True),
+            ("0", False), ("false", False), ("No", False), ("OFF", False),
+        ]:
+            monkeypatch.setenv("REPRO_TEST_FLAG", value)
+            assert env_flag("REPRO_TEST_FLAG") is expected, value
+        for value in ("", "2", "disabled"):
+            monkeypatch.setenv("REPRO_TEST_FLAG", value)
+            with pytest.raises(ValueError, match="REPRO_TEST_FLAG"):
+                env_flag("REPRO_TEST_FLAG")
+
     def test_label_mask_rejects_bad_connectivity(self):
         with pytest.raises(ValueError, match="connectivity"):
             masks.label_mask(np.zeros((3, 3), dtype=bool), connectivity=6)

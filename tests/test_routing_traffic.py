@@ -225,9 +225,9 @@ class TestPatternShapes:
             assert mapping.setdefault(source, destination) == destination
 
     def test_uniform_matches_legacy_draw(self):
-        # The exact (count, 2) draw with same-index bump the legacy
-        # RoutingSimulator.random_pairs used -- the contract behind the
-        # legacy-vs-session equivalence.
+        # The exact (count, 2) draw with same-index bump: seeded routing
+        # results, and the committed references built from them, depend
+        # on it.
         context = _context(7)
         num = context.num_enabled
         rng = np.random.default_rng(13)
