@@ -54,7 +54,7 @@ from repro.core.mfp import (
     build_minimum_polygons,
     build_minimum_polygons_via_labelling,
 )
-from repro.core.regions import FaultRegion
+from repro.core.regions import FaultRegion, mean_region_size
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.distributed.dmfp import build_minimum_polygons_distributed
 from repro.faults.scenario import FaultScenario
@@ -134,7 +134,9 @@ class ConstructionResult:
     key: str
     label: str
     grid: StatusGrid
-    regions: List[FaultRegion]
+    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`
+    #: on the mask-kernel path, built on first access to a region.
+    regions: Sequence[FaultRegion]
     rounds: int
     raw: Any
     options: ConstructionOptions
@@ -155,9 +157,7 @@ class ConstructionResult:
     @property
     def mean_region_size(self) -> float:
         """Average region size in nodes (Figure 10 quantity)."""
-        if not self.regions:
-            return 0.0
-        return sum(r.size for r in self.regions) / len(self.regions)
+        return mean_region_size(self.grid, self.regions)
 
     def disabled_set(self) -> set:
         """Every node belonging to a fault region (faulty included)."""

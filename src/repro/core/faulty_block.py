@@ -10,11 +10,11 @@ the paper's contribution are measured against in Figures 9-11.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 from repro.core.labelling import apply_labelling_scheme_1, faults_to_mask
-from repro.core.regions import FaultRegion, extract_regions_and_index
+from repro.core.regions import FaultRegion, extract_regions_and_index, mean_region_size
 from repro.geometry import masks
 from repro.faults.scenario import FaultScenario
 from repro.mesh.status import StatusGrid
@@ -27,7 +27,9 @@ class FaultyBlockConstruction:
     """Result of constructing rectangular faulty blocks for one fault set."""
 
     grid: StatusGrid
-    regions: List[FaultRegion]
+    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`
+    #: on the mask-kernel path, built on first access to a region.
+    regions: Sequence[FaultRegion]
     rounds: int
     model: FaultRegionModel = FaultRegionModel.FAULTY_BLOCK
     #: Cell -> region-index grid (``-1`` outside every region).
@@ -41,12 +43,10 @@ class FaultyBlockConstruction:
     @property
     def mean_region_size(self) -> float:
         """Average block size in nodes (Figure 10 quantity)."""
-        if not self.regions:
-            return 0.0
-        return sum(r.size for r in self.regions) / len(self.regions)
+        return mean_region_size(self.grid, self.regions)
 
     @property
-    def blocks(self) -> List[FaultRegion]:
+    def blocks(self) -> Sequence[FaultRegion]:
         """Alias for :attr:`regions` using the paper's terminology."""
         return self.regions
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.components import FaultComponent, find_components
 from repro.core.labelling import apply_labelling_scheme_1, apply_labelling_scheme_2
-from repro.core.regions import FaultRegion, convexify_regions
+from repro.core.regions import FaultRegion, convexify_regions, mean_region_size
 from repro.core.superseding import pile_statuses
 from repro.faults.scenario import FaultScenario
 from repro.geometry import masks
@@ -90,7 +90,9 @@ class MinimumPolygonConstruction:
     """Result of the centralized minimum faulty polygon construction."""
 
     grid: StatusGrid
-    regions: List[FaultRegion]
+    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`
+    #: on the mask-kernel path, built on first access to a region.
+    regions: Sequence[FaultRegion]
     components: List[FaultComponent]
     component_polygons: List[ComponentPolygon]
     rounds: int
@@ -107,12 +109,10 @@ class MinimumPolygonConstruction:
     @property
     def mean_region_size(self) -> float:
         """Average polygon size in nodes (Figure 10 quantity)."""
-        if not self.regions:
-            return 0.0
-        return sum(r.size for r in self.regions) / len(self.regions)
+        return mean_region_size(self.grid, self.regions)
 
     @property
-    def polygons(self) -> List[FaultRegion]:
+    def polygons(self) -> Sequence[FaultRegion]:
         """Alias for :attr:`regions` using the paper's terminology."""
         return self.regions
 

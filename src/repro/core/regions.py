@@ -6,13 +6,21 @@ the routing layer must steer around.  The evaluation needs, per region, the
 number of faulty and non-faulty nodes it contains (Figures 9 and 10) and
 its shape properties (rectangularity for FB, orthogonal convexity for FP
 and MFP -- both are asserted by the test suite).
+
+On the mask-kernel path the regions come back as a :class:`RegionList`:
+the canonical label grid, turned into :class:`FaultRegion` objects only
+when a caller first looks inside a region.  The figure scalars need only
+the region count and the disabled-node count (:func:`mean_region_size`),
+so a sweep never builds the per-node frozensets.  The set-based oracle
+path returns plain lists.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from collections.abc import Sequence as SequenceABC
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -117,7 +125,7 @@ def extract_regions(
     return regions
 
 
-def regions_from_masks(disabled: np.ndarray, faulty: np.ndarray) -> List[FaultRegion]:
+def regions_from_masks(disabled: np.ndarray, faulty: np.ndarray) -> Sequence[FaultRegion]:
     """Extract regions from boolean ``[x, y]`` masks.
 
     Uses the vectorized 4-connected labelling of
@@ -158,11 +166,71 @@ def _regions_from_labels(
     return regions
 
 
+class RegionList(SequenceABC):
+    """Read-only, lazily built region list over a canonical label grid.
+
+    ``len()`` and truth tests read the label count; the first element
+    access builds every :class:`FaultRegion` once, exactly as
+    :func:`_regions_from_labels` does, and drops the label grid.  The
+    fault mask is copied on creation, so later writes to a construction's
+    :class:`~repro.mesh.status.StatusGrid` do not leak into regions built
+    afterwards.  ``==`` compares element-wise with lists and other region
+    lists; like a list, the object is unhashable.
+    """
+
+    __slots__ = ("_count", "_source", "_regions")
+
+    def __init__(self, labels: np.ndarray, count: int, faulty: np.ndarray) -> None:
+        self._count = count
+        self._source: Optional[Tuple[np.ndarray, np.ndarray]] = (labels, faulty.copy())
+        self._regions: Optional[List[FaultRegion]] = None
+
+    def _built(self) -> List[FaultRegion]:
+        # One read of the snapshot, and the regions stored before it is
+        # dropped: a second reader either builds the same list again or
+        # finds it stored, never a half-dropped snapshot.
+        source = self._source
+        if source is not None:
+            self._regions = _regions_from_labels(source[0], self._count, source[1])
+            self._source = None
+        return self._regions
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, RegionList)):
+            return NotImplemented
+        return len(other) == self._count and self._built() == other
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
+def mean_region_size(grid, regions: Sequence[FaultRegion]) -> float:
+    """Average region size in nodes (Figure 10), ``0.0`` with no regions.
+
+    The regions partition the grid's disabled cells, so the disabled count
+    over the region count equals ``sum(r.size) / len(regions)`` exactly
+    (both are one correctly rounded division of the same two integers),
+    without looking inside a region.
+    """
+    if not regions:
+        return 0.0
+    return grid.num_disabled / len(regions)
+
+
 def extract_regions_and_index(
     disabled: np.ndarray,
     faulty: np.ndarray,
     build_index: bool = True,
-) -> Tuple[List[FaultRegion], "np.ndarray | None"]:
+) -> Tuple[Sequence[FaultRegion], "np.ndarray | None"]:
     """Extract regions from masks plus the region-index grid.
 
     The region-index grid maps every cell to the index of the region that
@@ -170,12 +238,15 @@ def extract_regions_and_index(
     O(1) region membership without rebuilding a node->region dict per
     router instantiation.  Pass ``build_index=False`` to skip it when only
     the region list is needed.
+
+    On the kernel path the regions are a lazy :class:`RegionList` over the
+    label grid (a snapshot of *faulty* included), so counting them builds
+    no :class:`FaultRegion`; the set-based oracle path returns a list.
     """
     if masks.kernel_enabled():
         labels, count = masks.label_mask(disabled, connectivity=4)
-        regions = _regions_from_labels(labels, count, faulty)
-        index_grid = (labels.astype(np.int32) - 1) if build_index else None
-        return regions, index_grid
+        index_grid = labels - 1 if build_index else None
+        return RegionList(labels, count, faulty), index_grid
     disabled_nodes = {(int(x), int(y)) for x, y in zip(*np.nonzero(disabled))}
     fault_nodes = {(int(x), int(y)) for x, y in zip(*np.nonzero(faulty))}
     regions = extract_regions(disabled_nodes, fault_nodes)
@@ -203,20 +274,18 @@ def convexify_regions(grid, return_index: bool = False):
 
     With ``return_index=True`` the result is ``(regions, region_index)``
     where the index grid maps cells to region indices (see
-    :func:`extract_regions_and_index`).
+    :func:`extract_regions_and_index`).  On the kernel path the regions
+    are a lazy :class:`RegionList` over the final label grid.
     """
     if masks.kernel_enabled():
         while True:
             labels, count = masks.label_mask(grid.disabled, connectivity=4)
             dirty_labels = masks.nonconvex_labels(labels, count)
             if dirty_labels.size == 0:
-                # Only the final, convex partition is materialised as
-                # FaultRegion objects; intermediate fixpoint iterations
-                # stay entirely in array land.
-                regions = _regions_from_labels(labels, count, grid.faulty)
-                if return_index:
-                    return regions, labels.astype(np.int32) - 1
-                return regions
+                # Only the final, convex partition becomes a region list;
+                # intermediate fixpoint iterations stay in array land.
+                regions = RegionList(labels, count, grid.faulty)
+                return (regions, labels - 1) if return_index else regions
             for label in dirty_labels.tolist():
                 cells = labels == label
                 xs, ys = np.nonzero(cells)

@@ -15,7 +15,7 @@ The paper's contribution (:mod:`repro.core.mfp`) removes that gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 from repro.core.labelling import (
@@ -23,7 +23,7 @@ from repro.core.labelling import (
     apply_labelling_scheme_2,
     faults_to_mask,
 )
-from repro.core.regions import FaultRegion, extract_regions_and_index
+from repro.core.regions import FaultRegion, extract_regions_and_index, mean_region_size
 from repro.geometry import masks
 from repro.faults.scenario import FaultScenario
 from repro.mesh.status import StatusGrid
@@ -36,7 +36,9 @@ class SubMinimumConstruction:
     """Result of the sub-minimum faulty polygon construction."""
 
     grid: StatusGrid
-    regions: List[FaultRegion]
+    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`
+    #: on the mask-kernel path, built on first access to a region.
+    regions: Sequence[FaultRegion]
     rounds_scheme1: int
     rounds_scheme2: int
     model: FaultRegionModel = FaultRegionModel.SUB_MINIMUM_FAULTY_POLYGON
@@ -61,12 +63,10 @@ class SubMinimumConstruction:
     @property
     def mean_region_size(self) -> float:
         """Average polygon size in nodes (Figure 10 quantity)."""
-        if not self.regions:
-            return 0.0
-        return sum(r.size for r in self.regions) / len(self.regions)
+        return mean_region_size(self.grid, self.regions)
 
     @property
-    def polygons(self) -> List[FaultRegion]:
+    def polygons(self) -> Sequence[FaultRegion]:
         """Alias for :attr:`regions` using the paper's terminology."""
         return self.regions
 

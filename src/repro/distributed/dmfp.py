@@ -43,7 +43,7 @@ from typing import AbstractSet, FrozenSet, List, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from repro.core.components import FaultComponent, find_components
-from repro.core.regions import FaultRegion, convexify_regions
+from repro.core.regions import FaultRegion, convexify_regions, mean_region_size
 from repro.geometry import masks
 from repro.distributed.notification import NotificationPlan, plan_notifications
 from repro.distributed.ring import RingConstruction, construct_boundary_ring
@@ -154,7 +154,9 @@ class DistributedMinimumPolygonConstruction:
     """Result of the distributed minimum faulty polygon construction."""
 
     grid: StatusGrid
-    regions: List[FaultRegion]
+    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`
+    #: on the mask-kernel path, built on first access to a region.
+    regions: Sequence[FaultRegion]
     components: List[FaultComponent]
     rounds: int
     model: FaultRegionModel = FaultRegionModel.MINIMUM_FAULTY_POLYGON
@@ -189,9 +191,7 @@ class DistributedMinimumPolygonConstruction:
     @property
     def mean_region_size(self) -> float:
         """Average polygon size in nodes (Figure 10 quantity)."""
-        if not self.regions:
-            return 0.0
-        return sum(r.size for r in self.regions) / len(self.regions)
+        return mean_region_size(self.grid, self.regions)
 
     @property
     def total_messages(self) -> int:

@@ -54,6 +54,22 @@ def run_python():
 
 
 @pytest.fixture
+def region_builds(monkeypatch) -> List[int]:
+    """The index of every ``FaultRegion`` built while the test runs."""
+    from repro.core.regions import FaultRegion
+
+    built: List[int] = []
+    post_init = FaultRegion.__post_init__
+
+    def counting_post_init(region) -> None:
+        built.append(region.index)
+        post_init(region)
+
+    monkeypatch.setattr(FaultRegion, "__post_init__", counting_post_init)
+    return built
+
+
+@pytest.fixture
 def mesh10() -> Mesh2D:
     """A small 10x10 mesh used by most unit tests."""
     return Mesh2D(10, 10)

@@ -178,6 +178,30 @@ class TestExecution:
             == metrics.per_model["CMFP"].disabled_nonfaulty
         )
 
+    def test_collect_scenario_metrics_builds_no_regions(self, region_builds):
+        """The figure scalars come from region and cell counts: a trial
+        never turns a label grid into FaultRegion objects."""
+        from repro.geometry import masks
+
+        scenario = generate_scenario(90, width=30, model="clustered", seed=3)
+        with masks.use_kernel(True):
+            metrics = collect_scenario_metrics(
+                scenario, models=("fb", "fp", "mfp", "cmfp", "dmfp")
+            )
+        assert region_builds == []
+        # (regions, disabled non-faulty, mean region size, rounds), as
+        # computed by summing the sizes of eagerly built regions.
+        assert {
+            label: (m.num_regions, m.disabled_nonfaulty, m.mean_region_size, m.rounds)
+            for label, m in metrics.per_model.items()
+        } == {
+            "FB": (46, 63, 153 / 46, 5),
+            "FP": (50, 12, 102 / 50, 10),
+            "MFP": (52, 8, 98 / 52, 10),
+            "CMFP": (52, 8, 98 / 52, 10),
+            "DMFP": (52, 8, 98 / 52, 35),
+        }
+
     def test_include_rounds_false_zeroes_cmfp(self):
         scenario = generate_scenario(num_faults=25, width=15, seed=4)
         metrics = collect_scenario_metrics(

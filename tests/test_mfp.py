@@ -146,10 +146,13 @@ class TestBuildMinimumPolygons:
             assert mfp.rounds <= fp.rounds
 
     def test_compute_rounds_flag(self):
-        result = build_minimum_polygons([(0, 0), (1, 1)], width=8, compute_rounds=False)
+        faults = [(0, 0), (1, 1)]
+        result = build_minimum_polygons(faults, width=8, compute_rounds=False)
         assert result.rounds == 0
-        result = build_minimum_polygons([(0, 0), (1, 1)], width=8, compute_rounds=True)
-        assert result.rounds >= 0
+        result = build_minimum_polygons(faults, width=8, compute_rounds=True)
+        assert result.rounds == 2
+        (component,) = find_components(faults)
+        assert result.rounds == component_polygon_via_labelling(component).rounds
 
     def test_overlapping_component_hulls_pile_correctly(self):
         # Component A's concave section passes through component B's nodes:

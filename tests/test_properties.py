@@ -2,12 +2,15 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import get_construction
 from repro.core.components import find_components
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import build_minimum_polygons, component_minimum_polygon
 from repro.core.regions import convexify_regions, extract_regions
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.distributed.dmfp import build_minimum_polygons_distributed, component_outcome
+from repro.faults.scenario import generate_scenario
+from repro.geometry import masks
 from repro.geometry.boundary import boundary_ring, region_perimeter
 from repro.geometry.orthogonal import is_orthogonal_convex, orthogonal_convex_hull
 from repro.geometry.rectangle import bounding_rectangle
@@ -138,3 +141,30 @@ def test_region_extraction_partitions_disabled_nodes(disabled):
         assert not (union & fault_region.nodes)
         union |= fault_region.nodes
     assert union == set(disabled)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 120),
+    st.sampled_from(["random", "clustered"]),
+    st.integers(0, 2**16),
+    st.booleans(),
+    st.booleans(),
+)
+def test_construction_regions_partition_disabled_and_faulty_nodes(
+    num_faults, distribution, seed, torus, kernel
+):
+    # mean_region_size is the disabled-node count over the region count;
+    # that equals the mean of the region sizes only because every
+    # construction's regions partition its disabled cells.
+    scenario = generate_scenario(num_faults, width=20, model=distribution, seed=seed)
+    topology = Torus2D(20, 20) if torus else Mesh2D(20, 20)
+    with masks.use_kernel(kernel):
+        for key in ("fb", "fp", "mfp", "cmfp", "dmfp"):
+            result = get_construction(key).build(scenario.faults, topology)
+            grid, regions = result.grid, result.regions
+            sizes = sum(r.size for r in regions)
+            assert sizes == grid.num_disabled, key
+            assert sum(r.num_faulty for r in regions) == grid.num_faulty, key
+            assert result.mean_region_size == result.raw.mean_region_size, key
+            assert result.mean_region_size == sizes / len(regions), key

@@ -1,14 +1,25 @@
 """Unit tests for fault-region extraction (repro.core.regions)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.api import get_construction
 from repro.core.regions import (
     FaultRegion,
+    RegionList,
     extract_regions,
     region_statistics,
     regions_from_masks,
 )
+from repro.faults.scenario import generate_scenario
+from repro.geometry import masks
+
+
+def _kernel_build(key, scenario):
+    with masks.use_kernel(True):
+        return get_construction(key).build(scenario)
 
 
 class TestFaultRegion:
@@ -78,6 +89,53 @@ class TestExtractRegions:
         first = extract_regions(disabled, [])
         second = extract_regions(list(reversed(disabled)), [])
         assert [r.nodes for r in first] == [r.nodes for r in second]
+
+    @pytest.mark.parametrize("key", ["fb", "fp", "mfp", "dmfp"])
+    def test_construction_regions_build_once_on_first_access(self, key, region_builds):
+        scenario = generate_scenario(40, width=16, model="clustered", seed=5)
+        result = _kernel_build(key, scenario)
+        assert isinstance(result.regions, RegionList)
+        assert len(result.regions) == result.num_regions > 1 and result.regions
+        assert region_builds == []
+        first = list(result.regions)
+        assert region_builds == list(range(len(first)))
+        assert all(a is b for a, b in zip(result.regions, first))
+        assert result.regions.index(first[-1]) == len(first) - 1
+        assert len(region_builds) == len(first)
+        assert first == extract_regions(result.grid.disabled_set(), scenario.faults)
+
+    def test_region_list_compares_pickles_and_slices_like_a_list(self):
+        scenario = generate_scenario(40, width=16, model="random", seed=8)
+        result = _kernel_build("mfp", scenario)
+        oracle = extract_regions(result.grid.disabled_set(), scenario.faults)
+        clone = pickle.loads(pickle.dumps(result.regions))
+        assert clone == oracle and oracle == clone
+        assert result.regions == oracle and oracle == result.regions
+        assert result.regions == clone and result.regions != oracle[:-1]
+        assert result.regions != oracle[::-1] and oracle[::-1] != result.regions
+        assert result.regions != [] and [] != result.regions
+        assert result.regions != tuple(oracle)
+        assert pickle.loads(pickle.dumps(result.regions)) == oracle
+        assert repr(result.regions) == repr(list(result.regions))
+        assert result.regions[-1] == oracle[-1]
+        assert result.regions[1:3] == oracle[1:3]
+        assert result.regions[::-2] == oracle[::-2]
+        assert list(reversed(result.regions)) == oracle[::-1]
+        with pytest.raises(TypeError):
+            hash(result.regions)
+        empty = _kernel_build("mfp", generate_scenario(0, width=8)).regions
+        assert isinstance(empty, RegionList) and not empty
+        assert empty == [] and [] == empty and empty == RegionList(
+            np.zeros((8, 8), dtype=np.int32), 0, np.zeros((8, 8), dtype=bool)
+        )
+
+    def test_region_list_snapshots_the_fault_mask(self):
+        scenario = generate_scenario(40, width=16, model="clustered", seed=5)
+        result = _kernel_build("fp", scenario)
+        expected = extract_regions(result.grid.disabled_set(), scenario.faults)
+        result.grid.faulty[:] = False
+        assert list(result.regions) == expected
+        assert sum(r.num_faulty for r in result.regions) == scenario.num_faults
 
     def test_regions_from_masks(self):
         disabled = np.zeros((5, 5), dtype=bool)
