@@ -2,12 +2,13 @@
 """Differential benchmark: the bitmask kernel vs the set-based oracle.
 
 Runs the MFP / CMFP / DMFP constructions twice on the same scenario -- once
-with the :mod:`repro.geometry.masks` kernel enabled (the default code path)
-and once with it switched off (the legacy set-based implementations, kept
-as the differential-test oracle) -- asserts the results are bit-identical,
-and times both.  A routing-sweep benchmark then measures the cost of
-repeated router instantiations, comparing the region-index fast path
-against a faithful re-enactment of the pre-kernel per-node dict build.
+through the production builders, which run on the
+:mod:`repro.geometry.masks` kernel, and once through the set-based
+reference builders of :mod:`repro.core.reference` (the differential-test
+oracle) -- asserts the results are bit-identical, and times both.  A
+routing-sweep benchmark then measures the cost of repeated router
+instantiations, comparing the region-index fast path against a faithful
+re-enactment of the pre-kernel per-node dict build.
 
 The measurements are written as machine-readable JSON (see the README's
 "Performance" section for the schema); the committed reference run lives at
@@ -38,10 +39,10 @@ if __package__ in (None, ""):  # allow running straight from a checkout
 import numpy as np
 
 from repro._array_ops import active_backend_key
+from repro.core import reference
 from repro.core.mfp import build_minimum_polygons
 from repro.distributed.dmfp import build_minimum_polygons_distributed, shape_outcome
 from repro.faults.scenario import generate_scenario
-from repro.geometry import masks
 from repro.routing.registry import get_router
 from repro.routing.traffic import TrafficContext, get_traffic
 
@@ -66,7 +67,7 @@ def _best_time(fn, trials: int):
 
 
 def _compare(kernel, oracle) -> list:
-    """Return the list of differences between two construction results."""
+    """Return the differences between a kernel build and its reference."""
     problems = []
     if not np.array_equal(kernel.grid.disabled, oracle.grid.disabled):
         problems.append("disabled masks differ")
@@ -80,9 +81,10 @@ def _compare(kernel, oracle) -> list:
         problems.append("region fault sets differ")
     if kernel.rounds != oracle.rounds:
         problems.append(f"rounds differ ({kernel.rounds} != {oracle.rounds})")
-    if kernel.num_disabled_nonfaulty != oracle.num_disabled_nonfaulty:
+    if kernel.num_disabled_nonfaulty != oracle.grid.num_disabled_nonfaulty:
         problems.append("disabled-nonfaulty counts differ")
-    if kernel.mean_region_size != oracle.mean_region_size:
+    sizes = [r.size for r in oracle.regions]
+    if kernel.mean_region_size != (sum(sizes) / len(sizes) if sizes else 0.0):
         problems.append("mean region sizes differ")
     return problems
 
@@ -106,24 +108,26 @@ def _seed_style_router_setup(topology, regions):
 
 
 def bench_constructions(scenario, topology, trials: int) -> dict:
+    faults = scenario.faults
     builders = {
-        "mfp": lambda: build_minimum_polygons(
-            scenario.faults, topology=topology, compute_rounds=False
+        "mfp": (
+            lambda: build_minimum_polygons(faults, topology=topology, compute_rounds=False),
+            lambda: reference.build_mfp(faults, topology, compute_rounds=False),
         ),
-        "cmfp": lambda: build_minimum_polygons(
-            scenario.faults, topology=topology, compute_rounds=True
+        "cmfp": (
+            lambda: build_minimum_polygons(faults, topology=topology, compute_rounds=True),
+            lambda: reference.build_cmfp(faults, topology),
         ),
-        "dmfp": lambda: build_minimum_polygons_distributed(
-            scenario.faults, topology=topology
+        "dmfp": (
+            lambda: build_minimum_polygons_distributed(faults, topology=topology),
+            lambda: reference.build_dmfp(faults, topology),
         ),
     }
     report = {}
-    for key, builder in builders.items():
+    for key, (builder, reference_builder) in builders.items():
         # Symmetric best-of-N on both paths so the speedup is unbiased.
-        with masks.use_kernel(True):
-            kernel_s, kernel_result = _best_time(builder, trials)
-        with masks.use_kernel(False):
-            legacy_s, legacy_result = _best_time(builder, trials)
+        kernel_s, kernel_result = _best_time(builder, trials)
+        legacy_s, legacy_result = _best_time(reference_builder, trials)
         problems = _compare(kernel_result, legacy_result)
         if problems:
             raise SystemExit(
@@ -156,10 +160,9 @@ def bench_routing(scenario, topology, builds: int, messages: int, seed: int) -> 
     fault density (8%), where messages are cheap enough that instantiation
     overhead is visible, as it is in the real sweeps.
     """
-    with masks.use_kernel(True):
-        construction = build_minimum_polygons(
-            scenario.faults, topology=topology, compute_rounds=False
-        )
+    construction = build_minimum_polygons(
+        scenario.faults, topology=topology, compute_rounds=False
+    )
     router_spec = get_router("extended-ecube")
     uniform = get_traffic("uniform")
 

@@ -18,11 +18,12 @@ differ (``identical``).
 clustered 100x100 mesh, routing a steady traffic mix after each event
 (the warm-serving regime: the region working set is stable, faults
 trickle in), and time ``update + route`` cycles with incremental engine
-deltas on (``use_engine_deltas(True)``: jump tables and packed rings
-delta-patched from the predecessor router) versus off (full rebuild per
-update, the differential oracle).  The routed stats of the two modes
-must be bit-identical (``identical``); the speedup is the rebuild time
-over the delta time.
+deltas (the default: jump tables and packed rings delta-patched from the
+predecessor router) versus full rebuilds per update (the differential
+oracle; :func:`full_rebuilds` makes the session's transplant seam
+``repro.api.routing.transplant_engine_state`` a no-op).  The routed stats
+of the two modes must be bit-identical (``identical``); the speedup is the
+rebuild time over the delta time.
 
 **overload** -- offer more load than the daemon admits: concurrent
 clients hammer a daemon whose pending-pair queue is capped
@@ -54,11 +55,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 if __package__ in (None, ""):  # allow running straight from a checkout
     _src = Path(__file__).resolve().parent.parent / "src"
@@ -67,7 +70,8 @@ if __package__ in (None, ""):  # allow running straight from a checkout
 
 import numpy as np
 
-from repro.api import MeshSession, use_engine_deltas
+import repro.api.routing as api_routing
+from repro.api import MeshSession
 from repro.faults.scenario import generate_scenario
 from repro.serve import InProcessClient, RetryPolicy, RouteDaemon
 
@@ -202,9 +206,16 @@ def churn_events(width: int, updates: int, seed: int):
     return events
 
 
+def full_rebuilds():
+    """Make every router rebuild its engine state: nothing is transplanted."""
+    return mock.patch.object(
+        api_routing, "transplant_engine_state", lambda old_router, new_router: False
+    )
+
+
 def run_churn(scenario, events, messages: int, seed: int, *, deltas: bool):
     """Apply every churn event and route after each; time update+route."""
-    with use_engine_deltas(deltas):
+    with contextlib.nullcontext() if deltas else full_rebuilds():
         session = MeshSession.from_scenario(scenario)
         # Warm every cache on the initial fault set so the timed loop
         # measures updates, not first-touch construction.  The routed

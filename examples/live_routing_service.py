@@ -70,8 +70,7 @@ async def main() -> None:
     mesh = status["mesh"]
     print(
         f"serving {mesh['width']}x{mesh['height']} mesh, "
-        f"{mesh['faults']} faults in {mesh['components']} components, "
-        f"engine deltas {'on' if status['engine_deltas'] else 'off'}"
+        f"{mesh['faults']} faults in {mesh['components']} components"
     )
 
     print("\n1. steady traffic on the initial scenario")

@@ -58,9 +58,7 @@ from repro.geometry import (
     concave_row_sections,
     concave_sections,
     is_orthogonal_convex,
-    kernel_enabled,
     orthogonal_convex_hull,
-    use_kernel,
 )
 from repro.faults import (
     ClusteredFaultModel,
@@ -145,8 +143,6 @@ __all__ = [
     "concave_column_sections",
     "concave_sections",
     "boundary_ring",
-    "kernel_enabled",
-    "use_kernel",
     # faults
     "RandomFaultModel",
     "ClusteredFaultModel",

@@ -7,45 +7,13 @@ semantics: case-insensitive keys (``_`` and ``-`` interchangeable),
 aliases, collision detection, and a ``replace=True`` mode that may only
 take over one key (never hijack another spec's names).  This class is that
 machinery, parameterised on the registered noun; the registry modules own
-the spec types and the domain-specific wrappers.  :func:`env_flag` parses
-the boolean environment toggles (``REPRO_MASK_KERNEL``,
-``REPRO_ENGINE_DELTAS``) the same way everywhere.
+the spec types and the domain-specific wrappers.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
-
-
-_FLAG_VALUES = {
-    "1": True,
-    "true": True,
-    "yes": True,
-    "on": True,
-    "0": False,
-    "false": False,
-    "no": False,
-    "off": False,
-}
-
-
-def env_flag(name: str, default: bool = True) -> bool:
-    """Read the boolean environment toggle *name* (*default* when unset).
-
-    Accepts ``1/0``, ``true/false``, ``yes/no`` and ``on/off`` in any case;
-    anything else raises ``ValueError`` naming the variable, so a typo
-    never silently keeps the default.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return _FLAG_VALUES[raw.strip().lower()]
-    except KeyError:
-        choices = "/".join(_FLAG_VALUES)
-        raise ValueError(f"{name}={raw!r} is not a boolean; use one of {choices}") from None
 
 
 def make_spec_options(

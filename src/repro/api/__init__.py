@@ -28,7 +28,7 @@ On top of the routing facade sits the network simulator of
 :mod:`repro.netsim` (:class:`NetSimSession`, reachable as
 ``session.simulate(...)``): open-loop injection, per-virtual-channel
 contention, latency / saturation verdicts, with the ``array`` / ``scalar``
-simulator registry switched by ``REPRO_NETSIM``.
+simulator registry selected per call by ``sim=``.
 
 Underneath all of it, the hot array primitives (labelling, span fills,
 jump-table scans, traversal windows, netsim arbitration) have one NumPy
@@ -93,25 +93,16 @@ from repro.netsim import (
     NetSimStats,
     SimulatorSpec,
     available_simulators,
-    default_simulator,
     get_simulator,
     register_simulator,
-    set_default_simulator,
     simulator_keys,
-    use_simulator,
 )
 from repro.routing.engine import (
     EngineSpec,
     available_engines,
-    default_engine,
-    engine_deltas_enabled,
     engine_keys,
     get_engine,
     register_engine,
-    set_default_engine,
-    set_engine_deltas,
-    use_engine,
-    use_engine_deltas,
 )
 from repro.routing.registry import (
     RouterOptions,
@@ -180,12 +171,6 @@ __all__ = [
     "register_engine",
     "engine_keys",
     "available_engines",
-    "default_engine",
-    "set_default_engine",
-    "use_engine",
-    "engine_deltas_enabled",
-    "set_engine_deltas",
-    "use_engine_deltas",
     # network simulator facade + registry
     "NetSimSession",
     "NetSimStats",
@@ -194,9 +179,6 @@ __all__ = [
     "register_simulator",
     "simulator_keys",
     "available_simulators",
-    "default_simulator",
-    "set_default_simulator",
-    "use_simulator",
     # executor
     "SweepExecutor",
     "TRIAL_KINDS",

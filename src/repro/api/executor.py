@@ -134,7 +134,7 @@ class RoutingTrialSpec:
     traffic_options: Optional[TrafficOptions] = None
     router_options: Optional[RouterOptions] = None
     #: Routing-engine registry key (``"scalar"`` / ``"batch"`` / ``"auto"``);
-    #: ``None`` follows the worker's ambient default (normally ``auto``).
+    #: ``None`` means ``auto``.
     engine: Optional[str] = None
     specs: Tuple[ConstructionSpec, ...] = ()
     #: The resolved router/traffic/engine specs, carried (like ``specs``)
@@ -179,7 +179,7 @@ class NetSimTrialSpec:
     arrival_options: Optional[TrafficOptions] = None
     router_options: Optional[RouterOptions] = None
     #: Simulator registry key (``"array"`` / ``"scalar"`` / ``"auto"``);
-    #: ``None`` follows the worker's ambient default (``REPRO_NETSIM``).
+    #: ``None`` means ``auto``.
     sim: Optional[str] = None
     specs: Tuple[ConstructionSpec, ...] = ()
     router_spec: Optional[RouterSpec] = None
@@ -220,7 +220,7 @@ def resolve_key(name: str, key: Optional[str]) -> Tuple[Optional[str], Any]:
     """Resolve the registry-key trial field *name*: ``(canonical key, spec)``.
 
     The perf selectors ``engine`` and ``sim`` keep ``None`` and
-    ``"auto"`` (the worker's ambient default) and resolve them to no
+    ``"auto"`` (the per-call automatic choice) and resolve them to no
     spec.  An unknown key raises ``KeyError``, so typos fail before any
     work is dispatched.  Planning, worker re-registration, campaign key
     normalisation and campaign option revival all resolve through here.

@@ -134,8 +134,8 @@ class ConstructionResult:
     key: str
     label: str
     grid: StatusGrid
-    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`
-    #: on the mask-kernel path, built on first access to a region.
+    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`,
+    #: built on first access to a region.
     regions: Sequence[FaultRegion]
     rounds: int
     raw: Any

@@ -25,16 +25,15 @@ auto-enables per-route result collection, so the channel-dependency check
 can never fail mid-analysis for lack of results.
 
 **Default engine rule.**  Batches are routed by the engine registry of
-:mod:`repro.routing.engine`: with the default ``engine=None`` /
-``REPRO_ROUTE_ENGINE=auto`` selection, ``route`` picks the vectorized
-**batch** engine whenever it can serve the request -- per-route results
-not requested (``collect_results=False`` and no ``check_deadlock``) and
-the router one of the built-ins -- and the per-message **scalar** loop
-otherwise, which stays the path-collecting / deadlock-check oracle.  The
-two produce bit-identical aggregate statistics; the chosen key is
-recorded on ``stats.engine``.  An explicit ``engine=`` argument is
-strict (a batch request it cannot serve raises ``ValueError``), the
-ambient default is lenient and falls back to scalar.
+:mod:`repro.routing.engine`: with the default ``engine=None`` (``auto``),
+``route`` picks the vectorized **batch** engine whenever it can serve the
+request -- per-route results not requested (``collect_results=False`` and
+no ``check_deadlock``) and the router one of the built-ins -- and the
+per-message **scalar** loop otherwise, which stays the path-collecting /
+deadlock-check oracle.  The two produce bit-identical aggregate
+statistics; the chosen key is recorded on ``stats.engine``.  An explicit
+``engine=`` argument is strict (a batch request it cannot serve raises
+``ValueError``).
 
 The session also owns a :class:`~repro.routing.engine.RegionRingCache`
 attached to every router it builds, so routers rebuilt after
@@ -52,7 +51,6 @@ from repro import _array_ops
 from repro.api.registry import ConstructionOptions
 from repro.routing.engine import (
     RegionRingCache,
-    engine_deltas_enabled,
     resolve_engine,
     transplant_engine_state,
 )
@@ -145,12 +143,11 @@ class RoutingSession:
             # A fault update invalidated the previous router for this key:
             # instead of rebuilding its engine state (jump tables, packed
             # rings) from scratch, delta-patch it from the predecessor --
-            # only the touched rows/columns/regions are re-derived.
-            # REPRO_ENGINE_DELTAS=0 / use_engine_deltas(False) restores
-            # the full-rebuild behaviour (the differential oracle).
-            if cached is not None and engine_deltas_enabled():
-                if transplant_engine_state(cached[1], router_obj):
-                    self._session.cache_info["delta_applies"] += 1
+            # only the touched rows/columns/regions are re-derived.  The
+            # differential tests replace this module's
+            # ``transplant_engine_state`` to get full rebuilds.
+            if cached is not None and transplant_engine_state(cached[1], router_obj):
+                self._session.cache_info["delta_applies"] += 1
             self._routers[key] = (version, router_obj)
         cached_context = self._contexts.get(key)
         if cached_context is not None and cached_context[0] == version:
@@ -219,12 +216,11 @@ class RoutingSession:
         yields a bit-identical batch (and therefore identical stats).
 
         *engine* names the routing engine (engine registry key); the
-        default follows :func:`repro.routing.engine.default_engine`:
-        ``auto`` selects the vectorized batch kernel whenever per-route
-        results are not requested and the router is a built-in, and the
-        scalar per-message loop otherwise.  Both engines produce
-        bit-identical statistics; the key actually used is recorded on
-        ``stats.engine``.  An explicit *engine* is strict and raises
+        default ``None`` means ``auto``, which selects the vectorized batch
+        kernel whenever per-route results are not requested and the router
+        is a built-in, and the scalar per-message loop otherwise.  Both
+        engines produce bit-identical statistics; the key actually used is
+        recorded on ``stats.engine``.  An explicit *engine* is strict and raises
         ``ValueError`` when it cannot serve the request.
 
         *check_deadlock* runs the channel-dependency-cycle analysis on the
@@ -290,7 +286,7 @@ class RoutingSession:
         Convenience for :meth:`repro.netsim.NetSimSession.simulate`: the
         spatial workload and arrival process resolve through the traffic
         registry, the simulator through the simulator registry
-        (``REPRO_NETSIM``), and the routed paths are memoised per router /
+        (``sim=``), and the routed paths are memoised per router /
         construction across calls.  Returns a
         :class:`~repro.netsim.stats.NetSimStats`.
         """

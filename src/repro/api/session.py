@@ -69,7 +69,6 @@ from repro.core.mfp import (
 from repro.distributed.dmfp import assemble_distributed
 from repro.faults.links import links_to_node_faults, make_link_fault_set
 from repro.faults.scenario import FaultScenario
-from repro.geometry import masks
 from repro.geometry.boundary import eight_neighbours
 from repro.mesh.topology import Mesh2D, Topology, Torus2D
 from repro.types import Coord
@@ -484,16 +483,8 @@ class MeshSession:
         Round counts depend only on a component's shape, so they are cached
         per node set; the cache misses are emulated batched
         (:func:`repro.core.mfp.emulate_rounds_each`) instead of one
-        labelling run per component.  With the mask kernel switched off the
-        per-component labelling emulation runs instead, so the oracle path
-        stays entirely legacy.
+        labelling run per component.
         """
-        if not masks.kernel_enabled():
-            rounds = 0
-            for component in components:
-                entry = self.component_labelling(component)
-                rounds = max(rounds, entry.rounds)
-            return rounds
         missing = [c for c in components if c.nodes not in self._rounds_cache]
         if missing:
             self.cache_info["component_misses"] += len(missing)

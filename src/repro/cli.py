@@ -37,9 +37,9 @@ command resolves its fault-region models through the construction registry
     Start the long-lived routing daemon (:mod:`repro.serve`) on one
     generated fault pattern: route queries over newline-delimited JSON,
     micro-batched into single engine calls, with fault churn applied as
-    incremental engine deltas (``REPRO_ENGINE_DELTAS``).  ``--journal``
-    makes the daemon crash-recoverable (a non-empty journal is replayed
-    on start-up); ``--max-pending`` / ``--max-inflight`` bound admission.
+    incremental engine deltas.  ``--journal`` makes the daemon
+    crash-recoverable (a non-empty journal is replayed on start-up);
+    ``--max-pending`` / ``--max-inflight`` bound admission.
 
 ``repro-mesh query``
     Client of a running daemon: route explicit or random pairs, stream

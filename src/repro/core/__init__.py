@@ -16,6 +16,8 @@ paper's evaluation and the machinery shared between them:
   centralized solutions from Section 3.1 and the superseding rule.
 * :mod:`repro.core.regions` -- extraction of disjoint fault regions and the
   per-region statistics used by the evaluation figures.
+* :mod:`repro.core.reference` -- set-based reference builds of every
+  construction, which the differential tests call by name.
 """
 
 from repro.core.labelling import (

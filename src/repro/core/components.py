@@ -127,30 +127,29 @@ def find_components(
         Components in deterministic discovery order (sorted seed nodes).
     """
     fault_set: Set[Coord] = set(faults)
-    if masks.kernel_enabled():
-        local = masks.try_local_mask(fault_set)
-        if local is not None:
-            mask, (min_x, min_y) = local
-            labels, count = masks.label_mask(mask, connectivity=8 if diagonal else 4)
-            xs, ys = np.nonzero(labels)
-            lab = labels[xs, ys]
-            order = np.argsort(lab, kind="stable")  # keeps (x, y) order per label
-            xl = (xs[order] + min_x).tolist()
-            yl = (ys[order] + min_y).tolist()
-            bounds = np.searchsorted(lab[order], np.arange(1, count + 2)).tolist()
-            return [
-                FaultComponent(
-                    index=index,
-                    nodes=frozenset(
-                        zip(
-                            xl[bounds[index] : bounds[index + 1]],
-                            yl[bounds[index] : bounds[index + 1]],
-                        )
-                    ),
+    local = masks.try_local_mask(fault_set)
+    if local is None:
+        return find_components_bfs(fault_set, diagonal)
+    mask, (min_x, min_y) = local
+    labels, count = masks.label_mask(mask, connectivity=8 if diagonal else 4)
+    xs, ys = np.nonzero(labels)
+    lab = labels[xs, ys]
+    order = np.argsort(lab, kind="stable")  # keeps (x, y) order per label
+    xl = (xs[order] + min_x).tolist()
+    yl = (ys[order] + min_y).tolist()
+    bounds = np.searchsorted(lab[order], np.arange(1, count + 2)).tolist()
+    return [
+        FaultComponent(
+            index=index,
+            nodes=frozenset(
+                zip(
+                    xl[bounds[index] : bounds[index + 1]],
+                    yl[bounds[index] : bounds[index + 1]],
                 )
-                for index in range(count)
-            ]
-    return find_components_bfs(fault_set, diagonal)
+            ),
+        )
+        for index in range(count)
+    ]
 
 
 def find_components_bfs(

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from repro.core.labelling import apply_labelling_scheme_1, faults_to_mask
 from repro.core.regions import FaultRegion, extract_regions_and_index, mean_region_size
-from repro.geometry import masks
 from repro.faults.scenario import FaultScenario
 from repro.mesh.status import StatusGrid
 from repro.mesh.topology import Mesh2D, Topology
@@ -27,8 +26,8 @@ class FaultyBlockConstruction:
     """Result of constructing rectangular faulty blocks for one fault set."""
 
     grid: StatusGrid
-    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`
-    #: on the mask-kernel path, built on first access to a region.
+    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`,
+    #: built on first access to a region.
     regions: Sequence[FaultRegion]
     rounds: int
     model: FaultRegionModel = FaultRegionModel.FAULTY_BLOCK
@@ -76,9 +75,7 @@ def build_faulty_blocks(
     # Under the faulty block model every unsafe node is disabled.
     grid.disabled = scheme1.labels.copy()
 
-    regions, region_index = extract_regions_and_index(
-        grid.disabled, grid.faulty, build_index=masks.kernel_enabled()
-    )
+    regions, region_index = extract_regions_and_index(grid.disabled, grid.faulty)
     return FaultyBlockConstruction(
         grid=grid, regions=regions, rounds=scheme1.rounds, region_index=region_index
     )

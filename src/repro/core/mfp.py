@@ -31,20 +31,19 @@ the network, so the network-wide figure is the maximum over components.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.components import FaultComponent, find_components
 from repro.core.labelling import apply_labelling_scheme_1, apply_labelling_scheme_2
 from repro.core.regions import FaultRegion, convexify_regions, mean_region_size
-from repro.core.superseding import pile_statuses
 from repro.faults.scenario import FaultScenario
 from repro.geometry import masks
 from repro.geometry.orthogonal import orthogonal_convex_hull_sets
 from repro.mesh.status import StatusGrid
 from repro.mesh.topology import Mesh2D, Topology
-from repro.types import Coord, FaultRegionModel, NodeKind
+from repro.types import Coord, FaultRegionModel
 
 #: Bounding-box area below which the per-component hull fill runs on plain
 #: sets: under ~8x8 cells the numpy call overhead exceeds the interpreted
@@ -90,8 +89,8 @@ class MinimumPolygonConstruction:
     """Result of the centralized minimum faulty polygon construction."""
 
     grid: StatusGrid
-    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`
-    #: on the mask-kernel path, built on first access to a region.
+    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`,
+    #: built on first access to a region.
     regions: Sequence[FaultRegion]
     components: List[FaultComponent]
     component_polygons: List[ComponentPolygon]
@@ -129,36 +128,35 @@ def component_minimum_polygon(component: FaultComponent) -> ComponentPolygon:
     orthogonal convex, yielding the minimum orthogonal convex polygon that
     covers every fault of the component.
     """
-    if masks.kernel_enabled():
-        nodes = component.nodes
-        box = component.bounding_box
-        min_x, min_y = box.min_x, box.min_y
-        width, height = box.width, box.height
-        if width * height == len(nodes):
-            # The component already fills its bounding box (singletons and
-            # solid blocks, the overwhelming majority in random fault
-            # patterns): it is its own hull, no rasterisation needed; the
-            # assembly batches the coordinates of all such polygons into a
-            # single array.
-            return ComponentPolygon(component=component, polygon=nodes)
-        if _SET_HULL_AREA < width * height <= masks.MAX_LOCAL_AREA:
-            pts = np.asarray(list(nodes))
-            mask = np.zeros((width, height), dtype=bool)
-            mask[pts[:, 0] - min_x, pts[:, 1] - min_y] = True
-            hull = masks.hull_mask(mask)
-            hull_xs, hull_ys = np.nonzero(hull)
-            hull_xs = hull_xs + min_x
-            hull_ys = hull_ys + min_y
-            coords = np.empty((hull_xs.size, 2), dtype=hull_xs.dtype)
-            coords[:, 0] = hull_xs
-            coords[:, 1] = hull_ys
-            return ComponentPolygon(
-                component=component,
-                polygon=frozenset(zip(hull_xs.tolist(), hull_ys.tolist())),
-                polygon_coords=coords,
-            )
-        # Below the crossover the interpreted set fill beats the numpy call
-        # overhead on a tiny array; results are identical either way.
+    nodes = component.nodes
+    box = component.bounding_box
+    min_x, min_y = box.min_x, box.min_y
+    width, height = box.width, box.height
+    if width * height == len(nodes):
+        # The component already fills its bounding box (singletons and
+        # solid blocks, the overwhelming majority in random fault
+        # patterns): it is its own hull, no rasterisation needed; the
+        # assembly batches the coordinates of all such polygons into a
+        # single array.
+        return ComponentPolygon(component=component, polygon=nodes)
+    if _SET_HULL_AREA < width * height <= masks.MAX_LOCAL_AREA:
+        pts = np.asarray(list(nodes))
+        mask = np.zeros((width, height), dtype=bool)
+        mask[pts[:, 0] - min_x, pts[:, 1] - min_y] = True
+        hull = masks.hull_mask(mask)
+        hull_xs, hull_ys = np.nonzero(hull)
+        hull_xs = hull_xs + min_x
+        hull_ys = hull_ys + min_y
+        coords = np.empty((hull_xs.size, 2), dtype=hull_xs.dtype)
+        coords[:, 0] = hull_xs
+        coords[:, 1] = hull_ys
+        return ComponentPolygon(
+            component=component,
+            polygon=frozenset(zip(hull_xs.tolist(), hull_ys.tolist())),
+            polygon_coords=coords,
+        )
+    # Below the crossover the interpreted set fill beats the numpy call
+    # overhead on a tiny array; results are identical either way.
     hull = orthogonal_convex_hull_sets(component.nodes)
     return ComponentPolygon(component=component, polygon=frozenset(hull))
 
@@ -359,61 +357,37 @@ def assemble_minimum_polygons(
     :class:`repro.api.MeshSession`) can reuse the piling/superseding step
     without recomputing every polygon.
 
-    With the mask kernel enabled the piling is a whole-array OR of the
-    per-component polygon masks; the superseding rule (faulty > disabled >
-    enabled) holds trivially because the injected faults are already marked
-    faulty/disabled on the grid.  The set-based piling below it is the
-    oracle path (``repro.geometry.masks.use_kernel(False)``).
+    The piling is a whole-array OR of the per-component polygon masks; the
+    superseding rule (faulty > disabled > enabled) holds trivially because
+    the injected faults are already marked faulty/disabled on the grid.
+    :func:`repro.core.reference.build_mfp` piles with the rule itself.
     """
     grid = StatusGrid(topology, faults)
-    if masks.kernel_enabled():
-        arrays: List[np.ndarray] = []
-        loose: List[Coord] = []
-        for entry in component_polygons:
-            if entry.polygon_coords is not None:
-                arrays.append(entry.polygon_coords)
-            else:
-                loose.extend(entry.polygon)
-        if loose:
-            arrays.append(np.asarray(loose))
-        if arrays:
-            pts = np.concatenate(arrays, axis=0)
-            width, height = grid.disabled.shape
-            keep = (
-                (pts[:, 0] >= 0)
-                & (pts[:, 0] < width)
-                & (pts[:, 1] >= 0)
-                & (pts[:, 1] < height)
-            )
-            pts = pts[keep]
-            grid.disabled[pts[:, 0], pts[:, 1]] = True
-            grid.unsafe[pts[:, 0], pts[:, 1]] = True
-    else:
-        fault_set = set(faults)
-        layers = []
-        for entry in component_polygons:
-            layer: Dict[Coord, NodeKind] = {}
-            for node in entry.polygon:
-                if node in fault_set:
-                    layer[node] = NodeKind.FAULTY
-                else:
-                    layer[node] = NodeKind.DISABLED
-            layers.append(layer)
-        piled = pile_statuses(layers)
-        for node, status in piled.items():
-            if status == NodeKind.DISABLED and topology.contains(node):
-                grid.mark_disabled(node)
-                grid.mark_unsafe(node)
+    arrays: List[np.ndarray] = []
+    loose: List[Coord] = []
+    for entry in component_polygons:
+        if entry.polygon_coords is not None:
+            arrays.append(entry.polygon_coords)
+        else:
+            loose.extend(entry.polygon)
+    if loose:
+        arrays.append(np.asarray(loose))
+    if arrays:
+        pts = np.concatenate(arrays, axis=0)
+        width, height = grid.disabled.shape
+        keep = (
+            (pts[:, 0] >= 0)
+            & (pts[:, 0] < width)
+            & (pts[:, 1] >= 0)
+            & (pts[:, 1] < height)
+        )
+        pts = pts[keep]
+        grid.disabled[pts[:, 0], pts[:, 1]] = True
+        grid.unsafe[pts[:, 0], pts[:, 1]] = True
     # Overlapping per-component polygons can merge into a non-convex region;
     # fill such regions to their hulls so every final region satisfies
-    # Definition 1 (which the extended e-cube router depends on).  The
-    # region-index grid is only produced on the kernel path, where the
-    # labelling yields it for free; the oracle path mirrors the original
-    # set-based construction exactly.
-    if masks.kernel_enabled():
-        regions, region_index = convexify_regions(grid, return_index=True)
-    else:
-        regions, region_index = convexify_regions(grid), None
+    # Definition 1 (which the extended e-cube router depends on).
+    regions, region_index = convexify_regions(grid, return_index=True)
     return MinimumPolygonConstruction(
         grid=grid,
         regions=regions,
@@ -446,15 +420,8 @@ def build_minimum_polygons(
         topology = Mesh2D(width, height if height is not None else width)
     components = find_components(faults)
     component_polygons = [component_minimum_polygon(c) for c in components]
-    rounds = 0
-    if compute_rounds:
-        # Round accounting follows the labelling emulation (Solution A).
-        if masks.kernel_enabled():
-            rounds = emulate_rounds(components)
-        else:
-            for component in components:
-                emulated = component_polygon_via_labelling(component)
-                rounds = max(rounds, emulated.rounds)
+    # Round accounting follows the labelling emulation (Solution A).
+    rounds = emulate_rounds(components) if compute_rounds else 0
     return assemble_minimum_polygons(faults, topology, component_polygons, rounds, components)
 
 

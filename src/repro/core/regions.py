@@ -7,12 +7,12 @@ number of faulty and non-faulty nodes it contains (Figures 9 and 10) and
 its shape properties (rectangularity for FB, orthogonal convexity for FP
 and MFP -- both are asserted by the test suite).
 
-On the mask-kernel path the regions come back as a :class:`RegionList`:
-the canonical label grid, turned into :class:`FaultRegion` objects only
-when a caller first looks inside a region.  The figure scalars need only
-the region count and the disabled-node count (:func:`mean_region_size`),
-so a sweep never builds the per-node frozensets.  The set-based oracle
-path returns plain lists.
+Constructions return their regions as a :class:`RegionList`: the
+canonical label grid, turned into :class:`FaultRegion` objects only when a
+caller first looks inside a region.  The figure scalars need only the
+region count and the disabled-node count (:func:`mean_region_size`), so a
+sweep never builds the per-node frozensets.  :func:`extract_regions` is
+the set-based reference, returning a plain list.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from repro.geometry import masks
-from repro.geometry.orthogonal import is_orthogonal_convex, orthogonal_convex_hull
+from repro.geometry.orthogonal import is_orthogonal_convex
 from repro.geometry.rectangle import Rectangle, bounding_rectangle
 from repro.types import Coord
 
@@ -129,9 +129,8 @@ def regions_from_masks(disabled: np.ndarray, faulty: np.ndarray) -> Sequence[Fau
     """Extract regions from boolean ``[x, y]`` masks.
 
     Uses the vectorized 4-connected labelling of
-    :mod:`repro.geometry.masks`; falls back to the set-based
-    :func:`extract_regions` oracle when the kernel is switched off.  Both
-    produce bit-identical region lists.
+    :mod:`repro.geometry.masks`; the result equals the set-based
+    :func:`extract_regions` reference element by element.
     """
     regions, _ = extract_regions_and_index(disabled, faulty, build_index=False)
     return regions
@@ -239,24 +238,13 @@ def extract_regions_and_index(
     router instantiation.  Pass ``build_index=False`` to skip it when only
     the region list is needed.
 
-    On the kernel path the regions are a lazy :class:`RegionList` over the
-    label grid (a snapshot of *faulty* included), so counting them builds
-    no :class:`FaultRegion`; the set-based oracle path returns a list.
+    The regions are a lazy :class:`RegionList` over the label grid (a
+    snapshot of *faulty* included), so counting them builds no
+    :class:`FaultRegion`.
     """
-    if masks.kernel_enabled():
-        labels, count = masks.label_mask(disabled, connectivity=4)
-        index_grid = labels - 1 if build_index else None
-        return RegionList(labels, count, faulty), index_grid
-    disabled_nodes = {(int(x), int(y)) for x, y in zip(*np.nonzero(disabled))}
-    fault_nodes = {(int(x), int(y)) for x, y in zip(*np.nonzero(faulty))}
-    regions = extract_regions(disabled_nodes, fault_nodes)
-    index_grid = None
-    if build_index:
-        index_grid = np.full(disabled.shape, -1, dtype=np.int32)
-        for region in regions:
-            pts = np.asarray(sorted(region.nodes))
-            index_grid[pts[:, 0], pts[:, 1]] = region.index
-    return regions, index_grid
+    labels, count = masks.label_mask(disabled, connectivity=4)
+    index_grid = labels - 1 if build_index else None
+    return RegionList(labels, count, faulty), index_grid
 
 
 def convexify_regions(grid, return_index: bool = False):
@@ -271,41 +259,30 @@ def convexify_regions(grid, return_index: bool = False):
     the fixpoint loop (it terminates because the disabled set only grows
     and is bounded by the mesh).  In the common non-overlapping case this
     is a single extraction with no extra work.
+    :func:`repro.core.reference.merge_fill` is the set-based reference of
+    the same fixpoint.
 
     With ``return_index=True`` the result is ``(regions, region_index)``
     where the index grid maps cells to region indices (see
-    :func:`extract_regions_and_index`).  On the kernel path the regions
-    are a lazy :class:`RegionList` over the final label grid.
+    :func:`extract_regions_and_index`).  The regions are a lazy
+    :class:`RegionList` over the final label grid.
     """
-    if masks.kernel_enabled():
-        while True:
-            labels, count = masks.label_mask(grid.disabled, connectivity=4)
-            dirty_labels = masks.nonconvex_labels(labels, count)
-            if dirty_labels.size == 0:
-                # Only the final, convex partition becomes a region list;
-                # intermediate fixpoint iterations stay in array land.
-                regions = RegionList(labels, count, grid.faulty)
-                return (regions, labels - 1) if return_index else regions
-            for label in dirty_labels.tolist():
-                cells = labels == label
-                xs, ys = np.nonzero(cells)
-                x0, x1 = int(xs.min()), int(xs.max())
-                y0, y1 = int(ys.min()), int(ys.max())
-                hull = masks.hull_mask(cells[x0 : x1 + 1, y0 : y1 + 1])
-                grid.disabled[x0 : x1 + 1, y0 : y1 + 1] |= hull
-                grid.unsafe[x0 : x1 + 1, y0 : y1 + 1] |= hull
     while True:
-        regions, index_grid = extract_regions_and_index(
-            grid.disabled, grid.faulty, build_index=return_index
-        )
-        dirty = [r for r in regions if not r.is_orthogonal_convex]
-        if not dirty:
-            return (regions, index_grid) if return_index else regions
-        for region in dirty:
-            for node in orthogonal_convex_hull(region.nodes):
-                if grid.topology.contains(node) and not grid.disabled[node]:
-                    grid.mark_disabled(node)
-                    grid.mark_unsafe(node)
+        labels, count = masks.label_mask(grid.disabled, connectivity=4)
+        dirty_labels = masks.nonconvex_labels(labels, count)
+        if dirty_labels.size == 0:
+            # Only the final, convex partition becomes a region list;
+            # intermediate fixpoint iterations stay in array land.
+            regions = RegionList(labels, count, grid.faulty)
+            return (regions, labels - 1) if return_index else regions
+        for label in dirty_labels.tolist():
+            cells = labels == label
+            xs, ys = np.nonzero(cells)
+            x0, x1 = int(xs.min()), int(xs.max())
+            y0, y1 = int(ys.min()), int(ys.max())
+            hull = masks.hull_mask(cells[x0 : x1 + 1, y0 : y1 + 1])
+            grid.disabled[x0 : x1 + 1, y0 : y1 + 1] |= hull
+            grid.unsafe[x0 : x1 + 1, y0 : y1 + 1] |= hull
 
 
 def region_statistics(regions: Sequence[FaultRegion]) -> Dict[str, float]:

@@ -24,7 +24,6 @@ from repro.core.labelling import (
     faults_to_mask,
 )
 from repro.core.regions import FaultRegion, extract_regions_and_index, mean_region_size
-from repro.geometry import masks
 from repro.faults.scenario import FaultScenario
 from repro.mesh.status import StatusGrid
 from repro.mesh.topology import Mesh2D, Topology
@@ -36,8 +35,8 @@ class SubMinimumConstruction:
     """Result of the sub-minimum faulty polygon construction."""
 
     grid: StatusGrid
-    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`
-    #: on the mask-kernel path, built on first access to a region.
+    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`,
+    #: built on first access to a region.
     regions: Sequence[FaultRegion]
     rounds_scheme1: int
     rounds_scheme2: int
@@ -92,9 +91,7 @@ def build_sub_minimum_polygons(
     grid.unsafe = scheme1.labels.copy()
     grid.disabled = scheme2.labels.copy()
 
-    regions, region_index = extract_regions_and_index(
-        grid.disabled, grid.faulty, build_index=masks.kernel_enabled()
-    )
+    regions, region_index = extract_regions_and_index(grid.disabled, grid.faulty)
     return SubMinimumConstruction(
         grid=grid,
         regions=regions,

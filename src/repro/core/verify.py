@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Set
 
 from repro.core.components import find_components
-from repro.core.regions import FaultRegion, extract_regions
+from repro.core.reference import merge_fill
+from repro.core.regions import FaultRegion
 from repro.geometry.orthogonal import orthogonal_convex_hull
 from repro.types import Coord
 
@@ -109,25 +110,6 @@ def verify_orthogonal_convexity(construction, faults: Iterable[Coord]) -> Verifi
     return report
 
 
-def _merge_fill(disabled: Set[Coord], fault_set: Set[Coord]) -> Set[Coord]:
-    """Close a disabled set under the merged-region convexity fill.
-
-    Mirrors :func:`repro.core.regions.convexify_regions`: piled component
-    hulls that touch or overlap merge into one region, and a merged region
-    that is not orthogonal convex is filled to its hull (to a fixpoint).
-    Hulls never leave the bounding box of their nodes, so no topology
-    clipping is needed here.
-    """
-    expected = set(disabled)
-    while True:
-        regions = extract_regions(expected, fault_set)
-        dirty = [r for r in regions if not r.is_orthogonal_convex]
-        if not dirty:
-            return expected
-        for region in dirty:
-            expected |= orthogonal_convex_hull(region.nodes)
-
-
 def verify_minimality(construction, faults: Iterable[Coord]) -> VerificationReport:
     """Check the minimum faulty polygon optimality property.
 
@@ -145,7 +127,7 @@ def verify_minimality(construction, faults: Iterable[Coord]) -> VerificationRepo
     expected: Set[Coord] = set(fault_set)
     for component in find_components(fault_set):
         expected |= orthogonal_convex_hull(component.nodes)
-    expected = _merge_fill(expected, fault_set)
+    expected = merge_fill(expected)
     actual: Set[Coord] = set()
     for region in regions:
         actual |= region.nodes

@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.core.components import FaultComponent, find_components
 from repro.core.regions import FaultRegion, convexify_regions, mean_region_size
-from repro.geometry import masks
 from repro.distributed.notification import NotificationPlan, plan_notifications
 from repro.distributed.ring import RingConstruction, construct_boundary_ring
 from repro.faults.scenario import FaultScenario
@@ -154,8 +153,8 @@ class DistributedMinimumPolygonConstruction:
     """Result of the distributed minimum faulty polygon construction."""
 
     grid: StatusGrid
-    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`
-    #: on the mask-kernel path, built on first access to a region.
+    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`,
+    #: built on first access to a region.
     regions: Sequence[FaultRegion]
     components: List[FaultComponent]
     rounds: int
@@ -220,37 +219,26 @@ def assemble_distributed(
     fault_set = set(faults)
     outcomes = [component_outcome(component, fault_set) for component in components]
     grid = StatusGrid(topology, faults)
-    if masks.kernel_enabled():
-        # Whole-array piling: paint every notified node (clipped to the
-        # grid) in one write; the faults are already unsafe/disabled.
-        notified = [outcome.notified for outcome in outcomes if outcome.notified.size]
-        if notified:
-            pts = np.concatenate(notified)
-            width, height = grid.disabled.shape
-            keep = (
-                (pts[:, 0] >= 0)
-                & (pts[:, 0] < width)
-                & (pts[:, 1] >= 0)
-                & (pts[:, 1] < height)
-            )
-            xs, ys = pts[keep, 0], pts[keep, 1]
-            grid.unsafe[xs, ys] = True
-            grid.disabled[xs, ys] = True
-    else:
-        for outcome in outcomes:
-            for node in map(tuple, outcome.notified.tolist()):
-                if node in fault_set or not topology.contains(node):
-                    continue
-                grid.mark_unsafe(node)
-                grid.mark_disabled(node)
+    # Whole-array piling: paint every notified node (clipped to the grid)
+    # in one write; the faults are already unsafe/disabled.
+    notified = [outcome.notified for outcome in outcomes if outcome.notified.size]
+    if notified:
+        pts = np.concatenate(notified)
+        width, height = grid.disabled.shape
+        keep = (
+            (pts[:, 0] >= 0)
+            & (pts[:, 0] < width)
+            & (pts[:, 1] >= 0)
+            & (pts[:, 1] < height)
+        )
+        xs, ys = pts[keep, 0], pts[keep, 1]
+        grid.unsafe[xs, ys] = True
+        grid.disabled[xs, ys] = True
 
     # Same convexity repair as the centralized assemble: overlapping
     # polygons piled into one region must stay orthogonal convex, and the
     # distributed result must keep matching the centralized one exactly.
-    if masks.kernel_enabled():
-        regions, region_index = convexify_regions(grid, return_index=True)
-    else:
-        regions, region_index = convexify_regions(grid), None
+    regions, region_index = convexify_regions(grid, return_index=True)
     rounds = max((outcome.rounds for outcome in outcomes), default=0)
     return DistributedMinimumPolygonConstruction(
         grid=grid,

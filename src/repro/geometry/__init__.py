@@ -19,13 +19,11 @@ constructions are built on:
   nodes surrounding a component, walked clockwise starting from the
   west-most south-west corner (used by the distributed solution).
 * :mod:`~repro.geometry.masks` -- the vectorized bitmask kernel backing the
-  primitives above on large meshes (switchable via
-  :func:`~repro.geometry.masks.use_kernel`; the set-based implementations
-  remain the differential-test oracle).
+  primitives above (the set-based implementations serve inputs too sparse
+  to rasterise and remain the differential-test reference).
 """
 
 from repro.geometry import masks
-from repro.geometry.masks import kernel_enabled, use_kernel
 from repro.geometry.rectangle import Rectangle, bounding_rectangle
 from repro.geometry.orthogonal import (
     is_orthogonal_convex,
@@ -47,8 +45,6 @@ from repro.geometry.boundary import (
 
 __all__ = [
     "masks",
-    "kernel_enabled",
-    "use_kernel",
     "Rectangle",
     "bounding_rectangle",
     "is_orthogonal_convex",

@@ -119,10 +119,9 @@ def region_perimeter(region: Iterable[Coord]) -> int:
     to circle the component.
     """
     region_set = set(region)
-    if masks.kernel_enabled():
-        local = masks.try_local_mask(region_set)
-        if local is not None:
-            return masks.perimeter_mask(local[0])
+    local = masks.try_local_mask(region_set)
+    if local is not None:
+        return masks.perimeter_mask(local[0])
     perimeter = 0
     for node in region_set:
         for neighbour in four_neighbours(node):

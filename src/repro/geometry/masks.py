@@ -34,56 +34,29 @@ schemes in :mod:`repro.core.labelling`:
   binary morphology -- the boundary ring is the 8-dilation minus the
   region, the perimeter counts the exposed cell sides via four shifts.
 
-The kernel can be switched off globally (environment variable
-``REPRO_MASK_KERNEL=0``, or ``false`` / ``no`` / ``off``) or locally
-(:func:`use_kernel`), which makes every rewired consumer fall back to its
-legacy set-based implementation; the differential benchmark
-``benchmarks/bench_kernel.py`` uses the switch to time both paths on the
-same inputs.
+The kernel is the only production path, except for inputs whose bounding
+box exceeds :data:`MAX_LOCAL_AREA`: those go to the set-based primitives
+(the ``*_sets`` functions of :mod:`repro.geometry.orthogonal`,
+:func:`repro.core.components.find_components_bfs`).  The set-based
+primitives and the set-based constructions of :mod:`repro.core.reference`
+are the references the differential tests and
+``benchmarks/bench_kernel.py`` call by name.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro import _array_ops
 from repro._array_ops import _OFFSETS_4, _OFFSETS_8, _shift
-from repro._registry import env_flag
 from repro.types import Coord
 
 #: Largest local bounding-box area (cells) the kernel will materialise as a
 #: dense mask; a sparser region falls back to the set-based oracle.  16M
 #: boolean cells is ~16 MB -- far beyond any mesh the benchmarks sweep.
 MAX_LOCAL_AREA = 16_000_000
-
-_kernel_enabled = env_flag("REPRO_MASK_KERNEL")
-
-
-def kernel_enabled() -> bool:
-    """Whether the mask kernel currently backs the geometric primitives."""
-    return _kernel_enabled
-
-
-def set_kernel_enabled(enabled: bool) -> bool:
-    """Switch the kernel on/off globally; returns the previous setting."""
-    global _kernel_enabled
-    previous = _kernel_enabled
-    _kernel_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_kernel(enabled: bool):
-    """Context manager scoping a kernel on/off switch (used by benchmarks)."""
-    previous = set_kernel_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_kernel_enabled(previous)
-
 
 # -- mask <-> coordinate conversions -------------------------------------------------
 

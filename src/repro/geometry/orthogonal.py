@@ -15,12 +15,13 @@ and the fixed point is itself orthogonal convex, hence it is the unique
 minimum.  This function is the reference the centralized and distributed
 minimum-faulty-polygon constructions are validated against.
 
-Two implementations coexist.  The public functions dispatch to the
-vectorized bitmask kernel of :mod:`repro.geometry.masks` (the region is
-rasterised into its bounding box and the spans are filled with whole-array
-operations); the original per-cell set implementations are kept under
-``*_sets`` names as the differential-test oracle and as the fallback for
-pathologically sparse regions.  Both produce bit-identical results, which
+Two implementations coexist.  The public functions run on the vectorized
+bitmask kernel of :mod:`repro.geometry.masks` (the region is rasterised
+into its bounding box and the spans are filled with whole-array
+operations); the per-cell set implementations, under ``*_sets`` names,
+serve regions whose bounding box is too sparse to rasterise
+(:data:`~repro.geometry.masks.MAX_LOCAL_AREA`) and are the reference the
+differential tests call by name.  Both produce bit-identical results, which
 ``tests/test_geometry_masks.py`` asserts on randomized inputs.
 """
 
@@ -108,11 +109,10 @@ def is_orthogonal_convex(region: Iterable[Coord]) -> bool:
     orthogonal convex.
     """
     region_set = set(region)
-    if masks.kernel_enabled():
-        local = masks.try_local_mask(region_set)
-        if local is not None:
-            return masks.is_convex_mask(local[0])
-    return is_orthogonal_convex_sets(region_set)
+    local = masks.try_local_mask(region_set)
+    if local is None:
+        return is_orthogonal_convex_sets(region_set)
+    return masks.is_convex_mask(local[0])
 
 
 def orthogonal_convexity_violations(region: Iterable[Coord]) -> Set[Coord]:
@@ -124,12 +124,11 @@ def orthogonal_convexity_violations(region: Iterable[Coord]) -> Set[Coord]:
     :func:`orthogonal_convex_hull` for the transitive closure.
     """
     region_set = set(region)
-    if masks.kernel_enabled():
-        local = masks.try_local_mask(region_set)
-        if local is not None:
-            mask, offset = local
-            return set(masks.mask_to_coords(masks.span_violations(mask), offset))
-    return orthogonal_convexity_violations_sets(region_set)
+    local = masks.try_local_mask(region_set)
+    if local is None:
+        return orthogonal_convexity_violations_sets(region_set)
+    mask, offset = local
+    return set(masks.mask_to_coords(masks.span_violations(mask), offset))
 
 
 def orthogonal_convex_hull(region: Iterable[Coord]) -> FrozenSet[Coord]:
@@ -144,12 +143,11 @@ def orthogonal_convex_hull(region: Iterable[Coord]) -> FrozenSet[Coord]:
     The empty region yields the empty hull.
     """
     region_set = set(region)
-    if masks.kernel_enabled():
-        local = masks.try_local_mask(region_set)
-        if local is not None:
-            mask, offset = local
-            return masks.mask_to_frozenset(masks.hull_mask(mask), offset)
-    return orthogonal_convex_hull_sets(region_set)
+    local = masks.try_local_mask(region_set)
+    if local is None:
+        return orthogonal_convex_hull_sets(region_set)
+    mask, offset = local
+    return masks.mask_to_frozenset(masks.hull_mask(mask), offset)
 
 
 def hull_fill_nodes(region: Iterable[Coord]) -> FrozenSet[Coord]:

@@ -8,10 +8,8 @@ paths against per-virtual-channel occupancy with deterministic
 lowest-index arbitration, and latency / throughput / saturation reporting.
 
 Two bit-identical simulators are registered (``array`` -- the vectorized
-default -- and ``scalar`` -- the dict-based oracle), switchable via the
-``REPRO_NETSIM`` environment variable, :func:`use_simulator`, or the
-``sim=`` argument, exactly like the ``REPRO_ROUTE_ENGINE`` /
-``REPRO_MASK_KERNEL`` toggles before it.
+default -- and ``scalar`` -- the dict-based oracle), selected per call by
+the ``sim=`` argument, like the routing engines' ``engine=``.
 
 Entry points: :meth:`repro.api.MeshSession.simulate` (one call),
 :class:`NetSimSession` (the facade), ``SweepExecutor.run(...,
@@ -25,13 +23,10 @@ from repro.netsim.plan import NUM_VCS, SimPlan, build_plan, channel_ids
 from repro.netsim.registry import (
     SimulatorSpec,
     available_simulators,
-    default_simulator,
     get_simulator,
     register_simulator,
     resolve_simulator,
-    set_default_simulator,
     simulator_keys,
-    use_simulator,
 )
 from repro.netsim.session import NetSimSession
 from repro.netsim.simulators import SimOutcome, simulate_array, simulate_scalar
@@ -51,9 +46,6 @@ __all__ = [
     "get_simulator",
     "available_simulators",
     "simulator_keys",
-    "default_simulator",
-    "set_default_simulator",
-    "use_simulator",
     "resolve_simulator",
     "NetSimSession",
     "NetSimStats",

@@ -1,18 +1,14 @@
-"""The simulator registry and the ``REPRO_NETSIM`` default switch.
+"""The simulator registry.
 
-Mirrors the routing-engine registry of :mod:`repro.routing.engine` (and the
-``REPRO_MASK_KERNEL`` toggle before it): two built-in implementations --
-the vectorized ``array`` simulator and the dict-based ``scalar`` oracle --
-selectable per call (``sim="scalar"``), per scope (``use_simulator``) or
-globally (environment variable ``REPRO_NETSIM``).  Both produce
-bit-identical results, so the switch is a verification and debugging tool,
-never a semantics choice.
+Mirrors the routing-engine registry of :mod:`repro.routing.engine`: two
+built-in implementations -- the vectorized ``array`` simulator and the
+dict-based ``scalar`` oracle -- selectable per call (``sim="scalar"``).
+Both produce bit-identical results, so the choice is a verification and
+debugging tool, never a semantics choice.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -84,57 +80,15 @@ register_simulator(
 )
 
 
-# -- default-simulator switch (mirrors REPRO_ROUTE_ENGINE) --------------------------
-
-_default_simulator = SpecRegistry.normalise(os.environ.get("REPRO_NETSIM", "auto"))
-
-
-def default_simulator() -> str:
-    """The ambient simulator selection (``auto`` unless switched)."""
-    return _default_simulator
-
-
-def set_default_simulator(key: str) -> str:
-    """Set the ambient simulator selection; returns the previous value.
-
-    *key* is ``auto`` or any registered simulator key/alias (validated
-    eagerly, like the registry lookups).
-    """
-    global _default_simulator
-    key = SpecRegistry.normalise(key)
-    if key != "auto":
-        key = get_simulator(key).key
-    previous = _default_simulator
-    _default_simulator = key
-    return previous
-
-
-@contextmanager
-def use_simulator(key: str):
-    """Temporarily switch the ambient simulator selection (context manager).
-
-    Mirrors :func:`repro.routing.engine.use_engine`::
-
-        with use_simulator("scalar"):
-            stats = session.simulate(load=0.1, cycles=200)   # forced oracle
-    """
-    previous = set_default_simulator(key)
-    try:
-        yield
-    finally:
-        set_default_simulator(previous)
-
-
 def resolve_simulator(sim: Optional[str] = None) -> SimulatorSpec:
     """Resolve the simulator that will replay one plan.
 
-    ``sim=None`` follows the ambient default (:func:`default_simulator`);
-    ``auto`` -- the shipped default -- picks the vectorized array
+    ``sim=None`` means ``auto``, which picks the vectorized array
     simulator.  Both simulators serve every request (they are
     bit-identical), so unlike the engine resolution there is no fallback
-    path: an unknown key raises ``KeyError`` either way.
+    path: an unknown key raises ``KeyError``.
     """
-    key = SpecRegistry.normalise(sim) if sim is not None else default_simulator()
+    key = "auto" if sim is None else SpecRegistry.normalise(sim)
     if key == "auto":
         return get_simulator("array")
     return get_simulator(key)

@@ -4,7 +4,7 @@
 way the routing facade hangs off :class:`repro.api.MeshSession`: routers and
 constructions resolve through the session's caches, the spatial workload and
 the arrival process resolve through the traffic registry, and the simulator
-through the simulator registry (``REPRO_NETSIM``).  One call::
+through the simulator registry (``sim=``).  One call::
 
     session = MeshSession(width=16, faults=faults)
     stats = session.simulate("mfp", load=0.05, cycles=512, seed=1)

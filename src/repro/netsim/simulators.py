@@ -2,8 +2,7 @@
 
 Both implement the *same* cycle contract over a :class:`~repro.netsim.plan.SimPlan`
 and must produce bit-identical results (asserted by the differential tests
-and the saturation benchmark, exactly like ``REPRO_MASK_KERNEL=0`` and the
-scalar routing engine):
+and the saturation benchmark, like the scalar routing engine):
 
 * A message waits at its source (infinite injection queue, holding no
   buffer) until its injection cycle has been reached.
@@ -35,7 +34,7 @@ The array simulator keeps message state in NumPy arrays and resolves each
 cycle's arbitration with the ``grant_messages`` primitive of
 :func:`repro._array_ops.active_ops` (one lexsort over ``(channel, message
 index)``); the scalar oracle walks plain dictionaries message by message.  Keeping the
-oracle around (selectable via ``REPRO_NETSIM=scalar``) pins down the
+oracle around (selectable per call with ``sim="scalar"``) pins down the
 contract the fast path must honour.
 """
 

@@ -19,8 +19,8 @@ models (FB / FP / MFP) on routing can be measured:
 * :mod:`repro.routing.engine` -- the routing-engine registry
   (``get_engine("scalar" | "batch")``): the vectorized lockstep batch
   kernel (straight-run jump tables + precomputed ring arrays) next to the
-  per-message scalar loop, bit-identical and switchable via
-  ``REPRO_ROUTE_ENGINE`` / :func:`~repro.routing.engine.use_engine`;
+  per-message scalar loop, bit-identical and selected per call
+  (``engine=``, see :func:`~repro.routing.engine.resolve_engine`);
 * :mod:`repro.routing.channels` -- the four-virtual-channel assignment and a
   channel-dependency-cycle check (deadlock-freedom evidence);
 * :mod:`repro.routing.stats` -- the aggregate :class:`RoutingStats` record
@@ -39,13 +39,10 @@ from repro.routing.engine import (
     RegionGeometry,
     RegionRingCache,
     available_engines,
-    default_engine,
     engine_keys,
     get_engine,
     register_engine,
     route_batch,
-    set_default_engine,
-    use_engine,
 )
 from repro.routing.extended_ecube import ExtendedECubeRouter, RouteResult
 from repro.routing.channels import (
@@ -127,9 +124,6 @@ __all__ = [
     "engine_keys",
     "available_engines",
     "route_batch",
-    "default_engine",
-    "set_default_engine",
-    "use_engine",
     # stats
     "RoutingStats",
     "MissingRouteResultsError",

@@ -34,26 +34,19 @@ reason; asserted by the differential suite in
 which refuses to report a speedup unless the aggregate stats match).
 
 Engines are a registry (``get_engine("scalar" | "batch")``) mirroring the
-construction/router/traffic registries, and the default selection can be
-switched globally (environment variable ``REPRO_ROUTE_ENGINE``) or locally
-(:func:`use_engine`), mirroring the mask-kernel toggle of
-:mod:`repro.geometry.masks`:
+construction/router/traffic registries, selected per call
+(:func:`resolve_engine`):
 
-* ``auto`` (the default): the batch engine whenever it can serve the
-  request -- per-route results not requested and the router is one of the
-  built-ins it understands -- the scalar loop otherwise;
-* ``scalar`` / ``batch``: force one engine.  Passing ``engine=`` explicitly
-  to :meth:`repro.api.RoutingSession.route` is strict (a batch request it
-  cannot serve raises); the ambient default falls back to ``scalar``
-  silently, so ``REPRO_ROUTE_ENGINE=batch`` never breaks a
-  ``check_deadlock`` caller.
+* ``auto`` (also ``engine=None``): the batch engine whenever it can serve
+  the request -- per-route results not requested and the router is one of
+  the built-ins it understands -- the scalar loop otherwise;
+* ``scalar`` / ``batch``: force one engine.  An explicit key is strict: a
+  batch request it cannot serve raises.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -69,7 +62,7 @@ from typing import (
 import numpy as np
 
 from repro import _array_ops
-from repro._registry import SpecRegistry, env_flag
+from repro._registry import SpecRegistry
 from repro.geometry.boundary import boundary_ring
 from repro.geometry.rectangle import bounding_rectangle
 from repro.routing.stats import RoutingStats
@@ -1042,39 +1035,6 @@ def route_batch(
 
 # -- incremental engine deltas ------------------------------------------------------
 
-_engine_deltas = env_flag("REPRO_ENGINE_DELTAS")
-
-
-def engine_deltas_enabled() -> bool:
-    """Whether fault updates delta-patch the engine state (default on)."""
-    return _engine_deltas
-
-
-def set_engine_deltas(enabled: bool) -> bool:
-    """Switch the ambient delta behaviour; returns the previous value."""
-    global _engine_deltas
-    previous = _engine_deltas
-    _engine_deltas = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_engine_deltas(enabled: bool = True):
-    """Context manager scoping the delta on/off switch.
-
-    Mirrors :func:`repro.geometry.masks.use_kernel`; the benchmarks and
-    the differential suite use it to compare delta-patched engine state
-    against full rebuilds::
-
-        with use_engine_deltas(False):
-            stats = session.route("mfp", messages=2000)   # full rebuilds
-    """
-    previous = set_engine_deltas(enabled)
-    try:
-        yield
-    finally:
-        set_engine_deltas(previous)
-
 
 def transplant_engine_state(old_router: Any, new_router: Any) -> bool:
     """Delta-patch *new_router*'s engine state from *old_router*'s.
@@ -1213,66 +1173,17 @@ register_engine(
 )
 
 
-# -- default-engine switch (mirrors the mask-kernel toggle) -------------------------
-
-_default_engine = SpecRegistry.normalise(os.environ.get("REPRO_ROUTE_ENGINE", "auto"))
-
-
-def default_engine() -> str:
-    """The ambient engine selection (``auto`` unless switched)."""
-    return _default_engine
-
-
-def set_default_engine(key: str) -> str:
-    """Set the ambient engine selection; returns the previous value.
-
-    *key* is ``auto`` or any registered engine key/alias (validated
-    eagerly, like the registry lookups).
-    """
-    global _default_engine
-    key = SpecRegistry.normalise(key)
-    if key != "auto":
-        key = get_engine(key).key
-    previous = _default_engine
-    _default_engine = key
-    return previous
-
-
-@contextmanager
-def use_engine(key: str):
-    """Temporarily switch the ambient engine selection (context manager).
-
-    Mirrors :func:`repro.geometry.masks.use_kernel`::
-
-        with use_engine("scalar"):
-            stats = session.route("mfp", messages=2000)   # forced scalar
-
-    The ambient selection is lenient: a default the request cannot honour
-    (e.g. ``batch`` with ``check_deadlock=True``) falls back to the
-    scalar engine instead of raising, unlike an explicit ``engine=``
-    argument.
-    """
-    previous = set_default_engine(key)
-    try:
-        yield
-    finally:
-        set_default_engine(previous)
-
-
 def resolve_engine(
     router: Any, engine: Optional[str] = None, collect_results: bool = False
 ) -> EngineSpec:
     """Resolve the engine that will route one batch.
 
-    ``engine=None`` uses the ambient default (:func:`default_engine`),
-    falling back to ``scalar`` when the default cannot serve the request.
-    An explicit engine key is strict -- asking the batch engine for
-    per-route results (or for a custom router it does not understand)
-    raises ``ValueError``.  ``auto`` (explicit or ambient) picks the
-    batch engine whenever it can serve the request.
+    ``engine=None`` means ``auto``: the batch engine whenever it can serve
+    the request, the scalar engine otherwise.  An explicit engine key is
+    strict -- asking the batch engine for per-route results (or for a
+    custom router it does not understand) raises ``ValueError``.
     """
-    explicit = engine is not None
-    key = SpecRegistry.normalise(engine) if explicit else default_engine()
+    key = "auto" if engine is None else SpecRegistry.normalise(engine)
     if key == "auto":
         batch = get_engine("batch")
         if batch.supports(router, collect_results):
@@ -1280,11 +1191,9 @@ def resolve_engine(
         return get_engine("scalar")
     spec = get_engine(key)
     if not spec.supports(router, collect_results):
-        if explicit:
-            raise ValueError(
-                f"engine {spec.key!r} cannot serve this request "
-                f"(collect_results={collect_results}, router "
-                f"{type(router).__name__}); use engine='scalar' or 'auto'"
-            )
-        return get_engine("scalar")
+        raise ValueError(
+            f"engine {spec.key!r} cannot serve this request "
+            f"(collect_results={collect_results}, router "
+            f"{type(router).__name__}); use engine='scalar' or 'auto'"
+        )
     return spec

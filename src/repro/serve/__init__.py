@@ -27,9 +27,8 @@ serves it over a newline-delimited-JSON protocol:
 
 Fault churn streamed through the daemon delta-patches the warm routers'
 jump tables and packed rings (:func:`repro.routing.engine.
-transplant_engine_state`, toggled by ``REPRO_ENGINE_DELTAS``) instead of
-rebuilding them; coalesced route outcomes are bit-identical to routing
-each request alone.  ``repro-mesh serve`` / ``repro-mesh query`` are the
+transplant_engine_state`) instead of rebuilding them; coalesced route
+outcomes are bit-identical to routing each request alone.  ``repro-mesh serve`` / ``repro-mesh query`` are the
 CLI faces of this package.
 """
 

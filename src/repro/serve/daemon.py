@@ -14,7 +14,7 @@ rings of the routing facade) and serves verbs over the protocol of
     Stream fault churn into the session.  Buffered route requests are
     flushed first (they route on the state they were submitted under),
     then the mutation lands; the next flush's router is delta-patched
-    from its predecessor (``REPRO_ENGINE_DELTAS``) instead of rebuilt.
+    from its predecessor instead of rebuilt.
 ``status``
     Health and statistics: uptime, queue depth, coalescer counters
     (including the coalesce ratio), session ``cache_info``, the
@@ -68,7 +68,6 @@ from repro.api.session import MeshSession
 from repro.faults.scenario import FaultScenario
 from repro.routing.engine import (
     REASONS,
-    engine_deltas_enabled,
     resolve_engine,
     route_batch,
 )
@@ -121,7 +120,7 @@ class RouteDaemon:
     construction, router, engine:
         Registry keys of the served construction / router, and the engine
         selection passed to :func:`~repro.routing.engine.resolve_engine`
-        per flush (``None`` = the ambient ``REPRO_ROUTE_ENGINE`` rule).
+        per flush (``None`` = ``auto``).
     window, max_batch:
         Coalescer knobs (seconds, pairs); ``max_batch=1`` disables
         coalescing.
@@ -555,7 +554,6 @@ class RouteDaemon:
             "construction": self.construction,
             "router": self.router,
             "engine": self._last_engine or (self.engine or "auto"),
-            "engine_deltas": engine_deltas_enabled(),
             "backend": _array_ops.active_backend_key(),
             "cache_info": dict(session.cache_info),
             "version": session.version,

@@ -112,8 +112,8 @@ def run_routing_sweep(
     :class:`~repro.api.executor.RoutingTrialSpec` plus ``base_seed``.
     Like :func:`run_sweep`, trials fan out over ``workers`` processes with
     deterministic per-trial seeds.  ``engine`` picks the routing engine
-    (``"scalar"`` / ``"batch"`` / ``"auto"``; ``None`` follows the
-    ambient default) -- the engines are bit-identical, so the choice only
+    (``"scalar"`` / ``"batch"`` / ``"auto"``; ``None`` means ``auto``)
+    -- the engines are bit-identical, so the choice only
     affects the sweep's wall-clock time.
     """
     executor = SweepExecutor(models=models, workers=workers)
@@ -143,8 +143,8 @@ def run_latency_sweep(
     fields of :class:`~repro.api.executor.NetSimTrialSpec` plus
     ``base_seed``.  Like the other sweeps, trials fan out over
     ``workers`` processes with deterministic seeds; ``sim`` picks the
-    simulator (``"array"`` / ``"scalar"`` / ``"auto"``; ``None`` follows
-    ``REPRO_NETSIM``), which never affects the results -- the simulators
+    simulator (``"array"`` / ``"scalar"`` / ``"auto"``; ``None`` means
+    ``auto``), which never affects the results -- the simulators
     are bit-identical.
     """
     executor = SweepExecutor(models=models, workers=workers)

@@ -16,10 +16,6 @@ protocol:
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
 from typing import FrozenSet, List, Set, Tuple
 
 import pytest
@@ -28,29 +24,6 @@ from repro.mesh.topology import Mesh2D, Torus2D
 
 
 Coord = Tuple[int, int]
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-@pytest.fixture
-def run_python():
-    """Run a snippet in a fresh interpreter importing this checkout.
-
-    ``run_python(script, VAR="value", ...)`` returns the completed process
-    (text output captured); keyword arguments override the environment,
-    which is how the import-time toggles are tested.
-    """
-
-    def run(script: str, **env: str) -> subprocess.CompletedProcess:
-        environ = {**os.environ, **env}
-        environ["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")])
-        )
-        return subprocess.run(
-            [sys.executable, "-c", script], env=environ, capture_output=True, text=True
-        )
-
-    return run
 
 
 @pytest.fixture

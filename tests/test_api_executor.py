@@ -181,13 +181,10 @@ class TestExecution:
     def test_collect_scenario_metrics_builds_no_regions(self, region_builds):
         """The figure scalars come from region and cell counts: a trial
         never turns a label grid into FaultRegion objects."""
-        from repro.geometry import masks
-
         scenario = generate_scenario(90, width=30, model="clustered", seed=3)
-        with masks.use_kernel(True):
-            metrics = collect_scenario_metrics(
-                scenario, models=("fb", "fp", "mfp", "cmfp", "dmfp")
-            )
+        metrics = collect_scenario_metrics(
+            scenario, models=("fb", "fp", "mfp", "cmfp", "dmfp")
+        )
         assert region_builds == []
         # (regions, disabled non-faulty, mean region size, rounds), as
         # computed by summing the sizes of eagerly built regions.

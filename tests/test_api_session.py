@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import MeshSession, get_construction
 from repro.core.components import find_components
+from repro.core.mfp import build_minimum_polygons_via_labelling
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D, Torus2D
 
@@ -156,6 +157,22 @@ class TestIncrementalEqualsOneShot:
         )
         assert incremental.rounds == oneshot.rounds > 0
         _assert_same_result(incremental, oneshot)
+
+    def test_cached_labelling_polygons_follow_shifted_component_indices(self):
+        session = MeshSession(
+            width=12, faults=[(6, 6), (7, 7), (6, 8), (9, 2), (10, 3), (9, 4)]
+        )
+        session.build("mfp", via_labelling=True)
+        # The new fault's component sorts first, so every cached polygon's
+        # component index shifts by one.
+        session.add_faults([(0, 0)])
+        result = session.build("mfp", via_labelling=True)
+        oneshot = build_minimum_polygons_via_labelling(
+            session.faults, topology=session.topology
+        )
+        assert [p.component for p in result.raw.component_polygons] == [
+            p.component for p in oneshot.component_polygons
+        ]
 
 
 class TestCaching:

@@ -12,7 +12,10 @@ from repro.distributed.dmfp import (
     construct_component,
     shape_outcome,
 )
+from repro.distributed.ring import construct_boundary_ring
 from repro.faults.scenario import generate_scenario
+from repro.geometry.orthogonal import orthogonal_convex_hull_sets
+from repro.geometry.sections import Section, concave_sections
 from repro.types import FaultRegionModel
 
 
@@ -150,3 +153,40 @@ class TestShapeMemo:
             exact = construct_component(component, set(faults))
             assert outcome.rounds == exact.rounds
             assert _notified(outcome) == exact.plan.disabled_nodes
+
+
+#: One component whose ring walk meets stale pairings: a boundary-array
+#: entry from across a second gap in the same row or column.
+STALE_PAIRING = [
+    (2, 4), (2, 5), (3, 4), (3, 6), (4, 0), (4, 1), (4, 5), (4, 6), (5, 2),
+    (5, 3), (5, 7), (5, 8), (6, 1), (6, 3), (6, 4), (6, 6), (6, 8), (7, 0),
+    (7, 5), (7, 8), (8, 4), (8, 7), (8, 8),
+]
+
+#: One component with a concave section the ring walk detects no end node
+#: for, column 2 rows 5-7: a member node next to it notifies instead.
+UNDETECTED_END = [
+    (0, 4), (0, 10), (1, 5), (1, 8), (1, 9), (2, 4), (2, 8), (2, 10), (3, 5),
+    (3, 10), (3, 11), (4, 6), (4, 7), (4, 11), (5, 5), (5, 7), (5, 9), (5, 10),
+    (6, 5), (6, 8),
+]
+
+
+class TestRingCornerCases:
+    def test_ring_skips_stale_pairings(self):
+        (component,) = find_components(STALE_PAIRING)
+        ring = construct_boundary_ring(component)
+        concave = set(concave_sections(component.nodes))
+        assert len(ring.detected) == 17
+        assert all(entry.section in concave for entry in ring.detected)
+        exact = construct_component(component, set(STALE_PAIRING))
+        assert exact.polygon == orthogonal_convex_hull_sets(component.nodes)
+
+    def test_undetected_section_is_notified_from_a_member_node(self):
+        (component,) = find_components(UNDETECTED_END)
+        exact = construct_component(component, set(UNDETECTED_END))
+        undetected = [n.section for n in exact.plan.notifications if not n.detected_by_ring]
+        assert Section("column", 2, 5, 7) in undetected
+        outcome = component_outcome(component, set(UNDETECTED_END))
+        assert outcome.rounds == exact.rounds == 71
+        assert _notified(outcome) == exact.plan.disabled_nodes

@@ -2,8 +2,10 @@
 
 ``apply_fault_delta`` / ``transplant_engine_state`` re-derive only the
 rows, columns and regions a fault update touched; the full rebuild is the
-oracle.  The Hypothesis suites here assert the two are bit-identical --
-at the jump-table level on random mask edits, and end-to-end through
+oracle, obtained by replacing the session's transplant seam
+(``repro.api.routing.transplant_engine_state``) with a no-op.  The
+Hypothesis suites here assert the two are bit-identical -- at the
+jump-table level on random mask edits, and end-to-end through
 ``MeshSession`` routing stats for random fault/repair sequences on mesh
 and torus, both engines, and both the NumPy and the loop-nest array
 primitives.  The repair path (``remove_faults``) is itself
@@ -11,17 +13,16 @@ differential-tested against one-shot component discovery and
 fresh-session builds.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.api.routing as api_routing
 from repro import _array_loops, _array_ops
-from repro.api import (
-    MeshSession,
-    engine_deltas_enabled,
-    set_engine_deltas,
-    use_engine_deltas,
-)
+from repro.api import MeshSession
 from repro.core.components import find_components
 from repro.faults.scenario import FaultScenario, generate_scenario
 from repro.mesh.topology import Mesh2D
@@ -40,42 +41,16 @@ STATS_FIELDS = (
 
 coords10 = st.tuples(st.integers(0, 9), st.integers(0, 9))
 
-READ_DELTAS = "from repro.routing.engine import engine_deltas_enabled"
-
 
 def fingerprint(stats):
     return tuple(getattr(stats, field) for field in STATS_FIELDS)
 
 
-class TestDeltaToggle:
-    def test_default_follows_environment(self, run_python):
-        # A fresh interpreter with this process's environment reads the
-        # toggle the way this one did at import.
-        fresh = run_python(f"{READ_DELTAS}; print(engine_deltas_enabled())")
-        assert fresh.returncode == 0, fresh.stderr
-        assert engine_deltas_enabled() == (fresh.stdout.strip() == "True")
-
-    def test_environment_rejects_non_boolean(self, run_python):
-        fresh = run_python(READ_DELTAS, REPRO_ENGINE_DELTAS="maybe")
-        assert fresh.returncode != 0
-        assert "ValueError: REPRO_ENGINE_DELTAS='maybe'" in fresh.stderr
-
-    def test_set_returns_previous(self):
-        original = engine_deltas_enabled()
-        previous = set_engine_deltas(False)
-        try:
-            assert previous == original
-            assert not engine_deltas_enabled()
-        finally:
-            set_engine_deltas(original)
-
-    def test_context_manager_restores(self):
-        original = engine_deltas_enabled()
-        with use_engine_deltas(False):
-            assert not engine_deltas_enabled()
-        with use_engine_deltas(True):
-            assert engine_deltas_enabled()
-        assert engine_deltas_enabled() == original
+def full_rebuilds():
+    """Make every router rebuild its engine state: nothing is transplanted."""
+    return mock.patch.object(
+        api_routing, "transplant_engine_state", lambda old_router, new_router: False
+    )
 
 
 class TestJumpTableDelta:
@@ -118,30 +93,28 @@ class TestTransplant:
         # component's MFP polygon: faulting it changes the fault set but
         # not the disabled mask, so the transplant reuses the tables
         # object as-is.
-        with use_engine_deltas(True):
-            session = MeshSession(width=12, faults=[(2, 2), (4, 2), (3, 3)])
-            router_a = session.router("extended-ecube", "mfp")
-            tables = router_a.jump_tables()
-            assert (3, 2) in session.build("mfp").disabled_set()
-            session.add_faults([(3, 2)])
-            router_b = session.router("extended-ecube", "mfp")
-            assert router_b is not router_a
-            assert router_b.jump_tables() is tables
+        session = MeshSession(width=12, faults=[(2, 2), (4, 2), (3, 3)])
+        router_a = session.router("extended-ecube", "mfp")
+        tables = router_a.jump_tables()
+        assert (3, 2) in session.build("mfp").disabled_set()
+        session.add_faults([(3, 2)])
+        router_b = session.router("extended-ecube", "mfp")
+        assert router_b is not router_a
+        assert router_b.jump_tables() is tables
 
     def test_transplant_counts_in_cache_info(self):
-        with use_engine_deltas(True):
-            session = MeshSession(width=16, faults=[(2, 2), (2, 3), (10, 10)])
-            session.route("mfp", messages=50, seed=0, engine="batch")
-            before = dict(session.cache_info)
-            session.add_faults([(12, 12)])
-            session.route("mfp", messages=50, seed=0, engine="batch")
-            after = session.cache_info
-            assert after["delta_applies"] == before["delta_applies"] + 1
-            assert after["jump_rebuilds"] == before["jump_rebuilds"]
+        session = MeshSession(width=16, faults=[(2, 2), (2, 3), (10, 10)])
+        session.route("mfp", messages=50, seed=0, engine="batch")
+        before = dict(session.cache_info)
+        session.add_faults([(12, 12)])
+        session.route("mfp", messages=50, seed=0, engine="batch")
+        after = session.cache_info
+        assert after["delta_applies"] == before["delta_applies"] + 1
+        assert after["jump_rebuilds"] == before["jump_rebuilds"]
 
     def test_disabled_toggle_rebuilds_fully(self):
         session = MeshSession(width=16, faults=[(2, 2), (2, 3), (10, 10)])
-        with use_engine_deltas(False):
+        with full_rebuilds():
             session.route("mfp", messages=50, seed=0, engine="batch")
             session.add_faults([(12, 12)])
             session.route("mfp", messages=50, seed=0, engine="batch")
@@ -157,7 +130,7 @@ class TestTransplant:
 
 def _churn_stats(scenario, events, *, torus, engine, deltas):
     """Route after every churn event; return the stats fingerprints."""
-    with use_engine_deltas(deltas):
+    with contextlib.nullcontext() if deltas else full_rebuilds():
         session = MeshSession.from_scenario(scenario)
         fingerprints = []
         for index, (kind, nodes) in enumerate(events):

@@ -2,10 +2,10 @@
 
 Every primitive the kernel reimplements (component labelling, convexity
 test, violation detection, hull fill, ring membership, perimeter, region
-extraction) is asserted bit-identical to its legacy set-based
-implementation on Hypothesis-generated fault sets, and the full
-constructions (MFP/CMFP/DMFP, incremental sessions, routing) are compared
-end to end with the kernel switched on and off.
+extraction) is asserted bit-identical to its set-based implementation on
+Hypothesis-generated fault sets, and the full constructions (MFP/CMFP/DMFP,
+incremental sessions, routing) are compared end to end with the set-based
+reference builds of :mod:`repro.core.reference`.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api.session import MeshSession
+from repro.core import reference
 from repro.core.components import find_components, find_components_bfs
 from repro.core.labelling import faults_to_mask
 from repro.core.mfp import (
@@ -32,7 +33,7 @@ from repro.geometry.orthogonal import (
     orthogonal_convexity_violations,
     orthogonal_convexity_violations_sets,
 )
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh2D, Torus2D
 from repro.routing.registry import get_router
 from repro.routing.traffic import TrafficContext, get_traffic
 
@@ -142,30 +143,25 @@ class TestPrimitiveEquivalence:
 
 class TestConstructionEquivalence:
     @settings(max_examples=25, deadline=None)
-    @given(fault_sets)
-    def test_mfp_build_is_identical_with_and_without_kernel(self, faults):
-        topology = Mesh2D(15, 15)
-        with masks.use_kernel(True):
-            kernel = build_minimum_polygons(sorted(faults), topology=topology)
-        with masks.use_kernel(False):
-            oracle = build_minimum_polygons(sorted(faults), topology=topology)
+    @given(fault_sets, st.booleans())
+    def test_mfp_build_is_identical_with_and_without_kernel(self, faults, torus):
+        topology = Torus2D(15, 15) if torus else Mesh2D(15, 15)
+        kernel = build_minimum_polygons(sorted(faults), topology=topology)
+        oracle = reference.build_mfp(sorted(faults), topology)
         assert (kernel.grid.disabled == oracle.grid.disabled).all()
         assert (kernel.grid.unsafe == oracle.grid.unsafe).all()
         assert [r.nodes for r in kernel.regions] == [r.nodes for r in oracle.regions]
         assert kernel.rounds == oracle.rounds
-        assert [p.polygon for p in kernel.component_polygons] == [
-            p.polygon for p in oracle.component_polygons
-        ]
+        assert [p.polygon for p in kernel.component_polygons] == oracle.polygons
 
     @settings(max_examples=15, deadline=None)
-    @given(fault_sets)
-    def test_dmfp_build_is_identical_with_and_without_kernel(self, faults):
-        topology = Mesh2D(15, 15)
-        with masks.use_kernel(True):
-            kernel = build_minimum_polygons_distributed(sorted(faults), topology=topology)
-        with masks.use_kernel(False):
-            oracle = build_minimum_polygons_distributed(sorted(faults), topology=topology)
+    @given(fault_sets, st.booleans())
+    def test_dmfp_build_is_identical_with_and_without_kernel(self, faults, torus):
+        topology = Torus2D(15, 15) if torus else Mesh2D(15, 15)
+        kernel = build_minimum_polygons_distributed(sorted(faults), topology=topology)
+        oracle = reference.build_dmfp(sorted(faults), topology)
         assert (kernel.grid.disabled == oracle.grid.disabled).all()
+        assert (kernel.grid.unsafe == oracle.grid.unsafe).all()
         assert [r.nodes for r in kernel.regions] == [r.nodes for r in oracle.regions]
         assert kernel.rounds == oracle.rounds
 
@@ -184,23 +180,18 @@ class TestConstructionEquivalence:
                 r.nodes for r in one_shot.regions
             ]
             assert incremental.rounds == one_shot.rounds
-            if incremental.region_index is not None:
-                for region in incremental.regions:
-                    for node in region.nodes:
-                        assert incremental.region_index[node] == region.index
+            for region in incremental.regions:
+                for node in region.nodes:
+                    assert incremental.region_index[node] == region.index
 
     @settings(max_examples=10, deadline=None)
     @given(fault_sets)
     def test_router_fast_path_matches_set_based_router(self, faults):
         topology = Mesh2D(15, 15)
-        with masks.use_kernel(True):
-            kernel = build_minimum_polygons(
-                sorted(faults), topology=topology, compute_rounds=False
-            )
-        with masks.use_kernel(False):
-            oracle = build_minimum_polygons(
-                sorted(faults), topology=topology, compute_rounds=False
-            )
+        kernel = build_minimum_polygons(
+            sorted(faults), topology=topology, compute_rounds=False
+        )
+        oracle = reference.build_mfp(sorted(faults), topology, compute_rounds=False)
         assert kernel.region_index is not None
         spec = get_router("extended-ecube")
         fast = spec.build(kernel)
@@ -216,45 +207,6 @@ class TestConstructionEquivalence:
 
 
 class TestKernelUtilities:
-    def test_use_kernel_restores_previous_state(self):
-        initial = masks.kernel_enabled()
-        with masks.use_kernel(False):
-            assert not masks.kernel_enabled()
-            with masks.use_kernel(True):
-                assert masks.kernel_enabled()
-            assert not masks.kernel_enabled()
-        assert masks.kernel_enabled() == initial
-
-    def test_environment_accepts_boolean_words(self, run_python):
-        fresh = run_python(
-            "from repro.geometry.masks import kernel_enabled; print(kernel_enabled())",
-            REPRO_MASK_KERNEL="False",
-        )
-        assert fresh.returncode == 0, fresh.stderr
-        assert fresh.stdout.strip() == "False"
-
-    def test_environment_rejects_non_boolean(self, run_python):
-        fresh = run_python("import repro.geometry.masks", REPRO_MASK_KERNEL="maybe")
-        assert fresh.returncode != 0
-        assert "ValueError: REPRO_MASK_KERNEL='maybe'" in fresh.stderr
-
-    def test_env_flag_spellings(self, monkeypatch):
-        from repro._registry import env_flag
-
-        monkeypatch.delenv("REPRO_TEST_FLAG", raising=False)
-        assert env_flag("REPRO_TEST_FLAG") is True
-        assert env_flag("REPRO_TEST_FLAG", default=False) is False
-        for value, expected in [
-            ("1", True), ("TRUE", True), ("yes", True), (" On ", True),
-            ("0", False), ("false", False), ("No", False), ("OFF", False),
-        ]:
-            monkeypatch.setenv("REPRO_TEST_FLAG", value)
-            assert env_flag("REPRO_TEST_FLAG") is expected, value
-        for value in ("", "2", "disabled"):
-            monkeypatch.setenv("REPRO_TEST_FLAG", value)
-            with pytest.raises(ValueError, match="REPRO_TEST_FLAG"):
-                env_flag("REPRO_TEST_FLAG")
-
     def test_label_mask_rejects_bad_connectivity(self):
         with pytest.raises(ValueError, match="connectivity"):
             masks.label_mask(np.zeros((3, 3), dtype=bool), connectivity=6)
@@ -266,6 +218,19 @@ class TestKernelUtilities:
 
     def test_try_local_mask_refuses_sparse_bounding_boxes(self):
         assert masks.try_local_mask([(0, 0), (100_000, 100_000)]) is None
+
+    def test_sparse_inputs_take_the_set_based_primitives(self):
+        # A 5001x5001 box (25M cells) exceeds MAX_LOCAL_AREA, so every
+        # primitive falls back to its set implementation.
+        region = [(0, 0), (2, 0), (5000, 5000)]
+        assert masks.try_local_mask(region) is None
+        assert region_perimeter(region) == 12
+        assert orthogonal_convexity_violations(region) == {(1, 0)}
+        assert not is_orthogonal_convex(region)
+        assert orthogonal_convex_hull(region) == frozenset(region) | {(1, 0)}
+        components = find_components(region)
+        assert len(components) == 3
+        assert components == find_components_bfs(region)
 
     def test_label_order_is_lexicographic_min_node(self):
         mask = np.zeros((6, 6), dtype=bool)

@@ -21,14 +21,12 @@ from repro.netsim import (
     SimulatorSpec,
     available_simulators,
     build_plan,
-    default_simulator,
     get_simulator,
     register_simulator,
     resolve_simulator,
     simulate_array,
     simulate_scalar,
     simulator_keys,
-    use_simulator,
 )
 from repro.netsim.plan import SimPlan
 from repro.routing.extended_ecube import ExtendedECubeRouter
@@ -103,16 +101,10 @@ class TestRegistry:
 
     def test_resolve_auto_picks_array(self):
         assert resolve_simulator("auto").key == "array"
+        assert resolve_simulator(None).key == "array"
         assert resolve_simulator("scalar").key == "scalar"
         with pytest.raises(KeyError):
             resolve_simulator("bogus")
-
-    def test_use_simulator_scopes_default(self):
-        before = default_simulator()
-        with use_simulator("scalar"):
-            assert default_simulator() == "scalar"
-            assert resolve_simulator(None).key == "scalar"
-        assert default_simulator() == before
 
 
 class TestDifferentialOracle:

@@ -14,12 +14,6 @@ from repro.core.regions import (
     regions_from_masks,
 )
 from repro.faults.scenario import generate_scenario
-from repro.geometry import masks
-
-
-def _kernel_build(key, scenario):
-    with masks.use_kernel(True):
-        return get_construction(key).build(scenario)
 
 
 class TestFaultRegion:
@@ -93,7 +87,7 @@ class TestExtractRegions:
     @pytest.mark.parametrize("key", ["fb", "fp", "mfp", "dmfp"])
     def test_construction_regions_build_once_on_first_access(self, key, region_builds):
         scenario = generate_scenario(40, width=16, model="clustered", seed=5)
-        result = _kernel_build(key, scenario)
+        result = get_construction(key).build(scenario)
         assert isinstance(result.regions, RegionList)
         assert len(result.regions) == result.num_regions > 1 and result.regions
         assert region_builds == []
@@ -106,7 +100,7 @@ class TestExtractRegions:
 
     def test_region_list_compares_pickles_and_slices_like_a_list(self):
         scenario = generate_scenario(40, width=16, model="random", seed=8)
-        result = _kernel_build("mfp", scenario)
+        result = get_construction("mfp").build(scenario)
         oracle = extract_regions(result.grid.disabled_set(), scenario.faults)
         clone = pickle.loads(pickle.dumps(result.regions))
         assert clone == oracle and oracle == clone
@@ -123,7 +117,7 @@ class TestExtractRegions:
         assert list(reversed(result.regions)) == oracle[::-1]
         with pytest.raises(TypeError):
             hash(result.regions)
-        empty = _kernel_build("mfp", generate_scenario(0, width=8)).regions
+        empty = get_construction("mfp").build(generate_scenario(0, width=8)).regions
         assert isinstance(empty, RegionList) and not empty
         assert empty == [] and [] == empty and empty == RegionList(
             np.zeros((8, 8), dtype=np.int32), 0, np.zeros((8, 8), dtype=bool)
@@ -131,7 +125,7 @@ class TestExtractRegions:
 
     def test_region_list_snapshots_the_fault_mask(self):
         scenario = generate_scenario(40, width=16, model="clustered", seed=5)
-        result = _kernel_build("fp", scenario)
+        result = get_construction("fp").build(scenario)
         expected = extract_regions(result.grid.disabled_set(), scenario.faults)
         result.grid.faulty[:] = False
         assert list(result.regions) == expected

@@ -5,9 +5,9 @@ to the scalar router: same per-message delivered flag, hop count,
 abnormal-hop count and failure reason, and therefore identical
 :class:`~repro.routing.stats.RoutingStats` aggregates, for every traffic
 pattern, topology and fault scenario.  The Hypothesis suites here assert
-exactly that, on both mask-kernel paths; deterministic regressions pin
-the border-hugging / opposite-orientation-retry traversals and the
-engine-selection rules.
+exactly that, on kernel-built constructions and on the set-based reference
+construction; deterministic regressions pin the border-hugging /
+opposite-orientation-retry traversals and the engine-selection rules.
 """
 
 from collections import Counter
@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import MeshSession, SweepExecutor
+from repro.core import reference
 from repro.core.mfp import build_minimum_polygons
 from repro.faults.scenario import generate_scenario
-from repro.geometry import masks
 from repro.mesh.topology import Mesh2D, Torus2D
 from repro.routing.engine import (
     DELIVERED,
@@ -27,13 +27,10 @@ from repro.routing.engine import (
     JumpTables,
     RegionRingCache,
     available_engines,
-    default_engine,
     engine_keys,
     get_engine,
     route_batch,
-    set_default_engine,
     supports_router,
-    use_engine,
 )
 from repro.routing.extended_ecube import ExtendedECubeRouter
 from repro.routing.registry import get_router
@@ -111,55 +108,6 @@ class TestEngineRegistry:
         assert not supports_router(Custom(Mesh2D(8, 8), []))
 
 
-class TestEngineSwitch:
-    def test_default_honours_environment(self):
-        import os
-
-        configured = os.environ.get("REPRO_ROUTE_ENGINE", "auto")
-        assert default_engine() == configured.strip().lower().replace("_", "-")
-
-    def test_use_engine_forces_scalar(self):
-        session = MeshSession(width=10, faults=[(4, 4), (4, 5)])
-        with use_engine("auto"):
-            assert session.route("mfp", messages=20).engine == "batch"
-            with use_engine("scalar"):
-                assert session.route("mfp", messages=20, seed=1).engine == "scalar"
-            assert session.route("mfp", messages=20, seed=2).engine == "batch"
-
-    def test_ambient_batch_falls_back_for_deadlock_check(self):
-        session = MeshSession(width=10, faults=[(4, 4)])
-        with use_engine("batch"):
-            stats = session.route("mfp", messages=15, check_deadlock=True)
-        assert stats.engine == "scalar"
-        assert stats.deadlock_free() in (True, False)
-
-    def test_set_default_engine_validates(self):
-        with pytest.raises(KeyError):
-            set_default_engine("warp")
-        previous = set_default_engine("lockstep")  # batch alias
-        try:
-            assert default_engine() == "batch"
-        finally:
-            set_default_engine(previous)
-
-    def test_env_switch_mirrors_mask_kernel(self):
-        import os
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        env["REPRO_ROUTE_ENGINE"] = "scalar"
-        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-        code = (
-            "from repro.routing.engine import default_engine; "
-            "print(default_engine())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.stdout.strip() == "scalar"
-
-
 class TestEngineSelection:
     @pytest.fixture
     def session(self):
@@ -169,8 +117,13 @@ class TestEngineSelection:
         return MeshSession.from_scenario(scenario)
 
     def test_auto_picks_batch_without_results(self, session):
-        with use_engine("auto"):
-            assert session.route("mfp", messages=40).engine == "batch"
+        assert session.route("mfp", messages=40).engine == "batch"
+
+    def test_explicit_scalar_overrides_auto(self):
+        session = MeshSession(width=10, faults=[(4, 4), (4, 5)])
+        assert session.route("mfp", messages=20).engine == "batch"
+        assert session.route("mfp", messages=20, seed=1, engine="scalar").engine == "scalar"
+        assert session.route("mfp", messages=20, seed=2, engine="auto").engine == "batch"
 
     def test_collect_results_forces_scalar(self, session):
         stats = session.route("mfp", messages=40, collect_results=True)
@@ -275,14 +228,15 @@ class TestBatchDifferential:
     @settings(max_examples=10, deadline=None)
     @given(fault_sets, st.integers(0, 2**31 - 1))
     def test_mask_kernel_off_path(self, faults, seed):
-        with masks.use_kernel(False):
-            construction = build_minimum_polygons(
-                sorted(faults), topology=Mesh2D(12, 12), compute_rounds=False
-            )
-            router = get_router("extended-ecube").build(construction)
-            context = TrafficContext.from_router(router)
-            batch = get_traffic("uniform").generate(context, 40, seed=seed)
-            assert_batch_matches_scalar(router, batch, scalar_finish=0)
+        # The set-based reference construction carries no region-index
+        # grid, so the router derives its own from the region list.
+        construction = reference.build_mfp(
+            sorted(faults), Mesh2D(12, 12), compute_rounds=False
+        )
+        router = get_router("extended-ecube").build(construction)
+        context = TrafficContext.from_router(router)
+        batch = get_traffic("uniform").generate(context, 40, seed=seed)
+        assert_batch_matches_scalar(router, batch, scalar_finish=0)
 
     def test_session_stats_identical_across_engines_all_patterns(self):
         scenario = generate_scenario(

@@ -223,9 +223,6 @@ class TestDaemonVerbs:
             assert status["requests"].get("route", 0) == 0
             assert status["requests"]["add_faults"] == 1
             assert "delta_applies" in status["cache_info"]
-            from repro.api import engine_deltas_enabled
-
-            assert status["engine_deltas"] == engine_deltas_enabled()
 
         asyncio.run(main())
 
