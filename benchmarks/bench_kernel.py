@@ -40,8 +40,9 @@ import numpy as np
 
 from repro._array_ops import active_backend_key
 from repro.core import reference
+from repro.core.components import clear_shape_memos
 from repro.core.mfp import build_minimum_polygons
-from repro.distributed.dmfp import build_minimum_polygons_distributed, shape_outcome
+from repro.distributed.dmfp import build_minimum_polygons_distributed
 from repro.faults.scenario import generate_scenario
 from repro.routing.registry import get_router
 from repro.routing.traffic import TrafficContext, get_traffic
@@ -53,13 +54,14 @@ DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_kernel.json"
 def _best_time(fn, trials: int):
     """Return ``(best_seconds, last_result)`` over *trials* runs of *fn*.
 
-    Every run starts with DMFP's process-wide shape memo empty, so a run
-    never reuses the component outcomes of the run before it.
+    Every run starts with the process-wide shape memos (MFP hulls, CMFP
+    rounds, DMFP outcomes) empty, so a run never reuses the component
+    shapes of the run before it.
     """
     best = float("inf")
     result = None
     for _ in range(trials):
-        shape_outcome.cache_clear()
+        clear_shape_memos()
         start = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - start)

@@ -6,8 +6,9 @@ fault pattern, builds the rectangular faulty blocks (FB), the sub-minimum
 faulty polygons (FP) and the minimum faulty polygons (MFP) through the
 construction registry, prints an ASCII picture of each result (``#`` =
 faulty, ``o`` = non-faulty but disabled) and summarises how many non-faulty
-nodes each model sacrifices.  A final incremental step shows the session
-only recomputing the fault components touched by new faults.
+nodes each model sacrifices.  A final incremental step adds faults to the
+session and rebuilds, serving the untouched components' shapes from the
+process-wide shape memos.
 
 Run with::
 
@@ -51,15 +52,16 @@ def main() -> None:
         )
 
     # Sequential fault insertion, as in the paper's simulation: the session
-    # merges the new faults into the component partition incrementally and
-    # reuses the cached polygons of every untouched component.
+    # merges the new faults into its component partition incrementally, and
+    # the rebuild finds every untouched component's shape (its hull and
+    # rounds) in the process-wide shape memos.
     session.add_faults([(0, 0), (0, 1), (17, 17)])
     updated = session.build("mfp")
     hits = session.cache_info["component_hits"]
     print(
         f"\nAfter 3 more faults: {updated.num_regions} regions, "
         f"{updated.num_disabled_nonfaulty} non-faulty nodes disabled "
-        f"({hits} component-cache hits so far)."
+        f"({hits} shape-memo hits so far)."
     )
 
 

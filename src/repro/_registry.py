@@ -13,7 +13,7 @@ the spec types and the domain-specific wrappers.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 
 def make_spec_options(
@@ -49,17 +49,13 @@ class SpecRegistry:
     Specs must expose ``key`` and ``aliases`` attributes.  ``specs`` and
     ``aliases`` are plain dicts (key -> spec, alias -> key) and are part
     of the contract: registry modules may re-export them for tests and
-    diagnostics.  *on_replace* is called with the normalised key before a
-    ``replace=True`` registration swaps a different spec in, so registries
-    with satellite state (e.g. the construction registry's incremental
-    builders) can disconnect it.
+    diagnostics.
     """
 
-    def __init__(self, noun: str, on_replace: Optional[Callable[[str], Any]] = None) -> None:
+    def __init__(self, noun: str) -> None:
         self.noun = noun
         self.specs: Dict[str, Any] = {}
         self.aliases: Dict[str, str] = {}
-        self.on_replace = on_replace
 
     @staticmethod
     def normalise(key: str) -> str:
@@ -94,8 +90,6 @@ class SpecRegistry:
                         f"with another registered {self.noun}"
                     )
             if self.specs.get(key) is not spec:
-                if self.on_replace is not None:
-                    self.on_replace(key)
                 for alias in [a for a, target in self.aliases.items() if target == key]:
                     del self.aliases[alias]
         self.specs[key] = spec

@@ -9,9 +9,9 @@ exported from its top level:
   ``build(scenario, *, options) -> ConstructionResult`` protocol and typed
   option dataclasses.
 * :mod:`repro.api.session` -- :class:`MeshSession`, a stateful mesh that
-  supports incremental ``add_faults`` / ``clear`` with per-construction
-  result caching and dirty-component invalidation (only components touched
-  by new faults are recomputed).
+  supports incremental ``add_faults`` / ``remove_faults`` / ``clear``
+  with per-construction result caching; untouched components are served
+  by the process-wide shape memos of the constructions.
 * :mod:`repro.api.routing` -- :class:`RoutingSession`, the routing facade
   of the session: routers resolved through the router registry
   (``get_router("ecube" | "extended-ecube")``), synthetic workloads
@@ -66,7 +66,6 @@ from repro.api.registry import (
     construction_keys,
     get_construction,
     register_construction,
-    register_incremental,
 )
 from repro.api.session import MeshSession
 from repro.api.routing import RoutingSession
@@ -137,7 +136,6 @@ __all__ = [
     "MinimumPolygonOptions",
     "DistributedOptions",
     "register_construction",
-    "register_incremental",
     "get_construction",
     "available_constructions",
     "construction_keys",

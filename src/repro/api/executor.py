@@ -243,8 +243,7 @@ def _restore_worker_registry(spec: Any) -> None:
     re-register anything the parent plugged in.  The implementation
     comparison is by reference: specs pickle their builders / generators
     / runners as module-level names, so built-ins resolve to the same
-    function and are left alone (keeping their incremental builders
-    registered).
+    function and are left alone.
     """
     carried = [("model", construction) for construction in spec.specs]
     carried += [(name, getattr(spec, f"{name}_spec", None)) for name in KEY_FIELDS]

@@ -27,9 +27,7 @@ and the CLI operate on.
 
 The registry is open: call :func:`register_construction` with your own spec
 to plug a new model into the session layer, the sweep executor and the CLI
-at once.  Models that can exploit the session's incremental component
-tracking additionally register an incremental builder via
-:func:`register_incremental` (see :mod:`repro.api.session`).
+at once.
 """
 
 from __future__ import annotations
@@ -134,7 +132,7 @@ class ConstructionResult:
     key: str
     label: str
     grid: StatusGrid
-    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`,
+    #: Final fault regions; a lazy :class:`~repro.core.regions.LazyList`,
     #: built on first access to a region.
     regions: Sequence[FaultRegion]
     rounds: int
@@ -213,8 +211,7 @@ class ConstructionSpec:
     """One registered fault-region construction.
 
     ``builder`` implements the model; ``options_type`` declares its typed
-    option dataclass; ``supports_incremental`` advertises that an
-    incremental builder is registered for :class:`repro.api.MeshSession`.
+    option dataclass.
     """
 
     key: str
@@ -223,7 +220,6 @@ class ConstructionSpec:
     builder: Builder
     options_type: type = ConstructionOptions
     aliases: Tuple[str, ...] = ()
-    supports_incremental: bool = False
 
     def make_options(
         self,
@@ -267,14 +263,7 @@ class ConstructionSpec:
 
 # -- the registry -------------------------------------------------------------------
 
-#: Incremental builders keyed by spec key; populated by repro.api.session.
-#: A replacement spec starts from a clean slate: the previous spec's
-#: incremental builder must not run against the new builder's results.
-_INCREMENTAL: Dict[str, Callable] = {}
-
-_CONSTRUCTIONS = SpecRegistry(
-    "construction", on_replace=lambda key: _INCREMENTAL.pop(key, None)
-)
+_CONSTRUCTIONS = SpecRegistry("construction")
 #: The registry's backing dicts (key -> spec, alias -> key), shared with
 #: the :class:`SpecRegistry` instance; exposed for tests and diagnostics.
 _REGISTRY: Dict[str, ConstructionSpec] = _CONSTRUCTIONS.specs
@@ -290,24 +279,9 @@ def register_construction(spec: ConstructionSpec, replace: bool = False) -> Cons
     :class:`repro.api.MeshSession`, the :class:`repro.api.SweepExecutor`
     and the CLI.  Raises ``ValueError`` on key collisions unless *replace*
     (which only licenses taking over *this* key, never another model's
-    names, and disconnects the replaced spec's incremental builder).
+    names).
     """
     return _CONSTRUCTIONS.register(spec, replace)
-
-
-def register_incremental(key: str, builder: Callable) -> None:
-    """Register an incremental session builder for construction *key*.
-
-    *builder* is called as ``builder(session, spec, options)`` and must
-    return a :class:`ConstructionResult` identical to the one the spec's
-    full build would produce on the session's current fault set.
-    """
-    _INCREMENTAL[_normalise(key)] = builder
-
-
-def incremental_builder(key: str) -> Optional[Callable]:
-    """Return the incremental builder registered for *key*, if any."""
-    return _INCREMENTAL.get(_normalise(key))
 
 
 def get_construction(key: str) -> ConstructionSpec:
@@ -400,7 +374,6 @@ register_construction(
         builder=_build_mfp,
         options_type=MinimumPolygonOptions,
         aliases=("minimum-polygon", "minimum-polygons"),
-        supports_incremental=True,
     )
 )
 register_construction(
@@ -411,7 +384,6 @@ register_construction(
         builder=_build_cmfp,
         options_type=CentralizedOptions,
         aliases=("centralized-mfp",),
-        supports_incremental=True,
     )
 )
 register_construction(
@@ -422,6 +394,5 @@ register_construction(
         builder=_build_dmfp,
         options_type=DistributedOptions,
         aliases=("distributed", "distributed-mfp"),
-        supports_incremental=True,
     )
 )

@@ -1,39 +1,29 @@
 """Stateful mesh sessions with incremental fault updates.
 
-The paper's simulation shape -- "faults are sequentially added" to a
-100x100 mesh, with every construction re-run after each insertion -- makes
-a full rebuild per step needlessly expensive: most fault components are
-untouched by a new batch of faults, yet the one-shot builders recompute
-every per-component polygon and labelling emulation from scratch.
+:class:`MeshSession` follows the paper's simulation shape: "faults are
+sequentially added" to a 100x100 mesh, and every construction is re-run
+after each insertion.  It owns a topology plus the evolving fault set,
+caches every construction result until the next mutation, and keeps the
+fault-component partition *incrementally*: ``add_faults`` merges each new
+fault into the adjacent components in O(batch) and ``remove_faults``
+re-splits only the components that lost a member.  The partition backs
+:meth:`MeshSession.fingerprint` and the daemon's ``status``.
 
-:class:`MeshSession` owns a topology plus the evolving fault set and keeps
-the component partition *incrementally*: ``add_faults`` merges each new
-fault into the adjacent components in O(batch) instead of re-scanning the
-whole fault set.  Component-local artefacts (minimum-polygon hulls and
-labelling-emulation rounds) are cached keyed by the component's node set,
-so after an update only the components actually touched by new faults --
-the *dirty* components -- are recomputed; the cheap network-wide piling
-step then reassembles the full result.  The cached hull/labelling entries
-carry their polygons as coordinate arrays built by the mask kernel
-(:mod:`repro.geometry.masks`), so the reassembly concatenates whole arrays
-instead of iterating frozensets.  DMFP keeps no session cache: its
-per-component outcomes come from a process-wide memo keyed by component
-shape (:func:`repro.distributed.dmfp.component_outcome`).  The
-incremental results are bit-identical to one-shot builds on the same fault
-set (asserted by the property tests in ``tests/test_api_session.py``).
+A build is the registered construction's one-shot build on the current
+fault set.  MFP, CMFP and DMFP serve every component that does not fill
+its bounding box from process-wide memos keyed by its shape
+(:class:`repro.core.components.ShapeMemo`), so the components a mutation
+did not touch cost a memo hit; ``cache_info["component_hits"]`` and
+``["component_misses"]`` count those lookups across the session's builds.
 
 Constructions are requested through the registry keys of
 :mod:`repro.api.registry`::
 
     session = MeshSession(width=100)
-    session.add_faults([(3, 4), (3, 5)])
+    session.add_faults([(3, 4), (4, 5)])
     mfp = session.build("mfp")
-    session.add_faults([(60, 60)])          # far away: polygon cache hits
+    session.add_faults([(60, 60)])          # far away: the pair's shape hits
     mfp2 = session.build("mfp")
-
-Whole-network constructions (FB/FP run labelling schemes over the full
-grid) cannot be updated component-locally; they fall back to a full build,
-still cached per fault-set version so repeated queries are free.
 
 Routing hangs off the same session (:mod:`repro.api.routing`): routers
 built over the cached construction results are themselves cached and
@@ -45,7 +35,6 @@ runs a whole routing experiment from registry keys alone::
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -53,20 +42,9 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 from repro.api.registry import (
     ConstructionOptions,
     ConstructionResult,
-    ConstructionSpec,
     get_construction,
-    incremental_builder,
-    register_incremental,
 )
-from repro.core.components import FaultComponent
-from repro.core.mfp import (
-    ComponentPolygon,
-    assemble_minimum_polygons,
-    component_minimum_polygon,
-    component_polygon_via_labelling,
-    emulate_rounds_each,
-)
-from repro.distributed.dmfp import assemble_distributed
+from repro.core.components import FaultComponent, shape_memo_counts
 from repro.faults.links import links_to_node_faults, make_link_fault_set
 from repro.faults.scenario import FaultScenario
 from repro.geometry.boundary import eight_neighbours
@@ -117,22 +95,15 @@ class MeshSession:
         # not O(total faults).
         self._frozen_members: Dict[int, FrozenSet[Coord]] = {}
         self._comp_min: Dict[int, Coord] = {}
-        # Reused FaultComponent objects keyed by node set; an unchanged
-        # component with an unchanged index keeps its identity across
-        # versions, which lets cached artefacts skip re-anchoring.
-        self._component_objects: Dict[FrozenSet[Coord], FaultComponent] = {}
-        # Component-local caches keyed by the component's frozen node set; a
-        # merge produces a new node set, so dirty components miss naturally.
-        self._hull_cache: Dict[FrozenSet[Coord], ComponentPolygon] = {}
-        self._labelling_cache: Dict[FrozenSet[Coord], ComponentPolygon] = {}
-        self._rounds_cache: Dict[FrozenSet[Coord], int] = {}
         # Whole-result cache: (key, options) -> (version, result).
         self._results: Dict[Tuple[str, ConstructionOptions], Tuple[int, ConstructionResult]] = {}
         # Routing facade, created lazily on first router/route/routing use;
         # its router caches are keyed by the session version, so add_faults
         # invalidates them without an explicit hook.
         self._routing = None
-        # Int hit/miss counters; the routing facade adds its own.
+        # Int hit/miss counters: result-cache lookups, and the shape-memo
+        # counter deltas across this session's builds (see build()); the
+        # routing facade adds its own.
         self.cache_info: Dict[str, int] = {
             "result_hits": 0,
             "result_misses": 0,
@@ -314,8 +285,8 @@ class MeshSession:
         returned.  Only the components that lost a member are revisited --
         each is re-partitioned by a flood fill over its *remaining* members
         under the paper's 8-adjacency, since removing a cut node can split
-        one component into several.  Untouched components (and therefore
-        their cached polygons and rounds) survive unchanged.
+        one component into several.  Untouched components keep their node
+        sets, so the next build finds their shapes in the shape memos.
         """
         batch: List[Coord] = []
         for node in nodes:
@@ -389,13 +360,9 @@ class MeshSession:
         self._comp_of.clear()
         self._frozen_members.clear()
         self._comp_min.clear()
-        self._component_objects.clear()
         self._next_comp_id = 0
         self._version += 1
         self._components = None
-        self._hull_cache.clear()
-        self._labelling_cache.clear()
-        self._rounds_cache.clear()
         self._results.clear()
 
     # -- components ----------------------------------------------------------------
@@ -404,8 +371,8 @@ class MeshSession:
         """The current fault components, in ``find_components`` order.
 
         Components are ordered by their minimal node (the discovery order
-        of :func:`repro.core.components.find_components`), so incremental
-        and one-shot builds expose identical component lists.
+        of :func:`repro.core.components.find_components`), so session and
+        one-shot builds expose identical component lists.
         """
         if self._components is None:
             ordered_ids = sorted(self._members, key=self._comp_min.__getitem__)
@@ -415,85 +382,9 @@ class MeshSession:
                 if nodes is None:
                     nodes = frozenset(self._members[comp_id])
                     self._frozen_members[comp_id] = nodes
-                component = self._component_objects.get(nodes)
-                if component is None or component.index != index:
-                    component = FaultComponent(index=index, nodes=nodes)
-                    self._component_objects[nodes] = component
-                components.append(component)
+                components.append(FaultComponent(index=index, nodes=nodes))
             self._components = components
-            self._prune_component_caches()
         return self._components
-
-    def _prune_component_caches(self) -> None:
-        """Drop cache entries of components that no longer exist (merged)."""
-        live = set(self._frozen_members.values())
-        for cache in (
-            self._hull_cache,
-            self._labelling_cache,
-            self._rounds_cache,
-            self._component_objects,
-        ):
-            for key in [k for k in cache if k not in live]:
-                del cache[key]
-
-    # -- cached component-local artefacts -------------------------------------------
-
-    def _component_artifact(self, cache: Dict, component: FaultComponent, compute):
-        entry = cache.get(component.nodes)
-        if entry is None:
-            self.cache_info["component_misses"] += 1
-            entry = compute(component)
-            cache[component.nodes] = entry
-        else:
-            self.cache_info["component_hits"] += 1
-        return entry
-
-    def component_hull(self, component: FaultComponent) -> ComponentPolygon:
-        """The component's minimum polygon (hull fill), cached.
-
-        The cached entry carries the polygon's coordinate array (built by
-        the mask kernel), so reassembling the network-wide result
-        concatenates whole arrays instead of iterating coordinate sets.
-        """
-        entry = self._component_artifact(
-            self._hull_cache, component, component_minimum_polygon
-        )
-        if entry.component is not component:
-            # Re-anchor the cached polygon on the current component object
-            # (indices shift as components appear) and keep the re-wrapped
-            # entry so later builds of the same version hit it directly.
-            # dataclasses.replace preserves the cached coordinate array.
-            entry = dataclasses.replace(entry, component=component)
-            self._hull_cache[component.nodes] = entry
-        return entry
-
-    def component_labelling(self, component: FaultComponent) -> ComponentPolygon:
-        """The component's labelling-emulation polygon and rounds, cached."""
-        entry = self._component_artifact(
-            self._labelling_cache, component, component_polygon_via_labelling
-        )
-        if entry.component is not component:
-            entry = dataclasses.replace(entry, component=component)
-            self._labelling_cache[component.nodes] = entry
-        return entry
-
-    def emulation_rounds(self, components: Sequence[FaultComponent]) -> int:
-        """Maximum labelling-emulation rounds over *components*, cached.
-
-        Round counts depend only on a component's shape, so they are cached
-        per node set; the cache misses are emulated batched
-        (:func:`repro.core.mfp.emulate_rounds_each`) instead of one
-        labelling run per component.
-        """
-        missing = [c for c in components if c.nodes not in self._rounds_cache]
-        if missing:
-            self.cache_info["component_misses"] += len(missing)
-            for component, rounds in zip(missing, emulate_rounds_each(missing)):
-                self._rounds_cache[component.nodes] = rounds
-        self.cache_info["component_hits"] += len(components) - len(missing)
-        return max(
-            (self._rounds_cache[c.nodes] for c in components), default=0
-        )
 
     # -- construction builds ---------------------------------------------------------
 
@@ -506,9 +397,17 @@ class MeshSession:
     ) -> ConstructionResult:
         """Build (or fetch from cache) the construction registered as *key*.
 
-        Results are cached per (key, options) until the fault set changes;
-        constructions with a registered incremental builder only recompute
-        the components touched since their artefacts were last cached.
+        Results are cached per (key, options) until the fault set changes.
+        A build is the spec's one-shot build on the current fault set.
+
+        ``cache_info["component_hits"]`` / ``["component_misses"]`` grow by
+        how much the process-wide shape-memo counters
+        (:func:`repro.core.components.shape_memo_counts`) moved while the
+        build ran.  One lookup per memo a construction consults: MFP looks
+        up each non-rectangular component's hull, CMFP its hull and its
+        rounds, DMFP its outcome and every rectangle's ``(width, height)``
+        rounds; MFP looks up no rectangle.  The counters are not per
+        thread, so lookups another thread makes during the build count too.
         """
         spec = get_construction(key)
         opts = spec.make_options(options, overrides)
@@ -518,13 +417,11 @@ class MeshSession:
             self.cache_info["result_hits"] += 1
             return cached[1]
         self.cache_info["result_misses"] += 1
-        incremental = (
-            incremental_builder(spec.key) if spec.supports_incremental else None
-        )
-        if incremental is not None:
-            result = incremental(self, spec, opts)
-        else:
-            result = spec.build(self.faults, self._topology, options=opts)
+        hits, misses = shape_memo_counts()
+        result = spec.build(self.faults, self._topology, options=opts)
+        after_hits, after_misses = shape_memo_counts()
+        self.cache_info["component_hits"] += after_hits - hits
+        self.cache_info["component_misses"] += after_misses - misses
         self._results[cache_key] = (self._version, result)
         return result
 
@@ -592,54 +489,3 @@ class MeshSession:
             f"{self._topology.width}x{self._topology.height} {kind}, "
             f"{self.num_faults} faults, {len(self._members)} components"
         )
-
-
-# -- incremental builders -----------------------------------------------------------
-
-
-def _incremental_minimum_polygons(
-    session: MeshSession, spec: ConstructionSpec, options: ConstructionOptions
-) -> ConstructionResult:
-    """Incremental centralized MFP/CMFP: reuse clean components' polygons."""
-    components = session.components()
-    via_labelling = getattr(options, "via_labelling", False)
-    compute_rounds = spec.key == "cmfp" or getattr(options, "compute_rounds", True)
-
-    polygons: List[ComponentPolygon] = []
-    rounds = 0
-    for component in components:
-        if via_labelling:
-            # Solution A always carries its emulation rounds, regardless of
-            # compute_rounds -- matching build_minimum_polygons_via_labelling.
-            entry = session.component_labelling(component)
-            rounds = max(rounds, entry.rounds)
-        else:
-            entry = session.component_hull(component)
-        polygons.append(entry)
-    if compute_rounds and not via_labelling:
-        rounds = session.emulation_rounds(components)
-    construction = assemble_minimum_polygons(
-        session.faults, session.topology, polygons, rounds, components
-    )
-    return spec.wrap(construction, options)
-
-
-def _incremental_distributed(
-    session: MeshSession, spec: ConstructionSpec, options: ConstructionOptions
-) -> ConstructionResult:
-    """Incremental DMFP: the session's component partition, no rescan.
-
-    The per-component outcomes come from the process-wide shape memo of
-    :func:`repro.distributed.dmfp.component_outcome`, which serves clean
-    and dirty components alike and re-plans exactly the components whose
-    concave sections hold another component's fault.
-    """
-    construction = assemble_distributed(
-        session.faults, session.topology, session.components()
-    )
-    return spec.wrap(construction, options)
-
-
-register_incremental("mfp", _incremental_minimum_polygons)
-register_incremental("cmfp", _incremental_minimum_polygons)
-register_incremental("dmfp", _incremental_distributed)

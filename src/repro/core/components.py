@@ -6,13 +6,24 @@ surrounding nodes, i.e. diagonal contacts count).  Each component maintains
 the minimum and maximum coordinates of its nodes along both dimensions --
 the bounding box that becomes the *virtual faulty block* in the centralized
 solution.
+
+:class:`ComponentTable` holds every component of a fault set as arrays,
+from one 8-connected labelling: the cells grouped by component, each
+component's bounding box and size, and its *shape key*.  MFP, CMFP and DMFP
+build from the table.  Solution B disables only a component's concave row
+and column sections, so a component that fills its bounding box adds
+nothing, and every other component's polygon, CMFP rounds and DMFP outcome
+depend on its shape alone.  Those come from process-wide memos
+(:class:`ShapeMemo`) keyed by the shape key.  :func:`find_components` is
+the table's materialisation as :class:`FaultComponent` objects.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import threading
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -100,17 +111,185 @@ class FaultComponent:
         return any(n in self.nodes for n in eight_neighbours(node))
 
 
+#: Entries kept by each process-wide :class:`ShapeMemo`.  A 40-s paper
+#: sweep memoises about 2,000 distinct component shapes.
+SHAPE_MEMO_SIZE = 4096
+
+#: Every shape memo of the process, for :func:`clear_shape_memos` and
+#: :func:`shape_memo_counts`.
+_SHAPE_MEMOS: List["ShapeMemo"] = []
+
+
+class ShapeMemo:
+    """A process-wide memo from shape keys to values, least recently used
+    entries evicted beyond :data:`SHAPE_MEMO_SIZE`.
+
+    *compute* maps a list of missing keys to their values in one call, so
+    a build computes all its misses together (the CMFP rounds emulate
+    them as one batch).  ``hits`` and ``misses`` count lookups: each
+    distinct missing key of a lookup is a miss, every other key a hit.
+    Lookups from several threads are serialised, as ``functools.lru_cache``
+    is safe to share.
+    """
+
+    def __init__(self, compute: Callable[[List[Hashable]], List[Any]]) -> None:
+        self._compute = compute
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        _SHAPE_MEMOS.append(self)
+
+    def lookup(self, keys: Sequence[Hashable]) -> List[Any]:
+        """The values of *keys*, in order."""
+        with self._lock:
+            entries = self._entries
+            missing = [key for key in dict.fromkeys(keys) if key not in entries]
+            self.misses += len(missing)
+            self.hits += len(keys) - len(missing)
+            if missing:
+                entries.update(zip(missing, self._compute(missing)))
+            values = []
+            for key in keys:
+                entries.move_to_end(key)
+                values.append(entries[key])
+            while len(entries) > SHAPE_MEMO_SIZE:
+                entries.popitem(last=False)
+            return values
+
+    def __call__(self, key: Hashable) -> Any:
+        return self.lookup([key])[0]
+
+    def cache_clear(self) -> None:
+        """Empty the memo and reset its counters."""
+        with self._lock:
+            self._entries.clear()
+            self.hits = self.misses = 0
+
+
+def clear_shape_memos() -> None:
+    """Empty every shape memo, e.g. to time the constructions cold."""
+    for memo in _SHAPE_MEMOS:
+        memo.cache_clear()
+
+
+def shape_memo_counts() -> Tuple[int, int]:
+    """``(hits, misses)`` summed over every shape memo of the process."""
+    return sum(m.hits for m in _SHAPE_MEMOS), sum(m.misses for m in _SHAPE_MEMOS)
+
+
+def shape_key(nodes: Iterable[Coord]) -> bytes:
+    """The shape-memo key of a node set.
+
+    The cells relative to their bounding-box corner, in ``(x, y)`` order,
+    as the bytes of an ``int32`` array: equal for translated copies of one
+    shape and different for any two shapes.  :class:`ComponentTable`
+    computes the same bytes for all its components at once.
+    """
+    cells = np.array(sorted(nodes), dtype=np.int64).reshape(-1, 2)
+    return (cells - cells.min(axis=0)).astype(np.int32).tobytes()
+
+
+def shape_cells(key: bytes) -> np.ndarray:
+    """The ``(n, 2)`` read-only cell array a :func:`shape_key` encodes."""
+    return np.frombuffer(key, dtype=np.int32).reshape(-1, 2)
+
+
+class ComponentTable:
+    """Every fault component of a fault set, as arrays.
+
+    Component ``i`` owns cells ``bounds[i]:bounds[i + 1]`` of ``xs`` /
+    ``ys``, in ``(x, y)`` order; components come in :func:`find_components`
+    order (ascending minimum node).  Per component the table keeps the
+    bounding-box corner (``min_x``, ``min_y``), ``widths``, ``heights``,
+    ``sizes`` and the :func:`shape_key` (``keys``, computed in one array
+    pass); ``irregular`` indexes the components that do not fill their
+    bounding box, the only ones whose polygon adds nodes.
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, bounds: np.ndarray) -> None:
+        self.xs, self.ys, self.bounds = xs, ys, bounds
+        starts = bounds[:-1]
+        self.sizes = np.diff(bounds)
+        self.min_x = xs[starts]  # (x, y) order: a component's first cell
+        self.min_y = np.minimum.reduceat(ys, starts) if starts.size else starts
+        self.widths = xs[bounds[1:] - 1] - self.min_x + 1
+        self.heights = (
+            np.maximum.reduceat(ys, starts) - self.min_y + 1 if starts.size else starts
+        )
+        self.irregular = np.flatnonzero(self.widths * self.heights != self.sizes)
+        owner = np.repeat(np.arange(starts.size), self.sizes)
+        cells = np.empty((xs.size, 2), dtype=np.int32)
+        cells[:, 0] = xs - self.min_x[owner]
+        cells[:, 1] = ys - self.min_y[owner]
+        blob = cells.tobytes()
+        edges = (bounds * 8).tolist()
+        self.keys: List[bytes] = [blob[a:b] for a, b in zip(edges, edges[1:])]
+
+    @classmethod
+    def from_faults(cls, faults: Iterable[Coord], diagonal: bool = True) -> "ComponentTable":
+        """Label *faults* once and tabulate their components.
+
+        Rasterises the faults into their bounding box for the mask
+        labelling of :mod:`repro.geometry.masks`; a fault set too sparse
+        for that (:func:`repro.geometry.masks.try_local_mask` returns
+        ``None``) is grouped by :func:`find_components_bfs` instead.
+        *diagonal* is as in :func:`find_components`.
+        """
+        fault_set: Set[Coord] = set(faults)
+        local = masks.try_local_mask(fault_set)
+        if local is None:
+            groups = [sorted(c.nodes) for c in find_components_bfs(fault_set, diagonal)]
+            cells = np.array([cell for group in groups for cell in group], dtype=np.int64)
+            xs, ys = cells.reshape(-1, 2).T
+            return cls(xs, ys, np.cumsum([0] + [len(group) for group in groups]))
+        mask, (min_x, min_y) = local
+        labels, count = masks.label_mask(mask, connectivity=8 if diagonal else 4)
+        xs, ys = np.nonzero(labels)
+        lab = labels[xs, ys]
+        order = np.argsort(lab, kind="stable")  # keeps (x, y) order per label
+        bounds = np.searchsorted(lab[order], np.arange(1, count + 2))
+        return cls(xs[order] + min_x, ys[order] + min_y, bounds)
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def materialise(self) -> List[FaultComponent]:
+        """The components as :class:`FaultComponent` objects."""
+        xl, yl = self.xs.tolist(), self.ys.tolist()
+        bounds = self.bounds.tolist()
+        return [
+            FaultComponent(
+                index=index,
+                nodes=frozenset(zip(xl[start:end], yl[start:end])),
+            )
+            for index, (start, end) in enumerate(zip(bounds, bounds[1:]))
+        ]
+
+    def place(self, picks: np.ndarray, shapes: Sequence[np.ndarray]) -> np.ndarray:
+        """Concatenate *shapes*, each moved to its component's box corner.
+
+        ``shapes[j]`` is an ``(n, 2)`` array relative to the corner of
+        component ``picks[j]`` (a memo entry); the result is one ``(N, 2)``
+        array of absolute coordinates.
+        """
+        if not len(shapes):
+            return np.zeros((0, 2), dtype=np.int64)
+        corners = np.column_stack((self.min_x[picks], self.min_y[picks]))
+        lengths = [len(shape) for shape in shapes]
+        return np.concatenate(shapes) + np.repeat(corners, lengths, axis=0)
+
+
 def find_components(
     faults: Iterable[Coord],
     diagonal: bool = True,
 ) -> List[FaultComponent]:
     """Group *faults* into components using the merge process.
 
-    Dispatches to the vectorized labelling of :mod:`repro.geometry.masks`
-    (the faults are rasterised into their bounding box and labelled with
-    whole-array operations); :func:`find_components_bfs` is the set-based
-    oracle and the fallback for pathologically sparse fault sets.  Both
-    return bit-identical component lists.
+    The :class:`ComponentTable` of *faults*, materialised: one vectorized
+    labelling of the faults rasterised into their bounding box, or
+    :func:`find_components_bfs` (the set-based oracle) for pathologically
+    sparse fault sets.  Both return bit-identical component lists.
 
     Parameters
     ----------
@@ -126,30 +305,7 @@ def find_components(
     list[FaultComponent]
         Components in deterministic discovery order (sorted seed nodes).
     """
-    fault_set: Set[Coord] = set(faults)
-    local = masks.try_local_mask(fault_set)
-    if local is None:
-        return find_components_bfs(fault_set, diagonal)
-    mask, (min_x, min_y) = local
-    labels, count = masks.label_mask(mask, connectivity=8 if diagonal else 4)
-    xs, ys = np.nonzero(labels)
-    lab = labels[xs, ys]
-    order = np.argsort(lab, kind="stable")  # keeps (x, y) order per label
-    xl = (xs[order] + min_x).tolist()
-    yl = (ys[order] + min_y).tolist()
-    bounds = np.searchsorted(lab[order], np.arange(1, count + 2)).tolist()
-    return [
-        FaultComponent(
-            index=index,
-            nodes=frozenset(
-                zip(
-                    xl[bounds[index] : bounds[index + 1]],
-                    yl[bounds[index] : bounds[index + 1]],
-                )
-            ),
-        )
-        for index in range(count)
-    ]
+    return ComponentTable.from_faults(faults, diagonal).materialise()
 
 
 def find_components_bfs(

@@ -26,7 +26,7 @@ class FaultyBlockConstruction:
     """Result of constructing rectangular faulty blocks for one fault set."""
 
     grid: StatusGrid
-    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`,
+    #: Final fault regions; a lazy :class:`~repro.core.regions.LazyList`,
     #: built on first access to a region.
     regions: Sequence[FaultRegion]
     rounds: int

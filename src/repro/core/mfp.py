@@ -26,6 +26,14 @@ The number of rounds reported for the centralized solution (CMFP in
 Figure 11) is the number of synchronous neighbour-exchange rounds of the
 per-component labelling emulation; components are processed in parallel in
 the network, so the network-wide figure is the maximum over components.
+
+Solution B builds from the :class:`~repro.core.components.ComponentTable`
+of the faults.  A component that fills its bounding box is its own hull
+and needs 0 rounds.  Every other component's hull and rounds depend on its
+shape alone: they come from the process-wide memos :data:`shape_hull` and
+:data:`shape_rounds` and are translated into place with array ops.  The
+result's ``components`` and ``component_polygons`` are lazy lists, so a
+sweep trial builds no :class:`~repro.core.components.FaultComponent`.
 """
 
 from __future__ import annotations
@@ -35,9 +43,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.components import FaultComponent, find_components
+from repro.core.components import (
+    ComponentTable,
+    FaultComponent,
+    ShapeMemo,
+    find_components,
+    shape_cells,
+    shape_key,
+)
 from repro.core.labelling import apply_labelling_scheme_1, apply_labelling_scheme_2
-from repro.core.regions import FaultRegion, convexify_regions, mean_region_size
+from repro.core.regions import FaultRegion, LazyList, mean_region_size, pile_polygons
 from repro.faults.scenario import FaultScenario
 from repro.geometry import masks
 from repro.geometry.orthogonal import orthogonal_convex_hull_sets
@@ -45,9 +60,9 @@ from repro.mesh.status import StatusGrid
 from repro.mesh.topology import Mesh2D, Topology
 from repro.types import Coord, FaultRegionModel
 
-#: Bounding-box area below which the per-component hull fill runs on plain
-#: sets: under ~8x8 cells the numpy call overhead exceeds the interpreted
-#: loop cost (measured crossover; both paths are bit-identical).
+#: Bounding-box area below which the hull fill runs on plain sets: under
+#: ~8x8 cells the numpy call overhead exceeds the interpreted loop cost
+#: (measured crossover; both paths are bit-identical).
 _SET_HULL_AREA = 64
 
 
@@ -59,19 +74,12 @@ class ComponentPolygon:
     polygon disables (the concave row/column sections); ``rounds_scheme1``
     and ``rounds_scheme2`` are the per-component emulation round counts
     (zero for the direct hull construction).
-
-    ``polygon_coords`` optionally carries the polygon as an ``(n, 2)``
-    coordinate array (present when the mask kernel built the polygon).  It
-    is redundant with ``polygon`` -- it exists so the network-wide assembly
-    and the session caches can concatenate whole arrays instead of
-    iterating coordinate sets; it is excluded from equality/hashing.
     """
 
     component: FaultComponent
     polygon: frozenset
     rounds_scheme1: int = 0
     rounds_scheme2: int = 0
-    polygon_coords: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
     def added_nodes(self) -> frozenset:
@@ -89,11 +97,15 @@ class MinimumPolygonConstruction:
     """Result of the centralized minimum faulty polygon construction."""
 
     grid: StatusGrid
-    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`,
+    #: Final fault regions; a lazy :class:`~repro.core.regions.LazyList`,
     #: built on first access to a region.
     regions: Sequence[FaultRegion]
-    components: List[FaultComponent]
-    component_polygons: List[ComponentPolygon]
+    #: The fault components, in :func:`find_components` order; a lazy
+    #: :class:`~repro.core.regions.LazyList` from Solution B.
+    components: Sequence[FaultComponent]
+    #: Each component's polygon, in component order; lazy like
+    #: ``components``.
+    component_polygons: Sequence[ComponentPolygon]
     rounds: int
     model: FaultRegionModel = FaultRegionModel.MINIMUM_FAULTY_POLYGON
     #: Grid mapping every cell to the index of the region containing it
@@ -120,45 +132,41 @@ class MinimumPolygonConstruction:
         return all(region.is_orthogonal_convex for region in self.regions)
 
 
+def _shape_hull(key: bytes) -> np.ndarray:
+    """The minimum orthogonal convex hull of a shape, as a sorted read-only
+    ``(n, 2)`` array relative to the shape's bounding-box corner."""
+    cells = shape_cells(key).astype(np.int64)
+    width, height = int(cells[:, 0].max()) + 1, int(cells[:, 1].max()) + 1
+    if _SET_HULL_AREA < width * height <= masks.MAX_LOCAL_AREA:
+        mask = np.zeros((width, height), dtype=bool)
+        mask[cells[:, 0], cells[:, 1]] = True
+        hull = np.column_stack(np.nonzero(masks.hull_mask(mask)))
+    else:
+        # Below the crossover the interpreted set fill beats the numpy call
+        # overhead on a tiny array; results are identical either way.
+        nodes = orthogonal_convex_hull_sets(map(tuple, cells.tolist()))
+        hull = np.array(sorted(nodes), dtype=np.int64).reshape(-1, 2)
+    hull.flags.writeable = False  # memo entries are shared by every caller
+    return hull
+
+
+#: Process-wide memo: shape key -> the shape's hull (:func:`_shape_hull`).
+shape_hull = ShapeMemo(lambda keys: [_shape_hull(key) for key in keys])
+
+
 def component_minimum_polygon(component: FaultComponent) -> ComponentPolygon:
     """Return the minimum faulty polygon of one component (hull fill).
 
     This is centralized Solution B restricted to a single component: the
     concave row and column sections are filled until the region is
     orthogonal convex, yielding the minimum orthogonal convex polygon that
-    covers every fault of the component.
+    covers every fault of the component.  Served by :data:`shape_hull`.
     """
-    nodes = component.nodes
     box = component.bounding_box
-    min_x, min_y = box.min_x, box.min_y
-    width, height = box.width, box.height
-    if width * height == len(nodes):
-        # The component already fills its bounding box (singletons and
-        # solid blocks, the overwhelming majority in random fault
-        # patterns): it is its own hull, no rasterisation needed; the
-        # assembly batches the coordinates of all such polygons into a
-        # single array.
-        return ComponentPolygon(component=component, polygon=nodes)
-    if _SET_HULL_AREA < width * height <= masks.MAX_LOCAL_AREA:
-        pts = np.asarray(list(nodes))
-        mask = np.zeros((width, height), dtype=bool)
-        mask[pts[:, 0] - min_x, pts[:, 1] - min_y] = True
-        hull = masks.hull_mask(mask)
-        hull_xs, hull_ys = np.nonzero(hull)
-        hull_xs = hull_xs + min_x
-        hull_ys = hull_ys + min_y
-        coords = np.empty((hull_xs.size, 2), dtype=hull_xs.dtype)
-        coords[:, 0] = hull_xs
-        coords[:, 1] = hull_ys
-        return ComponentPolygon(
-            component=component,
-            polygon=frozenset(zip(hull_xs.tolist(), hull_ys.tolist())),
-            polygon_coords=coords,
-        )
-    # Below the crossover the interpreted set fill beats the numpy call
-    # overhead on a tiny array; results are identical either way.
-    hull = orthogonal_convex_hull_sets(component.nodes)
-    return ComponentPolygon(component=component, polygon=frozenset(hull))
+    hull = shape_hull(shape_key(component.nodes))
+    xs = (hull[:, 0] + box.min_x).tolist()
+    ys = (hull[:, 1] + box.min_y).tolist()
+    return ComponentPolygon(component=component, polygon=frozenset(zip(xs, ys)))
 
 
 def component_polygon_via_labelling(
@@ -192,13 +200,11 @@ def component_polygon_via_labelling(
         (box.min_x + int(x), box.min_y + int(y))
         for x, y in zip(*np.nonzero(scheme2.labels))
     }
-    poly_xs, poly_ys = np.nonzero(scheme2.labels)
     return ComponentPolygon(
         component=component,
         polygon=frozenset(polygon),
         rounds_scheme1=scheme1.rounds,
         rounds_scheme2=scheme2.rounds,
-        polygon_coords=np.column_stack((poly_xs + box.min_x, poly_ys + box.min_y)),
     )
 
 
@@ -282,36 +288,38 @@ def _batched_scheme2_rounds(faulty: np.ndarray, virtual_block: np.ndarray) -> np
 _EMULATION_CHUNK_CELLS = 1 << 22
 
 
-def emulate_rounds_each(components: Sequence[FaultComponent]) -> List[int]:
-    """Per-component labelling-emulation round counts, computed batched.
+def emulate_rounds_each(shapes: Sequence[bytes]) -> List[int]:
+    """Per-shape labelling-emulation round counts, computed batched.
 
-    Components that fill their bounding box (singletons, solid blocks) need
-    zero rounds -- scheme 1 starts at its fixed point and scheme 2 has
-    nothing to re-enable -- and are skipped outright.  The remaining
-    components are padded to shared canvas sizes, stacked along a leading
-    axis and emulated together: one whole-stack array sweep advances every
-    component's labelling by one round, with per-slice change tracking
-    recovering the individual round counts.  Results are identical to
-    looping :func:`component_polygon_via_labelling` (property-tested).
+    *shapes* are :func:`~repro.core.components.shape_key` keys.  Shapes
+    that fill their bounding box (singletons, solid blocks) need zero
+    rounds -- scheme 1 starts at its fixed point and scheme 2 has nothing
+    to re-enable -- and are skipped outright.  The remaining shapes are
+    padded to shared canvas sizes, stacked along a leading axis and
+    emulated together: one whole-stack array sweep advances every shape's
+    labelling by one round, with per-slice change tracking recovering the
+    individual round counts.  Results are identical to looping
+    :func:`component_polygon_via_labelling` (property-tested).
     """
-    rounds = [0] * len(components)
-    pending: List[Tuple[int, int, int, FaultComponent]] = []
-    for position, component in enumerate(components):
-        box = component.bounding_box
-        if box.width * box.height == component.size:
+    rounds = [0] * len(shapes)
+    pending: List[Tuple[int, int, int, np.ndarray, int, int]] = []
+    for position, key in enumerate(shapes):
+        cells = shape_cells(key)
+        width, height = int(cells[:, 0].max()) + 1, int(cells[:, 1].max()) + 1
+        if width * height == len(cells):
             continue  # already its own fixed point: zero rounds
-        # Canvases are padded to power-of-two sizes so that many components
+        # Canvases are padded to power-of-two sizes so that many shapes
         # share one stacked batch; the padding cells stay safe in scheme 1
-        # and enabled in scheme 2, so they never influence a component.
-        # Large components keep their exact bounding box -- they rarely
-        # share a batch, and the pow-2 padding would only add dead cells
-        # to every one of their (many) sweep iterations.
-        if box.width * box.height > 4096:
-            canvas_w, canvas_h = box.width, box.height
+        # and enabled in scheme 2, so they never influence a shape.  Large
+        # shapes keep their exact bounding box -- they rarely share a
+        # batch, and the pow-2 padding would only add dead cells to every
+        # one of their (many) sweep iterations.
+        if width * height > 4096:
+            canvas_w, canvas_h = width, height
         else:
-            canvas_w = 1 << (box.width - 1).bit_length()
-            canvas_h = 1 << (box.height - 1).bit_length()
-        pending.append((canvas_w, canvas_h, position, component))
+            canvas_w = 1 << (width - 1).bit_length()
+            canvas_h = 1 << (height - 1).bit_length()
+        pending.append((canvas_w, canvas_h, position, cells, width, height))
     pending.sort(key=lambda item: (item[0], item[1], item[2]))
     start = 0
     while start < len(pending):
@@ -325,77 +333,33 @@ def emulate_rounds_each(components: Sequence[FaultComponent]) -> List[int]:
         start += len(chunk)
         faulty = np.zeros((len(chunk), canvas_w, canvas_h), dtype=bool)
         virtual_block = np.zeros_like(faulty)
-        for slot, (_, _, _, component) in enumerate(chunk):
-            box = component.bounding_box
-            for x, y in component.nodes:
-                faulty[slot, x - box.min_x, y - box.min_y] = True
-            virtual_block[slot, : box.width, : box.height] = True
+        for slot, (_, _, _, cells, width, height) in enumerate(chunk):
+            faulty[slot, cells[:, 0], cells[:, 1]] = True
+            virtual_block[slot, :width, :height] = True
         scheme1 = _batched_scheme1_rounds(faulty)
         scheme2 = _batched_scheme2_rounds(faulty, virtual_block)
-        for slot, (_, _, position, _) in enumerate(chunk):
+        for slot, (_, _, position, *_) in enumerate(chunk):
             rounds[position] = int(scheme1[slot] + scheme2[slot])
     return rounds
 
 
-def emulate_rounds(components: Sequence[FaultComponent]) -> int:
-    """Maximum per-component labelling-emulation rounds (see
-    :func:`emulate_rounds_each`)."""
-    return max(emulate_rounds_each(components), default=0)
+#: Process-wide memo: shape key -> the shape's CMFP rounds
+#: (:func:`emulate_rounds_each`, one batch per lookup's misses).
+shape_rounds = ShapeMemo(emulate_rounds_each)
 
 
-def assemble_minimum_polygons(
-    faults: Sequence[Coord],
-    topology: Topology,
-    component_polygons: List[ComponentPolygon],
-    rounds: int,
-    components: List[FaultComponent],
-) -> MinimumPolygonConstruction:
-    """Pile per-component polygons into a network-wide construction result.
-
-    Exposed so that callers that maintain the component partition and the
-    per-component polygons themselves (notably the incremental
-    :class:`repro.api.MeshSession`) can reuse the piling/superseding step
-    without recomputing every polygon.
-
-    The piling is a whole-array OR of the per-component polygon masks; the
-    superseding rule (faulty > disabled > enabled) holds trivially because
-    the injected faults are already marked faulty/disabled on the grid.
-    :func:`repro.core.reference.build_mfp` piles with the rule itself.
-    """
-    grid = StatusGrid(topology, faults)
-    arrays: List[np.ndarray] = []
-    loose: List[Coord] = []
-    for entry in component_polygons:
-        if entry.polygon_coords is not None:
-            arrays.append(entry.polygon_coords)
-        else:
-            loose.extend(entry.polygon)
-    if loose:
-        arrays.append(np.asarray(loose))
-    if arrays:
-        pts = np.concatenate(arrays, axis=0)
-        width, height = grid.disabled.shape
-        keep = (
-            (pts[:, 0] >= 0)
-            & (pts[:, 0] < width)
-            & (pts[:, 1] >= 0)
-            & (pts[:, 1] < height)
-        )
-        pts = pts[keep]
-        grid.disabled[pts[:, 0], pts[:, 1]] = True
-        grid.unsafe[pts[:, 0], pts[:, 1]] = True
-    # Overlapping per-component polygons can merge into a non-convex region;
-    # fill such regions to their hulls so every final region satisfies
-    # Definition 1 (which the extended e-cube router depends on).
-    regions, region_index = convexify_regions(grid, return_index=True)
-    return MinimumPolygonConstruction(
-        grid=grid,
-        regions=regions,
-        components=components,
-        component_polygons=component_polygons,
-        rounds=rounds,
-        region_index=region_index,
-    )
+def _component_polygons(
+    components: Sequence[FaultComponent],
+    table: ComponentTable,
+    hulls: Sequence[np.ndarray],
+) -> List[ComponentPolygon]:
+    """Every component's :class:`ComponentPolygon` (a lazy-list builder)."""
+    polygons = [ComponentPolygon(component, component.nodes) for component in components]
+    for index, hull in zip(table.irregular.tolist(), hulls):
+        xs = (hull[:, 0] + table.min_x[index]).tolist()
+        ys = (hull[:, 1] + table.min_y[index]).tolist()
+        polygons[index] = ComponentPolygon(components[index], frozenset(zip(xs, ys)))
+    return polygons
 
 
 def build_minimum_polygons(
@@ -407,22 +371,38 @@ def build_minimum_polygons(
 ) -> MinimumPolygonConstruction:
     """Construct minimum faulty polygons (centralized Solution B, default).
 
-    Phase 1 groups the faults into 8-adjacent components; phase 2 fills each
-    component's concave row and column sections; the superseding rule piles
-    the per-component results.  The reported ``rounds`` is the CMFP
-    emulation cost, i.e. the maximum per-component labelling rounds, which
-    the paper uses for the CMFP curve of Figure 11 (the hull fill itself is
-    a centralized computation and exchanges no messages).  Pass
-    ``compute_rounds=False`` to skip the emulation when only the node
-    statuses are needed (Figures 9 and 10).
+    Phase 1 groups the faults into 8-adjacent components (one
+    :class:`~repro.core.components.ComponentTable`); phase 2 fills each
+    component's concave row and column sections, which only the
+    components that do not fill their bounding box have (hulls from the
+    :data:`shape_hull` memo); the superseding rule piles the
+    per-component results.  The reported ``rounds`` is the CMFP emulation
+    cost, i.e. the maximum per-component labelling rounds
+    (:data:`shape_rounds`), which the paper uses for the CMFP curve of
+    Figure 11 (the hull fill itself is a centralized computation and
+    exchanges no messages).  Pass ``compute_rounds=False`` to skip the
+    emulation when only the node statuses are needed (Figures 9 and 10).
     """
     if topology is None:
         topology = Mesh2D(width, height if height is not None else width)
-    components = find_components(faults)
-    component_polygons = [component_minimum_polygon(c) for c in components]
+    table = ComponentTable.from_faults(faults)
+    grid = StatusGrid(topology, faults)
+    keys = [table.keys[index] for index in table.irregular.tolist()]
+    hulls = shape_hull.lookup(keys)
     # Round accounting follows the labelling emulation (Solution A).
-    rounds = emulate_rounds(components) if compute_rounds else 0
-    return assemble_minimum_polygons(faults, topology, component_polygons, rounds, components)
+    rounds = max(shape_rounds.lookup(keys), default=0) if compute_rounds else 0
+    regions, region_index = pile_polygons(grid, table.place(table.irregular, hulls))
+    components = LazyList(len(table), table.materialise)
+    return MinimumPolygonConstruction(
+        grid=grid,
+        regions=regions,
+        components=components,
+        component_polygons=LazyList(
+            len(table), _component_polygons, components, table, hulls
+        ),
+        rounds=rounds,
+        region_index=region_index,
+    )
 
 
 def build_minimum_polygons_via_labelling(
@@ -437,8 +417,19 @@ def build_minimum_polygons_via_labelling(
         topology = Mesh2D(width, height if height is not None else width)
     components = find_components(faults)
     component_polygons = [component_polygon_via_labelling(c) for c in components]
-    rounds = max((entry.rounds for entry in component_polygons), default=0)
-    return assemble_minimum_polygons(faults, topology, component_polygons, rounds, components)
+    grid = StatusGrid(topology, faults)
+    nodes = [node for entry in component_polygons for node in entry.polygon]
+    regions, region_index = pile_polygons(
+        grid, np.array(nodes, dtype=np.int64).reshape(-1, 2)
+    )
+    return MinimumPolygonConstruction(
+        grid=grid,
+        regions=regions,
+        components=components,
+        component_polygons=component_polygons,
+        rounds=max((entry.rounds for entry in component_polygons), default=0),
+        region_index=region_index,
+    )
 
 
 def build_minimum_polygons_for_scenario(

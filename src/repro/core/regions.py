@@ -7,7 +7,7 @@ number of faulty and non-faulty nodes it contains (Figures 9 and 10) and
 its shape properties (rectangularity for FB, orthogonal convexity for FP
 and MFP -- both are asserted by the test suite).
 
-Constructions return their regions as a :class:`RegionList`: the
+Constructions return their regions as a :class:`LazyList` over the
 canonical label grid, turned into :class:`FaultRegion` objects only when a
 caller first looks inside a region.  The figure scalars need only the
 region count and the disabled-node count (:func:`mean_region_size`), so a
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from collections.abc import Sequence as SequenceABC
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -165,34 +165,35 @@ def _regions_from_labels(
     return regions
 
 
-class RegionList(SequenceABC):
-    """Read-only, lazily built region list over a canonical label grid.
+class LazyList(SequenceABC):
+    """Read-only sequence whose items a builder makes on first look.
 
-    ``len()`` and truth tests read the label count; the first element
-    access builds every :class:`FaultRegion` once, exactly as
-    :func:`_regions_from_labels` does, and drops the label grid.  The
-    fault mask is copied on creation, so later writes to a construction's
-    :class:`~repro.mesh.status.StatusGrid` do not leak into regions built
-    afterwards.  ``==`` compares element-wise with lists and other region
-    lists; like a list, the object is unhashable.
+    ``len()`` and truth tests read the count given at creation; the first
+    element access (indexing, iteration, ``==``, ``repr``) calls
+    ``build(*args)`` once, keeps the list it returns and drops the
+    arguments.  ``==`` compares element-wise with lists and other lazy
+    lists; like a list, the object is unhashable, and it pickles when
+    *build* and *args* do.  Constructions hold their regions, components
+    and per-component polygons this way, so a sweep that only counts them
+    builds no per-node frozensets.
     """
 
-    __slots__ = ("_count", "_source", "_regions")
+    __slots__ = ("_count", "_source", "_items")
 
-    def __init__(self, labels: np.ndarray, count: int, faulty: np.ndarray) -> None:
+    def __init__(self, count: int, build: Callable[..., list], *args) -> None:
         self._count = count
-        self._source: Optional[Tuple[np.ndarray, np.ndarray]] = (labels, faulty.copy())
-        self._regions: Optional[List[FaultRegion]] = None
+        self._source: Optional[Tuple[Callable[..., list], tuple]] = (build, args)
+        self._items: Optional[list] = None
 
-    def _built(self) -> List[FaultRegion]:
-        # One read of the snapshot, and the regions stored before it is
+    def _built(self) -> list:
+        # One read of the source, and the items stored before it is
         # dropped: a second reader either builds the same list again or
-        # finds it stored, never a half-dropped snapshot.
+        # finds it stored, never a half-dropped source.
         source = self._source
         if source is not None:
-            self._regions = _regions_from_labels(source[0], self._count, source[1])
+            self._items = source[0](*source[1])
             self._source = None
-        return self._regions
+        return self._items
 
     def __len__(self) -> int:
         return self._count
@@ -204,7 +205,7 @@ class RegionList(SequenceABC):
         return iter(self._built())
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (list, RegionList)):
+        if not isinstance(other, (list, LazyList)):
             return NotImplemented
         return len(other) == self._count and self._built() == other
 
@@ -238,13 +239,13 @@ def extract_regions_and_index(
     router instantiation.  Pass ``build_index=False`` to skip it when only
     the region list is needed.
 
-    The regions are a lazy :class:`RegionList` over the label grid (a
-    snapshot of *faulty* included), so counting them builds no
-    :class:`FaultRegion`.
+    The regions are a :class:`LazyList` over the label grid and a copy of
+    *faulty* (later writes to the mask do not reach them), so counting them
+    builds no :class:`FaultRegion`.
     """
     labels, count = masks.label_mask(disabled, connectivity=4)
     index_grid = labels - 1 if build_index else None
-    return RegionList(labels, count, faulty), index_grid
+    return LazyList(count, _regions_from_labels, labels, count, faulty.copy()), index_grid
 
 
 def convexify_regions(grid, return_index: bool = False):
@@ -264,8 +265,8 @@ def convexify_regions(grid, return_index: bool = False):
 
     With ``return_index=True`` the result is ``(regions, region_index)``
     where the index grid maps cells to region indices (see
-    :func:`extract_regions_and_index`).  The regions are a lazy
-    :class:`RegionList` over the final label grid.
+    :func:`extract_regions_and_index`).  The regions are a
+    :class:`LazyList` over the final label grid.
     """
     while True:
         labels, count = masks.label_mask(grid.disabled, connectivity=4)
@@ -273,7 +274,7 @@ def convexify_regions(grid, return_index: bool = False):
         if dirty_labels.size == 0:
             # Only the final, convex partition becomes a region list;
             # intermediate fixpoint iterations stay in array land.
-            regions = RegionList(labels, count, grid.faulty)
+            regions = LazyList(count, _regions_from_labels, labels, count, grid.faulty.copy())
             return (regions, labels - 1) if return_index else regions
         for label in dirty_labels.tolist():
             cells = labels == label
@@ -283,6 +284,26 @@ def convexify_regions(grid, return_index: bool = False):
             hull = masks.hull_mask(cells[x0 : x1 + 1, y0 : y1 + 1])
             grid.disabled[x0 : x1 + 1, y0 : y1 + 1] |= hull
             grid.unsafe[x0 : x1 + 1, y0 : y1 + 1] |= hull
+
+
+def pile_polygons(grid, points: np.ndarray):
+    """Disable *points* on *grid*; return ``(regions, region_index)``.
+
+    The superseding step of MFP and DMFP: *points* is an ``(n, 2)`` array
+    of the nodes the per-component polygons cover, painted disabled and
+    unsafe in one write (clipped to the grid; the faults are already
+    marked, so faulty > disabled > enabled holds without a per-node
+    rule).  :func:`convexify_regions` then repairs merged regions.
+    :func:`repro.core.reference.build_mfp` piles with the rule itself.
+    """
+    if points.size:
+        width, height = grid.disabled.shape
+        xs, ys = points[:, 0], points[:, 1]
+        keep = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
+        xs, ys = xs[keep], ys[keep]
+        grid.disabled[xs, ys] = True
+        grid.unsafe[xs, ys] = True
+    return convexify_regions(grid, return_index=True)
 
 
 def region_statistics(regions: Sequence[FaultRegion]) -> Dict[str, float]:

@@ -35,7 +35,7 @@ class SubMinimumConstruction:
     """Result of the sub-minimum faulty polygon construction."""
 
     grid: StatusGrid
-    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`,
+    #: Final fault regions; a lazy :class:`~repro.core.regions.LazyList`,
     #: built on first access to a region.
     regions: Sequence[FaultRegion]
     rounds_scheme1: int

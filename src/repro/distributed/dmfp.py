@@ -26,24 +26,30 @@ own nodes.  Other faults matter only through section cells: a
 notification starts on its section (a ring-detected end node is itself a
 section cell) or next to it (an undetected section's end node is the
 adjacent member node), so with no faulty section cell every hop is to an
-adjacent cell and the detour search never runs.  :func:`component_outcome`
-therefore serves every component from a process-wide memo keyed by its
-shape translated to the origin, and runs the exact per-component code
-(:func:`construct_component`) only for a component with a faulty section
-cell.  Fault sweeps repeat a few hundred shapes over and over; most
-components are single nodes.
+adjacent cell and the detour search never runs.  So the construction
+builds from the :class:`~repro.core.components.ComponentTable` of the
+faults.  A component that fills its bounding box notifies nothing; its
+rounds come from :data:`rectangle_rounds`, keyed by width and height.
+Every other component's outcome comes from :data:`shape_outcome`, keyed
+by :func:`~repro.core.components.shape_key` and translated into place
+with array ops, unless a fault lies on one of its notified cells: that
+component is re-planned exactly by :func:`construct_component`.  Both
+memos are process-wide and keep at most
+:data:`~repro.core.components.SHAPE_MEMO_SIZE` entries; fault sweeps
+repeat a few hundred shapes over and over.  The result's ``components``
+are a lazy list, so a sweep trial builds no
+:class:`~repro.core.components.FaultComponent`.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import AbstractSet, FrozenSet, List, NamedTuple, Optional, Sequence, Set
+from typing import AbstractSet, Iterable, List, NamedTuple, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.core.components import FaultComponent, find_components
-from repro.core.regions import FaultRegion, convexify_regions, mean_region_size
+from repro.core.components import ComponentTable, FaultComponent, ShapeMemo, shape_cells
+from repro.core.regions import FaultRegion, LazyList, mean_region_size, pile_polygons
 from repro.distributed.notification import NotificationPlan, plan_notifications
 from repro.distributed.ring import RingConstruction, construct_boundary_ring
 from repro.faults.scenario import FaultScenario
@@ -55,10 +61,6 @@ from repro.types import Coord, FaultRegionModel
 #: Rounds spent by every node learning the fault status of its neighbours
 #: and therefore its own boundary status (a single neighbour exchange).
 BOUNDARY_STATUS_ROUNDS = 1
-
-#: Entries kept by the process-wide shape memo of :func:`shape_outcome`.
-#: A 100x100 sweep pass of 5,000 components has under 200 distinct shapes.
-SHAPE_MEMO_SIZE = 4096
 
 
 @dataclass
@@ -88,8 +90,9 @@ def construct_component(
     *fault_set* holds every fault of the network; the faults of the other
     components are the physically dead nodes a notification message must
     detour around (blocking polygons).  This is the exact per-component
-    construction: :func:`component_outcome` falls back to it, and the
-    tests use it as the oracle of the shape memo.
+    construction: :func:`build_minimum_polygons_distributed` re-plans a
+    component with it when a fault lies on one of the component's notified
+    cells, and the tests use it as the oracle of the shape memo.
     """
     ring = construct_boundary_ring(component)
     plan = plan_notifications(component, ring, fault_set)
@@ -111,41 +114,38 @@ def _coord_array(nodes) -> np.ndarray:
     return array
 
 
-@functools.lru_cache(maxsize=SHAPE_MEMO_SIZE)
-def shape_outcome(shape: FrozenSet[Coord]) -> ComponentOutcome:
-    """The outcome of a component *shape* (min x and min y at 0), unblocked.
-
-    With no blocking faults every concave-section cell is notified, so the
-    notified nodes are also the shape's section cells.  Process-wide memo
-    behind :func:`component_outcome`; ``shape_outcome.cache_clear()``
-    empties it, e.g. to time the construction cold.
-    """
-    entry = construct_component(FaultComponent(index=0, nodes=shape), frozenset())
+def _exact_outcome(
+    component: FaultComponent, fault_set: AbstractSet[Coord]
+) -> ComponentOutcome:
+    """The outcome of :func:`construct_component`, as memo entries hold it."""
+    entry = construct_component(component, fault_set)
     return ComponentOutcome(entry.rounds, _coord_array(entry.plan.disabled_nodes))
 
 
-def component_outcome(
-    component: FaultComponent, fault_set: AbstractSet[Coord]
-) -> ComponentOutcome:
-    """The rounds and notified nodes of *component* among *fault_set*.
+def _unblocked_outcome(nodes: Iterable[Coord]) -> ComponentOutcome:
+    return _exact_outcome(FaultComponent(index=0, nodes=frozenset(nodes)), frozenset())
 
-    Served from the shape memo, translated to the component's position,
-    unless a fault lies on one of the shape's concave-section cells; that
-    component runs :func:`construct_component` against the real faults.
-    Both give the same outcome whenever the memo is used (see the module
-    docstring), so the result is exact either way.
-    """
-    nodes = component.nodes
-    xs, ys = zip(*nodes)
-    min_x, min_y = min(xs), min(ys)
-    shape = shape_outcome(frozenset([(x - min_x, y - min_y) for x, y in nodes]))
-    if not shape.notified.size:
-        return shape
-    notified = shape.notified + (min_x, min_y)
-    if any(cell in fault_set for cell in map(tuple, notified.tolist())):
-        entry = construct_component(component, fault_set)
-        return ComponentOutcome(entry.rounds, _coord_array(entry.plan.disabled_nodes))
-    return ComponentOutcome(shape.rounds, notified)
+
+#: Process-wide memo: shape key -> the outcome of a component of that shape
+#: (min x and min y at 0), unblocked.  With no blocking faults every
+#: concave-section cell is notified, so the notified nodes are also the
+#: shape's section cells.  ``shape_outcome.cache_clear()`` (or
+#: :func:`repro.core.components.clear_shape_memos`) empties it.
+shape_outcome = ShapeMemo(
+    lambda keys: [
+        _unblocked_outcome(map(tuple, shape_cells(key).tolist())) for key in keys
+    ]
+)
+
+#: Process-wide memo: ``(width, height)`` -> the rounds of a component that
+#: fills its bounding box (boundary status plus the ring walk; it has no
+#: concave section, so it notifies nothing).
+rectangle_rounds = ShapeMemo(
+    lambda sizes: [
+        _unblocked_outcome((x, y) for x in range(width) for y in range(height)).rounds
+        for width, height in sizes
+    ]
+)
 
 
 @dataclass
@@ -153,10 +153,12 @@ class DistributedMinimumPolygonConstruction:
     """Result of the distributed minimum faulty polygon construction."""
 
     grid: StatusGrid
-    #: Final fault regions; a lazy :class:`~repro.core.regions.RegionList`,
+    #: Final fault regions; a lazy :class:`~repro.core.regions.LazyList`,
     #: built on first access to a region.
     regions: Sequence[FaultRegion]
-    components: List[FaultComponent]
+    #: The fault components, in :func:`~repro.core.components.find_components`
+    #: order; a lazy :class:`~repro.core.regions.LazyList`.
+    components: Sequence[FaultComponent]
     rounds: int
     model: FaultRegionModel = FaultRegionModel.MINIMUM_FAULTY_POLYGON
     #: Grid mapping every cell to the index of the region containing it
@@ -205,50 +207,6 @@ class DistributedMinimumPolygonConstruction:
         return all(region.is_orthogonal_convex for region in self.regions)
 
 
-def assemble_distributed(
-    faults: Sequence[Coord],
-    topology: Topology,
-    components: List[FaultComponent],
-) -> DistributedMinimumPolygonConstruction:
-    """Run every component's construction and pile the results.
-
-    *components* must partition *faults*.  Exposed so that callers that
-    maintain the component partition themselves (notably the incremental
-    :class:`repro.api.MeshSession`) take the same path as a one-shot build.
-    """
-    fault_set = set(faults)
-    outcomes = [component_outcome(component, fault_set) for component in components]
-    grid = StatusGrid(topology, faults)
-    # Whole-array piling: paint every notified node (clipped to the grid)
-    # in one write; the faults are already unsafe/disabled.
-    notified = [outcome.notified for outcome in outcomes if outcome.notified.size]
-    if notified:
-        pts = np.concatenate(notified)
-        width, height = grid.disabled.shape
-        keep = (
-            (pts[:, 0] >= 0)
-            & (pts[:, 0] < width)
-            & (pts[:, 1] >= 0)
-            & (pts[:, 1] < height)
-        )
-        xs, ys = pts[keep, 0], pts[keep, 1]
-        grid.unsafe[xs, ys] = True
-        grid.disabled[xs, ys] = True
-
-    # Same convexity repair as the centralized assemble: overlapping
-    # polygons piled into one region must stay orthogonal convex, and the
-    # distributed result must keep matching the centralized one exactly.
-    regions, region_index = convexify_regions(grid, return_index=True)
-    rounds = max((outcome.rounds for outcome in outcomes), default=0)
-    return DistributedMinimumPolygonConstruction(
-        grid=grid,
-        regions=regions,
-        components=components,
-        rounds=rounds,
-        region_index=region_index,
-    )
-
-
 def build_minimum_polygons_distributed(
     faults: Sequence[Coord],
     topology: Optional[Topology] = None,
@@ -258,11 +216,46 @@ def build_minimum_polygons_distributed(
     """Run the distributed minimum faulty polygon construction.
 
     Either pass an explicit *topology* or a *width*/*height* pair (a square
-    ``width x width`` mesh by default, matching the paper's setup).
+    ``width x width`` mesh by default, matching the paper's setup).  Every
+    component's outcome comes from the shape memos (see the module
+    docstring); the notified nodes of all components are piled in one
+    whole-array write.
     """
     if topology is None:
         topology = Mesh2D(width, height if height is not None else width)
-    return assemble_distributed(faults, topology, find_components(faults))
+    table = ComponentTable.from_faults(faults)
+    grid = StatusGrid(topology, faults)
+    filled = table.widths * table.heights == table.sizes
+    sizes = np.unique(np.column_stack((table.widths[filled], table.heights[filled])), axis=0)
+    rounds = rectangle_rounds.lookup([tuple(size) for size in sizes.tolist()])
+    irregular = table.irregular
+    outcomes = shape_outcome.lookup([table.keys[index] for index in irregular.tolist()])
+    notified = table.place(irregular, [outcome.notified for outcome in outcomes])
+    # Notified cells lie inside their component's bounding box, so on the
+    # grid.  A faulty one sends its component to the exact re-plan.
+    owner = np.repeat(irregular, [len(outcome.notified) for outcome in outcomes])
+    blocked = np.unique(owner[grid.faulty[notified[:, 0], notified[:, 1]]])
+    if blocked.size:
+        fault_set = set(faults)
+        components = table.materialise()
+        exact = [_exact_outcome(components[index], fault_set) for index in blocked.tolist()]
+        notified = np.concatenate(
+            [notified[~np.isin(owner, blocked)]] + [outcome.notified for outcome in exact]
+        )
+        clean = (~np.isin(irregular, blocked)).tolist()
+        outcomes = [outcome for outcome, keep in zip(outcomes, clean) if keep] + exact
+    rounds += [outcome.rounds for outcome in outcomes]
+    # Same convexity repair as the centralized build: overlapping polygons
+    # piled into one region must stay orthogonal convex, and the
+    # distributed result must keep matching the centralized one exactly.
+    regions, region_index = pile_polygons(grid, notified)
+    return DistributedMinimumPolygonConstruction(
+        grid=grid,
+        regions=regions,
+        components=LazyList(len(table), table.materialise),
+        rounds=max(rounds, default=0),
+        region_index=region_index,
+    )
 
 
 def build_distributed_for_scenario(

@@ -43,6 +43,22 @@ def region_builds(monkeypatch) -> List[int]:
 
 
 @pytest.fixture
+def component_builds(monkeypatch) -> List[int]:
+    """The index of every ``FaultComponent`` built while the test runs."""
+    from repro.core.components import FaultComponent
+
+    built: List[int] = []
+    post_init = FaultComponent.__post_init__
+
+    def counting_post_init(component) -> None:
+        built.append(component.index)
+        post_init(component)
+
+    monkeypatch.setattr(FaultComponent, "__post_init__", counting_post_init)
+    return built
+
+
+@pytest.fixture
 def mesh10() -> Mesh2D:
     """A small 10x10 mesh used by most unit tests."""
     return Mesh2D(10, 10)

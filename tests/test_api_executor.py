@@ -199,6 +199,23 @@ class TestExecution:
             "DMFP": (52, 8, 98 / 52, 35),
         }
 
+    def test_warm_trial_builds_no_components(self, component_builds):
+        """MFP, CMFP and DMFP read every component from the table and the
+        shape memos: once the memos hold a trial's shapes, re-running it
+        builds no FaultComponent, with the same figure scalars."""
+        scenario = generate_scenario(90, width=30, model="clustered", seed=3)
+        models = ("fb", "fp", "mfp", "cmfp", "dmfp")
+        cold = collect_scenario_metrics(scenario, models=models)
+        component_builds.clear()
+        warm = collect_scenario_metrics(scenario, models=models)
+        assert component_builds == []
+        assert warm.per_model == cold.per_model
+        assert {
+            label: (m.num_regions, m.disabled_nonfaulty, m.rounds)
+            for label, m in warm.per_model.items()
+            if label in ("MFP", "CMFP", "DMFP")
+        } == {"MFP": (52, 8, 10), "CMFP": (52, 8, 10), "DMFP": (52, 8, 35)}
+
     def test_include_rounds_false_zeroes_cmfp(self):
         scenario = generate_scenario(num_faults=25, width=15, seed=4)
         metrics = collect_scenario_metrics(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import MeshSession, get_construction
-from repro.core.components import find_components
+from repro.core.components import clear_shape_memos, find_components
 from repro.core.mfp import build_minimum_polygons_via_labelling
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D, Torus2D
@@ -198,30 +198,27 @@ class TestCaching:
         assert session.build("mfp", compute_rounds=False) is fast
 
     def test_untouched_components_hit_cache(self):
-        """Dirty-component invalidation: far-away faults reuse cached hulls."""
+        """A far-away new component leaves the others' shapes in the shape
+        memos: the next build looks them up as hits."""
+        clear_shape_memos()
         session = MeshSession(width=30, faults=[(2, 2), (2, 3), (3, 3)])
         session.build("mfp", compute_rounds=False)
-        baseline_misses = session.cache_info["component_misses"]
-        session.add_faults([(20, 20)])  # new isolated component
+        assert session.cache_info["component_misses"] == 1  # the L's hull
+        session.add_faults([(20, 20), (21, 21)])  # new diagonal pair
         session.build("mfp", compute_rounds=False)
-        assert session.cache_info["component_hits"] >= 1  # (2,2) cluster reused
+        assert session.cache_info["component_hits"] == 1  # the L reused
         # Only the new component's hull was computed.
-        assert session.cache_info["component_misses"] == baseline_misses + 1
+        assert session.cache_info["component_misses"] == 2
 
     def test_touched_component_recomputed(self):
-        session = MeshSession(width=30, faults=[(2, 2), (2, 3)])
+        clear_shape_memos()
+        session = MeshSession(width=30, faults=[(2, 2), (3, 3)])
         session.build("mfp", compute_rounds=False)
         misses = session.cache_info["component_misses"]
         session.add_faults([(3, 4)])  # extends the existing component
         session.build("mfp", compute_rounds=False)
         assert session.cache_info["component_misses"] == misses + 1
-
-    def test_stale_cache_entries_pruned_after_merge(self):
-        session = MeshSession(width=20, faults=[(1, 1), (4, 4)])
-        session.build("mfp", compute_rounds=False)
-        session.add_faults([(2, 2), (3, 3)])  # merges everything
-        session.build("mfp", compute_rounds=False)
-        assert len(session._hull_cache) == len(session.components())
+        assert session.cache_info["component_hits"] == 0
 
     def test_build_all_defaults_to_registry_keys(self):
         session = MeshSession(width=12, faults=[(2, 2), (6, 6)])
@@ -230,12 +227,11 @@ class TestCaching:
             assert key in results
             assert results[key].key == key
 
-    def test_replaced_spec_bypasses_stale_incremental_builder(self):
-        """register_construction(replace=True) must disconnect the previous
-        spec's incremental builder, so the session runs the new builder
-        (regression)."""
+    def test_replaced_spec_builder_runs_in_session(self):
+        """A session build runs the builder of a spec registered with
+        register_construction(replace=True) (regression)."""
         from repro.api import ConstructionSpec, register_construction
-        from repro.api.registry import _INCREMENTAL, _REGISTRY
+        from repro.api.registry import _REGISTRY
         from repro.core.mfp import build_minimum_polygons
 
         calls = []
@@ -245,7 +241,6 @@ class TestCaching:
             return build_minimum_polygons(faults, topology=topology)
 
         original_spec = _REGISTRY["mfp"]
-        original_incremental = _INCREMENTAL.get("mfp")
         try:
             register_construction(
                 ConstructionSpec(
@@ -262,12 +257,6 @@ class TestCaching:
             assert calls, "replacement builder was bypassed"
         finally:
             _REGISTRY["mfp"] = original_spec
-            if original_incremental is not None:
-                _INCREMENTAL["mfp"] = original_incremental
-        # The restored built-in spec still uses its incremental path.
-        session = MeshSession(width=12, faults=[(2, 2)])
-        session.build("mfp")
-        assert session.cache_info["component_misses"] >= 1
 
 
 class TestBatchAtomicity:

@@ -116,3 +116,39 @@ class TestComponentHelpers:
         stats = component_statistics([])
         assert stats["count"] == 0
         assert stats["mean_size"] == 0.0
+
+
+class TestShapeMemo:
+    def test_concurrent_lookups_lose_no_update(self):
+        """Threads sharing a memo past its bound get every value right and
+        count every lookup (a lost update would break either)."""
+        import sys
+        import threading
+
+        from repro.core import components
+
+        memo = components.ShapeMemo(lambda keys: [key * 2 for key in keys])
+        per_thread, threads = 3000, 6
+        failures = []
+
+        def work(offset):
+            for step in range(per_thread):
+                key = (offset * 7919 + step * 31) % (2 * components.SHAPE_MEMO_SIZE)
+                if memo.lookup([key, key + 1]) != [key * 2, key * 2 + 2]:
+                    failures.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            components._SHAPE_MEMOS.remove(memo)
+        assert not any(worker.is_alive() for worker in workers)
+        assert failures == []
+        assert memo.hits + memo.misses == 2 * per_thread * threads
+        assert len(memo._entries) <= components.SHAPE_MEMO_SIZE

@@ -1,14 +1,14 @@
 """Integration tests for the distributed MFP construction (DMFP)."""
 
 
-from repro.core.components import find_components
+from repro.core import reference
+from repro.core.components import clear_shape_memos, find_components, shape_key
 from repro.core.faulty_block import build_faulty_blocks
-from repro.core.mfp import build_minimum_polygons
+from repro.core.mfp import build_minimum_polygons, shape_hull, shape_rounds
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.distributed.dmfp import (
     build_distributed_for_scenario,
     build_minimum_polygons_distributed,
-    component_outcome,
     construct_component,
     shape_outcome,
 )
@@ -16,6 +16,7 @@ from repro.distributed.ring import construct_boundary_ring
 from repro.faults.scenario import generate_scenario
 from repro.geometry.orthogonal import orthogonal_convex_hull_sets
 from repro.geometry.sections import Section, concave_sections
+from repro.mesh.topology import Mesh2D
 from repro.types import FaultRegionModel
 
 
@@ -114,8 +115,14 @@ class TestDistributedConstruction:
 CAP = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (4, 1), (4, 0)]
 
 
-def _notified(outcome):
-    return set(map(tuple, outcome.notified.tolist()))
+def _build_against_reference(faults, width):
+    """The DMFP build of *faults*, checked against the set-based reference
+    (the exact per-component construction, no shape memo)."""
+    result = build_minimum_polygons_distributed(faults, width=width)
+    expected = reference.build_dmfp(faults, Mesh2D(width, width))
+    assert result.rounds == expected.rounds
+    assert result.grid.disabled_set() == expected.grid.disabled_set()
+    return result
 
 
 class TestShapeMemo:
@@ -126,33 +133,36 @@ class TestShapeMemo:
         faults = CAP + [(2, 0)]
         cap = next(c for c in find_components(faults) if len(c.nodes) == len(CAP))
         exact = construct_component(cap, set(faults))
-        outcome = component_outcome(cap, set(faults))
-        assert outcome.rounds == exact.rounds
-        assert _notified(outcome) == exact.plan.disabled_nodes
-        unblocked = shape_outcome(cap.nodes)
+        unblocked = shape_outcome(shape_key(cap.nodes))
         assert exact.rounds > unblocked.rounds
         assert (2, 0) not in exact.plan.disabled_nodes
-        result = build_minimum_polygons_distributed(faults, width=8)
-        assert result.rounds == max(e.rounds for e in result.per_component)
+        result = _build_against_reference(faults, width=8)
         assert result.rounds == exact.rounds
+        assert result.grid.disabled_set() == exact.polygon | {(2, 0)}
 
     def test_translated_shapes_share_one_outcome(self):
         shift = (10, 7)
         moved = [(x + shift[0], y + shift[1]) for x, y in CAP]
         faults = CAP + moved
         shape_outcome.cache_clear()
-        here, there = find_components(faults)
-        first = component_outcome(here, set(faults))
-        second = component_outcome(there, set(faults))
-        assert shape_outcome.cache_info().misses == 1
-        assert first.rounds == second.rounds
-        assert _notified(second) == {
-            (x + shift[0], y + shift[1]) for x, y in _notified(first)
-        }
-        for component, outcome in ((here, first), (there, second)):
-            exact = construct_component(component, set(faults))
-            assert outcome.rounds == exact.rounds
-            assert _notified(outcome) == exact.plan.disabled_nodes
+        result = _build_against_reference(faults, width=20)
+        assert (shape_outcome.misses, shape_outcome.hits) == (1, 1)
+        here, there = (construct_component(c, set(faults)) for c in find_components(faults))
+        assert result.rounds == here.rounds == there.rounds
+        assert there.polygon == {(x + shift[0], y + shift[1]) for x, y in here.polygon}
+        assert result.grid.disabled_set() == here.polygon | there.polygon
+
+    def test_translated_shapes_share_one_hull_and_rounds(self):
+        shift = (10, 7)
+        moved = [(x + shift[0], y + shift[1]) for x, y in CAP]
+        clear_shape_memos()
+        result = build_minimum_polygons(CAP + moved, width=20)
+        assert shape_hull.misses == 1
+        assert shape_rounds.misses == 1
+        here, there = result.component_polygons
+        assert here.polygon > here.component.nodes  # the cap's sections
+        assert there.polygon == {(x + shift[0], y + shift[1]) for x, y in here.polygon}
+        assert result.rounds > 0
 
 
 #: One component whose ring walk meets stale pairings: a boundary-array
@@ -187,6 +197,6 @@ class TestRingCornerCases:
         exact = construct_component(component, set(UNDETECTED_END))
         undetected = [n.section for n in exact.plan.notifications if not n.detected_by_ring]
         assert Section("column", 2, 5, 7) in undetected
-        outcome = component_outcome(component, set(UNDETECTED_END))
-        assert outcome.rounds == exact.rounds == 71
-        assert _notified(outcome) == exact.plan.disabled_nodes
+        result = _build_against_reference(UNDETECTED_END, width=12)
+        assert result.rounds == exact.rounds == 71
+        assert result.grid.disabled_set() == exact.polygon

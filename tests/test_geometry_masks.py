@@ -14,12 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.session import MeshSession
 from repro.core import reference
-from repro.core.components import find_components, find_components_bfs
+from repro.core.components import (
+    ComponentTable,
+    find_components,
+    find_components_bfs,
+    shape_key,
+)
 from repro.core.labelling import faults_to_mask
 from repro.core.mfp import (
     build_minimum_polygons,
     component_polygon_via_labelling,
-    emulate_rounds,
+    emulate_rounds_each,
 )
 from repro.core.regions import extract_regions, extract_regions_and_index, regions_from_masks
 from repro.distributed.dmfp import build_minimum_polygons_distributed
@@ -50,6 +55,16 @@ class TestPrimitiveEquivalence:
         oracle = find_components_bfs(sorted(faults))
         assert [c.nodes for c in kernel] == [c.nodes for c in oracle]
         assert [c.index for c in kernel] == [c.index for c in oracle]
+
+    @settings(max_examples=80, deadline=None)
+    @given(fault_sets)
+    def test_table_keys_match_shape_key_of_every_component(self, faults):
+        table = ComponentTable.from_faults(faults)
+        components = find_components(faults)
+        assert table.keys == [shape_key(c.nodes) for c in components]
+        assert table.irregular.tolist() == [
+            c.index for c in components if c.size != c.bounding_box.area
+        ]
 
     @settings(max_examples=80, deadline=None)
     @given(fault_sets)
@@ -128,7 +143,8 @@ class TestPrimitiveEquivalence:
             (component_polygon_via_labelling(c).rounds for c in components),
             default=0,
         )
-        assert emulate_rounds(components) == expected
+        keys = [shape_key(c.nodes) for c in components]
+        assert max(emulate_rounds_each(keys), default=0) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(fault_sets)
@@ -153,6 +169,7 @@ class TestConstructionEquivalence:
         assert [r.nodes for r in kernel.regions] == [r.nodes for r in oracle.regions]
         assert kernel.rounds == oracle.rounds
         assert [p.polygon for p in kernel.component_polygons] == oracle.polygons
+        assert list(kernel.components) == find_components(faults)
 
     @settings(max_examples=15, deadline=None)
     @given(fault_sets, st.booleans())
@@ -164,6 +181,7 @@ class TestConstructionEquivalence:
         assert (kernel.grid.unsafe == oracle.grid.unsafe).all()
         assert [r.nodes for r in kernel.regions] == [r.nodes for r in oracle.regions]
         assert kernel.rounds == oracle.rounds
+        assert list(kernel.components) == find_components(faults)
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(coords, min_size=0, max_size=30), st.integers(1, 5))
@@ -231,6 +249,13 @@ class TestKernelUtilities:
         components = find_components(region)
         assert len(components) == 3
         assert components == find_components_bfs(region)
+
+    def test_sparse_inputs_build_the_table_from_bfs_components(self):
+        region = [(0, 0), (2, 0), (5000, 5000)]
+        table = ComponentTable.from_faults(region)
+        assert table.materialise() == find_components_bfs(region)
+        assert table.keys == [shape_key(c.nodes) for c in find_components_bfs(region)]
+        assert table.irregular.size == 0
 
     def test_label_order_is_lexicographic_min_node(self):
         mask = np.zeros((6, 6), dtype=bool)

@@ -1,14 +1,20 @@
 """Unit tests for the minimum faulty polygon constructions (MFP / CMFP)."""
 
+import pickle
 
-from repro.core.components import find_components
+import pytest
+
+from repro.core.components import find_components, shape_key
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import (
     build_minimum_polygons,
     build_minimum_polygons_via_labelling,
     component_minimum_polygon,
     component_polygon_via_labelling,
+    shape_hull,
 )
+from repro.core.regions import LazyList
+from repro.distributed.dmfp import shape_outcome
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D
@@ -126,6 +132,27 @@ class TestBuildMinimumPolygons:
             hull = orthogonal_convex_hull(entry.component.nodes)
             assert entry.polygon == hull
             assert is_orthogonal_convex(entry.polygon)
+
+    def test_components_and_polygons_are_lazy_lists(self, component_builds, u_shape):
+        scenario = generate_scenario(num_faults=40, width=16, model="clustered", seed=5)
+        result = build_minimum_polygons(scenario.faults, topology=scenario.topology())
+        assert isinstance(result.components, LazyList)
+        assert isinstance(result.component_polygons, LazyList)
+        assert len(result.components) == len(result.component_polygons) > 1
+        assert component_builds == []
+        for lazy in (result.components, result.component_polygons):
+            clone = pickle.loads(pickle.dumps(lazy))  # pickled before the first look
+            assert clone == list(lazy) == pickle.loads(pickle.dumps(lazy))
+        assert list(result.components) == find_components(scenario.faults)
+        assert all(
+            entry.component is component
+            for entry, component in zip(result.component_polygons, result.components)
+        )
+        key = shape_key(u_shape)
+        with pytest.raises(ValueError):
+            shape_hull(key)[0, 0] = 5
+        with pytest.raises(ValueError):
+            shape_outcome(key).notified[0, 0] = 5
 
     def test_figure4_two_minimum_polygons(self, figure4_faults):
         result = build_minimum_polygons(figure4_faults, width=10, compute_rounds=False)
