@@ -52,9 +52,9 @@ def main() -> None:
         )
 
     # Sequential fault insertion, as in the paper's simulation: the session
-    # merges the new faults into its component partition incrementally, and
-    # the rebuild finds every untouched component's shape (its hull and
-    # rounds) in the process-wide shape memos.
+    # adds the new faults to its fault set, and the rebuild finds every
+    # untouched component's shape (its hull and rounds) in the process-wide
+    # shape memos.
     session.add_faults([(0, 0), (0, 1), (17, 17)])
     updated = session.build("mfp")
     hits = session.cache_info["component_hits"]

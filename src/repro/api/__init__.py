@@ -9,9 +9,9 @@ exported from its top level:
   ``build(scenario, *, options) -> ConstructionResult`` protocol and typed
   option dataclasses.
 * :mod:`repro.api.session` -- :class:`MeshSession`, a stateful mesh that
-  supports incremental ``add_faults`` / ``remove_faults`` / ``clear``
-  with per-construction result caching; untouched components are served
-  by the process-wide shape memos of the constructions.
+  supports ``add_faults`` / ``remove_faults`` / ``clear`` with
+  per-construction result caching; untouched components are served by
+  the process-wide shape memos of the constructions.
 * :mod:`repro.api.routing` -- :class:`RoutingSession`, the routing facade
   of the session: routers resolved through the router registry
   (``get_router("ecube" | "extended-ecube")``), synthetic workloads

@@ -1,12 +1,11 @@
-"""Stateful mesh sessions with incremental fault updates.
+"""Stateful mesh sessions with fault updates and cached constructions.
 
 :class:`MeshSession` follows the paper's simulation shape: "faults are
 sequentially added" to a 100x100 mesh, and every construction is re-run
-after each insertion.  It owns a topology plus the evolving fault set,
-caches every construction result until the next mutation, and keeps the
-fault-component partition *incrementally*: ``add_faults`` merges each new
-fault into the adjacent components in O(batch) and ``remove_faults``
-re-splits only the components that lost a member.  The partition backs
+after each insertion.  It owns a topology plus the evolving fault set in
+insertion order, caches every construction result until the next
+mutation, and asks :func:`repro.core.components.find_components` for the
+fault-component partition at most once per version; the partition backs
 :meth:`MeshSession.fingerprint` and the daemon's ``status``.
 
 A build is the registered construction's one-shot build on the current
@@ -37,19 +36,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.registry import (
     ConstructionOptions,
     ConstructionResult,
     get_construction,
 )
-from repro.core.components import FaultComponent, shape_memo_counts
+from repro.core.components import FaultComponent, find_components, shape_memo_counts
 from repro.faults.links import links_to_node_faults, make_link_fault_set
 from repro.faults.scenario import FaultScenario
-from repro.geometry.boundary import eight_neighbours
 from repro.mesh.topology import Mesh2D, Topology, Torus2D
-from repro.types import Coord
+from repro.types import Coord, is_int_pair
 
 
 class MeshSession:
@@ -81,20 +79,11 @@ class MeshSession:
             height = width if height is None else height
             topology = Torus2D(width, height) if torus else Mesh2D(width, height)
         self._topology = topology
-        self._faults: List[Coord] = []
-        self._fault_set: Set[Coord] = set()
-        # Incremental component partition: component id -> mutable node set.
-        self._members: Dict[int, Set[Coord]] = {}
-        self._comp_of: Dict[Coord, int] = {}
-        self._next_comp_id = 0
+        # The fault set; dict keys keep insertion order.
+        self._faults: Dict[Coord, None] = {}
         self._version = 0
+        # find_components(self._faults), reset by every mutation.
         self._components: Optional[List[FaultComponent]] = None
-        # Per-component-id caches of the frozen node set and its minimum
-        # node, invalidated only when that component is touched -- so
-        # rebuilding the component list after a batch costs O(changed),
-        # not O(total faults).
-        self._frozen_members: Dict[int, FrozenSet[Coord]] = {}
-        self._comp_min: Dict[int, Coord] = {}
         # Whole-result cache: (key, options) -> (version, result).
         self._results: Dict[Tuple[str, ConstructionOptions], Tuple[int, ConstructionResult]] = {}
         # Routing facade, created lazily on first router/route/routing use;
@@ -149,14 +138,14 @@ class MeshSession:
 
     def fault_set(self) -> FrozenSet[Coord]:
         """The current fault positions as a frozenset."""
-        return frozenset(self._fault_set)
+        return frozenset(self._faults)
 
     def state(self) -> Dict[str, Any]:
         """The session's durable state as a JSON-safe dict.
 
         Captures everything :meth:`from_state` needs to reconstruct a
         bit-identical session: topology shape/kind, the fault list *in
-        insertion order* (component discovery order depends on it), and
+        insertion order* (``faults`` and :meth:`fingerprint` keep it), and
         the version counter.  Used by the serve journal's snapshots
         (:mod:`repro.serve.journal`).  Only the built-in ``Mesh2D`` /
         ``Torus2D`` topologies are supported.
@@ -182,15 +171,23 @@ class MeshSession:
         The fault list is re-inserted in its recorded order (one batch
         preserves insertion order) and the version counter is restored,
         so replaying the same mutations against the restored session
-        reproduces the original's :meth:`fingerprint` exactly.
+        reproduces the original's :meth:`fingerprint` exactly.  Raises
+        ``ValueError`` naming the first field off :meth:`state`'s format
+        (bools and floats are not ints; ``torus`` may be absent).
         """
-        session = cls(
-            width=int(state["width"]),
-            height=int(state["height"]),
-            torus=bool(state.get("torus", False)),
-        )
-        session.add_faults(tuple(int(v) for v in fault) for fault in state["faults"])
-        session._version = int(state["version"])
+        if not isinstance(state, dict):
+            raise ValueError(f"session state must be a dict, not {type(state).__name__}")
+        for name, low in (("width", 1), ("height", 1), ("version", 0)):
+            if type(state.get(name)) is not int or state[name] < low:
+                raise ValueError(f"session state {name!r} must be an int >= {low}")
+        torus, faults = state.get("torus", False), state.get("faults")
+        if not isinstance(torus, bool):
+            raise ValueError(f"session state 'torus' must be a bool, got {torus!r}")
+        if not isinstance(faults, (list, tuple)) or not all(map(is_int_pair, faults)):
+            raise ValueError("session state 'faults' must be a list of [x, y] int pairs")
+        session = cls(width=state["width"], height=state["height"], torus=torus)
+        session.add_faults(faults)
+        session._version = state["version"]
         return session
 
     def fingerprint(self) -> str:
@@ -220,54 +217,13 @@ class MeshSession:
         return bool(self.add_faults([node]))
 
     def add_faults(self, nodes: Iterable[Coord]) -> List[Coord]:
-        """Inject a batch of faults, merging components incrementally.
+        """Inject a batch of faults.
 
         Already-faulty positions are skipped.  Returns the list of newly
-        injected positions (insertion order).  Component membership is
-        updated in O(batch size): each new fault joins (and possibly
-        merges) only the components adjacent to it under the paper's
-        8-adjacency (Definition 2).
+        injected positions (insertion order).
         """
-        # Validate the whole batch before mutating anything, so a rejected
-        # node cannot leave the session holding half the batch with stale
-        # caches (the version bump only happens at the end).
-        batch: List[Coord] = []
-        for node in nodes:
-            node = (int(node[0]), int(node[1]))
-            self._topology.validate(node)
-            batch.append(node)
-        added: List[Coord] = []
-        for node in batch:
-            if node in self._fault_set:
-                continue
-            self._fault_set.add(node)
-            self._faults.append(node)
-            added.append(node)
-            touching = {
-                self._comp_of[n]
-                for n in eight_neighbours(node)
-                if n in self._comp_of
-            }
-            if not touching:
-                comp_id = self._next_comp_id
-                self._next_comp_id += 1
-                self._members[comp_id] = {node}
-                self._comp_min[comp_id] = node
-            else:
-                # Merge everything into the largest touched component.
-                comp_id = max(touching, key=lambda cid: len(self._members[cid]))
-                best_min = min(self._comp_min[cid] for cid in touching)
-                for other in touching - {comp_id}:
-                    moved = self._members.pop(other)
-                    self._frozen_members.pop(other, None)
-                    self._comp_min.pop(other, None)
-                    for member in moved:
-                        self._comp_of[member] = comp_id
-                    self._members[comp_id].update(moved)
-                self._members[comp_id].add(node)
-                self._frozen_members.pop(comp_id, None)
-                self._comp_min[comp_id] = min(best_min, node)
-            self._comp_of[node] = comp_id
+        added = [node for node in self._batch(nodes) if node not in self._faults]
+        self._faults.update(dict.fromkeys(added))
         if added:
             self._version += 1
             self._components = None
@@ -278,61 +234,24 @@ class MeshSession:
         return bool(self.remove_faults([node]))
 
     def remove_faults(self, nodes: Iterable[Coord]) -> List[Coord]:
-        """Repair a batch of faults, re-splitting components incrementally.
+        """Repair a batch of faults.
 
         The inverse of :meth:`add_faults`: positions that are not currently
         faulty are skipped, and the list of actually repaired positions is
-        returned.  Only the components that lost a member are revisited --
-        each is re-partitioned by a flood fill over its *remaining* members
-        under the paper's 8-adjacency, since removing a cut node can split
-        one component into several.  Untouched components keep their node
-        sets, so the next build finds their shapes in the shape memos.
+        returned.  The remaining faults keep their insertion order.
         """
-        batch: List[Coord] = []
-        for node in nodes:
-            node = (int(node[0]), int(node[1]))
-            self._topology.validate(node)
-            batch.append(node)
-        removed: List[Coord] = []
-        affected: Set[int] = set()
-        for node in batch:
-            if node not in self._fault_set:
-                continue
-            self._fault_set.discard(node)
-            removed.append(node)
-            comp_id = self._comp_of.pop(node)
-            self._members[comp_id].discard(node)
-            affected.add(comp_id)
-        if not removed:
-            return removed
-        for comp_id in affected:
-            survivors = self._members.pop(comp_id)
-            self._frozen_members.pop(comp_id, None)
-            self._comp_min.pop(comp_id, None)
-            # Flood-fill the survivors into (possibly several) fresh
-            # components; fresh ids are fine because components() orders by
-            # minimal node, not id.
-            while survivors:
-                seed = survivors.pop()
-                piece = {seed}
-                frontier = [seed]
-                while frontier:
-                    current = frontier.pop()
-                    for neighbour in eight_neighbours(current):
-                        if neighbour in survivors:
-                            survivors.discard(neighbour)
-                            piece.add(neighbour)
-                            frontier.append(neighbour)
-                new_id = self._next_comp_id
-                self._next_comp_id += 1
-                self._members[new_id] = piece
-                self._comp_min[new_id] = min(piece)
-                for member in piece:
-                    self._comp_of[member] = new_id
-        self._faults = [f for f in self._faults if f in self._fault_set]
-        self._version += 1
-        self._components = None
+        removed = [node for node in self._batch(nodes) if node in self._faults]
+        for node in removed:
+            del self._faults[node]
+        if removed:
+            self._version += 1
+            self._components = None
         return removed
+
+    def _batch(self, nodes: Iterable[Coord]) -> Dict[Coord, None]:
+        # The batch's distinct nodes in order, all validated before a mutator
+        # touches anything: a rejected node leaves the session as it was.
+        return dict.fromkeys(self._topology.validate((int(n[0]), int(n[1]))) for n in nodes)
 
     def add_link_faults(
         self, links: Iterable[Sequence[Coord]], *, prefer_lower: bool = True
@@ -348,19 +267,13 @@ class MeshSession:
         """
         fault_set = make_link_fault_set(self._topology, links)
         mapped = links_to_node_faults(
-            fault_set, self._fault_set, prefer_lower=prefer_lower
+            fault_set, self._faults, prefer_lower=prefer_lower
         )
-        return self.add_faults(n for n in mapped if n not in self._fault_set)
+        return self.add_faults(n for n in mapped if n not in self._faults)
 
     def clear(self) -> None:
         """Drop all faults and every cached artefact."""
         self._faults.clear()
-        self._fault_set.clear()
-        self._members.clear()
-        self._comp_of.clear()
-        self._frozen_members.clear()
-        self._comp_min.clear()
-        self._next_comp_id = 0
         self._version += 1
         self._components = None
         self._results.clear()
@@ -370,20 +283,13 @@ class MeshSession:
     def components(self) -> List[FaultComponent]:
         """The current fault components, in ``find_components`` order.
 
-        Components are ordered by their minimal node (the discovery order
-        of :func:`repro.core.components.find_components`), so session and
-        one-shot builds expose identical component lists.
+        :func:`repro.core.components.find_components` of the fault set
+        (components ordered by their minimal node), computed at most once
+        per version, so session and one-shot builds expose identical
+        component lists.
         """
         if self._components is None:
-            ordered_ids = sorted(self._members, key=self._comp_min.__getitem__)
-            components: List[FaultComponent] = []
-            for index, comp_id in enumerate(ordered_ids):
-                nodes = self._frozen_members.get(comp_id)
-                if nodes is None:
-                    nodes = frozenset(self._members[comp_id])
-                    self._frozen_members[comp_id] = nodes
-                components.append(FaultComponent(index=index, nodes=nodes))
-            self._components = components
+            self._components = find_components(self._faults)
         return self._components
 
     # -- construction builds ---------------------------------------------------------
@@ -487,5 +393,5 @@ class MeshSession:
         kind = "torus" if isinstance(self._topology, Torus2D) else "mesh"
         return (
             f"{self._topology.width}x{self._topology.height} {kind}, "
-            f"{self.num_faults} faults, {len(self._members)} components"
+            f"{self.num_faults} faults, {len(self.components())} components"
         )

@@ -303,7 +303,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     # Imported lazily: the serving layer is optional machinery on top of
     # the session API.
-    from repro.serve import RouteDaemon
+    from repro.serve import JournalError, RouteDaemon
 
     knobs = dict(
         construction=args.model,
@@ -322,7 +322,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if journal_path is not None and journal_path.exists() and journal_path.stat().st_size:
         # A non-empty journal wins over the scenario flags: the daemon
         # resumes the exact session the previous process was serving.
-        daemon = RouteDaemon.recover(journal_path, **knobs)
+        try:
+            daemon = RouteDaemon.recover(journal_path, **knobs)
+        except JournalError as exc:
+            print(f"journal error: {exc}", file=sys.stderr)
+            return 1
         scenario_line = (
             f"recovered from {journal_path} "
             f"(events replayed: {daemon.recovered['events_replayed']}, "

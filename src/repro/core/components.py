@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Callable, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -336,39 +336,3 @@ def find_components_bfs(
                     queue.append(neighbour)
         components.append(FaultComponent(index=len(components), nodes=frozenset(members)))
     return components
-
-
-def component_of(components: Sequence[FaultComponent], node: Coord) -> FaultComponent | None:
-    """Return the component containing *node*, or ``None``."""
-    for component in components:
-        if node in component:
-            return component
-    return None
-
-
-def largest_component(components: Sequence[FaultComponent]) -> FaultComponent | None:
-    """Return the component with the most faults (``None`` when empty)."""
-    if not components:
-        return None
-    return max(components, key=lambda c: (c.size, -c.index))
-
-
-def component_statistics(components: Sequence[FaultComponent]) -> Dict[str, float]:
-    """Summary statistics over a component list (used by experiment logs)."""
-    if not components:
-        return {
-            "count": 0,
-            "mean_size": 0.0,
-            "max_size": 0,
-            "mean_extent": 0.0,
-            "max_extent": 0,
-        }
-    sizes = [c.size for c in components]
-    extents = [c.extent for c in components]
-    return {
-        "count": len(components),
-        "mean_size": sum(sizes) / len(sizes),
-        "max_size": max(sizes),
-        "mean_extent": sum(extents) / len(extents),
-        "max_extent": max(extents),
-    }

@@ -76,6 +76,7 @@ from repro.serve.coalescer import Pair, PendingRoute, RouteCoalescer
 from repro.serve.journal import (
     IDEM_CACHE_SIZE,
     Journal,
+    JournalError,
     load_journal,
     replay_events,
 )
@@ -596,18 +597,22 @@ class RouteDaemon:
         the journaled post-versions along the way), restores the
         idempotency cache, and returns a daemon whose session state --
         witnessed by :meth:`MeshSession.fingerprint` -- is bit-identical
-        to the state at the last journaled mutation.  ``kwargs`` are the
-        usual constructor knobs (construction, router, window, ports,
-        admission caps, ...); ``session``/``scenario``/``journal`` are
-        owned by the recovery.
+        to the state at the last journaled mutation.  An unusable journal
+        raises :class:`JournalError`, a snapshot or event the session
+        refuses included.  ``kwargs`` are the usual constructor knobs
+        (construction, router, window, ports, admission caps, ...);
+        ``session``/``scenario``/``journal`` are owned by the recovery.
         """
         for owned in ("session", "scenario", "journal"):
             if owned in kwargs:
                 raise TypeError(f"recover() owns the {owned!r} argument")
         path = Path(journal)
         loaded = load_journal(path)
-        session = MeshSession.from_state(loaded.state)
-        replayed = replay_events(session, loaded.events)
+        try:
+            session = MeshSession.from_state(loaded.state)
+            replayed = replay_events(session, loaded.events)
+        except (JournalError, ValueError) as exc:
+            raise JournalError(f"journal {path} does not replay: {exc}") from exc
         journal_obj = Journal(path)
         journal_obj.seq = loaded.seq
         daemon = cls(session, journal=journal_obj, **kwargs)

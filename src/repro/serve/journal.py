@@ -53,6 +53,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.types import is_int_pair
+
 SCHEMA = "repro.serve.journal/v1"
 
 #: Idempotency entries retained in memory and in snapshots (LRU).
@@ -254,7 +256,7 @@ def load_journal(path: Union[str, Path]) -> LoadedJournal:
 
     snapshot = records[snapshot_at]
     loaded = LoadedJournal(
-        state=snapshot["state"],
+        state=snapshot.get("state"),
         seq=max(int(record.get("seq", 0)) for record in records),
         truncated_lines=truncated,
         records=len(records),
@@ -267,7 +269,7 @@ def load_journal(path: Union[str, Path]) -> LoadedJournal:
         loaded.events.append(record)
         idem = record.get("idem")
         if idem is not None:
-            loaded.idem[idem] = record["payload"]
+            loaded.idem[idem] = record.get("payload")
             while len(loaded.idem) > IDEM_CACHE_SIZE:
                 loaded.idem.popitem(last=False)
     return loaded
@@ -282,19 +284,26 @@ def replay_events(session, events: List[Dict[str, Any]]) -> int:
     each event the session's version must equal the version the original
     daemon journaled -- a mismatch means the journal and the replay
     diverged, which is unrecoverable, so :class:`JournalError` is raised
-    rather than serving silently wrong state.  Returns the number of
-    events applied.
+    rather than serving silently wrong state.  So is an event whose
+    payload is not a dict or whose node list is not a list of ``[x, y]``
+    int pairs; a node off the topology raises the session's
+    ``ValueError``.  Returns the number of events applied.
     """
     for event in events:
-        payload = event["payload"]
-        if event["op"] == "repair":
-            session.remove_faults(
-                (int(x), int(y)) for x, y in payload.get("removed", ())
+        payload = event.get("payload")
+        if not isinstance(payload, dict):
+            raise JournalError(f"event at seq {event.get('seq')} has no payload object")
+        field_name = "removed" if event.get("op") == "repair" else "added"
+        nodes = payload.get(field_name, ())
+        if not isinstance(nodes, (list, tuple)) or not all(map(is_int_pair, nodes)):
+            raise JournalError(
+                f"event at seq {event.get('seq')}: {field_name!r} must be a list "
+                "of [x, y] int pairs"
             )
+        if field_name == "removed":
+            session.remove_faults(nodes)
         else:
-            session.add_faults(
-                (int(x), int(y)) for x, y in payload.get("added", ())
-            )
+            session.add_faults(nodes)
         expected = payload.get("version")
         if expected is not None and session.version != expected:
             raise JournalError(

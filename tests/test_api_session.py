@@ -1,7 +1,12 @@
-"""Tests for the incremental MeshSession (repro.api.session)."""
+"""Tests for MeshSession (repro.api.session): fault updates, builds that
+equal one-shot builds, result caching, and components asked of
+find_components once per version."""
+
+import random
 
 import pytest
 
+import repro.api.session as session_module
 from repro.api import MeshSession, get_construction
 from repro.core.components import clear_shape_memos, find_components
 from repro.core.mfp import build_minimum_polygons_via_labelling
@@ -39,6 +44,14 @@ class TestState:
         version = session.version
         assert session.add_faults([(2, 2)]) == []
         assert session.version == version
+
+    def test_repair_keeps_insertion_order_and_readding_appends(self):
+        session = MeshSession(width=9, faults=[(5, 5), (1, 1), (2, 2)])
+        assert session.remove_faults([(1, 1), (1, 1), (0, 0)]) == [(1, 1)]
+        assert session.faults == ((5, 5), (2, 2))
+        session.add_faults([(1, 1)])
+        assert session.faults == ((5, 5), (2, 2), (1, 1))
+        assert session.version == 3
 
     def test_validates_positions(self):
         session = MeshSession(width=5)
@@ -92,6 +105,74 @@ class TestComponentTracking:
         assert len(session.components()) == 2
         session.add_faults([(2, 2)])  # bridges (1,1) and (3,3)
         assert len(session.components()) == 1
+
+
+class TestComponentsOnDemand:
+    def test_mutations_do_no_component_work(self, monkeypatch):
+        calls = []
+
+        def counting_find_components(faults):
+            calls.append(len(faults))
+            return find_components(faults)
+
+        monkeypatch.setattr(session_module, "find_components", counting_find_components)
+        rng = random.Random(7)
+        session = MeshSession(width=20)
+        for step in range(50):
+            batch = [(rng.randrange(20), rng.randrange(20)) for _ in range(6)]
+            if step % 3 == 2:
+                session.remove_faults(batch[:2] + list(session.faults[:3]))
+            else:
+                session.add_faults(batch)
+        assert calls == []
+        components = session.components()
+        session.fingerprint()
+        session.describe()
+        assert len(calls) == 1
+        assert session.add_faults([session.faults[0]]) == []
+        assert session.components() is components
+        assert len(calls) == 1
+
+
+class TestFingerprint:
+    def test_split_is_pinned(self):
+        session = MeshSession(width=12, faults=[(2, 2), (3, 3), (4, 4)])
+        session.remove_faults([(3, 3)])
+        assert (session.version, len(session.components())) == (2, 2)
+        assert session.fingerprint() == (
+            "675768b8be8559bdbffc6407a629d31c2dcdd292949dff105e8c962edcae5abf"
+        )
+
+    def test_torus_is_pinned(self):
+        session = MeshSession(width=8, torus=True, faults=[(0, 0), (7, 7), (3, 4)])
+        assert (session.version, len(session.components())) == (1, 3)
+        assert session.fingerprint() == (
+            "222e5f1447b83208a4eb2e3265856ed1c1f05bfc7bb0db2b255d99465674fb5f"
+        )
+
+    def test_empty_is_pinned(self):
+        assert MeshSession(width=10).fingerprint() == (
+            "040872b7a83dc248dafdf16e1d2c2a0f75e657c0fd8ad6142e121ef421da2223"
+        )
+
+
+class TestFromState:
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"width": True}, "width"),
+            ({"height": 0}, "height"),
+            ({"version": -1}, "version"),
+            ({"version": 2.0}, "version"),
+            ({"torus": "yes"}, "torus"),
+            ({"faults": [[1, False]]}, "faults"),
+            ({"faults": {"1": 1}}, "faults"),
+        ],
+    )
+    def test_refuses_a_bad_field_by_name(self, change, field):
+        state = {"width": 6, "height": 6, "torus": False, "faults": [[1, 1]], "version": 1}
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            MeshSession.from_state({**state, **change})
 
 
 class TestIncrementalEqualsOneShot:

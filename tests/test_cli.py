@@ -160,6 +160,19 @@ class TestCommands:
         assert "mean_detour" in captured
         assert "MFP" in captured
 
+    def test_serve_reports_an_unusable_journal_in_one_line(self, tmp_path, capsys):
+        journal = tmp_path / "daemon.journal"
+        journal.write_text(
+            '{"t":"snapshot","seq":1,"state":{"width":8,"height":8,'
+            '"torus":false,"faults":[[1]],"version":0}}\n'
+        )
+        assert main(["serve", "--journal", str(journal)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("journal error: ")
+        assert str(journal) in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_verify_reports_ok(self, capsys):
         exit_code = main(
             ["verify", "--faults", "40", "--width", "20", "--seed", "3"]

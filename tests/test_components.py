@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.components import (
-    FaultComponent,
-    component_of,
-    component_statistics,
-    find_components,
-    largest_component,
-)
+from repro.core.components import FaultComponent, find_components
 from repro.geometry.rectangle import Rectangle
 
 
@@ -91,31 +85,6 @@ class TestFindComponents:
     def test_long_snake_is_one_component(self):
         snake = [(x, x // 2) for x in range(20)]
         assert len(find_components(snake)) == 1
-
-
-class TestComponentHelpers:
-    def test_component_of(self, figure4_faults):
-        components = find_components(figure4_faults)
-        assert component_of(components, (2, 2)) is components[0]
-        assert component_of(components, (4, 5)) is components[1]
-        assert component_of(components, (9, 9)) is None
-
-    def test_largest_component(self, figure4_faults):
-        components = find_components(figure4_faults)
-        assert largest_component(components).size == 4
-        assert largest_component([]) is None
-
-    def test_statistics(self, figure4_faults):
-        stats = component_statistics(find_components(figure4_faults))
-        assert stats["count"] == 2
-        assert stats["max_size"] == 4
-        assert stats["mean_size"] == 3.0
-        assert stats["max_extent"] >= 2
-
-    def test_statistics_empty(self):
-        stats = component_statistics([])
-        assert stats["count"] == 0
-        assert stats["mean_size"] == 0.0
 
 
 class TestShapeMemo:

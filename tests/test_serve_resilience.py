@@ -342,7 +342,53 @@ class TestIdempotency:
 # -- crash recovery ------------------------------------------------------------------
 
 
+SNAPSHOT = {
+    "t": "snapshot",
+    "seq": 1,
+    "state": {"width": 8, "height": 8, "torus": False, "faults": [[1, 1]], "version": 1},
+}
+
+
+def _snapshot_with(**state):
+    return {**SNAPSHOT, "state": {**SNAPSHOT["state"], **state}}
+
+
+def _add_event(payload):
+    return {"t": "event", "seq": 2, "op": "add_faults", "payload": payload}
+
+
+MALFORMED_JOURNALS = [
+    pytest.param([_snapshot_with(faults=[[1]])], id="fault-one-coordinate"),
+    pytest.param(
+        [{**SNAPSHOT, "state": {k: v for k, v in SNAPSHOT["state"].items() if k != "height"}}],
+        id="no-height",
+    ),
+    pytest.param([{**SNAPSHOT, "state": [8, 8]}], id="state-not-a-dict"),
+    pytest.param([{"t": "snapshot", "seq": 1}], id="no-state"),
+    pytest.param([_snapshot_with(faults=[["a", 2]])], id="fault-string"),
+    pytest.param([_snapshot_with(faults=[[8, 2]])], id="fault-off-mesh"),
+    pytest.param([_snapshot_with(faults=[[1.7, 2]])], id="fault-float"),
+    pytest.param(
+        [SNAPSHOT, {"t": "event", "seq": 2, "op": "add_faults", "idem": "a-1"}],
+        id="event-no-payload",
+    ),
+    pytest.param([SNAPSHOT, _add_event([[2, 2]])], id="payload-not-a-dict"),
+    pytest.param([SNAPSHOT, _add_event({"added": [[3]], "version": 2})], id="added-one-coordinate"),
+    pytest.param([SNAPSHOT, _add_event({"added": [[9, 9]], "version": 2})], id="added-off-mesh"),
+]
+
+
 class TestRecovery:
+    @pytest.mark.parametrize("records", MALFORMED_JOURNALS)
+    def test_malformed_journal_raises_journal_error(self, tmp_path, records):
+        """Valid JSON that no session can come from is refused as a journal
+        error naming the file, never a bare crash or a silently wrong state."""
+        path = tmp_path / "daemon.ndjson"
+        path.write_bytes(b"".join(encode(record) for record in records))
+        with pytest.raises(JournalError) as excinfo:
+            RouteDaemon.recover(path)
+        assert str(path) in str(excinfo.value)
+
     def test_kill_then_recover_matches_oracle(self, tmp_path):
         path = tmp_path / "daemon.ndjson"
 
