@@ -19,6 +19,7 @@ import argparse
 
 from repro.api import SweepExecutor
 from repro.sim.figures import (
+    DEFAULT_FAULT_COUNTS,
     figure9_series,
     figure10_series,
     figure11_series,
@@ -41,7 +42,7 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.full:
-        fault_counts = (100, 200, 300, 400, 500, 600, 700, 800)
+        fault_counts = DEFAULT_FAULT_COUNTS
         width = 100
         trials = args.trials or 3
     else:

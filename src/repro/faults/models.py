@@ -13,14 +13,17 @@ double that ``choice`` consumes and returns the node ``choice`` would
 return.  A sum tree over the weights finds that node in O(log n) per draw,
 where ``choice`` needs an O(n) probability vector and cdf; the rare draw
 that lands too close to a cdf step for the tree's rounding to decide is
-recomputed with numpy's own arithmetic (see :class:`_SumTree`).
+recomputed with numpy's own arithmetic (see :class:`_SumTree`).  A fault
+then re-sums only the ancestors of the leaves it changes, level by level,
+and finds those leaves in two per-axis neighbour tables built once per draw
+(see :meth:`ClusteredFaultModel.draw_faults`).
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -77,7 +80,8 @@ class _SumTree:
     ``nodes[size + k]`` is the weight of leaf ``k`` (``size`` is a power of
     two and padding leaves hold 0), ``nodes[i] = nodes[2i] + nodes[2i + 1]``
     and ``nodes[1]`` is the total.  It is a list of Python floats because
-    every operation on it is scalar, where numpy's per-call cost dominates.
+    every operation on it is scalar, where numpy's per-call cost dominates;
+    :meth:`ClusteredFaultModel.draw_faults` descends and updates it inline.
 
     ``margin`` (times the total) is how far inside a leaf's interval a draw
     must land for the tree's answer to be numpy's.  ``choice`` returns the
@@ -110,58 +114,39 @@ class _SumTree:
             size *= 2
         # With unit weights every node holds the number of real leaves
         # below it: full subtrees, at most one partial one, then empty ones.
-        nodes = [0.0]
-        count, span = 1, size
+        nodes = [0.0] * (2 * size)
+        first, span = 1, size
         while span:
             full, partial = divmod(n, span)
-            level = [float(span)] * full + ([float(partial)] if partial else [])
-            nodes += level + [0.0] * (count - len(level))
-            count, span = 2 * count, span // 2
+            nodes[first : first + full] = [float(span)] * full
+            if partial:
+                nodes[first + full] = float(partial)
+            first, span = 2 * first, span // 2
         self.n = n
         self.size = size
         self.nodes = nodes
         self.margin = (4 * n + 64) * 2.0**-53
 
-    def find(self, target: float) -> Tuple[int, float, float]:
-        """The leaf whose computed prefix interval ``[lo, hi)`` holds *target*."""
-        nodes, size = self.nodes, self.size
-        i, lo = 1, 0.0
-        while i < size:
-            i *= 2
-            mid = lo + nodes[i]
-            if target >= mid:
-                lo = mid
-                i += 1
-        return i - size, lo, lo + nodes[i]
-
-    def add_fault(self, index: int, neighbours: List[int], factor: float) -> None:
-        """Zero leaf *index*, multiply each neighbour leaf by *factor*, resum.
-
-        A neighbour listed twice (a 2-wide torus wraps onto it from both
-        sides) is multiplied twice.  The sums above the changed leaves are
-        recomputed one level at a time, so each is read after its children,
-        until the paths meet; from there one path leads to the root.
-        """
-        nodes, size = self.nodes, self.size
-        nodes[size + index] = 0.0
-        for leaf in neighbours:
-            nodes[size + leaf] *= factor
-        level = {(size + leaf) >> 1 for leaf in neighbours}
-        level.add((size + index) >> 1)
-        while len(level) > 1:
-            for i in level:
-                j = 2 * i
-                nodes[i] = nodes[j] + nodes[j + 1]
-            level = {i >> 1 for i in level}
-        (i,) = level
-        while i:
-            j = 2 * i
-            nodes[i] = nodes[j] + nodes[j + 1]
-            i >>= 1
-
     def weights(self) -> np.ndarray:
         """The leaf weights as a fresh float64 array, faulty leaves 0."""
         return np.array(self.nodes[self.size : self.size + self.n])
+
+
+def _axis_table(topology: Topology, axis: int, scale: int, offset: int) -> List[List[int]]:
+    """``offset + scale * m`` for each coordinate's neighbourhood on *axis*.
+
+    Entry ``c`` holds, sorted, one value per image ``m`` of ``c - 1``, ``c``
+    and ``c + 1`` under ``topology.normalise``: the mesh drops a coordinate
+    outside it, the torus wraps it, and a coordinate reached twice (on a 1-
+    or 2-wide torus) is listed twice.  Both map each axis on its own, so a
+    node's neighbourhood is the product of its column's and its row's.
+    """
+    length = topology.width if axis == 0 else topology.height
+    mapped = []
+    for c in range(-1, length + 1):
+        node = topology.normalise((c, 0) if axis == 0 else (0, c))
+        mapped.append(None if node is None else offset + scale * node[axis])
+    return [sorted([m for m in mapped[c : c + 3] if m is not None]) for c in range(length)]
 
 
 class ClusteredFaultModel(FaultModel):
@@ -190,30 +175,80 @@ class ClusteredFaultModel(FaultModel):
         self.cluster_factor = float(cluster_factor)
 
     def draw_faults(self, count: int) -> List[Coord]:
+        """Draw *count* faults, each the node ``Generator.choice`` would draw.
+
+        A fault costs one descent of the sum tree and a re-sum of the
+        ancestors of the leaves it changes.  Two tables, built once per draw
+        from ``topology.normalise``, hold the tree positions of column
+        ``x``'s ``x - 1, x, x + 1`` and of row ``y``'s ``y - 1, y, y + 1``;
+        their sums are the leaves of ``adjacent_nodes((x, y))`` plus
+        ``(x, y)`` itself.  Each listing multiplies its leaf by the cluster
+        factor once, in turn, and the drawn leaf is zeroed after the
+        multiplies.  The re-sum runs level by level over the sorted changed
+        leaves, skipping adjacent duplicates, so every changed node becomes
+        ``nodes[2i] + nodes[2i + 1]`` of its final children once; when one
+        node is left, its path leads to the root.  Every internal node thus
+        holds the sum of its children, in the order :class:`_SumTree`'s
+        margin assumes, and the draws stay ``choice``'s bit for bit.
+        """
         self._check_count(count)
-        height = self.topology.height
-        tree = _SumTree(self.topology.num_nodes)
+        topology = self.topology
+        height = topology.height
+        tree = _SumTree(topology.num_nodes)
+        nodes, size = tree.nodes, tree.size
+        columns = _axis_table(topology, 0, height, size)
+        rows = _axis_table(topology, 1, 1, 0)
+        random, factor, relative_margin = self.rng.random, self.cluster_factor, tree.margin
+        low, high = _TRUSTED_TOTALS
         faults: List[Coord] = []
         for _ in range(count):
-            index = self._draw_index(tree)
-            x, y = divmod(index, height)
+            total = nodes[1]
+            if low < total < high:
+                # Descend to the leaf whose computed prefix interval
+                # [lo, lo + nodes[i]) holds u * total; trust it only more
+                # than the margin inside that interval.
+                u = random()
+                target = u * total
+                i, lo = 1, 0.0
+                while i < size:
+                    i += i
+                    mid = lo + nodes[i]
+                    if target >= mid:
+                        lo = mid
+                        i += 1
+                margin = relative_margin * total
+                if not lo + margin < target < lo + nodes[i] - margin:
+                    i = size + self._numpy_index(tree.weights(), u)
+            else:
+                i = size + self._numpy_index(tree.weights(), None)
+            x, y = divmod(i - size, height)
             faults.append((x, y))
-            neighbours = [nx * height + ny for nx, ny in self.topology.adjacent_nodes((x, y))]
-            tree.add_fault(index, neighbours, self.cluster_factor)
+            row = rows[y]
+            # Sorted, as a column listed twice (a 1- or 2-wide torus)
+            # repeats its block of rows.
+            changed = [column + r for column in columns[x] for r in row]
+            changed.sort()
+            for k in changed:
+                nodes[k] *= factor
+            nodes[i] = 0.0
+            level = changed
+            while len(level) > 1:
+                parents = []
+                previous = 0
+                for k in level:
+                    k >>= 1
+                    if k != previous:
+                        previous = k
+                        j = k + k
+                        nodes[k] = nodes[j] + nodes[j + 1]
+                        parents.append(k)
+                level = parents
+            k = level[0] >> 1
+            while k:
+                j = k + k
+                nodes[k] = nodes[j] + nodes[j + 1]
+                k >>= 1
         return faults
-
-    def _draw_index(self, tree: _SumTree) -> int:
-        """Draw one flat node index, the one ``Generator.choice`` would draw."""
-        total = tree.nodes[1]
-        u = None
-        if _TRUSTED_TOTALS[0] < total < _TRUSTED_TOTALS[1]:
-            u = self.rng.random()
-            target = u * total
-            index, lo, hi = tree.find(target)
-            margin = tree.margin * total
-            if lo + margin < target < hi - margin:
-                return index
-        return self._numpy_index(tree.weights(), u)
 
     def _numpy_index(self, weights: np.ndarray, u: Optional[float]) -> int:
         """The index ``Generator.choice(n, p=weights / weights.sum())`` draws.

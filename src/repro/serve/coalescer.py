@@ -27,7 +27,7 @@ requests -- asserted end-to-end by ``tests/test_serve.py``.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: One route endpoint pair: (src_x, src_y, dst_x, dst_y).

@@ -59,7 +59,7 @@ from __future__ import annotations
 import asyncio
 from collections import Counter, OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -461,9 +461,13 @@ class RouteDaemon:
         was lost in transit) replays the cached payload without touching
         the session; a fresh mutation flushes buffered routes (they were
         submitted under the pre-mutation state), applies, journals the
-        resolved payload, and snapshots periodically.
+        resolved payload, and snapshots periodically.  A list or object
+        ``idem`` is a ``bad-request``: it cannot key the cache, and
+        :func:`~repro.serve.journal.load_journal` refuses it.
         """
         idem = request.get("idem")
+        if isinstance(idem, (list, dict)):
+            raise ProtocolError(E_BAD_REQUEST, f"idem must be a JSON scalar: {idem!r}")
         if idem is not None:
             cached = self._idem.get(idem)
             if cached is not None:

@@ -216,12 +216,36 @@ class LoadedJournal:
     records: int = 0
 
 
+def _field_problem(record: Dict[str, Any]) -> Optional[str]:
+    """Why *record*'s ``seq`` or ``idem`` cannot be recovered, else ``None``.
+
+    ``seq`` must be an int >= 0 (not a bool).  An event's ``idem`` is the
+    id a client sent, so it may be absent, null or any JSON scalar; it
+    keys the idempotency cache, so it must be hashable.  A snapshot's
+    ``idem`` is that cache: absent, null or an object of payload objects.
+    """
+    seq = record.get("seq")
+    if type(seq) is not int or seq < 0:
+        return f"seq {seq!r} is not a non-negative int"
+    idem = record.get("idem")
+    if idem is None:
+        return None
+    if record["t"] == "snapshot":
+        if not isinstance(idem, dict) or not all(isinstance(v, dict) for v in idem.values()):
+            return "snapshot idem is not an object of objects"
+    elif isinstance(idem, (list, dict)):
+        return f"idem {idem!r} is not a JSON scalar"
+    return None
+
+
 def load_journal(path: Union[str, Path]) -> LoadedJournal:
     """Parse a journal file into its newest snapshot plus the event tail.
 
     Raises :class:`JournalError` when the file is empty, starts with
     something other than a snapshot, or is corrupt anywhere but the
-    final line (a torn final write is dropped and counted).
+    final line (a torn final write is dropped and counted).  So does a
+    record whose ``seq`` or ``idem`` no daemon writes (see
+    :func:`_field_problem`).
     """
     path = Path(path)
     raw_lines = path.read_bytes().split(b"\n")
@@ -243,6 +267,11 @@ def load_journal(path: Union[str, Path]) -> LoadedJournal:
             raise JournalError(
                 f"corrupt journal record at line {index + 1} of {path}: {exc}"
             )
+        problem = _field_problem(record)
+        if problem is not None:
+            raise JournalError(
+                f"malformed journal record at line {index + 1} of {path}: {problem}"
+            )
         records.append(record)
     if not records:
         raise JournalError(f"journal {path} holds no intact records")
@@ -257,7 +286,7 @@ def load_journal(path: Union[str, Path]) -> LoadedJournal:
     snapshot = records[snapshot_at]
     loaded = LoadedJournal(
         state=snapshot.get("state"),
-        seq=max(int(record.get("seq", 0)) for record in records),
+        seq=max(record["seq"] for record in records),
         truncated_lines=truncated,
         records=len(records),
     )

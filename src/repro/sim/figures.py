@@ -69,28 +69,6 @@ class FigureSeries:
         return rows
 
 
-def _sweep(
-    fault_counts: Sequence[int],
-    trials: int,
-    width: int,
-    distribution: str,
-    base_seed: int,
-    include_distributed: bool,
-    include_rounds: bool,
-    workers: int = 1,
-) -> List[SweepPoint]:
-    return run_sweep(
-        fault_counts=fault_counts,
-        trials=trials,
-        width=width,
-        distribution=distribution,
-        base_seed=base_seed,
-        include_distributed=include_distributed,
-        include_rounds=include_rounds,
-        workers=workers,
-    )
-
-
 def figure9_series(
     distribution: str = "random",
     fault_counts: Sequence[int] = DEFAULT_FAULT_COUNTS,
@@ -110,8 +88,9 @@ def figure9_series(
     (raw scale only -- half-widths do not transform through log10).
     """
     if points is None:
-        points = _sweep(
-            fault_counts, trials, width, distribution, base_seed,
+        points = run_sweep(
+            fault_counts=fault_counts, trials=trials, width=width,
+            distribution=distribution, base_seed=base_seed,
             include_distributed=False, include_rounds=False, workers=workers,
         )
     figure = FigureSeries(
@@ -148,8 +127,9 @@ def figure10_series(
 ) -> FigureSeries:
     """Figure 10: average size of a fault region (faulty + non-faulty nodes)."""
     if points is None:
-        points = _sweep(
-            fault_counts, trials, width, distribution, base_seed,
+        points = run_sweep(
+            fault_counts=fault_counts, trials=trials, width=width,
+            distribution=distribution, base_seed=base_seed,
             include_distributed=False, include_rounds=False, workers=workers,
         )
     figure = FigureSeries(
@@ -180,8 +160,9 @@ def figure11_series(
 ) -> FigureSeries:
     """Figure 11: rounds of status determination (FB, FP, CMFP, DMFP)."""
     if points is None:
-        points = _sweep(
-            fault_counts, trials, width, distribution, base_seed,
+        points = run_sweep(
+            fault_counts=fault_counts, trials=trials, width=width,
+            distribution=distribution, base_seed=base_seed,
             include_distributed=True, include_rounds=True, workers=workers,
         )
     figure = FigureSeries(

@@ -1,6 +1,7 @@
 """Unit tests for repro.faults (fault models and scenarios)."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,6 +129,19 @@ GOLDEN_CASES = (
 #: ``rng.choice`` loop (``choice_loop``) drew them.
 GOLDEN_DIGEST = "c7b0af794034585681df5f37e74c97e280dc9abdddaebd8e9ed5183f07103b78"
 
+#: Larger golden draws: a 2**17-leaf tree, a paper-size torus and two
+#: factors below 1, whose weights shrink.
+LARGE_GOLDEN_CASES = (
+    (300, 300, False, 2.0, 3600, 11),
+    (100, 100, True, 2.0, 800, 12),
+    (30, 30, False, 0.5, 400, 13),
+    (17, 33, True, 0.3, 300, 14),
+)
+
+#: The ``choice_loop`` digest of ``LARGE_GOLDEN_CASES``, pinned because the
+#: loop takes seconds on them.
+LARGE_GOLDEN_DIGEST = "6eadd43ead77aeb0002c281ca21fd92bed4f53f7e48f299de6c5aa2232ced128"
+
 
 class FixedRandom:
     """An rng stub whose every ``random()`` is one fixed double."""
@@ -147,7 +161,7 @@ class TestClusteredSampler:
         [Mesh2D(1, 7), Torus2D(1, 7), Mesh2D(2, 3), Torus2D(2, 3), Mesh2D(9, 8), Torus2D(9, 8)],
         ids=repr,
     )
-    @pytest.mark.parametrize("factor", [1.0, 1.5, 2.0, 3.7, 8.0])
+    @pytest.mark.parametrize("factor", [0.3, 0.5, 1.0, 1.5, 2.0, 3.7, 8.0])
     def test_equals_choice_loop_until_full(self, topology, factor):
         # A 2x3 torus lists some neighbours twice; each copy multiplies.
         count = topology.num_nodes
@@ -168,6 +182,31 @@ class TestClusteredSampler:
             faults = tree_draw(topology, np.random.default_rng(seed), factor, count)
             digest.update(repr(faults).encode())
         assert digest.hexdigest() == GOLDEN_DIGEST
+
+    def test_large_golden_digest(self):
+        digest = hashlib.sha256()
+        for width, height, torus, factor, count, seed in LARGE_GOLDEN_CASES:
+            topology = (Torus2D if torus else Mesh2D)(width, height)
+            faults = tree_draw(topology, np.random.default_rng(seed), factor, count)
+            digest.update(repr(faults).encode())
+        assert digest.hexdigest() == LARGE_GOLDEN_DIGEST
+
+    @pytest.mark.parametrize("topology", [Mesh2D(100, 100), Torus2D(100, 100)], ids=repr)
+    def test_reads_the_neighbourhood_per_axis(self, topology, monkeypatch):
+        # The neighbour tables come from one normalise per coordinate of
+        # each axis, not from adjacent_nodes per fault.
+        calls = Counter()
+        for name in ("normalise", "adjacent_nodes"):
+            method = getattr(type(topology), name)
+
+            def counted(self, node, name=name, method=method):
+                calls[name] += 1
+                return method(self, node)
+
+            monkeypatch.setattr(type(topology), name, counted)
+        tree_draw(topology, np.random.default_rng(0), 2.0, 800)
+        assert calls["adjacent_nodes"] == 0
+        assert calls["normalise"] <= 3 * (topology.width + topology.height)
 
     def test_draw_on_a_cdf_step_falls_back_to_numpy(self):
         # 0.6 * 5 == 3.0 puts the tree exactly on the boundary of leaf 3,

@@ -14,6 +14,7 @@ test functions (no pytest-asyncio in the toolchain).
 
 import asyncio
 import json
+import re
 
 import pytest
 
@@ -338,6 +339,22 @@ class TestIdempotency:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize("idem", [["a"], {"a": 1}], ids=["list", "object"])
+    def test_unhashable_idem_is_a_bad_request(self, idem):
+        daemon = fresh_daemon()
+        client = InProcessClient(daemon)
+        version = daemon.session.version
+
+        async def main():
+            response = await client.request(
+                {"op": "add_faults", "nodes": [[2, 2]], "idem": idem}
+            )
+            assert response["ok"] is False
+            assert response["error"]["code"] == E_BAD_REQUEST
+            assert daemon.session.version == version
+
+        asyncio.run(main())
+
 
 # -- crash recovery ------------------------------------------------------------------
 
@@ -378,7 +395,44 @@ MALFORMED_JOURNALS = [
 ]
 
 
+def _event_with(**fields):
+    return {**_add_event({"added": [[2, 2]], "version": 2}), **fields}
+
+
+#: (records, line of the bad field): a ``seq`` or ``idem`` no daemon writes.
+MALFORMED_FIELDS = [
+    pytest.param([{**SNAPSHOT, "seq": "x"}], 1, id="seq-string"),
+    pytest.param([{**SNAPSHOT, "seq": [1]}], 1, id="seq-list"),
+    pytest.param([{**SNAPSHOT, "seq": 1.7}], 1, id="seq-float"),
+    pytest.param([{**SNAPSHOT, "seq": True}], 1, id="seq-bool"),
+    pytest.param([SNAPSHOT, _event_with(seq=None)], 2, id="event-seq-null"),
+    pytest.param([SNAPSHOT, _event_with(idem=["a"])], 2, id="event-idem-list"),
+    pytest.param([SNAPSHOT, _event_with(idem={"a": 1})], 2, id="event-idem-object"),
+    pytest.param([{**SNAPSHOT, "idem": ["a"]}], 1, id="snapshot-idem-list"),
+    pytest.param([{**SNAPSHOT, "idem": "a"}], 1, id="snapshot-idem-string"),
+]
+
+
 class TestRecovery:
+    @pytest.mark.parametrize("records, line", MALFORMED_FIELDS)
+    def test_malformed_seq_or_idem_raises_journal_error(self, tmp_path, records, line):
+        """A bad ``seq`` or ``idem`` is a journal error naming its line,
+        not a bare ``ValueError``/``TypeError``/``AttributeError`` or a
+        silently truncated sequence number."""
+        path = tmp_path / "daemon.ndjson"
+        path.write_bytes(b"".join(encode(record) for record in records))
+        with pytest.raises(JournalError, match=re.escape(f"line {line} of {path}")):
+            RouteDaemon.recover(path)
+
+    def test_numeric_event_idem_recovers(self, tmp_path):
+        # A daemon journals whatever scalar idem a client sent, numbers too.
+        path = tmp_path / "daemon.ndjson"
+        path.write_bytes(encode(SNAPSHOT) + encode(_event_with(idem=7)))
+        recovered = RouteDaemon.recover(path)
+        assert list(recovered._idem) == [7]
+        assert recovered.journal.seq == 2
+        recovered.journal.close()
+
     @pytest.mark.parametrize("records", MALFORMED_JOURNALS)
     def test_malformed_journal_raises_journal_error(self, tmp_path, records):
         """Valid JSON that no session can come from is refused as a journal
