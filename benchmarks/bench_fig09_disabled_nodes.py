@@ -37,8 +37,8 @@ def test_figure9_panel(benchmark, distribution, fault_counts, trials, mesh_width
         rounds=1,
         iterations=1,
     )
-    linear = figure9_series(distribution=distribution, points=points, log10=False)
-    logged = figure9_series(distribution=distribution, points=points, log10=True)
+    linear = figure9_series(points, log10=False)
+    logged = figure9_series(points, log10=True)
     record_result(
         f"figure9_{distribution}",
         format_series_table(logged) + "\n\nraw node counts\n" + format_series_table(linear),

@@ -35,7 +35,7 @@ def test_figure10_panel(benchmark, distribution, fault_counts, trials, mesh_widt
         rounds=1,
         iterations=1,
     )
-    figure = figure10_series(distribution=distribution, points=points)
+    figure = figure10_series(points)
     record_result(f"figure10_{distribution}", format_series_table(figure))
 
     for index, _ in enumerate(figure.x_values):
@@ -61,10 +61,8 @@ def test_figure10_clustered_blocks_larger_than_random(
         return random_points, clustered_points
 
     random_points, clustered_points = benchmark.pedantic(both, rounds=1, iterations=1)
-    random_fb = figure10_series(points=random_points).series["FB"][-1]
-    clustered_fb = figure10_series(
-        distribution="clustered", points=clustered_points
-    ).series["FB"][-1]
+    random_fb = figure10_series(random_points).series["FB"][-1]
+    clustered_fb = figure10_series(clustered_points).series["FB"][-1]
     record_result(
         "figure10_cross_panel",
         "FB mean region size at {} faults: random={:.2f} clustered={:.2f} ratio={:.2f}".format(

@@ -42,7 +42,7 @@ def test_figure11_panel(benchmark, distribution, fault_counts, trials, mesh_widt
         rounds=1,
         iterations=1,
     )
-    figure = figure11_series(distribution=distribution, points=points)
+    figure = figure11_series(points)
     record_result(f"figure11_{distribution}", format_series_table(figure))
 
     for index, _ in enumerate(figure.x_values):

@@ -4,9 +4,8 @@ Every figure of the paper's evaluation has one benchmark module.  The
 benchmarks have two jobs:
 
 1. time the constructions (pytest-benchmark statistics), and
-2. regenerate the figure's data series and persist them under
-   ``benchmarks/results/`` so that EXPERIMENTS.md can record
-   paper-vs-measured values.
+2. regenerate the figure's data series and persist them as text tables
+   under ``benchmarks/results/``.
 
 The sweeps default to a reduced number of trials so that the whole harness
 finishes in a couple of minutes; set the environment variable

@@ -60,15 +60,9 @@ def main() -> None:
             distribution=distribution,
             include_rounds=True,
         )
-        print(format_series_table(
-            figure9_series(distribution=distribution, points=points)))
-        print()
-        print(format_series_table(
-            figure10_series(distribution=distribution, points=points)))
-        print()
-        print(format_series_table(
-            figure11_series(distribution=distribution, points=points)))
-        print()
+        for figure in (figure9_series, figure10_series, figure11_series):
+            print(format_series_table(figure(points)))
+            print()
 
 
 if __name__ == "__main__":

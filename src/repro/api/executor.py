@@ -23,9 +23,8 @@ large prime stride, so a sweep produces identical metrics whether it runs
 serially, across 2 workers or across 32 (asserted by
 ``tests/test_api_executor.py``).
 
-``repro.sim.experiments.run_sweep`` / ``run_routing_sweep`` /
-``run_latency_sweep`` are thin wrappers over this class and keep their
-historical serial default (``workers=1``).
+``repro.sim.experiments.run_sweep`` is a thin construction-sweep wrapper
+over this class and keeps its historical serial default (``workers=1``).
 """
 
 from __future__ import annotations

@@ -48,10 +48,7 @@ from typing import (
 
 from repro._registry import SpecRegistry, make_spec_options
 from repro.core.faulty_block import build_faulty_blocks
-from repro.core.mfp import (
-    build_minimum_polygons,
-    build_minimum_polygons_via_labelling,
-)
+from repro.core.mfp import build_minimum_polygons
 from repro.core.regions import FaultRegion, mean_region_size
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.distributed.dmfp import build_minimum_polygons_distributed
@@ -93,12 +90,12 @@ class MinimumPolygonOptions(ConstructionOptions):
 
     ``compute_rounds`` toggles the per-component labelling emulation that
     produces the CMFP round counts of Figure 11 (skippable for the Figure
-    9/10 sweeps); ``via_labelling`` selects centralized Solution A instead
-    of the default hull fill (Solution B).
+    9/10 sweeps).  The build is the hull fill (Solution B); Solution A is
+    the named reference
+    :func:`repro.core.reference.build_minimum_polygons_via_labelling`.
     """
 
     compute_rounds: bool = True
-    via_labelling: bool = False
 
 
 @dataclass(frozen=True)
@@ -325,8 +322,6 @@ def _build_fp(faults, topology, options):
 
 
 def _build_mfp(faults, topology, options):
-    if options.via_labelling:
-        return build_minimum_polygons_via_labelling(faults, topology=topology)
     return build_minimum_polygons(
         faults, topology=topology, compute_rounds=options.compute_rounds
     )

@@ -43,6 +43,7 @@ maps, bounding boxes) of every region the update did not change.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -71,7 +72,9 @@ class RoutingSession:
     """
 
     def __init__(self, session: "MeshSession") -> None:
-        self._session = session
+        # Weak: the session owns this facade, and a strong back-reference
+        # would make a cycle that only the cyclic garbage collector frees.
+        self._session = weakref.ref(session)
         # (router key, construction key, construction opts, router opts)
         #   -> (session version, router)
         self._routers: Dict[Tuple, Tuple[int, Any]] = {}
@@ -97,7 +100,10 @@ class RoutingSession:
     @property
     def session(self) -> "MeshSession":
         """The mesh session this facade routes on."""
-        return self._session
+        session = self._session()
+        if session is None:
+            raise ReferenceError("the MeshSession of this routing facade was freed")
+        return session
 
     @property
     def ring_cache(self) -> RegionRingCache:
@@ -124,22 +130,23 @@ class RoutingSession:
         """
         spec = get_router(router)
         router_options = spec.make_options(options, overrides)
-        result = self._session.build(construction, options=construction_options)
+        session = self.session
+        result = session.build(construction, options=construction_options)
         key = (spec.key, result.key, result.options, router_options)
-        version = self._session.version
+        version = session.version
         cached = self._routers.get(key)
         if cached is not None and cached[0] == version:
-            self._session.cache_info["router_hits"] += 1
+            session.cache_info["router_hits"] += 1
             router_obj = cached[1]
         else:
-            self._session.cache_info["router_misses"] += 1
+            session.cache_info["router_misses"] += 1
             router_obj = spec.build(result, options=router_options)
             attach = getattr(router_obj, "attach_ring_cache", None)
             if attach is not None:
                 attach(self._ring_cache)
             attach_counters = getattr(router_obj, "attach_counters", None)
             if attach_counters is not None:
-                attach_counters(self._session.cache_info)
+                attach_counters(session.cache_info)
             # A fault update invalidated the previous router for this key:
             # instead of rebuilding its engine state (jump tables, packed
             # rings) from scratch, delta-patch it from the predecessor --
@@ -147,7 +154,7 @@ class RoutingSession:
             # differential tests replace this module's
             # ``transplant_engine_state`` to get full rebuilds.
             if cached is not None and transplant_engine_state(cached[1], router_obj):
-                self._session.cache_info["delta_applies"] += 1
+                session.cache_info["delta_applies"] += 1
             self._routers[key] = (version, router_obj)
         cached_context = self._contexts.get(key)
         if cached_context is not None and cached_context[0] == version:

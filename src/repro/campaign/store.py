@@ -7,10 +7,11 @@ Layout of one campaign directory::
     chunks/chunk-000002.npy
     ...
 
-The manifest reuses the journal's append discipline
-(:mod:`repro.serve.journal`): every record is one JSON line, flushed
-(and fsynced) before the append returns, and the loader tolerates
-exactly one torn *final* line -- corruption anywhere else raises
+The manifest shares the journal's append discipline and record codec
+(``encode`` / ``read_records`` of :mod:`repro.serve.protocol`): every
+record is one JSON line, flushed (and fsynced) before the append
+returns, and the loader tolerates exactly one torn *final* line --
+corruption anywhere else raises
 :class:`~repro.campaign.spec.CampaignError`.  Chunk files are written,
 flushed and fsynced *before* their manifest line, so crash recovery is
 trivial: a chunk without a manifest line is an orphan (ignored and
@@ -26,7 +27,6 @@ created it.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set, Union
@@ -34,12 +34,9 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Union
 import numpy as np
 
 from repro.campaign.spec import CODE_VERSION, CampaignError, CampaignSpec
+from repro.serve.protocol import encode, read_records
 
 SCHEMA = "repro.campaign.store/v1"
-
-
-def _encode_record(record: Dict[str, Any]) -> bytes:
-    return json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 def _dtype_to_wire(dtype: np.dtype) -> List[List[str]]:
@@ -158,7 +155,7 @@ class CampaignStore:
     # -- appends --------------------------------------------------------------------
 
     def _append_manifest(self, record: Dict[str, Any]) -> None:
-        self._file.write(_encode_record(record))
+        self._file.write(encode(record))
         self._file.flush()
         os.fsync(self._file.fileno())
 
@@ -228,24 +225,10 @@ def _chunk_intact(path: Path, dtype: np.dtype, rows: int) -> bool:
 
 def _load_manifest(path: Path) -> List[Dict[str, Any]]:
     """Parse manifest records, dropping at most one torn final line."""
-    raw_lines = path.read_bytes().split(b"\n")
-    if raw_lines and raw_lines[-1] == b"":
-        raw_lines.pop()
-    records: List[Dict[str, Any]] = []
-    for index, line in enumerate(raw_lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-            if not isinstance(record, dict) or "t" not in record:
-                raise ValueError("not a manifest record")
-        except (UnicodeDecodeError, ValueError) as exc:
-            if index == len(raw_lines) - 1:
-                break
-            raise CampaignError(
-                f"corrupt campaign manifest at line {index + 1} of {path}: {exc}"
-            ) from None
-        records.append(record)
+    numbered, _ = read_records(
+        path, CampaignError, "corrupt campaign manifest", "not a manifest record"
+    )
+    records = [record for _, record in numbered]
     if not records:
         raise CampaignError(f"campaign manifest {path} holds no intact records")
     return records

@@ -10,11 +10,13 @@ command resolves its fault-region models through the construction registry
     print their statistics (optionally an ASCII rendering of the grid).
 
 ``repro-mesh sweep``
-    Run the Figure 9/10/11 fault-count sweep for one distribution and print
-    the series tables (optionally ASCII charts); ``--workers`` fans the
-    trials out over a process pool, ``--torus`` sweeps a 2-D torus, and
-    ``--routing`` runs the routing sweep (delivery rate / detour vs. fault
-    count) instead of the construction figures.
+    Run a sweep of one trial kind in memory and print its tables
+    (optionally ASCII charts): the Figure 9/10/11 fault-count sweep
+    (``--kind construction``, the default), the routing sweep (delivery
+    rate / detour vs. fault count; ``--kind routing`` or ``--routing``) or
+    the latency-vs-load sweep (``--kind latency``).  It takes the same
+    trial-spec flags as ``campaign run`` and is that command without a
+    store; ``--workers`` fans the trials out over a process pool.
 
 ``repro-mesh route``
     Route one synthetic traffic workload (``--traffic``, any key of the
@@ -23,7 +25,7 @@ command resolves its fault-region models through the construction registry
     delivery/detour statistics.  ``--engine`` picks the routing engine
     (``auto`` / ``scalar`` / ``batch``; the engines are bit-identical, so
     the choice only affects wall-clock time) -- available on ``sweep
-    --routing`` too.
+    --kind routing`` too.
 
 ``repro-mesh simulate``
     Run the open-loop contention simulator (:mod:`repro.netsim`) over one
@@ -66,13 +68,15 @@ import argparse
 import asyncio
 import json
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 from repro.api import (
     TRIAL_KINDS,
     ConstructionResult,
     MeshSession,
+    SweepExecutor,
     engine_keys,
     router_keys,
     simulator_keys,
@@ -85,13 +89,14 @@ from repro.core.verify import (
     verify_orthogonal_convexity,
 )
 from repro.faults.scenario import generate_scenario
-from repro.sim.experiments import run_routing_sweep, run_sweep
+from repro.netsim.session import arrival_keys
 from repro.sim.figures import (
     DEFAULT_FAULT_COUNTS,
     figure9_series,
     figure10_series,
     figure11_series,
     format_series_table,
+    latency_series,
     routing_series,
 )
 from repro.sim.registry import get_experiment, render_index
@@ -118,31 +123,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         help="failure-rate multiplier of the clustered model",
     )
     parser.add_argument("--torus", action="store_true", help="use a torus topology")
-
-
-def _add_routing_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--traffic",
-        choices=traffic_keys(),
-        default="uniform",
-        help="synthetic traffic workload (traffic registry key)",
-    )
-    parser.add_argument(
-        "--router",
-        choices=router_keys(),
-        default="extended-ecube",
-        help="router (router registry key)",
-    )
-    parser.add_argument(
-        "--messages", type=int, default=500, help="messages per routed batch"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("auto",) + engine_keys(),
-        default="auto",
-        help="routing engine (engine registry key; auto picks the batch "
-        "kernel when it can serve the request)",
-    )
 
 
 def _session_from(args: argparse.Namespace):
@@ -184,51 +164,128 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- the trial-spec flags of sweep and campaign run ---------------------------------
+
+#: The flag of each sweep axis (a trial-spec field).
+_AXIS_FLAGS: Dict[str, str] = {"num_faults": "--fault-counts", "load": "--loads"}
+
+#: Sweep parameters not spelled ``--field-name``.  A bool flag sets its
+#: field to the opposite of the trial spec's default.
+_SPELLINGS: Dict[str, str] = {"base_seed": "--seed", "include_rounds": "--skip-rounds"}
+
+
+def trial_flags() -> Dict[str, Tuple[str, type, Dict[str, Any]]]:
+    """Every scalar sweep parameter of any trial kind, in kind order.
+
+    Maps the parameter (a trial-spec field or ``base_seed``) to its flag,
+    its type and its default per kind that takes it; the trial specs are
+    the only place those defaults are written down.
+    """
+    flags: Dict[str, Tuple[str, type, Dict[str, Any]]] = {}
+    for kind in TRIAL_KINDS.values():
+        hints = get_type_hints(kind.spec_type)
+        for name, default in kind.defaults().items():
+            hint = hints.get(name, type(default))
+            hint = next((t for t in get_args(hint) if t is not type(None)), hint)
+            if hint in (bool, int, float, str):
+                flag = _SPELLINGS.get(name, "--" + name.replace("_", "-"))
+                flags.setdefault(name, (flag, hint, {}))[2][kind.key] = default
+    return flags
+
+
+def _add_trial_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--kind``, the axis flags and one flag per :func:`trial_flags` entry.
+
+    No flag declares a default: an omitted flag stays ``None``, so its
+    value comes from the kind's trial spec.
+    """
+    parser.add_argument(
+        "--kind", choices=tuple(TRIAL_KINDS), default="construction",
+        help="trial kind (a key of repro.api.TRIAL_KINDS)",
+    )
+    for axis, flag in _AXIS_FLAGS.items():
+        kinds = [kind for kind in TRIAL_KINDS.values() if kind.axis == axis]
+        default = " ".join(map(str, DEFAULT_FAULT_COUNTS)) if axis == "num_faults" else None
+        parser.add_argument(
+            flag, type=kinds[0].axis_type, nargs="+",
+            help=f"sweep axis of {'/'.join(kind.key for kind in kinds)} trials "
+            + (f"(default: {default})" if default else "(required)"),
+        )
+    choices = {
+        "distribution": ("random", "clustered"),
+        "router": router_keys(),
+        "traffic": traffic_keys(),
+        "arrival": arrival_keys(),
+        "engine": ("auto",) + engine_keys(),
+        "sim": ("auto",) + simulator_keys(),
+    }
+    for name, (flag, hint, defaults) in trial_flags().items():
+        spec_defaults = ", ".join(f"{kind} {value}" for kind, value in defaults.items())
+        if hint is bool:
+            const = not next(iter(defaults.values()))
+            parser.add_argument(
+                flag, dest=name, action="store_const", const=const,
+                help=f"set {name} to {const} (trial spec: {spec_defaults})",
+            )
+        else:
+            parser.add_argument(
+                flag, dest=name, type=hint, choices=choices.get(name),
+                help=f"trial spec: {spec_defaults}",
+            )
+
+
+def _trial_request(args: argparse.Namespace) -> Tuple[List[Any], Dict[str, Any]]:
+    """The ``(axis, params)`` a ``sweep`` or ``campaign run`` asks for.
+
+    Only flags the user actually passed enter ``params``: the campaign
+    fingerprint canonicalises the params dict, so spelling a default out
+    would make the CLI's campaign a different campaign than the identical
+    API call.  A flag that sets no field of the kind's trial spec is an
+    error, never silently dropped.
+    """
+    kind = TRIAL_KINDS[args.kind]
+    accepted = kind.defaults()
+    axes = {name: getattr(args, flag[2:].replace("-", "_")) for name, flag in _AXIS_FLAGS.items()}
+    flags = trial_flags()
+    params = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+    foreign = [
+        _AXIS_FLAGS[name] for name, values in axes.items()
+        if values is not None and name != kind.axis
+    ]
+    foreign += [flags[name][0] for name in params if name not in accepted]
+    if foreign:
+        raise SystemExit(f"--kind {args.kind} takes no {', '.join(foreign)}")
+    axis = axes[kind.axis]
+    if axis is None:
+        if kind.axis != "num_faults":
+            raise SystemExit(f"--kind {args.kind} requires {_AXIS_FLAGS[kind.axis]}")
+        axis = list(DEFAULT_FAULT_COUNTS)
+    return axis, params
+
+
+#: The tables ``sweep`` prints for each trial kind, made from its points.
+SWEEP_TABLES: Dict[str, Tuple[Any, ...]] = {
+    "construction": (figure9_series, figure10_series, figure11_series),
+    "routing": tuple(
+        partial(routing_series, metric=metric) for metric in ("delivery_rate", "mean_detour")
+    ),
+    "latency": tuple(
+        partial(latency_series, metric=metric) for metric in ("mean_latency", "accepted_load")
+    ),
+}
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    fault_counts = args.fault_counts or list(DEFAULT_FAULT_COUNTS)
-    if args.routing:
-        points = run_routing_sweep(
-            fault_counts=fault_counts,
-            trials=args.trials,
-            width=args.width,
-            distribution=args.distribution,
-            router=args.router,
-            traffic=args.traffic,
-            messages=args.messages,
-            torus=args.torus,
-            workers=args.workers,
-            engine=args.engine,
-        )
-        figures = [
-            routing_series(
-                metric=metric,
-                distribution=args.distribution,
-                traffic=args.traffic,
-                router=args.router,
-                points=points,
-            )
-            for metric in ("delivery_rate", "mean_detour")
-        ]
-    else:
-        points = run_sweep(
-            fault_counts=fault_counts,
-            trials=args.trials,
-            width=args.width,
-            distribution=args.distribution,
-            include_distributed=not args.skip_distributed,
-            include_rounds=True,
-            torus=args.torus,
-            workers=args.workers,
-        )
-        figures = [
-            figure9_series(distribution=args.distribution, points=points),
-            figure10_series(distribution=args.distribution, points=points),
-        ]
-        if not args.skip_distributed:
-            figures.append(
-                figure11_series(distribution=args.distribution, points=points)
-            )
-    for figure in figures:
+    axis, params = _trial_request(args)
+    models = None
+    tables = SWEEP_TABLES[args.kind]
+    if args.skip_distributed:
+        models = [key for key in TRIAL_KINDS[args.kind].default_models if key != "dmfp"]
+        tables = tuple(table for table in tables if table is not figure11_series)
+    executor = SweepExecutor(models, workers=args.workers)
+    points = executor.run(axis, args.trials, kind=args.kind, **params)
+    for table in tables:
+        figure = table(points)
         print(format_series_table(figure))
         if args.chart:
             print()
@@ -474,51 +531,6 @@ def _parse_hostport(text: str) -> Tuple[str, int]:
     return host, int(port)
 
 
-def _campaign_spec_from(args: argparse.Namespace):
-    """Build the CampaignSpec a ``campaign run`` invocation describes.
-
-    Only flags the user actually passed enter ``params``: the content
-    fingerprint canonicalises the params dict, so spelling a planner
-    default out explicitly would make the CLI's campaign a different
-    campaign than the identical API call.  A flag that sets no field of
-    the kind's trial spec is an error, never silently dropped.
-    """
-    from repro.campaign import CampaignSpec
-
-    kind = TRIAL_KINDS[args.kind]
-    axes = {"num_faults": ("--fault-counts", args.fault_counts), "load": ("--loads", args.loads)}
-    given = {  # sweep parameter -> (flag, value or None when not passed)
-        "width": ("--width", args.width),
-        "distribution": ("--distribution", args.distribution),
-        "base_seed": ("--seed", args.seed),
-        "cluster_factor": ("--cluster-factor", args.cluster_factor),
-        "torus": ("--torus", True if args.torus else None),
-        "include_rounds": ("--skip-rounds", False if args.skip_rounds else None),
-        "router": ("--router", args.router),
-        "traffic": ("--traffic", args.traffic),
-        "messages": ("--messages", args.messages),
-        "num_faults": ("--num-faults", args.num_faults),
-        "arrival": ("--arrival", args.arrival),
-        "cycles": ("--cycles", args.cycles),
-    }
-    accepted = kind.defaults()
-    foreign = [
-        flag for name, (flag, value) in axes.items() if value is not None and name != kind.axis
-    ]
-    foreign += [
-        flag for name, (flag, value) in given.items() if value is not None and name not in accepted
-    ]
-    if foreign:
-        raise SystemExit(f"--kind {args.kind} takes no {', '.join(foreign)}")
-    axis = axes[kind.axis][1]
-    if axis is None:
-        if kind.axis != "num_faults":
-            raise SystemExit(f"--kind {args.kind} requires {axes[kind.axis][0]}")
-        axis = DEFAULT_FAULT_COUNTS
-    params = {name: value for name, (_, value) in given.items() if value is not None}
-    return CampaignSpec.create(args.kind, axis, args.trials, models=args.models, **params)
-
-
 def _campaign_execute(args: argparse.Namespace, spec) -> int:
     """Shared run/resume machinery: build the runner, stream progress."""
     from repro.campaign import CampaignRunner, TcpTransport
@@ -582,10 +594,14 @@ def _campaign_execute(args: argparse.Namespace, spec) -> int:
 
 
 def cmd_campaign_run(args: argparse.Namespace) -> int:
-    manifest = Path(args.dir) / "manifest.jsonl"
+    from repro.campaign import CampaignSpec
+
+    spec = None
     # Running against an existing store is resuming; the fingerprint
     # check refuses a directory holding a different campaign.
-    spec = None if manifest.exists() else _campaign_spec_from(args)
+    if not (Path(args.dir) / "manifest.jsonl").exists():
+        axis, params = _trial_request(args)
+        spec = CampaignSpec.create(args.kind, axis, args.trials, models=args.models, **params)
     return _campaign_execute(args, spec)
 
 
@@ -700,16 +716,16 @@ def build_parser() -> argparse.ArgumentParser:
     construct.set_defaults(func=cmd_construct)
 
     sweep = subparsers.add_parser(
-        "sweep", help="run the Figure 9/10/11 fault-count sweep"
+        "sweep",
+        help="run a sweep in memory and print its tables (Figures 9/10/11 by "
+        "default)",
     )
-    sweep.add_argument("--width", type=int, default=100)
+    _add_trial_arguments(sweep)
     sweep.add_argument(
-        "--distribution", choices=("random", "clustered"), default="random"
+        "--routing", dest="kind", action="store_const", const="routing",
+        help="same as --kind routing",
     )
     sweep.add_argument("--trials", type=int, default=2)
-    sweep.add_argument(
-        "--fault-counts", type=int, nargs="+", dest="fault_counts", default=None
-    )
     sweep.add_argument("--chart", action="store_true", help="also print ASCII charts")
     sweep.add_argument(
         "--workers",
@@ -722,23 +738,32 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the DMFP construction (faster; omits Figure 11)",
     )
-    sweep.add_argument(
-        "--torus", action="store_true", help="sweep a 2-D torus instead of a mesh"
-    )
-    sweep.add_argument(
-        "--routing",
-        action="store_true",
-        help="run the routing sweep (delivery/detour vs. fault count) instead "
-        "of the construction figures",
-    )
-    _add_routing_arguments(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     route = subparsers.add_parser(
         "route", help="route synthetic traffic over FB/FP/MFP regions"
     )
     _add_scenario_arguments(route)
-    _add_routing_arguments(route)
+    route.add_argument(
+        "--traffic",
+        choices=traffic_keys(),
+        default="uniform",
+        help="synthetic traffic workload (traffic registry key)",
+    )
+    route.add_argument(
+        "--router",
+        choices=router_keys(),
+        default="extended-ecube",
+        help="router (router registry key)",
+    )
+    route.add_argument("--messages", type=int, default=500, help="messages per routed batch")
+    route.add_argument(
+        "--engine",
+        choices=("auto",) + engine_keys(),
+        default="auto",
+        help="routing engine (engine registry key; auto picks the batch "
+        "kernel when it can serve the request)",
+    )
     route.set_defaults(func=cmd_route)
 
     simulate = subparsers.add_parser(
@@ -754,13 +779,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--traffic",
-        choices=tuple(k for k in traffic_keys() if k not in ("poisson", "bursty")),
+        choices=tuple(k for k in traffic_keys() if k not in arrival_keys()),
         default="uniform",
         help="spatial traffic pattern (traffic registry key)",
     )
     simulate.add_argument(
         "--arrival",
-        choices=("poisson", "bursty"),
+        choices=arrival_keys(),
         default="poisson",
         help="open-loop arrival process stamping the injection times",
     )
@@ -987,60 +1012,11 @@ def build_parser() -> argparse.ArgumentParser:
         "completed trials are skipped by content key)",
     )
     _add_campaign_runner_arguments(campaign_run)
-    campaign_run.add_argument(
-        "--kind", choices=tuple(TRIAL_KINDS), default="construction",
-        help="trial kind (a key of repro.api.executor.TRIAL_KINDS)",
-    )
-    campaign_run.add_argument(
-        "--fault-counts", type=int, nargs="+", dest="fault_counts", default=None,
-        help="sweep axis of construction/routing campaigns "
-        "(default: 100 200 ... 800)",
-    )
-    campaign_run.add_argument(
-        "--loads", type=float, nargs="+", default=None,
-        help="sweep axis of latency campaigns (messages/node/cycle)",
-    )
+    _add_trial_arguments(campaign_run)
     campaign_run.add_argument("--trials", type=int, default=100)
     campaign_run.add_argument(
         "--models", nargs="+", default=None,
         help="construction registry keys (default: the kind's usual set)",
-    )
-    campaign_run.add_argument("--width", type=int, default=None)
-    campaign_run.add_argument(
-        "--distribution", choices=("random", "clustered"), default=None
-    )
-    campaign_run.add_argument(
-        "--seed", type=int, default=None, help="base seed of the trial plan"
-    )
-    campaign_run.add_argument("--cluster-factor", type=float, default=None)
-    campaign_run.add_argument("--torus", action="store_true")
-    campaign_run.add_argument(
-        "--skip-rounds", action="store_true",
-        help="construction campaigns: skip the rounds measurement",
-    )
-    campaign_run.add_argument(
-        "--router", choices=router_keys(), default=None,
-        help="routing/latency campaigns: router registry key",
-    )
-    campaign_run.add_argument(
-        "--traffic", default=None,
-        help="routing/latency campaigns: traffic registry key",
-    )
-    campaign_run.add_argument(
-        "--messages", type=int, default=None,
-        help="routing/latency campaigns: messages per trial",
-    )
-    campaign_run.add_argument(
-        "--num-faults", type=int, default=None,
-        help="latency campaigns: faults of every trial scenario",
-    )
-    campaign_run.add_argument(
-        "--arrival", choices=("poisson", "bursty"), default=None,
-        help="latency campaigns: arrival process",
-    )
-    campaign_run.add_argument(
-        "--cycles", type=int, default=None,
-        help="latency campaigns: injection-window length",
     )
     campaign_run.set_defaults(func=cmd_campaign_run)
 

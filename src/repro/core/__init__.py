@@ -31,7 +31,6 @@ from repro.core.sub_minimum import SubMinimumConstruction, build_sub_minimum_pol
 from repro.core.mfp import (
     MinimumPolygonConstruction,
     build_minimum_polygons,
-    build_minimum_polygons_via_labelling,
     component_minimum_polygon,
 )
 from repro.core.regions import FaultRegion, extract_regions
@@ -63,7 +62,6 @@ __all__ = [
     "build_sub_minimum_polygons",
     "MinimumPolygonConstruction",
     "build_minimum_polygons",
-    "build_minimum_polygons_via_labelling",
     "component_minimum_polygon",
     "FaultRegion",
     "extract_regions",

@@ -2,10 +2,12 @@
 
 Both centralized solutions from Section 3.1 are implemented:
 
-* **Solution A** (``build_minimum_polygons_via_labelling``): for every
-  faulty component, emulate labelling scheme 1 to grow the component into
-  its *virtual faulty block* (the bounding box) and labelling scheme 2 to
-  shrink the block back to an orthogonal convex polygon; pile the
+* **Solution A** (:func:`component_polygon_via_labelling`; the whole-mesh
+  build is the named reference
+  :func:`repro.core.reference.build_minimum_polygons_via_labelling`): for
+  every faulty component, emulate labelling scheme 1 to grow the component
+  into its *virtual faulty block* (the bounding box) and labelling scheme 2
+  to shrink the block back to an orthogonal convex polygon; pile the
   per-component diagrams with the superseding rule.
 * **Solution B** (``build_minimum_polygons``): for every faulty component,
   directly disable all nodes in its concave row and column sections, i.e.
@@ -47,7 +49,6 @@ from repro.core.components import (
     ComponentTable,
     FaultComponent,
     ShapeMemo,
-    find_components,
     shape_cells,
     shape_key,
 )
@@ -401,33 +402,6 @@ def build_minimum_polygons(
             len(table), _component_polygons, components, table, hulls
         ),
         rounds=rounds,
-        region_index=region_index,
-    )
-
-
-def build_minimum_polygons_via_labelling(
-    faults: Sequence[Coord],
-    topology: Optional[Topology] = None,
-    width: int = 100,
-    height: Optional[int] = None,
-) -> MinimumPolygonConstruction:
-    """Construct minimum faulty polygons via the labelling emulation
-    (centralized Solution A)."""
-    if topology is None:
-        topology = Mesh2D(width, height if height is not None else width)
-    components = find_components(faults)
-    component_polygons = [component_polygon_via_labelling(c) for c in components]
-    grid = StatusGrid(topology, faults)
-    nodes = [node for entry in component_polygons for node in entry.polygon]
-    regions, region_index = pile_polygons(
-        grid, np.array(nodes, dtype=np.int64).reshape(-1, 2)
-    )
-    return MinimumPolygonConstruction(
-        grid=grid,
-        regions=regions,
-        components=components,
-        component_polygons=component_polygons,
-        rounds=max((entry.rounds for entry in component_polygons), default=0),
         region_index=region_index,
     )
 

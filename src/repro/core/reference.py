@@ -7,7 +7,9 @@ results on the set-based path -- BFS components, set hulls, piling by the
 paper's superseding rule (:func:`repro.core.superseding.pile_statuses`),
 the set merge-fill fixpoint, per-component Solution-A rounds and set region
 extraction -- so that the differential tests and
-``benchmarks/bench_kernel.py`` can call it by name and compare.  No
+``benchmarks/bench_kernel.py`` can call it by name and compare.
+:func:`build_minimum_polygons_via_labelling` is the paper's centralized
+Solution A, which the tests hold against the hull fill (Solution B).  No
 production construction calls it; :mod:`repro.core.verify` shares its
 :func:`merge_fill`.
 
@@ -24,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set
 
-from repro.core.components import find_components_bfs
+import numpy as np
+
+from repro.core.components import find_components, find_components_bfs
 from repro.core.faulty_block import build_faulty_blocks
-from repro.core.mfp import component_polygon_via_labelling
-from repro.core.regions import FaultRegion, extract_regions
+from repro.core.mfp import MinimumPolygonConstruction, component_polygon_via_labelling
+from repro.core.regions import FaultRegion, extract_regions, pile_polygons
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.core.superseding import pile_statuses
 from repro.distributed.dmfp import construct_component
@@ -124,6 +128,29 @@ def build_mfp(
             (component_polygon_via_labelling(c).rounds for c in components), default=0
         )
     return _pile(faults, topology, polygons, rounds)
+
+
+def build_minimum_polygons_via_labelling(
+    faults: Sequence[Coord], topology: Topology
+) -> MinimumPolygonConstruction:
+    """Centralized Solution A: every component's polygon comes from the
+    labelling emulation (scheme 1 grows it to its virtual faulty block,
+    scheme 2 shrinks it back), with no shape memo."""
+    components = find_components(faults)
+    component_polygons = [component_polygon_via_labelling(c) for c in components]
+    grid = StatusGrid(topology, faults)
+    nodes = [node for entry in component_polygons for node in entry.polygon]
+    regions, region_index = pile_polygons(
+        grid, np.array(nodes, dtype=np.int64).reshape(-1, 2)
+    )
+    return MinimumPolygonConstruction(
+        grid=grid,
+        regions=regions,
+        components=components,
+        component_polygons=component_polygons,
+        rounds=max((entry.rounds for entry in component_polygons), default=0),
+        region_index=region_index,
+    )
 
 
 def build_cmfp(faults: Sequence[Coord], topology: Topology) -> ReferenceConstruction:

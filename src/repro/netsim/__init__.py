@@ -13,9 +13,8 @@ the ``sim=`` argument, like the routing engines' ``engine=``.
 
 Entry points: :meth:`repro.api.MeshSession.simulate` (one call),
 :class:`NetSimSession` (the facade), ``SweepExecutor.run(...,
-kind="latency")`` / :func:`repro.sim.experiments.run_latency_sweep`
-(latency-vs-load curves),
-the ``repro-mesh simulate`` CLI command and
+kind="latency")`` (latency-vs-load curves), the ``repro-mesh simulate``
+and ``repro-mesh sweep --kind latency`` CLI commands and
 ``benchmarks/bench_saturation.py``.
 """
 

@@ -24,6 +24,7 @@ cost.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -39,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.routing import RoutingSession
 
 
-def _arrival_keys() -> Tuple[str, ...]:
+def arrival_keys() -> Tuple[str, ...]:
     """Keys of the registered arrival-process workloads."""
     return tuple(
         key
@@ -57,7 +58,9 @@ class NetSimSession:
     """
 
     def __init__(self, routing: "RoutingSession") -> None:
-        self._routing = routing
+        # Weak, like the routing facade's reference to its session: the
+        # routing facade owns this one.
+        self._routing = weakref.ref(routing)
         # (router key, construction key, construction opts, router opts)
         #   -> (session version, {(sx, sy, dx, dy) -> path entry})
         self._paths: Dict[Tuple, Tuple[int, Dict]] = {}
@@ -68,16 +71,20 @@ class NetSimSession:
     @property
     def routing(self) -> "RoutingSession":
         """The routing facade this simulator replays paths from."""
-        return self._routing
+        routing = self._routing()
+        if routing is None:
+            raise ReferenceError("the RoutingSession of this netsim facade was freed")
+        return routing
 
     def _path_cache(self, key: Tuple) -> Dict:
         """The per-version memo of routed paths for one router/construction."""
-        version = self._routing.session.version
+        session = self.routing.session
+        version = session.version
         cached = self._paths.get(key)
         if cached is not None and cached[0] == version:
-            self._routing.session.cache_info["path_hits"] += 1
+            session.cache_info["path_hits"] += 1
             return cached[1]
-        self._routing.session.cache_info["path_misses"] += 1
+        session.cache_info["path_misses"] += 1
         fresh: Dict = {}
         self._paths[key] = (version, fresh)
         return fresh
@@ -126,7 +133,7 @@ class NetSimSession:
             raise ValueError("drain_factor must be at least 1")
         arrival_spec = get_traffic(arrival)
         if not issubclass(arrival_spec.options_type, ArrivalOptions):
-            known = ", ".join(_arrival_keys())
+            known = ", ".join(arrival_keys())
             raise ValueError(
                 f"traffic workload {arrival_spec.key!r} is not an arrival "
                 f"process; registered arrival processes: {known}"
@@ -139,7 +146,7 @@ class NetSimSession:
             )
         backend_key = _array_ops.active_backend_key()
         sim_spec = resolve_simulator(sim)
-        router_spec, result, router_obj, context = self._routing._resolve(
+        router_spec, result, router_obj, context = self.routing._resolve(
             router, construction, router_options, construction_options
         )
         rate = load * context.num_enabled

@@ -207,7 +207,7 @@ class RouteDaemon:
         self.expired_routes = 0
         self.degraded_flushes = 0
         # Idempotency cache: client id -> the mutation payload it produced.
-        self._idem: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._idem: "OrderedDict[Any, Dict[str, Any]]" = OrderedDict()
         self._events_since_snapshot = 0
         self.recovered: Optional[Dict[str, Any]] = None
         if journal is None:

@@ -11,7 +11,7 @@ daemon was serving.
 
 Record shapes (one JSON object per line)::
 
-    {"t": "snapshot", "seq": 12, "state": {...}, "idem": {...}}
+    {"t": "snapshot", "seq": 12, "state": {...}, "idem": [[7, {...}], ...]}
     {"t": "event", "seq": 13, "op": "add_faults", "idem": "c3f1-0",
      "payload": {"added": [[4, 4]], "version": 3, "num_faults": 9}}
 
@@ -19,8 +19,11 @@ Events record the *resolved* mutation -- the nodes actually added or
 removed -- not the raw request, so replay applies exactly what the
 original daemon applied (link faults replay the endpoint nodes the
 mapping chose at the time, idempotent duplicates replay as no-ops).
-Snapshots carry the daemon's idempotency cache, so a retried mutating
-request keeps deduplicating across a crash.
+Snapshots carry the daemon's idempotency cache as ``[idem, payload]``
+pairs, so a retried mutating request keeps deduplicating across a crash
+and an id keeps its JSON type (``7`` and ``"7"`` stay two ids).  Older
+journals stored the cache as an object keyed by the ids' strings; they
+still load.
 
 Appends are flushed per record: a ``kill -9`` loses at most the line
 being written, and :func:`load_journal` tolerates exactly that -- an
@@ -46,13 +49,13 @@ test_serve_resilience.py`` asserts.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.serve.protocol import encode, read_records
 from repro.types import is_int_pair
 
 SCHEMA = "repro.serve.journal/v1"
@@ -63,10 +66,6 @@ IDEM_CACHE_SIZE = 1024
 
 class JournalError(RuntimeError):
     """An unusable journal: mid-file corruption or an inconsistent replay."""
-
-
-def _encode_record(record: Dict[str, Any]) -> bytes:
-    return json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 class Journal:
@@ -112,10 +111,11 @@ class Journal:
         self._write(record)
         self.events_written += 1
 
-    def append_snapshot(
-        self, state: Dict[str, Any], idem: Optional[Dict[str, Any]] = None
-    ) -> None:
-        """Journal a full state snapshot (future recoveries replay from here)."""
+    def _snapshot(
+        self, state: Dict[str, Any], idem: Optional[Dict[Any, Any]]
+    ) -> Dict[str, Any]:
+        """The next snapshot record; *idem* is stored as ``[id, payload]``
+        pairs so that every id keeps its JSON type."""
         self.seq += 1
         record: Dict[str, Any] = {
             "t": "snapshot",
@@ -124,14 +124,20 @@ class Journal:
             "state": state,
         }
         if idem:
-            record["idem"] = dict(idem)
-        self._write(record)
+            record["idem"] = [[key, payload] for key, payload in idem.items()]
+        return record
+
+    def append_snapshot(
+        self, state: Dict[str, Any], idem: Optional[Dict[Any, Any]] = None
+    ) -> None:
+        """Journal a full state snapshot (future recoveries replay from here)."""
+        self._write(self._snapshot(state, idem))
         self.snapshots_written += 1
 
     def _write(self, record: Dict[str, Any]) -> None:
         if self._closed:
             raise JournalError("journal is closed")
-        self._file.write(_encode_record(record))
+        self._file.write(encode(record))
         # One flush per record: a killed process loses at most the line
         # being written (load_journal drops a truncated tail).
         self._file.flush()
@@ -149,7 +155,7 @@ class Journal:
         )
 
     def compact(
-        self, state: Dict[str, Any], idem: Optional[Dict[str, Any]] = None
+        self, state: Dict[str, Any], idem: Optional[Dict[Any, Any]] = None
     ) -> None:
         """Rewrite the journal as one fresh snapshot of *state*.
 
@@ -160,18 +166,10 @@ class Journal:
         """
         if self._closed:
             raise JournalError("journal is closed")
-        self.seq += 1
-        record: Dict[str, Any] = {
-            "t": "snapshot",
-            "seq": self.seq,
-            "schema": SCHEMA,
-            "state": state,
-        }
-        if idem:
-            record["idem"] = dict(idem)
+        record = self._snapshot(state, idem)
         tmp_path = self.path.with_name(self.path.name + ".compact")
         with open(tmp_path, "wb") as tmp:
-            tmp.write(_encode_record(record))
+            tmp.write(encode(record))
             tmp.flush()
             os.fsync(tmp.fileno())
         self._file.close()
@@ -207,7 +205,7 @@ class LoadedJournal:
     #: Event records after that snapshot, in append order.
     events: List[Dict[str, Any]] = field(default_factory=list)
     #: Idempotency cache: snapshot entries plus post-snapshot events.
-    idem: "OrderedDict[str, Dict[str, Any]]" = field(default_factory=OrderedDict)
+    idem: "OrderedDict[Any, Dict[str, Any]]" = field(default_factory=OrderedDict)
     #: Highest sequence number seen (appends continue above it).
     seq: int = 0
     #: Undecodable trailing lines dropped (0 or 1: a torn final write).
@@ -222,7 +220,9 @@ def _field_problem(record: Dict[str, Any]) -> Optional[str]:
     ``seq`` must be an int >= 0 (not a bool).  An event's ``idem`` is the
     id a client sent, so it may be absent, null or any JSON scalar; it
     keys the idempotency cache, so it must be hashable.  A snapshot's
-    ``idem`` is that cache: absent, null or an object of payload objects.
+    ``idem`` is that cache: absent, null, a list of ``[id, payload
+    object]`` pairs with scalar ids, or (older journals) an object of
+    payload objects.
     """
     seq = record.get("seq")
     if type(seq) is not int or seq < 0:
@@ -231,8 +231,15 @@ def _field_problem(record: Dict[str, Any]) -> Optional[str]:
     if idem is None:
         return None
     if record["t"] == "snapshot":
-        if not isinstance(idem, dict) or not all(isinstance(v, dict) for v in idem.values()):
-            return "snapshot idem is not an object of objects"
+        entries = list(idem.items()) if isinstance(idem, dict) else idem
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and not isinstance(entry[0], (list, dict))
+            and isinstance(entry[1], dict)
+            for entry in entries
+        ):
+            return "snapshot idem is neither [idem, payload] pairs nor an object of objects"
     elif isinstance(idem, (list, dict)):
         return f"idem {idem!r} is not a JSON scalar"
     return None
@@ -248,31 +255,16 @@ def load_journal(path: Union[str, Path]) -> LoadedJournal:
     :func:`_field_problem`).
     """
     path = Path(path)
-    raw_lines = path.read_bytes().split(b"\n")
-    if raw_lines and raw_lines[-1] == b"":
-        raw_lines.pop()
-    records: List[Dict[str, Any]] = []
-    truncated = 0
-    for index, line in enumerate(raw_lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-            if not isinstance(record, dict) or "t" not in record:
-                raise ValueError("not a journal record")
-        except (UnicodeDecodeError, ValueError) as exc:
-            if index == len(raw_lines) - 1:
-                truncated += 1
-                break
-            raise JournalError(
-                f"corrupt journal record at line {index + 1} of {path}: {exc}"
-            )
+    numbered, truncated = read_records(
+        path, JournalError, "corrupt journal record", "not a journal record"
+    )
+    for line, record in numbered:
         problem = _field_problem(record)
         if problem is not None:
             raise JournalError(
-                f"malformed journal record at line {index + 1} of {path}: {problem}"
+                f"malformed journal record at line {line} of {path}: {problem}"
             )
-        records.append(record)
+    records = [record for _, record in numbered]
     if not records:
         raise JournalError(f"journal {path} holds no intact records")
 
@@ -290,7 +282,9 @@ def load_journal(path: Union[str, Path]) -> LoadedJournal:
         truncated_lines=truncated,
         records=len(records),
     )
-    for key, payload in (snapshot.get("idem") or {}).items():
+    entries = snapshot.get("idem") or ()
+    # Older journals store the cache as an object keyed by id strings.
+    for key, payload in entries.items() if isinstance(entries, dict) else entries:
         loaded.idem[key] = payload
     for record in records[snapshot_at + 1 :]:
         if record["t"] != "event":

@@ -17,13 +17,17 @@ object with a stable ``code`` and a human-readable ``message``::
 
 The module is transport-agnostic: :class:`repro.serve.daemon.RouteDaemon`
 uses it over asyncio TCP streams, the in-process client skips the byte
-layer entirely and exchanges the same dict shapes.
+layer entirely and exchanges the same dict shapes.  The same framing
+stores records on disk: the daemon journal and the campaign manifest
+append :func:`encode`-d lines and read them back with
+:func:`read_records`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 #: Protocol error codes (stable strings, matched by clients and tests).
 E_BAD_REQUEST = "bad-request"  #: unparseable line / not a JSON object
@@ -57,6 +61,38 @@ class ProtocolError(ValueError):
 def encode(message: Dict[str, Any]) -> bytes:
     """Serialise one protocol message to a single NDJSON line."""
     return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+def read_records(
+    path: Path, error: Type[Exception], corrupt: str, not_a_record: str
+) -> Tuple[List[Tuple[int, Dict[str, Any]]], int]:
+    """Read an append-only NDJSON record file written one line per record.
+
+    Every line must be a JSON object with a ``"t"`` tag; blank lines are
+    skipped.  An undecodable *final* line is a torn last write: it is
+    dropped and counted.  An undecodable line anywhere else raises
+    *error* (``"<corrupt> at line N of <path>: ..."``, *not_a_record*
+    naming a line that is JSON but no record), because a hole mid-file
+    would silently lose what follows it.  Returns the ``(line number,
+    record)`` pairs and the number of dropped lines.
+    """
+    raw_lines = path.read_bytes().split(b"\n")
+    if raw_lines and raw_lines[-1] == b"":
+        raw_lines.pop()
+    records: List[Tuple[int, Dict[str, Any]]] = []
+    for index, line in enumerate(raw_lines):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line.decode("utf-8"))
+            if not isinstance(record, dict) or "t" not in record:
+                raise ValueError(not_a_record)
+        except (UnicodeDecodeError, ValueError) as exc:
+            if index == len(raw_lines) - 1:
+                return records, 1
+            raise error(f"{corrupt} at line {index + 1} of {path}: {exc}") from None
+        records.append((index + 1, record))
+    return records, 0
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:

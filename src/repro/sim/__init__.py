@@ -3,11 +3,10 @@
 * :mod:`repro.sim.metrics` -- per-scenario metric records comparing the
   FB / FP / MFP constructions, plus their routing-sweep counterparts.
 * :mod:`repro.sim.experiments` -- runs all constructions on one scenario or
-  on a fault-count sweep, and routes synthetic traffic workloads over a
-  sweep (``run_routing_sweep``).
-* :mod:`repro.sim.figures` -- regenerates the data series behind Figures 9,
-  10 and 11 (both fault-distribution panels each) and the routing-metric
-  series of the routing extension, rendered as text tables.
+  on a fault-count sweep.
+* :mod:`repro.sim.figures` -- formats sweep points as the data series behind
+  Figures 9, 10 and 11 (both fault-distribution panels each) and the
+  routing / latency series of the extensions, rendered as text tables.
 """
 
 from repro.sim.metrics import (
@@ -18,7 +17,7 @@ from repro.sim.metrics import (
     ScenarioMetrics,
     SweepPoint,
 )
-from repro.sim.experiments import compare_constructions, run_routing_sweep, run_sweep
+from repro.sim.experiments import compare_constructions, run_sweep
 from repro.sim.figures import (
     FigureSeries,
     figure9_series,
@@ -45,7 +44,6 @@ __all__ = [
     "RoutingSweepPoint",
     "compare_constructions",
     "run_sweep",
-    "run_routing_sweep",
     "FigureSeries",
     "figure9_series",
     "figure10_series",

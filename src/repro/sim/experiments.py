@@ -1,18 +1,14 @@
 """Running the paper's constructions over fault scenarios.
 
-Thin compatibility layer over :mod:`repro.api`: ``compare_constructions``
-runs the registered constructions (FB, FP, MFP/CMFP and optionally DMFP)
-on one fault pattern via the construction registry, ``run_sweep``
-delegates the fault-count sweep -- exactly the shape of the paper's
-simulation ("faults are sequentially added", "a simulation has been
-conducted in a 100x100 mesh ... the number of faults is no more than 800")
--- to :class:`repro.api.SweepExecutor`, which can fan trials out over
-worker processes, and ``run_routing_sweep`` does the same for the routing
-extension: every trial routes one synthetic traffic batch (see
-:mod:`repro.routing.traffic`) over each model's regions.
-``run_latency_sweep`` adds the open-loop axis on top: every trial replays
-a timed batch through the contention simulator of :mod:`repro.netsim`,
-producing the classic latency-vs-offered-load curve.
+Thin layer over :mod:`repro.api`: ``compare_constructions`` runs the
+registered constructions (FB, FP, MFP/CMFP and optionally DMFP) on one
+fault pattern via the construction registry, and ``run_sweep`` delegates
+the fault-count sweep -- exactly the shape of the paper's simulation
+("faults are sequentially added", "a simulation has been conducted in a
+100x100 mesh ... the number of faults is no more than 800") -- to
+:class:`repro.api.SweepExecutor`, which can fan trials out over worker
+processes.  Routing and latency sweeps are ``SweepExecutor.run(...,
+kind="routing" | "latency")``.
 """
 
 from __future__ import annotations
@@ -25,12 +21,7 @@ from repro.api.executor import (
     collect_scenario_metrics,
 )
 from repro.faults.scenario import FaultScenario
-from repro.sim.metrics import (
-    LatencySweepPoint,
-    RoutingSweepPoint,
-    ScenarioMetrics,
-    SweepPoint,
-)
+from repro.sim.metrics import ScenarioMetrics, SweepPoint
 
 
 def _model_keys(include_distributed: bool) -> tuple:
@@ -89,65 +80,3 @@ def run_sweep(
         models=_model_keys(include_distributed), workers=workers
     )
     return executor.run(fault_counts, trials, campaign=campaign, **params)
-
-
-def run_routing_sweep(
-    fault_counts: Sequence[int],
-    trials: int = 3,
-    models: Optional[Sequence[str]] = None,
-    workers: Optional[int] = 1,
-    reducer=None,
-    campaign=None,
-    **params: Any,
-) -> List[RoutingSweepPoint]:
-    """Route synthetic traffic over a fault-count sweep.
-
-    Returns one :class:`~repro.sim.metrics.RoutingSweepPoint` per entry of
-    *fault_counts*.  Every trial builds *models* (construction registry
-    keys; default ``DEFAULT_ROUTING_MODELS``) on one generated fault
-    pattern and routes the same seeded ``traffic`` batch (traffic registry
-    key) through ``router`` (router registry key) over each -- the paired
-    comparison of the routing ablation, generalised to the whole synthetic
-    workload suite.  *params* are the fields of
-    :class:`~repro.api.executor.RoutingTrialSpec` plus ``base_seed``.
-    Like :func:`run_sweep`, trials fan out over ``workers`` processes with
-    deterministic per-trial seeds.  ``engine`` picks the routing engine
-    (``"scalar"`` / ``"batch"`` / ``"auto"``; ``None`` means ``auto``)
-    -- the engines are bit-identical, so the choice only
-    affects the sweep's wall-clock time.
-    """
-    executor = SweepExecutor(models=models, workers=workers)
-    return executor.run(
-        fault_counts, trials, kind="routing", reducer=reducer, campaign=campaign, **params
-    )
-
-
-def run_latency_sweep(
-    loads: Sequence[float],
-    trials: int = 2,
-    models: Optional[Sequence[str]] = None,
-    workers: Optional[int] = 1,
-    reducer=None,
-    campaign=None,
-    **params: Any,
-) -> List[LatencySweepPoint]:
-    """Run an open-loop latency-vs-load sweep over the network simulator.
-
-    Returns one :class:`~repro.sim.metrics.LatencySweepPoint` per entry of
-    *loads* (offered messages per node per cycle).  Every trial generates
-    one fault pattern at ``num_faults``, builds *models* (default
-    ``DEFAULT_NETSIM_MODELS``) on it and replays a timed traffic batch
-    (``traffic`` endpoints, ``arrival`` injection times) through the
-    contention simulator -- the paper-standard interconnect evaluation
-    the contention-free routing sweeps cannot produce.  *params* are the
-    fields of :class:`~repro.api.executor.NetSimTrialSpec` plus
-    ``base_seed``.  Like the other sweeps, trials fan out over
-    ``workers`` processes with deterministic seeds; ``sim`` picks the
-    simulator (``"array"`` / ``"scalar"`` / ``"auto"``; ``None`` means
-    ``auto``), which never affects the results -- the simulators
-    are bit-identical.
-    """
-    executor = SweepExecutor(models=models, workers=workers)
-    return executor.run(
-        loads, trials, kind="latency", reducer=reducer, campaign=campaign, **params
-    )

@@ -2,19 +2,20 @@
 
 The paper's Figures 9-11 each have two panels (random / clustered fault
 distribution) and plot one curve per fault model against the number of
-injected faults.  The functions here produce those curves as plain data
-(:class:`FigureSeries`), so the benchmark harness can print the same
-rows/series the paper reports and EXPERIMENTS.md can record
-paper-vs-measured values without any plotting dependency.
+injected faults.  The functions here format the points of a sweep
+(``SweepExecutor.run`` or a campaign's ``sweep_points()``) as those
+curves, plain data (:class:`FigureSeries`) that the benchmark harness and
+the CLI print as tables without any plotting dependency.  Every label a
+panel shows (distribution, traffic, arrival process) is read from the
+points, so a figure always names the sweep that produced it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.sim.experiments import run_latency_sweep, run_routing_sweep, run_sweep
 from repro.sim.metrics import LatencySweepPoint, RoutingSweepPoint, SweepPoint
 
 #: Fault counts used by the paper's sweep (0 is omitted: it is trivially 0).
@@ -69,36 +70,38 @@ class FigureSeries:
         return rows
 
 
+def _first(points: Sequence[Any]) -> Any:
+    """The sweep's first point: its trials carry the sweep-wide labels."""
+    if not points:
+        raise ValueError("a figure needs at least one sweep point")
+    return points[0]
+
+
+def _paper_panel(
+    number: str, y_label: str, points: Sequence[SweepPoint]
+) -> FigureSeries:
+    """An empty Figure 9/10/11 panel over the fault counts of *points*."""
+    distribution = _first(points).distribution
+    return FigureSeries(
+        figure=number + ("a" if distribution == "random" else "b"),
+        distribution=distribution,
+        x_label="Number of faulty nodes",
+        y_label=y_label,
+        x_values=[p.num_faults for p in points],
+    )
+
+
 def figure9_series(
-    distribution: str = "random",
-    fault_counts: Sequence[int] = DEFAULT_FAULT_COUNTS,
-    trials: int = 3,
-    width: int = 100,
-    base_seed: int = 0,
-    log10: bool = True,
-    points: Optional[List[SweepPoint]] = None,
-    workers: int = 1,
-    ci: bool = False,
+    points: Sequence[SweepPoint], log10: bool = True, ci: bool = False
 ) -> FigureSeries:
     """Figure 9: non-faulty but disabled nodes in the whole network.
 
     The paper plots the value on a log10 axis; set ``log10=False`` for the
-    raw node counts.  Pass precomputed ``points`` to reuse one sweep for
-    several figures.  ``ci=True`` attaches 95% confidence half-widths
+    raw node counts.  ``ci=True`` attaches 95% confidence half-widths
     (raw scale only -- half-widths do not transform through log10).
     """
-    if points is None:
-        points = run_sweep(
-            fault_counts=fault_counts, trials=trials, width=width,
-            distribution=distribution, base_seed=base_seed,
-            include_distributed=False, include_rounds=False, workers=workers,
-        )
-    figure = FigureSeries(
-        figure="9a" if distribution == "random" else "9b",
-        distribution=distribution,
-        x_label="Number of faulty nodes",
-        y_label="# of disabled nodes (log10)" if log10 else "# of disabled nodes",
-        x_values=[p.num_faults for p in points],
+    figure = _paper_panel(
+        "9", "# of disabled nodes (log10)" if log10 else "# of disabled nodes", points
     )
     for model in ("FB", "FP", "MFP"):
         values = []
@@ -115,30 +118,9 @@ def figure9_series(
     return figure
 
 
-def figure10_series(
-    distribution: str = "random",
-    fault_counts: Sequence[int] = DEFAULT_FAULT_COUNTS,
-    trials: int = 3,
-    width: int = 100,
-    base_seed: int = 0,
-    points: Optional[List[SweepPoint]] = None,
-    workers: int = 1,
-    ci: bool = False,
-) -> FigureSeries:
+def figure10_series(points: Sequence[SweepPoint], ci: bool = False) -> FigureSeries:
     """Figure 10: average size of a fault region (faulty + non-faulty nodes)."""
-    if points is None:
-        points = run_sweep(
-            fault_counts=fault_counts, trials=trials, width=width,
-            distribution=distribution, base_seed=base_seed,
-            include_distributed=False, include_rounds=False, workers=workers,
-        )
-    figure = FigureSeries(
-        figure="10a" if distribution == "random" else "10b",
-        distribution=distribution,
-        x_label="Number of faulty nodes",
-        y_label="Size of fault block/polygon",
-        x_values=[p.num_faults for p in points],
-    )
+    figure = _paper_panel("10", "Size of fault block/polygon", points)
     for model in ("FB", "FP", "MFP"):
         figure.series[model] = [p.mean_region_size(model) for p in points]
         if ci:
@@ -148,35 +130,37 @@ def figure10_series(
     return figure
 
 
-def figure11_series(
-    distribution: str = "random",
-    fault_counts: Sequence[int] = DEFAULT_FAULT_COUNTS,
-    trials: int = 3,
-    width: int = 100,
-    base_seed: int = 0,
-    points: Optional[List[SweepPoint]] = None,
-    workers: int = 1,
-    ci: bool = False,
-) -> FigureSeries:
+def figure11_series(points: Sequence[SweepPoint], ci: bool = False) -> FigureSeries:
     """Figure 11: rounds of status determination (FB, FP, CMFP, DMFP)."""
-    if points is None:
-        points = run_sweep(
-            fault_counts=fault_counts, trials=trials, width=width,
-            distribution=distribution, base_seed=base_seed,
-            include_distributed=True, include_rounds=True, workers=workers,
-        )
-    figure = FigureSeries(
-        figure="11a" if distribution == "random" else "11b",
-        distribution=distribution,
-        x_label="Number of faulty nodes",
-        y_label="Average # of rounds",
-        x_values=[p.num_faults for p in points],
-    )
+    figure = _paper_panel("11", "Average # of rounds", points)
     for model in ("FB", "FP", "CMFP", "DMFP"):
         figure.series[model] = [p.mean_rounds(model) for p in points]
         if ci:
             figure.errors[model] = [p.ci95(model, "rounds")[1] for p in points]
     return figure
+
+
+def _metric_series(
+    figure: FigureSeries,
+    points: Sequence[Any],
+    accessor: str,
+    metric: str,
+    ci: bool,
+) -> FigureSeries:
+    """Fill one series per model present at the sweep's first point."""
+    for model in points[0].models():
+        figure.series[model] = [getattr(p, accessor)(model) for p in points]
+        if ci:
+            figure.errors[model] = [p.ci95(model, metric)[1] for p in points]
+    return figure
+
+
+def _lookup(table: Dict[str, tuple], what: str, metric: str) -> tuple:
+    try:
+        return table[metric]
+    except KeyError:
+        known = ", ".join(sorted(table))
+        raise KeyError(f"unknown {what} metric {metric!r}; known: {known}") from None
 
 
 #: Routing-series metrics -> (RoutingSweepPoint accessor, y-axis label).
@@ -190,59 +174,26 @@ ROUTING_METRICS: Dict[str, tuple] = {
 
 
 def routing_series(
+    points: Sequence[RoutingSweepPoint],
     metric: str = "delivery_rate",
-    distribution: str = "clustered",
-    fault_counts: Sequence[int] = DEFAULT_FAULT_COUNTS,
-    trials: int = 2,
-    width: int = 100,
-    base_seed: int = 0,
-    traffic: str = "uniform",
-    router: str = "extended-ecube",
-    messages: int = 500,
-    torus: bool = False,
-    points: Optional[List[RoutingSweepPoint]] = None,
-    workers: int = 1,
     ci: bool = False,
 ) -> FigureSeries:
     """Routing extension: one routing *metric* per fault model vs. fault count.
 
     Not a figure of the paper, but its motivation (Sections 1-2) measured:
-    how the fault-region model affects the routing layer under a synthetic
-    *traffic* workload.  Pass precomputed ``points`` (from
-    :func:`repro.sim.experiments.run_routing_sweep`) to reuse one sweep
-    for several metrics.
+    how the fault-region model affects the routing layer under the
+    synthetic traffic workload of a ``kind="routing"`` sweep.
     """
-    try:
-        accessor, y_label = ROUTING_METRICS[metric]
-    except KeyError:
-        known = ", ".join(sorted(ROUTING_METRICS))
-        raise KeyError(f"unknown routing metric {metric!r}; known: {known}") from None
-    if points is None:
-        points = run_routing_sweep(
-            fault_counts=fault_counts,
-            trials=trials,
-            width=width,
-            distribution=distribution,
-            base_seed=base_seed,
-            traffic=traffic,
-            router=router,
-            messages=messages,
-            torus=torus,
-            workers=workers,
-        )
+    accessor, y_label = _lookup(ROUTING_METRICS, "routing", metric)
+    first = _first(points)
     figure = FigureSeries(
-        figure=f"routing/{metric} ({traffic})",
-        distribution=distribution,
+        figure=f"routing/{metric} ({first.scenarios[0].traffic})",
+        distribution=first.distribution,
         x_label="Number of faulty nodes",
         y_label=y_label,
         x_values=[p.num_faults for p in points],
     )
-    models = points[0].models() if points else []
-    for model in models:
-        figure.series[model] = [getattr(p, accessor)(model) for p in points]
-        if ci:
-            figure.errors[model] = [p.ci95(model, metric)[1] for p in points]
-    return figure
+    return _metric_series(figure, points, accessor, metric, ci)
 
 
 #: Latency-series metrics -> (LatencySweepPoint accessor, y-axis label).
@@ -254,25 +205,10 @@ LATENCY_METRICS: Dict[str, tuple] = {
     "deadlocked": ("deadlocked_fraction", "Fraction of deadlocked runs"),
 }
 
-#: Offered loads of the default latency-vs-load sweep (messages/node/cycle).
-DEFAULT_LOADS: Sequence[float] = (0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32)
-
 
 def latency_series(
+    points: Sequence[LatencySweepPoint],
     metric: str = "mean_latency",
-    distribution: str = "clustered",
-    loads: Sequence[float] = DEFAULT_LOADS,
-    trials: int = 2,
-    num_faults: int = 0,
-    width: int = 16,
-    base_seed: int = 0,
-    traffic: str = "uniform",
-    arrival: str = "poisson",
-    router: str = "extended-ecube",
-    cycles: int = 256,
-    torus: bool = False,
-    points: Optional[List[LatencySweepPoint]] = None,
-    workers: int = 1,
     ci: bool = False,
 ) -> FigureSeries:
     """Network-simulator extension: one contention *metric* vs. offered load.
@@ -280,44 +216,21 @@ def latency_series(
     The latency-vs-load plot is the standard interconnect evaluation the
     paper's contention-free statistics cannot produce; the curve is flat
     near zero load (pure hop latency), rises with queueing delay and blows
-    up past the saturation throughput.  Pass precomputed ``points`` (from
-    :func:`repro.sim.experiments.run_latency_sweep`) to reuse one sweep
-    for several metrics.
+    up past the saturation throughput.  *points* come from a
+    ``kind="latency"`` sweep.
     """
-    try:
-        accessor, y_label = LATENCY_METRICS[metric]
-    except KeyError:
-        known = ", ".join(sorted(LATENCY_METRICS))
-        raise KeyError(f"unknown latency metric {metric!r}; known: {known}") from None
-    if points is None:
-        points = run_latency_sweep(
-            loads=loads,
-            trials=trials,
-            num_faults=num_faults,
-            width=width,
-            distribution=distribution,
-            base_seed=base_seed,
-            traffic=traffic,
-            arrival=arrival,
-            router=router,
-            cycles=cycles,
-            torus=torus,
-            workers=workers,
-        )
+    accessor, y_label = _lookup(LATENCY_METRICS, "latency", metric)
+    first = _first(points)
+    trial = first.scenarios[0]
     figure = FigureSeries(
-        figure=f"netsim/{metric} ({traffic}/{arrival})",
-        distribution=distribution,
+        figure=f"netsim/{metric} ({trial.traffic}/{trial.arrival})",
+        distribution=first.distribution,
         x_label="Offered load (messages/node/cycle)",
         y_label=y_label,
         x_values=[p.load for p in points],
         x_key="load",
     )
-    models = points[0].models() if points else []
-    for model in models:
-        figure.series[model] = [getattr(p, accessor)(model) for p in points]
-        if ci:
-            figure.errors[model] = [p.ci95(model, metric)[1] for p in points]
-    return figure
+    return _metric_series(figure, points, accessor, metric, ci)
 
 
 def format_series_table(figure: FigureSeries) -> str:

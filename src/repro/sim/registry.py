@@ -1,7 +1,6 @@
 """Experiment registry: every table/figure of the paper, as data.
 
-DESIGN.md describes the per-experiment index in prose; this module exposes
-the same information programmatically so that tooling (the CLI, the
+This module indexes the paper's experiments so that tooling (the CLI, the
 benchmark harness, downstream notebooks) can enumerate what the paper
 reports and how this repository regenerates it.  There is one entry per
 figure panel plus one per ablation that goes beyond the paper.

@@ -15,6 +15,7 @@ from repro.api import (
 from repro.api.registry import _ALIASES, _REGISTRY, resolve_inputs
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import build_minimum_polygons
+from repro.core.reference import build_minimum_polygons_via_labelling
 from repro.distributed.dmfp import build_minimum_polygons_distributed
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.faults.scenario import generate_scenario
@@ -95,9 +96,13 @@ class TestUniformBuild:
         assert fast.disabled_set() == full.disabled_set()
 
     def test_via_labelling_matches_hull(self, scenario):
+        # Solution A is a named reference, not an option of the mfp key.
         hull = get_construction("mfp").build(scenario)
-        labelled = get_construction("mfp").build(scenario, via_labelling=True)
-        assert hull.disabled_set() == labelled.disabled_set()
+        labelled = build_minimum_polygons_via_labelling(scenario.faults, scenario.topology())
+        assert hull.disabled_set() == labelled.grid.disabled_set()
+        assert hull.rounds == labelled.rounds
+        with pytest.raises(TypeError):
+            get_construction("mfp").build(scenario, via_labelling=True)
 
     def test_explicit_options_object(self, scenario):
         options = MinimumPolygonOptions(compute_rounds=False)
@@ -252,4 +257,4 @@ class TestReplaceSafety:
 
     def test_cmfp_rejects_mfp_only_options(self):
         with pytest.raises(TypeError):
-            get_construction("cmfp").build([(1, 1)], Mesh2D(5, 5), via_labelling=True)
+            get_construction("cmfp").build([(1, 1)], Mesh2D(5, 5), compute_rounds=False)

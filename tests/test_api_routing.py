@@ -21,7 +21,6 @@ from repro.api import (
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D
 from repro.routing.registry import ECubeRouter, ExtendedECubeOptions
-from repro.sim.experiments import run_routing_sweep
 from repro.sim.figures import routing_series
 
 
@@ -243,8 +242,7 @@ class TestRoutingBehaviour:
 class TestRoutingSweeps:
     def test_two_runs_bit_identical(self):
         kwargs = dict(
-            fault_counts=[15, 30],
-            trials=2,
+            kind="routing",
             width=16,
             distribution="clustered",
             traffic="permutation",
@@ -259,8 +257,8 @@ class TestRoutingSweeps:
                 for point in points
             ]
 
-        assert fingerprint(run_routing_sweep(**kwargs)) == fingerprint(
-            run_routing_sweep(**kwargs)
+        assert fingerprint(SweepExecutor().run([15, 30], 2, **kwargs)) == fingerprint(
+            SweepExecutor().run([15, 30], 2, **kwargs)
         )
 
     def test_pluggable_reducer(self):
@@ -323,11 +321,14 @@ class TestRoutingSweeps:
             _WORKLOADS.specs.pop("custom-traffic-test", None)
 
     def test_routing_series_from_points(self):
-        points = run_routing_sweep(
-            fault_counts=[10, 20], trials=1, width=14, messages=40
+        points = SweepExecutor().run(
+            [10, 20], 1, kind="routing", width=14, messages=40, traffic="transpose"
         )
-        figure = routing_series(metric="delivery_rate", points=points)
+        figure = routing_series(points, metric="delivery_rate")
         assert figure.x_values == [10, 20]
         assert set(figure.series) == {"FB", "FP", "MFP"}
+        # The labels come from the points, not from restated defaults.
+        assert figure.figure == "routing/delivery_rate (transpose)"
+        assert figure.distribution == "random"
         with pytest.raises(KeyError, match="unknown routing metric"):
-            routing_series(metric="nope", points=points)
+            routing_series(points, metric="nope")

@@ -2,14 +2,16 @@
 equal one-shot builds, result caching, and components asked of
 find_components once per version."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 import repro.api.session as session_module
 from repro.api import MeshSession, get_construction
 from repro.core.components import clear_shape_memos, find_components
-from repro.core.mfp import build_minimum_polygons_via_labelling
+from repro.core.reference import build_minimum_polygons_via_labelling
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D, Torus2D
 
@@ -222,37 +224,38 @@ class TestIncrementalEqualsOneShot:
         full = session.build("mfp", compute_rounds=True)
         assert full.rounds > 0
         assert fast.disabled_set() == full.disabled_set()
-        via = session.build("mfp", via_labelling=True)
-        assert via.disabled_set() == full.disabled_set()
 
     def test_via_labelling_rounds_match_oneshot_even_without_compute_rounds(self):
-        """Solution A always reports its emulation rounds, as the one-shot
-        builder does -- compute_rounds only gates the hull path's emulation."""
+        """Solution A, the named reference, always reports its emulation
+        rounds; the session's memoised rounds equal them, and
+        compute_rounds=False only skips the hull path's emulation."""
         scenario = generate_scenario(
             num_faults=25, width=15, model="clustered", seed=3
         )
         session = MeshSession.from_scenario(scenario)
-        incremental = session.build("mfp", via_labelling=True, compute_rounds=False)
-        oneshot = get_construction("mfp").build(
-            scenario, via_labelling=True, compute_rounds=False
+        solution_a = build_minimum_polygons_via_labelling(
+            scenario.faults, scenario.topology()
         )
-        assert incremental.rounds == oneshot.rounds > 0
-        _assert_same_result(incremental, oneshot)
+        assert session.build("mfp").rounds == solution_a.rounds > 0
+        fast = session.build("mfp", compute_rounds=False)
+        assert fast.rounds == 0
+        assert fast.disabled_set() == solution_a.grid.disabled_set()
 
     def test_cached_labelling_polygons_follow_shifted_component_indices(self):
         session = MeshSession(
             width=12, faults=[(6, 6), (7, 7), (6, 8), (9, 2), (10, 3), (9, 4)]
         )
-        session.build("mfp", via_labelling=True)
+        session.build("mfp")
         # The new fault's component sorts first, so every cached polygon's
         # component index shifts by one.
         session.add_faults([(0, 0)])
-        result = session.build("mfp", via_labelling=True)
-        oneshot = build_minimum_polygons_via_labelling(
-            session.faults, topology=session.topology
-        )
+        result = session.build("mfp")
+        solution_a = build_minimum_polygons_via_labelling(session.faults, session.topology)
         assert [p.component for p in result.raw.component_polygons] == [
-            p.component for p in oneshot.component_polygons
+            p.component for p in solution_a.component_polygons
+        ]
+        assert [p.polygon for p in result.raw.component_polygons] == [
+            p.polygon for p in solution_a.component_polygons
         ]
 
 
@@ -351,3 +354,34 @@ class TestBatchAtomicity:
         assert session.fault_set() == frozenset({(1, 1)})
         assert [c.nodes for c in session.components()] == [frozenset({(1, 1)})]
         assert session.build("mfp") is before  # cache still valid
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("served", ["build", "route", "simulate"])
+    def test_del_frees_the_session_without_the_cyclic_collector(self, served):
+        """The facades hold weak back-references, so reference counting
+        alone frees a session and everything it built."""
+        session = MeshSession(width=10, faults=[(3, 3), (4, 4), (6, 2)])
+        if served == "build":
+            session.build("mfp")
+        elif served == "route":
+            session.route("mfp", messages=20, seed=1)
+        else:
+            session.simulate("mfp", load=0.02, cycles=16, seed=1)
+        refs = [weakref.ref(session)]
+        if served != "build":
+            refs.append(weakref.ref(session.routing))
+        if served == "simulate":
+            refs.append(weakref.ref(session.routing.netsim))
+        gc.collect()
+        gc.disable()
+        try:
+            del session
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_a_facade_outliving_its_session_says_so(self):
+        routing = MeshSession(width=6).routing
+        with pytest.raises(ReferenceError, match="MeshSession"):
+            routing.route("mfp", messages=5)

@@ -4,7 +4,17 @@ import os
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.api import SweepExecutor
+from repro.campaign import CampaignRunner
+from repro.cli import build_parser, main, trial_flags
+from repro.sim.figures import (
+    figure9_series,
+    figure10_series,
+    figure11_series,
+    format_series_table,
+    latency_series,
+    routing_series,
+)
 
 
 class TestParser:
@@ -24,6 +34,26 @@ class TestParser:
         )
         assert args.fault_counts == [10, 20]
         assert args.trials == 1
+
+    @pytest.mark.parametrize("argv", [["sweep"], ["campaign", "run", "store"]])
+    def test_trial_spec_flags_declare_no_default(self, argv):
+        # The trial specs hold the only copy of every sweep default.
+        args = build_parser().parse_args(argv)
+        for name in trial_flags():
+            assert getattr(args, name) is None, name
+        assert args.fault_counts is None and args.loads is None
+
+    def test_sweep_hands_the_executor_only_the_axis(self, monkeypatch):
+        calls = []
+
+        def run(self, axis, trials, **params):
+            calls.append((axis, trials, params))
+            raise SystemExit(0)
+
+        monkeypatch.setattr(SweepExecutor, "run", run)
+        with pytest.raises(SystemExit):
+            main(["sweep", "--fault-counts", "4"])
+        assert calls == [([4], 2, {"kind": "construction"})]
 
 
 class TestCommands:
@@ -199,6 +229,68 @@ class TestCommands:
         captured = capsys.readouterr().out
         assert "Figure 10(a)" in captured
         assert "bench_fig10_region_size.py" in captured
+
+
+#: The tables ``sweep`` prints per kind, made by the figure helpers.
+KIND_TABLES = {
+    "construction": lambda points: [
+        figure9_series(points), figure10_series(points), figure11_series(points)
+    ],
+    "routing": lambda points: [
+        routing_series(points, "delivery_rate"), routing_series(points, "mean_detour")
+    ],
+    "latency": lambda points: [
+        latency_series(points, "mean_latency"), latency_series(points, "accepted_load")
+    ],
+}
+
+
+class TestSweepIsCampaignRunWithoutAStore:
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("construction", ["--fault-counts", "4", "8", "--width", "10",
+                              "--distribution", "clustered", "--seed", "3"]),
+            ("routing", ["--fault-counts", "4", "--width", "10", "--messages", "20",
+                         "--traffic", "transpose"]),
+            ("latency", ["--loads", "0.02", "0.08", "--width", "6", "--num-faults", "2",
+                         "--cycles", "16", "--arrival", "bursty"]),
+        ],
+    )
+    def test_same_tables_as_the_campaign_points(self, kind, flags, tmp_path, capsys):
+        request = ["--kind", kind, "--trials", "2", *flags]
+        assert main(["sweep", *request]) == 0
+        printed = capsys.readouterr().out
+        store = tmp_path / "store"
+        assert main(["campaign", "run", str(store), *request, "--quiet"]) == 0
+        capsys.readouterr()
+        runner = CampaignRunner(None, store)
+        try:
+            points = runner.sweep_points()
+        finally:
+            runner.close()
+        tables = KIND_TABLES[kind](points)
+        assert printed == "".join(format_series_table(table) + "\n\n" for table in tables)
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("construction", ["--messages", "40"]),
+            ("construction", ["--cycles", "99"]),
+            ("routing", ["--skip-rounds"]),
+            ("routing", ["--cycles", "99"]),
+            ("latency", ["--skip-rounds"]),
+            ("latency", ["--fault-counts", "4"]),
+        ],
+    )
+    def test_sweep_refuses_a_flag_the_kind_does_not_take(self, kind, extra):
+        axis = ["--loads", "0.02"] if kind == "latency" else ["--fault-counts", "4"]
+        with pytest.raises(SystemExit, match=extra[0]):
+            main(["sweep", "--kind", kind, *axis, "--trials", "1", "--width", "8", *extra])
+
+    def test_latency_sweep_requires_loads(self):
+        with pytest.raises(SystemExit, match="--loads"):
+            main(["sweep", "--kind", "latency", "--trials", "1"])
 
 
 class TestInProcessCalls:

@@ -8,11 +8,11 @@ from repro.core.components import find_components, shape_key
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import (
     build_minimum_polygons,
-    build_minimum_polygons_via_labelling,
     component_minimum_polygon,
     component_polygon_via_labelling,
     shape_hull,
 )
+from repro.core.reference import build_minimum_polygons_via_labelling
 from repro.core.regions import LazyList
 from repro.distributed.dmfp import shape_outcome
 from repro.core.sub_minimum import build_sub_minimum_polygons

@@ -410,6 +410,10 @@ MALFORMED_FIELDS = [
     pytest.param([SNAPSHOT, _event_with(idem={"a": 1})], 2, id="event-idem-object"),
     pytest.param([{**SNAPSHOT, "idem": ["a"]}], 1, id="snapshot-idem-list"),
     pytest.param([{**SNAPSHOT, "idem": "a"}], 1, id="snapshot-idem-string"),
+    pytest.param([{**SNAPSHOT, "idem": [[["a"], {}]]}], 1, id="snapshot-idem-list-id"),
+    pytest.param([{**SNAPSHOT, "idem": [["a", 1]]}], 1, id="snapshot-idem-pair-payload"),
+    pytest.param([{**SNAPSHOT, "idem": [["a", {}, 3]]}], 1, id="snapshot-idem-triple"),
+    pytest.param([{**SNAPSHOT, "idem": {"a": 1}}], 1, id="snapshot-idem-object-payload"),
 ]
 
 
@@ -513,6 +517,67 @@ class TestRecovery:
             assert recovered.session.version == version
 
         asyncio.run(replay())
+        recovered.journal.close()
+
+    @staticmethod
+    def _snapshotted_numeric_idem(path):
+        """A daemon that snapshots after every event applies one mutation
+        under the numeric id 7; returns the recovered daemon."""
+
+        async def run():
+            daemon = fresh_daemon(journal=path, snapshot_every=1)
+            client = InProcessClient(daemon)
+            response = await client.request(
+                {"op": "add_faults", "nodes": [[3, 3]], "idem": 7}
+            )
+            assert response["ok"] and "idempotent_replay" not in response
+            daemon.journal.close()
+
+        asyncio.run(run())
+        assert load_journal(path).events == []  # the id lives in the snapshot
+        return RouteDaemon.recover(path)
+
+    def test_numeric_idem_keeps_its_type_across_a_snapshot(self, tmp_path):
+        recovered = self._snapshotted_numeric_idem(tmp_path / "daemon.ndjson")
+        assert list(recovered._idem) == [7]
+        recovered.journal.close()
+
+    def test_numeric_idem_retry_after_a_snapshot_is_replayed(self, tmp_path):
+        recovered = self._snapshotted_numeric_idem(tmp_path / "daemon.ndjson")
+        version = recovered.session.version
+
+        async def retry():
+            client = InProcessClient(recovered)
+            return await client.request(
+                {"op": "add_faults", "nodes": [[3, 3]], "idem": 7}
+            )
+
+        response = asyncio.run(retry())
+        assert response["idempotent_replay"] is True
+        assert recovered.session.version == version
+        recovered.journal.close()
+
+    def test_string_idem_is_not_the_snapshotted_numeric_one(self, tmp_path):
+        recovered = self._snapshotted_numeric_idem(tmp_path / "daemon.ndjson")
+
+        async def fresh_request():
+            client = InProcessClient(recovered)
+            return await client.request(
+                {"op": "add_faults", "nodes": [[4, 4]], "idem": "7"}
+            )
+
+        response = asyncio.run(fresh_request())
+        assert "idempotent_replay" not in response
+        assert (4, 4) in recovered.session.faults
+        recovered.journal.close()
+
+    def test_object_form_snapshot_idem_still_loads(self, tmp_path):
+        # Journals written before the pair form keyed the cache by strings.
+        path = tmp_path / "daemon.ndjson"
+        payload = {"added": [[2, 2]], "version": 2, "num_faults": 2}
+        path.write_bytes(encode({**SNAPSHOT, "idem": {"old-id": payload}}))
+        recovered = RouteDaemon.recover(path)
+        assert dict(recovered._idem) == {"old-id": payload}
         recovered.journal.close()
 
     def test_constructor_refuses_populated_journal(self, tmp_path):
