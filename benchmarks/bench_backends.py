@@ -135,12 +135,7 @@ def bench_batch_routing(args, backends) -> dict:
     session = MeshSession.from_scenario(scenario)
     reports = {}
     for key in backends:
-        route = dict(
-            traffic="uniform",
-            messages=args.messages,
-            seed=args.seed,
-            engine="batch",
-        )
+        route = dict(traffic="uniform", messages=args.messages, seed=args.seed)
         with running(OPS[key]):
             # Warm-up: prime the session caches (construction, router,
             # rings, jump tables).

@@ -2,12 +2,12 @@
 """Benchmark: the batch routing engine against the scalar router.
 
 Routes the full synthetic traffic suite over MFP regions on a sweep of
-mesh sizes, once through the scalar per-message router and once through
-the vectorized lockstep batch engine (``repro.routing.engine``), and
-records per-configuration timings, ``messages_per_second`` and speedups.
-The two engines must produce **bit-identical** ``RoutingStats``
-aggregates; the benchmark refuses to report a speedup (and exits
-non-zero) when any field differs.
+mesh sizes, once through ``MeshSession.route`` (which runs the vectorized
+lockstep batch engine of ``repro.routing.engine``) and once, on the same
+generated batch, through the scalar oracle ``route_scalar``, and records
+per-configuration timings, ``messages_per_second`` and speedups.  The two
+must produce **bit-identical** ``RoutingStats`` aggregates; the benchmark
+refuses to report a speedup (and exits non-zero) when any field differs.
 
 The measurements are written as machine-readable JSON (schema
 ``repro.bench_routing/v1``).  ``--compare`` checks the stats fields of a
@@ -41,8 +41,10 @@ if __package__ in (None, ""):  # allow running straight from a checkout
 
 import numpy as np
 
-from repro.api import MeshSession, traffic_keys
+from repro import _array_ops
+from repro.api import MeshSession, RoutingStats, get_traffic, traffic_keys
 from repro.faults.scenario import generate_scenario
+from repro.routing.engine import route_scalar
 
 SCHEMA = "repro.bench_routing/v1"
 DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_routing_engine.json"
@@ -68,21 +70,34 @@ def stats_fields(stats) -> dict:
     return fields
 
 
+def route_oracle(session: MeshSession, traffic: str, messages: int, seed: int) -> RoutingStats:
+    """``session.route("mfp", ...)`` on the scalar oracle: the batch the
+    session generates for the same seed, routed by ``route_scalar``."""
+    router = session.router("extended-ecube", "mfp")
+    context = session.routing.context("extended-ecube", "mfp")
+    batch = get_traffic(traffic).generate(context, messages, rng=np.random.default_rng(seed))
+    stats = RoutingStats(enabled=context.num_enabled, backend=_array_ops.active_backend_key())
+    return route_scalar(router, batch, stats)
+
+
 def bench_pattern(
     session: MeshSession, traffic: str, messages: int, seed: int, repeats: int
 ) -> dict:
     """Time one traffic pattern through both engines (best of *repeats*)."""
-    route = dict(traffic=traffic, messages=messages, seed=seed)
+    runs = {
+        "scalar": lambda: route_oracle(session, traffic, messages, seed),
+        "batch": lambda: session.route("mfp", traffic=traffic, messages=messages, seed=seed),
+    }
     # Warm every session cache (construction, router, rings, jump tables)
     # so both engines are timed on equal footing.
-    scalar_stats = session.route("mfp", engine="scalar", **route)
-    batch_stats = session.route("mfp", engine="batch", **route)
+    scalar_stats, batch_stats = runs["scalar"](), runs["batch"]()
+    assert batch_stats.engine == "batch", batch_stats.engine
     timings = {}
-    for engine in ("scalar", "batch"):
+    for engine, run in runs.items():
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            session.route("mfp", engine=engine, **route)
+            run()
             best = min(best, time.perf_counter() - start)
         timings[engine] = best
     identical = stats_fields(scalar_stats) == stats_fields(batch_stats)

@@ -51,7 +51,6 @@ import numpy as np
 
 from repro.api import MeshSession, traffic_keys
 from repro.faults.scenario import generate_scenario
-from repro.netsim import simulator_keys
 
 SCHEMA = "repro.bench_saturation/v1"
 DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_saturation.json"
@@ -353,7 +352,7 @@ def main(argv=None) -> int:
             "scenario_seed": args.scenario_seed,
             "construction": "mfp",
             "router": "extended-ecube",
-            "simulators": list(simulator_keys()),
+            "simulators": ["array", "scalar"],
         },
         "scenarios": scenarios,
     }

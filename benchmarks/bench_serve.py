@@ -221,7 +221,7 @@ def run_churn(scenario, events, messages: int, seed: int, *, deltas: bool):
         # measures updates, not first-touch construction.  The routed
         # traffic mix is the same after every event -- the warm-serving
         # regime, where the packed-ring working set is stable.
-        session.route("mfp", messages=messages, seed=seed, engine="batch")
+        session.route("mfp", messages=messages, seed=seed)
         fingerprints = []
         start = time.perf_counter()
         for kind, nodes in events:
@@ -229,9 +229,7 @@ def run_churn(scenario, events, messages: int, seed: int, *, deltas: bool):
                 session.add_faults(nodes)
             else:
                 session.remove_faults(nodes)
-            stats = session.route(
-                "mfp", messages=messages, seed=seed, engine="batch"
-            )
+            stats = session.route("mfp", messages=messages, seed=seed)
             fingerprints.append(stats_fields(stats))
         elapsed = time.perf_counter() - start
         info = dict(session.cache_info)

@@ -27,8 +27,9 @@ exported from its top level:
 On top of the routing facade sits the network simulator of
 :mod:`repro.netsim` (:class:`NetSimSession`, reachable as
 ``session.simulate(...)``): open-loop injection, per-virtual-channel
-contention, latency / saturation verdicts, with the ``array`` / ``scalar``
-simulator registry selected per call by ``sim=``.
+contention, latency / saturation verdicts.  It replays on the vectorized
+``array`` simulator; ``sim="scalar"`` replays on the bit-identical
+dict-based oracle instead.
 
 Underneath all of it, the hot array primitives (labelling, span fills,
 jump-table scans, traversal windows, netsim arbitration) have one NumPy
@@ -87,22 +88,7 @@ from repro.api.executor import (
     run_trial,
     sweep_point_reducer,
 )
-from repro.netsim import (
-    NetSimSession,
-    NetSimStats,
-    SimulatorSpec,
-    available_simulators,
-    get_simulator,
-    register_simulator,
-    simulator_keys,
-)
-from repro.routing.engine import (
-    EngineSpec,
-    available_engines,
-    engine_keys,
-    get_engine,
-    register_engine,
-)
+from repro.netsim import NetSimSession, NetSimStats
 from repro.routing.registry import (
     RouterOptions,
     RouterSpec,
@@ -163,20 +149,9 @@ __all__ = [
     "register_traffic",
     "traffic_keys",
     "available_traffic",
-    # engine registry
-    "EngineSpec",
-    "get_engine",
-    "register_engine",
-    "engine_keys",
-    "available_engines",
-    # network simulator facade + registry
+    # network simulator facade
     "NetSimSession",
     "NetSimStats",
-    "SimulatorSpec",
-    "get_simulator",
-    "register_simulator",
-    "simulator_keys",
-    "available_simulators",
     # executor
     "SweepExecutor",
     "TRIAL_KINDS",

@@ -35,7 +35,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro._registry import SpecRegistry
 from repro.api.registry import (
     ConstructionSpec,
     _build_cmfp,
@@ -48,8 +47,7 @@ from repro.faults.scenario import (
     derive_trial_seed,
     generate_scenario,
 )
-from repro.netsim.registry import get_simulator, register_simulator
-from repro.routing.engine import get_engine, register_engine
+from repro.netsim.simulators import resolve_simulator
 from repro.routing.registry import (
     RouterOptions,
     RouterSpec,
@@ -132,17 +130,13 @@ class RoutingTrialSpec:
     messages: int = 500
     traffic_options: Optional[TrafficOptions] = None
     router_options: Optional[RouterOptions] = None
-    #: Routing-engine registry key (``"scalar"`` / ``"batch"`` / ``"auto"``);
-    #: ``None`` means ``auto``.
-    engine: Optional[str] = None
     specs: Tuple[ConstructionSpec, ...] = ()
-    #: The resolved router/traffic/engine specs, carried (like ``specs``)
-    #: so that workers spawned in a fresh interpreter can re-register
-    #: custom routers, workloads and engines; ``None`` means "resolve
-    #: from the worker's registry".
+    #: The resolved router/traffic specs, carried (like ``specs``) so that
+    #: workers spawned in a fresh interpreter can re-register custom
+    #: routers and workloads; ``None`` means "resolve from the worker's
+    #: registry".
     router_spec: Optional[RouterSpec] = None
     traffic_spec: Optional[TrafficSpec] = None
-    engine_spec: Optional[Any] = None
     #: Sweep position (see :class:`TrialSpec`); ``-1`` = outside a sweep.
     point_index: int = -1
     trial: int = -1
@@ -177,14 +171,14 @@ class NetSimTrialSpec:
     traffic_options: Optional[TrafficOptions] = None
     arrival_options: Optional[TrafficOptions] = None
     router_options: Optional[RouterOptions] = None
-    #: Simulator registry key (``"array"`` / ``"scalar"`` / ``"auto"``);
-    #: ``None`` means ``auto``.
+    #: ``"scalar"`` replays on the simulator oracle instead of the array
+    #: simulator (``None`` / ``"auto"``); see
+    #: :func:`~repro.netsim.simulators.resolve_simulator`.
     sim: Optional[str] = None
     specs: Tuple[ConstructionSpec, ...] = ()
     router_spec: Optional[RouterSpec] = None
     traffic_spec: Optional[TrafficSpec] = None
     arrival_spec: Optional[TrafficSpec] = None
-    sim_spec: Optional[Any] = None
     #: Sweep position (see :class:`TrialSpec`); ``-1`` = outside a sweep.
     point_index: int = -1
     trial: int = -1
@@ -200,12 +194,10 @@ _REGISTRIES: Dict[str, Tuple[Callable[..., Any], Callable[..., Any], str]] = {
     "router": (get_router, register_router, "builder"),
     "traffic": (get_traffic, register_traffic, "generator"),
     "arrival": (get_traffic, register_traffic, "generator"),
-    "engine": (get_engine, register_engine, "runner"),
-    "sim": (get_simulator, register_simulator, "runner"),
 }
 
 #: Trial-spec fields holding a registry key.
-KEY_FIELDS: Tuple[str, ...] = ("router", "traffic", "arrival", "engine", "sim")
+KEY_FIELDS: Tuple[str, ...] = ("router", "traffic", "arrival")
 
 #: Trial-spec fields that planning fills in and callers never set: the
 #: seed, the model set, the carried registry specs and the sweep position.
@@ -215,21 +207,13 @@ _PLANNED_FIELDS = frozenset(
 )
 
 
-def resolve_key(name: str, key: Optional[str]) -> Tuple[Optional[str], Any]:
+def resolve_key(name: str, key: str) -> Tuple[str, Any]:
     """Resolve the registry-key trial field *name*: ``(canonical key, spec)``.
 
-    The perf selectors ``engine`` and ``sim`` keep ``None`` and
-    ``"auto"`` (the per-call automatic choice) and resolve them to no
-    spec.  An unknown key raises ``KeyError``, so typos fail before any
-    work is dispatched.  Planning, worker re-registration, campaign key
+    An unknown key raises ``KeyError``, so typos fail before any work is
+    dispatched.  Planning, worker re-registration, campaign key
     normalisation and campaign option revival all resolve through here.
     """
-    if name in ("engine", "sim"):
-        if key is None:
-            return None, None
-        key = SpecRegistry.normalise(key)
-        if key == "auto":
-            return key, None
     spec = _REGISTRIES[name][0](key)
     return spec.key, spec
 
@@ -238,11 +222,10 @@ def _restore_worker_registry(spec: Any) -> None:
     """Re-register the parent's carried registry specs in a worker process.
 
     A spawned worker starts from fresh registries holding only the
-    built-in constructions, routers, workloads, engines and simulators;
-    re-register anything the parent plugged in.  The implementation
-    comparison is by reference: specs pickle their builders / generators
-    / runners as module-level names, so built-ins resolve to the same
-    function and are left alone.
+    built-in constructions, routers and workloads; re-register anything
+    the parent plugged in.  The implementation comparison is by
+    reference: specs pickle their builders / generators as module-level
+    names, so built-ins resolve to the same function and are left alone.
     """
     carried = [("model", construction) for construction in spec.specs]
     carried += [(name, getattr(spec, f"{name}_spec", None)) for name in KEY_FIELDS]
@@ -382,7 +365,6 @@ def run_routing_trial(spec: RoutingTrialSpec):
             traffic_options=spec.traffic_options,
             router_options=spec.router_options,
             construction_options=_without_rounds(get_construction(key)),
-            engine=spec.engine,
         )
         metrics.add(
             RoutingMetrics.from_stats(stats, num_faults=scenario.num_faults)
@@ -641,12 +623,12 @@ class SweepExecutor:
         *axis* holds the fault counts (``construction`` / ``routing``) or
         offered loads (``latency``); *params* set any field of the kind's
         trial spec plus ``base_seed``, and everything omitted takes the
-        trial spec's default.  Registry keys are validated and resolved
-        eagerly (before the first ``next``), and the resolved specs are
-        carried for spawned workers.  Seeds come from
+        trial spec's default.  Registry keys and ``sim`` are validated
+        eagerly (before the first ``next``), and the resolved registry
+        specs are carried for spawned workers.  Seeds come from
         :func:`~repro.faults.scenario.derive_trial_seed`, indexed by axis
         position, so a sweep is bit-identical at any worker count -- and
-        under either routing engine or simulator.  The campaign runner
+        on either simulator.  The campaign runner
         plans 100k+-trial sweeps through this generator so the parent
         never holds the whole plan.
         """
@@ -662,6 +644,8 @@ class SweepExecutor:
         for name in KEY_FIELDS:
             if name in values:
                 values[name], values[f"{name}_spec"] = resolve_key(name, values[name])
+        if "sim" in values:
+            resolve_simulator(values["sim"])
         values["models"] = self._models(kind)
         values["specs"] = tuple(get_construction(key) for key in values["models"])
 

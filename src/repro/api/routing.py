@@ -24,16 +24,14 @@ endpoint count, ready for sweep tables.  Requesting ``check_deadlock=True``
 auto-enables per-route result collection, so the channel-dependency check
 can never fail mid-analysis for lack of results.
 
-**Default engine rule.**  Batches are routed by the engine registry of
-:mod:`repro.routing.engine`: with the default ``engine=None`` (``auto``),
-``route`` picks the vectorized **batch** engine whenever it can serve the
-request -- per-route results not requested (``collect_results=False`` and
-no ``check_deadlock``) and the router one of the built-ins -- and the
-per-message **scalar** loop otherwise, which stays the path-collecting /
-deadlock-check oracle.  The two produce bit-identical aggregate
-statistics; the chosen key is recorded on ``stats.engine``.  An explicit
-``engine=`` argument is strict (a batch request it cannot serve raises
-``ValueError``).
+**Engine rule.**  The call picks the engine
+(:func:`~repro.routing.engine.resolve_engine`): ``route`` runs the
+vectorized **batch** kernel whenever it can serve the request -- per-route
+results not requested (``collect_results=False`` and no
+``check_deadlock``) and the router one of the built-ins -- and the
+per-message **scalar** loop (:func:`~repro.routing.engine.route_scalar`)
+otherwise.  The two produce bit-identical aggregate statistics; the engine
+that ran is recorded on ``stats.engine``.
 
 The session also owns a :class:`~repro.routing.engine.RegionRingCache`
 attached to every router it builds, so routers rebuilt after
@@ -211,7 +209,6 @@ class RoutingSession:
         construction_options: Optional[ConstructionOptions] = None,
         collect_results: bool = False,
         check_deadlock: bool = False,
-        engine: Optional[str] = None,
         **traffic_overrides: Any,
     ) -> RoutingStats:
         """Route one generated message batch and return the statistics.
@@ -222,17 +219,14 @@ class RoutingSession:
         deterministic in *seed*: the same seed on the same fault set
         yields a bit-identical batch (and therefore identical stats).
 
-        *engine* names the routing engine (engine registry key); the
-        default ``None`` means ``auto``, which selects the vectorized batch
-        kernel whenever per-route results are not requested and the router
-        is a built-in, and the scalar per-message loop otherwise.  Both
-        engines produce bit-identical statistics; the key actually used is
-        recorded on ``stats.engine``.  An explicit *engine* is strict and raises
-        ``ValueError`` when it cannot serve the request.
+        The batch kernel routes the batch unless per-route results are
+        requested or the router is not a built-in; the scalar loop routes
+        it then.  Both give bit-identical statistics, and
+        ``stats.engine`` names the one that ran.
 
         *check_deadlock* runs the channel-dependency-cycle analysis on the
         delivered routes; per-route result collection is enabled
-        automatically for the check (which also forces the scalar
+        automatically for the check (which also selects the scalar
         engine), so it cannot raise
         :class:`~repro.routing.stats.MissingRouteResultsError`.  Read the
         verdict via ``stats.deadlock_free()``.  This is the *static*
@@ -254,17 +248,17 @@ class RoutingSession:
             **traffic_overrides,
         )
         collect = collect_results or check_deadlock
-        engine_spec = resolve_engine(router_obj, engine, collect)
+        engine = resolve_engine(router_obj, collect)
         stats = RoutingStats(
             collect_results=collect,
             enabled=context.num_enabled,
             model=result.label,
             traffic=traffic_spec.key,
             router=router_spec.key,
-            engine=engine_spec.key,
+            engine=engine.key,
             backend=_array_ops.active_backend_key(),
         )
-        engine_spec.runner(router_obj, batch, stats)
+        engine.runner(router_obj, batch, stats)
         if check_deadlock:
             stats.deadlock_free()
         return stats
@@ -292,8 +286,7 @@ class RoutingSession:
 
         Convenience for :meth:`repro.netsim.NetSimSession.simulate`: the
         spatial workload and arrival process resolve through the traffic
-        registry, the simulator through the simulator registry
-        (``sim=``), and the routed paths are memoised per router /
+        registry, and the routed paths are memoised per router /
         construction across calls.  Returns a
         :class:`~repro.netsim.stats.NetSimStats`.
         """

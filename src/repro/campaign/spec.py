@@ -17,9 +17,8 @@ Identity is content-addressed at two levels:
   campaign -- or a superset campaign sharing trials -- skips work that
   is already on disk.
 
-Perf-only knobs (``engine``/``sim`` -- the array and scalar
-implementations are proven bit-identical, see ``tests/test_routing_
-engine.py`` / ``tests/test_netsim.py``) and bookkeeping
+The perf-only ``sim`` knob (the array simulator and its scalar oracle
+are proven bit-identical, see ``tests/test_netsim.py``) and bookkeeping
 (``point_index``/``trial``: the seed already encodes the position) are
 excluded from both hashes.  Carried registry spec objects are excluded
 too: they pickle builder *references*, which have no stable canonical
@@ -46,24 +45,15 @@ from repro import __version__
 #: stale results must never be reused across result-affecting changes.
 CODE_VERSION = f"repro-{__version__}+campaign.1"
 
-#: Parameters that never affect trial results (implementation/perf
-#: selectors); excluded from fingerprints and trial keys.
-PERF_PARAMS = frozenset({"engine", "sim"})
+#: Parameters that never affect trial results (the simulator selector);
+#: excluded from fingerprints and trial keys.
+PERF_PARAMS = frozenset({"sim"})
 
 #: Trial-spec fields excluded from trial keys: carried registry spec
-#: objects (builder references, no canonical form), perf selectors, and
+#: objects (builder references, no canonical form), the perf selector, and
 #: sweep-position bookkeeping (the seed already encodes it).
 _KEY_EXCLUDED_FIELDS = frozenset(
-    {
-        "specs",
-        "router_spec",
-        "traffic_spec",
-        "engine_spec",
-        "arrival_spec",
-        "sim_spec",
-        "point_index",
-        "trial",
-    }
+    {"specs", "router_spec", "traffic_spec", "arrival_spec", "point_index", "trial"}
 ) | PERF_PARAMS
 
 

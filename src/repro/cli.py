@@ -22,18 +22,17 @@ command resolves its fault-region models through the construction registry
     Route one synthetic traffic workload (``--traffic``, any key of the
     traffic registry) through a router (``--router``) over the regions of
     each fault model built from the same fault pattern, and print
-    delivery/detour statistics.  ``--engine`` picks the routing engine
-    (``auto`` / ``scalar`` / ``batch``; the engines are bit-identical, so
-    the choice only affects wall-clock time) -- available on ``sweep
-    --kind routing`` too.
+    delivery/detour statistics.  The header names the engine that ran:
+    the batch kernel for the built-in routers (the scalar loop is its
+    bit-identical oracle, see :func:`repro.routing.engine.resolve_engine`).
 
 ``repro-mesh simulate``
     Run the open-loop contention simulator (:mod:`repro.netsim`) over one
     fault pattern: inject timed traffic (``--arrival poisson|bursty``) at
     one or more offered loads (``--loads``), replay the routed paths
     against per-virtual-channel occupancy and print the latency /
-    throughput / saturation table.  ``--sim`` picks the simulator
-    (``array`` / ``scalar``; bit-identical, like ``--engine``).
+    throughput / saturation table.  ``--sim scalar`` replays on the
+    dict-based oracle instead of the bit-identical array simulator.
 
 ``repro-mesh serve``
     Start the long-lived routing daemon (:mod:`repro.serve`) on one
@@ -77,9 +76,7 @@ from repro.api import (
     ConstructionResult,
     MeshSession,
     SweepExecutor,
-    engine_keys,
     router_keys,
-    simulator_keys,
     traffic_keys,
 )
 from repro.core.verify import (
@@ -104,6 +101,9 @@ from repro.sim.render import render_ascii_chart
 
 #: Registry keys built by the construct/verify commands, in display order.
 CONSTRUCT_KEYS = ("fb", "fp", "mfp", "dmfp")
+
+#: ``--sim`` values: the array simulator (``auto``) or its scalar oracle.
+_SIM_CHOICES = ("auto", "array", "scalar")
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
@@ -216,8 +216,7 @@ def _add_trial_arguments(parser: argparse.ArgumentParser) -> None:
         "router": router_keys(),
         "traffic": traffic_keys(),
         "arrival": arrival_keys(),
-        "engine": ("auto",) + engine_keys(),
-        "sim": ("auto",) + simulator_keys(),
+        "sim": _SIM_CHOICES,
     }
     for name, (flag, hint, defaults) in trial_flags().items():
         spec_defaults = ", ".join(f"{kind} {value}" for kind, value in defaults.items())
@@ -296,24 +295,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_route(args: argparse.Namespace) -> int:
     scenario, session = _session_from(args)
+    routed = [
+        session.route(
+            key, router=args.router, traffic=args.traffic, messages=args.messages, seed=args.seed
+        )
+        for key in ("fb", "fp", "mfp")
+    ]
     print(f"scenario: {scenario.describe()}")
     print(
         f"traffic: {args.traffic}, router: {args.router}, "
-        f"messages: {args.messages}, engine: {args.engine}"
+        f"messages: {args.messages}, engine: {routed[0].engine}"
     )
     print(
         f"{'model':>5} {'enabled':>8} {'delivery':>9} {'mean hops':>10} "
         f"{'detour':>7} {'abnormal':>9}"
     )
-    for key in ("fb", "fp", "mfp"):
-        stats = session.route(
-            key,
-            router=args.router,
-            traffic=args.traffic,
-            messages=args.messages,
-            seed=args.seed,
-            engine=args.engine,
-        )
+    for stats in routed:
         print(
             f"{stats.model:>5} {stats.enabled:>8} {stats.delivery_rate:>9.3f} "
             f"{stats.mean_hops:>10.2f} {stats.mean_detour:>7.2f} "
@@ -343,7 +340,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             cycles=args.cycles,
             seed=args.seed,
             router=args.router,
-            sim=None if args.sim == "auto" else args.sim,
+            sim=args.sim,
             drain_factor=args.drain_factor,
         )
         state = "deadlock" if stats.deadlocked else (
@@ -365,7 +362,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     knobs = dict(
         construction=args.model,
         router=args.router,
-        engine=None if args.engine == "auto" else args.engine,
         window=args.window,
         max_batch=args.max_batch,
         host=args.host,
@@ -399,8 +395,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(scenario_line)
         print(
             f"serving on {host}:{port} (model: {args.model}, router: "
-            f"{args.router}, engine: {args.engine}, "
-            f"window: {args.window * 1000:.3g} ms, max-batch: {args.max_batch})",
+            f"{args.router}, window: {args.window * 1000:.3g} ms, "
+            f"max-batch: {args.max_batch})",
             flush=True,
         )
         await daemon.serve_forever()
@@ -757,13 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="router (router registry key)",
     )
     route.add_argument("--messages", type=int, default=500, help="messages per routed batch")
-    route.add_argument(
-        "--engine",
-        choices=("auto",) + engine_keys(),
-        default="auto",
-        help="routing engine (engine registry key; auto picks the batch "
-        "kernel when it can serve the request)",
-    )
     route.set_defaults(func=cmd_route)
 
     simulate = subparsers.add_parser(
@@ -813,10 +802,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--sim",
-        choices=("auto",) + simulator_keys(),
+        choices=_SIM_CHOICES,
         default="auto",
-        help="contention simulator (simulator registry key; the array "
-        "simulator and the scalar oracle are bit-identical)",
+        help="contention simulator: the array simulator (auto) or its "
+        "bit-identical scalar oracle",
     )
     simulate.set_defaults(func=cmd_simulate)
 
@@ -835,12 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=router_keys(),
         default="extended-ecube",
         help="router (router registry key)",
-    )
-    serve.add_argument(
-        "--engine",
-        choices=("auto",) + engine_keys(),
-        default="auto",
-        help="routing engine of the coalesced batches",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(

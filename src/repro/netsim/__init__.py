@@ -7,9 +7,9 @@ processes from the traffic registry), round-based replay of the routed
 paths against per-virtual-channel occupancy with deterministic
 lowest-index arbitration, and latency / throughput / saturation reporting.
 
-Two bit-identical simulators are registered (``array`` -- the vectorized
-default -- and ``scalar`` -- the dict-based oracle), selected per call by
-the ``sim=`` argument, like the routing engines' ``engine=``.
+Two bit-identical simulators replay a plan: the vectorized ``array``
+simulator, and the dict-based ``scalar`` oracle that ``sim="scalar"``
+selects to check it (:func:`resolve_simulator`).
 
 Entry points: :meth:`repro.api.MeshSession.simulate` (one call),
 :class:`NetSimSession` (the facade), ``SweepExecutor.run(...,
@@ -19,16 +19,14 @@ and ``repro-mesh sweep --kind latency`` CLI commands and
 """
 
 from repro.netsim.plan import NUM_VCS, SimPlan, build_plan, channel_ids
-from repro.netsim.registry import (
-    SimulatorSpec,
-    available_simulators,
-    get_simulator,
-    register_simulator,
-    resolve_simulator,
-    simulator_keys,
-)
 from repro.netsim.session import NetSimSession
-from repro.netsim.simulators import SimOutcome, simulate_array, simulate_scalar
+from repro.netsim.simulators import (
+    SimOutcome,
+    SimulatorSpec,
+    resolve_simulator,
+    simulate_array,
+    simulate_scalar,
+)
 from repro.netsim.stats import VC_NAMES, NetSimStats, delivery_fingerprint
 
 __all__ = [
@@ -41,10 +39,6 @@ __all__ = [
     "simulate_array",
     "simulate_scalar",
     "SimulatorSpec",
-    "register_simulator",
-    "get_simulator",
-    "available_simulators",
-    "simulator_keys",
     "resolve_simulator",
     "NetSimSession",
     "NetSimStats",

@@ -2,9 +2,8 @@
 
 :class:`NetSimSession` hangs off :class:`repro.api.RoutingSession` the same
 way the routing facade hangs off :class:`repro.api.MeshSession`: routers and
-constructions resolve through the session's caches, the spatial workload and
-the arrival process resolve through the traffic registry, and the simulator
-through the simulator registry (``sim=``).  One call::
+constructions resolve through the session's caches, and the spatial workload
+and the arrival process resolve through the traffic registry.  One call::
 
     session = MeshSession(width=16, faults=faults)
     stats = session.simulate("mfp", load=0.05, cycles=512, seed=1)
@@ -31,7 +30,7 @@ import numpy as np
 
 from repro import _array_ops
 from repro.netsim.plan import NUM_VCS, build_plan
-from repro.netsim.registry import resolve_simulator
+from repro.netsim.simulators import resolve_simulator
 from repro.netsim.stats import NetSimStats, delivery_fingerprint
 from repro.routing.stats import RoutingStats
 from repro.routing.traffic import ArrivalOptions, get_traffic, traffic_keys
@@ -110,8 +109,8 @@ class NetSimSession:
     ) -> NetSimStats:
         """Run one open-loop contention simulation and return its statistics.
 
-        *construction*, *traffic*, *arrival*, *router* and *sim* are
-        registry keys: the spatial workload draws the endpoint pairs, the
+        *construction*, *traffic*, *arrival* and *router* are registry
+        keys: the spatial workload draws the endpoint pairs, the
         arrival process (``poisson`` / ``bursty``) stamps their injection
         cycles at ``load * enabled_nodes`` messages per cycle over the
         *cycles*-long injection window, and the simulator replays the
@@ -121,9 +120,13 @@ class NetSimSession:
         are field overrides of the spatial workload's option type;
         *arrival_options* of the arrival process's (e.g. ``burst=16``).
 
-        Everything is deterministic in *seed* -- and in the simulator
-        choice, since the array simulator and the scalar oracle are
-        bit-identical (``stats.delivery_fingerprint`` is the witness).
+        *sim* is ``None`` for the vectorized array simulator or
+        ``"scalar"`` for the dict-based oracle that checks it (see
+        :func:`~repro.netsim.simulators.resolve_simulator`).
+
+        Everything is deterministic in *seed* -- and in *sim*, since the
+        array simulator and the scalar oracle are bit-identical
+        (``stats.delivery_fingerprint`` is the witness).
         """
         if load <= 0.0:
             raise ValueError("load must be positive (messages per node per cycle)")

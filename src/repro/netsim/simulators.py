@@ -34,13 +34,14 @@ The array simulator keeps message state in NumPy arrays and resolves each
 cycle's arbitration with the ``grant_messages`` primitive of
 :func:`repro._array_ops.active_ops` (one lexsort over ``(channel, message
 index)``); the scalar oracle walks plain dictionaries message by message.  Keeping the
-oracle around (selectable per call with ``sim="scalar"``) pins down the
-contract the fast path must honour.
+oracle around (``sim="scalar"``, see :func:`resolve_simulator`) pins down
+the contract the fast path must honour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -197,3 +198,36 @@ def simulate_scalar(plan: SimPlan, max_cycles: int) -> SimOutcome:
     for message, channel in held.items():
         busy[channel] += t - entered[message]
     return SimOutcome(delivery=delivery, cycles=t, deadlocked=deadlocked, busy=busy)
+
+
+#: A runner replays one plan: ``(plan, max_cycles) -> SimOutcome``.
+SimRunner = Callable[[SimPlan, int], SimOutcome]
+
+
+@dataclass(frozen=True)
+class SimulatorSpec:
+    """One contention simulator: the ``stats.sim`` label and its runner."""
+
+    key: str
+    runner: SimRunner
+
+
+_SIMULATORS = {
+    "array": SimulatorSpec("array", simulate_array),
+    "scalar": SimulatorSpec("scalar", simulate_scalar),
+}
+
+
+def resolve_simulator(sim: Optional[str] = None) -> SimulatorSpec:
+    """The simulator that replays one plan.
+
+    ``None`` and ``"auto"`` pick the vectorized ``array`` simulator;
+    ``"scalar"`` picks the dict-based oracle, which checks it.  Both are
+    bit-identical.  Any other key raises ``KeyError``.
+    """
+    try:
+        return _SIMULATORS["array" if sim in (None, "auto") else sim]
+    except KeyError:
+        raise KeyError(
+            f"unknown simulator {sim!r}; known: auto, {', '.join(_SIMULATORS)}"
+        ) from None

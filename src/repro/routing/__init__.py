@@ -16,11 +16,11 @@ models (FB / FP / MFP) on routing can be measured:
 * :mod:`repro.routing.traffic` -- the declarative synthetic traffic
   workloads (uniform, transpose, bit reversal, hotspot, nearest neighbour,
   permutation) generated as vectorized endpoint index arrays;
-* :mod:`repro.routing.engine` -- the routing-engine registry
-  (``get_engine("scalar" | "batch")``): the vectorized lockstep batch
-  kernel (straight-run jump tables + precomputed ring arrays) next to the
-  per-message scalar loop, bit-identical and selected per call
-  (``engine=``, see :func:`~repro.routing.engine.resolve_engine`);
+* :mod:`repro.routing.engine` -- the vectorized lockstep batch kernel
+  (straight-run jump tables + precomputed ring arrays) and the
+  per-message scalar loop :func:`~repro.routing.engine.route_scalar`,
+  bit-identical; each call takes the kernel whenever it can serve it
+  (:func:`~repro.routing.engine.resolve_engine`);
 * :mod:`repro.routing.channels` -- the four-virtual-channel assignment and a
   channel-dependency-cycle check (deadlock-freedom evidence);
 * :mod:`repro.routing.stats` -- the aggregate :class:`RoutingStats` record
@@ -38,11 +38,8 @@ from repro.routing.engine import (
     JumpTables,
     RegionGeometry,
     RegionRingCache,
-    available_engines,
-    engine_keys,
-    get_engine,
-    register_engine,
     route_batch,
+    route_scalar,
 )
 from repro.routing.extended_ecube import ExtendedECubeRouter, RouteResult
 from repro.routing.channels import (
@@ -113,17 +110,14 @@ __all__ = [
     "register_traffic",
     "traffic_keys",
     "available_traffic",
-    # engine registry
+    # routing engines
     "EngineSpec",
     "BatchRouteOutcome",
     "JumpTables",
     "RegionGeometry",
     "RegionRingCache",
-    "get_engine",
-    "register_engine",
-    "engine_keys",
-    "available_engines",
     "route_batch",
+    "route_scalar",
     # stats
     "RoutingStats",
     "MissingRouteResultsError",

@@ -33,15 +33,12 @@ reason; asserted by the differential suite in
 ``tests/test_routing_engine.py`` and by ``benchmarks/bench_routing_engine.py``,
 which refuses to report a speedup unless the aggregate stats match).
 
-Engines are a registry (``get_engine("scalar" | "batch")``) mirroring the
-construction/router/traffic registries, selected per call
-(:func:`resolve_engine`):
-
-* ``auto`` (also ``engine=None``): the batch engine whenever it can serve
-  the request -- per-route results not requested and the router is one of
-  the built-ins it understands -- the scalar loop otherwise;
-* ``scalar`` / ``batch``: force one engine.  An explicit key is strict: a
-  batch request it cannot serve raises.
+The call picks the engine (:func:`resolve_engine`): the batch kernel
+whenever it can serve the request -- per-route results not requested and
+the router one of the built-ins it understands -- and the per-message
+scalar loop, :func:`route_scalar`, otherwise.  Tests and
+``benchmarks/bench_routing_engine.py`` call :func:`route_scalar` by name
+as the oracle.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ from typing import (
 import numpy as np
 
 from repro import _array_ops
-from repro._registry import SpecRegistry
 from repro.geometry.boundary import boundary_ring
 from repro.geometry.rectangle import bounding_rectangle
 from repro.routing.stats import RoutingStats
@@ -1078,7 +1074,7 @@ def transplant_engine_state(old_router: Any, new_router: Any) -> bool:
     return transplanted
 
 
-# -- the engine registry ------------------------------------------------------------
+# -- engine selection ---------------------------------------------------------------
 
 #: A runner routes one batch into *stats*: ``(router, batch, stats) -> stats``.
 Runner = Callable[[Any, Any, RoutingStats], RoutingStats]
@@ -1086,20 +1082,18 @@ Runner = Callable[[Any, Any, RoutingStats], RoutingStats]
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One registered routing engine."""
+    """One routing engine: the ``stats.engine`` label and its runner."""
 
     key: str
-    label: str
-    description: str
     runner: Runner
-    #: ``supports(router, collect_results)`` -> can this engine serve the
-    #: request?  The scalar engine always can; the batch engine cannot
-    #: collect per-route results or drive custom routers.
-    supports: Callable[[Any, bool], bool]
-    aliases: Tuple[str, ...] = ()
 
 
-def _run_scalar(router: Any, batch: Any, stats: RoutingStats) -> RoutingStats:
+def route_scalar(router: Any, batch: Any, stats: RoutingStats) -> RoutingStats:
+    """Route *batch* one message at a time through ``router.route``.
+
+    The oracle the batch kernel is pinned against, and the engine of every
+    call the kernel cannot serve (per-route results, custom routers).
+    """
     for source, destination in batch.pairs():
         stats.record(router.route(source, destination))
     return stats
@@ -1108,92 +1102,24 @@ def _run_scalar(router: Any, batch: Any, stats: RoutingStats) -> RoutingStats:
 def _run_batch(router: Any, batch: Any, stats: RoutingStats) -> RoutingStats:
     if stats.collect_results:
         raise ValueError(
-            "the batch engine does not materialise per-route results; use "
-            "engine='scalar' for collect_results / check_deadlock runs"
+            "the batch engine does not materialise per-route results; "
+            "route collect_results / check_deadlock runs with route_scalar"
         )
     return route_batch(router, batch).fold_into(stats)
 
 
-def _scalar_supports(router: Any, collect_results: bool) -> bool:
-    return True
+SCALAR_ENGINE = EngineSpec("scalar", route_scalar)
+BATCH_ENGINE = EngineSpec("batch", _run_batch)
 
 
-def _batch_supports(router: Any, collect_results: bool) -> bool:
-    return not collect_results and supports_router(router)
+def resolve_engine(router: Any, collect_results: bool = False) -> EngineSpec:
+    """The engine that routes one batch through *router*.
 
-
-_ENGINES = SpecRegistry("engine")
-
-
-def register_engine(spec: EngineSpec, replace: bool = False) -> EngineSpec:
-    """Register *spec* (and its aliases) in the global engine registry.
-
-    Registration makes the engine available to ``get_engine``,
-    :meth:`repro.api.RoutingSession.route`, the routing sweeps and the
-    CLI ``--engine`` option.  Raises ``ValueError`` on key collisions
-    unless *replace*.
+    The batch kernel when the call collects no per-route results and the
+    kernel understands the router (:func:`supports_router`), the scalar
+    loop otherwise.  Both give bit-identical statistics, so the choice is
+    the call's, never an option.
     """
-    return _ENGINES.register(spec, replace)
-
-
-def get_engine(key: str) -> EngineSpec:
-    """Look up a routing engine by key or alias (case-insensitive)."""
-    return _ENGINES.get(key)
-
-
-def available_engines() -> List[EngineSpec]:
-    """Return every registered engine spec, in registration order."""
-    return _ENGINES.available()
-
-
-def engine_keys() -> Tuple[str, ...]:
-    """Return the registered engine keys, in registration order."""
-    return _ENGINES.keys()
-
-
-register_engine(
-    EngineSpec(
-        key="scalar",
-        label="SC",
-        description="per-message Python loop over router.route (the oracle)",
-        runner=_run_scalar,
-        supports=_scalar_supports,
-        aliases=("loop",),
-    )
-)
-register_engine(
-    EngineSpec(
-        key="batch",
-        label="BA",
-        description="lockstep NumPy kernel (jump tables + ring arrays)",
-        runner=_run_batch,
-        supports=_batch_supports,
-        aliases=("vectorized", "lockstep"),
-    )
-)
-
-
-def resolve_engine(
-    router: Any, engine: Optional[str] = None, collect_results: bool = False
-) -> EngineSpec:
-    """Resolve the engine that will route one batch.
-
-    ``engine=None`` means ``auto``: the batch engine whenever it can serve
-    the request, the scalar engine otherwise.  An explicit engine key is
-    strict -- asking the batch engine for per-route results (or for a
-    custom router it does not understand) raises ``ValueError``.
-    """
-    key = "auto" if engine is None else SpecRegistry.normalise(engine)
-    if key == "auto":
-        batch = get_engine("batch")
-        if batch.supports(router, collect_results):
-            return batch
-        return get_engine("scalar")
-    spec = get_engine(key)
-    if not spec.supports(router, collect_results):
-        raise ValueError(
-            f"engine {spec.key!r} cannot serve this request "
-            f"(collect_results={collect_results}, router "
-            f"{type(router).__name__}); use engine='scalar' or 'auto'"
-        )
-    return spec
+    if not collect_results and supports_router(router):
+        return BATCH_ENGINE
+    return SCALAR_ENGINE

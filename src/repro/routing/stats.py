@@ -67,13 +67,13 @@ class RoutingStats:
     model: str = ""
     traffic: str = ""
     router: str = ""
-    #: Engine registry key that produced the record (``"scalar"`` /
-    #: ``"batch"``; empty for ad-hoc accumulation).  The batch engine is
-    #: asserted bit-identical to the scalar loop on every aggregate field,
-    #: so the label is provenance, not a caveat.
+    #: The engine that produced the record (``"scalar"`` / ``"batch"``;
+    #: empty for ad-hoc accumulation).  The batch engine is asserted
+    #: bit-identical to the scalar loop on every aggregate field, so the
+    #: label is provenance, not a caveat.
     engine: str = ""
-    #: Simulator registry key when the record describes the routed paths of
-    #: a :mod:`repro.netsim` contention run (``"array"`` / ``"scalar"``;
+    #: The simulator when the record describes the routed paths of a
+    #: :mod:`repro.netsim` contention run (``"array"`` / ``"scalar"``;
     #: empty for contention-free routing).  Like ``engine``, provenance:
     #: the simulators are asserted bit-identical.
     sim: str = ""

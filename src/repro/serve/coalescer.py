@@ -27,6 +27,8 @@ requests -- asserted end-to-end by ``tests/test_serve.py``.
 from __future__ import annotations
 
 import asyncio
+import inspect
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -91,6 +93,9 @@ class RouteCoalescer:
         requests and resolves each entry's future (with its result on
         success, or the raised exception on failure).  Called on the event
         loop; the engine call is CPU-bound, so there is nothing to await.
+        A bound method is held weakly: its owner (the daemon) owns this
+        coalescer, and a strong reference would make a cycle that only
+        the cyclic garbage collector frees.
     window:
         Seconds to wait after the first buffered request before flushing.
     max_batch:
@@ -109,7 +114,7 @@ class RouteCoalescer:
             raise ValueError("window must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        self._flush = flush
+        self._flush = weakref.WeakMethod(flush) if inspect.ismethod(flush) else lambda: flush
         self.window = window
         self.max_batch = max_batch
         self.stats = CoalescerStats()
@@ -171,7 +176,10 @@ class RouteCoalescer:
         flush_pairs = sum(len(entry.pairs) for entry in pending)
         self.stats.max_flush_pairs = max(self.stats.max_flush_pairs, flush_pairs)
         try:
-            self._flush(pending)
+            flush = self._flush()
+            if flush is None:
+                raise ReferenceError("the owner of this coalescer's flush was freed")
+            flush(pending)
         except Exception as exc:  # pragma: no cover - engine bugs only
             for entry in pending:
                 if not entry.future.done():

@@ -18,7 +18,8 @@ rings of the routing facade) and serves verbs over the protocol of
 ``status``
     Health and statistics: uptime, queue depth, coalescer counters
     (including the coalesce ratio), session ``cache_info``, the
-    engine and array-primitive (``backend``) labels, and the mesh shape.
+    engine of the last flush (``null`` before the first), the
+    array-primitive (``backend``) label, and the mesh shape.
 ``simulate``
     One open-loop contention simulation on the warm
     :class:`~repro.netsim.NetSimSession` (scalar summary fields only).
@@ -46,8 +47,11 @@ Resilience (see also :mod:`repro.serve.journal` and
   client-supplied ``idem`` id; duplicates (a retry whose original
   response was lost) replay the journaled payload without re-applying.
 * **Graceful degradation** -- an engine exception inside a coalesced
-  flush falls back to re-routing the batch on the scalar engine
+  flush falls back to re-routing the batch on the scalar router
   (``degraded_flushes`` counts the events in ``status``).
+* **Total request parsing** -- a malformed or out-of-range field of a
+  ``route`` or ``simulate`` request is answered with ``bad-request``
+  naming the field; ``internal`` is left for real server faults.
 * **Crash recovery** -- with a ``journal``, every applied mutation is
   appended to an NDJSON event log (snapshot every ``snapshot_every``
   events); :meth:`recover` rebuilds the exact session state of a killed
@@ -57,6 +61,7 @@ Resilience (see also :mod:`repro.serve.journal` and
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import Counter, OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -64,14 +69,17 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import _array_ops
+from repro.api.registry import get_construction
 from repro.api.session import MeshSession
 from repro.faults.scenario import FaultScenario
+from repro.netsim.session import arrival_keys
 from repro.routing.engine import (
     REASONS,
     resolve_engine,
     route_batch,
 )
-from repro.routing.traffic import TrafficBatch
+from repro.routing.registry import get_router
+from repro.routing.traffic import TrafficBatch, get_traffic
 from repro.serve.coalescer import Pair, PendingRoute, RouteCoalescer
 from repro.serve.journal import (
     IDEM_CACHE_SIZE,
@@ -108,6 +116,33 @@ def _coerce_coord(value: Any, code: str) -> Coord:
         raise ProtocolError(code, f"not an (x, y) coordinate: {value!r}")
 
 
+def _number_field(
+    request: Dict[str, Any], name: str, default: Any, cast: type, minimum: Any = None
+) -> Any:
+    """``cast(request[name])`` if finite and not below *minimum*, else ``bad-request``."""
+    value = request.get(name, default)
+    try:
+        number = cast(value)
+        valid = math.isfinite(number) and (minimum is None or number >= minimum)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ProtocolError(E_BAD_REQUEST, f"{name} must be a finite number{bound}: {value!r}")
+    return number
+
+
+def _key_field(request: Dict[str, Any], name: str, default: str, lookup) -> str:
+    """The canonical registry key of ``request[name]`` (``bad-request`` if none)."""
+    value = request.get(name, default)
+    if not isinstance(value, str):
+        raise ProtocolError(E_BAD_REQUEST, f"{name} must be a registry key: {value!r}")
+    try:
+        return lookup(value).key
+    except KeyError as exc:
+        raise ProtocolError(E_BAD_REQUEST, f"{name}: {exc.args[0]}")
+
+
 class RouteDaemon:
     """One warm mesh session served over verbs (in-process or TCP).
 
@@ -118,10 +153,10 @@ class RouteDaemon:
         empty default 32x32 mesh when both are omitted).
     scenario:
         A :class:`~repro.faults.scenario.FaultScenario` to preload.
-    construction, router, engine:
-        Registry keys of the served construction / router, and the engine
-        selection passed to :func:`~repro.routing.engine.resolve_engine`
-        per flush (``None`` = ``auto``).
+    construction, router:
+        Registry keys of the served construction / router.  Each flush
+        routes on the engine :func:`~repro.routing.engine.resolve_engine`
+        picks for the router: the batch kernel for the built-ins.
     window, max_batch:
         Coalescer knobs (seconds, pairs); ``max_batch=1`` disables
         coalescing.
@@ -157,7 +192,6 @@ class RouteDaemon:
         scenario: Optional[FaultScenario] = None,
         construction: str = "mfp",
         router: str = "extended-ecube",
-        engine: Optional[str] = None,
         window: float = 0.001,
         max_batch: int = 256,
         host: str = "127.0.0.1",
@@ -179,7 +213,6 @@ class RouteDaemon:
         session.routing
         self.construction = construction
         self.router = router
-        self.engine = engine
         self.host = host
         self.port = port
         if max_pending < 1:
@@ -201,7 +234,7 @@ class RouteDaemon:
         self._closing = False
         self._stopped: Optional[asyncio.Event] = None
         self._started_at: Optional[float] = None
-        self._last_engine = ""
+        self._last_engine: Optional[str] = None
         # Resilience counters surfaced by the status verb.
         self.shed_requests = 0
         self.expired_routes = 0
@@ -302,8 +335,7 @@ class RouteDaemon:
             dst_y=pairs[:, 3].copy(),
         )
         router_obj = self.session.routing.router(self.router, self.construction)
-        spec = resolve_engine(router_obj, self.engine, False)
-        engine_key = spec.key
+        engine_key = resolve_engine(router_obj).key
         routes: List[Dict[str, Any]]
         try:
             if engine_key == "batch":
@@ -311,11 +343,11 @@ class RouteDaemon:
             else:
                 routes = self._scalar_outcomes(router_obj, batch)
         except Exception:
-            # Graceful degradation: the batch kernel (or a custom engine)
-            # blew up mid-flush; re-run the whole batch on the scalar
-            # router, which shares none of the vectorized state.  A
-            # scalar failure still propagates to the coalescer, which
-            # fails the buffered futures individually.
+            # Graceful degradation: the batch kernel blew up mid-flush;
+            # re-run the whole batch on the scalar router, which shares
+            # none of the vectorized state.  A scalar failure still
+            # propagates to the coalescer, which fails the buffered
+            # futures individually.
             self.degraded_flushes += 1
             engine_key = "scalar"
             routes = self._scalar_outcomes(router_obj, batch)
@@ -435,13 +467,7 @@ class RouteDaemon:
             )
         deadline = None
         if "deadline_ms" in request:
-            try:
-                deadline_ms = float(request["deadline_ms"])
-            except (TypeError, ValueError):
-                raise ProtocolError(
-                    E_BAD_REQUEST,
-                    f"deadline_ms must be a number: {request['deadline_ms']!r}",
-                )
+            deadline_ms = _number_field(request, "deadline_ms", None, float)
             deadline = (
                 asyncio.get_running_loop().time() + max(deadline_ms, 0.0) / 1000.0
             )
@@ -558,21 +584,28 @@ class RouteDaemon:
             },
             "construction": self.construction,
             "router": self.router,
-            "engine": self._last_engine or (self.engine or "auto"),
+            "engine": self._last_engine,
             "backend": _array_ops.active_backend_key(),
             "cache_info": dict(session.cache_info),
             "version": session.version,
         }
 
     async def _op_simulate(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        construction = _key_field(request, "construction", self.construction, get_construction)
+        router = _key_field(request, "router", self.router, get_router)
+        traffic = _key_field(request, "traffic", "uniform", get_traffic)
+        if traffic in arrival_keys():
+            raise ProtocolError(
+                E_BAD_REQUEST, f"traffic: {traffic!r} is an arrival process, not a spatial workload"
+            )
+        load = _number_field(request, "load", 0.05, float)
+        if load <= 0:
+            raise ProtocolError(E_BAD_REQUEST, f"load must be positive: {request['load']!r}")
+        cycles = _number_field(request, "cycles", 256, int, minimum=1)
+        seed = _number_field(request, "seed", 0, int, minimum=0)
         self.coalescer.flush_now()
         stats = self.session.simulate(
-            request.get("construction", self.construction),
-            traffic=request.get("traffic", "uniform"),
-            load=float(request.get("load", 0.05)),
-            cycles=int(request.get("cycles", 256)),
-            seed=int(request.get("seed", 0)),
-            router=request.get("router", self.router),
+            construction, traffic=traffic, load=load, cycles=cycles, seed=seed, router=router
         )
         return {
             "attempted": stats.attempted,
@@ -667,6 +700,9 @@ class RouteDaemon:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            # The server holds our connection callback; keeping it would
+            # tie this daemon into a cycle only the cyclic collector frees.
+            self._server = None
         for writer in tuple(self._writers):
             writer.close()
         if self.journal is not None:

@@ -12,12 +12,16 @@ protocol:
 * ``figure4_faults`` -- two nearby components that labelling scheme 1 would
   merge into one faulty block but that the component-based construction
   keeps separate (the situation of Figure 4).
+
+``scalar_route`` routes what ``MeshSession.route`` routes through the scalar
+oracle, :func:`repro.routing.engine.route_scalar`, called by name.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, List, Set, Tuple
 
+import numpy as np
 import pytest
 
 from repro.mesh.topology import Mesh2D, Torus2D
@@ -56,6 +60,28 @@ def component_builds(monkeypatch) -> List[int]:
 
     monkeypatch.setattr(FaultComponent, "__post_init__", counting_post_init)
     return built
+
+
+@pytest.fixture(scope="session")
+def scalar_route():
+    """``session.route(...)``'s batch, routed by ``route_scalar``.
+
+    Regenerates the batch ``MeshSession.route`` generates for the same
+    arguments and returns the oracle's :class:`RoutingStats` (with
+    ``enabled`` set), to compare field by field with the session's.
+    """
+    from repro.routing.engine import route_scalar
+    from repro.routing.stats import RoutingStats
+    from repro.routing.traffic import get_traffic
+
+    def route(session, construction="mfp", *, router="extended-ecube", traffic="uniform",
+              messages=1000, seed=0, collect_results=False):
+        context = session.routing.context(router, construction)
+        batch = get_traffic(traffic).generate(context, messages, rng=np.random.default_rng(seed))
+        stats = RoutingStats(collect_results=collect_results, enabled=context.num_enabled)
+        return route_scalar(session.router(router, construction), batch, stats)
+
+    return route
 
 
 @pytest.fixture

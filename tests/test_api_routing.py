@@ -11,7 +11,6 @@ from repro.api import (
     RoutingStats,
     SweepExecutor,
     TrafficContext,
-    get_engine,
     get_router,
     get_traffic,
     register_router,
@@ -20,6 +19,7 @@ from repro.api import (
 )
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D
+from repro.routing.engine import route_scalar
 from repro.routing.registry import ECubeRouter, ExtendedECubeOptions
 from repro.sim.figures import routing_series
 
@@ -159,8 +159,10 @@ class TestRoutingSession:
 class TestDeadlockFootgun:
     def test_check_deadlock_auto_enables_collection(self, clustered_session):
         stats = clustered_session.route("mfp", messages=80, seed=5, check_deadlock=True)
-        assert stats.results  # collection was enabled automatically
-        assert stats.deadlock_free() in (True, False)
+        # Collection was enabled automatically, which selects the scalar
+        # engine: it keeps one result per attempted route.
+        assert stats.engine == "scalar"
+        assert len(stats.results) == stats.attempted
 
     def test_structured_error_without_results(self, clustered_session):
         stats = clustered_session.route("mfp", messages=80, seed=5)
@@ -173,12 +175,12 @@ class TestDeadlockFootgun:
 
 def _route_uniform(topology, regions, messages, seed):
     """Route one uniform batch around explicit *regions* through the
-    router, traffic and engine registries."""
+    router and traffic registries and the scalar engine."""
     router = get_router("extended-ecube").build(regions=regions, topology=topology)
     context = TrafficContext.from_router(router)
     batch = get_traffic("uniform").generate(context, messages, seed=seed)
     stats = RoutingStats(enabled=context.num_enabled)
-    get_engine("scalar").runner(router, batch, stats)
+    route_scalar(router, batch, stats)
     return router, batch, stats
 
 

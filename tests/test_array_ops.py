@@ -167,9 +167,7 @@ class TestPrimitiveDifferential:
                 scenario = generate_scenario(
                     num_faults=25, width=WIDTH, model="clustered", seed=seed
                 )
-                MeshSession.from_scenario(scenario).route(
-                    "mfp", messages=150, seed=seed, engine="batch"
-                )
+                MeshSession.from_scenario(scenario).route("mfp", messages=150, seed=seed)
         assert len(calls) >= 100
         for args, expected in calls:
             replayed = LOOPS_OPS.scan_lanes(*args)
@@ -227,9 +225,10 @@ class TestEndToEndEquivalence:
         for ops in (NUMPY_OPS, LOOPS_OPS):
             with running(ops):
                 stats = MeshSession(width=WIDTH, faults=sorted(faults)).route(
-                    "mfp", traffic="transpose", messages=150, seed=3, engine="batch"
+                    "mfp", traffic="transpose", messages=150, seed=3
                 )
             assert stats.backend == ops.key
+            assert stats.engine == "batch"
             records[ops.key] = _route_fields(stats)
         assert records["numpy"] == records["loops"]
 

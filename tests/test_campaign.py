@@ -253,9 +253,14 @@ def test_trial_keys_stable_across_processes(tmp_path):
 
 
 def test_fingerprint_excludes_perf_knobs():
-    plain = CampaignSpec.create("routing", [4], 2, width=12, messages=40)
-    batch = CampaignSpec.create("routing", [4], 2, width=12, messages=40, engine="batch")
-    assert plain.fingerprint() == batch.fingerprint()
+    plain = CampaignSpec.create("latency", [0.02], 2, width=8, num_faults=4, cycles=32)
+    scalar = CampaignSpec.create(
+        "latency", [0.02], 2, width=8, num_faults=4, cycles=32, sim="scalar"
+    )
+    assert plain.fingerprint() == scalar.fingerprint()
+    assert [d.key for d in plain.plan()] == [d.key for d in scalar.plan()]
+    with pytest.raises(KeyError, match="simulator"):
+        CampaignSpec.create("latency", [0.02], 2, width=8, sim="loop")
 
 
 def test_fingerprint_changes_with_results():

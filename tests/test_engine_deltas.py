@@ -104,10 +104,10 @@ class TestTransplant:
 
     def test_transplant_counts_in_cache_info(self):
         session = MeshSession(width=16, faults=[(2, 2), (2, 3), (10, 10)])
-        session.route("mfp", messages=50, seed=0, engine="batch")
+        session.route("mfp", messages=50, seed=0)
         before = dict(session.cache_info)
         session.add_faults([(12, 12)])
-        session.route("mfp", messages=50, seed=0, engine="batch")
+        session.route("mfp", messages=50, seed=0)
         after = session.cache_info
         assert after["delta_applies"] == before["delta_applies"] + 1
         assert after["jump_rebuilds"] == before["jump_rebuilds"]
@@ -115,9 +115,9 @@ class TestTransplant:
     def test_disabled_toggle_rebuilds_fully(self):
         session = MeshSession(width=16, faults=[(2, 2), (2, 3), (10, 10)])
         with full_rebuilds():
-            session.route("mfp", messages=50, seed=0, engine="batch")
+            session.route("mfp", messages=50, seed=0)
             session.add_faults([(12, 12)])
-            session.route("mfp", messages=50, seed=0, engine="batch")
+            session.route("mfp", messages=50, seed=0)
         assert session.cache_info["delta_applies"] == 0
         assert session.cache_info["jump_rebuilds"] == 2
 
@@ -128,8 +128,9 @@ class TestTransplant:
         assert transplant_engine_state(small, large) is False
 
 
-def _churn_stats(scenario, events, *, torus, engine, deltas):
-    """Route after every churn event; return the stats fingerprints."""
+def _churn_stats(scenario, events, *, route, deltas):
+    """Route after every churn event with *route* (``MeshSession.route`` or
+    the ``scalar_route`` oracle); return the stats fingerprints."""
     with contextlib.nullcontext() if deltas else full_rebuilds():
         session = MeshSession.from_scenario(scenario)
         fingerprints = []
@@ -138,13 +139,13 @@ def _churn_stats(scenario, events, *, torus, engine, deltas):
                 session.add_faults(nodes)
             else:
                 session.remove_faults(nodes)
-            stats = session.route(
+            stats = route(
+                session,
                 "mfp",
                 traffic="uniform",
                 messages=80,
                 seed=100 + index,
                 router="extended-ecube",
-                engine=engine,
             )
             fingerprints.append(fingerprint(stats))
         return fingerprints, dict(session.cache_info)
@@ -165,16 +166,13 @@ class TestSessionDeltaDifferential:
     @pytest.mark.parametrize("engine", ["batch", "scalar"])
     @given(seed=st.integers(0, 10_000), events=churn_events)
     @settings(max_examples=15, deadline=None)
-    def test_delta_equals_rebuild(self, torus, engine, seed, events):
+    def test_delta_equals_rebuild(self, torus, engine, seed, events, scalar_route):
         scenario = generate_scenario(
             num_faults=8, width=10, model="clustered", seed=seed, torus=torus
         )
-        with_deltas, info_deltas = _churn_stats(
-            scenario, events, torus=torus, engine=engine, deltas=True
-        )
-        without, info_rebuild = _churn_stats(
-            scenario, events, torus=torus, engine=engine, deltas=False
-        )
+        route = scalar_route if engine == "scalar" else MeshSession.route
+        with_deltas, info_deltas = _churn_stats(scenario, events, route=route, deltas=True)
+        without, info_rebuild = _churn_stats(scenario, events, route=route, deltas=False)
         assert with_deltas == without
         assert info_rebuild["delta_applies"] == 0
 
@@ -188,12 +186,8 @@ class TestSessionDeltaDifferential:
             ("remove", [(2, 2)]),
             ("add", [(7, 7)]),
         ]
-        with_deltas, _ = _churn_stats(
-            scenario, events, torus=False, engine="batch", deltas=True
-        )
-        without, _ = _churn_stats(
-            scenario, events, torus=False, engine="batch", deltas=False
-        )
+        with_deltas, _ = _churn_stats(scenario, events, route=MeshSession.route, deltas=True)
+        without, _ = _churn_stats(scenario, events, route=MeshSession.route, deltas=False)
         assert with_deltas == without
 
 

@@ -19,14 +19,10 @@ from repro.netsim import (
     NUM_VCS,
     NetSimStats,
     SimulatorSpec,
-    available_simulators,
     build_plan,
-    get_simulator,
-    register_simulator,
     resolve_simulator,
     simulate_array,
     simulate_scalar,
-    simulator_keys,
 )
 from repro.netsim.plan import SimPlan
 from repro.routing.extended_ecube import ExtendedECubeRouter
@@ -81,23 +77,17 @@ def _line_plan(inject, paths, width=6):
 
 class TestRegistry:
     def test_builtin_simulators(self):
-        assert set(simulator_keys()) >= {"array", "scalar"}
-        assert get_simulator("vectorized") is get_simulator("array")
-        assert get_simulator("reference") is get_simulator("scalar")
-        labels = {spec.key: spec.label for spec in available_simulators()}
-        assert labels["array"] == "AR" and labels["scalar"] == "SC"
+        array, scalar = resolve_simulator("array"), resolve_simulator("scalar")
+        assert array == SimulatorSpec("array", simulate_array)
+        assert scalar == SimulatorSpec("scalar", simulate_scalar)
+        # The aliases went with the registry.
+        for alias in ("vectorized", "numpy", "loop", "reference"):
+            with pytest.raises(KeyError):
+                resolve_simulator(alias)
 
     def test_unknown_key_lists_registered(self):
-        with pytest.raises(KeyError, match="array"):
-            get_simulator("nope")
-
-    def test_duplicate_registration_rejected(self):
-        spec = get_simulator("array")
-        with pytest.raises(ValueError, match="already registered"):
-            register_simulator(
-                SimulatorSpec(key="array", label="A2", description="clash",
-                              runner=spec.runner)
-            )
+        with pytest.raises(KeyError, match="auto, array, scalar"):
+            resolve_simulator("nope")
 
     def test_resolve_auto_picks_array(self):
         assert resolve_simulator("auto").key == "array"

@@ -7,33 +7,40 @@ abnormal-hop count and failure reason, and therefore identical
 pattern, topology and fault scenario.  The Hypothesis suites here assert
 exactly that, on kernel-built constructions and on the set-based reference
 construction; deterministic regressions pin the border-hugging /
-opposite-orientation-retry traversals and the engine-selection rules.
+opposite-orientation-retry traversals and the engine-selection rule.
+Session-level differentials compare against the scalar oracle
+:func:`~repro.routing.engine.route_scalar`, called by name on the batch the
+session routed (the ``scalar_route`` fixture).
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import MeshSession, SweepExecutor
+from repro.api import MeshSession, RoutingTrialSpec, SweepExecutor
+from repro.api import routing as api_routing
 from repro.core import reference
 from repro.core.mfp import build_minimum_polygons
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D, Torus2D
 from repro.routing.engine import (
+    BATCH_ENGINE,
     DELIVERED,
     REASONS,
+    SCALAR_ENGINE,
     JumpTables,
     RegionRingCache,
-    available_engines,
-    engine_keys,
-    get_engine,
+    resolve_engine,
     route_batch,
+    route_scalar,
     supports_router,
 )
 from repro.routing.extended_ecube import ExtendedECubeRouter
 from repro.routing.registry import get_router
+from repro.routing.stats import RoutingStats
 from repro.routing.traffic import TrafficBatch, TrafficContext, get_traffic, traffic_keys
 
 coords12 = st.tuples(st.integers(0, 11), st.integers(0, 11))
@@ -86,16 +93,6 @@ def assert_batch_matches_scalar(router, batch, **route_batch_kwargs):
 
 
 class TestEngineRegistry:
-    def test_builtin_keys_and_aliases(self):
-        assert engine_keys() == ("scalar", "batch")
-        assert get_engine("batch") is get_engine("vectorized")
-        assert get_engine("SCALAR").key == "scalar"
-        assert [spec.key for spec in available_engines()] == ["scalar", "batch"]
-
-    def test_unknown_key_raises(self):
-        with pytest.raises(KeyError):
-            get_engine("quantum")
-
     def test_supports_router_is_exact_type(self):
         session = MeshSession(width=8, faults=[(3, 3)])
         assert supports_router(session.router())
@@ -119,29 +116,59 @@ class TestEngineSelection:
     def test_auto_picks_batch_without_results(self, session):
         assert session.route("mfp", messages=40).engine == "batch"
 
-    def test_explicit_scalar_overrides_auto(self):
-        session = MeshSession(width=10, faults=[(4, 4), (4, 5)])
-        assert session.route("mfp", messages=20).engine == "batch"
-        assert session.route("mfp", messages=20, seed=1, engine="scalar").engine == "scalar"
-        assert session.route("mfp", messages=20, seed=2, engine="auto").engine == "batch"
+    @pytest.mark.parametrize("torus", [False, True], ids=["mesh", "torus"])
+    @pytest.mark.parametrize("router", ["extended-ecube", "ecube"])
+    def test_builtin_routers_route_on_batch(self, router, torus, scalar_route):
+        scenario = generate_scenario(
+            num_faults=30, width=14, model="clustered", seed=3, torus=torus
+        )
+        session = MeshSession.from_scenario(scenario)
+        route = dict(router=router, messages=200, seed=4)
+        stats = session.route("mfp", **route)
+        assert stats.engine == "batch"
+        oracle = scalar_route(session, "mfp", **route)
+        assert stats_fingerprint(stats) == stats_fingerprint(oracle)
+        assert stats.enabled == oracle.enabled
 
-    def test_collect_results_forces_scalar(self, session):
+    def test_collect_results_forces_scalar(self, session, scalar_route):
         stats = session.route("mfp", messages=40, collect_results=True)
         assert stats.engine == "scalar"
         assert len(stats.results) == stats.attempted
+        oracle = scalar_route(session, "mfp", messages=40, collect_results=True)
+        assert stats.results == oracle.results
+        assert stats_fingerprint(stats) == stats_fingerprint(oracle)
+
+    def test_check_deadlock_selects_scalar(self, session, scalar_route):
+        stats = session.route("mfp", messages=40, seed=2, check_deadlock=True)
+        assert stats.engine == "scalar"
+        oracle = scalar_route(session, "mfp", messages=40, seed=2, collect_results=True)
+        assert stats.results == oracle.results
+        assert stats_fingerprint(stats) == stats_fingerprint(oracle)
+
+    def test_resolve_engine_is_the_only_choice(self, session):
+        router = session.router()
+        # One argument, as the pipeline benchmark calls it.
+        assert resolve_engine(router) is BATCH_ENGINE
+        assert resolve_engine(router).key == "batch"
+        assert resolve_engine(router, True) is SCALAR_ENGINE
+        assert SCALAR_ENGINE.runner is route_scalar
+        with pytest.raises(TypeError):
+            session.route("mfp", messages=10, engine="batch")
 
     def test_explicit_batch_with_results_raises(self, session):
-        with pytest.raises(ValueError, match="engine 'batch'"):
-            session.route("mfp", messages=10, engine="batch", collect_results=True)
+        router = session.router()
+        batch = get_traffic("uniform").generate(session.routing.context(), 10, seed=0)
+        with pytest.raises(ValueError, match="route_scalar"):
+            BATCH_ENGINE.runner(router, batch, RoutingStats(collect_results=True))
 
-    def test_explicit_engines_are_bit_identical(self, session):
-        scalar = session.route("mfp", messages=300, seed=9, engine="scalar")
-        batch = session.route("mfp", messages=300, seed=9, engine="batch")
-        assert scalar.engine == "scalar" and batch.engine == "batch"
+    def test_explicit_engines_are_bit_identical(self, session, scalar_route):
+        batch = session.route("mfp", messages=300, seed=9)
+        scalar = scalar_route(session, "mfp", messages=300, seed=9)
+        assert batch.engine == "batch"
         assert stats_fingerprint(scalar) == stats_fingerprint(batch)
         assert scalar.enabled == batch.enabled
 
-    def test_custom_router_falls_back_to_scalar(self, session):
+    def test_custom_router_falls_back_to_scalar(self, session, scalar_route):
         from repro.routing.registry import RouterSpec, register_router
 
         class Custom(ExtendedECubeRouter):
@@ -158,10 +185,8 @@ class TestEngineSelection:
         register_router(spec, replace=True)
         stats = session.route("mfp", messages=20, router="custom-engine-test")
         assert stats.engine == "scalar"
-        with pytest.raises(ValueError, match="cannot serve"):
-            session.route(
-                "mfp", messages=20, router="custom-engine-test", engine="batch"
-            )
+        oracle = scalar_route(session, "mfp", messages=20, router="custom-engine-test")
+        assert stats_fingerprint(stats) == stats_fingerprint(oracle)
 
 
 class TestJumpTables:
@@ -238,22 +263,16 @@ class TestBatchDifferential:
         batch = get_traffic("uniform").generate(context, 40, seed=seed)
         assert_batch_matches_scalar(router, batch, scalar_finish=0)
 
-    def test_session_stats_identical_across_engines_all_patterns(self):
-        scenario = generate_scenario(
-            num_faults=45, width=16, model="clustered", seed=5
-        )
+    def test_session_stats_identical_across_engines_all_patterns(self, scalar_route):
         for torus in (False, True):
             scenario = generate_scenario(
                 num_faults=45, width=16, model="clustered", seed=5, torus=torus
             )
             session = MeshSession.from_scenario(scenario)
             for traffic in traffic_keys():
-                scalar = session.route(
-                    "mfp", traffic=traffic, messages=200, seed=11, engine="scalar"
-                )
-                batch = session.route(
-                    "mfp", traffic=traffic, messages=200, seed=11, engine="batch"
-                )
+                scalar = scalar_route(session, "mfp", traffic=traffic, messages=200, seed=11)
+                batch = session.route("mfp", traffic=traffic, messages=200, seed=11)
+                assert batch.engine == "batch"
                 assert stats_fingerprint(scalar) == stats_fingerprint(batch), traffic
 
 
@@ -355,7 +374,7 @@ class TestRegionRingCache:
 
 
 class TestSweepAndCLI:
-    def test_routing_sweep_engine_choice_is_bit_identical(self):
+    def test_routing_sweep_engine_choice_is_bit_identical(self, monkeypatch):
         kwargs = dict(
             axis=[12, 25],
             trials=2,
@@ -365,8 +384,12 @@ class TestSweepAndCLI:
             messages=60,
         )
         executor = SweepExecutor(models=("fb", "mfp"))
-        scalar_points = executor.run(kind="routing", engine="scalar", **kwargs)
-        batch_points = executor.run(kind="routing", engine="batch", **kwargs)
+        batch_points = executor.run(kind="routing", **kwargs)
+        # The same serial sweep with every route on the scalar oracle.
+        monkeypatch.setattr(
+            api_routing, "resolve_engine", lambda router, collect_results=False: SCALAR_ENGINE
+        )
+        scalar_points = executor.run(kind="routing", **kwargs)
         for scalar_point, batch_point in zip(scalar_points, batch_points):
             assert scalar_point.models() == batch_point.models()
             for model in scalar_point.models():
@@ -375,42 +398,29 @@ class TestSweepAndCLI:
                         model, metric
                     )
 
-    def test_routing_plan_validates_and_carries_engine(self):
-        import pickle
-
+    def test_routing_plan_takes_no_engine(self):
         executor = SweepExecutor(models=("mfp",))
-        with pytest.raises(KeyError):
-            executor.plan([10], 1, kind="routing", engine="warpdrive")
-        specs = executor.plan([10], 1, kind="routing", engine="lockstep")
-        assert specs[0].engine == "batch"
-        # The resolved spec rides along (like router/traffic specs) so
-        # spawn-started workers can re-register custom engines -- which
-        # requires the trial spec to survive pickling.
-        assert specs[0].engine_spec is get_engine("batch")
-        assert pickle.loads(pickle.dumps(specs[0])).engine == "batch"
-        default = executor.plan([10], 1, kind="routing")[0]
-        assert default.engine is None and default.engine_spec is None
+        with pytest.raises(TypeError, match="engine"):
+            executor.plan([10], 1, kind="routing", engine="batch")
+        fields = {f.name for f in dataclasses.fields(RoutingTrialSpec)}
+        assert not fields & {"engine", "engine_spec"}
 
     def test_cli_route_engine_flag(self, capsys):
         from repro.cli import main
 
-        assert (
-            main(
-                [
-                    "route",
-                    "--faults", "15", "--width", "12", "--messages", "40",
-                    "--engine", "batch",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "engine: batch" in out
+        route = ["route", "--faults", "15", "--width", "12", "--messages", "40"]
+        assert main(route) == 0
+        # The header names the engine that ran, not a requested one.
+        assert "engine: batch" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as refused:
+            main(route + ["--engine", "batch"])
+        assert refused.value.code != 0
+        assert "--engine" in capsys.readouterr().err
 
     def test_cli_sweep_routing_engine_flag(self, capsys):
         from repro.cli import main
 
-        assert (
+        with pytest.raises(SystemExit) as refused:
             main(
                 [
                     "sweep",
@@ -418,6 +428,5 @@ class TestSweepAndCLI:
                     "--routing", "--messages", "30", "--engine", "scalar",
                 ]
             )
-            == 0
-        )
-        assert "delivery_rate" in capsys.readouterr().out
+        assert refused.value.code != 0
+        assert "--engine" in capsys.readouterr().err

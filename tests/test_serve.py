@@ -11,6 +11,8 @@ the toolchain).
 """
 
 import asyncio
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import MeshSession
 from repro.faults.scenario import generate_scenario
+from repro.routing.extended_ecube import ExtendedECubeRouter
+from repro.routing.registry import RouterSpec, register_router
 from repro.serve import (
     InProcessClient,
     ProtocolError,
@@ -234,14 +238,96 @@ class TestDaemonVerbs:
         assert payload["delivered"] <= payload["attempted"]
 
     def test_scalar_engine_daemon(self):
-        daemon, scenario = make_daemon(engine="scalar")
+        # The daemon takes no engine: it routes a router the batch kernel
+        # does not serve (a subclass of the built-in) on the scalar loop.
+        with pytest.raises(TypeError):
+            make_daemon(engine="batch")
+
+        class Subclassed(ExtendedECubeRouter):
+            pass
+
+        register_router(
+            RouterSpec(
+                key="serve-scalar-test",
+                label="ST",
+                description="subclassed router the batch kernel does not serve",
+                builder=lambda topology, regions, region_index, options: Subclassed(
+                    topology, regions, region_index=region_index
+                ),
+            ),
+            replace=True,
+        )
+        daemon, scenario = make_daemon(router="serve-scalar-test")
         client = InProcessClient(daemon)
         rng = np.random.default_rng(2)
         pairs = random_pairs(rng, 24, 16)
-        payload = asyncio.run(client.route(pairs))
+
+        async def main():
+            assert (await client.status())["engine"] is None  # nothing routed yet
+            payload = await client.route(pairs)
+            status = await client.status()
+            assert status["engine"] == "scalar"
+            assert status["degraded_flushes"] == 0  # chosen, not a fallback
+            return payload
+
+        payload = asyncio.run(main())
         assert payload["engine"] == "scalar"
         router = MeshSession.from_scenario(scenario).router("extended-ecube", "mfp")
         assert payload["routes"] == [scalar_outcome(router, p) for p in pairs]
+
+    @pytest.mark.parametrize(
+        "request_fields, field",
+        [
+            ({"op": "simulate", "load": "abc"}, "load"),
+            ({"op": "simulate", "load": -1}, "load"),
+            ({"op": "simulate", "cycles": "x"}, "cycles"),
+            ({"op": "simulate", "construction": ["mfp"]}, "construction"),
+            ({"op": "simulate", "construction": "nope"}, "construction"),
+            ({"op": "simulate", "traffic": "poisson"}, "traffic"),
+            ({"op": "route", "pairs": [[0, 0, 5, 5]], "deadline_ms": "nan"}, "deadline_ms"),
+        ],
+        ids=[
+            "load-abc", "load-negative", "cycles-x", "construction-list",
+            "construction-nope", "traffic-poisson", "deadline-nan",
+        ],
+    )
+    def test_client_mistakes_are_bad_requests(self, request_fields, field):
+        daemon, _ = make_daemon()
+        response = asyncio.run(daemon.handle(request_fields))
+        assert response["ok"] is False
+        assert response["error"]["code"] == E_BAD_REQUEST
+        assert field in response["error"]["message"]
+
+
+# -- lifetime ------------------------------------------------------------------------
+
+
+class TestDaemonLifetime:
+    @pytest.mark.parametrize("case", ["built", "started", "journaled"])
+    def test_freed_without_cyclic_gc(self, case, tmp_path):
+        """``del`` frees a daemon and its session with the cyclic collector
+        off, whatever the daemon did."""
+        journal = tmp_path / "j.ndjson" if case == "journaled" else None
+        daemon = RouteDaemon(MeshSession(width=10, faults=[(3, 3)]), port=0, journal=journal)
+
+        async def main():
+            if case == "started":
+                await daemon.start()
+                await daemon.handle({"op": "route", "pairs": [[0, 0, 9, 9]]})
+            if case == "journaled":
+                await daemon.handle({"op": "add_faults", "nodes": [[5, 5]]})
+            await daemon.stop()
+
+        if case != "built":
+            asyncio.run(main())
+        refs = [weakref.ref(daemon), weakref.ref(daemon.session)]
+        gc.collect()
+        gc.disable()
+        try:
+            del daemon
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 # -- bit-identity under churn --------------------------------------------------------

@@ -669,7 +669,7 @@ class TestAdmissionControl:
             assert response["ok"] is False
             assert response["error"]["code"] == E_DEADLINE
             assert daemon.expired_routes == 1
-            assert daemon._last_engine == ""  # the engine never ran
+            assert daemon._last_engine is None  # the engine never ran
 
         asyncio.run(main())
 
@@ -701,17 +701,18 @@ class TestDegradedFlush:
     def test_batch_engine_failure_degrades_to_scalar(self, monkeypatch):
         daemon = fresh_daemon()
         client = InProcessClient(daemon)
-        oracle = InProcessClient(fresh_daemon(engine="scalar"))
+        oracle = InProcessClient(fresh_daemon())
 
         def boom(router_obj, batch):
             raise RuntimeError("kernel exploded")
 
-        monkeypatch.setattr("repro.serve.daemon.route_batch", boom)
-
         async def main():
+            # The healthy kernel's answer, taken before it breaks.
+            expected = await oracle.route([[0, 0, 11, 11]])
+            assert expected["engine"] == "batch"
+            monkeypatch.setattr("repro.serve.daemon.route_batch", boom)
             response = await client.route([[0, 0, 11, 11]])
             assert response["engine"] == "scalar"
-            expected = await oracle.route([[0, 0, 11, 11]])
             assert response["routes"] == expected["routes"]
             status = await client.status()
             assert status["degraded_flushes"] == 1
