@@ -38,21 +38,30 @@ try:  # pragma: no cover - exercised implicitly depending on the environment
 except ImportError:  # pragma: no cover
     _ndimage = None
 
-_shift_impl = None
-
 
 def _shift(mask: np.ndarray, dx: int, dy: int, wrap: bool, fill=None) -> np.ndarray:
-    """The shared shifted-view primitive of :mod:`repro.core.labelling`.
+    """Return *mask* shifted by ``(dx, dy)`` with zero/*fill* (or wrap) fill.
 
-    Imported lazily: ``repro.core`` transitively imports this module (via
-    the mask kernel), so a top-level import would be circular.
+    ``shifted[x, y] == mask[x - dx, y - dy]``: the value each cell sees from
+    its neighbour at offset ``(-dx, -dy)``.  Positions outside the grid
+    contribute ``False`` / ``0``, or *fill* when given (the label
+    propagation below uses a sentinel fill); with *wrap* the array wraps
+    around, as on a torus.  The mask kernel's dilations and perimeters
+    and the nearest-neighbour traffic workload shift with it too.
     """
-    global _shift_impl
-    if _shift_impl is None:
-        from repro.core.labelling import _shift as shift
-
-        _shift_impl = shift
-    return _shift_impl(mask, dx, dy, wrap, fill)
+    if wrap:
+        return np.roll(mask, shift=(dx, dy), axis=(0, 1))
+    if fill is None:
+        result = np.zeros_like(mask)
+    else:
+        result = np.full_like(mask, fill)
+    width, height = mask.shape
+    src_x = slice(max(0, -dx), width - max(0, dx))
+    dst_x = slice(max(0, dx), width - max(0, -dx))
+    src_y = slice(max(0, -dy), height - max(0, dy))
+    dst_y = slice(max(0, dy), height - max(0, -dy))
+    result[dst_x, dst_y] = mask[src_x, src_y]
+    return result
 
 
 #: Neighbour offsets of the two adjacency notions used by the paper.
@@ -105,17 +114,43 @@ def canonicalise_labels(labels: np.ndarray, count: int) -> np.ndarray:
     return remap[labels]
 
 
+def labels_in_c_order(labels: np.ndarray) -> bool:
+    """Whether the labels first appear in a C-order scan as 1, 2, 3, ...
+
+    One O(cells) pass: the running maximum of the occupied labels in scan
+    order must start at 1 and never jump by more than 1.  This holds
+    exactly when :func:`canonicalise_labels` would return *labels*
+    unchanged, so a labelling that passes needs no relabelling.
+    """
+    seen = labels[labels != 0]
+    if seen.size == 0:
+        return True
+    peak = np.maximum.accumulate(seen)
+    return bool(seen[0] == 1) and not (peak[1:] - peak[:-1] > 1).any()
+
+
+#: :func:`scipy.ndimage.label` structures of the two adjacency notions.
+_STRUCTURES = {
+    4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
+    8: np.ones((3, 3), dtype=bool),
+}
+
+
 def _label_components_numpy(mask: np.ndarray, connectivity: int):
     """Canonically labelled components of a (tight) boolean mask.
 
     Uses :mod:`scipy.ndimage`'s C labelling when importable, the
     shifted-array minimum propagation otherwise; both are canonicalised to
-    ascending lexicographic order of each component's minimum node.
+    ascending lexicographic order of each component's minimum node.  The
+    C labelling nearly always numbers components in that order already
+    (:func:`labels_in_c_order`), and then skips the relabelling.
     """
     if _ndimage is not None:
-        structure = np.ones((3, 3), dtype=bool) if connectivity == 8 else None
-        raw, count = _ndimage.label(mask, structure=structure)
-        raw = raw.astype(np.int32, copy=False)
+        raw, count = _ndimage.label(
+            mask, structure=_STRUCTURES[connectivity], output=np.int32
+        )
+        if labels_in_c_order(raw):
+            return raw, int(count)
     else:
         offsets = _OFFSETS_8 if connectivity == 8 else _OFFSETS_4
         propagated = propagate_labels(mask, offsets)
@@ -163,24 +198,31 @@ def _hull_fixpoint_numpy(mask: np.ndarray) -> np.ndarray:
 def _nonconvex_labels_numpy(labels: np.ndarray, count: int) -> np.ndarray:
     """Labels (``1..count``) whose cell sets violate Definition 1.
 
-    Both line checks run over *all* regions at once: the occupied cells are
-    sorted by ``(label, x, y)`` (free: ``np.nonzero`` scan order) and by
-    ``(label, y, x)`` (one lexsort), and a region is flagged when two
-    consecutive cells of the same label and line differ by more than one.
+    A region violates Definition 1 iff one of its columns or rows holds two
+    runs of its cells.  Both checks run over *all* regions at once: a run
+    starts at every labelled cell whose predecessor along the line holds
+    another label, and a region is flagged when two of its run starts
+    share a line (a duplicate ``(label, line)`` key after one sort).
     """
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    xs, ys = np.nonzero(labels)
-    lab = labels[xs, ys]
-    order = np.argsort(lab, kind="stable")  # -> sorted by (label, x, y)
-    lab_c, xs_c, ys_c = lab[order], xs[order], ys[order]
-    same_col = (lab_c[1:] == lab_c[:-1]) & (xs_c[1:] == xs_c[:-1])
-    col_gaps = same_col & (ys_c[1:] - ys_c[:-1] != 1)
-    order = np.lexsort((xs, ys, lab))  # -> sorted by (label, y, x)
-    lab_r, xs_r, ys_r = lab[order], xs[order], ys[order]
-    same_row = (lab_r[1:] == lab_r[:-1]) & (ys_r[1:] == ys_r[:-1])
-    row_gaps = same_row & (xs_r[1:] - xs_r[:-1] != 1)
-    return np.unique(np.concatenate((lab_c[1:][col_gaps], lab_r[1:][row_gaps])))
+    width, height = labels.shape
+    flat = labels.ravel()
+    base = max(width, height)  # keys are label * base + line
+    column_runs = labels != 0
+    column_runs[:, 1:] &= labels[:, 1:] != labels[:, :-1]
+    row_runs = labels != 0
+    row_runs[1:, :] &= labels[1:, :] != labels[:-1, :]
+    column_starts = np.flatnonzero(column_runs)
+    row_starts = np.flatnonzero(row_runs)
+    flagged = []
+    for starts, line in (
+        (column_starts, column_starts // height),
+        (row_starts, row_starts % height),
+    ):
+        keys = np.sort(flat[starts].astype(np.int64) * base + line)
+        flagged.append(keys[1:][keys[1:] == keys[:-1]] // base)
+    return np.unique(np.concatenate(flagged)).astype(labels.dtype)
 
 
 # -- routing-engine scans --------------------------------------------------------------

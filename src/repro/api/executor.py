@@ -42,6 +42,7 @@ from repro.api.registry import (
     get_construction,
     register_construction,
 )
+from repro.core.raster import FaultRaster
 from repro.faults.scenario import (
     FaultScenario,
     derive_trial_seed,
@@ -292,6 +293,8 @@ def collect_scenario_metrics(
 ):
     """Run the requested constructions on one scenario via the registry.
 
+    Every build takes the scenario's one :class:`FaultRaster`, so FB and FP
+    share the scheme-1 labelling and MFP and DMFP the component table.
     ``mfp`` and ``cmfp`` share a single build (they are the same
     construction, re-reported under the CMFP label for the Figure 11 round
     comparison); *include_rounds* toggles its round emulation.
@@ -299,6 +302,7 @@ def collect_scenario_metrics(
     from repro.sim.metrics import ScenarioMetrics
 
     topology = scenario.topology()
+    raster = FaultRaster(scenario.faults, topology)
     metrics = ScenarioMetrics(
         num_faults=scenario.num_faults,
         distribution=scenario.model,
@@ -315,14 +319,10 @@ def collect_scenario_metrics(
         # through the registry opts out of the sharing and builds itself.
         if spec.builder in sharable:
             if shared_mfp is None:
-                shared_mfp = mfp_spec.build(
-                    scenario.faults, topology, compute_rounds=include_rounds
-                )
+                shared_mfp = mfp_spec.build(raster, compute_rounds=include_rounds)
             result = shared_mfp
         else:
-            result = spec.build(
-                scenario.faults, topology, **_round_overrides(spec, include_rounds)
-            )
+            result = spec.build(raster, **_round_overrides(spec, include_rounds))
         metrics.add(result.metrics(num_faults=scenario.num_faults, label=spec.label))
     return metrics
 

@@ -49,6 +49,7 @@ from typing import (
 from repro._registry import SpecRegistry, make_spec_options
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import build_minimum_polygons
+from repro.core.raster import FaultRaster
 from repro.core.regions import FaultRegion, mean_region_size
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.distributed.dmfp import build_minimum_polygons_distributed
@@ -176,31 +177,35 @@ class ConstructionResult:
 # -- the spec -----------------------------------------------------------------------
 
 #: A builder takes the fault set, the topology and a (validated) option set
-#: and returns the model-specific construction object.
+#: and returns the model-specific construction object.  The fault set is a
+#: :class:`~repro.core.raster.FaultRaster`, a sequence of ``(x, y)`` tuples.
 Builder = Callable[[Sequence[Coord], Topology, ConstructionOptions], Any]
 
-ScenarioOrFaults = Union[FaultScenario, Sequence[Coord]]
+ScenarioOrFaults = Union[FaultScenario, FaultRaster, Sequence[Coord]]
 
 
 def resolve_inputs(
     scenario: ScenarioOrFaults,
     topology: Optional[Topology] = None,
-) -> Tuple[Tuple[Coord, ...], Topology]:
-    """Normalise the (scenario | faults, topology) call styles.
+) -> Tuple[FaultRaster, Topology]:
+    """Normalise the (scenario | faults | raster, topology) call styles.
 
-    Accepts either a :class:`FaultScenario` (whose topology is used unless
-    an explicit one is given) or a plain fault sequence; a missing topology
-    defaults to the paper's 100x100 mesh.
+    Returns the :class:`~repro.core.raster.FaultRaster` of the faults on
+    the topology, and the topology.  A :class:`FaultScenario` or a raster
+    brings its own topology unless an explicit one is given; a plain fault
+    sequence defaults to the paper's 100x100 mesh.  A raster of the
+    resolved topology is returned as it is, so builds that share it share
+    its labellings.
     """
     if isinstance(scenario, FaultScenario):
-        faults = tuple(scenario.faults)
+        faults: Sequence[Coord] = scenario.faults
         if topology is None:
             topology = scenario.topology()
     else:
-        faults = tuple(scenario)
+        faults = scenario
         if topology is None:
-            topology = Mesh2D(100, 100)
-    return faults, topology
+            topology = faults.topology if isinstance(faults, FaultRaster) else Mesh2D(100, 100)
+    return FaultRaster.of(faults, topology), topology
 
 
 @dataclass(frozen=True)
@@ -249,13 +254,15 @@ class ConstructionSpec:
     ) -> ConstructionResult:
         """Run the construction with the uniform signature.
 
-        *scenario* is a :class:`FaultScenario` or a fault sequence; keyword
-        *overrides* are field overrides of the spec's option type (e.g.
-        ``compute_rounds=False`` for ``mfp``).
+        *scenario* is a :class:`FaultScenario`, a fault sequence or a
+        :class:`~repro.core.raster.FaultRaster`; the builder gets the
+        raster (see :func:`resolve_inputs`).  Keyword *overrides* are field
+        overrides of the spec's option type (e.g. ``compute_rounds=False``
+        for ``mfp``).
         """
-        faults, topology = resolve_inputs(scenario, topology)
+        raster, topology = resolve_inputs(scenario, topology)
         opts = self.make_options(options, overrides)
-        return self.wrap(self.builder(faults, topology, opts), opts)
+        return self.wrap(self.builder(raster, topology, opts), opts)
 
 
 # -- the registry -------------------------------------------------------------------

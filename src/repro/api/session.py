@@ -4,13 +4,16 @@
 sequentially added" to a 100x100 mesh, and every construction is re-run
 after each insertion.  It owns a topology plus the evolving fault set in
 insertion order, caches every construction result until the next
-mutation, and asks :func:`repro.core.components.find_components` for the
-fault-component partition at most once per version; the partition backs
-:meth:`MeshSession.fingerprint` and the daemon's ``status``.
+mutation, and rasterises the fault set at most once per version
+(:class:`repro.core.raster.FaultRaster`).  The raster's component
+partition backs :meth:`MeshSession.fingerprint` and the daemon's
+``status``.
 
 A build is the registered construction's one-shot build on the current
-fault set.  MFP, CMFP and DMFP serve every component that does not fill
-its bounding box from process-wide memos keyed by its shape
+fault set's raster, so the builds of one version share its scheme-1
+labelling (FB, FP) and component table (MFP, CMFP, DMFP).  MFP, CMFP and
+DMFP serve every component that does not fill its bounding box from
+process-wide memos keyed by its shape
 (:class:`repro.core.components.ShapeMemo`), so the components a mutation
 did not touch cost a memo hit; ``cache_info["component_hits"]`` and
 ``["component_misses"]`` count those lookups across the session's builds.
@@ -43,7 +46,8 @@ from repro.api.registry import (
     ConstructionResult,
     get_construction,
 )
-from repro.core.components import FaultComponent, find_components, shape_memo_counts
+from repro.core.components import FaultComponent, shape_memo_counts
+from repro.core.raster import FaultRaster
 from repro.faults.links import links_to_node_faults, make_link_fault_set
 from repro.faults.scenario import FaultScenario
 from repro.mesh.topology import Mesh2D, Topology, Torus2D
@@ -82,8 +86,8 @@ class MeshSession:
         # The fault set; dict keys keep insertion order.
         self._faults: Dict[Coord, None] = {}
         self._version = 0
-        # find_components(self._faults), reset by every mutation.
-        self._components: Optional[List[FaultComponent]] = None
+        # FaultRaster(self._faults), made on first use, reset by every mutation.
+        self._raster: Optional[FaultRaster] = None
         # Whole-result cache: (key, options) -> (version, result).
         self._results: Dict[Tuple[str, ConstructionOptions], Tuple[int, ConstructionResult]] = {}
         # Routing facade, created lazily on first router/route/routing use;
@@ -226,7 +230,7 @@ class MeshSession:
         self._faults.update(dict.fromkeys(added))
         if added:
             self._version += 1
-            self._components = None
+            self._raster = None
         return added
 
     def remove_fault(self, node: Coord) -> bool:
@@ -245,7 +249,7 @@ class MeshSession:
             del self._faults[node]
         if removed:
             self._version += 1
-            self._components = None
+            self._raster = None
         return removed
 
     def _batch(self, nodes: Iterable[Coord]) -> Dict[Coord, None]:
@@ -275,22 +279,26 @@ class MeshSession:
         """Drop all faults and every cached artefact."""
         self._faults.clear()
         self._version += 1
-        self._components = None
+        self._raster = None
         self._results.clear()
 
     # -- components ----------------------------------------------------------------
 
+    def _fault_raster(self) -> FaultRaster:
+        """The current fault set's raster, made at most once per version."""
+        if self._raster is None:
+            self._raster = FaultRaster(self._faults, self._topology)
+        return self._raster
+
     def components(self) -> List[FaultComponent]:
         """The current fault components, in ``find_components`` order.
 
-        :func:`repro.core.components.find_components` of the fault set
-        (components ordered by their minimal node), computed at most once
-        per version, so session and one-shot builds expose identical
-        component lists.
+        The raster's component table (components ordered by their minimal
+        node), labelled at most once per version and shared with the
+        MFP, CMFP and DMFP builds, so session and one-shot builds expose
+        identical component lists.
         """
-        if self._components is None:
-            self._components = find_components(self._faults)
-        return self._components
+        return self._fault_raster().components()
 
     # -- construction builds ---------------------------------------------------------
 
@@ -304,7 +312,8 @@ class MeshSession:
         """Build (or fetch from cache) the construction registered as *key*.
 
         Results are cached per (key, options) until the fault set changes.
-        A build is the spec's one-shot build on the current fault set.
+        A build is the spec's one-shot build on the current fault set's
+        raster.
 
         ``cache_info["component_hits"]`` / ``["component_misses"]`` grow by
         how much the process-wide shape-memo counters
@@ -324,7 +333,7 @@ class MeshSession:
             return cached[1]
         self.cache_info["result_misses"] += 1
         hits, misses = shape_memo_counts()
-        result = spec.build(self.faults, self._topology, options=opts)
+        result = spec.build(self._fault_raster(), self._topology, options=opts)
         after_hits, after_misses = shape_memo_counts()
         self.cache_info["component_hits"] += after_hits - hits
         self.cache_info["component_misses"] += after_misses - misses

@@ -12,6 +12,8 @@ paper's evaluation and the machinery shared between them:
   (FP) [IPDPS 2001].
 * :mod:`repro.core.components` -- the merge process grouping faults into
   8-adjacent components (phase 1 of the paper's solution).
+* :mod:`repro.core.raster` -- one validated fault mask per topology whose
+  scheme-1 labelling and component table every construction shares.
 * :mod:`repro.core.mfp` -- the minimum faulty polygon model (MFP): both
   centralized solutions from Section 3.1 and the superseding rule.
 * :mod:`repro.core.regions` -- extraction of disjoint fault regions and the
@@ -26,6 +28,7 @@ from repro.core.labelling import (
     apply_labelling_scheme_2,
 )
 from repro.core.components import FaultComponent, find_components
+from repro.core.raster import FaultRaster
 from repro.core.faulty_block import FaultyBlockConstruction, build_faulty_blocks
 from repro.core.sub_minimum import SubMinimumConstruction, build_sub_minimum_polygons
 from repro.core.mfp import (
@@ -56,6 +59,7 @@ __all__ = [
     "apply_labelling_scheme_2",
     "FaultComponent",
     "find_components",
+    "FaultRaster",
     "FaultyBlockConstruction",
     "build_faulty_blocks",
     "SubMinimumConstruction",

@@ -243,13 +243,22 @@ class ComponentTable:
             cells = np.array([cell for group in groups for cell in group], dtype=np.int64)
             xs, ys = cells.reshape(-1, 2).T
             return cls(xs, ys, np.cumsum([0] + [len(group) for group in groups]))
-        mask, (min_x, min_y) = local
+        mask, origin = local
+        return cls.from_mask(mask, origin, diagonal)
+
+    @classmethod
+    def from_mask(
+        cls, mask: np.ndarray, origin: Tuple[int, int] = (0, 0), diagonal: bool = True
+    ) -> "ComponentTable":
+        """Label a boolean ``[x, y]`` fault mask once and tabulate its
+        components; cell ``[i, j]`` is the fault ``origin + (i, j)``.
+        *diagonal* is as in :func:`find_components`."""
         labels, count = masks.label_mask(mask, connectivity=8 if diagonal else 4)
         xs, ys = np.nonzero(labels)
         lab = labels[xs, ys]
         order = np.argsort(lab, kind="stable")  # keeps (x, y) order per label
         bounds = np.searchsorted(lab[order], np.arange(1, count + 2))
-        return cls(xs[order] + min_x, ys[order] + min_y, bounds)
+        return cls(xs[order] + origin[0], ys[order] + origin[1], bounds)
 
     def __len__(self) -> int:
         return self.sizes.size

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 
-from repro.core.labelling import apply_labelling_scheme_1, faults_to_mask
+from repro.core.raster import FaultRaster
 from repro.core.regions import FaultRegion, extract_regions_and_index, mean_region_size
 from repro.faults.scenario import FaultScenario
 from repro.mesh.status import StatusGrid
@@ -63,14 +63,16 @@ def build_faulty_blocks(
     """Construct rectangular faulty blocks from a fault set.
 
     Either pass an explicit *topology* or a *width*/*height* pair (a square
-    ``width x width`` mesh by default, matching the paper's setup).
+    ``width x width`` mesh by default, matching the paper's setup).  The
+    labelling comes from the :class:`~repro.core.raster.FaultRaster` of
+    the faults, so it runs once however many constructions share a raster.
     """
     if topology is None:
         topology = Mesh2D(width, height if height is not None else width)
-    fault_mask = faults_to_mask(faults, topology.width, topology.height)
-    scheme1 = apply_labelling_scheme_1(fault_mask, topology)
+    raster = FaultRaster.of(faults, topology)
+    scheme1 = raster.scheme1
 
-    grid = StatusGrid(topology, faults)
+    grid = raster.status_grid()
     grid.unsafe = scheme1.labels.copy()
     # Under the faulty block model every unsafe node is disabled.
     grid.disabled = scheme1.labels.copy()

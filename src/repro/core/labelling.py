@@ -18,16 +18,19 @@ Each node only ever inspects its neighbours, so a synchronous sweep of the
 whole grid corresponds to one *round* of neighbour information exchange in
 the distributed system -- this is exactly the quantity reported in the
 paper's Figure 11.  The implementation below performs the sweeps as whole-
-array numpy operations (one shift per direction), which makes the 100x100
-evaluation sweeps fast while producing the same label trajectory as the
-per-node message-passing protocol in :mod:`repro.distributed.labelling_protocol`
-(the equivalence is asserted by the integration tests).
+array numpy operations on one padded buffer updated in place: a node's four
+neighbours are slices of the buffer, and on a torus a one-cell halo is
+refreshed from the opposite edge before every sweep.  That makes the
+100x100 evaluation sweeps fast while producing the same label trajectory as
+the per-node message-passing protocol in
+:mod:`repro.distributed.labelling_protocol` (the equivalence is a property
+test).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -49,40 +52,23 @@ class LabellingResult:
     rounds: int
 
 
-def _shift(mask: np.ndarray, dx: int, dy: int, wrap: bool, fill=None) -> np.ndarray:
-    """Return *mask* shifted by ``(dx, dy)`` with zero/*fill* (or wrap) fill.
+def _wrap_halo(padded: np.ndarray) -> None:
+    """Refresh the one-cell halo of a padded torus grid from the opposite edges.
 
-    ``shifted[x, y] == mask[x - dx, y - dy]``: the value each node sees from
-    its neighbour at offset ``(-dx, -dy)``.  On a mesh, positions outside the
-    grid contribute ``False`` (a missing neighbour is never unsafe/enabled),
-    or *fill* when given -- integer label arrays shifted by the mask kernel
-    in :mod:`repro.geometry.masks` use a sentinel fill; on a torus the array
-    wraps around.
+    ``padded[1:-1, 1:-1]`` holds the grid; afterwards every halo cell
+    holds the grid cell one wrap-around step away, so the four neighbour
+    slices of the padded buffer see exactly what ``np.roll`` would.  The
+    corners stay stale: no sweep reads a diagonal neighbour.
     """
-    if wrap:
-        return np.roll(mask, shift=(dx, dy), axis=(0, 1))
-    if fill is None:
-        result = np.zeros_like(mask)
-    else:
-        result = np.full_like(mask, fill)
-    width, height = mask.shape
-    src_x = slice(max(0, -dx), width - max(0, dx))
-    dst_x = slice(max(0, dx), width - max(0, -dx))
-    src_y = slice(max(0, -dy), height - max(0, dy))
-    dst_y = slice(max(0, dy), height - max(0, -dy))
-    result[dst_x, dst_y] = mask[src_x, src_y]
-    return result
+    padded[0, 1:-1] = padded[-2, 1:-1]
+    padded[-1, 1:-1] = padded[1, 1:-1]
+    padded[1:-1, 0] = padded[1:-1, -2]
+    padded[1:-1, -1] = padded[1:-1, 1]
 
 
-def _neighbour_views(
-    mask: np.ndarray, wrap: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return what every node sees of *mask* at its W, E, S, N neighbours."""
-    west = _shift(mask, +1, 0, wrap)   # value of the neighbour at x-1
-    east = _shift(mask, -1, 0, wrap)   # value of the neighbour at x+1
-    south = _shift(mask, 0, +1, wrap)  # value of the neighbour at y-1
-    north = _shift(mask, 0, -1, wrap)  # value of the neighbour at y+1
-    return west, east, south, north
+def _neighbour_slices(padded: np.ndarray):
+    """The W, E, S, N neighbour views of every grid cell of *padded*."""
+    return padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]
 
 
 def apply_labelling_scheme_1(
@@ -100,8 +86,12 @@ def apply_labelling_scheme_1(
         Optional topology; only used to decide whether neighbourhoods wrap
         (torus) or not (mesh, the default).
     max_rounds:
-        Optional safety cap; the fixed point is always reached in at most
-        ``width + height`` rounds, so the default cap is generous.
+        Optional cap on the sweeps; by default ``2 * (width + height)``.
+        The fixed point must be confirmed by a sweep that changes nothing,
+        so a pattern needing ``max_rounds`` or more rounds raises
+        ``RuntimeError("labelling scheme 1 did not converge")``.  The
+        default cap is not a bound: dense patterns whose blocks flood the
+        mesh need several hundred rounds on a 100x100 mesh, and raise.
 
     Returns
     -------
@@ -110,22 +100,32 @@ def apply_labelling_scheme_1(
         the number of rounds in which some node newly became unsafe.
     """
     wrap = isinstance(topology, Torus2D)
-    unsafe = faulty.copy()
-    width, height = unsafe.shape
+    width, height = faulty.shape
     cap = max_rounds if max_rounds is not None else 2 * (width + height)
+    # One padded buffer, updated in place: cell [x, y] lives at
+    # [x + 1, y + 1], so its neighbours are slices of the buffer.  On a
+    # mesh the halo stays False (a missing neighbour is never unsafe).
+    padded = np.zeros((width + 2, height + 2), dtype=bool)
+    unsafe = padded[1:-1, 1:-1]
+    unsafe[...] = faulty
+    west, east, south, north = _neighbour_slices(padded)
+    x_threat = np.empty((width, height), dtype=bool)
+    growth = np.empty((width, height), dtype=bool)
     rounds = 0
     for _ in range(cap):
-        west, east, south, north = _neighbour_views(unsafe, wrap)
-        x_threat = west | east
-        y_threat = south | north
-        new_unsafe = unsafe | (x_threat & y_threat)
-        if np.array_equal(new_unsafe, unsafe):
+        if wrap:
+            _wrap_halo(padded)
+        np.bitwise_or(west, east, out=x_threat)
+        np.bitwise_or(south, north, out=growth)
+        growth &= x_threat
+        np.greater(growth, unsafe, out=growth)  # threatened in both, still safe
+        if not growth.any():
             break
-        unsafe = new_unsafe
+        unsafe |= growth
         rounds += 1
-    else:  # pragma: no cover - the cap is never hit for valid inputs
+    else:
         raise RuntimeError("labelling scheme 1 did not converge")
-    return LabellingResult(labels=unsafe, rounds=rounds)
+    return LabellingResult(labels=unsafe.copy(), rounds=rounds)
 
 
 def apply_labelling_scheme_2(
@@ -147,7 +147,9 @@ def apply_labelling_scheme_2(
     topology:
         Optional topology (wrap behaviour on a torus).
     max_rounds:
-        Optional safety cap on the number of rounds.
+        Optional cap on the sweeps, by default ``4 * (width + height)``; as
+        in scheme 1, a pattern needing ``max_rounds`` or more rounds raises
+        ``RuntimeError("labelling scheme 2 did not converge")``.
     missing_neighbours_enabled:
         On a mesh, whether a neighbour position that falls outside the grid
         counts as an *enabled* neighbour.  The physical network has no such
@@ -166,38 +168,39 @@ def apply_labelling_scheme_2(
     if faulty.shape != unsafe.shape:
         raise ValueError("faulty and unsafe masks must have the same shape")
     wrap = isinstance(topology, Torus2D)
-    disabled = unsafe.copy()
-    disabled |= faulty  # faulty nodes are disabled by definition
-    width, height = disabled.shape
+    width, height = faulty.shape
     cap = max_rounds if max_rounds is not None else 4 * (width + height)
+    # The enabled flags as 0/1 in one padded buffer, so a node's enabled
+    # neighbour count is the sum of four slices.  The halo holds what a
+    # position beyond the mesh border counts as: enabled only under
+    # *missing_neighbours_enabled* (a torus has no such positions).
+    halo = 1 if missing_neighbours_enabled and not wrap else 0
+    padded = np.full((width + 2, height + 2), halo, dtype=np.uint8)
+    enabled = padded[1:-1, 1:-1]
+    disabled = unsafe | faulty  # faulty nodes are disabled by definition
+    np.logical_not(disabled, out=enabled, casting="unsafe")
+    # Only disabled non-faulty nodes can change, and they only ever enable.
+    candidates = disabled & ~faulty
+    west, east, south, north = _neighbour_slices(padded)
+    count = np.empty((width, height), dtype=np.uint8)
+    newly_enabled = np.empty((width, height), dtype=bool)
     rounds = 0
-    if wrap and missing_neighbours_enabled:
-        # A torus has no missing neighbours; the flag is meaningless there.
-        missing_neighbours_enabled = False
     for _ in range(cap):
-        enabled = ~disabled
-        west, east, south, north = _neighbour_views(enabled, wrap)
-        if missing_neighbours_enabled and not wrap:
-            # Positions beyond the mesh border behave as permanently enabled
-            # virtual nodes: patch the shifted views on the border slices.
-            west[0, :] = True
-            east[-1, :] = True
-            south[:, 0] = True
-            north[:, -1] = True
-        enabled_neighbours = (
-            west.astype(np.int8)
-            + east.astype(np.int8)
-            + south.astype(np.int8)
-            + north.astype(np.int8)
-        )
-        newly_enabled = disabled & ~faulty & (enabled_neighbours >= 2)
+        if wrap:
+            _wrap_halo(padded)
+        np.add(west, east, out=count)
+        count += south
+        count += north
+        np.greater_equal(count, 2, out=newly_enabled)
+        newly_enabled &= candidates
         if not newly_enabled.any():
             break
-        disabled = disabled & ~newly_enabled
+        enabled |= newly_enabled
+        np.greater(candidates, newly_enabled, out=candidates)
         rounds += 1
-    else:  # pragma: no cover - the cap is never hit for valid inputs
+    else:
         raise RuntimeError("labelling scheme 2 did not converge")
-    return LabellingResult(labels=disabled, rounds=rounds)
+    return LabellingResult(labels=enabled == 0, rounds=rounds)
 
 
 def faults_to_mask(faults, width: int, height: int) -> np.ndarray:

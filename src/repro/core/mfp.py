@@ -53,6 +53,7 @@ from repro.core.components import (
     shape_key,
 )
 from repro.core.labelling import apply_labelling_scheme_1, apply_labelling_scheme_2
+from repro.core.raster import FaultRaster
 from repro.core.regions import FaultRegion, LazyList, mean_region_size, pile_polygons
 from repro.faults.scenario import FaultScenario
 from repro.geometry import masks
@@ -212,7 +213,7 @@ def component_polygon_via_labelling(
 def _shift3(stack: np.ndarray, dx: int, dy: int, fill: int = 0) -> np.ndarray:
     """Shift a ``[component, x, y]`` stack by ``(dx, dy)`` on the grid axes.
 
-    3-D counterpart of :func:`repro.core.labelling._shift` (zero/*fill*
+    3-D counterpart of :func:`repro._array_ops._shift` (zero/*fill*
     beyond the canvas), applied to every stacked component at once.
     """
     out = np.full_like(stack, fill) if fill else np.zeros_like(stack)
@@ -372,12 +373,14 @@ def build_minimum_polygons(
 ) -> MinimumPolygonConstruction:
     """Construct minimum faulty polygons (centralized Solution B, default).
 
-    Phase 1 groups the faults into 8-adjacent components (one
-    :class:`~repro.core.components.ComponentTable`); phase 2 fills each
-    component's concave row and column sections, which only the
-    components that do not fill their bounding box have (hulls from the
-    :data:`shape_hull` memo); the superseding rule piles the
-    per-component results.  The reported ``rounds`` is the CMFP emulation
+    Phase 1 groups the faults into 8-adjacent components (the
+    :class:`~repro.core.components.ComponentTable` of the faults'
+    :class:`~repro.core.raster.FaultRaster`, shared with DMFP when both
+    build from one raster); phase 2 fills each component's concave row
+    and column sections, which only the components that do not fill their
+    bounding box have (hulls from the :data:`shape_hull` memo); the
+    superseding rule piles the per-component results.  The reported
+    ``rounds`` is the CMFP emulation
     cost, i.e. the maximum per-component labelling rounds
     (:data:`shape_rounds`), which the paper uses for the CMFP curve of
     Figure 11 (the hull fill itself is a centralized computation and
@@ -386,8 +389,9 @@ def build_minimum_polygons(
     """
     if topology is None:
         topology = Mesh2D(width, height if height is not None else width)
-    table = ComponentTable.from_faults(faults)
-    grid = StatusGrid(topology, faults)
+    raster = FaultRaster.of(faults, topology)
+    table = raster.component_table
+    grid = raster.status_grid()
     keys = [table.keys[index] for index in table.irregular.tolist()]
     hulls = shape_hull.lookup(keys)
     # Round accounting follows the labelling emulation (Solution A).

@@ -18,11 +18,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 
-from repro.core.labelling import (
-    apply_labelling_scheme_1,
-    apply_labelling_scheme_2,
-    faults_to_mask,
-)
+from repro.core.labelling import apply_labelling_scheme_2
+from repro.core.raster import FaultRaster
 from repro.core.regions import FaultRegion, extract_regions_and_index, mean_region_size
 from repro.faults.scenario import FaultScenario
 from repro.mesh.status import StatusGrid
@@ -80,16 +77,20 @@ def build_sub_minimum_polygons(
     width: int = 100,
     height: Optional[int] = None,
 ) -> SubMinimumConstruction:
-    """Construct sub-minimum faulty polygons from a fault set."""
+    """Construct sub-minimum faulty polygons from a fault set.
+
+    The scheme-1 phase is the :class:`~repro.core.raster.FaultRaster`'s,
+    shared with FB when both build from one raster.
+    """
     if topology is None:
         topology = Mesh2D(width, height if height is not None else width)
-    fault_mask = faults_to_mask(faults, topology.width, topology.height)
-    scheme1 = apply_labelling_scheme_1(fault_mask, topology)
-    scheme2 = apply_labelling_scheme_2(fault_mask, scheme1.labels, topology)
+    raster = FaultRaster.of(faults, topology)
+    scheme1 = raster.scheme1
+    scheme2 = apply_labelling_scheme_2(raster.mask, scheme1.labels, topology)
 
-    grid = StatusGrid(topology, faults)
+    grid = raster.status_grid()
     grid.unsafe = scheme1.labels.copy()
-    grid.disabled = scheme2.labels.copy()
+    grid.disabled = scheme2.labels
 
     regions, region_index = extract_regions_and_index(grid.disabled, grid.faulty)
     return SubMinimumConstruction(

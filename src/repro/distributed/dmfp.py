@@ -48,7 +48,8 @@ from typing import AbstractSet, Iterable, List, NamedTuple, Optional, Sequence, 
 
 import numpy as np
 
-from repro.core.components import ComponentTable, FaultComponent, ShapeMemo, shape_cells
+from repro.core.components import FaultComponent, ShapeMemo, shape_cells
+from repro.core.raster import FaultRaster
 from repro.core.regions import FaultRegion, LazyList, mean_region_size, pile_polygons
 from repro.distributed.notification import NotificationPlan, plan_notifications
 from repro.distributed.ring import RingConstruction, construct_boundary_ring
@@ -216,15 +217,17 @@ def build_minimum_polygons_distributed(
     """Run the distributed minimum faulty polygon construction.
 
     Either pass an explicit *topology* or a *width*/*height* pair (a square
-    ``width x width`` mesh by default, matching the paper's setup).  Every
-    component's outcome comes from the shape memos (see the module
-    docstring); the notified nodes of all components are piled in one
-    whole-array write.
+    ``width x width`` mesh by default, matching the paper's setup).  The
+    components are the :class:`~repro.core.raster.FaultRaster`'s table,
+    shared with MFP when both build from one raster.  Every component's
+    outcome comes from the shape memos (see the module docstring); the
+    notified nodes of all components are piled in one whole-array write.
     """
     if topology is None:
         topology = Mesh2D(width, height if height is not None else width)
-    table = ComponentTable.from_faults(faults)
-    grid = StatusGrid(topology, faults)
+    raster = FaultRaster.of(faults, topology)
+    table = raster.component_table
+    grid = raster.status_grid()
     filled = table.widths * table.heights == table.sizes
     sizes = np.unique(np.column_stack((table.widths[filled], table.heights[filled])), axis=0)
     rounds = rectangle_rounds.lookup([tuple(size) for size in sizes.tolist()])
@@ -236,7 +239,7 @@ def build_minimum_polygons_distributed(
     owner = np.repeat(irregular, [len(outcome.notified) for outcome in outcomes])
     blocked = np.unique(owner[grid.faulty[notified[:, 0], notified[:, 1]]])
     if blocked.size:
-        fault_set = set(faults)
+        fault_set = set(raster)
         components = table.materialise()
         exact = [_exact_outcome(components[index], fault_set) for index in blocked.tolist()]
         notified = np.concatenate(

@@ -10,8 +10,8 @@ interpreted loop iteration per node, which dominates the runtime of
 large-mesh sweeps.
 
 This module reimplements the primitives as whole-grid boolean-array
-operations built on the same ``_shift`` machinery that powers the labelling
-schemes in :mod:`repro.core.labelling`:
+operations built on the shifted-array primitive ``_shift`` of
+:mod:`repro._array_ops`:
 
 * **Connected-component labelling** (:func:`label_mask`): iterative
   minimum-label propagation -- every occupied cell starts with its linear
@@ -164,16 +164,17 @@ def label_mask(mask: np.ndarray, connectivity: int = 8) -> Tuple[np.ndarray, int
         raise ValueError(f"connectivity must be 4 or 8, not {connectivity}")
     width, height = mask.shape
     out = np.zeros((width, height), dtype=np.int32)
-    xs, ys = np.nonzero(mask)
-    if xs.size == 0:
+    occupied_x = mask.any(axis=1)
+    if not occupied_x.any():
         return out, 0
+    occupied_y = mask.any(axis=0)
     # Work on the tight bounding box of the occupied cells: the labelling
     # cost scales with the box area, not the full grid.
-    x0, x1 = int(xs.min()), int(xs.max())
-    y0, y1 = int(ys.min()), int(ys.max())
-    sub = np.ascontiguousarray(mask[x0 : x1 + 1, y0 : y1 + 1])
+    x0, x1 = int(occupied_x.argmax()), width - int(occupied_x[::-1].argmax())
+    y0, y1 = int(occupied_y.argmax()), height - int(occupied_y[::-1].argmax())
+    sub = np.ascontiguousarray(mask[x0:x1, y0:y1])
     labels, count = _array_ops.active_ops().label_components(sub, connectivity)
-    out[x0 : x1 + 1, y0 : y1 + 1] = labels
+    out[x0:x1, y0:y1] = labels
     return out, int(count)
 
 
@@ -201,12 +202,10 @@ def nonconvex_labels(labels: np.ndarray, count: int) -> np.ndarray:
 
     A region is orthogonal convex iff in every row its occupied columns form
     a contiguous run, and in every column its occupied rows do.  Both checks
-    run over *all* regions at once: the occupied cells are sorted by
-    ``(label, x, y)`` (free: ``np.nonzero`` scan order) and by
-    ``(label, y, x)`` (one lexsort), and a region is flagged when two
-    consecutive cells of the same label and line differ by more than one.
-    This is what lets the convexity repair after piling touch no Python
-    per-region loop in the (overwhelmingly common) all-convex case.
+    run over *all* regions at once: a region is flagged when one of its
+    columns or rows holds two runs of its cells.  This is what lets the
+    convexity repair after piling touch no Python per-region loop in the
+    (overwhelmingly common) all-convex case.
     """
     if count == 0:
         return np.zeros(0, dtype=np.int64)

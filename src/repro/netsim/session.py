@@ -23,6 +23,7 @@ cost.
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
@@ -128,7 +129,7 @@ class NetSimSession:
         array simulator and the scalar oracle are bit-identical
         (``stats.delivery_fingerprint`` is the witness).
         """
-        if load <= 0.0:
+        if not 0.0 < load < math.inf:  # also refuses nan
             raise ValueError("load must be positive (messages per node per cycle)")
         if cycles < 1:
             raise ValueError("cycles must be at least 1")

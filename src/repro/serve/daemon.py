@@ -250,6 +250,7 @@ class RouteDaemon:
         else:
             self.journal = Journal(journal)
             if self.journal.had_records:
+                self.journal.close()
                 raise ValueError(
                     f"journal {journal} already holds records; use "
                     "RouteDaemon.recover() to resume from it"

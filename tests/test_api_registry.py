@@ -15,6 +15,7 @@ from repro.api import (
 from repro.api.registry import _ALIASES, _REGISTRY, resolve_inputs
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import build_minimum_polygons
+from repro.core.raster import FaultRaster
 from repro.core.reference import build_minimum_polygons_via_labelling
 from repro.distributed.dmfp import build_minimum_polygons_distributed
 from repro.core.sub_minimum import build_sub_minimum_polygons
@@ -140,9 +141,14 @@ class TestUniformBuild:
 
     def test_resolve_inputs_scenario_topology_override(self, scenario):
         topology = Mesh2D(30, 30)
-        faults, resolved = resolve_inputs(scenario, topology)
+        raster, resolved = resolve_inputs(scenario, topology)
         assert resolved is topology
-        assert faults == tuple(scenario.faults)
+        assert isinstance(raster, FaultRaster) and raster.topology is topology
+        assert tuple(raster) == tuple(scenario.faults)
+        # A raster of the resolved topology passes through as it is.
+        assert resolve_inputs(raster) == (raster, topology)
+        assert resolve_inputs(raster, Mesh2D(30, 30))[0] is raster
+        assert resolve_inputs(raster, Mesh2D(40, 40))[0].topology == Mesh2D(40, 40)
 
 
 class TestPluggability:

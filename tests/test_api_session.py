@@ -1,6 +1,6 @@
 """Tests for MeshSession (repro.api.session): fault updates, builds that
-equal one-shot builds, result caching, and components asked of
-find_components once per version."""
+equal one-shot builds, result caching, and components labelled once per
+version."""
 
 import gc
 import random
@@ -8,9 +8,8 @@ import weakref
 
 import pytest
 
-import repro.api.session as session_module
 from repro.api import MeshSession, get_construction
-from repro.core.components import clear_shape_memos, find_components
+from repro.core.components import ComponentTable, clear_shape_memos, find_components
 from repro.core.reference import build_minimum_polygons_via_labelling
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D, Torus2D
@@ -112,12 +111,13 @@ class TestComponentTracking:
 class TestComponentsOnDemand:
     def test_mutations_do_no_component_work(self, monkeypatch):
         calls = []
+        from_mask = ComponentTable.from_mask.__func__
 
-        def counting_find_components(faults):
-            calls.append(len(faults))
-            return find_components(faults)
+        def counting_from_mask(cls, mask, *args, **kwargs):
+            calls.append(int(mask.sum()))
+            return from_mask(cls, mask, *args, **kwargs)
 
-        monkeypatch.setattr(session_module, "find_components", counting_find_components)
+        monkeypatch.setattr(ComponentTable, "from_mask", classmethod(counting_from_mask))
         rng = random.Random(7)
         session = MeshSession(width=20)
         for step in range(50):
@@ -130,6 +130,9 @@ class TestComponentsOnDemand:
         components = session.components()
         session.fingerprint()
         session.describe()
+        # MFP and DMFP build from the version's one component table.
+        session.build("mfp")
+        session.build("dmfp")
         assert len(calls) == 1
         assert session.add_faults([session.faults[0]]) == []
         assert session.components() is components

@@ -84,6 +84,19 @@ class TestPrimitiveDifferential:
                 assert labels[node] == index + 1
 
     @settings(max_examples=60, deadline=None)
+    @given(faults=fault_sets, connectivity=st.sampled_from([4, 8]), data=st.data())
+    def test_c_order_check_is_canonicalise_returning_its_input(
+        self, faults, connectivity, data
+    ):
+        labels, count = NUMPY_OPS.label_components(_mask(faults), connectivity)
+        order = data.draw(st.permutations(range(1, count + 1)))
+        permuted = np.array([0] + list(order), dtype=np.int32)[labels]
+        assert _array_ops.labels_in_c_order(labels)
+        for grid in (labels, permuted):
+            unchanged = np.array_equal(_array_ops.canonicalise_labels(grid, count), grid)
+            assert _array_ops.labels_in_c_order(grid) == unchanged
+
+    @settings(max_examples=60, deadline=None)
     @given(faults=fault_sets)
     def test_span_fill(self, faults):
         mask = _mask(faults)

@@ -1,5 +1,17 @@
-"""The distributed labelling protocols agree with the vectorised sweeps."""
+"""The distributed labelling protocols agree with the vectorised sweeps.
 
+The sweeps of :mod:`repro.core.labelling` update one padded buffer in
+place and, on a torus, refresh its halo from the opposite edge every
+round; the per-node message-passing programs of
+:mod:`repro.distributed.labelling_protocol` are their oracle.  The
+properties cover random and clustered faults on meshes and tori from 1x1
+to 12x12: the 1- and 2-wide tori are where a node is its own or its
+neighbour's neighbour twice over.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.labelling import (
     apply_labelling_scheme_1,
@@ -11,7 +23,7 @@ from repro.distributed.labelling_protocol import (
     run_distributed_scheme_2,
 )
 from repro.faults.scenario import generate_scenario
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh2D, Torus2D
 
 
 def as_map(mask):
@@ -19,16 +31,63 @@ def as_map(mask):
     return {(x, y): bool(mask[x, y]) for x in range(width) for y in range(height)}
 
 
+def as_mask(labels, topology):
+    return faults_to_mask(
+        sorted(node for node, value in labels.items() if value),
+        topology.width,
+        topology.height,
+    )
+
+
+@st.composite
+def fault_patterns(draw):
+    """``(topology, faults)``: random or clustered faults, mesh or torus."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    torus = draw(st.booleans())
+    topology = Torus2D(width, height) if torus else Mesh2D(width, height)
+    if draw(st.sampled_from(["random", "clustered"])) == "random":
+        cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+        faults = sorted(draw(st.sets(cells, max_size=width * height)))
+    else:
+        scenario = generate_scenario(
+            draw(st.integers(0, width * height)),
+            width=width,
+            height=height,
+            model="clustered",
+            seed=draw(st.integers(0, 2**16)),
+            torus=torus,
+        )
+        faults = list(scenario.faults)
+    return topology, faults
+
+
+def assert_cap_raises(scheme, needed_rounds, call):
+    """A cap of *needed_rounds* sweeps raises: the last sweep, which
+    confirms the fixed point, is one more than the rounds counted."""
+    with pytest.raises(RuntimeError, match=f"^labelling scheme {scheme} did not converge$"):
+        call(needed_rounds)
+
+
 class TestDistributedScheme1:
-    def test_matches_vectorised_labels_and_rounds(self):
-        for seed in range(4):
-            scenario = generate_scenario(num_faults=18, width=12, model="clustered", seed=seed)
-            topology = scenario.topology()
-            fault_mask = faults_to_mask(scenario.faults, 12, 12)
-            vectorised = apply_labelling_scheme_1(fault_mask, topology)
-            distributed_map, rounds = run_distributed_scheme_1(topology, scenario.faults)
-            assert distributed_map == as_map(vectorised.labels)
-            assert rounds == vectorised.rounds
+    @settings(max_examples=100, deadline=None)
+    @given(fault_patterns())
+    def test_matches_vectorised_labels_and_rounds(self, pattern):
+        topology, faults = pattern
+        distributed_map, rounds = run_distributed_scheme_1(topology, faults)
+        fault_mask = faults_to_mask(faults, topology.width, topology.height)
+
+        def sweep(max_rounds):
+            return apply_labelling_scheme_1(fault_mask, topology, max_rounds=max_rounds)
+
+        vectorised = sweep(rounds + 1)
+        assert as_map(vectorised.labels) == distributed_map
+        assert vectorised.rounds == rounds
+        assert_cap_raises(1, rounds, sweep)
+        # The default cap is 2 * (width + height) sweeps.
+        if rounds < 2 * (topology.width + topology.height):
+            assert sweep(None).rounds == rounds
+        else:
+            assert_cap_raises(1, None, sweep)
 
     def test_no_faults(self):
         topology = Mesh2D(5, 5)
@@ -45,20 +104,24 @@ class TestDistributedScheme1:
 
 
 class TestDistributedScheme2:
-    def test_matches_vectorised_labels_and_rounds(self):
-        for seed in range(4):
-            scenario = generate_scenario(num_faults=20, width=12, model="clustered", seed=seed)
-            topology = scenario.topology()
-            fault_mask = faults_to_mask(scenario.faults, 12, 12)
-            scheme1 = apply_labelling_scheme_1(fault_mask, topology)
-            scheme2 = apply_labelling_scheme_2(fault_mask, scheme1.labels, topology)
+    @settings(max_examples=100, deadline=None)
+    @given(fault_patterns())
+    def test_matches_vectorised_labels_and_rounds(self, pattern):
+        topology, faults = pattern
+        unsafe_map, _ = run_distributed_scheme_1(topology, faults)
+        disabled_map, rounds = run_distributed_scheme_2(topology, faults, unsafe_map)
+        fault_mask = faults_to_mask(faults, topology.width, topology.height)
+        unsafe = as_mask(unsafe_map, topology)
 
-            unsafe_map, _ = run_distributed_scheme_1(topology, scenario.faults)
-            disabled_map, rounds = run_distributed_scheme_2(
-                topology, scenario.faults, unsafe_map
+        def sweep(max_rounds):
+            return apply_labelling_scheme_2(
+                fault_mask, unsafe, topology, max_rounds=max_rounds
             )
-            assert disabled_map == as_map(scheme2.labels)
-            assert rounds == scheme2.rounds
+
+        vectorised = sweep(rounds + 1)
+        assert as_map(vectorised.labels) == disabled_map
+        assert vectorised.rounds == rounds
+        assert_cap_raises(2, rounds, sweep)
 
     def test_faulty_nodes_never_reenabled(self):
         topology = Mesh2D(6, 6)

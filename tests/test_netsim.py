@@ -259,6 +259,11 @@ class TestSessionFacade:
         with pytest.raises(ValueError, match="spatial"):
             session.simulate("mfp", traffic="poisson")
 
+    @pytest.mark.parametrize("load", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_load_refused(self, session, load):
+        with pytest.raises(ValueError, match="^load must be positive"):
+            session.simulate("mfp", load=load)
+
     def test_traffic_and_arrival_options_forwarded(self, session):
         stats = session.simulate(
             "mfp", traffic="hotspot", arrival="bursty", load=0.02, cycles=100,

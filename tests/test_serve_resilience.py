@@ -33,6 +33,7 @@ from repro.serve import (
     load_journal,
     replay_events,
 )
+from repro.serve import daemon as daemon_module
 from repro.serve.protocol import E_BAD_REQUEST, E_DEADLINE, E_OVERLOADED
 
 SCENARIO = dict(num_faults=10, width=12, height=12, seed=3)
@@ -582,11 +583,26 @@ class TestRecovery:
 
     def test_constructor_refuses_populated_journal(self, tmp_path):
         path = tmp_path / "daemon.ndjson"
-        asyncio.run(
-            InProcessClient(fresh_daemon(journal=path)).add_faults([(1, 1)])
-        )
+        daemon = fresh_daemon(journal=path)
+        asyncio.run(InProcessClient(daemon).add_faults([(1, 1)]))
+        daemon.journal.close()
         with pytest.raises(ValueError, match="recover"):
             fresh_daemon(journal=path)
+
+    def test_refused_journal_is_closed(self, tmp_path, monkeypatch):
+        path = tmp_path / "daemon.ndjson"
+        fresh_daemon(journal=path).journal.close()
+        opened = []
+
+        class RecordingJournal(Journal):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(daemon_module, "Journal", RecordingJournal)
+        with pytest.raises(ValueError, match="recover"):
+            fresh_daemon(journal=path)
+        assert [journal._file.closed for journal in opened] == [True]
 
     def test_recover_owns_session_kwargs(self, tmp_path):
         path = tmp_path / "daemon.ndjson"
