@@ -109,7 +109,7 @@ async def main() -> None:
     stats = (await client.status())["coalescer"]
     print(
         f"  {stats['requests']} requests, {stats['flushes']} engine calls, "
-        f"coalesce ratio {stats['coalesce_ratio']:.1f} pairs/flush"
+        f"coalesce ratio {stats['coalesce_ratio']:.1f} requests/flush"
     )
 
     await client.shutdown()

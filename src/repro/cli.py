@@ -66,6 +66,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -174,6 +175,17 @@ _AXIS_FLAGS: Dict[str, str] = {"num_faults": "--fault-counts", "load": "--loads"
 _SPELLINGS: Dict[str, str] = {"base_seed": "--seed", "include_rounds": "--skip-rounds"}
 
 
+def _offered_load(text: str) -> float:
+    """An offered load: a finite number of messages per node per cycle above 0."""
+    try:
+        load = float(text)
+    except ValueError:
+        load = math.nan
+    if not (math.isfinite(load) and load > 0):
+        raise argparse.ArgumentTypeError(f"not a finite load above 0: {text!r}")
+    return load
+
+
 def trial_flags() -> Dict[str, Tuple[str, type, Dict[str, Any]]]:
     """Every scalar sweep parameter of any trial kind, in kind order.
 
@@ -207,7 +219,7 @@ def _add_trial_arguments(parser: argparse.ArgumentParser) -> None:
         kinds = [kind for kind in TRIAL_KINDS.values() if kind.axis == axis]
         default = " ".join(map(str, DEFAULT_FAULT_COUNTS)) if axis == "num_faults" else None
         parser.add_argument(
-            flag, type=kinds[0].axis_type, nargs="+",
+            flag, type=_offered_load if axis == "load" else kinds[0].axis_type, nargs="+",
             help=f"sweep axis of {'/'.join(kind.key for kind in kinds)} trials "
             + (f"(default: {default})" if default else "(required)"),
         )
@@ -396,7 +408,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving on {host}:{port} (model: {args.model}, router: "
             f"{args.router}, window: {args.window * 1000:.3g} ms, "
-            f"max-batch: {args.max_batch})",
+            f"max-batch: {daemon.coalescer.max_batch})",
             flush=True,
         )
         await daemon.serve_forever()
@@ -786,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--loads",
-        type=float,
+        type=_offered_load,
         nargs="+",
         default=[0.01, 0.02, 0.04, 0.08, 0.16],
         help="offered loads in messages per node per cycle",
@@ -839,8 +851,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-batch",
         type=int,
-        default=256,
-        help="flush once this many pairs are buffered (1 disables coalescing)",
+        default=None,
+        help="flush once this many pairs are buffered (default: the "
+        "--max-pending cap, so a flush takes every request buffered in its "
+        "window; 1 disables coalescing)",
     )
     serve.add_argument(
         "--journal",

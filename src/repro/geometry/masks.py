@@ -70,16 +70,21 @@ def validated_coords(
 ) -> np.ndarray:
     """Return *coords* as a validated ``(n, 2)`` int array.
 
-    Raises ``ValueError`` naming the first coordinate (in iteration order)
-    outside the ``width x height`` bounds; *kind*/*where* parametrise the
-    message so callers keep their historical wording.  Shared by
-    :func:`repro.core.labelling.faults_to_mask` and
-    :class:`repro.mesh.status.StatusGrid`.
+    Raises ``ValueError`` naming the array's shape unless the coordinates
+    are ``(x, y)`` pairs, and naming the first coordinate (in iteration
+    order) outside the ``width x height`` bounds; *kind*/*where*
+    parametrise the message so callers keep their historical wording.
+    Shared by :func:`repro.core.labelling.faults_to_mask`,
+    :class:`repro.mesh.status.StatusGrid` and
+    :class:`repro.core.raster.FaultRaster`.
     """
     pts = np.asarray(coords if isinstance(coords, np.ndarray) else list(coords))
     if pts.size == 0:
         return pts.reshape(0, 2)
-    pts = pts.reshape(-1, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(
+            f"{kind} coordinates must be (x, y) pairs, not an array of shape {pts.shape}"
+        )
     xs, ys = pts[:, 0], pts[:, 1]
     bad = (xs < 0) | (xs >= width) | (ys < 0) | (ys >= height)
     if bad.any():

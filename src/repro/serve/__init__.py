@@ -9,7 +9,8 @@ serves it over a newline-delimited-JSON protocol:
 * :mod:`repro.serve.coalescer` -- the micro-batching coalescer merging
   concurrent ``route`` requests into single batch-engine calls
   (window / max-batch triggers, per-request fan-out, coalesce-ratio
-  stats).
+  stats); the daemon sizes its max-batch trigger at its admission cap
+  unless told otherwise, so a flush takes its whole window.
 * :mod:`repro.serve.daemon` -- :class:`RouteDaemon`: verb dispatch
   (``route`` / ``add_faults`` / ``repair`` / ``add_link_faults`` /
   ``status`` / ``simulate`` / ``ping`` / ``shutdown``), the TCP listener,

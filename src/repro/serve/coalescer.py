@@ -9,11 +9,13 @@ fires:
 
 * the **window** timer expires (default 1 ms after the first pending
   request), or
-* the pending pair count reaches **max_batch** (default 256), whichever
-  comes first.
+* the pending pair count reaches **max_batch**, whichever comes first.
 
-``max_batch=1`` degenerates to one-flush-per-request -- the uncoalesced
-baseline the serving benchmark compares against.
+The caller sizes *max_batch*: :class:`~repro.serve.daemon.RouteDaemon`
+puts it at its admission cap by default, so one flush takes every request
+buffered inside its window (the batch kernel's cost is mostly per call,
+not per pair).  ``max_batch=1`` degenerates to one-flush-per-request --
+the uncoalesced baseline the serving benchmark compares against.
 
 The flush callback receives the pending :class:`PendingRoute` entries and
 must resolve each entry's future with that request's slice of the batch
@@ -30,17 +32,16 @@ import asyncio
 import inspect
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-#: One route endpoint pair: (src_x, src_y, dst_x, dst_y).
-Pair = Tuple[int, int, int, int]
+from typing import Any, Callable, Dict, List, Optional, Sized
 
 
 @dataclass
 class PendingRoute:
     """One buffered ``route`` request awaiting a batch flush."""
 
-    pairs: Sequence[Pair]
+    #: The request's endpoint pairs; the daemon passes an ``(n, 4)`` int64
+    #: array of ``(src_x, src_y, dst_x, dst_y)`` rows.
+    pairs: Sized
     future: "asyncio.Future[Any]"
     #: Absolute ``loop.time()`` after which the request is worthless; the
     #: daemon's flush drops expired entries instead of routing them.
@@ -108,7 +109,7 @@ class RouteCoalescer:
         flush: Callable[[List[PendingRoute]], None],
         *,
         window: float = 0.001,
-        max_batch: int = 256,
+        max_batch: int,
     ) -> None:
         if window < 0:
             raise ValueError("window must be >= 0")
@@ -127,9 +128,7 @@ class RouteCoalescer:
         """Endpoint pairs currently buffered (the ``status`` queue depth)."""
         return self._pending_pairs
 
-    async def submit(
-        self, pairs: Sequence[Pair], *, deadline: Optional[float] = None
-    ) -> Any:
+    async def submit(self, pairs: Sized, *, deadline: Optional[float] = None) -> Any:
         """Buffer one request's pairs; resolves with its slice of the flush.
 
         *deadline* is an absolute ``loop.time()``; the flush callback may

@@ -63,6 +63,7 @@ from __future__ import annotations
 import asyncio
 import math
 from collections import Counter, OrderedDict
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -74,13 +75,14 @@ from repro.api.session import MeshSession
 from repro.faults.scenario import FaultScenario
 from repro.netsim.session import arrival_keys
 from repro.routing.engine import (
+    DELIVERED,
     REASONS,
     resolve_engine,
     route_batch,
 )
 from repro.routing.registry import get_router
 from repro.routing.traffic import TrafficBatch, get_traffic
-from repro.serve.coalescer import Pair, PendingRoute, RouteCoalescer
+from repro.serve.coalescer import PendingRoute, RouteCoalescer
 from repro.serve.journal import (
     IDEM_CACHE_SIZE,
     Journal,
@@ -114,6 +116,24 @@ def _coerce_coord(value: Any, code: str) -> Coord:
         return (int(x), int(y))
     except (TypeError, ValueError):
         raise ProtocolError(code, f"not an (x, y) coordinate: {value!r}")
+
+
+def _integer_rows(rows: Any, columns: int) -> Optional[np.ndarray]:
+    """*rows* as an ``(n, columns)`` int64 array, or ``None`` unless it is
+    *n* rows of *columns* integers each.
+
+    A Python or numpy integer counts; ``bool``, ``float`` and ``str`` do
+    not.  NumPy folds a ``bool`` among integers into an integer array, so
+    the element types are checked in one C-level pass before converting.
+    """
+    try:
+        types = set(map(type, chain.from_iterable(rows)))
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+            return None
+        array = np.array(rows, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return array if array.shape == (len(rows), columns) else None
 
 
 def _number_field(
@@ -158,8 +178,11 @@ class RouteDaemon:
         routes on the engine :func:`~repro.routing.engine.resolve_engine`
         picks for the router: the batch kernel for the built-ins.
     window, max_batch:
-        Coalescer knobs (seconds, pairs); ``max_batch=1`` disables
-        coalescing.
+        Coalescer knobs (seconds, pairs).  A flush fires when the window
+        after the first buffered request ends, or as soon as *max_batch*
+        pairs are buffered; ``None`` (the default) puts that size trigger
+        at *max_pending*, so one flush takes every request buffered in
+        its window.  ``max_batch=1`` disables coalescing.
     host, port:
         TCP bind address used by :meth:`start` (``port=0`` picks a free
         port, readable from :attr:`address`).
@@ -193,7 +216,7 @@ class RouteDaemon:
         construction: str = "mfp",
         router: str = "extended-ecube",
         window: float = 0.001,
-        max_batch: int = 256,
+        max_batch: Optional[int] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         max_pending: int = 4096,
@@ -225,7 +248,9 @@ class RouteDaemon:
         self.max_inflight = max_inflight
         self.snapshot_every = snapshot_every
         self.coalescer = RouteCoalescer(
-            self._flush_routes, window=window, max_batch=max_batch
+            self._flush_routes,
+            window=window,
+            max_batch=max_pending if max_batch is None else max_batch,
         )
         self.op_counts: "Counter[str]" = Counter()
         self._server: Optional[asyncio.base_events.Server] = None
@@ -265,16 +290,20 @@ class RouteDaemon:
     @staticmethod
     def _batch_outcomes(router_obj, batch: TrafficBatch) -> List[Dict[str, Any]]:
         outcome = route_batch(router_obj, batch)
-        delivered = outcome.status == 1
         return [
             {
-                "delivered": bool(delivered[i]),
-                "reason": REASONS[int(outcome.status[i])],
-                "hops": int(outcome.hops[i]),
-                "abnormal_hops": int(outcome.abnormal_hops[i]),
-                "minimal_hops": int(outcome.minimal_hops[i]),
+                "delivered": status == DELIVERED,
+                "reason": REASONS[status],
+                "hops": hops,
+                "abnormal_hops": abnormal,
+                "minimal_hops": minimal,
             }
-            for i in range(len(outcome))
+            for status, hops, abnormal, minimal in zip(
+                outcome.status.tolist(),
+                outcome.hops.tolist(),
+                outcome.abnormal_hops.tolist(),
+                outcome.minimal_hops.tolist(),
+            )
         ]
 
     @staticmethod
@@ -326,15 +355,9 @@ class RouteDaemon:
                 live.append(entry)
         if not live:
             return
-        pairs = np.asarray(
-            [pair for entry in live for pair in entry.pairs], dtype=np.int64
-        ).reshape(-1, 4)
-        batch = TrafficBatch(
-            src_x=pairs[:, 0].copy(),
-            src_y=pairs[:, 1].copy(),
-            dst_x=pairs[:, 2].copy(),
-            dst_y=pairs[:, 3].copy(),
-        )
+        # One contiguous (4, n) copy: its rows are the batch's columns.
+        columns = np.concatenate([entry.pairs for entry in live]).T.copy()
+        batch = TrafficBatch(*columns)
         router_obj = self.session.routing.router(self.router, self.construction)
         engine_key = resolve_engine(router_obj).key
         routes: List[Dict[str, Any]]
@@ -366,33 +389,45 @@ class RouteDaemon:
             )
             offset += count
 
-    def _parse_pairs(self, payload: Dict[str, Any]) -> List[Pair]:
+    def _parse_pairs(self, payload: Dict[str, Any]) -> np.ndarray:
+        """The request's endpoint pairs as one validated ``(n, 4)`` int64 array.
+
+        Shape, element types and mesh bounds are checked on the whole
+        request at once; only a refused request is scanned pair by pair,
+        to name the first bad pair in its ``bad-pair`` answer.
+        """
         if "pairs" in payload:
             raw = payload["pairs"]
         elif "src" in payload and "dst" in payload:
-            raw = [[*payload["src"], *payload["dst"]]]
+            src, dst = payload["src"], payload["dst"]
+            if not all(isinstance(c, (list, tuple)) and len(c) == 2 for c in (src, dst)):
+                raise ProtocolError(
+                    E_BAD_PAIR, f"src and dst must be [x, y] coordinates: {src!r}, {dst!r}"
+                )
+            raw = [[*src, *dst]]
         else:
             raise ProtocolError(E_BAD_PAIR, "route needs 'pairs' or 'src'/'dst'")
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ProtocolError(E_BAD_PAIR, "'pairs' must be a non-empty list")
         topology = self.session.topology
         width, height = topology.width, topology.height
-        pairs: List[Pair] = []
+        pairs = _integer_rows(raw, 4)
+        if pairs is not None and ((pairs >= 0) & (pairs < (width, height, width, height))).all():
+            return pairs
         for item in raw:
-            try:
-                sx, sy, dx, dy = (int(v) for v in item)
-            except (TypeError, ValueError):
+            row = _integer_rows([item], 4)
+            if row is None:
                 raise ProtocolError(
-                    E_BAD_PAIR, f"not a [sx, sy, dx, dy] pair: {item!r}"
+                    E_BAD_PAIR, f"not a [sx, sy, dx, dy] pair of integers: {item!r}"
                 )
+            sx, sy, dx, dy = row[0].tolist()
             for x, y in ((sx, sy), (dx, dy)):
                 if not (0 <= x < width and 0 <= y < height):
                     raise ProtocolError(
                         E_BAD_PAIR,
                         f"endpoint {(x, y)} outside the {width}x{height} mesh",
                     )
-            pairs.append((sx, sy, dx, dy))
-        return pairs
+        raise ProtocolError(E_BAD_PAIR, f"not a list of [sx, sy, dx, dy] pairs: {raw!r}")
 
     def _parse_nodes(self, payload: Dict[str, Any]) -> List[Coord]:
         raw = payload.get("nodes")

@@ -43,6 +43,18 @@ class TestParser:
             assert getattr(args, name) is None, name
         assert args.fault_counts is None and args.loads is None
 
+    @pytest.mark.parametrize("load", ["0", "-0.5", "nan", "inf", "abc"])
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["sweep", "--kind", "latency"]], ids=["simulate", "sweep"]
+    )
+    def test_loads_refuses_what_is_not_a_finite_positive_load(self, command, load, capsys):
+        # Refused by the parser, before any session is built.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--loads", "0.02", load])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.endswith(f"argument --loads: not a finite load above 0: {load!r}")
+
     def test_sweep_hands_the_executor_only_the_axis(self, monkeypatch):
         calls = []
 

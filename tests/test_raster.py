@@ -111,3 +111,12 @@ def test_of_reuses_a_raster_of_the_same_topology_only():
 def test_a_fault_outside_the_topology_is_refused_by_name():
     with pytest.raises(ValueError, match=r"fault \(5, 1\) outside 5x5 grid"):
         FaultRaster([(1, 1), (5, 1), (9, 9)], Mesh2D(5, 5))
+
+
+def test_coordinates_that_are_not_pairs_are_refused_by_shape():
+    # They used to be regrouped: this built on the faults (1, 2), (3, 4), (5, 6).
+    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+        get_construction("fb").build([(1, 2, 3), (4, 5, 6)], Mesh2D(10, 10))
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        faults_to_mask((3, 4), 10, 10)
+    assert FaultRaster([], Mesh2D(4, 4)).coords.shape == (0, 2)

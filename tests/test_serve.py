@@ -156,7 +156,7 @@ class TestCoalescer:
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
-            RouteCoalescer(lambda pending: None, window=-1.0)
+            RouteCoalescer(lambda pending: None, window=-1.0, max_batch=1)
         with pytest.raises(ValueError):
             RouteCoalescer(lambda pending: None, max_batch=0)
 
@@ -197,6 +197,38 @@ class TestDaemonVerbs:
                 await client.route([])
 
         asyncio.run(main())
+
+    @pytest.mark.parametrize(
+        "fields, culprit",
+        [
+            ({"pairs": [[1, 1, 2, 2], [1.7, 0, 5, 5]]}, "1.7"),
+            ({"pairs": [["3", 0, 5, 5]]}, "'3'"),
+            ({"pairs": [[True, 0, 5, 5]]}, "True"),
+            ({"pairs": [[0, 0, 5]]}, "[0, 0, 5]"),
+            ({"src": [1.7, 0], "dst": [5, 5]}, "1.7"),
+            ({"src": ["3", 0], "dst": [5, 5]}, "'3'"),
+            ({"src": [True, 0], "dst": [5, 5]}, "True"),
+            ({"src": [0, 0, 5], "dst": [5]}, "[0, 0, 5]"),
+        ],
+        ids=[
+            "pairs-float", "pairs-str", "pairs-bool", "pairs-three",
+            "src-float", "src-str", "src-bool", "src-three",
+        ],
+    )
+    def test_non_integer_endpoint_rejected(self, fields, culprit):
+        daemon, _ = make_daemon()
+        response = asyncio.run(daemon.handle({"op": "route", **fields}))
+        assert response["ok"] is False
+        assert response["error"]["code"] == E_BAD_PAIR
+        assert culprit in response["error"]["message"]
+        assert daemon.coalescer.stats.requests == 0
+
+    def test_numpy_integer_endpoints_route(self):
+        daemon, scenario = make_daemon()
+        pair = [np.int64(0), np.int32(0), np.uint8(23), 23]
+        response = asyncio.run(daemon.handle({"op": "route", "pairs": [pair]}))
+        router = MeshSession.from_scenario(scenario).router("extended-ecube", "mfp")
+        assert response["routes"] == [scalar_outcome(router, [0, 0, 23, 23])]
 
     def test_unknown_op(self):
         daemon, _ = make_daemon()
@@ -379,6 +411,24 @@ class TestCoalescedBitIdentity:
     @settings(max_examples=10, deadline=None)
     def test_coalesced_equals_scalar_property(self, seed):
         self.run_churn(seed, concurrency=12, rounds=2)
+
+    def test_default_size_trigger_is_the_admission_cap(self):
+        """Without max_batch, one flush takes every request the cap admits."""
+        scenario = generate_scenario(num_faults=30, width=20, model="clustered", seed=5)
+        daemon = RouteDaemon(scenario=scenario, window=60.0, max_pending=2048)
+        client = InProcessClient(daemon)
+        rng = np.random.default_rng(5)
+        requests = [random_pairs(rng, 20, 32) for _ in range(64)]
+
+        async def main():
+            return await asyncio.gather(*(client.route(pairs) for pairs in requests))
+
+        responses = asyncio.run(main())
+        stats = daemon.coalescer.stats
+        assert (stats.flushes, stats.size_flushes, stats.max_flush_pairs) == (1, 1, 2048)
+        router = MeshSession.from_scenario(scenario).router("extended-ecube", "mfp")
+        for pairs, response in zip(requests, responses):
+            assert response["routes"] == [scalar_outcome(router, p) for p in pairs]
 
     def test_buffered_routes_flushed_before_mutation(self):
         """Routes buffered before a mutation see pre-mutation state."""
