@@ -100,8 +100,10 @@ class RouteCoalescer:
     window:
         Seconds to wait after the first buffered request before flushing.
     max_batch:
-        Flush immediately once this many pairs are pending.  ``1`` turns
-        coalescing off (every submission flushes alone).
+        Flush immediately once this many pairs are pending.  No default:
+        the caller knows its admission cap (the daemon puts the trigger
+        there unless told otherwise).  ``1`` turns coalescing off (every
+        submission flushes alone).
     """
 
     def __init__(
