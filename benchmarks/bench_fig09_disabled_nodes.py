@@ -10,23 +10,21 @@ roughly 90% of the non-faulty nodes the faulty blocks sacrifice.
 
 import pytest
 
-from repro.sim.experiments import run_sweep
+from repro.api import SweepExecutor
 from repro.sim.figures import figure9_series, format_series_table
 
 from conftest import WORKERS, record_result
 
 
 def _run_panel(distribution, fault_counts, trials, mesh_width):
-    points = run_sweep(
-        fault_counts=fault_counts,
-        trials=trials,
+    executor = SweepExecutor(("fb", "fp", "mfp", "cmfp"), workers=WORKERS)
+    return executor.run(
+        fault_counts,
+        trials,
         width=mesh_width,
         distribution=distribution,
-        include_distributed=False,
         include_rounds=False,
-        workers=WORKERS,
     )
-    return points
 
 
 @pytest.mark.parametrize("distribution", ["random", "clustered"])

@@ -16,21 +16,20 @@ sweep.  The paper's qualitative findings checked here:
 
 import pytest
 
-from repro.sim.experiments import run_sweep
+from repro.api import SweepExecutor
 from repro.sim.figures import figure11_series, format_series_table
 
 from conftest import WORKERS, record_result
 
 
 def _run_panel(distribution, fault_counts, trials, mesh_width):
-    return run_sweep(
-        fault_counts=fault_counts,
-        trials=trials,
+    executor = SweepExecutor(workers=WORKERS)
+    return executor.run(
+        fault_counts,
+        trials,
         width=mesh_width,
         distribution=distribution,
-        include_distributed=True,
         include_rounds=True,
-        workers=WORKERS,
     )
 
 

@@ -19,10 +19,10 @@ exported from its top level:
   "bit-reversal" | "hotspot" | "nearest-neighbour" | "permutation")``),
   routers cached per construction and invalidated on fault updates.
 * :mod:`repro.api.executor` -- :class:`SweepExecutor`, which fans
-  sweeps out over ``multiprocessing`` with deterministic per-trial seeds
-  and pluggable reducers.  ``run(axis, trials, kind=...)`` runs any entry
-  of :data:`TRIAL_KINDS`: construction sweeps (the paper's figures),
-  routing sweeps and latency-vs-load sweeps.
+  sweeps out over ``multiprocessing`` with deterministic per-trial seeds.
+  ``run(axis, trials, kind=...)`` runs any entry of :data:`TRIAL_KINDS`
+  -- construction sweeps (the paper's figures), routing sweeps and
+  latency-vs-load sweeps -- and returns one ``SweepPoint`` per axis value.
 
 On top of the routing facade sits the network simulator of
 :mod:`repro.netsim` (:class:`NetSimSession`, reachable as
@@ -81,8 +81,6 @@ from repro.api.executor import (
     TrialKind,
     TrialSpec,
     collect_scenario_metrics,
-    latency_point_reducer,
-    routing_point_reducer,
     run_netsim_trial,
     run_routing_trial,
     run_trial,
@@ -167,6 +165,4 @@ __all__ = [
     "run_routing_trial",
     "run_netsim_trial",
     "sweep_point_reducer",
-    "routing_point_reducer",
-    "latency_point_reducer",
 ]

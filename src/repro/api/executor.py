@@ -5,26 +5,26 @@ The paper's evaluation repeats every construction over a fault-count sweep
 trials per point.  Trials are embarrassingly parallel -- they share no
 state beyond their deterministic seeds -- so :class:`SweepExecutor` fans
 them out over a ``multiprocessing`` pool and reduces the per-trial
-metrics into one record per sweep point with a pluggable reducer.
+metrics into one :class:`~repro.sim.metrics.SweepPoint` per axis value.
 
 Three trial kinds share that machinery, one entry each in
 :data:`TRIAL_KINDS`: ``construction`` (the paper's Figures 9-11),
 ``routing`` (routed synthetic traffic) and ``latency`` (the contention
 simulator over an offered-load axis).  An entry names the kind's
 trial-spec dataclass -- whose field defaults are the only copy of the
-kind's sweep defaults -- its axis, worker entry point, default point
-reducer and per-model store columns.  The executor, the campaign layer
-(:mod:`repro.campaign`) and the CLI all read the table, so a sweep means
-the same thing in memory, on disk and on the command line.
+kind's sweep defaults -- its axis, worker entry point, per-model record
+class and store columns.  Every kind's trial returns one
+:class:`~repro.sim.metrics.ScenarioMetrics` of those records, and
+:func:`sweep_point_reducer` folds any kind's trials into one
+``SweepPoint``.  The executor, the campaign layer (:mod:`repro.campaign`)
+and the CLI all read the table, so a sweep means the same thing in
+memory, on disk and on the command line.
 
 Determinism: every trial's seed comes from
 :func:`repro.faults.scenario.derive_trial_seed`, which spaces seeds by a
 large prime stride, so a sweep produces identical metrics whether it runs
 serially, across 2 workers or across 32 (asserted by
 ``tests/test_api_executor.py``).
-
-``repro.sim.experiments.run_sweep`` is a thin construction-sweep wrapper
-over this class and keeps its historical serial default (``workers=1``).
 """
 
 from __future__ import annotations
@@ -61,6 +61,13 @@ from repro.routing.traffic import (
     get_traffic,
     register_traffic,
 )
+from repro.sim.metrics import (
+    ConstructionMetrics,
+    NetSimMetrics,
+    RoutingMetrics,
+    ScenarioMetrics,
+    SweepPoint,
+)
 
 #: Construction keys run by default (the four models the paper compares;
 #: CMFP is the centralized MFP re-reported with its emulation rounds).
@@ -75,10 +82,6 @@ DEFAULT_ROUTING_MODELS: Tuple[str, ...] = ("fb", "fp", "mfp")
 #: latency axis is about contention, and the other models mostly shift the
 #: enabled-node count; pass more keys for a paired model comparison).
 DEFAULT_NETSIM_MODELS: Tuple[str, ...] = ("mfp",)
-
-#: A reducer folds the trial metrics of one sweep point into one record:
-#: ``reducer(x, distribution, trial_metrics)``.
-Reducer = Callable[[Any, str, List[Any]], Any]
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,6 +267,13 @@ def _scenario(spec: Any) -> FaultScenario:
     )
 
 
+def _scenario_metrics(scenario: FaultScenario) -> ScenarioMetrics:
+    """An empty per-model record set for one trial's fault pattern."""
+    return ScenarioMetrics(
+        num_faults=scenario.num_faults, distribution=scenario.model, seed=scenario.seed
+    )
+
+
 def _round_overrides(spec: ConstructionSpec, compute_rounds: bool) -> Dict[str, bool]:
     """``{"compute_rounds": ...}`` for a spec whose options take the toggle.
 
@@ -290,7 +300,7 @@ def collect_scenario_metrics(
     scenario: FaultScenario,
     models: Sequence[str] = DEFAULT_MODELS,
     include_rounds: bool = True,
-):
+) -> ScenarioMetrics:
     """Run the requested constructions on one scenario via the registry.
 
     Every build takes the scenario's one :class:`FaultRaster`, so FB and FP
@@ -299,15 +309,9 @@ def collect_scenario_metrics(
     construction, re-reported under the CMFP label for the Figure 11 round
     comparison); *include_rounds* toggles its round emulation.
     """
-    from repro.sim.metrics import ScenarioMetrics
-
     topology = scenario.topology()
     raster = FaultRaster(scenario.faults, topology)
-    metrics = ScenarioMetrics(
-        num_faults=scenario.num_faults,
-        distribution=scenario.model,
-        seed=scenario.seed,
-    )
+    metrics = _scenario_metrics(scenario)
     shared_mfp = None
     mfp_spec = get_construction("mfp")
     sharable = (_build_mfp, _build_cmfp) if mfp_spec.builder is _build_mfp else ()
@@ -327,14 +331,14 @@ def collect_scenario_metrics(
     return metrics
 
 
-def run_trial(spec: TrialSpec):
+def run_trial(spec: TrialSpec) -> ScenarioMetrics:
     """Generate one scenario and collect its metrics (worker entry point)."""
     return collect_scenario_metrics(
         _scenario(spec), models=spec.models, include_rounds=spec.include_rounds
     )
 
 
-def run_routing_trial(spec: RoutingTrialSpec):
+def run_routing_trial(spec: RoutingTrialSpec) -> ScenarioMetrics:
     """Route one scenario's traffic over every model (worker entry point).
 
     All models inside a trial share the same fault pattern and traffic
@@ -344,17 +348,10 @@ def run_routing_trial(spec: RoutingTrialSpec):
     # Imported lazily to keep the executor module import-light (sessions
     # pull in the whole construction stack).
     from repro.api.session import MeshSession
-    from repro.sim.metrics import RoutingMetrics, RoutingScenarioMetrics
 
     scenario = _scenario(spec)
     session = MeshSession.from_scenario(scenario)
-    metrics = RoutingScenarioMetrics(
-        num_faults=scenario.num_faults,
-        distribution=scenario.model,
-        seed=scenario.seed,
-        traffic=get_traffic(spec.traffic).key,
-        router=get_router(spec.router).key,
-    )
+    metrics = _scenario_metrics(scenario)
     for key in spec.models:
         stats = session.route(
             key,
@@ -372,26 +369,17 @@ def run_routing_trial(spec: RoutingTrialSpec):
     return metrics
 
 
-def run_netsim_trial(spec: NetSimTrialSpec):
+def run_netsim_trial(spec: NetSimTrialSpec) -> ScenarioMetrics:
     """Simulate one load point over every model (worker entry point).
 
     All models inside a trial share the fault pattern and the traffic /
     injection seed (paired comparison).
     """
     from repro.api.session import MeshSession
-    from repro.sim.metrics import NetSimMetrics, NetSimScenarioMetrics
 
     scenario = _scenario(spec)
     session = MeshSession.from_scenario(scenario)
-    metrics = NetSimScenarioMetrics(
-        load=spec.load,
-        num_faults=scenario.num_faults,
-        distribution=scenario.model,
-        seed=scenario.seed,
-        traffic=get_traffic(spec.traffic).key,
-        arrival=get_traffic(spec.arrival).key,
-        router=get_router(spec.router).key,
-    )
+    metrics = _scenario_metrics(scenario)
     for key in spec.models:
         stats = session.simulate(
             key,
@@ -413,37 +401,14 @@ def run_netsim_trial(spec: NetSimTrialSpec):
     return metrics
 
 
-# -- point reducers -----------------------------------------------------------------
+# -- the point reducer --------------------------------------------------------------
 
 
-def sweep_point_reducer(num_faults: int, distribution: str, trials: List[Any]):
-    """Default reducer: fold trial metrics into a ``SweepPoint`` average."""
-    from repro.sim.metrics import SweepPoint
-
-    point = SweepPoint(num_faults=num_faults, distribution=distribution)
-    for metrics in trials:
-        point.add(metrics)
-    return point
-
-
-def routing_point_reducer(num_faults: int, distribution: str, trials: List[Any]):
-    """Default routing reducer: fold trials into a ``RoutingSweepPoint``."""
-    from repro.sim.metrics import RoutingSweepPoint
-
-    point = RoutingSweepPoint(num_faults=num_faults, distribution=distribution)
-    for metrics in trials:
-        point.add(metrics)
-    return point
-
-
-def latency_point_reducer(load: float, distribution: str, trials: List[Any]):
-    """Default latency reducer: fold trials into a ``LatencySweepPoint``."""
-    from repro.sim.metrics import LatencySweepPoint
-
-    point = LatencySweepPoint(load=load, distribution=distribution)
-    for metrics in trials:
-        point.add(metrics)
-    return point
+def sweep_point_reducer(
+    x: Any, distribution: str, trials: List[ScenarioMetrics]
+) -> SweepPoint:
+    """Fold one sweep point's trial metrics (any kind) into a ``SweepPoint``."""
+    return SweepPoint(x=x, distribution=distribution, scenarios=list(trials))
 
 
 # -- the trial-kind table -----------------------------------------------------------
@@ -460,15 +425,12 @@ class TrialKind:
     #: The trial-spec field the sweep axis sets, and its type.
     axis: str
     axis_type: type
-    #: Worker entry point: ``runner(trial_spec) -> scenario metrics``.
-    runner: Callable[[Any], Any]
-    #: Name of this module's default point reducer.  It is looked up per
-    #: call, so a tracer that replaces the module attribute wraps it.
-    reducer: str
-    #: ``(scenario, per-model)`` metrics class names in
-    #: :mod:`repro.sim.metrics` (a campaign row decodes into them).
-    metrics: Tuple[str, str]
-    #: Per-model store columns: ``(metric attribute, numpy format)``.
+    #: Worker entry point: ``runner(trial_spec) -> ScenarioMetrics``.
+    runner: Callable[[Any], ScenarioMetrics]
+    #: The per-model record class the runner fills (a campaign row decodes
+    #: into it).
+    record: type
+    #: Per-model store columns: ``(record field, numpy format)``.
     columns: Tuple[Tuple[str, str], ...]
 
     @property
@@ -496,13 +458,15 @@ class TrialKind:
         self,
         axis: Sequence[Any],
         distribution: str,
-        per_point: Sequence[List[Any]],
-        reducer: Optional[Reducer] = None,
-    ) -> List[Any]:
-        """Fold each point's trial metrics into one record, in axis order."""
-        reduce_point = reducer if reducer is not None else globals()[self.reducer]
+        per_point: Sequence[List[ScenarioMetrics]],
+    ) -> List[SweepPoint]:
+        """Fold each point's trial metrics into one ``SweepPoint``, in axis order.
+
+        :func:`sweep_point_reducer` is looked up in this module per call, so
+        a tracer that replaces the module attribute wraps it.
+        """
         return [
-            reduce_point(self.axis_type(x), distribution, trials)
+            sweep_point_reducer(self.axis_type(x), distribution, trials)
             for x, trials in zip(axis, per_point)
         ]
 
@@ -517,8 +481,7 @@ TRIAL_KINDS: Dict[str, TrialKind] = {
             axis="num_faults",
             axis_type=int,
             runner=run_trial,
-            reducer="sweep_point_reducer",
-            metrics=("ScenarioMetrics", "ConstructionMetrics"),
+            record=ConstructionMetrics,
             columns=(
                 ("num_regions", "<i8"),
                 ("disabled_nonfaulty", "<i8"),
@@ -532,8 +495,7 @@ TRIAL_KINDS: Dict[str, TrialKind] = {
             axis="num_faults",
             axis_type=int,
             runner=run_routing_trial,
-            reducer="routing_point_reducer",
-            metrics=("RoutingScenarioMetrics", "RoutingMetrics"),
+            record=RoutingMetrics,
             columns=(
                 ("enabled", "<i8"),
                 ("attempted", "<i8"),
@@ -551,8 +513,7 @@ TRIAL_KINDS: Dict[str, TrialKind] = {
             axis="load",
             axis_type=float,
             runner=run_netsim_trial,
-            reducer="latency_point_reducer",
-            metrics=("NetSimScenarioMetrics", "NetSimMetrics"),
+            record=NetSimMetrics,
             columns=(
                 ("sim", "S16"),
                 ("enabled", "<i8"),
@@ -682,23 +643,18 @@ class SweepExecutor:
         trials: int,
         *,
         kind: str = "construction",
-        reducer: Optional[Reducer] = None,
         campaign: Optional[Any] = None,
         **params: Any,
-    ) -> List[Any]:
-        """Run a sweep and return one reduced record per axis point.
+    ) -> List[SweepPoint]:
+        """Run a sweep and return one :class:`SweepPoint` per axis value.
 
         Every trial generates one fault pattern and runs this executor's
         models on it (paired comparison): the constructions themselves,
         a routed traffic batch per model (``kind="routing"``), or an
         open-loop contention simulation per model at the point's offered
         load (``kind="latency"``).  *params* are those of
-        :meth:`iter_plan`.  With the default reducer the return value is
-        a list of :class:`~repro.sim.metrics.SweepPoint`,
-        ``RoutingSweepPoint`` or ``LatencySweepPoint`` -- what the figure
-        builders consume; pass *reducer* for a custom per-point reduction
-        ``reducer(x, distribution, trial_metrics)`` (it runs in the parent
-        process, so it does not need to be picklable).
+        :meth:`iter_plan`.  Each point holds its trials' per-model records
+        (the kind's ``record`` class) -- what the figure builders consume.
 
         Pass ``campaign=<directory>`` to route the sweep through the
         resumable campaign runner: trials stream to a content-addressed
@@ -722,9 +678,9 @@ class SweepExecutor:
             runner = CampaignRunner(spec, campaign, workers=self.workers)
             try:
                 runner.run()
-                return runner.sweep_points(reducer=reducer)
+                return runner.sweep_points()
             finally:
                 runner.close()
         results = self._map(trial_kind.runner, self.plan(axis, trials, kind=kind, **params))
         per_point = [results[index * trials : (index + 1) * trials] for index in range(len(axis))]
-        return trial_kind.reduce(axis, values["distribution"], per_point, reducer)
+        return trial_kind.reduce(axis, values["distribution"], per_point)

@@ -22,7 +22,7 @@ crash:
   mean/variance folded strictly in (point, trial) order, yielding
   per-point 95% confidence intervals; ``CampaignRunner.sweep_points``
   decodes rows back to the exact metrics objects for bit-identical
-  legacy ``SweepPoint`` reductions.
+  ``SweepPoint`` reductions.
 
 Entry points: ``SweepExecutor.run(..., kind=..., campaign=dir)``,
 ``CampaignSpec.create`` with :class:`CampaignRunner`, and the

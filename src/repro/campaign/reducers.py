@@ -5,12 +5,11 @@ value and every scalar of the trial's per-model metrics, laid out as a
 NumPy structured dtype with ``"<label>.<metric>"`` columns.  All metric
 fields are scalars, so a row round-trips the metrics object *exactly* --
 :meth:`RowCodec.decode` rebuilds the same
-:class:`~repro.sim.metrics.ScenarioMetrics` /
-``RoutingScenarioMetrics`` / ``NetSimScenarioMetrics`` the worker
-produced, which is what lets a campaign-backed sweep return reduced
-points bit-identical to the in-memory path.  One codec serves every
-trial kind: the columns come from the kind's entry in
-:data:`repro.api.executor.TRIAL_KINDS`.
+:class:`~repro.sim.metrics.ScenarioMetrics` of per-model records the
+worker produced, which is what lets a campaign-backed sweep return
+reduced points bit-identical to the in-memory path.  One codec serves
+every trial kind: the record class and its columns come from the kind's
+entry in :data:`repro.api.executor.TRIAL_KINDS`.
 
 Aggregation is streaming: :class:`Moments` folds values with Welford's
 algorithm (numerically stable, O(1) memory), and
@@ -35,6 +34,8 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
+
+from repro.sim.metrics import ScenarioMetrics
 
 #: Two-sided 95% normal quantile (scipy.stats.norm.ppf(0.975)).
 Z95 = 1.959963984540054
@@ -162,12 +163,7 @@ class RowCodec:
                 )
 
     def decode(self, row: np.ndarray) -> Any:
-        """Rebuild the exact scenario-metrics object of one row."""
-        from repro.sim import metrics as sim_metrics
-
-        scenario_type, model_type = (
-            getattr(sim_metrics, name) for name in self.kind.metrics
-        )
+        """Rebuild the exact ``ScenarioMetrics`` of one row."""
         if self._shared is None:
             first = next(self.campaign.iter_plan()).spec
             self._shared = {f.name: getattr(first, f.name) for f in fields(first)}
@@ -175,13 +171,13 @@ class RowCodec:
         values[self.kind.axis] = self.kind.axis_type(row["x"])
         values["distribution"] = _ascii(row["distribution"])
         values["seed"] = int(row["seed"])
-        scenario = _instance(scenario_type, values)
+        scenario = _instance(ScenarioMetrics, values)
         for label in self.labels:
             columns = {
                 name: _DECODERS[fmt](row[f"{label}.{name}"])
                 for name, fmt in self.kind.columns
             }
-            scenario.add(_instance(model_type, {**values, **columns, "model": label}))
+            scenario.add(_instance(self.kind.record, {**values, **columns, "model": label}))
         return scenario
 
 

@@ -302,22 +302,20 @@ class CampaignRunner:
             reducer.feed(chunk)
         return reducer.points()
 
-    def sweep_points(self, reducer: Optional[Callable[..., Any]] = None) -> List[Any]:
-        """Reduce to legacy sweep points, bit-identical to the in-memory path.
+    def sweep_points(self) -> List[Any]:
+        """Reduce to ``SweepPoint`` records, bit-identical to the in-memory path.
 
-        Rows decode back to the exact scenario-metrics objects the
-        workers produced, fold in (point, trial) order, and run through
-        the same per-point reducer ``SweepExecutor`` would have used --
-        so ``run(campaign=...)`` returns exactly what ``run()`` returns.
+        Rows decode back to the exact ``ScenarioMetrics`` the workers
+        produced, fold in (point, trial) order, and run through the same
+        point reducer ``SweepExecutor`` uses -- so ``run(campaign=...)``
+        returns exactly what ``run()`` returns.
         """
         from repro.api.executor import TRIAL_KINDS
 
         store = self._open_store()
         first = next(self.spec.iter_plan()).spec
         per_point = scenario_chunks(self.spec, store.iter_chunks())
-        return TRIAL_KINDS[self.spec.kind].reduce(
-            self.spec.axis, first.distribution, per_point, reducer
-        )
+        return TRIAL_KINDS[self.spec.kind].reduce(self.spec.axis, first.distribution, per_point)
 
 
 def campaign_status(directory: Union[str, Path]) -> Dict[str, Any]:

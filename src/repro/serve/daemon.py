@@ -110,14 +110,6 @@ from repro.serve.protocol import (
 from repro.types import Coord
 
 
-def _coerce_coord(value: Any, code: str) -> Coord:
-    try:
-        x, y = value
-        return (int(x), int(y))
-    except (TypeError, ValueError):
-        raise ProtocolError(code, f"not an (x, y) coordinate: {value!r}")
-
-
 def _integer_rows(rows: Any, columns: int) -> Optional[np.ndarray]:
     """*rows* as an ``(n, columns)`` int64 array, or ``None`` unless it is
     *n* rows of *columns* integers each.
@@ -139,16 +131,25 @@ def _integer_rows(rows: Any, columns: int) -> Optional[np.ndarray]:
 def _number_field(
     request: Dict[str, Any], name: str, default: Any, cast: type, minimum: Any = None
 ) -> Any:
-    """``cast(request[name])`` if finite and not below *minimum*, else ``bad-request``."""
+    """``request[name]`` as a *cast* (``int`` or ``float``), else ``bad-request``.
+
+    An ``int`` field takes a Python or numpy integer, a ``float`` field an
+    integer or a float; ``bool`` and ``str`` are neither.  The number must
+    be finite and not below *minimum*.
+    """
     value = request.get(name, default)
-    try:
-        number = cast(value)
-        valid = math.isfinite(number) and (minimum is None or number >= minimum)
-    except (TypeError, ValueError, OverflowError):
-        valid = False
+    kinds = (int, np.integer) if cast is int else (int, float, np.integer, np.floating)
+    valid = isinstance(value, kinds) and not isinstance(value, bool)
+    if valid:
+        try:
+            number = cast(value)
+            valid = math.isfinite(number) and (minimum is None or number >= minimum)
+        except OverflowError:
+            valid = False
     if not valid:
+        kind = "an integer" if cast is int else "a finite number"
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ProtocolError(E_BAD_REQUEST, f"{name} must be a finite number{bound}: {value!r}")
+        raise ProtocolError(E_BAD_REQUEST, f"{name} must be {kind}{bound}: {value!r}")
     return number
 
 
@@ -430,33 +431,43 @@ class RouteDaemon:
         raise ProtocolError(E_BAD_PAIR, f"not a list of [sx, sy, dx, dy] pairs: {raw!r}")
 
     def _parse_nodes(self, payload: Dict[str, Any]) -> List[Coord]:
+        """The request's ``nodes`` as in-mesh ``(x, y)`` tuples of Python ints.
+
+        Every coordinate must be a pair of integers (as for route
+        endpoints); a refusal names the first bad node.
+        """
         raw = payload.get("nodes")
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ProtocolError(E_BAD_NODES, "'nodes' must be a non-empty list")
-        nodes = [_coerce_coord(item, E_BAD_NODES) for item in raw]
+        nodes = _integer_rows(raw, 2)
+        if nodes is None:
+            item = next((item for item in raw if _integer_rows([item], 2) is None), raw)
+            raise ProtocolError(E_BAD_NODES, f"not an [x, y] coordinate of integers: {item!r}")
         topology = self.session.topology
-        for node in nodes:
+        coords = [(x, y) for x, y in nodes.tolist()]
+        for node in coords:
             try:
                 topology.validate(node)
             except ValueError as exc:
                 raise ProtocolError(E_BAD_NODES, str(exc))
-        return nodes
+        return coords
 
     def _parse_links(
         self, payload: Dict[str, Any]
     ) -> List[Tuple[Coord, Coord]]:
+        """The request's ``links``: pairs of integer ``(x, y)`` coordinates."""
         raw = payload.get("links")
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ProtocolError(E_BAD_LINKS, "'links' must be a non-empty list")
         links: List[Tuple[Coord, Coord]] = []
         for item in raw:
-            try:
-                a, b = item
-            except (TypeError, ValueError):
-                raise ProtocolError(E_BAD_LINKS, f"not an [a, b] link: {item!r}")
-            links.append(
-                (_coerce_coord(a, E_BAD_LINKS), _coerce_coord(b, E_BAD_LINKS))
-            )
+            link = _integer_rows(item, 2)
+            if link is None or len(link) != 2:
+                raise ProtocolError(
+                    E_BAD_LINKS, f"not an [[x, y], [x, y]] link of integers: {item!r}"
+                )
+            (ax, ay), (bx, by) = link.tolist()
+            links.append(((ax, ay), (bx, by)))
         return links
 
     # -- verb handlers ---------------------------------------------------------------
@@ -574,12 +585,15 @@ class RouteDaemon:
 
     async def _op_add_link_faults(self, request: Dict[str, Any]) -> Dict[str, Any]:
         links = self._parse_links(request)
+        prefer_lower = request.get("prefer_lower", True)
+        if not isinstance(prefer_lower, bool):
+            raise ProtocolError(
+                E_BAD_REQUEST, f"prefer_lower must be true or false: {prefer_lower!r}"
+            )
 
         def apply() -> Dict[str, Any]:
             try:
-                added = self.session.add_link_faults(
-                    links, prefer_lower=bool(request.get("prefer_lower", True))
-                )
+                added = self.session.add_link_faults(links, prefer_lower=prefer_lower)
             except ValueError as exc:
                 raise ProtocolError(E_BAD_LINKS, str(exc))
             return self._mutation_payload(added, "added")

@@ -1,9 +1,12 @@
 """Experiment harness reproducing the paper's evaluation (Section 4).
 
-* :mod:`repro.sim.metrics` -- per-scenario metric records comparing the
-  FB / FP / MFP constructions, plus their routing-sweep counterparts.
-* :mod:`repro.sim.experiments` -- runs all constructions on one scenario or
-  on a fault-count sweep.
+The sweeps themselves run on :class:`repro.api.SweepExecutor` (one
+scenario: :func:`repro.api.collect_scenario_metrics`); this package holds
+what they produce and how it is shown.
+
+* :mod:`repro.sim.metrics` -- the per-model records of every trial kind
+  (construction, routing, netsim), one :class:`ScenarioMetrics` per trial
+  and one :class:`SweepPoint` per axis value.
 * :mod:`repro.sim.figures` -- formats sweep points as the data series behind
   Figures 9, 10 and 11 (both fault-distribution panels each) and the
   routing / latency series of the extensions, rendered as text tables.
@@ -12,12 +15,9 @@
 from repro.sim.metrics import (
     ConstructionMetrics,
     RoutingMetrics,
-    RoutingScenarioMetrics,
-    RoutingSweepPoint,
     ScenarioMetrics,
     SweepPoint,
 )
-from repro.sim.experiments import compare_constructions, run_sweep
 from repro.sim.figures import (
     FigureSeries,
     figure9_series,
@@ -40,10 +40,6 @@ __all__ = [
     "ScenarioMetrics",
     "SweepPoint",
     "RoutingMetrics",
-    "RoutingScenarioMetrics",
-    "RoutingSweepPoint",
-    "compare_constructions",
-    "run_sweep",
     "FigureSeries",
     "figure9_series",
     "figure10_series",

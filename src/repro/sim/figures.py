@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
-from repro.sim.metrics import LatencySweepPoint, RoutingSweepPoint, SweepPoint
+from repro.sim.metrics import SweepPoint
 
 #: Fault counts used by the paper's sweep (0 is omitted: it is trivially 0).
 DEFAULT_FAULT_COUNTS: Sequence[int] = (100, 200, 300, 400, 500, 600, 700, 800)
@@ -70,11 +70,31 @@ class FigureSeries:
         return rows
 
 
-def _first(points: Sequence[Any]) -> Any:
+def _first(points: Sequence[SweepPoint]) -> SweepPoint:
     """The sweep's first point: its trials carry the sweep-wide labels."""
     if not points:
         raise ValueError("a figure needs at least one sweep point")
     return points[0]
+
+
+def _first_record(points: Sequence[SweepPoint]) -> Any:
+    """The first trial's first per-model record (traffic, arrival labels)."""
+    return next(iter(_first(points).scenarios[0].per_model.values()))
+
+
+def _fill(
+    figure: FigureSeries,
+    points: Sequence[SweepPoint],
+    models: Sequence[str],
+    metric: str,
+    ci: bool,
+) -> FigureSeries:
+    """One series (and with *ci* its half-widths) of *metric* per model."""
+    for model in models:
+        figure.series[model] = [p.mean(model, metric) for p in points]
+        if ci:
+            figure.errors[model] = [p.ci95(model, metric)[1] for p in points]
+    return figure
 
 
 def _paper_panel(
@@ -87,7 +107,7 @@ def _paper_panel(
         distribution=distribution,
         x_label="Number of faulty nodes",
         y_label=y_label,
-        x_values=[p.num_faults for p in points],
+        x_values=[p.x for p in points],
     )
 
 
@@ -103,59 +123,28 @@ def figure9_series(
     figure = _paper_panel(
         "9", "# of disabled nodes (log10)" if log10 else "# of disabled nodes", points
     )
-    for model in ("FB", "FP", "MFP"):
-        values = []
-        for point in points:
-            value = point.mean_disabled_nonfaulty(model)
-            if log10:
-                value = math.log10(value) if value > 0 else -1.0
-            values.append(value)
-        figure.series[model] = values
-        if ci and not log10:
-            figure.errors[model] = [
-                p.ci95(model, "disabled_nonfaulty")[1] for p in points
-            ]
+    _fill(figure, points, ("FB", "FP", "MFP"), "disabled_nonfaulty", ci and not log10)
+    if log10:
+        figure.series = {
+            model: [math.log10(v) if v > 0 else -1.0 for v in values]
+            for model, values in figure.series.items()
+        }
     return figure
 
 
 def figure10_series(points: Sequence[SweepPoint], ci: bool = False) -> FigureSeries:
     """Figure 10: average size of a fault region (faulty + non-faulty nodes)."""
     figure = _paper_panel("10", "Size of fault block/polygon", points)
-    for model in ("FB", "FP", "MFP"):
-        figure.series[model] = [p.mean_region_size(model) for p in points]
-        if ci:
-            figure.errors[model] = [
-                p.ci95(model, "mean_region_size")[1] for p in points
-            ]
-    return figure
+    return _fill(figure, points, ("FB", "FP", "MFP"), "mean_region_size", ci)
 
 
 def figure11_series(points: Sequence[SweepPoint], ci: bool = False) -> FigureSeries:
     """Figure 11: rounds of status determination (FB, FP, CMFP, DMFP)."""
     figure = _paper_panel("11", "Average # of rounds", points)
-    for model in ("FB", "FP", "CMFP", "DMFP"):
-        figure.series[model] = [p.mean_rounds(model) for p in points]
-        if ci:
-            figure.errors[model] = [p.ci95(model, "rounds")[1] for p in points]
-    return figure
+    return _fill(figure, points, ("FB", "FP", "CMFP", "DMFP"), "rounds", ci)
 
 
-def _metric_series(
-    figure: FigureSeries,
-    points: Sequence[Any],
-    accessor: str,
-    metric: str,
-    ci: bool,
-) -> FigureSeries:
-    """Fill one series per model present at the sweep's first point."""
-    for model in points[0].models():
-        figure.series[model] = [getattr(p, accessor)(model) for p in points]
-        if ci:
-            figure.errors[model] = [p.ci95(model, metric)[1] for p in points]
-    return figure
-
-
-def _lookup(table: Dict[str, tuple], what: str, metric: str) -> tuple:
+def _lookup(table: Dict[str, str], what: str, metric: str) -> str:
     try:
         return table[metric]
     except KeyError:
@@ -163,18 +152,19 @@ def _lookup(table: Dict[str, tuple], what: str, metric: str) -> tuple:
         raise KeyError(f"unknown {what} metric {metric!r}; known: {known}") from None
 
 
-#: Routing-series metrics -> (RoutingSweepPoint accessor, y-axis label).
-ROUTING_METRICS: Dict[str, tuple] = {
-    "delivery_rate": ("mean_delivery_rate", "Delivery rate"),
-    "mean_hops": ("mean_hops", "Mean hops per delivered message"),
-    "mean_detour": ("mean_detour", "Mean detour (extra hops)"),
-    "abnormal_fraction": ("mean_abnormal_fraction", "Fraction of abnormal routes"),
-    "enabled": ("mean_enabled", "Usable endpoint nodes"),
+#: Routing-series metrics: a :class:`~repro.sim.metrics.RoutingMetrics`
+#: field -> its y-axis label.
+ROUTING_METRICS: Dict[str, str] = {
+    "delivery_rate": "Delivery rate",
+    "mean_hops": "Mean hops per delivered message",
+    "mean_detour": "Mean detour (extra hops)",
+    "abnormal_fraction": "Fraction of abnormal routes",
+    "enabled": "Usable endpoint nodes",
 }
 
 
 def routing_series(
-    points: Sequence[RoutingSweepPoint],
+    points: Sequence[SweepPoint],
     metric: str = "delivery_rate",
     ci: bool = False,
 ) -> FigureSeries:
@@ -184,30 +174,30 @@ def routing_series(
     how the fault-region model affects the routing layer under the
     synthetic traffic workload of a ``kind="routing"`` sweep.
     """
-    accessor, y_label = _lookup(ROUTING_METRICS, "routing", metric)
-    first = _first(points)
+    y_label = _lookup(ROUTING_METRICS, "routing", metric)
     figure = FigureSeries(
-        figure=f"routing/{metric} ({first.scenarios[0].traffic})",
-        distribution=first.distribution,
+        figure=f"routing/{metric} ({_first_record(points).traffic})",
+        distribution=_first(points).distribution,
         x_label="Number of faulty nodes",
         y_label=y_label,
-        x_values=[p.num_faults for p in points],
+        x_values=[p.x for p in points],
     )
-    return _metric_series(figure, points, accessor, metric, ci)
+    return _fill(figure, points, points[0].models(), metric, ci)
 
 
-#: Latency-series metrics -> (LatencySweepPoint accessor, y-axis label).
-LATENCY_METRICS: Dict[str, tuple] = {
-    "mean_latency": ("mean_latency", "Mean latency (cycles)"),
-    "mean_queueing": ("mean_queueing", "Mean queueing delay (cycles)"),
-    "accepted_load": ("mean_accepted_load", "Accepted load (messages/node/cycle)"),
-    "saturated": ("saturated_fraction", "Fraction of saturated runs"),
-    "deadlocked": ("deadlocked_fraction", "Fraction of deadlocked runs"),
+#: Latency-series metrics: a :class:`~repro.sim.metrics.NetSimMetrics`
+#: field -> its y-axis label (a boolean field averages to a fraction).
+LATENCY_METRICS: Dict[str, str] = {
+    "mean_latency": "Mean latency (cycles)",
+    "mean_queueing": "Mean queueing delay (cycles)",
+    "accepted_load": "Accepted load (messages/node/cycle)",
+    "saturated": "Fraction of saturated runs",
+    "deadlocked": "Fraction of deadlocked runs",
 }
 
 
 def latency_series(
-    points: Sequence[LatencySweepPoint],
+    points: Sequence[SweepPoint],
     metric: str = "mean_latency",
     ci: bool = False,
 ) -> FigureSeries:
@@ -219,18 +209,17 @@ def latency_series(
     up past the saturation throughput.  *points* come from a
     ``kind="latency"`` sweep.
     """
-    accessor, y_label = _lookup(LATENCY_METRICS, "latency", metric)
-    first = _first(points)
-    trial = first.scenarios[0]
+    y_label = _lookup(LATENCY_METRICS, "latency", metric)
+    record = _first_record(points)
     figure = FigureSeries(
-        figure=f"netsim/{metric} ({trial.traffic}/{trial.arrival})",
-        distribution=first.distribution,
+        figure=f"netsim/{metric} ({record.traffic}/{record.arrival})",
+        distribution=_first(points).distribution,
         x_label="Offered load (messages/node/cycle)",
         y_label=y_label,
-        x_values=[p.load for p in points],
+        x_values=[p.x for p in points],
         x_key="load",
     )
-    return _metric_series(figure, points, accessor, metric, ci)
+    return _fill(figure, points, points[0].models(), metric, ci)
 
 
 def format_series_table(figure: FigureSeries) -> str:

@@ -8,27 +8,21 @@ count, distribution) combination:
 * Figure 11 -- number of rounds of neighbour information exchange needed to
   determine all node statuses (FB, FP, CMFP and DMFP).
 
-:class:`ConstructionMetrics` captures those scalars for a single
-construction run; :class:`ScenarioMetrics` groups the runs that share a
-fault pattern; :class:`SweepPoint` averages scenarios at one fault count.
-
-The routing sweeps (an extension beyond the paper's figures) mirror the
-same three-level shape: :class:`RoutingMetrics` captures the scalars of
-one routed message batch, :class:`RoutingScenarioMetrics` groups the fault
-models routed over one fault pattern, and :class:`RoutingSweepPoint`
-averages the scenarios at one fault count.
-
-The latency-vs-load sweeps of the network simulator (:mod:`repro.netsim`)
-mirror it once more with the offered load as the x axis:
-:class:`NetSimMetrics` / :class:`NetSimScenarioMetrics` /
-:class:`LatencySweepPoint`.
+Every sweep kind shares one three-level shape.  A per-model record holds
+the scalars of one model on one fault pattern: :class:`ConstructionMetrics`
+for a construction (the figures' scalars), :class:`RoutingMetrics` for a
+routed message batch and :class:`NetSimMetrics` for an open-loop
+contention simulation (:mod:`repro.netsim`).  :class:`ScenarioMetrics`
+groups one trial's records by model label, and :class:`SweepPoint` holds
+the trials at one value of the sweep axis -- the fault count, or a latency
+sweep's offered load -- and averages any record field per model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -46,98 +40,6 @@ class ConstructionMetrics:
     def disabled_total(self) -> int:
         """Faulty plus sacrificed non-faulty nodes."""
         return self.num_faults + self.disabled_nonfaulty
-
-
-@dataclass
-class ScenarioMetrics:
-    """All construction metrics for one fault scenario."""
-
-    num_faults: int
-    distribution: str
-    seed: int
-    per_model: Dict[str, ConstructionMetrics] = field(default_factory=dict)
-
-    def add(self, metrics: ConstructionMetrics) -> None:
-        """Register the metrics of one construction."""
-        self.per_model[metrics.model] = metrics
-
-    def disabled_nonfaulty(self, model: str) -> int:
-        """Figure 9 scalar for *model*."""
-        return self.per_model[model].disabled_nonfaulty
-
-    def mean_region_size(self, model: str) -> float:
-        """Figure 10 scalar for *model*."""
-        return self.per_model[model].mean_region_size
-
-    def rounds(self, model: str) -> int:
-        """Figure 11 scalar for *model*."""
-        return self.per_model[model].rounds
-
-    def saving_vs_fb(self, model: str) -> float:
-        """Fraction of FB-disabled non-faulty nodes re-enabled by *model*.
-
-        The paper quotes roughly 50% for FP and 90% for MFP.
-        """
-        fb = self.per_model["FB"].disabled_nonfaulty
-        if fb == 0:
-            return 0.0
-        return 1.0 - self.per_model[model].disabled_nonfaulty / fb
-
-
-@dataclass
-class SweepPoint:
-    """Average of several scenarios at one fault count."""
-
-    num_faults: int
-    distribution: str
-    scenarios: List[ScenarioMetrics] = field(default_factory=list)
-
-    def add(self, scenario: ScenarioMetrics) -> None:
-        """Register one scenario's metrics."""
-        self.scenarios.append(scenario)
-
-    def _mean_over(self, extractor) -> float:
-        if not self.scenarios:
-            return 0.0
-        return mean(extractor(s) for s in self.scenarios)
-
-    def mean_disabled_nonfaulty(self, model: str) -> float:
-        """Average Figure 9 value at this fault count."""
-        return self._mean_over(lambda s: s.disabled_nonfaulty(model))
-
-    def mean_region_size(self, model: str) -> float:
-        """Average Figure 10 value at this fault count."""
-        return self._mean_over(lambda s: s.mean_region_size(model))
-
-    def mean_rounds(self, model: str) -> float:
-        """Average Figure 11 value at this fault count."""
-        return self._mean_over(lambda s: s.rounds(model))
-
-    def mean_saving_vs_fb(self, model: str) -> float:
-        """Average fraction of FB's sacrificed nodes re-enabled by *model*."""
-        return self._mean_over(lambda s: s.saving_vs_fb(model))
-
-    def ci95(
-        self, model: str, metric: str = "disabled_nonfaulty"
-    ) -> Tuple[float, float]:
-        """Streaming ``(mean, 95% half-width)`` of one per-scenario scalar.
-
-        *metric* names a :class:`ScenarioMetrics` accessor
-        (``disabled_nonfaulty`` / ``mean_region_size`` / ``rounds`` /
-        ``saving_vs_fb``).  Shares the Welford fold with the campaign
-        reducers (:mod:`repro.campaign.reducers`), so an in-memory
-        sweep's intervals match a campaign's bit-for-bit given the same
-        trials in the same order.
-        """
-        from repro.campaign.reducers import fold_moments
-
-        moments = fold_moments(
-            float(getattr(s, metric)(model)) for s in self.scenarios
-        )
-        return moments.mean, moments.ci95
-
-
-# -- routing sweeps -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -180,26 +82,6 @@ class RoutingMetrics:
             minimal_fraction=stats.minimal_fraction,
             abnormal_fraction=stats.abnormal_fraction,
         )
-
-
-@dataclass
-class RoutingScenarioMetrics:
-    """All routing metrics for one fault scenario (one record per model)."""
-
-    num_faults: int
-    distribution: str
-    seed: int
-    traffic: str = "uniform"
-    router: str = "extended-ecube"
-    per_model: Dict[str, RoutingMetrics] = field(default_factory=dict)
-
-    def add(self, metrics: RoutingMetrics) -> None:
-        """Register the metrics of one routed construction."""
-        self.per_model[metrics.model] = metrics
-
-    def value(self, model: str, metric: str) -> float:
-        """Read one scalar (attribute name) of *model*'s record."""
-        return getattr(self.per_model[model], metric)
 
 
 @dataclass(frozen=True)
@@ -255,134 +137,61 @@ class NetSimMetrics:
 
 
 @dataclass
-class NetSimScenarioMetrics:
-    """All contention metrics for one load point's scenario (per model)."""
+class ScenarioMetrics:
+    """One trial's per-model records (any kind), keyed by model label."""
 
-    load: float
     num_faults: int
     distribution: str
     seed: int
-    traffic: str = "uniform"
-    arrival: str = "poisson"
-    router: str = "extended-ecube"
-    per_model: Dict[str, NetSimMetrics] = field(default_factory=dict)
+    per_model: Dict[str, Any] = field(default_factory=dict)
 
-    def add(self, metrics: NetSimMetrics) -> None:
-        """Register the metrics of one simulated construction."""
+    def add(self, metrics: Any) -> None:
+        """Register one model's record."""
         self.per_model[metrics.model] = metrics
 
-    def value(self, model: str, metric: str) -> float:
-        """Read one scalar (attribute name) of *model*'s record."""
-        return getattr(self.per_model[model], metric)
+    def saving_vs_fb(self, model: str) -> float:
+        """Fraction of FB-disabled non-faulty nodes re-enabled by *model*.
+
+        The paper quotes roughly 50% for FP and 90% for MFP.
+        """
+        fb = self.per_model["FB"].disabled_nonfaulty
+        if fb == 0:
+            return 0.0
+        return 1.0 - self.per_model[model].disabled_nonfaulty / fb
 
 
 @dataclass
-class LatencySweepPoint:
-    """Average of several contention scenarios at one offered load."""
+class SweepPoint:
+    """The trials at one point of a sweep axis."""
 
-    load: float
+    #: The axis value, in the trial kind's ``axis_type``: the fault count,
+    #: or a latency sweep's offered load.
+    x: Any
     distribution: str
-    scenarios: List[NetSimScenarioMetrics] = field(default_factory=list)
-
-    def add(self, scenario: NetSimScenarioMetrics) -> None:
-        """Register one scenario's contention metrics."""
-        self.scenarios.append(scenario)
+    scenarios: List[ScenarioMetrics] = field(default_factory=list)
 
     def models(self) -> List[str]:
         """The model labels present at this point (first scenario's order)."""
         return list(self.scenarios[0].per_model) if self.scenarios else []
 
+    def _values(self, model: str, metric: str) -> List[float]:
+        return [float(getattr(s.per_model[model], metric)) for s in self.scenarios]
+
     def mean(self, model: str, metric: str) -> float:
-        """Average one scalar (attribute name) of *model* over the scenarios."""
+        """Average one field (attribute name) of *model*'s record over the trials."""
         if not self.scenarios:
             return 0.0
-        return mean(float(s.value(model, metric)) for s in self.scenarios)
+        return mean(self._values(model, metric))
 
-    def mean_latency(self, model: str) -> float:
-        """Average delivered-message latency (cycles) for *model*."""
-        return self.mean(model, "mean_latency")
+    def ci95(self, model: str, metric: str) -> Tuple[float, float]:
+        """Streaming ``(mean, 95% half-width)`` of one field of *model*'s record.
 
-    def mean_queueing(self, model: str) -> float:
-        """Average stalled cycles per delivered message for *model*."""
-        return self.mean(model, "mean_queueing")
-
-    def mean_accepted_load(self, model: str) -> float:
-        """Average delivered throughput (messages/node/cycle) for *model*."""
-        return self.mean(model, "accepted_load")
-
-    def saturated_fraction(self, model: str) -> float:
-        """Fraction of the point's scenarios past the saturation knee."""
-        return self.mean(model, "saturated")
-
-    def deadlocked_fraction(self, model: str) -> float:
-        """Fraction of the point's scenarios that stopped on a deadlock."""
-        return self.mean(model, "deadlocked")
-
-    def ci95(self, model: str, metric: str = "mean_latency") -> Tuple[float, float]:
-        """Streaming ``(mean, 95% half-width)`` of one per-scenario scalar.
-
-        Shares the Welford fold with the campaign reducers; see
-        :meth:`SweepPoint.ci95`.
+        Shares the Welford fold with the campaign reducers
+        (:mod:`repro.campaign.reducers`), so an in-memory sweep's intervals
+        match a campaign's bit-for-bit given the same trials in the same
+        order.
         """
         from repro.campaign.reducers import fold_moments
 
-        moments = fold_moments(
-            float(s.value(model, metric)) for s in self.scenarios
-        )
-        return moments.mean, moments.ci95
-
-
-@dataclass
-class RoutingSweepPoint:
-    """Average of several routed scenarios at one fault count."""
-
-    num_faults: int
-    distribution: str
-    scenarios: List[RoutingScenarioMetrics] = field(default_factory=list)
-
-    def add(self, scenario: RoutingScenarioMetrics) -> None:
-        """Register one scenario's routing metrics."""
-        self.scenarios.append(scenario)
-
-    def models(self) -> List[str]:
-        """The model labels present at this point (first scenario's order)."""
-        return list(self.scenarios[0].per_model) if self.scenarios else []
-
-    def mean(self, model: str, metric: str) -> float:
-        """Average one scalar (attribute name) of *model* over the scenarios."""
-        if not self.scenarios:
-            return 0.0
-        return mean(s.value(model, metric) for s in self.scenarios)
-
-    def mean_delivery_rate(self, model: str) -> float:
-        """Average fraction of delivered messages for *model*."""
-        return self.mean(model, "delivery_rate")
-
-    def mean_hops(self, model: str) -> float:
-        """Average hop count of delivered messages for *model*."""
-        return self.mean(model, "mean_hops")
-
-    def mean_detour(self, model: str) -> float:
-        """Average detour (extra hops) of delivered messages for *model*."""
-        return self.mean(model, "mean_detour")
-
-    def mean_abnormal_fraction(self, model: str) -> float:
-        """Average fraction of messages routed around a region for *model*."""
-        return self.mean(model, "abnormal_fraction")
-
-    def mean_enabled(self, model: str) -> float:
-        """Average number of usable endpoint nodes for *model*."""
-        return self.mean(model, "enabled")
-
-    def ci95(self, model: str, metric: str = "delivery_rate") -> Tuple[float, float]:
-        """Streaming ``(mean, 95% half-width)`` of one per-scenario scalar.
-
-        Shares the Welford fold with the campaign reducers; see
-        :meth:`SweepPoint.ci95`.
-        """
-        from repro.campaign.reducers import fold_moments
-
-        moments = fold_moments(
-            float(s.value(model, metric)) for s in self.scenarios
-        )
+        moments = fold_moments(self._values(model, metric))
         return moments.mean, moments.ci95

@@ -15,9 +15,10 @@ from repro.faults.scenario import (
     generate_scenario,
     sweep_scenarios,
 )
-from repro.sim.experiments import run_sweep
+from repro.sim.metrics import SweepPoint
 
 ALL_LABELS = ("FB", "FP", "MFP", "CMFP", "DMFP")
+FIGURE_METRICS = ("disabled_nonfaulty", "mean_region_size", "rounds")
 
 
 def _custom_fb(faults, topology, options):
@@ -30,8 +31,7 @@ def _custom_fb(faults, topology, options):
 
 def _point_fingerprint(point):
     return tuple(
-        (point.mean_disabled_nonfaulty(m), point.mean_region_size(m), point.mean_rounds(m))
-        for m in ALL_LABELS
+        tuple(point.mean(m, metric) for metric in FIGURE_METRICS) for m in ALL_LABELS
     )
 
 
@@ -101,19 +101,21 @@ class TestDeterminism:
         assert len(serial) == len(axis)
         assert serial == parallel
 
-    def test_run_sweep_wrapper_parallel_matches_serial(self):
-        serial = run_sweep([10], trials=2, width=12, include_distributed=False)
-        parallel = run_sweep(
-            [10], trials=2, width=12, include_distributed=False, workers=2
-        )
+    def test_model_subset_parallel_matches_serial(self):
+        models = ("fb", "fp", "mfp", "cmfp")
+        serial = SweepExecutor(models).run([10], trials=2, width=12)
+        parallel = SweepExecutor(models, workers=2).run([10], trials=2, width=12)
         for m in ("FB", "FP", "MFP", "CMFP"):
-            assert serial[0].mean_disabled_nonfaulty(m) == parallel[0].mean_disabled_nonfaulty(m)
+            assert serial[0].mean(m, "disabled_nonfaulty") == parallel[0].mean(
+                m, "disabled_nonfaulty"
+            )
 
 
 class TestExecution:
     def test_default_reducer_returns_sweep_points(self):
         points = SweepExecutor(workers=1).run([10, 20], trials=2, width=12)
-        assert [p.num_faults for p in points] == [10, 20]
+        assert all(isinstance(p, SweepPoint) for p in points)
+        assert [p.x for p in points] == [10, 20]
         assert all(len(p.scenarios) == 2 for p in points)
 
     def test_model_subset(self):
@@ -145,23 +147,10 @@ class TestExecution:
         executor = SweepExecutor(models=("fb",), workers=1)
         from_iter = executor.run(iter([10, 20]), trials=1, width=12)
         from_list = executor.run([10, 20], trials=1, width=12)
-        assert [p.num_faults for p in from_iter] == [10, 20]
+        assert [p.x for p in from_iter] == [10, 20]
         assert [
-            p.mean_disabled_nonfaulty("FB") for p in from_iter
-        ] == [p.mean_disabled_nonfaulty("FB") for p in from_list]
-
-    def test_custom_reducer(self):
-        def max_fb_disabled(num_faults, distribution, trials_metrics):
-            return (
-                num_faults,
-                max(m.disabled_nonfaulty("FB") for m in trials_metrics),
-            )
-
-        points = SweepExecutor(workers=1).run(
-            [10, 20], trials=2, width=12, reducer=max_fb_disabled
-        )
-        assert [p[0] for p in points] == [10, 20]
-        assert all(isinstance(p[1], int) for p in points)
+            p.mean("FB", "disabled_nonfaulty") for p in from_iter
+        ] == [p.mean("FB", "disabled_nonfaulty") for p in from_list]
 
     def test_run_trial_is_self_contained(self):
         spec = TrialSpec(num_faults=12, seed=99, width=12, models=("fb", "fp"))

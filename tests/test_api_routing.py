@@ -253,7 +253,10 @@ class TestRoutingSweeps:
         def fingerprint(points):
             return [
                 [
-                    (point.mean_delivery_rate(m), point.mean_hops(m), point.mean_detour(m))
+                    tuple(
+                        point.mean(m, metric)
+                        for metric in ("delivery_rate", "mean_hops", "mean_detour")
+                    )
                     for m in point.models()
                 ]
                 for point in points
@@ -262,19 +265,6 @@ class TestRoutingSweeps:
         assert fingerprint(SweepExecutor().run([15, 30], 2, **kwargs)) == fingerprint(
             SweepExecutor().run([15, 30], 2, **kwargs)
         )
-
-    def test_pluggable_reducer(self):
-        seen = []
-
-        def reducer(num_faults, distribution, trials):
-            seen.append((num_faults, distribution, len(trials)))
-            return num_faults
-
-        points = SweepExecutor(models=("fb",), workers=1).run(
-            [10, 20], trials=2, kind="routing", width=14, messages=30, reducer=reducer
-        )
-        assert points == [10, 20]
-        assert seen == [(10, "random", 2), (20, "random", 2)]
 
     def test_trial_spec_round_trip(self):
         executor = SweepExecutor(models=("fb", "mfp"), workers=1)
@@ -285,7 +275,7 @@ class TestRoutingSweeps:
         assert specs[0].seed != specs[1].seed
         metrics = run_routing_trial(specs[0])
         assert set(metrics.per_model) == {"FB", "MFP"}
-        assert metrics.traffic == "transpose"
+        assert {m.traffic for m in metrics.per_model.values()} == {"transpose"}
 
     def test_bad_traffic_key_fails_before_dispatch(self):
         with pytest.raises(KeyError, match="unknown traffic"):
@@ -317,7 +307,7 @@ class TestRoutingSweeps:
         assert "custom-traffic-test" not in _WORKLOADS.specs
         try:
             metrics = run_routing_trial(trial)
-            assert metrics.traffic == "custom-traffic-test"
+            assert metrics.per_model["FB"].traffic == "custom-traffic-test"
             assert metrics.per_model["FB"].attempted == 20
         finally:
             _WORKLOADS.specs.pop("custom-traffic-test", None)

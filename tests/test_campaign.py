@@ -670,17 +670,24 @@ def test_campaign_points_carry_cis(tmp_path):
 
 def test_sweep_point_ci95_matches_campaign(tmp_path):
     """The in-memory SweepPoint.ci95 shares the fold with the campaign
-    reducers: same trials, same mean, same half-width."""
-    spec = KIND_CASES["construction"]["spec"]()
-    runner = CampaignRunner(spec, tmp_path / "store")
-    runner.run()
-    reduced = runner.reduce()
-    points = runner.sweep_points()
-    runner.close()
-    mean, half = points[-1].ci95("MFP", "mean_region_size")
-    moments = reduced[-1].stats["MFP.mean_region_size"]
-    assert mean == pytest.approx(moments.mean, abs=1e-12)
-    assert half == pytest.approx(moments.ci95, abs=1e-12)
+    reducers: the same trials give the same mean and half-width, bit for
+    bit, on every numeric column of every kind."""
+    checked = 0
+    for kind in sorted(KIND_CASES):
+        spec = KIND_CASES[kind]["spec"]()
+        runner = CampaignRunner(spec, tmp_path / kind)
+        runner.run()
+        reduced = runner.reduce()
+        points = runner.sweep_points()
+        runner.close()
+        assert len(points) == len(reduced) == len(spec.axis)
+        for point, campaign_point in zip(points, reduced):
+            for column in spec.codec().numeric_columns:
+                label, metric = column.split(".", 1)
+                moments = campaign_point.stats[column]
+                assert point.ci95(label, metric) == (moments.mean, moments.ci95), column
+                checked += 1
+    assert checked == 74
 
 
 # -- integration surfaces ------------------------------------------------------------

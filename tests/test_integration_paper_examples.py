@@ -1,6 +1,7 @@
 """Integration tests that encode the paper's running examples end to end."""
 
 
+from repro.api import collect_scenario_metrics
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import build_minimum_polygons
 from repro.core.sub_minimum import build_sub_minimum_polygons
@@ -8,7 +9,9 @@ from repro.distributed.dmfp import build_minimum_polygons_distributed
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D
 from repro.routing.extended_ecube import ExtendedECubeRouter
-from repro.sim.experiments import compare_constructions
+
+#: Every construction but the distributed one (its rounds are Figure 11's).
+WITHOUT_DMFP = ("fb", "fp", "mfp", "cmfp")
 
 
 class TestSection21Shapes:
@@ -117,8 +120,7 @@ class TestSection4HeadlineClaims:
             scenario = generate_scenario(
                 num_faults=500, width=100, model="random", seed=seed
             )
-            metrics = compare_constructions(scenario, include_distributed=False,
-                                            include_rounds=False)
+            metrics = collect_scenario_metrics(scenario, WITHOUT_DMFP, include_rounds=False)
             savings_fp.append(metrics.saving_vs_fb("FP"))
             savings_mfp.append(metrics.saving_vs_fb("MFP"))
         assert sum(savings_fp) / len(savings_fp) >= 0.40
@@ -128,34 +130,34 @@ class TestSection4HeadlineClaims:
     def test_average_region_size_ordering(self):
         # "The average size of MFP is the least of the three."
         scenario = generate_scenario(num_faults=600, width=100, model="clustered", seed=5)
-        metrics = compare_constructions(scenario, include_distributed=False,
-                                        include_rounds=False)
-        assert (
-            metrics.mean_region_size("MFP")
-            <= metrics.mean_region_size("FP")
-            <= metrics.mean_region_size("FB")
-        )
+        metrics = collect_scenario_metrics(scenario, WITHOUT_DMFP, include_rounds=False)
+        size = {label: m.mean_region_size for label, m in metrics.per_model.items()}
+        assert size["MFP"] <= size["FP"] <= size["FB"]
 
     def test_clustered_blocks_grow_faster_than_minimum_polygons(self):
         # "the size of each faulty block becomes large ... However, the
         #  average size of minimum faulty polygons does not increase much."
-        random_metrics = compare_constructions(
+        random_metrics = collect_scenario_metrics(
             generate_scenario(num_faults=700, width=100, model="random", seed=1),
-            include_distributed=False, include_rounds=False,
-        )
-        clustered_metrics = compare_constructions(
+            WITHOUT_DMFP, include_rounds=False,
+        ).per_model
+        clustered_metrics = collect_scenario_metrics(
             generate_scenario(num_faults=700, width=100, model="clustered", seed=1),
-            include_distributed=False, include_rounds=False,
+            WITHOUT_DMFP, include_rounds=False,
+        ).per_model
+        fb_growth = clustered_metrics["FB"].mean_region_size / random_metrics["FB"].mean_region_size
+        mfp_growth = (
+            clustered_metrics["MFP"].mean_region_size / random_metrics["MFP"].mean_region_size
         )
-        fb_growth = clustered_metrics.mean_region_size("FB") / random_metrics.mean_region_size("FB")
-        mfp_growth = clustered_metrics.mean_region_size("MFP") / random_metrics.mean_region_size("MFP")
         assert fb_growth > mfp_growth
 
     def test_rounds_ordering(self):
         # "the number of rounds ... under FP is more than that of FB",
         # "the number of rounds needed under the CMFP is much less than FB".
         scenario = generate_scenario(num_faults=700, width=100, model="random", seed=2)
-        metrics = compare_constructions(scenario)
-        assert metrics.rounds("FP") >= metrics.rounds("FB")
-        assert metrics.rounds("CMFP") < metrics.rounds("FB")
-        assert metrics.rounds("DMFP") >= metrics.rounds("CMFP")
+        rounds = {
+            label: m.rounds for label, m in collect_scenario_metrics(scenario).per_model.items()
+        }
+        assert rounds["FP"] >= rounds["FB"]
+        assert rounds["CMFP"] < rounds["FB"]
+        assert rounds["DMFP"] >= rounds["CMFP"]

@@ -33,6 +33,8 @@ from repro.serve import (
     encode,
 )
 from repro.serve.protocol import (
+    E_BAD_LINKS,
+    E_BAD_NODES,
     E_BAD_PAIR,
     E_BAD_REQUEST,
     E_SHUTTING_DOWN,
@@ -230,6 +232,31 @@ class TestDaemonVerbs:
         router = MeshSession.from_scenario(scenario).router("extended-ecube", "mfp")
         assert response["routes"] == [scalar_outcome(router, [0, 0, 23, 23])]
 
+    @pytest.mark.parametrize(
+        "request_fields, code, culprit",
+        [
+            ({"op": "add_faults", "nodes": [[1.7, 0]]}, E_BAD_NODES, "1.7"),
+            ({"op": "add_faults", "nodes": [[2, 2], ["3", 0]]}, E_BAD_NODES, "'3'"),
+            ({"op": "add_faults", "nodes": [[True, 2]]}, E_BAD_NODES, "True"),
+            ({"op": "add_link_faults", "links": [[[5.9, 5], [5, 6]]]}, E_BAD_LINKS, "5.9"),
+            ({"op": "repair", "nodes": [[3.2, 3]]}, E_BAD_NODES, "3.2"),
+        ],
+        ids=["add-float", "add-str", "add-bool", "link-float", "repair-float"],
+    )
+    def test_malformed_mutation_changes_nothing(self, request_fields, code, culprit, tmp_path):
+        """A mutation whose coordinates are not integers is refused naming
+        the culprit, and neither the session nor its journal moves."""
+        session = MeshSession(width=10, faults=[(3, 3)])
+        journal = tmp_path / "daemon.journal"
+        daemon = RouteDaemon(session, journal=journal)
+        before = (session.version, session.faults, journal.read_bytes())
+        response = asyncio.run(daemon.handle(request_fields))
+        daemon.journal.close()
+        assert response["ok"] is False
+        assert response["error"]["code"] == code
+        assert culprit in response["error"]["message"]
+        assert (session.version, session.faults, journal.read_bytes()) == before
+
     def test_unknown_op(self):
         daemon, _ = make_daemon()
 
@@ -317,18 +344,34 @@ class TestDaemonVerbs:
             ({"op": "simulate", "construction": "nope"}, "construction"),
             ({"op": "simulate", "traffic": "poisson"}, "traffic"),
             ({"op": "route", "pairs": [[0, 0, 5, 5]], "deadline_ms": "nan"}, "deadline_ms"),
+            ({"op": "simulate", "cycles": 2.7}, "cycles"),
+            ({"op": "simulate", "cycles": "16"}, "cycles"),
+            ({"op": "simulate", "cycles": True}, "cycles"),
+            ({"op": "simulate", "seed": 1.9}, "seed"),
+            ({"op": "simulate", "load": True}, "load"),
+            ({"op": "simulate", "load": "0.05"}, "load"),
+            ({"op": "route", "pairs": [[0, 0, 5, 5]], "deadline_ms": "5"}, "deadline_ms"),
+            ({"op": "route", "pairs": [[0, 0, 5, 5]], "deadline_ms": True}, "deadline_ms"),
+            (
+                {"op": "add_link_faults", "links": [[[5, 5], [5, 6]]], "prefer_lower": "false"},
+                "prefer_lower",
+            ),
         ],
         ids=[
             "load-abc", "load-negative", "cycles-x", "construction-list",
             "construction-nope", "traffic-poisson", "deadline-nan",
+            "cycles-float", "cycles-str", "cycles-bool", "seed-float", "load-bool",
+            "load-str", "deadline-str", "deadline-bool", "prefer-lower-str",
         ],
     )
     def test_client_mistakes_are_bad_requests(self, request_fields, field):
         daemon, _ = make_daemon()
+        version = daemon.session.version
         response = asyncio.run(daemon.handle(request_fields))
         assert response["ok"] is False
         assert response["error"]["code"] == E_BAD_REQUEST
         assert field in response["error"]["message"]
+        assert daemon.session.version == version
 
 
 # -- lifetime ------------------------------------------------------------------------

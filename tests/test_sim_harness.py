@@ -1,11 +1,11 @@
-"""Tests for the evaluation harness (metrics, experiments, figure series)."""
+"""Tests for the evaluation harness (metrics, construction sweeps, figure series)."""
 
 import math
 
 import pytest
 
+from repro.api import SweepExecutor, collect_scenario_metrics
 from repro.faults.scenario import generate_scenario
-from repro.sim.experiments import compare_constructions, run_sweep
 from repro.sim.figures import (
     figure9_series,
     figure10_series,
@@ -13,6 +13,9 @@ from repro.sim.figures import (
     format_series_table,
 )
 from repro.sim.metrics import ConstructionMetrics, ScenarioMetrics, SweepPoint
+
+#: Every construction but the distributed one.
+WITHOUT_DMFP = ("fb", "fp", "mfp", "cmfp")
 
 
 class TestMetrics:
@@ -31,9 +34,9 @@ class TestMetrics:
         scenario = ScenarioMetrics(num_faults=10, distribution="random", seed=0)
         scenario.add(ConstructionMetrics("FB", 10, 2, 20, 15.0, 5))
         scenario.add(ConstructionMetrics("MFP", 10, 4, 2, 3.0, 2))
-        assert scenario.disabled_nonfaulty("FB") == 20
-        assert scenario.mean_region_size("MFP") == 3.0
-        assert scenario.rounds("FB") == 5
+        assert scenario.per_model["FB"].disabled_nonfaulty == 20
+        assert scenario.per_model["MFP"].mean_region_size == 3.0
+        assert scenario.per_model["FB"].rounds == 5
         assert scenario.saving_vs_fb("MFP") == pytest.approx(0.9)
 
     def test_saving_vs_fb_with_zero_baseline(self):
@@ -43,68 +46,65 @@ class TestMetrics:
         assert scenario.saving_vs_fb("MFP") == 0.0
 
     def test_sweep_point_averages(self):
-        point = SweepPoint(num_faults=10, distribution="random")
+        point = SweepPoint(x=10, distribution="random")
         for disabled in (10, 20):
             scenario = ScenarioMetrics(num_faults=10, distribution="random", seed=0)
             scenario.add(ConstructionMetrics("FB", 10, 1, disabled, 4.0, 3))
-            point.add(scenario)
-        assert point.mean_disabled_nonfaulty("FB") == 15.0
-        assert point.mean_region_size("FB") == 4.0
-        assert point.mean_rounds("FB") == 3.0
+            point.scenarios.append(scenario)
+        assert point.models() == ["FB"]
+        assert point.mean("FB", "disabled_nonfaulty") == 15.0
+        assert point.mean("FB", "mean_region_size") == 4.0
+        assert point.mean("FB", "rounds") == 3.0
 
     def test_sweep_point_empty(self):
-        point = SweepPoint(num_faults=10, distribution="random")
-        assert point.mean_disabled_nonfaulty("FB") == 0.0
+        point = SweepPoint(x=10, distribution="random")
+        assert point.models() == []
+        assert point.mean("FB", "disabled_nonfaulty") == 0.0
 
 
 class TestCompareConstructions:
     def test_all_models_present(self):
         scenario = generate_scenario(num_faults=30, width=20, seed=0)
-        metrics = compare_constructions(scenario)
+        metrics = collect_scenario_metrics(scenario)
         assert set(metrics.per_model) == {"FB", "FP", "MFP", "CMFP", "DMFP"}
 
     def test_distributed_can_be_skipped(self):
         scenario = generate_scenario(num_faults=30, width=20, seed=0)
-        metrics = compare_constructions(scenario, include_distributed=False)
+        metrics = collect_scenario_metrics(scenario, WITHOUT_DMFP)
         assert "DMFP" not in metrics.per_model
 
     def test_monotone_disabled_counts(self):
         scenario = generate_scenario(num_faults=50, width=20, model="clustered", seed=1)
-        metrics = compare_constructions(scenario, include_distributed=False)
-        assert (
-            metrics.disabled_nonfaulty("MFP")
-            <= metrics.disabled_nonfaulty("FP")
-            <= metrics.disabled_nonfaulty("FB")
-        )
+        disabled = {
+            label: m.disabled_nonfaulty
+            for label, m in collect_scenario_metrics(scenario, WITHOUT_DMFP).per_model.items()
+        }
+        assert disabled["MFP"] <= disabled["FP"] <= disabled["FB"]
 
     def test_dmfp_and_mfp_disable_the_same_nodes(self):
         scenario = generate_scenario(num_faults=40, width=20, model="clustered", seed=2)
-        metrics = compare_constructions(scenario)
-        assert metrics.disabled_nonfaulty("DMFP") == metrics.disabled_nonfaulty("MFP")
+        per_model = collect_scenario_metrics(scenario).per_model
+        assert per_model["DMFP"].disabled_nonfaulty == per_model["MFP"].disabled_nonfaulty
 
 
 class TestRunSweep:
     def test_sweep_shape(self):
-        points = run_sweep(
-            [10, 20], trials=2, width=15, include_distributed=False,
-            include_rounds=False,
-        )
-        assert [p.num_faults for p in points] == [10, 20]
+        points = SweepExecutor(WITHOUT_DMFP).run([10, 20], trials=2, width=15, include_rounds=False)
+        assert [p.x for p in points] == [10, 20]
         assert all(len(p.scenarios) == 2 for p in points)
 
     def test_sweep_is_reproducible(self):
-        a = run_sweep([15], trials=2, width=15, include_distributed=False)
-        b = run_sweep([15], trials=2, width=15, include_distributed=False)
-        assert a[0].mean_disabled_nonfaulty("FB") == b[0].mean_disabled_nonfaulty("FB")
+        a = SweepExecutor(WITHOUT_DMFP).run([15], trials=2, width=15)
+        b = SweepExecutor(WITHOUT_DMFP).run([15], trials=2, width=15)
+        assert a[0].mean("FB", "disabled_nonfaulty") == b[0].mean("FB", "disabled_nonfaulty")
 
 
 class TestFigureSeries:
     @pytest.fixture(scope="class")
     def small_points(self):
         # One small sweep shared by the three figure tests (keeps CI fast).
-        return run_sweep(
-            [20, 40, 60], trials=2, width=25, distribution="random",
-            include_distributed=True, include_rounds=True,
+        return SweepExecutor().run(
+            [20, 40, 60], trials=2, width=25, distribution="random", include_rounds=True
         )
 
     def test_figure9_series(self, small_points):
