@@ -15,19 +15,19 @@ Every primitive set runs each workload once (priming session caches)
 before the timed best-of-``--repeats`` passes.
 
 The measurements are written as machine-readable JSON (schema
-``repro.bench_backends/v1``).  ``--compare`` checks the result fields of
-a run against a previously committed reference (timings are
-informational only and never compared).
+``repro.bench_backends/v1``), by default to the gitignored
+``benchmarks/results/runs/``.  The committed reference
+``benchmarks/results/BENCH_backends.json`` is guarded by
+``benchmarks/golden.py``, which re-runs the full workloads on numpy and
+compares their result stats (timings are informational only and never
+compared).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_backends.py                     # full run
     PYTHONPATH=src python benchmarks/bench_backends.py \\
-        --mask-width 128 --messages 5000 --netsim-cycles 32 \\
-        --out /tmp/backends.json                                           # CI smoke
-    PYTHONPATH=src python benchmarks/bench_backends.py --mask-width 128 \\
-        --messages 5000 --netsim-cycles 32 \\
-        --compare benchmarks/results/BENCH_backends.json                   # CI guard
+        --mask-width 128 --messages 5000 --netsim-cycles 32                # CI smoke
+    python benchmarks/golden.py check backends                             # CI guard
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.api import MeshSession
 from repro.faults.scenario import generate_scenario
 
 SCHEMA = "repro.bench_backends/v1"
-DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_backends.json"
+DEFAULT_OUT = Path(__file__).parent / "results" / "runs" / "backends.json"
 
 #: The primitive sets this benchmark times, by ``ArrayOps.key``.
 OPS = {ops.key: ops for ops in (_array_ops.NUMPY_OPS, _array_loops.OPS)}
@@ -104,7 +104,6 @@ def bench_labelling_hull(args, backends) -> dict:
         labels, count, hull = round_trip()  # warm-up
         seconds = _best_of(args.repeats, round_trip)
         reports[key] = {
-            "effective": ops.key,
             "seconds": seconds,
             "stats": {"components": int(count), "hull_cells": int(hull.sum())},
             "_labels": labels,
@@ -139,13 +138,10 @@ def bench_batch_routing(args, backends) -> dict:
         with running(OPS[key]):
             # Warm-up: prime the session caches (construction, router,
             # rings, jump tables).
-            warm = session.route(
-                "mfp", **{**route, "messages": min(args.messages, 1000)}
-            )
+            session.route("mfp", **{**route, "messages": min(args.messages, 1000)})
             seconds = _best_of(args.repeats, lambda: session.route("mfp", **route))
             stats = session.route("mfp", **route)
         reports[key] = {
-            "effective": warm.backend,
             "seconds": seconds,
             "messages_per_second": args.messages / seconds,
             "stats": {field: getattr(stats, field) for field in STATS_FIELDS},
@@ -183,7 +179,6 @@ def bench_netsim_round(args, backends) -> dict:
                 args.repeats, lambda: session.simulate("mfp", **simulate)
             )
         reports[key] = {
-            "effective": warm.backend,
             "seconds": seconds,
             "stats": {
                 "attempted": warm.attempted,
@@ -206,32 +201,6 @@ def bench_netsim_round(args, backends) -> dict:
     }
 
 
-def compare_reference(payload: dict, reference_path: Path) -> int:
-    """Assert result fields match the committed reference (timings ignored)."""
-    reference = json.loads(reference_path.read_text())
-    mismatches = 0
-    compared = 0
-    for name, workload in payload["workloads"].items():
-        reference_workload = reference.get("workloads", {}).get(name)
-        if reference_workload is None:
-            continue
-        for backend, report in workload["backends"].items():
-            expected = reference_workload["backends"].get(backend)
-            if expected is None:
-                continue
-            compared += 1
-            if report["stats"] != expected["stats"]:
-                mismatches += 1
-                print(
-                    f"STATS REGRESSION {name}/{backend}: "
-                    f"{report['stats']} != reference {expected['stats']}"
-                )
-    print(f"[compared {compared} configurations against {reference_path}]")
-    if compared == 0:
-        print("WARNING: no overlapping configurations to compare")
-    return mismatches
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -251,10 +220,6 @@ def main(argv=None) -> int:
     parser.add_argument("--netsim-cycles", type=int, default=128)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument(
-        "--compare", type=Path, default=None,
-        help="reference JSON whose result fields this run must reproduce",
-    )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
@@ -309,8 +274,6 @@ def main(argv=None) -> int:
                     "from the numpy baseline"
                 )
                 exit_code = 1
-    if args.compare is not None and compare_reference(payload, args.compare):
-        exit_code = 1
     return exit_code
 
 

@@ -25,9 +25,10 @@ many trials the campaign holds -- the ``pool.map``-era parent
 materialized every result object instead.
 
 A fourth **reference** record reduces a small fixed campaign to
-per-point means and 95% confidence intervals; ``--compare`` checks a
-run's reference points against a previously committed
-``BENCH_campaign.json`` bit-for-bit (the CI stats guard -- trials are
+per-point means and 95% confidence intervals.  The output goes by default
+to the gitignored ``benchmarks/results/runs/``; ``benchmarks/golden.py``
+guards the committed ``BENCH_campaign.json``, comparing the resume and
+rerun records and the reference points bit-for-bit (trials are
 deterministic, so the folded moments are too).
 
 With ``--artifact-dir`` the large RSS run doubles as the committed
@@ -39,9 +40,8 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_campaign.py                  # full run
     PYTHONPATH=src python benchmarks/bench_campaign.py \\
-        --trials 10 --rss-trials 2000 --out /tmp/campaign.json          # CI smoke
-    PYTHONPATH=src python benchmarks/bench_campaign.py --trials 10 \\
-        --rss-trials 2000 --compare benchmarks/results/BENCH_campaign.json
+        --trials 10 --rss-trials 2000                                   # CI smoke
+    python benchmarks/golden.py check campaign                          # CI guard
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ import numpy as np
 from repro.campaign import CampaignRunner, CampaignSpec
 
 SCHEMA = "repro.bench_campaign/v1"
-DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_campaign.json"
+DEFAULT_OUT = Path(__file__).parent / "results" / "runs" / "campaign.json"
 
 #: The model set of every benchmark campaign (the paper's core trio).
 MODELS = ("fb", "fp", "mfp")
@@ -350,43 +350,7 @@ def write_artifact(args, big_store: Path) -> dict:
     return {"dir": str(artifact), "total_trials": spec.total_trials}
 
 
-# -- guard and entry point -----------------------------------------------------------
-
-
-def compare_reference(payload: dict, reference_path: Path) -> int:
-    """Assert identity/skip/RSS records and reference stats reproduce."""
-    reference = json.loads(reference_path.read_text())
-    mismatches = 0
-    ours_resume, ref_resume = payload.get("resume"), reference.get("resume")
-    if ours_resume and ref_resume:
-        if not ours_resume["identical"] or not ref_resume["identical"]:
-            mismatches += 1
-            print("IDENTITY REGRESSION: resumed != uninterrupted")
-    ours_rerun, ref_rerun = payload.get("rerun"), reference.get("rerun")
-    if ours_rerun and ref_rerun:
-        if ours_rerun["skip_fraction"] < 0.99 or ref_rerun["skip_fraction"] < 0.99:
-            mismatches += 1
-            print("SKIP REGRESSION: rerun executed > 1% of the plan")
-    ours_rss, ref_rss = payload.get("rss"), reference.get("rss")
-    if ours_rss and ref_rss:
-        if not ours_rss["flat"]:
-            mismatches += 1
-            print(
-                f"RSS REGRESSION: parent ratio {ours_rss['rss_ratio']:.2f}x "
-                f"exceeds 2x"
-            )
-    ours_ref, ref_ref = payload.get("reference"), reference.get("reference")
-    if ours_ref and ref_ref:
-        if ours_ref["config"] != ref_ref["config"]:
-            print("WARNING: reference config changed; stats not compared")
-        elif ours_ref["fingerprint"] != ref_ref["fingerprint"]:
-            mismatches += 1
-            print("FINGERPRINT REGRESSION: reference campaign identity moved")
-        elif ours_ref["points"] != ref_ref["points"]:
-            mismatches += 1
-            print("STATS REGRESSION: reference points differ from committed run")
-    print(f"[compared against {reference_path}]")
-    return mismatches
+# -- entry point ---------------------------------------------------------------------
 
 
 def main(argv=None) -> int:
@@ -422,11 +386,6 @@ def main(argv=None) -> int:
         "--artifact-dir", type=Path, default=None,
         help="also write the large run's manifest + reduced points here "
         "(the committed campaign artifact)",
-    )
-    parser.add_argument(
-        "--compare", type=Path, default=None,
-        help="reference JSON whose identity/skip/stats records this run "
-        "must reproduce",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     # Internal: the RSS measurement child.
@@ -494,8 +453,6 @@ def main(argv=None) -> int:
     if rss is not None and not rss["flat"]:
         print("FAILURE: parent RSS grew more than 2x with campaign size")
         failures += 1
-    if args.compare is not None:
-        failures += compare_reference(payload, args.compare)
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -11,15 +11,19 @@ instantiations, comparing the region-index fast path against a faithful
 re-enactment of the pre-kernel per-node dict build.
 
 The measurements are written as machine-readable JSON (see the README's
-"Performance" section for the schema); the committed reference run lives at
-``benchmarks/results/BENCH_kernel.json``.
+"Performance" section for the schema), by default to the gitignored
+``benchmarks/results/runs/``.  The committed reference run
+``benchmarks/results/BENCH_kernel.json`` is guarded by
+``benchmarks/golden.py``, which re-runs the 300x300 scenario and compares
+the construction scalars and routing deliveries (timings are
+informational only and never compared).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py                  # full 300x300 run
     PYTHONPATH=src python benchmarks/bench_kernel.py --width 40 \\
-        --num-faults 60 --trials 1 --out /tmp/bench.json              # CI smoke
-    PYTHONPATH=src python benchmarks/bench_kernel.py --min-speedup 5  # enforce the bar
+        --num-faults 60 --trials 1                                    # CI smoke
+    python benchmarks/golden.py check kernel                          # CI guard
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ if __package__ in (None, ""):  # allow running straight from a checkout
 
 import numpy as np
 
-from repro._array_ops import active_backend_key
 from repro.core import reference
 from repro.core.components import clear_shape_memos
 from repro.core.mfp import build_minimum_polygons
@@ -48,7 +51,7 @@ from repro.routing.registry import get_router
 from repro.routing.traffic import TrafficContext, get_traffic
 
 SCHEMA = "repro.bench_kernel/v1"
-DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_kernel.json"
+DEFAULT_OUT = Path(__file__).parent / "results" / "runs" / "kernel.json"
 
 
 def _best_time(fn, trials: int):
@@ -238,12 +241,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--routing-builds", type=int, default=60)
     parser.add_argument("--routing-messages", type=int, default=200)
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="fail unless the MFP and CMFP construction speedups reach this bar",
-    )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
@@ -301,22 +298,11 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy_version,
-            "array_backend": active_backend_key(),
         },
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
-
-    if args.min_speedup > 0:
-        for key in ("mfp", "cmfp"):
-            speedup = constructions[key]["speedup"]
-            if speedup < args.min_speedup:
-                print(
-                    f"BENCH FAILED: {key} speedup {speedup:.2f}x "
-                    f"< required {args.min_speedup:.2f}x"
-                )
-                return 1
     return 0
 
 

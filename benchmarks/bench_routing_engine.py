@@ -10,19 +10,18 @@ must produce **bit-identical** ``RoutingStats`` aggregates; the benchmark
 refuses to report a speedup (and exits non-zero) when any field differs.
 
 The measurements are written as machine-readable JSON (schema
-``repro.bench_routing/v1``).  ``--compare`` checks the stats fields of a
-run against a previously committed reference -- the CI regression guard
-re-runs the 100x100 configuration and compares it against
-``benchmarks/results/BENCH_routing_engine.json`` (timings are
-informational only and never compared).
+``repro.bench_routing/v1``), by default to the gitignored
+``benchmarks/results/runs/``.  The committed reference
+``benchmarks/results/BENCH_routing_engine.json`` is guarded by
+``benchmarks/golden.py``, which re-runs all three mesh sizes and compares
+their stats (timings are informational only and never compared).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_routing_engine.py              # 100..300 sweep
     PYTHONPATH=src python benchmarks/bench_routing_engine.py \\
-        --widths 24 --messages 300 --out /tmp/engine.json                 # CI smoke
-    PYTHONPATH=src python benchmarks/bench_routing_engine.py --widths 100 \\
-        --compare benchmarks/results/BENCH_routing_engine.json            # CI guard
+        --widths 24 --messages 300 --repeats 1                            # CI smoke
+    python benchmarks/golden.py check routing_engine                      # CI guard
 """
 
 from __future__ import annotations
@@ -41,13 +40,12 @@ if __package__ in (None, ""):  # allow running straight from a checkout
 
 import numpy as np
 
-from repro import _array_ops
 from repro.api import MeshSession, RoutingStats, get_traffic, traffic_keys
 from repro.faults.scenario import generate_scenario
 from repro.routing.engine import route_scalar
 
 SCHEMA = "repro.bench_routing/v1"
-DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_routing_engine.json"
+DEFAULT_OUT = Path(__file__).parent / "results" / "runs" / "routing_engine.json"
 
 #: RoutingStats fields that must be bit-identical between the engines.
 STATS_FIELDS = (
@@ -62,12 +60,7 @@ STATS_FIELDS = (
 
 
 def stats_fields(stats) -> dict:
-    fields = {field: getattr(stats, field) for field in STATS_FIELDS}
-    # The array-primitive label ("numpy"; "loops" under the test
-    # reference) stays in the compared record because the committed
-    # references hold it.
-    fields["array_backend"] = stats.backend
-    return fields
+    return {field: getattr(stats, field) for field in STATS_FIELDS}
 
 
 def route_oracle(session: MeshSession, traffic: str, messages: int, seed: int) -> RoutingStats:
@@ -76,8 +69,7 @@ def route_oracle(session: MeshSession, traffic: str, messages: int, seed: int) -
     router = session.router("extended-ecube", "mfp")
     context = session.routing.context("extended-ecube", "mfp")
     batch = get_traffic(traffic).generate(context, messages, rng=np.random.default_rng(seed))
-    stats = RoutingStats(enabled=context.num_enabled, backend=_array_ops.active_backend_key())
-    return route_scalar(router, batch, stats)
+    return route_scalar(router, batch, RoutingStats(enabled=context.num_enabled))
 
 
 def bench_pattern(
@@ -147,32 +139,6 @@ def bench_mesh(args, width: int) -> dict:
     }
 
 
-def compare_reference(payload: dict, reference_path: Path) -> int:
-    """Assert stats fields match the committed reference (timings ignored)."""
-    reference = json.loads(reference_path.read_text())
-    mismatches = 0
-    compared = 0
-    for width, mesh in payload["meshes"].items():
-        reference_mesh = reference.get("meshes", {}).get(width)
-        if reference_mesh is None:
-            continue
-        for traffic, report in mesh["patterns"].items():
-            expected = reference_mesh["patterns"].get(traffic)
-            if expected is None:
-                continue
-            compared += 1
-            if report["stats"] != expected["stats"]:
-                mismatches += 1
-                print(
-                    f"STATS REGRESSION {width}x{width}/{traffic}: "
-                    f"{report['stats']} != reference {expected['stats']}"
-                )
-    print(f"[compared {compared} configurations against {reference_path}]")
-    if compared == 0:
-        print("WARNING: no overlapping configurations to compare")
-    return mismatches
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -193,14 +159,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--patterns", nargs="+", default=None,
         help="traffic registry keys (default: every registered workload)",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="fail unless every configuration reaches this batch speedup",
-    )
-    parser.add_argument(
-        "--compare", type=Path, default=None,
-        help="reference JSON whose stats fields this run must reproduce",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
@@ -236,14 +194,6 @@ def main(argv=None) -> int:
                     "batch stats differ from the scalar router"
                 )
                 exit_code = 1
-            if args.min_speedup and report["speedup"] < args.min_speedup:
-                print(
-                    f"SPEEDUP BELOW TARGET at {mesh['width']}x{mesh['width']}/"
-                    f"{traffic}: {report['speedup']:.2f}x < {args.min_speedup}x"
-                )
-                exit_code = 1
-    if args.compare is not None and compare_reference(payload, args.compare):
-        exit_code = 1
     return exit_code
 
 

@@ -13,24 +13,22 @@ and once through the scalar dict-based oracle; the two must be
 the benchmark exits non-zero when any run disagrees.
 
 The measurements are written as machine-readable JSON (schema
-``repro.bench_saturation/v1``).  ``--compare`` checks the integer fields
-and delivery fingerprints of a run against a previously committed
-reference -- the CI regression guard re-runs the 16x16 scenarios and
-compares them against ``benchmarks/results/BENCH_saturation.json``
-(timings are informational only and never compared).  ``--require-knee``
-additionally asserts the curve shape: every curve monotone over its
-non-deadlocked points, and at least one clustered scenario crossing a
-throughput knee (stable -> saturated with rising latency).
+``repro.bench_saturation/v1``), by default to the gitignored
+``benchmarks/results/runs/``.  The committed reference
+``benchmarks/results/BENCH_saturation.json`` is guarded by
+``benchmarks/golden.py``, which re-runs the 16x16 and 32x32 scenarios and
+compares their integer fields and delivery fingerprints (timings are
+informational only and never compared).  ``--require-knee`` additionally
+asserts the curve shape: every curve monotone over its non-deadlocked
+points, and at least one clustered scenario crossing a throughput knee
+(stable -> saturated with rising latency).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_saturation.py                  # 16 + 32 reference
     PYTHONPATH=src python benchmarks/bench_saturation.py \\
-        --widths 8 --clustered-faults 4 --loads 0.02 0.08 \\
-        --cycles 64 --out /tmp/saturation.json                            # CI smoke
-    PYTHONPATH=src python benchmarks/bench_saturation.py --widths 16 \\
-        --clustered-faults 10 --require-knee \\
-        --compare benchmarks/results/BENCH_saturation.json               # CI guard
+        --widths 8 --clustered-faults 4 --loads 0.02 0.08 --cycles 64     # CI smoke
+    python benchmarks/golden.py check saturation                          # CI guard
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from repro.api import MeshSession, traffic_keys
 from repro.faults.scenario import generate_scenario
 
 SCHEMA = "repro.bench_saturation/v1"
-DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_saturation.json"
+DEFAULT_OUT = Path(__file__).parent / "results" / "runs" / "saturation.json"
 
 #: NetSimStats fields that must be bit-identical between simulators and
 #: against the committed reference (all integers/bools -- JSON-exact).
@@ -72,12 +70,7 @@ STATS_FIELDS = (
 
 
 def stats_fields(stats) -> dict:
-    fields = {field: getattr(stats, field) for field in STATS_FIELDS}
-    # The array-primitive label ("numpy"; "loops" under the test
-    # reference) stays in the compared record because the committed
-    # references hold it.
-    fields["array_backend"] = stats.backend
-    return fields
+    return {field: getattr(stats, field) for field in STATS_FIELDS}
 
 
 def spatial_patterns() -> list:
@@ -232,48 +225,6 @@ def bench_scenario(args, width: int, num_faults: int) -> dict:
     }
 
 
-def compare_reference(payload: dict, reference_path: Path) -> int:
-    """Assert fields + fingerprints match the reference (timings ignored)."""
-    reference = json.loads(reference_path.read_text())
-    mismatches = 0
-    compared = 0
-    for key, scenario in payload["scenarios"].items():
-        expected_scenario = reference.get("scenarios", {}).get(key)
-        if expected_scenario is None:
-            continue
-        for traffic, report in scenario["patterns"].items():
-            expected = expected_scenario["patterns"].get(traffic)
-            if expected is None:
-                continue
-            compared += 1
-            if (
-                report["fields"] != expected["fields"]
-                or report["fingerprint"] != expected["fingerprint"]
-            ):
-                mismatches += 1
-                print(f"STATS REGRESSION {key}/{traffic}: {report['fields']} "
-                      f"!= reference {expected['fields']}")
-        expected_curve = {
-            f"{p['load']:g}": p for p in expected_scenario.get("curve", [])
-        }
-        for point in scenario["curve"]:
-            expected = expected_curve.get(f"{point['load']:g}")
-            if expected is None:
-                continue
-            compared += 1
-            if (
-                point["fields"] != expected["fields"]
-                or point["fingerprint"] != expected["fingerprint"]
-            ):
-                mismatches += 1
-                print(f"CURVE REGRESSION {key} @ load {point['load']:g}: "
-                      f"{point['fields']} != reference {expected['fields']}")
-    print(f"[compared {compared} configurations against {reference_path}]")
-    if compared == 0:
-        print("WARNING: no overlapping configurations to compare")
-    return mismatches
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -315,10 +266,6 @@ def main(argv=None) -> int:
         "--require-knee", action="store_true",
         help="fail unless every curve is monotone and at least one "
         "clustered scenario crosses a rising throughput knee",
-    )
-    parser.add_argument(
-        "--compare", type=Path, default=None,
-        help="reference JSON whose fields/fingerprints this run must reproduce",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
@@ -376,8 +323,6 @@ def main(argv=None) -> int:
         if clustered and not any(s["knee_rising"] for s in clustered):
             print("NO THROUGHPUT KNEE on any clustered scenario")
             exit_code = 1
-    if args.compare is not None and compare_reference(payload, args.compare):
-        exit_code = 1
     return exit_code
 
 

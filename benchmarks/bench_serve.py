@@ -36,19 +36,19 @@ eventually completes through the retry path (``all_completed``) -- is
 what the guard compares.
 
 The measurements are written as machine-readable JSON (schema
-``repro.bench_serve/v2``).  ``--compare`` checks the bit-identity
-records, routed stats and overload-completion records of a run against a
-previously committed reference -- the CI guard re-runs a small
-configuration against ``benchmarks/results/BENCH_serve.json`` (timings
-are informational only and never compared).
+``repro.bench_serve/v2``), by default to the gitignored
+``benchmarks/results/runs/``.  The committed reference
+``benchmarks/results/BENCH_serve.json`` is guarded by
+``benchmarks/golden.py``, which re-runs the 100x100 configuration and
+compares the bit-identity records, routed stats and overload-completion
+records (timings are informational only and never compared).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py                        # full run
     PYTHONPATH=src python benchmarks/bench_serve.py \\
-        --concurrency 16 --rounds 2 --delta-width 40 --out /tmp/serve.json # CI smoke
-    PYTHONPATH=src python benchmarks/bench_serve.py --delta-width 40 \\
-        --compare benchmarks/results/BENCH_serve.json                      # CI guard
+        --concurrency 16 --rounds 2 --delta-width 40                       # CI smoke
+    python benchmarks/golden.py check serve                                # CI guard
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from repro.faults.scenario import generate_scenario
 from repro.serve import InProcessClient, RetryPolicy, RouteDaemon
 
 SCHEMA = "repro.bench_serve/v2"
-DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_serve.json"
+DEFAULT_OUT = Path(__file__).parent / "results" / "runs" / "serve.json"
 
 STATS_FIELDS = (
     "attempted",
@@ -90,9 +90,7 @@ STATS_FIELDS = (
 
 
 def stats_fields(stats) -> dict:
-    fields = {field: getattr(stats, field) for field in STATS_FIELDS}
-    fields["array_backend"] = stats.backend
-    return fields
+    return {field: getattr(stats, field) for field in STATS_FIELDS}
 
 
 # -- section 1: request coalescing ---------------------------------------------------
@@ -462,45 +460,7 @@ def bench_overload(args) -> dict:
     return report
 
 
-# -- guard and entry point -----------------------------------------------------------
-
-
-def compare_reference(payload: dict, reference_path: Path) -> int:
-    """Assert identity records and routed stats match the reference."""
-    reference = json.loads(reference_path.read_text())
-    mismatches = 0
-    compared = 0
-    for section in ("coalesce", "deltas", "overload"):
-        ours = payload.get(section)
-        expected = reference.get(section)
-        if ours is None or expected is None:
-            continue
-        compared += 1
-        if section == "overload":
-            # Overload latencies are timing noise; the durable record is
-            # that retries drove every offered request to completion.
-            if not ours["all_completed"] or not expected["all_completed"]:
-                mismatches += 1
-                print("OVERLOAD REGRESSION: not every request completed")
-            continue
-        if not ours["identical"] or not expected["identical"]:
-            mismatches += 1
-            print(f"IDENTITY REGRESSION in section {section!r}")
-        if section == "deltas" and ours.get("stats") != expected.get("stats"):
-            if (
-                ours.get("width") == expected.get("width")
-                and ours.get("updates") == expected.get("updates")
-                and ours.get("messages") == expected.get("messages")
-            ):
-                mismatches += 1
-                print(
-                    f"STATS REGRESSION in deltas: {ours.get('stats')} != "
-                    f"reference {expected.get('stats')}"
-                )
-    print(f"[compared {compared} sections against {reference_path}]")
-    if compared == 0:
-        print("WARNING: no overlapping sections to compare")
-    return mismatches
+# -- entry point ---------------------------------------------------------------------
 
 
 def main(argv=None) -> int:
@@ -564,19 +524,6 @@ def main(argv=None) -> int:
         "exceeds capacity)",
     )
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--min-coalesce-speedup", type=float, default=None,
-        help="fail unless coalescing reaches this speedup over one-per-call",
-    )
-    parser.add_argument(
-        "--min-delta-speedup", type=float, default=None,
-        help="fail unless deltas reach this speedup over full rebuilds",
-    )
-    parser.add_argument(
-        "--compare", type=Path, default=None,
-        help="reference JSON whose identity/stats records this run must "
-        "reproduce",
-    )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
@@ -620,25 +567,11 @@ def main(argv=None) -> int:
     if not deltas["identical"]:
         print("DELTA MISMATCH: delta-patched stats differ from full rebuilds")
         exit_code = 1
+    if not deltas["ring_append"]["identical"]:
+        print("RING MISMATCH: appended packed rings differ from a full rebuild")
+        exit_code = 1
     if not overload["all_completed"]:
         print("OVERLOAD FAILURE: some requests never completed through retries")
-        exit_code = 1
-    if (
-        args.min_coalesce_speedup
-        and coalesce["speedup"] < args.min_coalesce_speedup
-    ):
-        print(
-            f"COALESCE SPEEDUP BELOW TARGET: {coalesce['speedup']:.2f}x < "
-            f"{args.min_coalesce_speedup}x"
-        )
-        exit_code = 1
-    if args.min_delta_speedup and deltas["speedup"] < args.min_delta_speedup:
-        print(
-            f"DELTA SPEEDUP BELOW TARGET: {deltas['speedup']:.2f}x < "
-            f"{args.min_delta_speedup}x"
-        )
-        exit_code = 1
-    if args.compare is not None and compare_reference(payload, args.compare):
         exit_code = 1
     return exit_code
 

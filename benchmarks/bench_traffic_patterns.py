@@ -10,14 +10,19 @@ enabled-node mask, so generation should be microseconds per thousand
 messages even on large meshes).
 
 The measurements are written as machine-readable JSON (schema
-``repro.bench_traffic/v1``); the CI bench-smoke job runs a tiny-mesh
-configuration and archives the file as an artifact.
+``repro.bench_traffic/v1``), by default to the gitignored
+``benchmarks/results/runs/``.  The committed reference
+``benchmarks/results/BENCH_traffic.json`` is guarded by
+``benchmarks/golden.py``, which re-runs the 100x100 configuration and
+compares every pattern's delivery and detour statistics (timings are
+informational only and never compared).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_traffic_patterns.py            # 100x100 run
     PYTHONPATH=src python benchmarks/bench_traffic_patterns.py \\
-        --width 24 --num-faults 40 --messages 200 --out /tmp/traffic.json  # CI smoke
+        --width 24 --num-faults 40 --messages 200                         # CI smoke
+    python benchmarks/golden.py check traffic                             # CI guard
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.api import MeshSession, get_traffic, traffic_keys
 from repro.faults.scenario import generate_scenario
 
 SCHEMA = "repro.bench_traffic/v1"
-DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_traffic.json"
+DEFAULT_OUT = Path(__file__).parent / "results" / "runs" / "traffic.json"
 
 
 def bench_pattern(session: MeshSession, traffic: str, messages: int, seed: int) -> dict:
@@ -67,7 +72,6 @@ def bench_pattern(session: MeshSession, traffic: str, messages: int, seed: int) 
         "routing_seconds": routing_s,
         "messages_per_second": stats.attempted / routing_s if routing_s else 0.0,
         "engine": stats.engine,
-        "array_backend": stats.backend,
     }
     print(
         f"{traffic:>18} delivery {stats.delivery_rate:6.3f}   "
