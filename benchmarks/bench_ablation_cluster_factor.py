@@ -38,7 +38,7 @@ def _sweep_cluster_factor():
                 scenario.faults, topology=topology
             ).num_disabled_nonfaulty
             mfp_total += build_minimum_polygons(
-                scenario.faults, topology=topology, compute_rounds=False
+                scenario.faults, topology=topology
             ).num_disabled_nonfaulty
         rows.append((factor, fb_total / len(SEEDS), mfp_total / len(SEEDS)))
     return rows

@@ -11,15 +11,12 @@ bench).
 
 import time
 
-from repro.api import MeshSession, MinimumPolygonOptions
+from repro.api import MeshSession
 from repro.faults.scenario import generate_scenario
 
 from conftest import record_result
 
 NUM_MESSAGES = 400
-
-#: The routing comparison never reads the CMFP round counts.
-CONSTRUCTION_OPTIONS = {"mfp": MinimumPolygonOptions(compute_rounds=False)}
 
 
 def _routing_comparison(num_faults, width, seed):
@@ -29,12 +26,7 @@ def _routing_comparison(num_faults, width, seed):
     session = MeshSession.from_scenario(scenario)
     rows = {}
     for key in ("fb", "fp", "mfp"):
-        route = dict(
-            traffic="uniform",
-            messages=NUM_MESSAGES,
-            seed=seed,
-            construction_options=CONSTRUCTION_OPTIONS.get(key),
-        )
+        route = dict(traffic="uniform", messages=NUM_MESSAGES, seed=seed)
         session.route(key, **route)  # warm construction/router/ring caches
         start = time.perf_counter()
         stats = session.route(key, **route)

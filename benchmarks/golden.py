@@ -66,6 +66,7 @@ GUARDS = {
         paths("coalesce", "concurrency pairs_per_request identical delivered")
         + paths("deltas", "width num_faults updates messages identical stats delta_applies")
         + paths("deltas", "jump_rebuilds_delta jump_rebuilds_rebuild")
+        + paths("deltas.ring_append", "regions identical")
         + paths("overload", "clients requests_per_client pairs_per_request max_pending")
         + paths("overload", "offered all_completed"),
     ),

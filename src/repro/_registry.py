@@ -24,8 +24,8 @@ def make_spec_options(
 ) -> Any:
     """Validate/construct a spec's typed option set for one call.
 
-    The shared body behind ``ConstructionSpec.make_options``,
-    ``RouterSpec.make_options`` and ``TrafficSpec.make_options``: build
+    The shared body behind ``RouterSpec.make_options`` and
+    ``TrafficSpec.make_options`` (constructions take no options): build
     the spec's ``options_type`` from keyword *overrides*, or validate an
     explicit *options* instance (rejecting mismatched types with the
     registry *noun* in the message) and apply the overrides on top.

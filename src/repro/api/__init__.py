@@ -6,8 +6,7 @@ exported from its top level:
 * :mod:`repro.api.registry` -- a pluggable registry mapping string keys
   (``"fb"``, ``"fp"``, ``"mfp"``, ``"cmfp"``, ``"dmfp"``) to
   :class:`ConstructionSpec` objects with one uniform
-  ``build(scenario, *, options) -> ConstructionResult`` protocol and typed
-  option dataclasses.
+  ``build(scenario) -> ConstructionResult`` protocol.
 * :mod:`repro.api.session` -- :class:`MeshSession`, a stateful mesh that
   supports ``add_faults`` / ``remove_faults`` / ``clear`` with
   per-construction result caching; untouched components are served by
@@ -55,13 +54,8 @@ Quickstart::
 """
 
 from repro.api.registry import (
-    ConstructionOptions,
     ConstructionResult,
     ConstructionSpec,
-    DistributedOptions,
-    FaultyBlockOptions,
-    MinimumPolygonOptions,
-    SubMinimumOptions,
     available_constructions,
     build_construction,
     construction_keys,
@@ -114,11 +108,6 @@ __all__ = [
     # construction registry
     "ConstructionSpec",
     "ConstructionResult",
-    "ConstructionOptions",
-    "FaultyBlockOptions",
-    "SubMinimumOptions",
-    "MinimumPolygonOptions",
-    "DistributedOptions",
     "register_construction",
     "get_construction",
     "available_constructions",

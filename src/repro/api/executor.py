@@ -37,7 +37,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.api.registry import (
     ConstructionSpec,
-    _build_cmfp,
     _build_mfp,
     get_construction,
     register_construction,
@@ -96,6 +95,8 @@ class TrialSpec:
     torus: bool = False
     cluster_factor: float = 2.0
     models: Tuple[str, ...] = DEFAULT_MODELS
+    #: ``False`` reports MFP and CMFP with 0 rounds, so their emulation
+    #: never runs (see :func:`collect_scenario_metrics`).
     include_rounds: bool = True
     #: The resolved specs of ``models``, carried so that workers spawned in
     #: a fresh interpreter (non-fork start methods) can re-register custom
@@ -274,28 +275,6 @@ def _scenario_metrics(scenario: FaultScenario) -> ScenarioMetrics:
     )
 
 
-def _round_overrides(spec: ConstructionSpec, compute_rounds: bool) -> Dict[str, bool]:
-    """``{"compute_rounds": ...}`` for a spec whose options take the toggle.
-
-    Forwarding the toggle to any spec that understands it (e.g. a
-    replacement MFP) keeps skipping the round emulation the flag exists
-    to avoid; specs without it build as they are.
-    """
-    if any(f.name == "compute_rounds" for f in dataclasses.fields(spec.options_type)):
-        return {"compute_rounds": compute_rounds}
-    return {}
-
-
-def _without_rounds(spec: ConstructionSpec) -> Any:
-    """Construction options that skip the round emulation, if it has one.
-
-    Routing and latency metrics never read the CMFP round counts, and the
-    regions are identical either way.
-    """
-    overrides = _round_overrides(spec, False)
-    return spec.make_options(None, overrides) if overrides else None
-
-
 def collect_scenario_metrics(
     scenario: FaultScenario,
     models: Sequence[str] = DEFAULT_MODELS,
@@ -304,29 +283,24 @@ def collect_scenario_metrics(
     """Run the requested constructions on one scenario via the registry.
 
     Every build takes the scenario's one :class:`FaultRaster`, so FB and FP
-    share the scheme-1 labelling and MFP and DMFP the component table.
-    ``mfp`` and ``cmfp`` share a single build (they are the same
-    construction, re-reported under the CMFP label for the Figure 11 round
-    comparison); *include_rounds* toggles its round emulation.
+    share the scheme-1 labelling and MFP and DMFP the component table, and
+    models registered with one builder (``mfp`` and ``cmfp``) share one
+    build.  With *include_rounds* false, the models built by the
+    centralized MFP builder report 0 rounds and never run its round
+    emulation; every other model's rounds are as built.
     """
     topology = scenario.topology()
     raster = FaultRaster(scenario.faults, topology)
     metrics = _scenario_metrics(scenario)
-    shared_mfp = None
-    mfp_spec = get_construction("mfp")
-    sharable = (_build_mfp, _build_cmfp) if mfp_spec.builder is _build_mfp else ()
+    results: Dict[Callable[..., Any], Any] = {}
     for key in models:
         spec = get_construction(key)
-        # The built-in MFP and CMFP rows describe the same construction, so
-        # one build serves both (with *include_rounds* deciding whether the
-        # round emulation runs, as the legacy harness did).  A spec replaced
-        # through the registry opts out of the sharing and builds itself.
-        if spec.builder in sharable:
-            if shared_mfp is None:
-                shared_mfp = mfp_spec.build(raster, compute_rounds=include_rounds)
-            result = shared_mfp
-        else:
-            result = spec.build(raster, **_round_overrides(spec, include_rounds))
+        result = results.get(spec.builder)
+        if result is None:
+            result = results[spec.builder] = spec.build(raster)
+        if not include_rounds and spec.builder is _build_mfp:
+            # The same polygons with no component rounds to look up.
+            result = spec.wrap(dataclasses.replace(result.raw, component_rounds=()))
         metrics.add(result.metrics(num_faults=scenario.num_faults, label=spec.label))
     return metrics
 
@@ -361,7 +335,6 @@ def run_routing_trial(spec: RoutingTrialSpec) -> ScenarioMetrics:
             seed=spec.seed,
             traffic_options=spec.traffic_options,
             router_options=spec.router_options,
-            construction_options=_without_rounds(get_construction(key)),
         )
         metrics.add(
             RoutingMetrics.from_stats(stats, num_faults=scenario.num_faults)
@@ -395,7 +368,6 @@ def run_netsim_trial(spec: NetSimTrialSpec) -> ScenarioMetrics:
             traffic_options=spec.traffic_options,
             arrival_options=spec.arrival_options,
             router_options=spec.router_options,
-            construction_options=_without_rounds(get_construction(key)),
         )
         metrics.add(NetSimMetrics.from_stats(stats, num_faults=scenario.num_faults))
     return metrics

@@ -9,7 +9,7 @@ key       label  construction
 ``fb``    FB     rectangular faulty blocks (labelling scheme 1)
 ``fp``    FP     sub-minimum faulty polygons (Wu, IPDPS 2001)
 ``mfp``   MFP    minimum faulty polygons (centralized, this paper)
-``cmfp``  CMFP   minimum faulty polygons with the round emulation forced on
+``cmfp``  CMFP   the ``mfp`` build, reported for its emulation rounds
 ``dmfp``  DMFP   minimum faulty polygons, distributed construction
 ========  =====  ==========================================================
 
@@ -18,12 +18,11 @@ All specs share one uniform protocol::
     result = get_construction("mfp").build(scenario)           # FaultScenario
     result = get_construction("fb").build(faults, topology)    # raw fault set
 
-with per-model knobs carried by typed, frozen option dataclasses
-(:class:`MinimumPolygonOptions` etc.) so that option sets are hashable and
-can key result caches.  Every build returns a :class:`ConstructionResult`
-with the same fields regardless of model, which is what the
-:class:`repro.api.MeshSession` cache, the :class:`repro.api.SweepExecutor`
-and the CLI operate on.
+A construction takes no options, so the key alone names a build and keys
+the :class:`repro.api.MeshSession` result cache.  Every build returns a
+:class:`ConstructionResult` with the same fields regardless of model,
+which is what that cache, the :class:`repro.api.SweepExecutor` and the
+CLI operate on.
 
 The registry is open: call :func:`register_construction` with your own spec
 to plug a new model into the session layer, the sweep executor and the CLI
@@ -34,19 +33,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro._registry import SpecRegistry, make_spec_options
+from repro._registry import SpecRegistry
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import build_minimum_polygons
 from repro.core.raster import FaultRaster
@@ -57,61 +46,6 @@ from repro.faults.scenario import FaultScenario
 from repro.mesh.status import StatusGrid
 from repro.mesh.topology import Mesh2D, Topology
 from repro.types import Coord
-
-
-# -- typed options ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstructionOptions:
-    """Base class for per-construction options.
-
-    Options are frozen dataclasses so that a concrete option set is hashable
-    and can key the per-session result cache.
-    """
-
-    def replace(self, **changes: Any) -> "ConstructionOptions":
-        """Return a copy with *changes* applied."""
-        return dataclasses.replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class FaultyBlockOptions(ConstructionOptions):
-    """Options of the rectangular faulty block construction (none yet)."""
-
-
-@dataclass(frozen=True)
-class SubMinimumOptions(ConstructionOptions):
-    """Options of the sub-minimum polygon construction (none yet)."""
-
-
-@dataclass(frozen=True)
-class MinimumPolygonOptions(ConstructionOptions):
-    """Options of the centralized minimum polygon construction.
-
-    ``compute_rounds`` toggles the per-component labelling emulation that
-    produces the CMFP round counts of Figure 11 (skippable for the Figure
-    9/10 sweeps).  The build is the hull fill (Solution B); Solution A is
-    the named reference
-    :func:`repro.core.reference.build_minimum_polygons_via_labelling`.
-    """
-
-    compute_rounds: bool = True
-
-
-@dataclass(frozen=True)
-class CentralizedOptions(ConstructionOptions):
-    """Options of the CMFP construction.
-
-    CMFP is the centralized MFP with the round emulation always on (that is
-    its purpose in Figure 11), so it deliberately exposes no knobs; use the
-    ``mfp`` key for a configurable centralized build.
-    """
-
-
-@dataclass(frozen=True)
-class DistributedOptions(ConstructionOptions):
-    """Options of the distributed minimum polygon construction (none yet)."""
 
 
 # -- uniform result -----------------------------------------------------------------
@@ -133,12 +67,16 @@ class ConstructionResult:
     #: Final fault regions; a lazy :class:`~repro.core.regions.LazyList`,
     #: built on first access to a region.
     regions: Sequence[FaultRegion]
-    rounds: int
     raw: Any
-    options: ConstructionOptions
     #: Cell -> region-index grid (``-1`` outside every region) when the
     #: construction produced one; gives routers O(1) region membership.
     region_index: Any = dataclasses.field(default=None, compare=False, repr=False)
+
+    @property
+    def rounds(self) -> int:
+        """The construction's round count, read from ``raw`` (MFP and CMFP
+        run their labelling emulation on the first read)."""
+        return self.raw.rounds
 
     @property
     def num_regions(self) -> int:
@@ -176,10 +114,10 @@ class ConstructionResult:
 
 # -- the spec -----------------------------------------------------------------------
 
-#: A builder takes the fault set, the topology and a (validated) option set
-#: and returns the model-specific construction object.  The fault set is a
+#: A builder takes the fault set and the topology and returns the
+#: model-specific construction object.  The fault set is a
 #: :class:`~repro.core.raster.FaultRaster`, a sequence of ``(x, y)`` tuples.
-Builder = Callable[[Sequence[Coord], Topology, ConstructionOptions], Any]
+Builder = Callable[[Sequence[Coord], Topology], Any]
 
 ScenarioOrFaults = Union[FaultScenario, FaultRaster, Sequence[Coord]]
 
@@ -210,59 +148,37 @@ def resolve_inputs(
 
 @dataclass(frozen=True)
 class ConstructionSpec:
-    """One registered fault-region construction.
-
-    ``builder`` implements the model; ``options_type`` declares its typed
-    option dataclass.
-    """
+    """One registered fault-region construction; ``builder`` implements
+    the model."""
 
     key: str
     label: str
     description: str
     builder: Builder
-    options_type: type = ConstructionOptions
     aliases: Tuple[str, ...] = ()
 
-    def make_options(
-        self,
-        options: Optional[ConstructionOptions] = None,
-        overrides: Optional[Mapping[str, Any]] = None,
-    ) -> ConstructionOptions:
-        """Validate/construct the option set for one build call."""
-        return make_spec_options("construction", self, options, overrides)
-
-    def wrap(self, raw: Any, options: ConstructionOptions) -> ConstructionResult:
+    def wrap(self, raw: Any) -> ConstructionResult:
         """Wrap a model-specific construction object as a uniform result."""
         return ConstructionResult(
             key=self.key,
             label=self.label,
             grid=raw.grid,
             regions=raw.regions,
-            rounds=raw.rounds,
             raw=raw,
-            options=options,
             region_index=getattr(raw, "region_index", None),
         )
 
     def build(
-        self,
-        scenario: ScenarioOrFaults,
-        topology: Optional[Topology] = None,
-        *,
-        options: Optional[ConstructionOptions] = None,
-        **overrides: Any,
+        self, scenario: ScenarioOrFaults, topology: Optional[Topology] = None
     ) -> ConstructionResult:
         """Run the construction with the uniform signature.
 
         *scenario* is a :class:`FaultScenario`, a fault sequence or a
         :class:`~repro.core.raster.FaultRaster`; the builder gets the
-        raster (see :func:`resolve_inputs`).  Keyword *overrides* are field
-        overrides of the spec's option type (e.g. ``compute_rounds=False``
-        for ``mfp``).
+        raster (see :func:`resolve_inputs`).
         """
         raster, topology = resolve_inputs(scenario, topology)
-        opts = self.make_options(options, overrides)
-        return self.wrap(self.builder(raster, topology, opts), opts)
+        return self.wrap(self.builder(raster, topology))
 
 
 # -- the registry -------------------------------------------------------------------
@@ -304,47 +220,30 @@ def construction_keys() -> Tuple[str, ...]:
 
 
 def build_construction(
-    key: str,
-    scenario: ScenarioOrFaults,
-    topology: Optional[Topology] = None,
-    *,
-    options: Optional[ConstructionOptions] = None,
-    **overrides: Any,
+    key: str, scenario: ScenarioOrFaults, topology: Optional[Topology] = None
 ) -> ConstructionResult:
     """Convenience one-shot: ``get_construction(key).build(...)``."""
-    return get_construction(key).build(
-        scenario, topology, options=options, **overrides
-    )
+    return get_construction(key).build(scenario, topology)
 
 
 # -- built-in models ----------------------------------------------------------------
 
 
-def _build_fb(faults, topology, options):
+def _build_fb(faults, topology):
     return build_faulty_blocks(faults, topology=topology)
 
 
-def _build_fp(faults, topology, options):
+def _build_fp(faults, topology):
     return build_sub_minimum_polygons(faults, topology=topology)
 
 
-def _build_mfp(faults, topology, options):
-    return build_minimum_polygons(
-        faults, topology=topology, compute_rounds=options.compute_rounds
-    )
+def _build_mfp(faults, topology):
+    # Also CMFP's builder: the label exists so Figure 11 can compare the
+    # centralized emulation rounds against DMFP's.
+    return build_minimum_polygons(faults, topology=topology)
 
 
-def _build_cmfp(faults, topology, options):
-    # CMFP is the centralized MFP with the round emulation always on: the
-    # label exists so Figure 11 can compare its rounds against DMFP.
-    return build_minimum_polygons(
-        faults,
-        topology=topology,
-        compute_rounds=True,
-    )
-
-
-def _build_dmfp(faults, topology, options):
+def _build_dmfp(faults, topology):
     return build_minimum_polygons_distributed(faults, topology=topology)
 
 
@@ -354,7 +253,6 @@ register_construction(
         label="FB",
         description="rectangular faulty blocks (labelling scheme 1)",
         builder=_build_fb,
-        options_type=FaultyBlockOptions,
         aliases=("faulty-block", "faulty-blocks", "block"),
     )
 )
@@ -364,7 +262,6 @@ register_construction(
         label="FP",
         description="sub-minimum faulty polygons (Wu, IPDPS 2001)",
         builder=_build_fp,
-        options_type=SubMinimumOptions,
         aliases=("sub-minimum", "sub-minimum-polygons"),
     )
 )
@@ -374,7 +271,6 @@ register_construction(
         label="MFP",
         description="minimum faulty polygons (centralized construction)",
         builder=_build_mfp,
-        options_type=MinimumPolygonOptions,
         aliases=("minimum-polygon", "minimum-polygons"),
     )
 )
@@ -383,8 +279,7 @@ register_construction(
         key="cmfp",
         label="CMFP",
         description="centralized minimum faulty polygons with round emulation",
-        builder=_build_cmfp,
-        options_type=CentralizedOptions,
+        builder=_build_mfp,
         aliases=("centralized-mfp",),
     )
 )
@@ -394,7 +289,6 @@ register_construction(
         label="DMFP",
         description="minimum faulty polygons (distributed construction)",
         builder=_build_dmfp,
-        options_type=DistributedOptions,
         aliases=("distributed", "distributed-mfp"),
     )
 )

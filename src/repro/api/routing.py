@@ -9,9 +9,9 @@ everything is built on top of the session's cached
 so a router instantiation costs O(1) region-membership work.
 
 Routers (and the traffic contexts derived from them) are cached per
-``(router, construction, options)`` key and invalidated automatically when
-``add_faults`` / ``clear`` bump the session version, exactly like the
-construction result cache::
+``(router, construction, router options)`` key and invalidated
+automatically when ``add_faults`` / ``clear`` bump the session version,
+exactly like the construction result cache::
 
     session = MeshSession(width=50, faults=faults)
     stats = session.route("mfp", traffic="transpose", messages=2000, seed=1)
@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro import _array_ops
-from repro.api.registry import ConstructionOptions
 from repro.routing.engine import (
     RegionRingCache,
     resolve_engine,
@@ -115,7 +114,6 @@ class RoutingSession:
         router: str,
         construction: str,
         options: Optional[RouterOptions],
-        construction_options: Optional[ConstructionOptions],
         overrides: Optional[dict] = None,
     ):
         """Resolve ``(construction result, router, traffic context)`` once.
@@ -129,8 +127,8 @@ class RoutingSession:
         spec = get_router(router)
         router_options = spec.make_options(options, overrides)
         session = self.session
-        result = session.build(construction, options=construction_options)
-        key = (spec.key, result.key, result.options, router_options)
+        result = session.build(construction)
+        key = (spec.key, result.key, router_options)
         version = session.version
         cached = self._routers.get(key)
         if cached is not None and cached[0] == version:
@@ -168,7 +166,6 @@ class RoutingSession:
         construction: str = "mfp",
         *,
         options: Optional[RouterOptions] = None,
-        construction_options: Optional[ConstructionOptions] = None,
         **overrides: Any,
     ):
         """Build (or fetch from cache) a router over a cached construction.
@@ -179,9 +176,7 @@ class RoutingSession:
         (the cache is keyed by the session version).  Keyword *overrides*
         are field overrides of the router's option type.
         """
-        return self._resolve(
-            router, construction, options, construction_options, overrides
-        )[2]
+        return self._resolve(router, construction, options, overrides)[2]
 
     def context(
         self,
@@ -189,10 +184,9 @@ class RoutingSession:
         construction: str = "mfp",
         *,
         options: Optional[RouterOptions] = None,
-        construction_options: Optional[ConstructionOptions] = None,
     ) -> TrafficContext:
         """The traffic context (enabled index arrays + mask) of a router."""
-        return self._resolve(router, construction, options, construction_options)[3]
+        return self._resolve(router, construction, options)[3]
 
     # -- routing experiments ---------------------------------------------------------
 
@@ -206,7 +200,6 @@ class RoutingSession:
         router: str = "extended-ecube",
         traffic_options: Optional[TrafficOptions] = None,
         router_options: Optional[RouterOptions] = None,
-        construction_options: Optional[ConstructionOptions] = None,
         collect_results: bool = False,
         check_deadlock: bool = False,
         **traffic_overrides: Any,
@@ -238,7 +231,7 @@ class RoutingSession:
         """
         traffic_spec = get_traffic(traffic)
         router_spec, result, router_obj, context = self._resolve(
-            router, construction, router_options, construction_options
+            router, construction, router_options
         )
         batch = traffic_spec.generate(
             context,

@@ -41,15 +41,12 @@ import hashlib
 import json
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.api.registry import (
-    ConstructionOptions,
-    ConstructionResult,
-    get_construction,
-)
+from repro.api.registry import ConstructionResult, get_construction
 from repro.core.components import FaultComponent, shape_memo_counts
 from repro.core.raster import FaultRaster
 from repro.faults.links import links_to_node_faults, make_link_fault_set
 from repro.faults.scenario import FaultScenario
+from repro.geometry.masks import validated_coords
 from repro.mesh.topology import Mesh2D, Topology, Torus2D
 from repro.types import Coord, is_int_pair
 
@@ -88,8 +85,8 @@ class MeshSession:
         self._version = 0
         # FaultRaster(self._faults), made on first use, reset by every mutation.
         self._raster: Optional[FaultRaster] = None
-        # Whole-result cache: (key, options) -> (version, result).
-        self._results: Dict[Tuple[str, ConstructionOptions], Tuple[int, ConstructionResult]] = {}
+        # Whole-result cache: key -> (version, result).
+        self._results: Dict[str, Tuple[int, ConstructionResult]] = {}
         # Routing facade, created lazily on first router/route/routing use;
         # its router caches are keyed by the session version, so add_faults
         # invalidates them without an explicit hook.
@@ -224,7 +221,9 @@ class MeshSession:
         """Inject a batch of faults.
 
         Already-faulty positions are skipped.  Returns the list of newly
-        injected positions (insertion order).
+        injected positions (insertion order).  A node that is not an
+        ``(x, y)`` pair of integers or lies outside the topology raises
+        ``ValueError`` naming the first one, and the session is unchanged.
         """
         added = [node for node in self._batch(nodes) if node not in self._faults]
         self._faults.update(dict.fromkeys(added))
@@ -233,16 +232,13 @@ class MeshSession:
             self._raster = None
         return added
 
-    def remove_fault(self, node: Coord) -> bool:
-        """Repair a single fault; returns ``False`` if not currently faulty."""
-        return bool(self.remove_faults([node]))
-
     def remove_faults(self, nodes: Iterable[Coord]) -> List[Coord]:
         """Repair a batch of faults.
 
         The inverse of :meth:`add_faults`: positions that are not currently
         faulty are skipped, and the list of actually repaired positions is
-        returned.  The remaining faults keep their insertion order.
+        returned.  The remaining faults keep their insertion order.  Nodes
+        are validated as by :meth:`add_faults`.
         """
         removed = [node for node in self._batch(nodes) if node in self._faults]
         for node in removed:
@@ -255,7 +251,9 @@ class MeshSession:
     def _batch(self, nodes: Iterable[Coord]) -> Dict[Coord, None]:
         # The batch's distinct nodes in order, all validated before a mutator
         # touches anything: a rejected node leaves the session as it was.
-        return dict.fromkeys(self._topology.validate((int(n[0]), int(n[1]))) for n in nodes)
+        topology = self._topology
+        coords = validated_coords(nodes, topology.width, topology.height, where="topology")
+        return dict.fromkeys(map(tuple, coords.tolist()))
 
     def add_link_faults(
         self, links: Iterable[Sequence[Coord]], *, prefer_lower: bool = True
@@ -302,42 +300,35 @@ class MeshSession:
 
     # -- construction builds ---------------------------------------------------------
 
-    def build(
-        self,
-        key: str,
-        *,
-        options: Optional[ConstructionOptions] = None,
-        **overrides,
-    ) -> ConstructionResult:
+    def build(self, key: str) -> ConstructionResult:
         """Build (or fetch from cache) the construction registered as *key*.
 
-        Results are cached per (key, options) until the fault set changes.
-        A build is the spec's one-shot build on the current fault set's
-        raster.
+        Results are cached per key until the fault set changes.  A build
+        is the spec's one-shot build on the current fault set's raster.
 
         ``cache_info["component_hits"]`` / ``["component_misses"]`` grow by
         how much the process-wide shape-memo counters
         (:func:`repro.core.components.shape_memo_counts`) moved while the
-        build ran.  One lookup per memo a construction consults: MFP looks
-        up each non-rectangular component's hull, CMFP its hull and its
-        rounds, DMFP its outcome and every rectangle's ``(width, height)``
-        rounds; MFP looks up no rectangle.  The counters are not per
-        thread, so lookups another thread makes during the build count too.
+        build ran.  One lookup per memo a construction consults: MFP and
+        CMFP look up each non-rectangular component's hull, DMFP its
+        outcome and every rectangle's ``(width, height)`` rounds; MFP looks
+        up no rectangle.  MFP and CMFP look up their rounds on the first
+        read of ``rounds``, after the build, so these counters never see
+        those lookups.  The counters are not per thread, so lookups another
+        thread makes during the build count too.
         """
         spec = get_construction(key)
-        opts = spec.make_options(options, overrides)
-        cache_key = (spec.key, opts)
-        cached = self._results.get(cache_key)
+        cached = self._results.get(spec.key)
         if cached is not None and cached[0] == self._version:
             self.cache_info["result_hits"] += 1
             return cached[1]
         self.cache_info["result_misses"] += 1
         hits, misses = shape_memo_counts()
-        result = spec.build(self._fault_raster(), self._topology, options=opts)
+        result = spec.build(self._fault_raster(), self._topology)
         after_hits, after_misses = shape_memo_counts()
         self.cache_info["component_hits"] += after_hits - hits
         self.cache_info["component_misses"] += after_misses - misses
-        self._results[cache_key] = (self._version, result)
+        self._results[spec.key] = (self._version, result)
         return result
 
     def build_all(

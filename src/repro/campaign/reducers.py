@@ -280,14 +280,6 @@ class StreamingReducer:
         ]
 
 
-def reduce_rows(campaign: Any, chunks: Iterable[np.ndarray]) -> List[CampaignPoint]:
-    """Fold row chunks into reduced points (convenience over the class)."""
-    reducer = StreamingReducer(campaign)
-    for chunk in chunks:
-        reducer.feed(chunk)
-    return reducer.points()
-
-
 def scenario_chunks(
     campaign: Any, chunks: Iterable[np.ndarray]
 ) -> List[List[Any]]:

@@ -33,9 +33,12 @@ Solution B builds from the :class:`~repro.core.components.ComponentTable`
 of the faults.  A component that fills its bounding box is its own hull
 and needs 0 rounds.  Every other component's hull and rounds depend on its
 shape alone: they come from the process-wide memos :data:`shape_hull` and
-:data:`shape_rounds` and are translated into place with array ops.  The
-result's ``components`` and ``component_polygons`` are lazy lists, so a
-sweep trial builds no :class:`~repro.core.components.FaultComponent`.
+:data:`shape_rounds`, and the hulls are translated into place with array
+ops.  The result's ``components``, ``component_polygons`` and
+``component_rounds`` are lazy lists, so a sweep trial builds no
+:class:`~repro.core.components.FaultComponent`, and a build whose
+``rounds`` nobody reads (routing, the netsim, the daemon) runs no
+emulation.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from repro.core.components import (
 from repro.core.labelling import apply_labelling_scheme_1, apply_labelling_scheme_2
 from repro.core.raster import FaultRaster
 from repro.core.regions import FaultRegion, LazyList, mean_region_size, pile_polygons
-from repro.faults.scenario import FaultScenario
 from repro.geometry import masks
 from repro.geometry.orthogonal import orthogonal_convex_hull_sets
 from repro.mesh.status import StatusGrid
@@ -108,11 +110,20 @@ class MinimumPolygonConstruction:
     #: Each component's polygon, in component order; lazy like
     #: ``components``.
     component_polygons: Sequence[ComponentPolygon]
-    rounds: int
+    #: Labelling-emulation rounds of the components that do not fill their
+    #: bounding box (the others need 0); lazy like ``components``, looked
+    #: up in :data:`shape_rounds` on first read (Solution A lists them all).
+    component_rounds: Sequence[int]
     model: FaultRegionModel = FaultRegionModel.MINIMUM_FAULTY_POLYGON
     #: Grid mapping every cell to the index of the region containing it
     #: (-1 outside every region); the routing layer's O(1) membership test.
     region_index: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    @property
+    def rounds(self) -> int:
+        """CMFP rounds (Figure 11): the most any component's labelling
+        emulation takes, as components run in parallel in the network."""
+        return max(self.component_rounds, default=0)
 
     @property
     def num_disabled_nonfaulty(self) -> int:
@@ -350,6 +361,12 @@ def emulate_rounds_each(shapes: Sequence[bytes]) -> List[int]:
 shape_rounds = ShapeMemo(emulate_rounds_each)
 
 
+def _lookup_rounds(keys: Sequence[bytes]) -> List[int]:
+    """:data:`shape_rounds` of *keys*; a module-level lazy-list builder, so
+    a construction pickles before its rounds are read."""
+    return shape_rounds.lookup(keys)
+
+
 def _component_polygons(
     components: Sequence[FaultComponent],
     table: ComponentTable,
@@ -369,7 +386,6 @@ def build_minimum_polygons(
     topology: Optional[Topology] = None,
     width: int = 100,
     height: Optional[int] = None,
-    compute_rounds: bool = True,
 ) -> MinimumPolygonConstruction:
     """Construct minimum faulty polygons (centralized Solution B, default).
 
@@ -380,12 +396,12 @@ def build_minimum_polygons(
     and column sections, which only the components that do not fill their
     bounding box have (hulls from the :data:`shape_hull` memo); the
     superseding rule piles the per-component results.  The reported
-    ``rounds`` is the CMFP emulation
-    cost, i.e. the maximum per-component labelling rounds
-    (:data:`shape_rounds`), which the paper uses for the CMFP curve of
-    Figure 11 (the hull fill itself is a centralized computation and
-    exchanges no messages).  Pass ``compute_rounds=False`` to skip the
-    emulation when only the node statuses are needed (Figures 9 and 10).
+    ``rounds`` is the CMFP emulation cost, i.e. the maximum per-component
+    labelling rounds (:data:`shape_rounds`), which the paper uses for the
+    CMFP curve of Figure 11 (the hull fill itself is a centralized
+    computation and exchanges no messages).  The emulation runs on the
+    first read of ``rounds``, so the Figure 9/10 quantities never pay
+    for it.
     """
     if topology is None:
         topology = Mesh2D(width, height if height is not None else width)
@@ -394,8 +410,6 @@ def build_minimum_polygons(
     grid = raster.status_grid()
     keys = [table.keys[index] for index in table.irregular.tolist()]
     hulls = shape_hull.lookup(keys)
-    # Round accounting follows the labelling emulation (Solution A).
-    rounds = max(shape_rounds.lookup(keys), default=0) if compute_rounds else 0
     regions, region_index = pile_polygons(grid, table.place(table.irregular, hulls))
     components = LazyList(len(table), table.materialise)
     return MinimumPolygonConstruction(
@@ -405,13 +419,7 @@ def build_minimum_polygons(
         component_polygons=LazyList(
             len(table), _component_polygons, components, table, hulls
         ),
-        rounds=rounds,
+        # Round accounting follows the labelling emulation (Solution A).
+        component_rounds=LazyList(len(keys), _lookup_rounds, keys),
         region_index=region_index,
     )
-
-
-def build_minimum_polygons_for_scenario(
-    scenario: FaultScenario,
-) -> MinimumPolygonConstruction:
-    """Construct minimum faulty polygons for a :class:`FaultScenario`."""
-    return build_minimum_polygons(scenario.faults, topology=scenario.topology())

@@ -37,8 +37,9 @@ class FaultRaster(SequenceABC):
     order and ``mask`` the read-only ``[x, y]`` fault mask of the
     topology's shape.  :attr:`scheme1` and :attr:`component_table` are
     computed on first use and then shared by every construction built
-    from the raster, so nothing may write to them.  A fault outside the
-    topology raises ``ValueError`` naming the first one.
+    from the raster, so nothing may write to them.  A fault that is not
+    an ``(x, y)`` pair of integers, or lies outside the topology, raises
+    ``ValueError`` naming the first one.
     """
 
     __slots__ = ("topology", "coords", "mask", "_faults", "_scheme1", "_table", "_components")
@@ -49,10 +50,7 @@ class FaultRaster(SequenceABC):
         width, height = topology.width, topology.height
         coords = validated_coords(self._faults, width, height, kind="fault", where="grid")
         mask = np.zeros((width, height), dtype=bool)
-        if coords.size:
-            mask[coords[:, 0], coords[:, 1]] = True
-        else:
-            coords = np.zeros((0, 2), dtype=np.int64)
+        mask[coords[:, 0], coords[:, 1]] = True
         coords.flags.writeable = False
         mask.flags.writeable = False
         self.coords = coords

@@ -115,18 +115,14 @@ def build_fp(faults: Sequence[Coord], topology: Topology) -> ReferenceConstructi
     return ReferenceConstruction(raw.grid, regions, raw.rounds, [])
 
 
-def build_mfp(
-    faults: Sequence[Coord], topology: Topology, compute_rounds: bool = True
-) -> ReferenceConstruction:
-    """Centralized Solution B: BFS components, set hulls, one labelling
-    emulation per component for the rounds."""
+def build_mfp(faults: Sequence[Coord], topology: Topology) -> ReferenceConstruction:
+    """Centralized Solution B (MFP and CMFP): BFS components, set hulls, one
+    labelling emulation per component for the rounds."""
     components = find_components_bfs(faults)
     polygons = [orthogonal_convex_hull_sets(c.nodes) for c in components]
-    rounds = 0
-    if compute_rounds:
-        rounds = max(
-            (component_polygon_via_labelling(c).rounds for c in components), default=0
-        )
+    rounds = max(
+        (component_polygon_via_labelling(c).rounds for c in components), default=0
+    )
     return _pile(faults, topology, polygons, rounds)
 
 
@@ -148,14 +144,9 @@ def build_minimum_polygons_via_labelling(
         regions=regions,
         components=components,
         component_polygons=component_polygons,
-        rounds=max((entry.rounds for entry in component_polygons), default=0),
+        component_rounds=[entry.rounds for entry in component_polygons],
         region_index=region_index,
     )
-
-
-def build_cmfp(faults: Sequence[Coord], topology: Topology) -> ReferenceConstruction:
-    """CMFP: the centralized construction with the round emulation on."""
-    return build_mfp(faults, topology, compute_rounds=True)
 
 
 def build_dmfp(faults: Sequence[Coord], topology: Topology) -> ReferenceConstruction:
@@ -173,6 +164,6 @@ BUILDERS: Dict[str, Callable[[Sequence[Coord], Topology], ReferenceConstruction]
     "fb": build_fb,
     "fp": build_fp,
     "mfp": build_mfp,
-    "cmfp": build_cmfp,
+    "cmfp": build_mfp,
     "dmfp": build_dmfp,
 }

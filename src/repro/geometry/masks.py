@@ -45,7 +45,8 @@ are the references the differential tests and
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Any, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +62,28 @@ MAX_LOCAL_AREA = 16_000_000
 # -- mask <-> coordinate conversions -------------------------------------------------
 
 
+def integer_rows(rows: Any, columns: int) -> Optional[np.ndarray]:
+    """*rows* as an ``(n, columns)`` int64 array, or ``None`` unless it is
+    *n* rows of *columns* integers each.
+
+    A Python or numpy integer counts; ``bool``, ``float`` and ``str`` do
+    not.  NumPy folds a ``bool`` among integers into an integer array, so
+    the element types are checked in one C-level pass before converting.
+    The element rule of :func:`validated_coords` and of the daemon's
+    request parsing.
+    """
+    try:
+        types = set(map(type, chain.from_iterable(rows)))
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+            return None
+        array = np.array(rows, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if array.size == 0:  # no rows: no columns to read the width from
+        array = array.reshape(0, columns)
+    return array if array.shape == (len(rows), columns) else None
+
+
 def validated_coords(
     coords: Iterable[Coord],
     width: int,
@@ -68,23 +91,23 @@ def validated_coords(
     kind: str = "node",
     where: str = "grid",
 ) -> np.ndarray:
-    """Return *coords* as a validated ``(n, 2)`` int array.
+    """Return *coords* as a validated ``(n, 2)`` int64 array.
 
-    Raises ``ValueError`` naming the array's shape unless the coordinates
-    are ``(x, y)`` pairs, and naming the first coordinate (in iteration
-    order) outside the ``width x height`` bounds; *kind*/*where*
-    parametrise the message so callers keep their historical wording.
-    Shared by :func:`repro.core.labelling.faults_to_mask`,
-    :class:`repro.mesh.status.StatusGrid` and
-    :class:`repro.core.raster.FaultRaster`.
+    Raises ``ValueError`` naming the first coordinate (in iteration order)
+    that is not an ``(x, y)`` pair of integers by :func:`integer_rows`'s
+    rule, else the first one outside the ``width x height`` bounds;
+    *kind*/*where* parametrise the message so callers keep their
+    historical wording.  Shared by
+    :func:`repro.core.labelling.faults_to_mask`,
+    :class:`repro.mesh.status.StatusGrid`,
+    :class:`repro.core.raster.FaultRaster` and the
+    :class:`repro.api.MeshSession` mutators.
     """
-    pts = np.asarray(coords if isinstance(coords, np.ndarray) else list(coords))
-    if pts.size == 0:
-        return pts.reshape(0, 2)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(
-            f"{kind} coordinates must be (x, y) pairs, not an array of shape {pts.shape}"
-        )
+    rows = list(coords)
+    pts = integer_rows(rows, 2)
+    if pts is None:
+        item = next((row for row in rows if integer_rows([row], 2) is None), rows)
+        raise ValueError(f"{kind} coordinates must be (x, y) pairs of integers, not {item!r}")
     xs, ys = pts[:, 0], pts[:, 1]
     bad = (xs < 0) | (xs >= width) | (ys < 0) | (ys >= height)
     if bad.any():

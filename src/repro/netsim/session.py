@@ -15,10 +15,10 @@ every unique endpoint pair once through the scalar router, replay the paths
 against per-channel occupancy, and fold the outcome into a
 :class:`~repro.netsim.stats.NetSimStats`.
 
-Routed paths are memoised per ``(router, construction, options)`` key and
-session version -- a latency-vs-load sweep replays largely the same pair
-population at every load point, so only the first point pays the routing
-cost.
+Routed paths are memoised per ``(router, construction, router options)``
+key and session version -- a latency-vs-load sweep replays largely the
+same pair population at every load point, so only the first point pays
+the routing cost.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ class NetSimSession:
         traffic_options=None,
         arrival_options=None,
         router_options=None,
-        construction_options=None,
         **traffic_overrides: Any,
     ) -> NetSimStats:
         """Run one open-loop contention simulation and return its statistics.
@@ -151,7 +150,7 @@ class NetSimSession:
         backend_key = _array_ops.active_backend_key()
         sim_spec = resolve_simulator(sim)
         router_spec, result, router_obj, context = self.routing._resolve(
-            router, construction, router_options, construction_options
+            router, construction, router_options
         )
         rate = load * context.num_enabled
         if messages is None:
@@ -176,7 +175,6 @@ class NetSimSession:
         cache_key = (
             router_spec.key,
             result.key,
-            result.options,
             router_spec.make_options(router_options, None),
         )
         plan = build_plan(router_obj, batch, path_cache=self._path_cache(cache_key))

@@ -132,10 +132,8 @@ class ExtendedECubeRouter:
         self._disabled_mask = self._region_index >= 0
         self._disabled_set: Optional[Set[Coord]] = None
         # Per-region ring geometry, resolved lazily (and through the shared
-        # session cache when one is attached); the validity arrays depend on
-        # the full disabled mask, so they are cached per router.
+        # session cache when one is attached).
         self._geometry: Dict[int, object] = {}
-        self._ring_valid: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._shared_rings = None
         self._tables = None
         self._packed_rings = None
@@ -178,15 +176,6 @@ class ExtendedECubeRouter:
     def enabled_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(xs, ys)`` index arrays of all enabled nodes, ``(x, y)``-sorted."""
         return np.nonzero(~self._disabled_mask)
-
-    def enabled_nodes(self) -> List[Coord]:
-        """Every grid node outside all fault regions, in ``(x, y)`` order.
-
-        Vectorized complement of the disabled mask -- the same list the
-        simulator previously built with one ``is_disabled`` call per node.
-        """
-        xs, ys = self.enabled_arrays()
-        return list(zip(xs.tolist(), ys.tolist()))
 
     def is_disabled(self, node: Coord) -> bool:
         """Whether *node* belongs to any fault region."""
@@ -280,25 +269,6 @@ class ExtendedECubeRouter:
                 geometry = RegionGeometry(self._regions[region_index])
             self._geometry[region_index] = geometry
         return geometry
-
-    def ring_validity(self, region_index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(valid, off_mesh)`` arrays over one region's ring nodes.
-
-        ``valid`` marks ring nodes a traversal may step on (inside the
-        mesh and outside every region); ``off_mesh`` distinguishes the
-        "left the mesh" failure from the "obstructed" one.  Depends on
-        the whole disabled mask, so it is cached per router, not in the
-        shared region geometry.
-        """
-        cached = self._ring_valid.get(region_index)
-        if cached is None:
-            arrays = self.region_geometry(region_index).arrays(*self._shape)
-            clip_x = np.clip(arrays.ring_x, 0, self._shape[0] - 1)
-            clip_y = np.clip(arrays.ring_y, 0, self._shape[1] - 1)
-            valid = arrays.on_mesh & ~self._disabled_mask[clip_x, clip_y]
-            cached = (valid, ~arrays.on_mesh)
-            self._ring_valid[region_index] = cached
-        return cached
 
     def _ring(self, region_index: int) -> List[Coord]:
         return self.region_geometry(region_index).ring

@@ -63,7 +63,6 @@ from __future__ import annotations
 import asyncio
 import math
 from collections import Counter, OrderedDict
-from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -73,6 +72,7 @@ from repro import _array_ops
 from repro.api.registry import get_construction
 from repro.api.session import MeshSession
 from repro.faults.scenario import FaultScenario
+from repro.geometry.masks import integer_rows
 from repro.netsim.session import arrival_keys
 from repro.routing.engine import (
     DELIVERED,
@@ -108,24 +108,6 @@ from repro.serve.protocol import (
     ok_response,
 )
 from repro.types import Coord
-
-
-def _integer_rows(rows: Any, columns: int) -> Optional[np.ndarray]:
-    """*rows* as an ``(n, columns)`` int64 array, or ``None`` unless it is
-    *n* rows of *columns* integers each.
-
-    A Python or numpy integer counts; ``bool``, ``float`` and ``str`` do
-    not.  NumPy folds a ``bool`` among integers into an integer array, so
-    the element types are checked in one C-level pass before converting.
-    """
-    try:
-        types = set(map(type, chain.from_iterable(rows)))
-        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
-            return None
-        array = np.array(rows, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return array if array.shape == (len(rows), columns) else None
 
 
 def _number_field(
@@ -412,11 +394,11 @@ class RouteDaemon:
             raise ProtocolError(E_BAD_PAIR, "'pairs' must be a non-empty list")
         topology = self.session.topology
         width, height = topology.width, topology.height
-        pairs = _integer_rows(raw, 4)
+        pairs = integer_rows(raw, 4)
         if pairs is not None and ((pairs >= 0) & (pairs < (width, height, width, height))).all():
             return pairs
         for item in raw:
-            row = _integer_rows([item], 4)
+            row = integer_rows([item], 4)
             if row is None:
                 raise ProtocolError(
                     E_BAD_PAIR, f"not a [sx, sy, dx, dy] pair of integers: {item!r}"
@@ -439,9 +421,9 @@ class RouteDaemon:
         raw = payload.get("nodes")
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ProtocolError(E_BAD_NODES, "'nodes' must be a non-empty list")
-        nodes = _integer_rows(raw, 2)
+        nodes = integer_rows(raw, 2)
         if nodes is None:
-            item = next((item for item in raw if _integer_rows([item], 2) is None), raw)
+            item = next((item for item in raw if integer_rows([item], 2) is None), raw)
             raise ProtocolError(E_BAD_NODES, f"not an [x, y] coordinate of integers: {item!r}")
         topology = self.session.topology
         coords = [(x, y) for x, y in nodes.tolist()]
@@ -461,7 +443,7 @@ class RouteDaemon:
             raise ProtocolError(E_BAD_LINKS, "'links' must be a non-empty list")
         links: List[Tuple[Coord, Coord]] = []
         for item in raw:
-            link = _integer_rows(item, 2)
+            link = integer_rows(item, 2)
             if link is None or len(link) != 2:
                 raise ProtocolError(
                     E_BAD_LINKS, f"not an [[x, y], [x, y]] link of integers: {item!r}"

@@ -15,13 +15,10 @@ construction algorithms rely on heavily.
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterable, Tuple
+from typing import Any, Tuple
 
 #: A node coordinate ``(x, y)`` in the mesh.
 Coord = Tuple[int, int]
-
-#: A set or iterable of node coordinates.
-CoordIterable = Iterable[Coord]
 
 
 def is_int_pair(value: Any) -> bool:
@@ -114,9 +111,3 @@ class FaultRegionModel(enum.Enum):
     FAULTY_BLOCK = "FB"
     SUB_MINIMUM_FAULTY_POLYGON = "FP"
     MINIMUM_FAULTY_POLYGON = "MFP"
-
-
-def as_coord(value: CoordIterable | Coord) -> Coord:
-    """Coerce a 2-sequence into a canonical ``(int, int)`` coordinate."""
-    x, y = value  # type: ignore[misc]
-    return (int(x), int(y))

@@ -9,6 +9,8 @@ from repro.api import (
     collect_scenario_metrics,
     run_trial,
 )
+from repro.core.components import clear_shape_memos
+from repro.core.mfp import shape_rounds
 from repro.faults.scenario import (
     TRIAL_SEED_STRIDE,
     derive_trial_seed,
@@ -21,7 +23,7 @@ ALL_LABELS = ("FB", "FP", "MFP", "CMFP", "DMFP")
 FIGURE_METRICS = ("disabled_nonfaulty", "mean_region_size", "rounds")
 
 
-def _custom_fb(faults, topology, options):
+def _custom_fb(faults, topology):
     """A module-level custom builder: it pickles by reference, the way a
     user-defined builder reaches spawned workers."""
     from repro.core.faulty_block import build_faulty_blocks
@@ -207,10 +209,15 @@ class TestExecution:
 
     def test_include_rounds_false_zeroes_cmfp(self):
         scenario = generate_scenario(num_faults=25, width=15, seed=4)
+        clear_shape_memos()
         metrics = collect_scenario_metrics(
             scenario, models=("mfp", "cmfp"), include_rounds=False
         )
         assert metrics.per_model["CMFP"].rounds == 0
+        assert metrics.per_model["MFP"].rounds == 0
+        assert (shape_rounds.hits, shape_rounds.misses) == (0, 0)
+        with_rounds = collect_scenario_metrics(scenario, models=("mfp", "cmfp"))
+        assert with_rounds.per_model["MFP"].rounds == with_rounds.per_model["CMFP"].rounds > 0
 
 
 class TestWorkerRegistry:

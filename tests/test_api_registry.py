@@ -1,11 +1,12 @@
 """Tests for the construction registry (repro.api.registry)."""
 
+import re
+
 import pytest
 
 from repro.api import (
     ConstructionResult,
     ConstructionSpec,
-    MinimumPolygonOptions,
     available_constructions,
     build_construction,
     construction_keys,
@@ -21,6 +22,7 @@ from repro.distributed.dmfp import build_minimum_polygons_distributed
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D
+from repro.routing.registry import RouterOptions
 
 
 @pytest.fixture(scope="module")
@@ -89,13 +91,6 @@ class TestUniformBuild:
         result = get_construction("fb").build([(1, 1), (2, 2)])
         assert result.grid.topology.width == 100
 
-    def test_option_overrides_as_keywords(self, scenario):
-        fast = get_construction("mfp").build(scenario, compute_rounds=False)
-        full = get_construction("mfp").build(scenario, compute_rounds=True)
-        assert fast.rounds == 0
-        assert full.rounds > 0
-        assert fast.disabled_set() == full.disabled_set()
-
     def test_via_labelling_matches_hull(self, scenario):
         # Solution A is a named reference, not an option of the mfp key.
         hull = get_construction("mfp").build(scenario)
@@ -105,16 +100,31 @@ class TestUniformBuild:
         with pytest.raises(TypeError):
             get_construction("mfp").build(scenario, via_labelling=True)
 
+    def test_option_overrides_as_keywords(self, scenario):
+        # Constructions take no options: a keyword override is refused.
+        with pytest.raises(TypeError):
+            build_construction("mfp", scenario, rounds=0)
+
     def test_explicit_options_object(self, scenario):
-        options = MinimumPolygonOptions(compute_rounds=False)
-        result = get_construction("mfp").build(scenario, options=options)
-        assert result.options == options
+        with pytest.raises(TypeError):
+            get_construction("mfp").build(scenario, options=None)
 
     def test_wrong_options_type_rejected(self, scenario):
         with pytest.raises(TypeError):
-            get_construction("fb").build(
-                scenario, options=MinimumPolygonOptions()
-            )
+            get_construction("fb").build(scenario, options=RouterOptions())
+
+    @pytest.mark.parametrize(
+        "key, faults, bad",
+        [
+            # A float used to end in an IndexError, a bool to build (1, 2).
+            ("fb", [(1.5, 2)], "(1.5, 2)"),
+            ("mfp", [(True, 2), (3, 3)], "(True, 2)"),
+            ("dmfp", [(3, 3), ("4", 2)], "('4', 2)"),
+        ],
+    )
+    def test_non_integer_fault_refused(self, key, faults, bad):
+        with pytest.raises(ValueError, match=re.escape(f"integers, not {bad}")):
+            get_construction(key).build(faults, Mesh2D(10, 10))
 
     def test_unknown_option_field_rejected(self, scenario):
         with pytest.raises(TypeError):
@@ -157,9 +167,7 @@ class TestPluggability:
             key="fb-test-custom",
             label="FBX",
             description="test double of fb",
-            builder=lambda faults, topology, options: build_faulty_blocks(
-                faults, topology=topology
-            ),
+            builder=lambda faults, topology: build_faulty_blocks(faults, topology=topology),
         )
         try:
             register_construction(spec)
@@ -203,7 +211,7 @@ class TestReplaceSafety:
             key="mfp",
             label="MFP",
             description="hijack attempt",
-            builder=lambda f, t, o: None,
+            builder=lambda f, t: None,
             aliases=("fb",),
         )
         original = _REGISTRY["mfp"]
@@ -222,7 +230,7 @@ class TestReplaceSafety:
             key="fp",
             label="FP",
             description="hijack attempt",
-            builder=lambda f, t, o: None,
+            builder=lambda f, t: None,
             aliases=("distributed",),  # belongs to dmfp
         )
         original = _REGISTRY["fp"]
@@ -240,7 +248,7 @@ class TestReplaceSafety:
             key="distributed",  # an alias of dmfp, not a primary key
             label="X",
             description="alias takeover attempt",
-            builder=lambda f, t, o: None,
+            builder=lambda f, t: None,
         )
         with pytest.raises(ValueError, match="alias"):
             register_construction(spec, replace=True)
@@ -261,6 +269,6 @@ class TestReplaceSafety:
             register_construction(original, replace=True)
         assert get_construction("sub-minimum").key == "fp"
 
-    def test_cmfp_rejects_mfp_only_options(self):
-        with pytest.raises(TypeError):
-            get_construction("cmfp").build([(1, 1)], Mesh2D(5, 5), compute_rounds=False)
+    def test_cmfp_registers_the_mfp_builder(self):
+        # CMFP is the MFP build reported under its own label (Figure 11).
+        assert get_construction("cmfp").builder is get_construction("mfp").builder

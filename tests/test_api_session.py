@@ -3,13 +3,17 @@ equal one-shot builds, result caching, and components labelled once per
 version."""
 
 import gc
+import pickle
 import random
+import re
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.api import MeshSession, get_construction
 from repro.core.components import ComponentTable, clear_shape_memos, find_components
+from repro.core.mfp import shape_rounds
 from repro.core.reference import build_minimum_polygons_via_labelling
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D, Torus2D
@@ -218,20 +222,22 @@ class TestIncrementalEqualsOneShot:
                 )
                 _assert_same_result(incremental, oneshot, context=str(fault))
 
-    def test_mfp_options_respected_incrementally(self):
+    def test_mfp_rounds_read_after_the_build(self):
         # The diagonal pair forms one component whose labelling emulation
         # needs at least one round (singletons would legitimately need 0).
+        clear_shape_memos()
         session = MeshSession(width=15, faults=[(2, 2), (3, 3), (10, 10)])
-        fast = session.build("mfp", compute_rounds=False)
-        assert fast.rounds == 0
-        full = session.build("mfp", compute_rounds=True)
-        assert full.rounds > 0
-        assert fast.disabled_set() == full.disabled_set()
+        mfp = session.build("mfp")
+        cmfp = session.build("cmfp")
+        assert (shape_rounds.hits, shape_rounds.misses) == (0, 0)
+        assert mfp.rounds == cmfp.rounds > 0
+        assert shape_rounds.misses == 1
+        assert mfp.disabled_set() == cmfp.disabled_set()
 
-    def test_via_labelling_rounds_match_oneshot_even_without_compute_rounds(self):
-        """Solution A, the named reference, always reports its emulation
-        rounds; the session's memoised rounds equal them, and
-        compute_rounds=False only skips the hull path's emulation."""
+    def test_via_labelling_rounds_match_oneshot_even_with_rounds_read_after_routing(self):
+        """Solution A, the named reference, reports its emulation rounds as
+        it builds; the session's build, routed before its rounds are read,
+        reports the same rounds from the shape memo."""
         scenario = generate_scenario(
             num_faults=25, width=15, model="clustered", seed=3
         )
@@ -239,10 +245,11 @@ class TestIncrementalEqualsOneShot:
         solution_a = build_minimum_polygons_via_labelling(
             scenario.faults, scenario.topology()
         )
-        assert session.build("mfp").rounds == solution_a.rounds > 0
-        fast = session.build("mfp", compute_rounds=False)
-        assert fast.rounds == 0
-        assert fast.disabled_set() == solution_a.grid.disabled_set()
+        result = session.build("mfp")
+        session.route("mfp", messages=50, seed=1)
+        assert session.build("mfp") is result
+        assert result.rounds == solution_a.rounds > 0
+        assert result.disabled_set() == solution_a.grid.disabled_set()
 
     def test_cached_labelling_polygons_follow_shifted_component_indices(self):
         session = MeshSession(
@@ -277,22 +284,25 @@ class TestCaching:
         second = session.build("mfp")
         assert second is not first
 
-    def test_distinct_options_cached_separately(self):
+    def test_one_cache_entry_per_key(self):
         session = MeshSession(width=15, faults=[(2, 2)])
-        fast = session.build("mfp", compute_rounds=False)
-        full = session.build("mfp")
-        assert fast is not full
-        assert session.build("mfp", compute_rounds=False) is fast
+        mfp = session.build("mfp")
+        assert session.build("minimum-polygons") is mfp  # an alias of mfp
+        cmfp = session.build("cmfp")
+        assert cmfp is not mfp and cmfp.label == "CMFP"
+        assert session.cache_info["result_misses"] == 2
+        with pytest.raises(TypeError):
+            session.build("mfp", options=None)
 
     def test_untouched_components_hit_cache(self):
         """A far-away new component leaves the others' shapes in the shape
         memos: the next build looks them up as hits."""
         clear_shape_memos()
         session = MeshSession(width=30, faults=[(2, 2), (2, 3), (3, 3)])
-        session.build("mfp", compute_rounds=False)
+        session.build("mfp")
         assert session.cache_info["component_misses"] == 1  # the L's hull
         session.add_faults([(20, 20), (21, 21)])  # new diagonal pair
-        session.build("mfp", compute_rounds=False)
+        session.build("mfp")
         assert session.cache_info["component_hits"] == 1  # the L reused
         # Only the new component's hull was computed.
         assert session.cache_info["component_misses"] == 2
@@ -300,10 +310,10 @@ class TestCaching:
     def test_touched_component_recomputed(self):
         clear_shape_memos()
         session = MeshSession(width=30, faults=[(2, 2), (3, 3)])
-        session.build("mfp", compute_rounds=False)
+        session.build("mfp")
         misses = session.cache_info["component_misses"]
         session.add_faults([(3, 4)])  # extends the existing component
-        session.build("mfp", compute_rounds=False)
+        session.build("mfp")
         assert session.cache_info["component_misses"] == misses + 1
         assert session.cache_info["component_hits"] == 0
 
@@ -323,7 +333,7 @@ class TestCaching:
 
         calls = []
 
-        def custom_builder(faults, topology, options):
+        def custom_builder(faults, topology):
             calls.append(len(faults))
             return build_minimum_polygons(faults, topology=topology)
 
@@ -357,6 +367,56 @@ class TestBatchAtomicity:
         assert session.fault_set() == frozenset({(1, 1)})
         assert [c.nodes for c in session.components()] == [frozenset({(1, 1)})]
         assert session.build("mfp") is before  # cache still valid
+
+    @pytest.mark.parametrize("mutator", ["add_faults", "remove_faults"])
+    @pytest.mark.parametrize(
+        "batch, bad",
+        [
+            ([(1.7, 0), ("3", 2)], "(1.7, 0)"),
+            ([(2, 2), ("3", 2)], "('3', 2)"),
+            ([(2, 2), (True, 1)], "(True, 1)"),
+            ([(2, 2), (1, 1, 1)], "(1, 1, 1)"),
+        ],
+    )
+    def test_non_integer_node_refused(self, mutator, batch, bad):
+        """The mutators refuse what the daemon refuses, naming the first
+        bad node, and leave the version and the faults as they were."""
+        session = MeshSession(width=10, faults=[(1, 1), (2, 2)])
+        version, faults = session.version, session.faults
+        with pytest.raises(ValueError, match=re.escape(f"integers, not {bad}")):
+            getattr(session, mutator)(batch)
+        assert (session.version, session.faults) == (version, faults)
+
+    def test_numpy_integer_nodes_stored_as_python_ints(self):
+        session = MeshSession(width=10)
+        assert session.add_faults([(np.int64(3), np.int32(4))]) == [(3, 4)]
+        assert all(type(v) is int for v in session.faults[0])
+
+
+class TestLazyRounds:
+    """MFP and CMFP run their round emulation on the first ``rounds`` read,
+    so a session that only routes or simulates never runs it."""
+
+    FAULTS = [(2, 2), (3, 3), (2, 4), (7, 7), (8, 8), (10, 3), (11, 4)]
+
+    def test_route_and_simulate_look_up_no_rounds(self):
+        clear_shape_memos()
+        session = MeshSession(width=14, faults=self.FAULTS)
+        session.route("mfp", messages=40, seed=1)
+        session.simulate("mfp", load=0.02, cycles=16, seed=1)
+        assert (shape_rounds.hits, shape_rounds.misses) == (0, 0)
+        rounds = session.build("mfp").rounds
+        assert rounds > 0
+        assert shape_rounds.misses > 0
+        assert rounds == get_construction("cmfp").build(session.faults, session.topology).rounds
+
+    def test_fresh_build_pickles_before_rounds_are_read(self):
+        clear_shape_memos()
+        result = MeshSession(width=14, faults=self.FAULTS).build("mfp")
+        clone = pickle.loads(pickle.dumps(result))
+        assert (shape_rounds.hits, shape_rounds.misses) == (0, 0)
+        assert clone.rounds == result.rounds > 0
+        assert clone.disabled_set() == result.disabled_set()
 
 
 class TestLifetime:

@@ -36,9 +36,7 @@ class TestDistributedConstruction:
                 num_faults=90, width=25, model="clustered", seed=seed
             )
             topology = scenario.topology()
-            centralized = build_minimum_polygons(
-                scenario.faults, topology=topology, compute_rounds=False
-            )
+            centralized = build_minimum_polygons(scenario.faults, topology=topology)
             distributed = build_distributed_for_scenario(scenario)
             assert distributed.grid.disabled_set() == centralized.grid.disabled_set()
 
@@ -46,9 +44,7 @@ class TestDistributedConstruction:
         for seed in range(4):
             scenario = generate_scenario(num_faults=60, width=20, seed=seed)
             topology = scenario.topology()
-            centralized = build_minimum_polygons(
-                scenario.faults, topology=topology, compute_rounds=False
-            )
+            centralized = build_minimum_polygons(scenario.faults, topology=topology)
             distributed = build_distributed_for_scenario(scenario)
             assert distributed.grid.disabled_set() == centralized.grid.disabled_set()
 
@@ -158,11 +154,12 @@ class TestShapeMemo:
         clear_shape_memos()
         result = build_minimum_polygons(CAP + moved, width=20)
         assert shape_hull.misses == 1
-        assert shape_rounds.misses == 1
         here, there = result.component_polygons
         assert here.polygon > here.component.nodes  # the cap's sections
         assert there.polygon == {(x + shift[0], y + shift[1]) for x, y in here.polygon}
+        assert shape_rounds.misses == 0  # rounds are looked up on first read
         assert result.rounds > 0
+        assert (shape_rounds.hits, shape_rounds.misses) == (1, 1)
 
 
 #: One component whose ring walk meets stale pairings: a boundary-array

@@ -206,10 +206,8 @@ class TestConstructionEquivalence:
     @given(fault_sets)
     def test_router_fast_path_matches_set_based_router(self, faults):
         topology = Mesh2D(15, 15)
-        kernel = build_minimum_polygons(
-            sorted(faults), topology=topology, compute_rounds=False
-        )
-        oracle = reference.build_mfp(sorted(faults), topology, compute_rounds=False)
+        kernel = build_minimum_polygons(sorted(faults), topology=topology)
+        oracle = reference.build_mfp(sorted(faults), topology)
         assert kernel.region_index is not None
         spec = get_router("extended-ecube")
         fast = spec.build(kernel)

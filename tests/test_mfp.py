@@ -4,13 +4,14 @@ import pickle
 
 import pytest
 
-from repro.core.components import find_components, shape_key
+from repro.core.components import clear_shape_memos, find_components, shape_key
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import (
     build_minimum_polygons,
     component_minimum_polygon,
     component_polygon_via_labelling,
     shape_hull,
+    shape_rounds,
 )
 from repro.core.reference import build_minimum_polygons_via_labelling
 from repro.core.regions import LazyList
@@ -97,9 +98,7 @@ class TestBuildMinimumPolygons:
             topology = scenario.topology()
             fb = build_faulty_blocks(scenario.faults, topology=topology)
             fp = build_sub_minimum_polygons(scenario.faults, topology=topology)
-            mfp = build_minimum_polygons(
-                scenario.faults, topology=topology, compute_rounds=False
-            )
+            mfp = build_minimum_polygons(scenario.faults, topology=topology)
             assert (
                 mfp.num_disabled_nonfaulty
                 <= fp.num_disabled_nonfaulty
@@ -112,9 +111,7 @@ class TestBuildMinimumPolygons:
                 num_faults=70, width=20, model="clustered", seed=seed
             )
             topology = scenario.topology()
-            hull_based = build_minimum_polygons(
-                scenario.faults, topology=topology, compute_rounds=False
-            )
+            hull_based = build_minimum_polygons(scenario.faults, topology=topology)
             labelling_based = build_minimum_polygons_via_labelling(
                 scenario.faults, topology=topology
             )
@@ -125,9 +122,7 @@ class TestBuildMinimumPolygons:
         # convex hull of the component: no smaller orthogonal convex region
         # can cover its faults.
         scenario = generate_scenario(num_faults=60, width=20, model="clustered", seed=8)
-        result = build_minimum_polygons(
-            scenario.faults, topology=scenario.topology(), compute_rounds=False
-        )
+        result = build_minimum_polygons(scenario.faults, topology=scenario.topology())
         for entry in result.component_polygons:
             hull = orthogonal_convex_hull(entry.component.nodes)
             assert entry.polygon == hull
@@ -155,7 +150,7 @@ class TestBuildMinimumPolygons:
             shape_outcome(key).notified[0, 0] = 5
 
     def test_figure4_two_minimum_polygons(self, figure4_faults):
-        result = build_minimum_polygons(figure4_faults, width=10, compute_rounds=False)
+        result = build_minimum_polygons(figure4_faults, width=10)
         assert len(result.components) == 2
         assert result.num_disabled_nonfaulty == 0
         assert len(result.regions) == 2
@@ -172,12 +167,15 @@ class TestBuildMinimumPolygons:
             mfp = build_minimum_polygons(scenario.faults, topology=topology)
             assert mfp.rounds <= fp.rounds
 
-    def test_compute_rounds_flag(self):
+    def test_rounds_computed_on_first_read(self):
+        clear_shape_memos()
         faults = [(0, 0), (1, 1)]
-        result = build_minimum_polygons(faults, width=8, compute_rounds=False)
-        assert result.rounds == 0
-        result = build_minimum_polygons(faults, width=8, compute_rounds=True)
+        result = build_minimum_polygons(faults, width=8)
+        assert isinstance(result.component_rounds, LazyList)
+        assert (shape_rounds.hits, shape_rounds.misses) == (0, 0)
         assert result.rounds == 2
+        assert result.rounds == 2  # the second read looks nothing up
+        assert (shape_rounds.hits, shape_rounds.misses) == (0, 1)
         (component,) = find_components(faults)
         assert result.rounds == component_polygon_via_labelling(component).rounds
 
@@ -192,7 +190,7 @@ class TestBuildMinimumPolygons:
             # (not 8-adjacent to any A node)
             (7, 7),
         ]
-        result = build_minimum_polygons(faults, width=12, compute_rounds=False)
+        result = build_minimum_polygons(faults, width=12)
         disabled = result.grid.disabled_set()
         assert (3, 3) in disabled and (4, 3) in disabled
         assert result.grid.is_faulty((7, 7))
@@ -211,17 +209,13 @@ class TestPiledRegionConvexity:
     FAULTS = sorted({(4, 4), (4, 0), (3, 1), (3, 3), (5, 0), (2, 2), (5, 2)})
 
     def test_centralized_regions_convex_after_merge(self):
-        mfp = build_minimum_polygons(
-            self.FAULTS, topology=Mesh2D(12, 12), compute_rounds=False
-        )
+        mfp = build_minimum_polygons(self.FAULTS, topology=Mesh2D(12, 12))
         assert all(r.is_orthogonal_convex for r in mfp.regions)
 
     def test_distributed_matches_centralized_after_merge(self):
         from repro.distributed.dmfp import build_minimum_polygons_distributed
 
-        mfp = build_minimum_polygons(
-            self.FAULTS, topology=Mesh2D(12, 12), compute_rounds=False
-        )
+        mfp = build_minimum_polygons(self.FAULTS, topology=Mesh2D(12, 12))
         dmfp = build_minimum_polygons_distributed(
             self.FAULTS, topology=Mesh2D(12, 12)
         )

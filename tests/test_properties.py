@@ -80,7 +80,7 @@ def test_construction_hierarchy_invariants(region):
     topology = Mesh2D(12, 12)
     fb = build_faulty_blocks(faults, topology=topology)
     fp = build_sub_minimum_polygons(faults, topology=topology)
-    mfp = build_minimum_polygons(faults, topology=topology, compute_rounds=False)
+    mfp = build_minimum_polygons(faults, topology=topology)
 
     fb_disabled = fb.grid.disabled_set()
     fp_disabled = fp.grid.disabled_set()
@@ -102,7 +102,7 @@ def test_construction_hierarchy_invariants(region):
 def test_distributed_equals_centralized(region, torus):
     faults = sorted(region)
     topology = Torus2D(12, 12) if torus else Mesh2D(12, 12)
-    centralized = build_minimum_polygons(faults, topology=topology, compute_rounds=False)
+    centralized = build_minimum_polygons(faults, topology=topology)
     distributed = build_minimum_polygons_distributed(faults, topology=topology)
     assert distributed.grid.disabled_set() == centralized.grid.disabled_set()
     # The shape memos against the exact per-component construction.

@@ -29,9 +29,7 @@ def test_ecube_paths_are_minimal_and_adjacent(source, destination):
 @settings(max_examples=40, deadline=None)
 @given(fault_sets, coords, coords)
 def test_extended_ecube_delivered_paths_are_well_formed(faults, source, destination):
-    construction = build_minimum_polygons(
-        sorted(faults), topology=MESH, compute_rounds=False
-    )
+    construction = build_minimum_polygons(sorted(faults), topology=MESH)
     router = ExtendedECubeRouter(MESH, construction.regions)
     result = router.route(source, destination)
     # Whatever the outcome, the path starts at the source and never enters a
@@ -64,10 +62,8 @@ def test_scheme1_is_monotone_in_the_fault_set(faults, extra):
 @settings(max_examples=30, deadline=None)
 @given(fault_sets, coords)
 def test_constructions_are_monotone_in_the_fault_set(faults, extra):
-    smaller = build_minimum_polygons(sorted(faults), topology=MESH, compute_rounds=False)
-    larger = build_minimum_polygons(
-        sorted(faults | {extra}), topology=MESH, compute_rounds=False
-    )
+    smaller = build_minimum_polygons(sorted(faults), topology=MESH)
+    larger = build_minimum_polygons(sorted(faults | {extra}), topology=MESH)
     assert smaller.grid.disabled_set() <= larger.grid.disabled_set()
 
     fb_smaller = build_faulty_blocks(sorted(faults), topology=MESH)

@@ -115,8 +115,31 @@ def test_a_fault_outside_the_topology_is_refused_by_name():
 
 def test_coordinates_that_are_not_pairs_are_refused_by_shape():
     # They used to be regrouped: this built on the faults (1, 2), (3, 4), (5, 6).
-    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+    with pytest.raises(ValueError, match=r"not \(1, 2, 3\)$"):
         get_construction("fb").build([(1, 2, 3), (4, 5, 6)], Mesh2D(10, 10))
-    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+    with pytest.raises(ValueError, match=r"not 3$"):
         faults_to_mask((3, 4), 10, 10)
-    assert FaultRaster([], Mesh2D(4, 4)).coords.shape == (0, 2)
+    empty = FaultRaster([], Mesh2D(4, 4)).coords
+    assert (empty.shape, empty.dtype) == ((0, 2), np.int64)
+
+
+@pytest.mark.parametrize(
+    "faults, bad",
+    [
+        ([(1, 1), (1.5, 2)], r"\(1\.5, 2\)"),
+        ([(True, 2), (3, 3)], r"\(True, 2\)"),
+        ([(1, 1), ("3", 2)], r"\('3', 2\)"),
+        (np.array([[1.0, 2.0]]), r"array\(\[1\., 2\.\]\)"),
+    ],
+)
+def test_coordinates_that_are_not_integers_are_refused_by_name(faults, bad):
+    # A float used to end in an IndexError, a bool to build a fault at (1, 2).
+    with pytest.raises(ValueError, match=f"fault coordinates must be .* integers, not {bad}$"):
+        FaultRaster(faults, Mesh2D(10, 10))
+
+
+def test_numpy_integer_coordinates_are_taken():
+    faults = [(np.int64(1), np.int16(2)), (3, 3)]
+    raster = FaultRaster(faults, Mesh2D(5, 5))
+    assert raster.coords.dtype == np.int64 and raster.coords.tolist() == [[1, 2], [3, 3]]
+    assert FaultRaster(np.array([[1, 2]], dtype=np.int32), Mesh2D(5, 5)).mask[1, 2]

@@ -217,9 +217,7 @@ class TestBatchDifferential:
     @pytest.mark.parametrize("traffic", sorted(traffic_keys()))
     def test_patterns_mesh_and_torus(self, traffic, faults, seed, torus):
         topology = Torus2D(12, 12) if torus else Mesh2D(12, 12)
-        construction = build_minimum_polygons(
-            sorted(faults), topology=topology, compute_rounds=False
-        )
+        construction = build_minimum_polygons(sorted(faults), topology=topology)
         router = get_router("extended-ecube").build(construction)
         context = TrafficContext.from_router(router)
         batch = get_traffic(traffic).generate(context, 50, seed=seed)
@@ -230,9 +228,7 @@ class TestBatchDifferential:
     @settings(max_examples=20, deadline=None)
     @given(fault_sets, st.integers(0, 2**31 - 1))
     def test_default_hybrid_and_ecube(self, faults, seed):
-        construction = build_minimum_polygons(
-            sorted(faults), topology=Mesh2D(12, 12), compute_rounds=False
-        )
+        construction = build_minimum_polygons(sorted(faults), topology=Mesh2D(12, 12))
         for key in ("extended-ecube", "ecube"):
             router = get_router(key).build(construction)
             context = TrafficContext.from_router(router)
@@ -242,9 +238,7 @@ class TestBatchDifferential:
     @settings(max_examples=10, deadline=None)
     @given(fault_sets, st.integers(1, 40), st.integers(0, 2**31 - 1))
     def test_tight_hop_budgets(self, faults, max_hops, seed):
-        construction = build_minimum_polygons(
-            sorted(faults), topology=Mesh2D(12, 12), compute_rounds=False
-        )
+        construction = build_minimum_polygons(sorted(faults), topology=Mesh2D(12, 12))
         router = get_router("extended-ecube").build(construction, max_hops=max_hops)
         context = TrafficContext.from_router(router)
         batch = get_traffic("uniform").generate(context, 40, seed=seed)
@@ -255,9 +249,7 @@ class TestBatchDifferential:
     def test_mask_kernel_off_path(self, faults, seed):
         # The set-based reference construction carries no region-index
         # grid, so the router derives its own from the region list.
-        construction = reference.build_mfp(
-            sorted(faults), Mesh2D(12, 12), compute_rounds=False
-        )
+        construction = reference.build_mfp(sorted(faults), Mesh2D(12, 12))
         router = get_router("extended-ecube").build(construction)
         context = TrafficContext.from_router(router)
         batch = get_traffic("uniform").generate(context, 40, seed=seed)

@@ -100,9 +100,7 @@ class TestRoutingAcrossConstructedRegions:
         # diagonally (the router treats that as an obstruction and gives
         # up), so the delivery rate is below 1.0 but still high.
         scenario = generate_scenario(num_faults=40, width=20, model="clustered", seed=21)
-        construction = build_minimum_polygons(
-            scenario.faults, topology=scenario.topology(), compute_rounds=False
-        )
+        construction = build_minimum_polygons(scenario.faults, topology=scenario.topology())
         router = ExtendedECubeRouter(scenario.topology(), construction.regions)
         delivered = 0
         attempted = 0

@@ -65,6 +65,6 @@ class TestBuildSubMinimumPolygons:
         from repro.core.mfp import build_minimum_polygons
 
         fp = build_sub_minimum_polygons(figure4_faults, width=10)
-        mfp = build_minimum_polygons(figure4_faults, width=10, compute_rounds=False)
+        mfp = build_minimum_polygons(figure4_faults, width=10)
         assert mfp.num_disabled_nonfaulty <= fp.num_disabled_nonfaulty
         assert mfp.num_disabled_nonfaulty == 0

@@ -124,9 +124,7 @@ class TestMinimalityWithMergedRegions:
             num_faults=80, width=20, model="clustered", seed=21
         )
         topology = scenario.topology()
-        mfp = build_minimum_polygons(
-            scenario.faults, topology=topology, compute_rounds=False
-        )
+        mfp = build_minimum_polygons(scenario.faults, topology=topology)
         dmfp = build_minimum_polygons_distributed(scenario.faults, topology=topology)
         assert verify_minimality(mfp, scenario.faults).ok
         assert verify_minimality(dmfp, scenario.faults).ok
