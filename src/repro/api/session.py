@@ -46,9 +46,9 @@ from repro.core.components import FaultComponent, shape_memo_counts
 from repro.core.raster import FaultRaster
 from repro.faults.links import links_to_node_faults, make_link_fault_set
 from repro.faults.scenario import FaultScenario
-from repro.geometry.masks import validated_coords
+from repro.geometry.masks import integer_rows, validated_coords
 from repro.mesh.topology import Mesh2D, Topology, Torus2D
-from repro.types import Coord, is_int_pair
+from repro.types import Coord
 
 
 class MeshSession:
@@ -174,7 +174,9 @@ class MeshSession:
         so replaying the same mutations against the restored session
         reproduces the original's :meth:`fingerprint` exactly.  Raises
         ``ValueError`` naming the first field off :meth:`state`'s format
-        (bools and floats are not ints; ``torus`` may be absent).
+        (bools and floats are not ints; ``torus`` may be absent).  Fault
+        coordinates follow :func:`~repro.geometry.masks.integer_rows`'s
+        element rule, as :meth:`add_faults` does.
         """
         if not isinstance(state, dict):
             raise ValueError(f"session state must be a dict, not {type(state).__name__}")
@@ -184,7 +186,7 @@ class MeshSession:
         torus, faults = state.get("torus", False), state.get("faults")
         if not isinstance(torus, bool):
             raise ValueError(f"session state 'torus' must be a bool, got {torus!r}")
-        if not isinstance(faults, (list, tuple)) or not all(map(is_int_pair, faults)):
+        if not isinstance(faults, (list, tuple)) or integer_rows(faults, 2) is None:
             raise ValueError("session state 'faults' must be a list of [x, y] int pairs")
         session = cls(width=state["width"], height=state["height"], torus=torus)
         session.add_faults(faults)

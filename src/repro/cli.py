@@ -845,16 +845,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=float,
         default=0.001,
-        help="coalescing window in seconds (time the first buffered request "
-        "waits for company)",
+        help="coalescing window in seconds: the minimum wait of the first "
+        "buffered request; the flush then waits until the input goes quiet "
+        "and takes every request read by then",
     )
     serve.add_argument(
         "--max-batch",
         type=int,
         default=None,
         help="flush once this many pairs are buffered (default: the "
-        "--max-pending cap, so a flush takes every request buffered in its "
-        "window; 1 disables coalescing)",
+        "--max-pending cap, so a flush takes every request buffered by the "
+        "time the input goes quiet; 1 disables coalescing)",
     )
     serve.add_argument(
         "--journal",

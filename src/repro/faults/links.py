@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
+from repro.geometry.masks import integer_rows
 from repro.mesh.topology import Topology
 from repro.types import Coord
 
@@ -63,9 +64,21 @@ class LinkFaultSet:
 
 
 def make_link_fault_set(topology: Topology, links: Iterable[Sequence[Coord]]) -> LinkFaultSet:
-    """Build a :class:`LinkFaultSet` from ``(a, b)`` pairs."""
-    canonical = frozenset(canonical_link(tuple(a), tuple(b)) for a, b in links)
-    return LinkFaultSet(topology=topology, links=canonical)
+    """Build a :class:`LinkFaultSet` from ``(a, b)`` pairs.
+
+    Both endpoints of every link must be ``(x, y)`` pairs of integers by
+    :func:`~repro.geometry.masks.integer_rows`'s rule (Python or numpy
+    ints; not ``bool``, float or str), checked before the endpoints are
+    ordered; raises ``ValueError`` naming the first link that breaks it.
+    """
+    canonical = set()
+    for link in links:
+        rows = integer_rows(link, 2)
+        if rows is None or len(rows) != 2:
+            raise ValueError(f"link {link!r} is not a pair of (x, y) coordinates of integers")
+        (ax, ay), (bx, by) = rows.tolist()
+        canonical.add(canonical_link((ax, ay), (bx, by)))
+    return LinkFaultSet(topology=topology, links=frozenset(canonical))
 
 
 def isolated_by_link_faults(fault_set: LinkFaultSet) -> Set[Coord]:

@@ -102,9 +102,10 @@ _TRAVERSAL_CHUNK_CELLS = 1 << 18
 #: When the active frontier shrinks to this many messages, the kernel
 #: finishes them through the scalar router instead of paying a full
 #: lockstep round per remaining straight run.  The long tail of a batch
-#: is a handful of messages weaving between many regions; routing them
-#: scalar is bit-identical (the scalar router *is* the reference
-#: semantics) and turns hundreds of near-empty rounds into a few calls.
+#: is a handful of messages weaving between many regions; continuing them
+#: scalar from where the lockstep stopped is bit-identical (the scalar
+#: router *is* the reference semantics) and turns hundreds of near-empty
+#: rounds into a few calls.
 #: Benchmarked best around 4..16 on the 100x100 / 300x300 reference
 #: scenarios (2 000 messages) with the counters-only scalar finish.
 _SCALAR_FINISH_THRESHOLD = 8
@@ -783,26 +784,32 @@ _REASON_CODES = {reason: code for code, reason in REASONS.items() if code != DEL
 def _finish_scalar(
     router: Any,
     live: np.ndarray,
-    src_x: np.ndarray,
-    src_y: np.ndarray,
-    dst_x: np.ndarray,
-    dst_y: np.ndarray,
+    cur_x: np.ndarray,
+    cur_y: np.ndarray,
+    to_x: np.ndarray,
+    to_y: np.ndarray,
+    live_hops: np.ndarray,
+    live_abnormal: np.ndarray,
     status: np.ndarray,
     hops: np.ndarray,
     abnormal: np.ndarray,
 ) -> None:
-    """Route the remaining frontier through the scalar router (the oracle).
+    """Finish the remaining frontier through the scalar router (the oracle).
 
-    Replays each straggler from its source -- the router is deterministic,
-    so the outcome equals continuing the lockstep trajectory -- and writes
-    the per-message fields the kernel would have produced.  Uses the
-    counters-only ``route_counts`` entry point: stragglers walk long
-    budget-bounded paths whose hop-by-hop materialisation nobody reads.
+    Continues each straggler from the lockstep frontier -- its position,
+    hop count and abnormal-hop count at the head of a round -- and writes
+    the per-message fields the kernel would have produced.  The scalar
+    walk carries no other state from hop to hop, so the outcome equals
+    routing the message from its source.  Uses the counters-only
+    ``route_counts`` entry point: stragglers walk long budget-bounded
+    paths whose hop-by-hop materialisation nobody reads.
     """
-    for message in live.tolist():
+    for message, x, y, dx, dy, so_far, abnormal_so_far in zip(
+        live.tolist(), cur_x.tolist(), cur_y.tolist(), to_x.tolist(),
+        to_y.tolist(), live_hops.tolist(), live_abnormal.tolist(),
+    ):
         delivered, taken, abnormal_taken, reason = router.route_counts(
-            (int(src_x[message]), int(src_y[message])),
-            (int(dst_x[message]), int(dst_y[message])),
+            (x, y), (dx, dy), hops=so_far, abnormal_hops=abnormal_so_far
         )
         status[message] = DELIVERED if delivered else _REASON_CODES[reason]
         hops[message] = taken
@@ -827,8 +834,9 @@ def route_batch(
     router's failure reasons -- are bit-identical to routing each pair
     through ``router.route``.
 
-    *scalar_finish* overrides the frontier size below which the kernel
-    hands the straggler tail to the scalar router (default
+    *scalar_finish* overrides the frontier size at which the kernel hands
+    the straggler tail to the scalar router, which continues each
+    straggler from the lockstep's frontier (default
     ``_SCALAR_FINISH_THRESHOLD``; ``0`` forces a pure lockstep run, which
     the differential tests use to exercise the kernel on small batches).
     """
@@ -895,7 +903,8 @@ def route_batch(
     while live.size:
         if live.size <= finish_threshold:
             _finish_scalar(
-                router, live, src_x, src_y, dst_x, dst_y, status, hops, abnormal
+                router, live, cur_x, cur_y, to_x, to_y, live_hops, live_abnormal,
+                status, hops, abnormal,
             )
             break
         # -- terminal checks (same order as the scalar loop head) ------------

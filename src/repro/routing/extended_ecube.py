@@ -352,26 +352,31 @@ class ExtendedECubeRouter:
     # -- routing ------------------------------------------------------------------
 
     def _walk(
-        self, source: Coord, destination: Coord, path: Optional[List[Coord]]
+        self,
+        source: Coord,
+        destination: Coord,
+        path: Optional[List[Coord]],
+        hops: int = 0,
+        abnormal_hops: int = 0,
     ) -> Tuple[bool, int, int, str]:
         """The one routing loop behind :meth:`route` and :meth:`route_counts`.
 
         Appends every hop to *path* when one is given; with ``path=None``
         only the counters are tracked, which skips the per-hop list work
-        that dominates long budget-bounded walks.  Returns ``(delivered,
-        hops, abnormal_hops, reason)``.
+        that dominates long budget-bounded walks.  The loop's whole state
+        is ``(current, hops, abnormal_hops)``: *hops* and *abnormal_hops*
+        start it at a walk that has already taken that many hops to
+        *source*.  Returns ``(delivered, hops, abnormal_hops, reason)``.
         """
         self.topology.validate(source)
         self.topology.validate(destination)
         if self.is_disabled(source):
-            return False, 0, 0, "source disabled"
+            return False, hops, abnormal_hops, "source disabled"
         if self.is_disabled(destination):
-            return False, 0, 0, "destination disabled"
+            return False, hops, abnormal_hops, "destination disabled"
 
         tables = self.jump_tables()
         current = source
-        hops = 0
-        abnormal_hops = 0
         dx, dy = destination
 
         while current != destination and hops < self.max_hops:
@@ -460,7 +465,12 @@ class ExtendedECubeRouter:
         )
 
     def route_counts(
-        self, source: Coord, destination: Coord
+        self,
+        source: Coord,
+        destination: Coord,
+        *,
+        hops: int = 0,
+        abnormal_hops: int = 0,
     ) -> Tuple[bool, int, int, str]:
         """Route one message, returning counters only (no path).
 
@@ -468,9 +478,11 @@ class ExtendedECubeRouter:
         delivered flag, hop count, abnormal-hop count and failure reason
         are bit-identical by construction -- it merely skips
         materialising the hop-by-hop path, which dominates the cost of
-        long budget-bounded walks.  The batch engine of
-        :mod:`repro.routing.engine` finishes straggler messages through
-        this entry point.  Returns ``(delivered, hops, abnormal_hops,
-        reason)``.
+        long budget-bounded walks.  *hops* and *abnormal_hops* continue a
+        walk that already took that many hops (that many of them
+        abnormal) to reach *source*: the batch engine of
+        :mod:`repro.routing.engine` finishes each straggler this way from
+        where its lockstep rounds stopped.  Returns ``(delivered, hops,
+        abnormal_hops, reason)``, the counts including the start state.
         """
-        return self._walk(source, destination, None)
+        return self._walk(source, destination, None, hops, abnormal_hops)

@@ -123,15 +123,22 @@ class ECubeRouter(ExtendedECubeRouter):
             current = nxt
         return RouteResult(source, destination, True, tuple(path), 0)
 
-    def route_counts(self, source, destination):
+    def route_counts(self, source, destination, *, hops=0, abnormal_hops=0):
         """Counters-only routing (see the extended router's method).
 
         Base e-cube paths are at most ``width + height`` hops, so simply
         delegating to :meth:`route` keeps the two entry points trivially
         identical (the inherited counters loop would wrongly detour).
+        *hops* and *abnormal_hops* continue a walk that reached *source*
+        with those counts, which the returned counts include.
         """
         result = self.route(source, destination)
-        return result.delivered, result.hops, result.abnormal_hops, result.reason
+        return (
+            result.delivered,
+            hops + result.hops,
+            abnormal_hops + result.abnormal_hops,
+            result.reason,
+        )
 
 
 # -- the spec -----------------------------------------------------------------------

@@ -8,9 +8,10 @@ serves it over a newline-delimited-JSON protocol:
 * :mod:`repro.serve.protocol` -- the NDJSON message shapes and error codes.
 * :mod:`repro.serve.coalescer` -- the micro-batching coalescer merging
   concurrent ``route`` requests into single batch-engine calls
-  (window / max-batch triggers, per-request fan-out, coalesce-ratio
-  stats); the daemon sizes its max-batch trigger at its admission cap
-  unless told otherwise, so a flush takes its whole window.
+  (window-then-quiet-input / max-batch triggers, per-request fan-out,
+  coalesce-ratio and flush-cause stats); the daemon sizes its max-batch
+  trigger at its admission cap unless told otherwise, so a flush takes
+  every request it has read by the time its input goes quiet.
 * :mod:`repro.serve.daemon` -- :class:`RouteDaemon`: verb dispatch
   (``route`` / ``add_faults`` / ``repair`` / ``add_link_faults`` /
   ``status`` / ``simulate`` / ``ping`` / ``shutdown``), the TCP listener,

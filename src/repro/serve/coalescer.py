@@ -7,15 +7,22 @@ away.  :class:`RouteCoalescer` buffers the pairs of concurrent ``route``
 requests and flushes them as *one* concatenated batch when either trigger
 fires:
 
-* the **window** timer expires (default 1 ms after the first pending
-  request), or
+* the **window** (default 1 ms after the first pending request) has run
+  out *and* the input has gone quiet: :data:`QUIET_TURNS` consecutive
+  event-loop turns passed in which no new request reached :meth:`submit`
+  (so requests the daemon has already read off its sockets still join
+  the flush), or
 * the pending pair count reaches **max_batch**, whichever comes first.
 
-The caller sizes *max_batch*: :class:`~repro.serve.daemon.RouteDaemon`
-puts it at its admission cap by default, so one flush takes every request
-buffered inside its window (the batch kernel's cost is mostly per call,
-not per pair).  ``max_batch=1`` degenerates to one-flush-per-request --
-the uncoalesced baseline the serving benchmark compares against.
+The window is thus the minimum wait of the first buffered request, not
+a maximum: a flush takes everything that keeps arriving while the daemon
+still has request lines in hand.  The caller sizes *max_batch*:
+:class:`~repro.serve.daemon.RouteDaemon` puts it at its admission cap by
+default, so one flush takes every admitted request (the batch kernel's
+cost is mostly per call, not per pair).  ``max_batch=1`` degenerates to
+one-flush-per-request -- the uncoalesced baseline the serving benchmark
+compares against.  :meth:`RouteCoalescer.flush_now` cuts the batch at
+once (the daemon calls it before every mutation).
 
 The flush callback receives the pending :class:`PendingRoute` entries and
 must resolve each entry's future with that request's slice of the batch
@@ -33,6 +40,13 @@ import inspect
 import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sized
+
+#: Consecutive event-loop turns without a new submission that end the wait
+#: after the window.  A request line takes two turns from the daemon's
+#: socket read to :meth:`RouteCoalescer.submit` (the connection's reader
+#: wakes, then the line's serving task runs), so two quiet turns mean no
+#: line read before them is still on its way.
+QUIET_TURNS = 2
 
 
 @dataclass
@@ -60,9 +74,13 @@ class CoalescerStats:
     flushes: int = 0
     #: Flushes that merged more than one request.
     coalesced_flushes: int = 0
-    #: Flushes triggered by the window timer / by the max_batch cap.
+    #: Flushes triggered by the window timer (once the input went quiet) /
+    #: by the max_batch cap / by a direct :meth:`RouteCoalescer.flush_now`
+    #: with requests pending (a mutation, a simulation, a drain).  Every
+    #: flush has exactly one of the three causes.
     timer_flushes: int = 0
     size_flushes: int = 0
+    cut_flushes: int = 0
     #: Largest number of pairs a single flush carried.
     max_flush_pairs: int = 0
 
@@ -79,6 +97,7 @@ class CoalescerStats:
             "coalesced_flushes": self.coalesced_flushes,
             "timer_flushes": self.timer_flushes,
             "size_flushes": self.size_flushes,
+            "cut_flushes": self.cut_flushes,
             "max_flush_pairs": self.max_flush_pairs,
             "coalesce_ratio": round(self.coalesce_ratio, 4),
         }
@@ -98,7 +117,9 @@ class RouteCoalescer:
         coalescer, and a strong reference would make a cycle that only
         the cyclic garbage collector frees.
     window:
-        Seconds to wait after the first buffered request before flushing.
+        Minimum wait, in seconds, of the first buffered request.  Once it
+        has passed, the flush waits for the input to go quiet
+        (:data:`QUIET_TURNS`) and then takes everything buffered.
     max_batch:
         Flush immediately once this many pairs are pending.  No default:
         the caller knows its admission cap (the daemon puts the trigger
@@ -123,7 +144,16 @@ class RouteCoalescer:
         self.stats = CoalescerStats()
         self._pending: List[PendingRoute] = []
         self._pending_pairs = 0
-        self._timer: Optional[asyncio.TimerHandle] = None
+        #: The armed window timer, or the quiet-turn check that follows it.
+        self._timer: Optional[asyncio.Handle] = None
+        #: ``stats.requests`` at the last quiet-turn check, and the quiet
+        #: turns counted since.
+        self._seen = 0
+        self._quiet_turns = 0
+        #: The ``stats`` counter the next :meth:`flush_now` bumps.  A trigger
+        #: sets it just before it calls :meth:`flush_now`, the one flush
+        #: entry point; any other call is a cut.
+        self._cause = "cut_flushes"
 
     @property
     def queue_depth(self) -> int:
@@ -145,25 +175,41 @@ class RouteCoalescer:
         self.stats.requests += 1
         self.stats.pairs += len(pairs)
         if self._pending_pairs >= self.max_batch:
-            self.stats.size_flushes += 1
+            self._cause = "size_flushes"
             self.flush_now()
         elif self._timer is None:
-            self._timer = loop.call_later(self.window, self._on_timer)
+            self._timer = loop.call_later(self.window, self._on_window)
         return await future
 
-    def _on_timer(self) -> None:
+    def _on_window(self) -> None:
+        """The window ran out: check the input once per loop turn from now."""
+        self._seen = self.stats.requests
+        self._quiet_turns = 0
+        self._timer = asyncio.get_running_loop().call_soon(self._on_turn)
+
+    def _on_turn(self) -> None:
+        """Flush after :data:`QUIET_TURNS` turns without a new submission."""
+        if self.stats.requests != self._seen:
+            self._seen = self.stats.requests
+            self._quiet_turns = 0
+        else:
+            self._quiet_turns += 1
+        if self._quiet_turns < QUIET_TURNS:
+            self._timer = asyncio.get_running_loop().call_soon(self._on_turn)
+            return
         self._timer = None
-        if self._pending:
-            self.stats.timer_flushes += 1
-            self.flush_now()
+        self._cause = "timer_flushes"
+        self.flush_now()
 
     def flush_now(self) -> None:
         """Flush the buffered requests synchronously (no-op when empty).
 
         The daemon calls this before applying a fault mutation, so every
         already-buffered request still routes on the pre-mutation state it
-        was submitted under.
+        was submitted under.  Called directly with requests pending, it
+        counts a ``cut_flushes``; the two triggers count their own.
         """
+        cause, self._cause = self._cause, "cut_flushes"
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -172,6 +218,7 @@ class RouteCoalescer:
         pending, self._pending = self._pending, []
         self._pending_pairs = 0
         self.stats.flushes += 1
+        setattr(self.stats, cause, getattr(self.stats, cause) + 1)
         if len(pending) > 1:
             self.stats.coalesced_flushes += 1
         flush_pairs = sum(len(entry.pairs) for entry in pending)

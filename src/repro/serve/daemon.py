@@ -8,18 +8,20 @@ rings of the routing facade) and serves verbs over the protocol of
 ``route``
     Route endpoint pairs.  Concurrent requests are merged by the
     micro-batching coalescer (:mod:`repro.serve.coalescer`) into single
-    batch-engine calls; per-pair outcomes are bit-identical to routing
-    each pair alone.
+    batch-engine calls -- after the window, a flush waits until no new
+    request line is on its way -- and per-pair outcomes are bit-identical
+    to routing each pair alone.
 ``add_faults`` / ``repair`` / ``add_link_faults``
     Stream fault churn into the session.  Buffered route requests are
     flushed first (they route on the state they were submitted under),
     then the mutation lands; the next flush's router is delta-patched
     from its predecessor instead of rebuilt.
 ``status``
-    Health and statistics: uptime, queue depth, coalescer counters
-    (including the coalesce ratio), session ``cache_info``, the
-    engine of the last flush (``null`` before the first), the
-    array-primitive (``backend``) label, and the mesh shape.
+    Health and statistics: uptime, queue depth, coalescer counters (the
+    coalesce ratio, and each flush counted under one cause:
+    ``timer_flushes + size_flushes + cut_flushes == flushes``), session
+    ``cache_info``, the engine of the last flush (``null`` before the
+    first), the array-primitive (``backend``) label, and the mesh shape.
 ``simulate``
     One open-loop contention simulation on the warm
     :class:`~repro.netsim.NetSimSession` (scalar summary fields only).
@@ -161,11 +163,13 @@ class RouteDaemon:
         routes on the engine :func:`~repro.routing.engine.resolve_engine`
         picks for the router: the batch kernel for the built-ins.
     window, max_batch:
-        Coalescer knobs (seconds, pairs).  A flush fires when the window
-        after the first buffered request ends, or as soon as *max_batch*
-        pairs are buffered; ``None`` (the default) puts that size trigger
-        at *max_pending*, so one flush takes every request buffered in
-        its window.  ``max_batch=1`` disables coalescing.
+        Coalescer knobs (seconds, pairs).  *window* is the minimum wait of
+        the first buffered request; a flush then fires once the input has
+        gone quiet (no request line left between the sockets and the
+        coalescer), or as soon as *max_batch* pairs are buffered.
+        ``None`` (the default) puts that size trigger at *max_pending*,
+        so one flush takes every request read by the time the input goes
+        quiet.  ``max_batch=1`` disables coalescing.
     host, port:
         TCP bind address used by :meth:`start` (``port=0`` picks a free
         port, readable from :attr:`address`).

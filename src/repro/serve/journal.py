@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.geometry.masks import integer_rows
 from repro.serve.protocol import encode, read_records
-from repro.types import is_int_pair
 
 SCHEMA = "repro.serve.journal/v1"
 
@@ -318,7 +318,7 @@ def replay_events(session, events: List[Dict[str, Any]]) -> int:
             raise JournalError(f"event at seq {event.get('seq')} has no payload object")
         field_name = "removed" if event.get("op") == "repair" else "added"
         nodes = payload.get(field_name, ())
-        if not isinstance(nodes, (list, tuple)) or not all(map(is_int_pair, nodes)):
+        if not isinstance(nodes, (list, tuple)) or integer_rows(nodes, 2) is None:
             raise JournalError(
                 f"event at seq {event.get('seq')}: {field_name!r} must be a list "
                 "of [x, y] int pairs"

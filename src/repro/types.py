@@ -15,17 +15,10 @@ construction algorithms rely on heavily.
 from __future__ import annotations
 
 import enum
-from typing import Any, Tuple
+from typing import Tuple
 
 #: A node coordinate ``(x, y)`` in the mesh.
 Coord = Tuple[int, int]
-
-
-def is_int_pair(value: Any) -> bool:
-    """Whether *value* is a node as JSON reads it: two ints, not bools or floats."""
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        type(v) is int for v in value
-    )
 
 
 class NodeKind(enum.IntEnum):

@@ -183,6 +183,19 @@ class TestFromState:
         with pytest.raises(ValueError, match=f"'{field}'"):
             MeshSession.from_state({**state, **change})
 
+    @pytest.mark.parametrize("coordinate", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_refuses_non_integer_coordinates(self, coordinate):
+        state = {"width": 6, "height": 6, "faults": [[2, 2], [coordinate, 1]], "version": 1}
+        with pytest.raises(ValueError, match="'faults'"):
+            MeshSession.from_state(state)
+
+    def test_takes_numpy_integers_as_add_faults_does(self):
+        faults = [[np.int64(1), 1], [2, np.int32(3)]]
+        state = {"width": 6, "height": 6, "faults": faults, "version": 4}
+        session = MeshSession.from_state(state)
+        assert (session.version, session.faults) == (4, ((1, 1), (2, 3)))
+        assert session.faults == MeshSession(width=6, faults=faults).faults
+
 
 class TestIncrementalEqualsOneShot:
     @pytest.mark.parametrize("distribution", ["random", "clustered"])
@@ -385,6 +398,19 @@ class TestBatchAtomicity:
         version, faults = session.version, session.faults
         with pytest.raises(ValueError, match=re.escape(f"integers, not {bad}")):
             getattr(session, mutator)(batch)
+        assert (session.version, session.faults) == (version, faults)
+
+    @pytest.mark.parametrize(
+        "link",
+        [((2, 2), (3.0, 2)), ((5, 5), (5.0, 6)), ((2, 2), ("3", 2)), ((2, 2), (True, 2))],
+    )
+    def test_non_integer_link_endpoint_refused(self, link):
+        """Both endpoints are checked before the link is ordered: a float
+        equal to an integer no longer slips through as the other endpoint."""
+        session = MeshSession(width=10, faults=[(1, 1)])
+        version, faults = session.version, session.faults
+        with pytest.raises(ValueError, match=re.escape(f"link {link!r} is not a pair")):
+            session.add_link_faults([((7, 7), (7, 8)), link])
         assert (session.version, session.faults) == (version, faults)
 
     def test_numpy_integer_nodes_stored_as_python_ints(self):

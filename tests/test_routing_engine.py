@@ -332,16 +332,75 @@ class TestTraversalRegressions:
         }
 
 
+class TestStragglerContinuation:
+    """The scalar tail continues each straggler from the lockstep frontier."""
+
+    @pytest.fixture(scope="class")
+    def construction(self):
+        scenario = generate_scenario(num_faults=90, width=30, model="clustered", seed=4)
+        return MeshSession.from_scenario(scenario).build("mfp")
+
+    @staticmethod
+    def recorded(router):
+        """Wrap the router's ``route_counts``; returns the list it appends to."""
+        calls = []
+        route_counts = router.route_counts
+
+        def recording(source, destination, **start):
+            counts = route_counts(source, destination, **start)
+            calls.append((start, counts))
+            return counts
+
+        router.route_counts = recording
+        return calls
+
+    @pytest.mark.parametrize("router_key", ["extended-ecube", "ecube"])
+    @pytest.mark.parametrize("finish", [0, 1, 8, 64, "all-but-one", "all"])
+    def test_every_finish_size_equals_route_scalar(self, construction, router_key, finish):
+        # A tight hop budget makes some stragglers fail on it.
+        overrides = {"max_hops": 60} if router_key == "extended-ecube" else {}
+        router = get_router(router_key).build(construction, **overrides)
+        batch = get_traffic("uniform").generate(
+            TrafficContext.from_router(router), 300, seed=4
+        )
+        finish = {"all": len(batch), "all-but-one": len(batch) - 1}.get(finish, finish)
+        calls = self.recorded(router)
+        outcome = route_batch(router, batch, scalar_finish=finish)
+        oracle = route_scalar(router, batch, RoutingStats(collect_results=True))
+        assert len(oracle.results) == len(outcome)
+        for index, result in enumerate(oracle.results):
+            assert REASONS[int(outcome.status[index])] == result.reason, index
+            assert outcome.hops[index] == result.hops, index
+            assert outcome.abnormal_hops[index] == result.abnormal_hops, index
+        assert outcome.fold_into(RoutingStats()).delivered == oracle.delivered
+        starts = [start for start, _ in calls]
+        if finish == len(batch):
+            # The whole batch went scalar, from the sources.
+            assert starts == [{"hops": 0, "abnormal_hops": 0}] * len(batch)
+        elif finish == len(batch) - 1:
+            # One lockstep round, then every message left continues mid-walk.
+            assert starts and all(start["hops"] > 0 for start in starts)
+        elif finish == 64 and router_key == "extended-ecube":
+            assert starts and all(start["hops"] > 0 for start in starts)
+            assert "hop budget exhausted" in [counts[3] for _, counts in calls]
+            assert any(
+                counts[2] > start["abnormal_hops"] for start, counts in calls
+            ), "no straggler walked a ring in the scalar tail"
+
+
 class TestRegionRingCache:
     def test_rings_reused_across_rebuilds(self):
+        # The scalar engine (per-route results) resolves the ring of every
+        # region a message detours around.  The batch kernel would not
+        # show the reuse: its packed rings survive the rebuild as they are.
         session = MeshSession(width=24, faults=[(3, 3), (3, 4), (18, 18)])
-        session.route("mfp", messages=150, seed=0)
+        session.route("mfp", messages=150, seed=0, collect_results=True)
         misses = session.cache_info["ring_misses"]
         assert misses > 0
         # A far-away fault leaves the existing regions' node sets intact:
         # the rebuilt router must reuse their ring geometry.
         session.add_faults([(10, 20)])
-        session.route("mfp", messages=150, seed=0)
+        session.route("mfp", messages=150, seed=0, collect_results=True)
         assert session.cache_info["ring_hits"] > 0
         cache = session.routing.ring_cache
         assert len(cache) >= misses

@@ -3,9 +3,10 @@
 The contract under test is the ISSUE's acceptance bar: coalesced batch
 responses are bit-identical to individually-routed scalar calls --
 including under interleaved fault churn -- the coalescer's two flush
-triggers behave (window timer, max-batch cap, ``max_batch=1`` =
-uncoalesced), mutations flush buffered routes against pre-mutation state,
-and the daemon drains gracefully.  Tests drive the event loop through
+triggers behave (window timer then quiet input, max-batch cap,
+``max_batch=1`` = uncoalesced), every flush counts exactly one cause,
+mutations flush buffered routes against pre-mutation state, and the
+daemon drains gracefully.  Tests drive the event loop through
 ``asyncio.run`` inside synchronous test functions (no pytest-asyncio in
 the toolchain).
 """
@@ -58,6 +59,12 @@ def scalar_outcome(router, pair):
 
 def random_pairs(rng, width, count):
     return [[int(v) for v in rng.integers(0, width, size=4)] for _ in range(count)]
+
+
+def assert_flush_causes_add_up(coalescer_status):
+    """Each flush has one cause: the window timer, the size trigger or a cut."""
+    causes = ("timer_flushes", "size_flushes", "cut_flushes")
+    assert sum(coalescer_status[cause] for cause in causes) == coalescer_status["flushes"]
 
 
 # -- protocol ------------------------------------------------------------------------
@@ -156,6 +163,81 @@ class TestCoalescer:
 
         asyncio.run(main())
 
+    @staticmethod
+    def recording_coalescer(**knobs):
+        """A coalescer whose flush records each flush's request ids."""
+        flushes = []
+
+        def flush(pending):
+            flushes.append([entry.pairs[0][0] for entry in pending])
+            for entry in pending:
+                entry.future.set_result(entry.pairs[0][0])
+
+        return RouteCoalescer(flush, **knobs), flushes
+
+    def test_flush_waits_for_the_input_to_go_quiet(self):
+        """A request per loop turn keeps the flush open past the window."""
+        coalescer, flushes = self.recording_coalescer(window=0.0, max_batch=10_000)
+
+        async def main():
+            tasks = []
+            for request in range(20):
+                tasks.append(asyncio.ensure_future(coalescer.submit([(request, 0, 0, 0)])))
+                await asyncio.sleep(0)
+            return await asyncio.gather(*tasks)
+
+        assert asyncio.run(main()) == list(range(20))
+        assert flushes == [list(range(20))]
+        assert coalescer.stats.timer_flushes == 1
+        assert_flush_causes_add_up(coalescer.stats.as_dict())
+
+    def test_lone_request_makes_one_timer_flush(self):
+        coalescer, flushes = self.recording_coalescer(window=0.002, max_batch=10_000)
+
+        assert asyncio.run(coalescer.submit([(7, 0, 0, 0)])) == 7
+        assert flushes == [[7]]
+        assert coalescer.stats.as_dict()["timer_flushes"] == 1
+        assert_flush_causes_add_up(coalescer.stats.as_dict())
+
+    def test_size_trigger_during_the_quiet_wait_flushes_at_once(self):
+        coalescer, flushes = self.recording_coalescer(window=0.0, max_batch=5)
+
+        async def main():
+            tasks = []
+            for request in range(7):
+                tasks.append(asyncio.ensure_future(coalescer.submit([(request, 0, 0, 0)])))
+                await asyncio.sleep(0)  # the submission runs before this returns
+                if request == 4:
+                    # The window ran out turns ago; the fifth pair flushed
+                    # inside its own submit.
+                    assert flushes == [[0, 1, 2, 3, 4]]
+                    assert coalescer.queue_depth == 0
+            await asyncio.gather(*tasks)
+
+        asyncio.run(main())
+        assert flushes == [[0, 1, 2, 3, 4], [5, 6]]
+        stats = coalescer.stats
+        assert (stats.size_flushes, stats.timer_flushes, stats.cut_flushes) == (1, 1, 0)
+        assert_flush_causes_add_up(stats.as_dict())
+
+    def test_flush_now_during_the_quiet_wait_keeps_request_order(self):
+        coalescer, flushes = self.recording_coalescer(window=0.0, max_batch=10_000)
+
+        async def main():
+            tasks = []
+            for request in range(6):
+                tasks.append(asyncio.ensure_future(coalescer.submit([(request, 0, 0, 0)])))
+                await asyncio.sleep(0)
+                if request == 2:
+                    coalescer.flush_now()  # a mutation cuts the batch here
+            return await asyncio.gather(*tasks)
+
+        assert asyncio.run(main()) == list(range(6))
+        assert flushes == [[0, 1, 2], [3, 4, 5]]
+        stats = coalescer.stats
+        assert (stats.cut_flushes, stats.timer_flushes) == (1, 1)
+        assert_flush_causes_add_up(stats.as_dict())
+
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             RouteCoalescer(lambda pending: None, window=-1.0, max_batch=1)
@@ -239,9 +321,11 @@ class TestDaemonVerbs:
             ({"op": "add_faults", "nodes": [[2, 2], ["3", 0]]}, E_BAD_NODES, "'3'"),
             ({"op": "add_faults", "nodes": [[True, 2]]}, E_BAD_NODES, "True"),
             ({"op": "add_link_faults", "links": [[[5.9, 5], [5, 6]]]}, E_BAD_LINKS, "5.9"),
+            ({"op": "add_link_faults", "links": [[[2, 2], [3.0, 2]]]}, E_BAD_LINKS, "3.0"),
             ({"op": "repair", "nodes": [[3.2, 3]]}, E_BAD_NODES, "3.2"),
         ],
-        ids=["add-float", "add-str", "add-bool", "link-float", "repair-float"],
+        ids=["add-float", "add-str", "add-bool", "link-float", "link-integral-float",
+             "repair-float"],
     )
     def test_malformed_mutation_changes_nothing(self, request_fields, code, culprit, tmp_path):
         """A mutation whose coordinates are not integers is refused naming
@@ -443,6 +527,7 @@ class TestCoalescedBitIdentity:
                     shadow.remove_faults([victim])
             status = await client.status()
             assert status["coalescer"]["coalesce_ratio"] > 1.0
+            assert_flush_causes_add_up(status["coalescer"])
 
         asyncio.run(main())
 
@@ -490,6 +575,9 @@ class TestCoalescedBitIdentity:
             assert payload["version"] == pre_version
             router = shadow.router("extended-ecube", "mfp")
             assert payload["routes"][0] == scalar_outcome(router, [0, 0, 15, 15])
+            coalescer = (await client.status())["coalescer"]
+            assert (coalescer["flushes"], coalescer["cut_flushes"]) == (1, 1)
+            assert_flush_causes_add_up(coalescer)
 
         asyncio.run(main())
 
