@@ -13,8 +13,8 @@ crash:
 * :class:`CampaignStore` -- append-only chunked columnar store (NumPy
   structured chunks + an NDJSON manifest with the journal's torn-tail
   discipline).
-* :class:`CampaignRunner` -- pull-based dispatch over pluggable
-  transports (``local`` process pool, ``tcp`` shards), bounded
+* :class:`CampaignRunner` -- pull-based dispatch over the
+  :data:`TRANSPORTS` (``local`` process pool, ``tcp`` shards), bounded
   in-flight memory, heartbeat/timeout rescheduling with
   :class:`~repro.serve.retry.RetrySchedule` backoff, and resume-by-
   default: running against an existing store skips completed trials.
@@ -52,13 +52,10 @@ from repro.campaign.spec import (
 )
 from repro.campaign.store import CampaignStore
 from repro.campaign.transport import (
+    TRANSPORTS,
     LocalTransport,
     Task,
     TcpTransport,
-    TransportSpec,
-    available_transports,
-    get_transport,
-    register_transport,
     run_tcp_worker,
 )
 
@@ -75,16 +72,13 @@ __all__ = [
     "Moments",
     "RowCodec",
     "StreamingReducer",
+    "TRANSPORTS",
     "Task",
     "TcpTransport",
-    "TransportSpec",
     "TrialDescriptor",
-    "available_transports",
     "campaign_status",
     "fold_moments",
     "format_status",
-    "get_transport",
-    "register_transport",
     "run_tcp_worker",
     "trial_key",
 ]

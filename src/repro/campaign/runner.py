@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.campaign.reducers import CampaignPoint, StreamingReducer, scenario_chunks
 from repro.campaign.spec import CampaignError, CampaignSpec
 from repro.campaign.store import CampaignStore
-from repro.campaign.transport import Task, get_transport
+from repro.campaign.transport import TRANSPORTS, Task
 from repro.serve.retry import RetryPolicy
 
 #: Default backoff for rescheduled tasks: seeded jitter keeps reschedule
@@ -55,7 +55,8 @@ class CampaignRunner:
     directory:
         Store directory; created on first run, resumed afterwards.
     workers, transport, transport_options:
-        Worker count and transport: a registry key (``local`` / ``tcp``)
+        Worker count and transport: a key of
+        :data:`~repro.campaign.transport.TRANSPORTS` (``local`` / ``tcp``)
         or an already-built transport instance (e.g. a ``TcpTransport``
         started ahead of time so its bound port is known to workers).
     chunk_trials:
@@ -97,7 +98,12 @@ class CampaignRunner:
             workers = os.cpu_count() or 1
         self.workers = max(1, int(workers))
         if isinstance(transport, str):
-            self.transport_key: Optional[str] = get_transport(transport).key
+            if transport not in TRANSPORTS:
+                raise KeyError(
+                    f"unknown campaign transport {transport!r}; known keys: "
+                    + ", ".join(TRANSPORTS)
+                )
+            self.transport_key: Optional[str] = transport
             self.transport_instance: Optional[Any] = None
         else:
             self.transport_key = None
@@ -195,7 +201,7 @@ class CampaignRunner:
         if self.transport_instance is not None:
             transport = self.transport_instance
         else:
-            transport = get_transport(self.transport_key).factory(
+            transport = TRANSPORTS[self.transport_key](
                 self.spec, workers=self.workers, **self.transport_options
             )
         tasks: List[Task] = [

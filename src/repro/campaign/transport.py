@@ -6,9 +6,7 @@ tasks, polls events, and owns retry/reschedule policy; the transport
 reports completions and failures (a worker death surfaces as a
 ``failed`` event for whatever that worker was running).
 
-Two transports are registered, behind the same
-:class:`~repro._registry.SpecRegistry` pattern as every other pluggable
-axis of the package:
+Two transports, keyed in :data:`TRANSPORTS`:
 
 * ``local`` -- persistent ``multiprocessing`` worker processes pulling
   from a shared queue (fork-preferred, like
@@ -47,7 +45,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._registry import SpecRegistry
 from repro.campaign.spec import CampaignError, CampaignSpec
 from repro.serve.protocol import ProtocolError, decode_line, encode
 
@@ -65,34 +62,6 @@ class Task:
 
     task_id: int
     cells: Tuple[Tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class TransportSpec:
-    """One registered transport: a factory building it for a campaign."""
-
-    key: str
-    label: str
-    factory: Callable[..., Any]
-    aliases: Tuple[str, ...] = ()
-
-
-_REGISTRY = SpecRegistry("campaign transport")
-
-
-def register_transport(spec: TransportSpec, replace: bool = False) -> TransportSpec:
-    """Register a transport (``replace=True`` to swap an existing one)."""
-    return _REGISTRY.register(spec, replace=replace)
-
-
-def get_transport(key: str) -> TransportSpec:
-    """Look up a transport by key or alias (case-insensitive)."""
-    return _REGISTRY.get(key)
-
-
-def available_transports() -> Tuple[str, ...]:
-    """The registered transport keys."""
-    return _REGISTRY.keys()
 
 
 # -- workers ------------------------------------------------------------------------
@@ -509,19 +478,6 @@ def run_tcp_worker(
         return done
 
 
-register_transport(
-    TransportSpec(
-        key="local",
-        label="Local process pool",
-        factory=LocalTransport,
-        aliases=("process", "pool"),
-    )
-)
-register_transport(
-    TransportSpec(
-        key="tcp",
-        label="TCP shard protocol",
-        factory=TcpTransport,
-        aliases=("net", "socket"),
-    )
-)
+#: The campaign transports by key: each value builds the transport for
+#: one campaign, ``factory(spec, workers=..., **transport_options)``.
+TRANSPORTS = {"local": LocalTransport, "tcp": TcpTransport}

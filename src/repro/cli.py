@@ -186,6 +186,28 @@ def _offered_load(text: str) -> float:
     return load
 
 
+def _at_least_one(text: str) -> int:
+    """A count or a cap: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a whole number of at least 1: {text!r}")
+    return value
+
+
+def _window(text: str) -> float:
+    """A coalescing window: a finite number of seconds, 0 or more."""
+    try:
+        window = float(text)
+    except ValueError:
+        window = math.nan
+    if not (math.isfinite(window) and window >= 0):
+        raise argparse.ArgumentTypeError(f"not a finite number of seconds >= 0: {text!r}")
+    return window
+
+
 def trial_flags() -> Dict[str, Tuple[str, type, Dict[str, Any]]]:
     """Every scalar sweep parameter of any trial kind, in kind order.
 
@@ -843,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--window",
-        type=float,
+        type=_window,
         default=0.001,
         help="coalescing window in seconds: the minimum wait of the first "
         "buffered request; the flush then waits until the input goes quiet "
@@ -851,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-batch",
-        type=int,
+        type=_at_least_one,
         default=None,
         help="flush once this many pairs are buffered (default: the "
         "--max-pending cap, so a flush takes every request buffered by the "
@@ -865,13 +887,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--snapshot-every",
-        type=int,
+        type=_at_least_one,
         default=64,
         help="write a journal snapshot every N events (bounds replay)",
     )
     serve.add_argument(
         "--journal-max-bytes",
-        type=int,
+        type=_at_least_one,
         default=None,
         metavar="BYTES",
         help="rotate the journal (compact to one fresh snapshot via an "
@@ -879,14 +901,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-pending",
-        type=int,
+        type=_at_least_one,
         default=4096,
         help="shed route requests once this many pairs are buffered "
         "(admission control; shed responses carry retry_after)",
     )
     serve.add_argument(
         "--max-inflight",
-        type=int,
+        type=_at_least_one,
         default=64,
         help="per-connection cap on concurrently handled requests "
         "(excess pipelined lines wait in the socket)",

@@ -12,20 +12,23 @@ round O(active messages) instead of O(hops):
 
 * **Straight-run jump tables** (:class:`JumpTables`): for every cell, the
   next blocked cell in each of the four directions, precomputed from the
-  disabled mask with four ``minimum``/``maximum.accumulate`` scans.  A
-  normal-mode e-cube message advances a whole straight run per round --
-  ``min(distance to the turn point, distance to the next blocked cell,
-  remaining hop budget)`` -- so its total round count is O(#turns +
-  #region encounters), not O(path length).
+  disabled mask with four ``minimum``/``maximum.accumulate`` scans and
+  stored once as one ``(4, width, height)`` stack.  A normal-mode e-cube
+  message advances a whole straight run per round -- ``min(distance to
+  the turn point, distance to the next blocked cell, remaining hop
+  budget)`` -- so its total round count is O(#turns + #region
+  encounters), not O(path length).
 * **Precomputed ring arrays** (:class:`RegionGeometry` /
-  :class:`RingArrays`): per region, the boundary-ring coordinates as index
-  arrays, a searchable entry-position table, and the geometric half of the
-  Section 2.2 "passed the region" predicate per message type.  An
-  abnormal-mode traversal then resolves as one vectorized lookup per
-  (region, orientation, message-type) group: the ring sequence relative to
-  each entry point is materialised as an index matrix and the first
-  exit/failure positions fall out of two ``argmax`` reductions --
-  including the opposite-orientation retry of border-hugging regions.
+  :class:`RingArrays`), one record per region: the boundary-ring
+  coordinates as index arrays, a searchable entry-position table, and the
+  geometric half of the Section 2.2 "passed the region" predicate packed
+  into ``geo_bits``, one bit per message type.  :class:`PackedRings`
+  concatenates the records of the regions messages block on, so an
+  abnormal-mode traversal resolves as one padded lookup over the whole
+  round: the ring sequence relative to each entry point is scanned lane
+  by lane and the first exit/failure positions fall out of two
+  ``argmax`` reductions -- including the opposite-orientation retry of
+  border-hugging regions.
 
 The kernel reproduces the scalar router's semantics *bit-identically*
 (same per-message outcome, hop count, abnormal-hop count and failure
@@ -66,7 +69,7 @@ from repro.types import Coord
 
 # -- message-type and outcome codes -------------------------------------------------
 
-#: Integer codes of the four message classes (rows of ``RingArrays.geo_passed``).
+#: Integer codes of the four message classes (bits of ``RingArrays.geo_bits``).
 MT_WE, MT_EW, MT_SN, MT_NS = 0, 1, 2, 3
 
 #: Per-message outcome codes of :class:`BatchRouteOutcome`.
@@ -114,7 +117,6 @@ _SCALAR_FINISH_THRESHOLD = 8
 # -- straight-run jump tables -------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class JumpTables:
     """Per-row / per-column next-blocked-cell tables of one disabled mask.
 
@@ -125,30 +127,25 @@ class JumpTables:
     the scalar router's straight-run advance and the batch kernel's
     normal-mode rounds read one table entry per run instead of probing the
     mask one hop at a time.
+
+    The tables are stored once, as ``stack``, a ``(4, width, height)``
+    array in the order east, west, north, south; ``east`` .. ``south``
+    are views of its planes.  The kernel gathers every active message's
+    next blocked cell with a single fancy index, ``stack[direction, x, y]``.
     """
 
-    east: np.ndarray
-    west: np.ndarray
-    north: np.ndarray
-    south: np.ndarray
+    __slots__ = ("stack", "east", "west", "north", "south")
+
+    def __init__(self, stack: np.ndarray) -> None:
+        self.stack = stack
+        self.east, self.west, self.north, self.south = stack
 
     @classmethod
     def from_disabled(cls, disabled: np.ndarray) -> "JumpTables":
         """Build the four tables with the ``jump_tables`` array primitive."""
-        east, west, north, south = _array_ops.active_ops().jump_tables(
-            np.ascontiguousarray(disabled)
+        return cls(
+            np.stack(_array_ops.active_ops().jump_tables(np.ascontiguousarray(disabled)))
         )
-        return cls(east=east, west=west, north=north, south=south)
-
-    def stacked(self) -> np.ndarray:
-        """The four tables as one ``(4, width, height)`` array.
-
-        Lets the kernel gather every active message's next blocked cell
-        with a single fancy index -- ``stacked[direction, x, y]`` --
-        instead of four boolean-masked gathers per round.  Directions are
-        ordered east, west, north, south.
-        """
-        return np.stack([self.east, self.west, self.north, self.south])
 
     def apply_fault_delta(
         self, disabled: np.ndarray, changed_x: np.ndarray, changed_y: np.ndarray
@@ -163,27 +160,21 @@ class JumpTables:
         through the same array primitive as a full build, so the result
         equals :meth:`from_disabled` bit for bit (asserted by the
         differential suite in ``tests/test_engine_deltas.py``).  The
-        untouched lines are copied from this table.
+        untouched lines are copied from this table's stack.
         """
         xs = np.unique(np.asarray(changed_x, dtype=np.int64))
         ys = np.unique(np.asarray(changed_y, dtype=np.int64))
-        east, west, north, south = self.east, self.west, self.north, self.south
+        patched = JumpTables(self.stack.copy())
         ops = _array_ops.active_ops()
         if ys.size:
-            east, west = east.copy(), west.copy()
-            sub_east, sub_west, _, _ = ops.jump_tables(
-                np.ascontiguousarray(disabled[:, ys])
-            )
-            east[:, ys] = sub_east
-            west[:, ys] = sub_west
+            east, west, _, _ = ops.jump_tables(np.ascontiguousarray(disabled[:, ys]))
+            patched.east[:, ys] = east
+            patched.west[:, ys] = west
         if xs.size:
-            north, south = north.copy(), south.copy()
-            _, _, sub_north, sub_south = ops.jump_tables(
-                np.ascontiguousarray(disabled[xs, :])
-            )
-            north[xs, :] = sub_north
-            south[xs, :] = sub_south
-        return JumpTables(east=east, west=west, north=north, south=south)
+            _, _, north, south = ops.jump_tables(np.ascontiguousarray(disabled[xs, :]))
+            patched.north[xs, :] = north
+            patched.south[xs, :] = south
+        return patched
 
 
 # -- per-region ring geometry -------------------------------------------------------
@@ -192,18 +183,26 @@ class JumpTables:
 class RingArrays:
     """The batch-kernel view of one region's boundary ring.
 
-    Everything here depends only on the region's own shape and the mesh
-    dimensions -- never on the surrounding disabled mask -- so the arrays
-    are cached on the :class:`RegionGeometry` and shared across routers
-    through the session ring cache.
+    ``ring_x`` / ``ring_y`` hold the ring's coordinates and ``off_mesh``
+    flags its nodes outside the mesh.  ``geo_bits`` packs the geometric
+    half of the Section 2.2 "passed the region" predicate into one bit per
+    message type (bit ``MT_*``): a single gather plus a shift beats a
+    two-array advanced index in the traversal scans.  ``entry_keys`` /
+    ``entry_positions`` map every on-mesh ring node to its first ring
+    position, sorted by node.  Everything here depends only on the
+    region's own shape (``nodes``) and the mesh dimensions -- never on the
+    surrounding disabled mask -- so the arrays are cached on the
+    :class:`RegionGeometry`, shared across routers through the session
+    ring cache, and packed as they are by :class:`PackedRings`.
     """
 
     __slots__ = (
         "shape",
+        "nodes",
         "ring_x",
         "ring_y",
-        "on_mesh",
-        "geo_passed",
+        "off_mesh",
+        "geo_bits",
         "entry_keys",
         "entry_positions",
     )
@@ -212,29 +211,28 @@ class RingArrays:
         ring = geometry.ring
         length = len(ring)
         self.shape = (width, height)
+        self.nodes = geometry.nodes
         self.ring_x = np.fromiter((node[0] for node in ring), np.int64, count=length)
         self.ring_y = np.fromiter((node[1] for node in ring), np.int64, count=length)
-        self.on_mesh = (
+        on_mesh = (
             (self.ring_x >= 0)
             & (self.ring_x < width)
             & (self.ring_y >= 0)
             & (self.ring_y < height)
         )
+        self.off_mesh = ~on_mesh
         box = geometry.box
-        # The geometric half of ``_passed_region`` per message type; the
-        # destination-dependent half (``coord == destination coord``) is
-        # OR-ed in per traversal group.
-        self.geo_passed = np.stack(
-            [
-                self.ring_x > box.max_x,  # WE
-                self.ring_x < box.min_x,  # EW
-                self.ring_y > box.max_y,  # SN
-                self.ring_y < box.min_y,  # NS
-            ]
+        # The destination-dependent half of ``_passed_region``
+        # (``coord == destination coord``) is OR-ed in per traversal.
+        self.geo_bits = (
+            (self.ring_x > box.max_x).astype(np.uint8) << MT_WE
+            | (self.ring_x < box.min_x).astype(np.uint8) << MT_EW
+            | (self.ring_y > box.max_y).astype(np.uint8) << MT_SN
+            | (self.ring_y < box.min_y).astype(np.uint8) << MT_NS
         )
         # Entry lookup: first ring position of every on-mesh ring node
         # (the scalar position map keeps the first occurrence too).
-        positions = np.nonzero(self.on_mesh)[0]
+        positions = np.nonzero(on_mesh)[0]
         keys = self.ring_x[positions] * height + self.ring_y[positions]
         order = np.lexsort((positions, keys))
         keys, positions = keys[order], positions[order]
@@ -395,24 +393,6 @@ def supports_router(router: Any) -> bool:
     return type(router) in (ECubeRouter, ExtendedECubeRouter)
 
 
-def _pack_geo_bits(geo_passed: np.ndarray) -> np.ndarray:
-    """Pack the ``(4, L)`` per-message-type passed flags into one uint8 bit
-    per type -- a single gather plus a shift beats a two-array advanced
-    index in the traversal scans."""
-    bits = geo_passed[MT_WE].astype(np.uint8)
-    for message_type in (MT_EW, MT_SN, MT_NS):
-        bits |= geo_passed[message_type].astype(np.uint8) << message_type
-    return bits
-
-
-#: One region's immutable packed-ring arrays, keyed by the region's node
-#: set: ``(ring_x, ring_y, off_mesh, geo_bits, entry_keys, entry_positions)``.
-#: Everything here depends only on the region's own shape (the validity
-#: against the surrounding disabled mask is recomputed at concatenation
-#: time), so segments survive fault deltas unchanged.
-RingSegment = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
 class PackedRings:
     """Encountered regions' ring arrays, concatenated for mixed gathers.
 
@@ -431,13 +411,13 @@ class PackedRings:
     (possibly session-shared) :class:`RegionGeometry` objects, so ring
     walks are still reused across router rebuilds.
 
-    Internally every packed region is held as a :data:`RingSegment` keyed
-    by the region's frozen node set; the flat arrays are concatenated
-    from the segments, and the only mask-dependent part -- which ring
-    nodes a traversal may step on -- is re-gathered from the router's
-    disabled mask at concatenation time.  That split is what makes
+    Every packed region is one ``(region index, RingArrays)`` entry of
+    ``_order``, in packing order; the flat arrays are concatenated from
+    those records, and the only mask-dependent part -- which ring nodes a
+    traversal may step on -- is gathered from the router's disabled mask
+    at concatenation time.  That split is what makes
     :meth:`apply_fault_delta` possible: after a fault update, every
-    region whose node set survived keeps its segment (no ring walk, no
+    region whose node set survived keeps its record (no ring walk, no
     re-packing), and only the validity gather is recomputed.
     """
 
@@ -453,7 +433,6 @@ class PackedRings:
         "geo_bits",
         "entry_keys",
         "entry_positions",
-        "_segments",
         "_order",
         "_total",
         "_dirty",
@@ -466,36 +445,30 @@ class PackedRings:
         self.start = np.zeros(num_regions, dtype=np.int64)
         self.length = np.zeros(num_regions, dtype=np.int64)
         self.packed = np.zeros(num_regions, dtype=bool)
-        self._segments: Dict[FrozenSet[Coord], RingSegment] = {}
-        #: ``(region index, node set)`` pairs in packing order; the index
+        #: ``(region index, ring arrays)`` pairs in packing order; the index
         #: half is only valid for this instance's router.
-        self._order: List[Tuple[int, FrozenSet[Coord]]] = []
+        self._order: List[Tuple[int, RingArrays]] = []
         self._total = 0
-        #: Adopted segments whose flat arrays have not been concatenated
+        #: Adopted records whose flat arrays have not been concatenated
         #: yet; the rebuild is deferred to the first :meth:`ensure` so a
         #: fault delta never pays for regions no message routes through.
         self._dirty = False
+        self._clear()
+
+    def _clear(self) -> None:
+        """Empty the flat arrays (the per-region slots stay)."""
         empty = np.empty(0, dtype=np.int64)
         self.ring_x = self.ring_y = self.entry_keys = self.entry_positions = empty
         self.valid = self.off_mesh = empty.astype(bool)
         self.geo_bits = empty.astype(np.uint8)
 
-    def _segment(self, router: Any, region: int) -> RingSegment:
-        """Fetch (or build from the region geometry) one region's segment."""
-        nodes = router._regions[region]
-        segment = self._segments.get(nodes)
-        if segment is None:
-            arrays = router.region_geometry(region).arrays(*self.shape)
-            segment = (
-                arrays.ring_x,
-                arrays.ring_y,
-                ~arrays.on_mesh,
-                _pack_geo_bits(arrays.geo_passed),
-                arrays.entry_keys,
-                arrays.entry_positions,
-            )
-            self._segments[nodes] = segment
-        return segment
+    def _pack(self, region: int, arrays: RingArrays) -> None:
+        """Give *region* the next slot of the flat arrays."""
+        self.start[region] = self._total
+        self.length[region] = len(arrays)
+        self.packed[region] = True
+        self._order.append((region, arrays))
+        self._total += len(arrays)
 
     def ensure(self, router: Any, regions: np.ndarray) -> None:
         """Append any of *regions* not packed yet and extend the arrays.
@@ -514,24 +487,17 @@ class PackedRings:
         if missing.size == 0:
             if self._dirty:
                 self._rebuild(router)
-                self._dirty = False
             return
         append_from = len(self._order)
         for region in np.unique(missing).tolist():
-            segment = self._segment(router, region)
-            self.start[region] = self._total
-            self.length[region] = segment[0].size
-            self.packed[region] = True
-            self._order.append((region, router._regions[region]))
-            self._total += segment[0].size
-        if self._dirty or append_from == 0:
+            self._pack(region, router.region_geometry(region).arrays(*self.shape))
+        if self._dirty:
             self._rebuild(router)
         else:
             self._append(router, append_from)
-        self._dirty = False
 
     def _append(self, router: Any, append_from: int) -> None:
-        """Extend the flat arrays with the segments packed at
+        """Extend the flat arrays with the records packed at
         ``_order[append_from:]``, leaving the already-built prefix alone.
 
         The validity gather runs over the new ring nodes only (the
@@ -543,20 +509,19 @@ class PackedRings:
         width, height = self.shape
         cells = width * height
         fresh = self._order[append_from:]
-        segments = [self._segments[nodes] for _, nodes in fresh]
-        new_x = np.concatenate([s[0] for s in segments])
-        new_y = np.concatenate([s[1] for s in segments])
-        new_off = np.concatenate([s[2] for s in segments])
+        new_x = np.concatenate([arrays.ring_x for _, arrays in fresh])
+        new_y = np.concatenate([arrays.ring_y for _, arrays in fresh])
+        new_off = np.concatenate([arrays.off_mesh for _, arrays in fresh])
         self.ring_x = np.concatenate([self.ring_x, new_x])
         self.ring_y = np.concatenate([self.ring_y, new_y])
         self.off_mesh = np.concatenate([self.off_mesh, new_off])
         self.geo_bits = np.concatenate(
-            [self.geo_bits] + [s[3] for s in segments]
+            [self.geo_bits] + [arrays.geo_bits for _, arrays in fresh]
         )
         keys = np.concatenate(
-            [region * cells + s[4] for (region, _), s in zip(fresh, segments)]
+            [region * cells + arrays.entry_keys for region, arrays in fresh]
         )
-        positions = np.concatenate([s[5] for s in segments])
+        positions = np.concatenate([arrays.entry_positions for _, arrays in fresh])
         order = np.argsort(keys)
         keys, positions = keys[order], positions[order]
         insert_at = np.searchsorted(self.entry_keys, keys)
@@ -572,65 +537,35 @@ class PackedRings:
         )
 
     def _rebuild(self, router: Any) -> None:
-        """Concatenate the packed segments into the kernel's flat arrays.
-
-        The entry table gets one sort to stay binary-searchable (regions
-        pack in encounter order), and the validity of every packed ring
-        node is gathered from the router's *current* disabled mask --
-        the one per-node property that depends on the other regions.
-        """
-        width, height = self.shape
-        cells = width * height
-        segments = [self._segments[nodes] for _, nodes in self._order]
-        self.ring_x = np.concatenate([s[0] for s in segments])
-        self.ring_y = np.concatenate([s[1] for s in segments])
-        self.off_mesh = np.concatenate([s[2] for s in segments])
-        self.geo_bits = np.concatenate([s[3] for s in segments])
-        keys = np.concatenate(
-            [region * cells + s[4] for (region, _), s in zip(self._order, segments)]
-        )
-        positions = np.concatenate([s[5] for s in segments])
-        order = np.argsort(keys)
-        self.entry_keys = keys[order]
-        self.entry_positions = positions[order]
-        clip_x = np.clip(self.ring_x, 0, width - 1)
-        clip_y = np.clip(self.ring_y, 0, height - 1)
-        disabled = ~router.enabled_mask
-        self.valid = ~self.off_mesh & ~disabled[clip_x, clip_y]
+        """Re-pack every record from empty against the router's *current*
+        disabled mask -- the one per-node property that depends on the
+        other regions."""
+        self._clear()
+        self._append(router, 0)
+        self._dirty = False
 
     def apply_fault_delta(self, router: Any) -> "PackedRings":
-        """Packed rings for *router*, reusing every surviving region's segment.
+        """Packed rings for *router*, reusing every surviving region's record.
 
-        Regions are matched to the new router by node-set identity: a
-        region a fault update did not touch keeps its packed ring arrays
-        (re-keyed to its possibly-shifted region index) and only pays the
-        validity gather against the new disabled mask; changed or new
-        regions pack lazily on first encounter, as always.  Segments of
-        vanished regions are dropped so long fault-churn sessions stay
-        bounded.  The concatenation itself is deferred to the first
-        :meth:`ensure`, so applying a delta is O(surviving regions) dict
-        work and routing never rebuilds arrays for regions it does not
-        touch.  The result is bit-identical to a freshly packed
-        :class:`PackedRings` over the same encounter sequence (asserted
-        by ``tests/test_engine_deltas.py``).
+        Regions are matched to the new router by node-set identity
+        (``RingArrays.nodes``): a region a fault update did not touch
+        keeps its packed ring arrays (re-keyed to its possibly-shifted
+        region index) and only pays the validity gather against the new
+        disabled mask; changed or new regions pack lazily on first
+        encounter, as always.  Records of vanished regions are dropped so
+        long fault-churn sessions stay bounded.  The concatenation itself
+        is deferred to the first :meth:`ensure`, so applying a delta is
+        O(surviving regions) dict work and routing never rebuilds arrays
+        for regions it does not touch.  The result is bit-identical to a
+        freshly packed :class:`PackedRings` over the same encounter
+        sequence (asserted by ``tests/test_engine_deltas.py``).
         """
         fresh = PackedRings(router)
         index_of = {nodes: index for index, nodes in enumerate(router._regions)}
-        fresh._segments = {
-            nodes: segment
-            for nodes, segment in self._segments.items()
-            if nodes in index_of
-        }
-        for _, nodes in self._order:
-            region = index_of.get(nodes)
-            if region is None:
-                continue
-            segment = fresh._segments[nodes]
-            fresh.start[region] = fresh._total
-            fresh.length[region] = segment[0].size
-            fresh.packed[region] = True
-            fresh._order.append((region, nodes))
-            fresh._total += segment[0].size
+        for _, arrays in self._order:
+            region = index_of.get(arrays.nodes)
+            if region is not None:
+                fresh._pack(region, arrays)
         fresh._dirty = bool(fresh._order)
         return fresh
 
@@ -827,12 +762,15 @@ def route_batch(
     *router* must be one of the built-in routers (see
     :func:`supports_router`); *batch* is a
     :class:`~repro.routing.traffic.TrafficBatch` (or anything exposing
-    ``as_arrays()``).  The hop budget is the router's own ``max_hops``
-    (cap it at router construction, via ``ExtendedECubeOptions``), so the
-    lockstep rounds and the scalar tail always agree on it.  Per-message
-    outcomes -- including hop counts, abnormal-hop counts and the scalar
-    router's failure reasons -- are bit-identical to routing each pair
-    through ``router.route``.
+    ``as_arrays()``).  The hop budget of both routers is the router's own
+    ``max_hops`` (set at router construction), so the lockstep rounds and
+    the scalar tail always agree on it; the default of
+    ``8 * (width + height)`` never binds a base e-cube path.  A router
+    without ``detours`` fails a blocked message where the extended router
+    would traverse the blocking region's ring.  Per-message outcomes --
+    including hop counts, abnormal-hop counts and the scalar router's
+    failure reasons -- are bit-identical to routing each pair through
+    ``router.route``.
 
     *scalar_finish* overrides the frontier size at which the kernel hands
     the straggler tail to the scalar router, which continues each
@@ -840,21 +778,16 @@ def route_batch(
     ``_SCALAR_FINISH_THRESHOLD``; ``0`` forces a pure lockstep run, which
     the differential tests use to exercise the kernel on small batches).
     """
-    from repro.routing.registry import ECubeRouter
-
     if not supports_router(router):
         raise ValueError(
             "the batch engine only understands the built-in routers "
             "(ECubeRouter / ExtendedECubeRouter); route this batch with "
             "the scalar engine instead"
         )
-    detours = type(router) is not ECubeRouter
+    detours = router.detours
     disabled = ~router.enabled_mask
-    width, height = disabled.shape
     budget_cap = router.max_hops
-    stacked_tables = getattr(router, "_jump_stack", None)
-    if stacked_tables is None:
-        stacked_tables = router._jump_stack = router.jump_tables().stacked()
+    stacked_tables = router.jump_tables().stack
     region_index = router.region_index
 
     src_x, src_y, dst_x, dst_y = (
@@ -909,13 +842,7 @@ def route_batch(
             break
         # -- terminal checks (same order as the scalar loop head) ------------
         arrived = (cur_x == to_x) & (cur_y == to_y)
-        if detours:
-            over_budget = ~arrived & (live_hops + 1 > budget_cap)
-        else:
-            # The base e-cube router has no hop budget (its paths are
-            # minimal, always far below the default cap).
-            over_budget = np.zeros(live.size, dtype=bool)
-        done = arrived | over_budget
+        done = arrived | (live_hops >= budget_cap)
         if done.any():
             finalize(
                 done,
@@ -936,10 +863,7 @@ def route_batch(
         coordinate = np.where(x_phase, cur_x, cur_y)
         next_block = stacked_tables[direction, cur_x, cur_y]
         free = np.where(sign > 0, next_block - coordinate, coordinate - next_block) - 1
-        if detours:
-            run = np.minimum(dist, np.minimum(free, budget_cap - live_hops))
-        else:
-            run = np.minimum(dist, free)
+        run = np.minimum(dist, np.minimum(free, budget_cap - live_hops))
         run = np.where(free > 0, run, 0)
         cur_x = cur_x + np.where(x_phase, sign * run, 0)
         cur_y = cur_y + np.where(x_phase, 0, sign * run)
@@ -948,11 +872,7 @@ def route_batch(
         # turn point or the hop budget) sits adjacent to the block now --
         # its next scalar iteration would enter abnormal mode, so handle
         # it this round instead of paying another round to rediscover it.
-        at_wall = (run == free) & (run < dist)
-        if detours:
-            blocked = at_wall & (live_hops < budget_cap)
-        else:
-            blocked = at_wall
+        blocked = (run == free) & (run < dist) & (live_hops < budget_cap)
         if not blocked.any():
             continue
         if not detours:

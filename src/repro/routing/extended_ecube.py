@@ -91,7 +91,14 @@ class ExtendedECubeRouter:
     advances whole straight runs at a time using the
     :class:`~repro.routing.engine.JumpTables` built lazily from the
     disabled mask, instead of re-deriving the next hop one cell at a time.
+
+    ``detours`` switches the ring traversal: the base e-cube router of
+    :mod:`repro.routing.registry` is this class with ``detours = False``,
+    whose walk fails where this one would enter abnormal mode.
     """
+
+    #: Whether a blocked message traverses the blocking region's ring.
+    detours = True
 
     def __init__(
         self,
@@ -359,7 +366,8 @@ class ExtendedECubeRouter:
         hops: int = 0,
         abnormal_hops: int = 0,
     ) -> Tuple[bool, int, int, str]:
-        """The one routing loop behind :meth:`route` and :meth:`route_counts`.
+        """The one routing loop behind :meth:`route` and :meth:`route_counts`
+        of both built-in routers (see ``detours``).
 
         Appends every hop to *path* when one is given; with ``path=None``
         only the counters are tracked, which skips the per-hop list work
@@ -412,6 +420,9 @@ class ExtendedECubeRouter:
                 continue
 
             # Abnormal mode: traverse the ring of the blocking region.
+            if not self.detours:
+                reason = "blocked by a fault region (base e-cube has no detour)"
+                return False, hops, abnormal_hops, reason
             nxt = (x + sign, y) if x != dx else (x, y + sign)
             message_type = (
                 initial_message_type(current, destination)

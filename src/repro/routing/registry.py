@@ -51,8 +51,7 @@ import numpy as np
 
 from repro._registry import SpecRegistry, make_spec_options
 from repro.mesh.topology import Topology
-from repro.routing.ecube import ecube_next_hop
-from repro.routing.extended_ecube import ExtendedECubeRouter, RouteResult
+from repro.routing.extended_ecube import ExtendedECubeRouter
 
 
 # -- typed options ------------------------------------------------------------------
@@ -89,56 +88,16 @@ class ExtendedECubeOptions(RouterOptions):
 class ECubeRouter(ExtendedECubeRouter):
     """Base dimension-ordered routing with no fault-region detours.
 
-    Shares the region-index representation (O(1) membership, vectorized
-    enabled views) of :class:`ExtendedECubeRouter` but reports a failed
-    delivery as soon as the e-cube next hop lands in a fault region --
-    the baseline the extended routing is measured against.
+    The extended router's walk with the ring traversal switched off
+    (``detours = False``): a message fails with the reason "blocked by a
+    fault region (base e-cube has no detour)" at the hop where the
+    extended router would enter abnormal mode -- the baseline the
+    extended routing is measured against.  Its paths are at most
+    ``width + height - 2`` hops, so the shared default hop budget of
+    ``8 * (width + height)`` never binds.
     """
 
-    def route(self, source, destination) -> RouteResult:
-        """Route one message along the pure x-y path."""
-        self.topology.validate(source)
-        self.topology.validate(destination)
-        if self.is_disabled(source):
-            return RouteResult(source, destination, False, (source,), 0, "source disabled")
-        if self.is_disabled(destination):
-            return RouteResult(
-                source, destination, False, (source,), 0, "destination disabled"
-            )
-        path = [source]
-        current = source
-        while current != destination:
-            nxt = ecube_next_hop(current, destination)
-            assert nxt is not None
-            if self.is_disabled(nxt):
-                return RouteResult(
-                    source,
-                    destination,
-                    False,
-                    tuple(path),
-                    0,
-                    "blocked by a fault region (base e-cube has no detour)",
-                )
-            path.append(nxt)
-            current = nxt
-        return RouteResult(source, destination, True, tuple(path), 0)
-
-    def route_counts(self, source, destination, *, hops=0, abnormal_hops=0):
-        """Counters-only routing (see the extended router's method).
-
-        Base e-cube paths are at most ``width + height`` hops, so simply
-        delegating to :meth:`route` keeps the two entry points trivially
-        identical (the inherited counters loop would wrongly detour).
-        *hops* and *abnormal_hops* continue a walk that reached *source*
-        with those counts, which the returned counts include.
-        """
-        result = self.route(source, destination)
-        return (
-            result.delivered,
-            hops + result.hops,
-            abnormal_hops + result.abnormal_hops,
-            result.reason,
-        )
+    detours = False
 
 
 # -- the spec -----------------------------------------------------------------------

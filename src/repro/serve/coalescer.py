@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sized
@@ -117,7 +118,8 @@ class RouteCoalescer:
         coalescer, and a strong reference would make a cycle that only
         the cyclic garbage collector frees.
     window:
-        Minimum wait, in seconds, of the first buffered request.  Once it
+        Minimum wait, in seconds, of the first buffered request (finite,
+        ``0`` or more; a non-finite window would never flush).  Once it
         has passed, the flush waits for the input to go quiet
         (:data:`QUIET_TURNS`) and then takes everything buffered.
     max_batch:
@@ -134,8 +136,8 @@ class RouteCoalescer:
         window: float = 0.001,
         max_batch: int,
     ) -> None:
-        if window < 0:
-            raise ValueError("window must be >= 0")
+        if not (math.isfinite(window) and window >= 0):
+            raise ValueError("window must be a finite number >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._flush = weakref.WeakMethod(flush) if inspect.ismethod(flush) else lambda: flush

@@ -38,9 +38,9 @@ from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
     CampaignStore,
+    TRANSPORTS,
     StreamingReducer,
     TcpTransport,
-    available_transports,
     campaign_status,
     fold_moments,
     format_status,
@@ -83,7 +83,7 @@ def _executor(kind: str) -> SweepExecutor:
 
 def test_registries_expose_builtins():
     assert {"construction", "routing", "latency"} <= set(TRIAL_KINDS)
-    assert {"local", "tcp"} <= set(available_transports())
+    assert {"local", "tcp"} <= set(TRANSPORTS)
 
 
 #: Store columns shared by every kind, then the per-model columns of each

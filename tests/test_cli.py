@@ -55,6 +55,40 @@ class TestParser:
         error = capsys.readouterr().err.strip().splitlines()[-1]
         assert error.endswith(f"argument --loads: not a finite load above 0: {load!r}")
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-pending", "0", "not a whole number of at least 1: '0'"),
+            ("--max-inflight", "0", "not a whole number of at least 1: '0'"),
+            ("--snapshot-every", "0", "not a whole number of at least 1: '0'"),
+            ("--max-batch", "0", "not a whole number of at least 1: '0'"),
+            ("--journal-max-bytes", "-5", "not a whole number of at least 1: '-5'"),
+            ("--max-pending", "1.5", "not a whole number of at least 1: '1.5'"),
+            ("--window", "-1", "not a finite number of seconds >= 0: '-1'"),
+            ("--window", "nan", "not a finite number of seconds >= 0: 'nan'"),
+            ("--window", "inf", "not a finite number of seconds >= 0: 'inf'"),
+        ],
+    )
+    def test_serve_refuses_knobs_the_daemon_cannot_run_with(
+        self, flag, value, message, capsys
+    ):
+        # Refused by the parser in one line naming the flag, before any
+        # session or daemon is built (the daemon would raise a traceback,
+        # or with a non-finite window never answer).
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--width", "8", "--faults", "2", "--port", "0", flag, value])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.endswith(f"argument {flag}: {message}")
+
+    def test_serve_takes_the_smallest_valid_knobs(self):
+        args = build_parser().parse_args(
+            ["serve", "--window", "0", "--max-batch", "1", "--max-pending", "1",
+             "--max-inflight", "1", "--snapshot-every", "1"]
+        )
+        assert (args.window, args.max_batch, args.max_pending) == (0.0, 1, 1)
+        assert (args.max_inflight, args.snapshot_every) == (1, 1)
+
     def test_sweep_hands_the_executor_only_the_axis(self, monkeypatch):
         calls = []
 

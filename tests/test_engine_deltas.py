@@ -69,12 +69,18 @@ class TestJumpTableDelta:
         for x, y in flips:
             after[x % width, y % height] ^= True
         changed_x, changed_y = np.nonzero(before != after)
-        patched = JumpTables.from_disabled(before).apply_fault_delta(
-            after, changed_x, changed_y
-        )
+        before_tables = JumpTables.from_disabled(before)
+        patched = before_tables.apply_fault_delta(after, changed_x, changed_y)
         full = JumpTables.from_disabled(after)
+        assert np.array_equal(patched.stack, full.stack)
         for field in ("east", "west", "north", "south"):
             assert np.array_equal(getattr(patched, field), getattr(full, field))
+            # One copy of the tables: each direction is a view of the stack.
+            assert np.shares_memory(getattr(patched, field), patched.stack)
+            assert np.shares_memory(getattr(full, field), full.stack)
+        # The patch copies the stack once; the source tables stay as they were.
+        assert not np.shares_memory(patched.stack, before_tables.stack)
+        assert np.array_equal(before_tables.stack, JumpTables.from_disabled(before).stack)
 
     def test_empty_delta_is_identity(self):
         disabled = np.zeros((5, 5), dtype=bool)
@@ -83,8 +89,10 @@ class TestJumpTableDelta:
         patched = tables.apply_fault_delta(
             disabled, np.empty(0, np.int64), np.empty(0, np.int64)
         )
+        assert np.array_equal(patched.stack, tables.stack)
         for field in ("east", "west", "north", "south"):
             assert np.array_equal(getattr(patched, field), getattr(tables, field))
+            assert np.shares_memory(getattr(patched, field), patched.stack)
 
 
 class TestTransplant:

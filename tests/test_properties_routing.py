@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.labelling import apply_labelling_scheme_1, faults_to_mask
 from repro.core.mfp import build_minimum_polygons
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh2D, Torus2D
 from repro.routing.channels import assign_channels
 from repro.routing.ecube import ecube_path, manhattan_distance
 from repro.routing.extended_ecube import ExtendedECubeRouter
+from repro.routing.registry import get_router
 
 MESH = Mesh2D(12, 12)
 
@@ -46,6 +47,33 @@ def test_extended_ecube_delivered_paths_are_well_formed(faults, source, destinat
         assert len(assignment.channels) == result.hops
     elif router.is_disabled(source) or router.is_disabled(destination):
         assert result.reason.endswith("disabled")
+
+
+@settings(max_examples=80, deadline=None)
+@given(fault_sets, coords, coords, st.booleans())
+def test_ecube_router_follows_the_ecube_path(faults, source, destination, torus):
+    # The definition of base e-cube routing: walk ecube_path and fail at
+    # its first disabled node, with no detour (mesh-style paths on a torus).
+    topology = Torus2D(12, 12) if torus else MESH
+    construction = build_minimum_polygons(sorted(faults), topology=topology)
+    router = get_router("ecube").build(construction)
+    result = router.route(source, destination)
+    path = ecube_path(source, destination)
+    blocked = [index for index, node in enumerate(path) if router.is_disabled(node)]
+    assert result.abnormal_hops == 0
+    if router.is_disabled(source):
+        expected = (False, (source,), "source disabled")
+    elif router.is_disabled(destination):
+        expected = (False, (source,), "destination disabled")
+    elif blocked:
+        reason = "blocked by a fault region (base e-cube has no detour)"
+        expected = (False, tuple(path[: blocked[0]]), reason)
+    else:
+        expected = (True, tuple(path), "")
+    assert (result.delivered, result.path, result.reason) == expected
+    assert router.route_counts(source, destination) == (
+        result.delivered, result.hops, 0, result.reason
+    )
 
 
 @settings(max_examples=40, deadline=None)

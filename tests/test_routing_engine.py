@@ -39,7 +39,7 @@ from repro.routing.engine import (
     supports_router,
 )
 from repro.routing.extended_ecube import ExtendedECubeRouter
-from repro.routing.registry import get_router
+from repro.routing.registry import ECubeRouter, get_router
 from repro.routing.stats import RoutingStats
 from repro.routing.traffic import TrafficBatch, TrafficContext, get_traffic, traffic_keys
 
@@ -238,11 +238,19 @@ class TestBatchDifferential:
     @settings(max_examples=10, deadline=None)
     @given(fault_sets, st.integers(1, 40), st.integers(0, 2**31 - 1))
     def test_tight_hop_budgets(self, faults, max_hops, seed):
+        # Both routers share one walk and one budget rule.  The registry
+        # passes base e-cube no max_hops, so its budget is set through the
+        # constructor; a budget under the path length must then fail the
+        # message the same way in the kernel and in the scalar walk.
         construction = build_minimum_polygons(sorted(faults), topology=Mesh2D(12, 12))
-        router = get_router("extended-ecube").build(construction, max_hops=max_hops)
-        context = TrafficContext.from_router(router)
-        batch = get_traffic("uniform").generate(context, 40, seed=seed)
-        assert_batch_matches_scalar(router, batch, scalar_finish=0)
+        routers = (
+            get_router("extended-ecube").build(construction, max_hops=max_hops),
+            ECubeRouter(construction.grid.topology, construction.regions, max_hops=max_hops),
+        )
+        for router in routers:
+            context = TrafficContext.from_router(router)
+            batch = get_traffic("uniform").generate(context, 40, seed=seed)
+            assert_batch_matches_scalar(router, batch, scalar_finish=0)
 
     @settings(max_examples=10, deadline=None)
     @given(fault_sets, st.integers(0, 2**31 - 1))

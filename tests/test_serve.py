@@ -13,6 +13,7 @@ the toolchain).
 
 import asyncio
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -243,6 +244,13 @@ class TestCoalescer:
             RouteCoalescer(lambda pending: None, window=-1.0, max_batch=1)
         with pytest.raises(ValueError):
             RouteCoalescer(lambda pending: None, max_batch=0)
+        # A timer of inf (or nan) seconds never fires, so a lone request
+        # would wait forever: neither the coalescer nor its daemon takes one.
+        for window in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                RouteCoalescer(lambda pending: None, window=window, max_batch=1)
+            with pytest.raises(ValueError, match="finite"):
+                make_daemon(window=window)
 
 
 # -- daemon verbs (in-process) -------------------------------------------------------
