@@ -239,9 +239,9 @@ def bench_ring_append(args) -> dict:
 
     ``PackedRings.ensure`` extends its flat arrays in place when a round
     encounters a new region; this times that path against the historical
-    every-round re-concatenation (forced via the ``_dirty`` flag the
-    fault-delta path uses) over the same encounter sequence, and checks
-    the resulting arrays are bit-identical.
+    every-round re-concatenation (``PackedRings._rebuild``, the re-pack
+    oracle, after every round) over the same encounter sequence, and
+    checks the resulting arrays are bit-identical.
     """
     from repro.mesh.topology import Mesh2D
     from repro.routing.engine import PackedRings
@@ -264,9 +264,9 @@ def bench_ring_append(args) -> dict:
         rings = PackedRings(router)
         start = time.perf_counter()
         for index in range(len(regions)):
-            if force_rebuild:
-                rings._dirty = True
             rings.ensure(router, np.array([index]))
+            if force_rebuild:
+                rings._rebuild(router)
         return time.perf_counter() - start, rings
 
     encounter(False)  # warm the per-router ring geometry cache

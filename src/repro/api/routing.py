@@ -33,10 +33,16 @@ per-message **scalar** loop (:func:`~repro.routing.engine.route_scalar`)
 otherwise.  The two produce bit-identical aggregate statistics; the engine
 that ran is recorded on ``stats.engine``.
 
-The session also owns a :class:`~repro.routing.engine.RegionRingCache`
-attached to every router it builds, so routers rebuilt after
-``add_faults`` reuse the boundary-ring geometry (ring walks, position
-maps, bounding boxes) of every region the update did not change.
+A router rebuilt after ``add_faults`` starts from its predecessor
+(:func:`~repro.routing.engine.transplant_engine_state`): the survivor map
+of the two index grids names every region the update left as it was, and
+the new router takes over those regions' boundary-ring geometry (ring
+walks, position maps, bounding boxes) and packed rings under their new
+indices, reading no node set and building no ``FaultRegion``.  The
+session also owns a :class:`~repro.routing.engine.RegionRingCache`
+attached to every router it builds, through which the regions the update
+changed resolve their geometry, so a repair that restores an earlier
+region finds it there.
 """
 
 from __future__ import annotations
@@ -90,8 +96,8 @@ class RoutingSession:
         session.cache_info.setdefault("ring_rebuilds", 0)
         session.cache_info.setdefault("delta_applies", 0)
         # Session-level boundary-ring geometry, keyed by region identity
-        # (the frozen node set): survives add_faults, so rebuilt routers
-        # only recompute the rings of regions the update actually changed.
+        # (the frozen node set): survives add_faults, so a region an update
+        # changed finds its rings here when it had that node set before.
         self._ring_cache = RegionRingCache(counters=session.cache_info)
 
     @property
@@ -144,10 +150,10 @@ class RoutingSession:
             if attach_counters is not None:
                 attach_counters(session.cache_info)
             # A fault update invalidated the previous router for this key:
-            # instead of rebuilding its engine state (jump tables, packed
-            # rings) from scratch, delta-patch it from the predecessor --
-            # only the touched rows/columns/regions are re-derived.  The
-            # differential tests replace this module's
+            # instead of rebuilding its engine state (jump tables, ring
+            # geometry, packed rings) from scratch, delta-patch it from the
+            # predecessor -- only the touched rows/columns/regions are
+            # re-derived.  The differential tests replace this module's
             # ``transplant_engine_state`` to get full rebuilds.
             if cached is not None and transplant_engine_state(cached[1], router_obj):
                 session.cache_info["delta_applies"] += 1

@@ -197,6 +197,28 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _at_least_zero(text: str) -> int:
+    """A count that may be zero: a whole number of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a whole number of at least 0: {text!r}")
+    return value
+
+
+def _port(text: str) -> int:
+    """A TCP port: a whole number from 0 to 65535."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"not a port from 0 to 65535: {text!r}")
+    return value
+
+
 def _window(text: str) -> float:
     """A coalescing window: a finite number of seconds, 0 or more."""
     try:
@@ -861,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
-        "--port", type=int, default=7654, help="bind port (0 picks a free port)"
+        "--port", type=_port, default=7654, help="bind port (0 picks a free port)"
     )
     serve.add_argument(
         "--window",
@@ -919,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="query or mutate a running routing daemon"
     )
     query.add_argument("--host", default="127.0.0.1", help="daemon address")
-    query.add_argument("--port", type=int, default=7654, help="daemon port")
+    query.add_argument("--port", type=_port, default=7654, help="daemon port")
     query.add_argument(
         "--wait",
         type=float,
@@ -937,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--retries",
-        type=int,
+        type=_at_least_zero,
         default=0,
         metavar="N",
         help="retry failed requests up to N times (exponential backoff; "

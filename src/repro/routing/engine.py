@@ -190,15 +190,14 @@ class RingArrays:
     two-array advanced index in the traversal scans.  ``entry_keys`` /
     ``entry_positions`` map every on-mesh ring node to its first ring
     position, sorted by node.  Everything here depends only on the
-    region's own shape (``nodes``) and the mesh dimensions -- never on the
+    region's own shape and the mesh dimensions -- never on the
     surrounding disabled mask -- so the arrays are cached on the
-    :class:`RegionGeometry`, shared across routers through the session
-    ring cache, and packed as they are by :class:`PackedRings`.
+    :class:`RegionGeometry`, carried across router rebuilds with it, and
+    packed as they are by :class:`PackedRings`.
     """
 
     __slots__ = (
         "shape",
-        "nodes",
         "ring_x",
         "ring_y",
         "off_mesh",
@@ -211,7 +210,6 @@ class RingArrays:
         ring = geometry.ring
         length = len(ring)
         self.shape = (width, height)
-        self.nodes = geometry.nodes
         self.ring_x = np.fromiter((node[0] for node in ring), np.int64, count=length)
         self.ring_y = np.fromiter((node[1] for node in ring), np.int64, count=length)
         on_mesh = (
@@ -280,11 +278,13 @@ class RegionRingCache:
     """A bounded cache of :class:`RegionGeometry`, keyed by region identity.
 
     Owned by :class:`repro.api.RoutingSession` and attached to every
-    router it builds: a router rebuilt after ``add_faults`` then reuses
-    the rings, position maps and bounding boxes of every region the
-    update did not touch (region identity is the frozen node set, so a
-    changed region misses naturally).  Evicts least-recently-used entries
-    beyond *max_entries* so long fault-injection sessions stay bounded.
+    router it builds.  A router rebuilt after ``add_faults`` takes the
+    geometry of every region the update did not touch straight from its
+    predecessor (:func:`transplant_engine_state`), so only the regions the
+    update changed come here: a node set seen before (a repair restoring
+    an earlier region) hits, a new one misses.  Region identity is the
+    frozen node set.  Evicts least-recently-used entries beyond
+    *max_entries* so long fault-injection sessions stay bounded.
     """
 
     def __init__(
@@ -416,9 +416,10 @@ class PackedRings:
     those records, and the only mask-dependent part -- which ring nodes a
     traversal may step on -- is gathered from the router's disabled mask
     at concatenation time.  That split is what makes
-    :meth:`apply_fault_delta` possible: after a fault update, every
-    region whose node set survived keeps its record (no ring walk, no
-    re-packing), and only the validity gather is recomputed.
+    :meth:`apply_fault_delta` possible: after a fault update, the flat
+    arrays of every region the update left as it was are kept and
+    re-keyed to its new region index (no ring walk, no re-packing), and
+    only the validity gather is recomputed.
     """
 
     __slots__ = (
@@ -435,7 +436,6 @@ class PackedRings:
         "entry_positions",
         "_order",
         "_total",
-        "_dirty",
     )
 
     def __init__(self, router: Any) -> None:
@@ -449,10 +449,6 @@ class PackedRings:
         #: half is only valid for this instance's router.
         self._order: List[Tuple[int, RingArrays]] = []
         self._total = 0
-        #: Adopted records whose flat arrays have not been concatenated
-        #: yet; the rebuild is deferred to the first :meth:`ensure` so a
-        #: fault delta never pays for regions no message routes through.
-        self._dirty = False
         self._clear()
 
     def _clear(self) -> None:
@@ -479,22 +475,15 @@ class PackedRings:
         existing flat arrays in place -- the sorted entry table absorbs
         them with a binary-search merge -- so a round that encounters
         one new region never re-concatenates, re-sorts or re-validates
-        the regions already packed.  The full :meth:`_rebuild` only runs
-        when a fault delta invalidated the concatenation (the disabled
-        mask changed under every packed node).
+        the regions already packed.
         """
         missing = regions[~self.packed[regions]]
         if missing.size == 0:
-            if self._dirty:
-                self._rebuild(router)
             return
         append_from = len(self._order)
         for region in np.unique(missing).tolist():
             self._pack(region, router.region_geometry(region).arrays(*self.shape))
-        if self._dirty:
-            self._rebuild(router)
-        else:
-            self._append(router, append_from)
+        self._append(router, append_from)
 
     def _append(self, router: Any, append_from: int) -> None:
         """Extend the flat arrays with the records packed at
@@ -539,34 +528,66 @@ class PackedRings:
     def _rebuild(self, router: Any) -> None:
         """Re-pack every record from empty against the router's *current*
         disabled mask -- the one per-node property that depends on the
-        other regions."""
+        other regions.  The re-pack oracle of the tests and
+        ``benchmarks/bench_serve.py``."""
         self._clear()
         self._append(router, 0)
-        self._dirty = False
 
-    def apply_fault_delta(self, router: Any) -> "PackedRings":
-        """Packed rings for *router*, reusing every surviving region's record.
+    def apply_fault_delta(self, router: Any, survivors: np.ndarray) -> "PackedRings":
+        """Packed rings for *router*, patched from these by a survivor map.
 
-        Regions are matched to the new router by node-set identity
-        (``RingArrays.nodes``): a region a fault update did not touch
-        keeps its packed ring arrays (re-keyed to its possibly-shifted
-        region index) and only pays the validity gather against the new
-        disabled mask; changed or new regions pack lazily on first
-        encounter, as always.  Records of vanished regions are dropped so
-        long fault-churn sessions stay bounded.  The concatenation itself
-        is deferred to the first :meth:`ensure`, so applying a delta is
-        O(surviving regions) dict work and routing never rebuilds arrays
-        for regions it does not touch.  The result is bit-identical to a
-        freshly packed :class:`PackedRings` over the same encounter
-        sequence (asserted by ``tests/test_engine_deltas.py``).
+        *survivors* maps each region index of this instance's router to
+        the region's index in *router*, ``-1`` for a region the fault
+        update changed (see :func:`survivor_map`).  The flat arrays are
+        patched, not re-packed: the positions of changed regions are
+        dropped, the entry keys are re-keyed to the new indices (they stay
+        sorted when the map increases, as it does for construction
+        routers; otherwise they are re-sorted), ``start`` is the
+        cumulative sum of the kept lengths, and ``valid`` is one gather
+        against the new disabled mask.  Changed and new regions pack on
+        first encounter, as always.  The result equals a fresh
+        :class:`PackedRings` packed over the same encounter sequence
+        (asserted by ``tests/test_engine_deltas.py``).
         """
         fresh = PackedRings(router)
-        index_of = {nodes: index for index, nodes in enumerate(router._regions)}
-        for _, arrays in self._order:
-            region = index_of.get(arrays.nodes)
-            if region is not None:
-                fresh._pack(region, arrays)
-        fresh._dirty = bool(fresh._order)
+        if not self._order:
+            return fresh
+        old_regions = np.fromiter(
+            (region for region, _ in self._order), np.int64, len(self._order)
+        )
+        new_regions = survivors[old_regions]
+        alive = new_regions >= 0
+        fresh._order = [
+            (region, arrays)
+            for region, (_, arrays) in zip(new_regions.tolist(), self._order)
+            if region >= 0
+        ]
+        lengths = self.length[old_regions]
+        kept = np.repeat(alive, lengths)
+        fresh.ring_x = self.ring_x[kept]
+        fresh.ring_y = self.ring_y[kept]
+        fresh.off_mesh = self.off_mesh[kept]
+        fresh.geo_bits = self.geo_bits[kept]
+        new_regions, lengths = new_regions[alive], lengths[alive]
+        ends = np.cumsum(lengths)
+        fresh.start[new_regions] = ends - lengths
+        fresh.length[new_regions] = lengths
+        fresh.packed[new_regions] = True
+        fresh._total = int(ends[-1]) if ends.size else 0
+        cells = self.shape[0] * self.shape[1]
+        rekeyed = survivors[self.entry_keys // cells]
+        keep = rekeyed >= 0
+        keys = rekeyed[keep] * cells + self.entry_keys[keep] % cells
+        positions = self.entry_positions[keep]
+        if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys)
+            keys, positions = keys[order], positions[order]
+        fresh.entry_keys, fresh.entry_positions = keys, positions
+        width, height = self.shape
+        disabled = router._disabled_mask
+        fresh.valid = ~fresh.off_mesh & ~disabled[
+            np.clip(fresh.ring_x, 0, width - 1), np.clip(fresh.ring_y, 0, height - 1)
+        ]
         return fresh
 
     def entries_of(
@@ -712,8 +733,9 @@ def _traverse_packed(
 
 
 #: Failure-reason string -> outcome code (the inverse of :data:`REASONS`),
-#: used when the scalar router finishes a batch's straggler tail.
-_REASON_CODES = {reason: code for code, reason in REASONS.items() if code != DELIVERED}
+#: used when the scalar router finishes a batch's straggler tail, and by
+#: the daemon to answer a scalar flush with outcome codes.
+REASON_CODES = {reason: code for code, reason in REASONS.items() if code != DELIVERED}
 
 
 def _finish_scalar(
@@ -746,7 +768,7 @@ def _finish_scalar(
         delivered, taken, abnormal_taken, reason = router.route_counts(
             (x, y), (dx, dy), hops=so_far, abnormal_hops=abnormal_so_far
         )
-        status[message] = DELIVERED if delivered else _REASON_CODES[reason]
+        status[message] = DELIVERED if delivered else REASON_CODES[reason]
         hops[message] = taken
         abnormal[message] = abnormal_taken
 
@@ -961,26 +983,74 @@ def route_batch(
 # -- incremental engine deltas ------------------------------------------------------
 
 
+def survivor_map(old_router: Any, new_router: Any) -> np.ndarray:
+    """Old region index -> new region index of every region that survived.
+
+    Read from the two routers' index grids: a region survives when the
+    new grid holds a region with exactly its cells, which for a
+    construction's regions means that none of its cells changed state
+    and no changed cell joined it.  Its cells then carry one old and one
+    new index.  Every other entry is ``-1``, as is every region with a
+    node outside the grid (explicit region lists only).  Construction
+    regions are numbered in C-order of their first cell, so the map
+    increases over the survivors.
+    """
+    old_index = old_router.region_index.ravel()
+    new_index = new_router.region_index.ravel()
+    cells = np.flatnonzero((old_index >= 0) | (new_index >= 0))
+    old_of = old_index[cells].astype(np.int64)
+    new_of = new_index[cells].astype(np.int64)
+    # One slot past the regions absorbs index -1 (an enabled cell).
+    image = np.full(len(old_router._regions) + 1, -1, dtype=np.int64)
+    preimage = np.full(len(new_router._regions) + 1, -1, dtype=np.int64)
+    image[old_of] = new_of
+    preimage[new_of] = old_of
+    # A region whose cells disagree on their other index split or merged.
+    image[old_of[image[old_of] != new_of]] = -1
+    preimage[new_of[preimage[new_of] != old_of]] = -1
+    image[list(set(old_router._extra_disabled.values()))] = -1
+    preimage[list(set(new_router._extra_disabled.values()))] = -1
+    image = image[:-1]
+    kept = np.flatnonzero(image >= 0)
+    image[kept[preimage[image[kept]] != kept]] = -1
+    return image
+
+
 def transplant_engine_state(old_router: Any, new_router: Any) -> bool:
     """Delta-patch *new_router*'s engine state from *old_router*'s.
 
     Called by :class:`repro.api.RoutingSession` when a fault update
-    forces a router rebuild: instead of letting the new router re-derive
-    its jump tables and packed rings from scratch, the old router's are
-    carried over with :meth:`JumpTables.apply_fault_delta` (only the
-    rows/columns containing changed cells re-scanned) and
-    :meth:`PackedRings.apply_fault_delta` (only changed regions dropped;
-    surviving rings stay packed).  Lazily-unbuilt state on the old router
-    stays unbuilt on the new one.  Returns whether anything was
-    transplanted.  The patched state is bit-identical to a full rebuild
-    -- that is the whole contract, enforced by
-    ``tests/test_engine_deltas.py`` and ``benchmarks/bench_serve.py``.
+    forces a router rebuild.  The :func:`survivor_map` of the two index
+    grids names the regions the update left as they were: the new router
+    takes over the old router's :class:`RegionGeometry` of each of them,
+    under its new index, and the old router's packed rings are patched
+    with :meth:`PackedRings.apply_fault_delta` (changed regions dropped,
+    survivors re-keyed).  The jump tables are carried over with
+    :meth:`JumpTables.apply_fault_delta` (only the rows/columns
+    containing changed cells re-scanned).  Changed regions resolve their
+    geometry through the session's :class:`RegionRingCache` on first
+    need.  Lazily-unbuilt state on the old router stays unbuilt on the
+    new one.  Returns whether anything was transplanted.  The patched
+    state is bit-identical to a full rebuild -- that is the whole
+    contract, enforced by ``tests/test_engine_deltas.py`` and
+    ``benchmarks/bench_serve.py``.
     """
     if type(old_router) is not type(new_router):
         return False
     if old_router._disabled_mask.shape != new_router._disabled_mask.shape:
         return False
     transplanted = False
+    old_packed = old_router._packed_rings
+    if old_router._geometry or old_packed is not None:
+        survivors = survivor_map(old_router, new_router)
+        moved = survivors.tolist()
+        for region, geometry in old_router._geometry.items():
+            if moved[region] >= 0:
+                new_router._geometry[moved[region]] = geometry
+                transplanted = True
+        if old_packed is not None:
+            new_router._packed_rings = old_packed.apply_fault_delta(new_router, survivors)
+            transplanted = True
     old_tables = old_router._tables
     if old_tables is not None:
         changed_x, changed_y = np.nonzero(
@@ -995,10 +1065,6 @@ def transplant_engine_state(old_router: Any, new_router: Any) -> bool:
             # (or re-enabled nothing the construction had kept disabled):
             # the tables are still exact.
             new_router._tables = old_tables
-        transplanted = True
-    old_packed = old_router._packed_rings
-    if old_packed is not None:
-        new_router._packed_rings = old_packed.apply_fault_delta(new_router)
         transplanted = True
     return transplanted
 

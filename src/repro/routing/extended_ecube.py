@@ -25,6 +25,7 @@ by another overlapping region or leaves the mesh.
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -78,7 +79,10 @@ class ExtendedECubeRouter:
     a router is O(total region size) in vectorized assignments instead of a
     Python dict insert per node.  Constructions built by the mask kernel
     already carry the index grid (``region_index`` on the construction
-    result); passing it here skips even the vectorized build.
+    result); passing it here skips even the vectorized build, and the
+    router then reads a region's node set from the grid the first time it
+    needs it (:meth:`region_nodes`), so *regions* is only counted, never
+    looked inside.  Routers built from explicit region lists keep them.
 
     Per-region boundary-ring geometry (the ring walk, its first-occurrence
     position map and the bounding box) lives in
@@ -86,8 +90,11 @@ class ExtendedECubeRouter:
     only when a message actually enters abnormal mode around that region --
     and shared across router rebuilds when a session attaches its
     :class:`~repro.routing.engine.RegionRingCache`
-    (:meth:`attach_ring_cache`), so ``add_faults`` only recomputes the
-    rings of regions the update actually changed.  Normal-mode routing
+    (:meth:`attach_ring_cache`) -- and a router rebuilt after ``add_faults``
+    takes over its predecessor's geometry of every region the update left
+    as it was (:func:`repro.routing.engine.transplant_engine_state`), so
+    only the rings of regions the update changed are recomputed or looked
+    up in the cache.  Normal-mode routing
     advances whole straight runs at a time using the
     :class:`~repro.routing.engine.JumpTables` built lazily from the
     disabled mask, instead of re-deriving the next hop one cell at a time.
@@ -108,20 +115,27 @@ class ExtendedECubeRouter:
         region_index: Optional[np.ndarray] = None,
     ) -> None:
         self.topology = topology
-        self._regions: List[FrozenSet[Coord]] = []
-        for region in regions:
-            if isinstance(region, FaultRegion):
-                self._regions.append(frozenset(region.nodes))
-            else:
-                self._regions.append(frozenset(region))
         width, height = topology.width, topology.height
         self._shape = (width, height)
         #: Region nodes outside the grid (legal for ad-hoc caller-supplied
         #: regions; constructions never produce them).
         self._extra_disabled: Dict[Coord, int] = {}
+        #: Node set per region index; ``None`` until :meth:`region_nodes`
+        #: reads it from the index grid.
+        self._regions: List[Optional[FrozenSet[Coord]]]
+        #: The grid's region cells in region order and each region's bounds
+        #: in it, built by the first :meth:`region_nodes` read.
+        self._cells: Optional[Tuple[np.ndarray, List[int]]] = None
         if region_index is not None and region_index.shape == self._shape:
             self._region_index = region_index
+            if not isinstance(regions, Sized):
+                regions = list(regions)
+            self._regions = [None] * len(regions)
         else:
+            self._regions = [
+                frozenset(region.nodes if isinstance(region, FaultRegion) else region)
+                for region in regions
+            ]
             self._region_index = np.full(self._shape, -1, dtype=np.int32)
             for index, nodes in enumerate(self._regions):
                 if not nodes:
@@ -203,13 +217,36 @@ class ExtendedECubeRouter:
         """The whole-grid cell-to-region index array (read-only view)."""
         return self._region_index
 
+    def region_nodes(self, index: int) -> FrozenSet[Coord]:
+        """The node set of region *index*.
+
+        A router built over an index grid reads it from the grid on first
+        need: one sort of the grid's region cells by region (on the first
+        read), then one slice per region.  A fault update's rebuilt router
+        takes over the geometry of every region it did not touch, so it
+        only reads the node sets of the regions that changed.
+        """
+        nodes = self._regions[index]
+        if nodes is None:
+            if self._cells is None:
+                cells = np.flatnonzero(self._disabled_mask)
+                labels = self._region_index.ravel()[cells]
+                order = np.argsort(labels, kind="stable")
+                bounds = np.searchsorted(labels[order], np.arange(len(self._regions) + 1))
+                self._cells = (cells[order], bounds.tolist())
+            cells, bounds = self._cells
+            xs, ys = np.divmod(cells[bounds[index] : bounds[index + 1]], self._shape[1])
+            nodes = self._regions[index] = frozenset(zip(xs.tolist(), ys.tolist()))
+        return nodes
+
     def attach_ring_cache(self, cache) -> None:
         """Resolve ring geometry through a shared :class:`RegionRingCache`.
 
         Called by :class:`repro.api.RoutingSession` right after building a
         router: the cache is keyed by region identity (the frozen node
-        set), so a router rebuilt after ``add_faults`` reuses the rings,
-        position maps and bounding boxes of every unchanged region.
+        set), so a rebuilt router finds the rings, position maps and
+        bounding boxes of a changed region whose node set it has seen
+        before (a repair restoring an earlier region).
         """
         self._shared_rings = cache
 
@@ -263,17 +300,19 @@ class ExtendedECubeRouter:
     def region_geometry(self, region_index: int):
         """Boundary-ring geometry of one region (lazily resolved, cached).
 
-        Goes through the attached session ring cache when there is one,
-        so unchanged regions keep their geometry across router rebuilds.
+        Goes through the attached session ring cache when there is one;
+        the geometry of a region a fault update did not touch is already
+        here, taken over from the predecessor router.
         """
         geometry = self._geometry.get(region_index)
         if geometry is None:
+            nodes = self.region_nodes(region_index)
             if self._shared_rings is not None:
-                geometry = self._shared_rings.geometry(self._regions[region_index])
+                geometry = self._shared_rings.geometry(nodes)
             else:
                 from repro.routing.engine import RegionGeometry
 
-                geometry = RegionGeometry(self._regions[region_index])
+                geometry = RegionGeometry(nodes)
             self._geometry[region_index] = geometry
         return geometry
 

@@ -140,7 +140,9 @@ class RouterSpec:
         *construction* is a :class:`repro.api.ConstructionResult` (or any
         legacy construction object exposing ``grid`` and ``regions``);
         its topology and -- when present and shape-compatible -- its
-        region-index grid are reused.  Alternatively pass explicit
+        region-index grid are reused, and the router then reads node sets
+        from the grid, so the build looks inside no region (its lazy
+        region list builds no ``FaultRegion``).  Alternatively pass explicit
         ``regions=`` (any iterable of coordinate sets) with ``topology=``
         and, optionally, a precomputed ``region_index=`` grid.
         """

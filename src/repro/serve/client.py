@@ -2,11 +2,12 @@
 
 :class:`ServeClient` speaks the NDJSON protocol over an asyncio TCP
 connection (the transport ``repro-mesh query`` uses);
-:class:`InProcessClient` exchanges the same request/response dicts with a
-:class:`~repro.serve.daemon.RouteDaemon` directly, skipping the byte
-layer -- the harness the tests and the serving benchmark drive, so every
-differential assertion exercises exactly the daemon's dispatch and
-coalescing logic without socket noise.
+:class:`InProcessClient` hands request dicts to a
+:class:`~repro.serve.daemon.RouteDaemon` directly and gets back the
+response decoded from the bytes the daemon would write to a socket -- the
+harness the tests and the serving benchmark drive, so every differential
+assertion exercises the daemon's dispatch, coalescing and response
+encoding without socket noise.
 
 Both raise :class:`ServeError` (carrying the protocol error ``code``) on
 ``ok: false`` responses; the raw response dict is available for verbs
@@ -142,7 +143,12 @@ class _Verbs:
 
 
 class InProcessClient(_Verbs):
-    """Drive a :class:`RouteDaemon` directly, no sockets involved."""
+    """Drive a :class:`RouteDaemon` directly, no sockets involved.
+
+    Responses are the dicts :meth:`RouteDaemon.handle` decodes from the
+    encoded response line, so they carry exactly the bytes a TCP client
+    reads (lists where the request had tuples, for instance).
+    """
 
     def __init__(self, daemon: Any) -> None:
         self.daemon = daemon

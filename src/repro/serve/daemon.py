@@ -30,7 +30,11 @@ rings of the routing facade) and serves verbs over the protocol of
 
 The daemon is fully usable in-process (``await daemon.handle(request)``,
 or the :class:`~repro.serve.client.InProcessClient` wrapper) -- the TCP
-layer is only engaged by :meth:`start`.
+layer is only engaged by :meth:`start`.  Either way every response is
+made by :func:`~repro.serve.protocol.encode`: :meth:`handle` returns the
+dict decoded from the bytes a TCP client would read.  A route response
+is encoded from the request's slice of the flush's outcome columns
+(:class:`~repro.serve.protocol.RouteSlice`), with no dict per route.
 
 Resilience (see also :mod:`repro.serve.journal` and
 :mod:`repro.serve.retry`):
@@ -63,6 +67,7 @@ Resilience (see also :mod:`repro.serve.journal` and
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 from collections import Counter, OrderedDict
 from pathlib import Path
@@ -78,7 +83,7 @@ from repro.geometry.masks import integer_rows
 from repro.netsim.session import arrival_keys
 from repro.routing.engine import (
     DELIVERED,
-    REASONS,
+    REASON_CODES,
     resolve_engine,
     route_batch,
 )
@@ -104,6 +109,7 @@ from repro.serve.protocol import (
     E_UNKNOWN_OP,
     MAX_LINE_BYTES,
     ProtocolError,
+    RouteSlice,
     decode_line,
     encode,
     error_response,
@@ -275,51 +281,40 @@ class RouteDaemon:
     # -- routing ---------------------------------------------------------------------
 
     @staticmethod
-    def _batch_outcomes(router_obj, batch: TrafficBatch) -> List[Dict[str, Any]]:
-        outcome = route_batch(router_obj, batch)
-        return [
-            {
-                "delivered": status == DELIVERED,
-                "reason": REASONS[status],
-                "hops": hops,
-                "abnormal_hops": abnormal,
-                "minimal_hops": minimal,
-            }
-            for status, hops, abnormal, minimal in zip(
+    def _outcome_columns(router_obj, batch: TrafficBatch, engine_key: str) -> List[list]:
+        """The flush's outcome columns: code, hops, abnormal and minimal hops.
+
+        The batch kernel's outcome arrays, one ``.tolist()`` each; the
+        scalar engine routes every pair through ``router.route`` and maps
+        its failure reason to its code.
+        """
+        if engine_key == "batch":
+            outcome = route_batch(router_obj, batch)
+            return [
                 outcome.status.tolist(),
                 outcome.hops.tolist(),
                 outcome.abnormal_hops.tolist(),
                 outcome.minimal_hops.tolist(),
-            )
+            ]
+        results = [router_obj.route(source, destination) for source, destination in batch.pairs()]
+        return [
+            [DELIVERED if result.delivered else REASON_CODES[result.reason] for result in results],
+            [result.hops for result in results],
+            [result.abnormal_hops for result in results],
+            # hops - detour == the fault-free Manhattan distance.
+            [result.hops - result.detour for result in results],
         ]
-
-    @staticmethod
-    def _scalar_outcomes(router_obj, batch: TrafficBatch) -> List[Dict[str, Any]]:
-        routes = []
-        for source, destination in batch.pairs():
-            result = router_obj.route(source, destination)
-            routes.append(
-                {
-                    "delivered": result.delivered,
-                    "reason": result.reason,
-                    "hops": result.hops,
-                    "abnormal_hops": result.abnormal_hops,
-                    # hops - detour == the fault-free Manhattan distance.
-                    "minimal_hops": result.hops - result.detour,
-                }
-            )
-        return routes
 
     def _flush_routes(self, pending: List[PendingRoute]) -> None:
         """Route the concatenated pairs of one coalesced flush.
 
         Runs synchronously on the event loop (the kernel is CPU-bound).
         Each request's pairs occupy a contiguous slice of the batch, so
-        fanning outcomes back is pure slicing.  Entries whose
-        ``deadline`` passed while buffered are dropped up front (no
-        engine work for answers nobody is waiting for), and an engine
-        exception degrades the flush to the scalar router instead of
-        failing every buffered request.
+        each request is answered with its :class:`RouteSlice` of the
+        flush's outcome columns.  Entries whose ``deadline`` passed while
+        buffered are dropped up front (no engine work for answers nobody
+        is waiting for), and an engine exception degrades the flush to
+        the scalar router instead of failing every buffered request.
         """
         try:
             now = asyncio.get_running_loop().time()
@@ -347,12 +342,8 @@ class RouteDaemon:
         batch = TrafficBatch(*columns)
         router_obj = self.session.routing.router(self.router, self.construction)
         engine_key = resolve_engine(router_obj).key
-        routes: List[Dict[str, Any]]
         try:
-            if engine_key == "batch":
-                routes = self._batch_outcomes(router_obj, batch)
-            else:
-                routes = self._scalar_outcomes(router_obj, batch)
+            columns = self._outcome_columns(router_obj, batch, engine_key)
         except Exception:
             # Graceful degradation: the batch kernel blew up mid-flush;
             # re-run the whole batch on the scalar router, which shares
@@ -361,7 +352,7 @@ class RouteDaemon:
             # futures individually.
             self.degraded_flushes += 1
             engine_key = "scalar"
-            routes = self._scalar_outcomes(router_obj, batch)
+            columns = self._outcome_columns(router_obj, batch, engine_key)
         self._last_engine = engine_key
         version = self.session.version
         offset = 0
@@ -369,7 +360,7 @@ class RouteDaemon:
             count = len(entry.pairs)
             entry.future.set_result(
                 {
-                    "routes": routes[offset : offset + count],
+                    "routes": RouteSlice(columns, offset, offset + count),
                     "version": version,
                     "engine": engine_key,
                 }
@@ -459,7 +450,14 @@ class RouteDaemon:
     # -- verb handlers ---------------------------------------------------------------
 
     async def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Serve one request dict; always returns a response dict."""
+        """Serve one request dict; returns the response dict a TCP client
+        would decode from the line :meth:`_respond` and
+        :func:`~repro.serve.protocol.encode` make for it.  The request
+        must be JSON-serialisable, as it is over TCP."""
+        return json.loads(encode(await self._respond(request)))
+
+    async def _respond(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Serve one request dict; always returns a response to encode."""
         request_id = request.get("id")
         op = request.get("op")
         if not isinstance(op, str):
@@ -801,7 +799,7 @@ class RouteDaemon:
         except ProtocolError as exc:
             response = error_response(exc.code, str(exc))
         else:
-            response = await self.handle(request)
+            response = await self._respond(request)
         async with write_lock:
             try:
                 writer.write(encode(response))

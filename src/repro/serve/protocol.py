@@ -12,22 +12,30 @@ out of order)::
 Responses carry ``ok`` plus either the verb's payload or an ``error``
 object with a stable ``code`` and a human-readable ``message``::
 
-    {"id": 7, "ok": true, "routes": [...], "version": 3}
+    {"ok": true, "id": 7, "routes": [...], "version": 3, "engine": "batch"}
     {"ok": false, "error": {"code": "bad-pair", "message": "..."}}
 
+Every line is :func:`encode`'s, which writes ``json.dumps(message,
+separators=(",", ":"))``.  A route response's ``routes`` is a
+:class:`RouteSlice`, the request's rows of the flush's outcome columns;
+:func:`encode` writes it as the list of per-route objects it stands for,
+from one pre-encoded prefix per outcome code, without building a dict per
+route.
+
 The module is transport-agnostic: :class:`repro.serve.daemon.RouteDaemon`
-uses it over asyncio TCP streams, the in-process client skips the byte
-layer entirely and exchanges the same dict shapes.  The same framing
-stores records on disk: the daemon journal and the campaign manifest
-append :func:`encode`-d lines and read them back with
-:func:`read_records`.
+uses it over asyncio TCP streams, and answers the in-process client with
+the dict decoded from the same bytes.  The same framing stores records on
+disk: the daemon journal and the campaign manifest append
+:func:`encode`-d lines and read them back with :func:`read_records`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+
+from repro.routing.engine import DELIVERED, REASONS
 
 #: Protocol error codes (stable strings, matched by clients and tests).
 E_BAD_REQUEST = "bad-request"  #: unparseable line / not a JSON object
@@ -58,9 +66,69 @@ class ProtocolError(ValueError):
         self.extra = extra
 
 
+#: ``json.dumps(..., separators=(",", ":"))`` without an encoder per call.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _route_format(code: int) -> str:
+    """The ``%``-format of one route with outcome *code*: the encoded
+    ``delivered`` and ``reason`` fields, then ``%d`` for the three counts."""
+    head = _JSON.encode({"delivered": code == DELIVERED, "reason": REASONS[code]})
+    return head[:-1].replace("%", "%%") + ',"hops":%d,"abnormal_hops":%d,"minimal_hops":%d}'
+
+
+#: Outcome code -> the format of one route object with that code.
+_ROUTE_FORMATS = {code: _route_format(code) for code in REASONS}
+
+
+class RouteSlice:
+    """The ``routes`` of one route response: rows ``start:stop`` of a flush.
+
+    *columns* are the flush's four outcome columns as lists: the outcome
+    code (a key of :data:`~repro.routing.engine.REASONS`), hops, abnormal
+    hops and minimal hops.  :func:`encode` writes the slice as the list of
+    ``{"delivered", "reason", "hops", "abnormal_hops", "minimal_hops"}``
+    objects it stands for.
+    """
+
+    __slots__ = ("columns", "start", "stop")
+
+    def __init__(self, columns: Sequence[List[int]], start: int, stop: int) -> None:
+        self.columns = columns
+        self.start = start
+        self.stop = stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def json(self) -> str:
+        """The JSON text of the route list: one format per route, joined,
+        filled from one flat tuple of counts."""
+        rows = slice(self.start, self.stop)
+        status, hops, abnormal, minimal = self.columns
+        counts = [0] * (3 * len(self))
+        counts[0::3], counts[1::3], counts[2::3] = hops[rows], abnormal[rows], minimal[rows]
+        routes = ",".join(map(_ROUTE_FORMATS.__getitem__, status[rows]))
+        return "[" + routes % tuple(counts) + "]"
+
+
 def encode(message: Dict[str, Any]) -> bytes:
-    """Serialise one protocol message to a single NDJSON line."""
-    return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+    """Serialise one protocol message to a single NDJSON line.
+
+    The bytes are ``json.dumps(message, separators=(",", ":"))``'s, with
+    a :class:`RouteSlice` under ``routes`` written as the route list it
+    stands for.
+    """
+    routes = message.get("routes")
+    if type(routes) is RouteSlice:
+        fields = ",".join(
+            [
+                _JSON.encode(key) + ":" + (routes.json() if value is routes else _JSON.encode(value))
+                for key, value in message.items()
+            ]
+        )
+        return ("{" + fields + "}\n").encode("utf-8")
+    return _JSON.encode(message).encode("utf-8") + b"\n"
 
 
 def read_records(

@@ -81,6 +81,39 @@ class TestParser:
         error = capsys.readouterr().err.strip().splitlines()[-1]
         assert error.endswith(f"argument {flag}: {message}")
 
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [
+            (["serve", "--width", "8", "--faults", "2", "--port", "70000"], "--port",
+             "not a port from 0 to 65535: '70000'"),
+            (["serve", "--port", "-1"], "--port", "not a port from 0 to 65535: '-1'"),
+            (["serve", "--port", "80.5"], "--port", "not a port from 0 to 65535: '80.5'"),
+            (["query", "--port", "70000", "--status"], "--port",
+             "not a port from 0 to 65535: '70000'"),
+            (["query", "--port", "1", "--retries", "-1", "--status"], "--retries",
+             "not a whole number of at least 0: '-1'"),
+            (["query", "--retries", "two", "--status"], "--retries",
+             "not a whole number of at least 0: 'two'"),
+        ],
+        ids=["serve-port-high", "serve-port-negative", "serve-port-float",
+             "query-port-high", "query-retries-negative", "query-retries-word"],
+    )
+    def test_port_and_retries_refused_by_the_parser(self, argv, flag, message, capsys):
+        # One line naming the flag, not a traceback from bind(), connect()
+        # or RetryPolicy.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.endswith(f"argument {flag}: {message}")
+
+    def test_port_and_retries_take_their_bounds(self):
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--port", "0"]).port == 0
+        assert parser.parse_args(["serve", "--port", "65535"]).port == 65535
+        args = parser.parse_args(["query", "--port", "65535", "--retries", "0"])
+        assert (args.port, args.retries) == (65535, 0)
+
     def test_serve_takes_the_smallest_valid_knobs(self):
         args = build_parser().parse_args(
             ["serve", "--window", "0", "--max-batch", "1", "--max-pending", "1",

@@ -1,8 +1,9 @@
 """Differential tests of incremental engine deltas and fault repair.
 
 ``apply_fault_delta`` / ``transplant_engine_state`` re-derive only the
-rows, columns and regions a fault update touched; the full rebuild is the
-oracle, obtained by replacing the session's transplant seam
+rows, columns and regions a fault update touched (the regions named by
+``survivor_map``, which must equal node-set identity matching); the full
+rebuild is the oracle, obtained by replacing the session's transplant seam
 (``repro.api.routing.transplant_engine_state``) with a no-op.  The
 Hypothesis suites here assert the two are bit-identical -- at the
 jump-table level on random mask edits, and end-to-end through
@@ -24,9 +25,15 @@ import repro.api.routing as api_routing
 from repro import _array_loops, _array_ops
 from repro.api import MeshSession
 from repro.core.components import find_components
+from repro.core.regions import extract_regions_and_index
 from repro.faults.scenario import FaultScenario, generate_scenario
 from repro.mesh.topology import Mesh2D
-from repro.routing.engine import JumpTables, PackedRings, transplant_engine_state
+from repro.routing.engine import (
+    JumpTables,
+    PackedRings,
+    survivor_map,
+    transplant_engine_state,
+)
 from repro.routing.extended_ecube import ExtendedECubeRouter
 
 STATS_FIELDS = (
@@ -290,21 +297,167 @@ class TestLinkFaultWiring:
         assert "link faults" in scenario.describe()
 
 
+#: The per-region slots and the seven flat arrays of a ``PackedRings``.
+PACKED_FIELDS = (
+    "start",
+    "length",
+    "packed",
+    "ring_x",
+    "ring_y",
+    "valid",
+    "off_mesh",
+    "geo_bits",
+    "entry_keys",
+    "entry_positions",
+)
+
+
+def assert_packed_equal(left, right):
+    for name in PACKED_FIELDS:
+        ours, theirs = getattr(left, name), getattr(right, name)
+        assert ours.dtype == theirs.dtype, name
+        assert np.array_equal(ours, theirs), name
+    assert [region for region, _ in left._order] == [region for region, _ in right._order]
+
+
+def repacked(router, order):
+    """A fresh ``PackedRings`` of *router*, packed over *order*, region by region."""
+    rings = PackedRings(router)
+    for region in order:
+        rings.ensure(router, np.asarray([region]))
+    return rings
+
+
+def node_set_matching(old_router, new_router):
+    """The survivor map by node-set identity (the oracle of ``survivor_map``)."""
+    count = len(new_router._regions)
+    index_of = {new_router.region_nodes(index): index for index in range(count)}
+    return [
+        index_of.get(old_router.region_nodes(index), -1)
+        for index in range(len(old_router._regions))
+    ]
+
+
+class TestSurvivorMap:
+    @pytest.mark.parametrize("torus", [False, True])
+    @given(
+        faults=st.sets(coords10, max_size=30),
+        edits=st.lists(
+            st.tuples(st.booleans(), st.lists(coords10, min_size=1, max_size=4)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grid_map_equals_node_set_matching(self, torus, faults, edits):
+        session = MeshSession(width=10, torus=torus, faults=sorted(faults))
+        before = session.router()
+        for add, nodes in edits:
+            if add:
+                session.add_faults(nodes)
+            else:
+                session.remove_faults(nodes)
+            after = session.router()
+            survivors = survivor_map(before, after)
+            assert survivors.tolist() == node_set_matching(before, after)
+            kept = survivors[survivors >= 0]
+            assert (np.diff(kept) > 0).all()
+            before = after
+
+    @given(
+        disabled=st.sets(coords10, max_size=40),
+        flips=st.sets(coords10, min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mask_edits(self, disabled, flips):
+        mesh = Mesh2D(10, 10)
+        before_mask = np.zeros((10, 10), dtype=bool)
+        for node in disabled:
+            before_mask[node] = True
+        after_mask = before_mask.copy()
+        for node in flips:
+            after_mask[node] ^= True
+        routers = []
+        for mask in (before_mask, after_mask):
+            regions, index = extract_regions_and_index(mask, mask)
+            routers.append(ExtendedECubeRouter(mesh, regions, region_index=index))
+        survivors = survivor_map(*routers)
+        assert survivors.tolist() == node_set_matching(*routers)
+        kept = survivors[survivors >= 0]
+        assert (np.diff(kept) > 0).all()
+
+    def test_explicit_regions_may_reorder(self):
+        # Explicit region lists need not be in C-order: the map then
+        # decreases, and the packed delta re-sorts its entry keys.
+        mesh = Mesh2D(12, 12)
+        first, second, third = [(2, 2), (3, 2)], [(8, 8)], [(5, 1), (5, 2)]
+        before = ExtendedECubeRouter(mesh, [first, second, third])
+        after = ExtendedECubeRouter(mesh, [second, first, [(10, 10)]])
+        survivors = survivor_map(before, after)
+        assert survivors.tolist() == [1, 0, -1] == node_set_matching(before, after)
+        rings = repacked(before, [0, 1, 2])
+        patched = rings.apply_fault_delta(after, survivors)
+        assert_packed_equal(patched, repacked(after, [1, 0]))
+
+    def test_off_grid_nodes_never_survive(self):
+        mesh = Mesh2D(8, 8)
+        before = ExtendedECubeRouter(mesh, [[(0, 3), (-1, 3)], [(5, 5)]])
+        after = ExtendedECubeRouter(mesh, [[(0, 3), (-1, 3)], [(5, 5)]])
+        assert survivor_map(before, after).tolist() == [-1, 1]
+
+
+class TestSessionPackedDelta:
+    """The packed rings a fault update leaves equal a fresh pack."""
+
+    @pytest.mark.parametrize("torus", [False, True])
+    @given(seed=st.integers(0, 10_000), events=churn_events)
+    @settings(max_examples=20, deadline=None)
+    def test_patched_rings_equal_fresh_pack(self, torus, seed, events):
+        scenario = generate_scenario(
+            num_faults=10, width=10, model="clustered", seed=seed, torus=torus
+        )
+        session = MeshSession.from_scenario(scenario)
+        session.route("mfp", messages=80, seed=seed)
+        for index, (kind, nodes) in enumerate(events):
+            before = session.router()
+            if kind == "add":
+                session.add_faults(nodes)
+            else:
+                session.remove_faults(nodes)
+            router = session.router()
+            construction = session.build("mfp")
+            assert [router.region_nodes(i) for i in range(len(router._regions))] == [
+                region.nodes for region in construction.regions
+            ]
+            if before._packed_rings is not None and router is not before:
+                patched = router._packed_rings
+                order = [region for region, _ in patched._order]
+                assert_packed_equal(patched, repacked(router, order))
+            session.route("mfp", messages=80, seed=seed + index + 1)
+
+    def test_rebuild_after_two_node_update_builds_no_region(self, region_builds):
+        scenario = generate_scenario(400, width=100, model="clustered", seed=31)
+        session = MeshSession.from_scenario(scenario)
+        session.route("mfp", messages=400, seed=0)
+        before = session.router()
+        faulty = session.fault_set()
+        x, y = next(
+            (x, y) for x in range(99) for y in range(100)
+            if not {(x, y), (x + 1, y)} & faulty
+        )
+        session.add_faults([(x, y), (x + 1, y)])
+        session.route("mfp", messages=400, seed=1)
+        after = session.router()
+        assert after is not before
+        assert session.cache_info["delta_applies"] == 1
+        assert region_builds == []
+
+
 class TestPackedRingsAppend:
     """The incremental append path must be bit-identical to a rebuild."""
 
-    ARRAYS = (
-        "ring_x",
-        "ring_y",
-        "valid",
-        "off_mesh",
-        "geo_bits",
-        "entry_keys",
-        "entry_positions",
-    )
-
     @staticmethod
-    def _router(width=16, count=10, seed=7):
+    def _regions(width=16, count=10, seed=7):
         rng = np.random.default_rng(seed)
         regions, used = [], set()
         while len(regions) < count:
@@ -315,41 +468,47 @@ class TestPackedRingsAppend:
                 continue
             used |= cells
             regions.append(sorted(cells))
-        return ExtendedECubeRouter(Mesh2D(width, width), regions)
+        return regions
+
+    def _router(self, width=16):
+        return ExtendedECubeRouter(Mesh2D(width, width), self._regions(width))
 
     def _encounter(self, router, batches, force_rebuild=False):
         rings = PackedRings(router)
         for batch in batches:
-            if force_rebuild:
-                rings._dirty = True
             rings.ensure(router, np.asarray(batch))
+            if force_rebuild:
+                rings._rebuild(router)
         return rings
 
-    def _assert_identical(self, left, right):
-        for name in self.ARRAYS:
-            assert np.array_equal(getattr(left, name), getattr(right, name)), name
 
     def test_progressive_append_matches_full_rebuild(self):
         router = self._router()
         batches = [[index] for index in range(10)]
         appended = self._encounter(router, batches)
         rebuilt = self._encounter(router, batches, force_rebuild=True)
-        self._assert_identical(appended, rebuilt)
+        assert_packed_equal(appended, rebuilt)
 
     def test_multi_region_batches_match(self):
         router = self._router()
         batches = [[0, 3], [1], [2, 4, 5], [6], [7, 8, 9], [3, 0]]
         appended = self._encounter(router, batches)
         rebuilt = self._encounter(router, batches, force_rebuild=True)
-        self._assert_identical(appended, rebuilt)
+        assert_packed_equal(appended, rebuilt)
 
     def test_append_after_fault_delta_rebuild(self):
-        router = self._router()
-        rings = self._encounter(router, [[index] for index in range(6)])
-        rings._dirty = True  # what apply_fault_delta leaves behind
-        rings.ensure(router, np.asarray([6]))
-        rings.ensure(router, np.asarray([7]))  # back on the append path
+        regions = self._regions()
+        mesh = Mesh2D(16, 16)
+        before = ExtendedECubeRouter(mesh, regions)
+        rings = self._encounter(before, [[index] for index in range(6)])
+        # Region 2 is repaired away: every later region moves down one index.
+        after = ExtendedECubeRouter(mesh, regions[:2] + regions[3:])
+        survivors = survivor_map(before, after)
+        assert survivors.tolist() == [0, 1, -1, *range(2, 9)]
+        patched = rings.apply_fault_delta(after, survivors)
+        patched.ensure(after, np.asarray([6]))
+        patched.ensure(after, np.asarray([7]))  # appends after the patch
         oracle = self._encounter(
-            router, [[index] for index in range(8)], force_rebuild=True
+            after, [[0], [1], [2], [3], [4], [6], [7]], force_rebuild=True
         )
-        self._assert_identical(rings, oracle)
+        assert_packed_equal(patched, oracle)

@@ -399,19 +399,42 @@ class TestStragglerContinuation:
 class TestRegionRingCache:
     def test_rings_reused_across_rebuilds(self):
         # The scalar engine (per-route results) resolves the ring of every
-        # region a message detours around.  The batch kernel would not
-        # show the reuse: its packed rings survive the rebuild as they are.
+        # region a message detours around.
         session = MeshSession(width=24, faults=[(3, 3), (3, 4), (18, 18)])
         session.route("mfp", messages=150, seed=0, collect_results=True)
-        misses = session.cache_info["ring_misses"]
-        assert misses > 0
+        old = session.router()
+        resolved = dict(old._geometry)
+        assert sorted(resolved) == [0, 1]
+        info = dict(session.cache_info)
         # A far-away fault leaves the existing regions' node sets intact:
-        # the rebuilt router must reuse their ring geometry.
+        # the rebuilt router takes over their geometry objects under their
+        # new indices, (18, 18) moving from index 1 to 2 behind the new
+        # region at (10, 20), without asking the ring cache.
         session.add_faults([(10, 20)])
         session.route("mfp", messages=150, seed=0, collect_results=True)
-        assert session.cache_info["ring_hits"] > 0
-        cache = session.routing.ring_cache
-        assert len(cache) >= misses
+        new = session.router()
+        assert new.region_of((18, 18)) == 2 and new.region_of((10, 20)) == 1
+        for index, geometry in resolved.items():
+            moved = new.region_of(min(old.region_nodes(index)))
+            assert new.region_geometry(moved) is geometry
+        # Only the region the update created went through the cache.
+        created = [index for index in new._geometry if index not in (0, 2)]
+        assert created == [1]
+        assert session.cache_info["ring_misses"] == info["ring_misses"] + len(created)
+        assert session.cache_info["ring_hits"] == info["ring_hits"]
+        assert len(session.routing.ring_cache) == info["ring_misses"] + len(created)
+
+    def test_repair_restoring_a_region_hits_the_cache(self):
+        session = MeshSession(width=16, faults=[(5, 5), (5, 6)])
+        counts = []
+        for update in (None, session.add_faults, session.remove_faults):
+            if update is not None:
+                update([(5, 7)])
+            # Blocked at (5, 4): the walk resolves the region's ring.
+            assert session.router().route((5, 2), (5, 12)).delivered
+            counts.append((session.cache_info["ring_hits"], session.cache_info["ring_misses"]))
+        # The grown region is new to the cache; the repaired one is not.
+        assert counts == [(0, 1), (0, 2), (1, 2)]
 
     def test_geometry_identity_shared(self):
         session = MeshSession(width=16, faults=[(5, 5), (5, 6)])

@@ -13,6 +13,7 @@ the toolchain).
 
 import asyncio
 import gc
+import json
 import math
 import weakref
 
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import MeshSession
 from repro.faults.scenario import generate_scenario
+from repro.routing.engine import DELIVERED, REASONS
 from repro.routing.extended_ecube import ExtendedECubeRouter
 from repro.routing.registry import RouterSpec, register_router
 from repro.serve import (
@@ -41,6 +43,8 @@ from repro.serve.protocol import (
     E_BAD_REQUEST,
     E_SHUTTING_DOWN,
     E_UNKNOWN_OP,
+    RouteSlice,
+    ok_response,
 )
 
 OUTCOME_KEYS = ("delivered", "reason", "hops", "abnormal_hops", "minimal_hops")
@@ -87,6 +91,90 @@ class TestProtocol:
     def test_non_object_raises(self):
         with pytest.raises(ProtocolError):
             decode_line(b"[1, 2, 3]\n")
+
+
+# -- route response encoding ---------------------------------------------------------
+
+
+def route_dicts(columns):
+    """The dict form of routes given as (code, hops, abnormal, minimal) columns."""
+    return [
+        {
+            "delivered": code == DELIVERED,
+            "reason": REASONS[code],
+            "hops": hops,
+            "abnormal_hops": abnormal,
+            "minimal_hops": minimal,
+        }
+        for code, hops, abnormal, minimal in zip(*columns)
+    ]
+
+
+class TestRouteEncoding:
+    @pytest.mark.parametrize(
+        "request_id",
+        [None, 7, "req-7", 2.5, [1, "a", None], {"client": "c", "n": [1, 2]}],
+        ids=["none", "int", "str", "float", "list", "object"],
+    )
+    def test_route_slice_bytes_equal_json_dumps(self, request_id):
+        codes = sorted(REASONS)
+        columns = [
+            codes,
+            [10**6 + code for code in codes],
+            [code % 3 for code in codes],
+            [2 * code for code in codes],
+        ]
+        # Every code alone, then all of them in one response.
+        for start, stop in [(i, i + 1) for i in range(len(codes))] + [(0, len(codes))]:
+            payload = {"routes": RouteSlice(columns, start, stop), "version": 4, "engine": "batch"}
+            routes = route_dicts([column[start:stop] for column in columns])
+            dict_form = ok_response({**payload, "routes": routes}, request_id)
+            assert list(dict_form) == [
+                key for key in ("ok", "id", "routes", "version", "engine")
+                if key != "id" or request_id is not None
+            ]
+            expected = json.dumps(dict_form, separators=(",", ":")).encode() + b"\n"
+            assert encode(ok_response(payload, request_id)) == expected
+
+    def test_tcp_bytes_equal_encoded_handle_responses(self):
+        scenario = generate_scenario(num_faults=30, width=20, model="clustered", seed=9)
+        rng = np.random.default_rng(5)
+        stream = []
+        for index in range(48):
+            if index % 8 == 7:
+                op = "add_faults" if index % 16 == 7 else "repair"
+                stream.append({"op": op, "id": index, "nodes": [[2, 17], [3, 17]]})
+            else:
+                pairs = random_pairs(rng, 20, 1 + index % 6)
+                stream.append({"op": "route", "id": f"r{index}", "pairs": pairs})
+        stream += [
+            {"op": "ping", "id": 1.5},
+            {"op": "route", "id": [1, 2], "pairs": [[0, 0, 99, 99]]},
+            {"op": "frobnicate", "id": {"k": 1}},
+            {"op": "route", "src": [0, 0], "dst": [19, 19]},
+        ]
+
+        async def over_tcp():
+            daemon = RouteDaemon(scenario=scenario)
+            host, port = await daemon.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            lines = []
+            for request in stream:
+                writer.write(encode(request))
+                await writer.drain()
+                lines.append(await reader.readline())
+            writer.close()
+            await daemon.stop()
+            return lines
+
+        async def in_process():
+            daemon = RouteDaemon(scenario=scenario)
+            return [await daemon.handle(request) for request in stream]
+
+        lines = asyncio.run(over_tcp())
+        responses = asyncio.run(in_process())
+        assert sum(b'"routes":[{' in line for line in lines) == 43
+        assert lines == [encode(response) for response in responses]
 
 
 # -- coalescer -----------------------------------------------------------------------
