@@ -7,40 +7,13 @@ semantics: case-insensitive keys (``_`` and ``-`` interchangeable),
 aliases, collision detection, and a ``replace=True`` mode that may only
 take over one key (never hijack another spec's names).  This class is that
 machinery, parameterised on the registered noun; the registry modules own
-the spec types and the domain-specific wrappers.
+the spec types and the domain-specific wrappers.  Of the three, only
+traffic workloads take options (``TrafficSpec.make_options``).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Dict, List, Mapping, Optional, Tuple
-
-
-def make_spec_options(
-    noun: str,
-    spec: Any,
-    options: Optional[Any] = None,
-    overrides: Optional[Mapping[str, Any]] = None,
-) -> Any:
-    """Validate/construct a spec's typed option set for one call.
-
-    The shared body behind ``RouterSpec.make_options`` and
-    ``TrafficSpec.make_options`` (constructions take no options): build
-    the spec's ``options_type`` from keyword *overrides*, or validate an
-    explicit *options* instance (rejecting mismatched types with the
-    registry *noun* in the message) and apply the overrides on top.
-    """
-    overrides = dict(overrides or {})
-    if options is None:
-        return spec.options_type(**overrides)
-    if not isinstance(options, spec.options_type):
-        raise TypeError(
-            f"{noun} {spec.key!r} expects "
-            f"{spec.options_type.__name__}, got {type(options).__name__}"
-        )
-    if overrides:
-        options = dataclasses.replace(options, **overrides)
-    return options
+from typing import Any, Dict, List, Tuple
 
 
 class SpecRegistry:

@@ -82,7 +82,6 @@ from repro.api.executor import (
 )
 from repro.netsim import NetSimSession, NetSimStats
 from repro.routing.registry import (
-    RouterOptions,
     RouterSpec,
     available_routers,
     get_router,
@@ -120,7 +119,6 @@ __all__ = [
     "RoutingStats",
     "MissingRouteResultsError",
     "RouterSpec",
-    "RouterOptions",
     "get_router",
     "register_router",
     "router_keys",

@@ -10,15 +10,15 @@ metrics into one :class:`~repro.sim.metrics.SweepPoint` per axis value.
 Three trial kinds share that machinery, one entry each in
 :data:`TRIAL_KINDS`: ``construction`` (the paper's Figures 9-11),
 ``routing`` (routed synthetic traffic) and ``latency`` (the contention
-simulator over an offered-load axis).  An entry names the kind's
-trial-spec dataclass -- whose field defaults are the only copy of the
-kind's sweep defaults -- its axis, worker entry point, per-model record
-class and store columns.  Every kind's trial returns one
-:class:`~repro.sim.metrics.ScenarioMetrics` of those records, and
-:func:`sweep_point_reducer` folds any kind's trials into one
-``SweepPoint``.  The executor, the campaign layer (:mod:`repro.campaign`)
-and the CLI all read the table, so a sweep means the same thing in
-memory, on disk and on the command line.
+simulator over an offered-load axis).  An entry names the kind's code
+version (hashed into its campaign rows' keys), its trial-spec dataclass
+-- whose field defaults are the only copy of the kind's sweep defaults --
+its axis, worker entry point, per-model record class and store columns.
+Every kind's trial returns one :class:`~repro.sim.metrics.ScenarioMetrics`
+of those records, and :func:`sweep_point_reducer` folds any kind's trials
+into one ``SweepPoint``.  The executor, the campaign layer
+(:mod:`repro.campaign`) and the CLI all read the table, so a sweep means
+the same thing in memory, on disk and on the command line.
 
 Determinism: every trial's seed comes from
 :func:`repro.faults.scenario.derive_trial_seed`, which spaces seeds by a
@@ -48,12 +48,7 @@ from repro.faults.scenario import (
     generate_scenario,
 )
 from repro.netsim.simulators import resolve_simulator
-from repro.routing.registry import (
-    RouterOptions,
-    RouterSpec,
-    get_router,
-    register_router,
-)
+from repro.routing.registry import RouterSpec, get_router, register_router
 from repro.routing.traffic import (
     TrafficOptions,
     TrafficSpec,
@@ -117,9 +112,10 @@ class RoutingTrialSpec:
     """Everything one worker needs to run one routing trial (picklable).
 
     The scenario fields mirror :class:`TrialSpec`; the routing fields name
-    the router / traffic registry keys and carry their typed (frozen,
-    picklable) option sets.  The trial seed drives both the fault pattern
-    and the traffic generation, so a spec fully determines its metrics.
+    the router / traffic registry keys and carry the workload's typed
+    (frozen, picklable) option set.  The trial seed drives both the fault
+    pattern and the traffic generation, so a spec fully determines its
+    metrics.
     """
 
     num_faults: int
@@ -134,7 +130,6 @@ class RoutingTrialSpec:
     traffic: str = "uniform"
     messages: int = 500
     traffic_options: Optional[TrafficOptions] = None
-    router_options: Optional[RouterOptions] = None
     specs: Tuple[ConstructionSpec, ...] = ()
     #: The resolved router/traffic specs, carried (like ``specs``) so that
     #: workers spawned in a fresh interpreter can re-register custom
@@ -175,7 +170,6 @@ class NetSimTrialSpec:
     messages: Optional[int] = None
     traffic_options: Optional[TrafficOptions] = None
     arrival_options: Optional[TrafficOptions] = None
-    router_options: Optional[RouterOptions] = None
     #: ``"scalar"`` replays on the simulator oracle instead of the array
     #: simulator (``None`` / ``"auto"``); see
     #: :func:`~repro.netsim.simulators.resolve_simulator`.
@@ -334,7 +328,6 @@ def run_routing_trial(spec: RoutingTrialSpec) -> ScenarioMetrics:
             messages=spec.messages,
             seed=spec.seed,
             traffic_options=spec.traffic_options,
-            router_options=spec.router_options,
         )
         metrics.add(
             RoutingMetrics.from_stats(stats, num_faults=scenario.num_faults)
@@ -367,7 +360,6 @@ def run_netsim_trial(spec: NetSimTrialSpec) -> ScenarioMetrics:
             drain_factor=spec.drain_factor,
             traffic_options=spec.traffic_options,
             arrival_options=spec.arrival_options,
-            router_options=spec.router_options,
         )
         metrics.add(NetSimMetrics.from_stats(stats, num_faults=scenario.num_faults))
     return metrics
@@ -391,6 +383,11 @@ class TrialKind:
     """One sweep trial kind, as the executor, campaigns and the CLI see it."""
 
     key: str
+    #: The code version hashed into this kind's trial keys and campaign
+    #: fingerprints.  Bump it in any change that moves this kind's rows;
+    #: ``tests/test_campaign.py`` pins it with a digest of a tiny
+    #: campaign's rows and fails when the rows move and it does not.
+    version: str
     #: The trial-spec dataclass; its field defaults are the kind's only
     #: copy of every sweep default.
     spec_type: type
@@ -449,6 +446,7 @@ TRIAL_KINDS: Dict[str, TrialKind] = {
     for kind in (
         TrialKind(
             key="construction",
+            version="repro-1.1.0+campaign.1",
             spec_type=TrialSpec,
             axis="num_faults",
             axis_type=int,
@@ -463,6 +461,7 @@ TRIAL_KINDS: Dict[str, TrialKind] = {
         ),
         TrialKind(
             key="routing",
+            version="repro-1.1.0+routing.2",
             spec_type=RoutingTrialSpec,
             axis="num_faults",
             axis_type=int,
@@ -481,6 +480,7 @@ TRIAL_KINDS: Dict[str, TrialKind] = {
         ),
         TrialKind(
             key="latency",
+            version="repro-1.1.0+latency.2",
             spec_type=NetSimTrialSpec,
             axis="load",
             axis_type=float,

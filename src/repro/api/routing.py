@@ -8,8 +8,8 @@ everything is built on top of the session's cached
 :class:`~repro.api.ConstructionResult` -- including its region-index grid,
 so a router instantiation costs O(1) region-membership work.
 
-Routers (and the traffic contexts derived from them) are cached per
-``(router, construction, router options)`` key and invalidated
+Routers take no options.  Each is cached per ``(router, construction)``
+key, with its traffic context built on the first read, and invalidated
 automatically when ``add_faults`` / ``clear`` bump the session version,
 exactly like the construction result cache::
 
@@ -48,6 +48,8 @@ region finds it there.
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -58,12 +60,29 @@ from repro.routing.engine import (
     resolve_engine,
     transplant_engine_state,
 )
-from repro.routing.registry import RouterOptions, get_router
+from repro.routing.registry import get_router
 from repro.routing.stats import RoutingStats
 from repro.routing.traffic import TrafficContext, TrafficOptions, get_traffic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.session import MeshSession
+
+
+@dataclass
+class _CachedRouter:
+    """One router-cache entry: the router built at one session version.
+
+    Its traffic context (an ``np.nonzero`` over the whole mask) is built on
+    the first read, so a caller that only asks for the router (the
+    daemon's flush) never pays for it.
+    """
+
+    version: int
+    router: Any
+
+    @cached_property
+    def context(self) -> TrafficContext:
+        return TrafficContext.from_router(self.router)
 
 
 class RoutingSession:
@@ -78,13 +97,8 @@ class RoutingSession:
         # Weak: the session owns this facade, and a strong back-reference
         # would make a cycle that only the cyclic garbage collector frees.
         self._session = weakref.ref(session)
-        # (router key, construction key, construction opts, router opts)
-        #   -> (session version, router)
-        self._routers: Dict[Tuple, Tuple[int, Any]] = {}
-        # Same key -> (session version, TrafficContext); contexts only
-        # depend on the disabled mask, but keying them like the routers
-        # keeps one invalidation rule for everything routing-related.
-        self._contexts: Dict[Tuple, Tuple[int, TrafficContext]] = {}
+        # (router key, construction key) -> the router of one session version
+        self._routers: Dict[Tuple[str, Any], _CachedRouter] = {}
         self._netsim = None
         session.cache_info.setdefault("router_hits", 0)
         session.cache_info.setdefault("router_misses", 0)
@@ -115,84 +129,58 @@ class RoutingSession:
 
     # -- cached builds ---------------------------------------------------------------
 
-    def _resolve(
-        self,
-        router: str,
-        construction: str,
-        options: Optional[RouterOptions],
-        overrides: Optional[dict] = None,
-    ):
-        """Resolve ``(construction result, router, traffic context)`` once.
+    def _resolve(self, router: str, construction: str):
+        """Resolve ``(router spec, construction result, cache entry)`` once.
 
-        One registry lookup per axis, one session ``build`` (itself
-        cached), one router-cache probe: the shared path under
-        :meth:`router`, :meth:`context` and :meth:`route`.  Caches are
+        One registry lookup, one session ``build`` (itself cached), one
+        router-cache probe: the shared path under :meth:`router`,
+        :meth:`context`, :meth:`route` and :meth:`simulate`.  Entries are
         keyed by the session version, so any ``add_faults`` / ``clear``
-        invalidates routers and contexts automatically.
+        invalidates routers and their contexts automatically.
         """
         spec = get_router(router)
-        router_options = spec.make_options(options, overrides)
         session = self.session
         result = session.build(construction)
-        key = (spec.key, result.key, router_options)
+        key = (spec.key, result.key)
         version = session.version
         cached = self._routers.get(key)
-        if cached is not None and cached[0] == version:
+        if cached is not None and cached.version == version:
             session.cache_info["router_hits"] += 1
-            router_obj = cached[1]
-        else:
-            session.cache_info["router_misses"] += 1
-            router_obj = spec.build(result, options=router_options)
-            attach = getattr(router_obj, "attach_ring_cache", None)
-            if attach is not None:
-                attach(self._ring_cache)
-            attach_counters = getattr(router_obj, "attach_counters", None)
-            if attach_counters is not None:
-                attach_counters(session.cache_info)
-            # A fault update invalidated the previous router for this key:
-            # instead of rebuilding its engine state (jump tables, ring
-            # geometry, packed rings) from scratch, delta-patch it from the
-            # predecessor -- only the touched rows/columns/regions are
-            # re-derived.  The differential tests replace this module's
-            # ``transplant_engine_state`` to get full rebuilds.
-            if cached is not None and transplant_engine_state(cached[1], router_obj):
-                session.cache_info["delta_applies"] += 1
-            self._routers[key] = (version, router_obj)
-        cached_context = self._contexts.get(key)
-        if cached_context is not None and cached_context[0] == version:
-            context = cached_context[1]
-        else:
-            context = TrafficContext.from_router(router_obj)
-            self._contexts[key] = (version, context)
-        return spec, result, router_obj, context
+            return spec, result, cached
+        session.cache_info["router_misses"] += 1
+        router_obj = spec.build(result)
+        attach = getattr(router_obj, "attach_ring_cache", None)
+        if attach is not None:
+            attach(self._ring_cache)
+        attach_counters = getattr(router_obj, "attach_counters", None)
+        if attach_counters is not None:
+            attach_counters(session.cache_info)
+        # A fault update invalidated the previous router for this key:
+        # instead of rebuilding its engine state (jump tables, ring
+        # geometry, packed rings) from scratch, delta-patch it from the
+        # predecessor -- only the touched rows/columns/regions are
+        # re-derived.  The differential tests replace this module's
+        # ``transplant_engine_state`` to get full rebuilds.
+        if cached is not None and transplant_engine_state(cached.router, router_obj):
+            session.cache_info["delta_applies"] += 1
+        entry = self._routers[key] = _CachedRouter(version, router_obj)
+        return spec, result, entry
 
-    def router(
-        self,
-        router: str = "extended-ecube",
-        construction: str = "mfp",
-        *,
-        options: Optional[RouterOptions] = None,
-        **overrides: Any,
-    ):
+    def router(self, router: str = "extended-ecube", construction: str = "mfp"):
         """Build (or fetch from cache) a router over a cached construction.
 
         The construction is resolved through the session's result cache,
         so repeated calls after the same fault set cost one dictionary
         lookup; any ``add_faults`` invalidates the router automatically
-        (the cache is keyed by the session version).  Keyword *overrides*
-        are field overrides of the router's option type.
+        (the cache is keyed by the session version).
         """
-        return self._resolve(router, construction, options, overrides)[2]
+        return self._resolve(router, construction)[2].router
 
     def context(
-        self,
-        router: str = "extended-ecube",
-        construction: str = "mfp",
-        *,
-        options: Optional[RouterOptions] = None,
+        self, router: str = "extended-ecube", construction: str = "mfp"
     ) -> TrafficContext:
         """The traffic context (enabled index arrays + mask) of a router."""
-        return self._resolve(router, construction, options)[3]
+        return self._resolve(router, construction)[2].context
 
     # -- routing experiments ---------------------------------------------------------
 
@@ -205,7 +193,6 @@ class RoutingSession:
         seed: int = 0,
         router: str = "extended-ecube",
         traffic_options: Optional[TrafficOptions] = None,
-        router_options: Optional[RouterOptions] = None,
         collect_results: bool = False,
         check_deadlock: bool = False,
         **traffic_overrides: Any,
@@ -236,9 +223,8 @@ class RoutingSession:
         verdict without keeping per-route results.
         """
         traffic_spec = get_traffic(traffic)
-        router_spec, result, router_obj, context = self._resolve(
-            router, construction, router_options
-        )
+        router_spec, result, entry = self._resolve(router, construction)
+        router_obj, context = entry.router, entry.context
         batch = traffic_spec.generate(
             context,
             messages,

@@ -360,13 +360,13 @@ class MeshSession:
             self._routing = RoutingSession(self)
         return self._routing
 
-    def router(self, router: str = "extended-ecube", construction: str = "mfp", **kwargs):
+    def router(self, router: str = "extended-ecube", construction: str = "mfp"):
         """Build (or fetch from cache) a router over a cached construction.
 
-        Convenience for :meth:`RoutingSession.router`; see
-        :mod:`repro.api.routing` for the full parameter list.
+        Convenience for :meth:`RoutingSession.router`; routers take no
+        options.
         """
-        return self.routing.router(router, construction, **kwargs)
+        return self.routing.router(router, construction)
 
     def route(self, construction: str = "mfp", **kwargs):
         """Route one generated traffic batch over a cached construction.

@@ -44,7 +44,6 @@ from repro.campaign.runner import (
     format_status,
 )
 from repro.campaign.spec import (
-    CODE_VERSION,
     CampaignError,
     CampaignSpec,
     TrialDescriptor,
@@ -60,7 +59,6 @@ from repro.campaign.transport import (
 )
 
 __all__ = [
-    "CODE_VERSION",
     "DEFAULT_RETRY",
     "Z95",
     "CampaignError",

@@ -9,13 +9,19 @@ Identity is content-addressed at two levels:
 
 * :meth:`CampaignSpec.fingerprint` hashes the canonical campaign
   description (kind, axis, trials, models, result-relevant parameters,
-  code version).  A store directory belongs to exactly one fingerprint;
-  resuming with a different spec is an error, not a silent mix.
+  the kind's code version).  A store directory belongs to exactly one
+  fingerprint; resuming with a different spec is an error, not a silent
+  mix.
 * :func:`trial_key` hashes one trial's canonical fields (kind, the
-  spec's result-relevant fields, seed, code version).  The store's
-  completed-key set is consulted before dispatch, so re-running a
+  spec's result-relevant fields, seed, the kind's code version).  The
+  store's completed-key set is consulted before dispatch, so re-running a
   campaign -- or a superset campaign sharing trials -- skips work that
   is already on disk.
+
+Each trial kind owns its code version
+(:attr:`~repro.api.executor.TrialKind.version`): a change that moves one
+kind's rows bumps that kind's version and re-keys only its trials, so
+stale rows are never reused and the other kinds' stores stay valid.
 
 The perf-only ``sim`` knob (the array simulator and its scalar oracle
 are proven bit-identical, see ``tests/test_netsim.py``) and bookkeeping
@@ -35,15 +41,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro import __version__
-
-#: Code-version component of every content hash.  Bump the ``+campaign``
-#: revision whenever trial semantics change without a package release --
-#: stale results must never be reused across result-affecting changes.
-CODE_VERSION = f"repro-{__version__}+campaign.1"
+from repro.api.executor import KEY_FIELDS, TRIAL_KINDS, SweepExecutor, resolve_key
+from repro.api.registry import get_construction
 
 #: Parameters that never affect trial results (the simulator selector);
 #: excluded from fingerprints and trial keys.
@@ -93,7 +96,8 @@ def trial_key(kind: str, spec: Any) -> str:
     """Content hash identifying one trial's result (32 hex chars).
 
     Hashes the trial spec's canonical result-relevant fields together
-    with the campaign *kind* and :data:`CODE_VERSION`.  Stable across
+    with the campaign *kind* and its code version
+    (:attr:`~repro.api.executor.TrialKind.version`).  Stable across
     processes and machines.  The bookkeeping fields (``point_index`` /
     ``trial``) are excluded -- the derived seed already encodes the
     position -- so a campaign extended at the end of its axis, or
@@ -105,7 +109,7 @@ def trial_key(kind: str, spec: Any) -> str:
         for f in dataclasses.fields(spec)
         if f.name not in _KEY_EXCLUDED_FIELDS
     }
-    return _digest({"kind": kind, "code": CODE_VERSION, "fields": fields})[:32]
+    return _digest({"kind": kind, "code": TRIAL_KINDS[kind].version, "fields": fields})[:32]
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,9 +167,6 @@ class CampaignSpec:
         defaults.  Registry keys are validated and normalised eagerly and
         one point is planned, so typos fail before a single trial runs.
         """
-        from repro.api.executor import KEY_FIELDS, TRIAL_KINDS, resolve_key
-        from repro.api.registry import get_construction
-
         trial_kind = TRIAL_KINDS[kind]
         if models is None:
             models = trial_kind.default_models
@@ -198,7 +199,7 @@ class CampaignSpec:
             "trials": self.trials,
             "models": list(self.models),
             "params": params,
-            "code": CODE_VERSION,
+            "code": TRIAL_KINDS[self.kind].version,
         }
 
     def fingerprint(self) -> str:
@@ -227,8 +228,6 @@ class CampaignSpec:
         list; the runner and workers iterate this instead, keeping only
         the (point, trial) cells and completed-key set resident.
         """
-        from repro.api.executor import SweepExecutor
-
         executor = SweepExecutor(self.models, workers=1)
         for spec in executor.iter_plan(
             self.axis, self.trials, kind=self.kind, **self.params
@@ -251,34 +250,58 @@ class CampaignSpec:
     # -- wire form (TCP workers receive the canonical dict) -------------------------
 
     @classmethod
-    def from_canonical(cls, payload: Mapping[str, Any]) -> "CampaignSpec":
+    def from_canonical(cls, payload: Any) -> "CampaignSpec":
         """Rebuild a spec from its :meth:`canonical` dict (wire form).
 
-        Typed option values arrive as ``{"__type__": ClassName, ...}``
-        dicts and are revived through the owning registry's
-        ``make_options`` -- remote workers therefore support exactly the
-        registered workloads (custom in-process registrations do not
-        travel over the wire; run those through the local transport).
+        The parse is total: anything but the canonical dict of a kind and
+        code version this build knows raises :class:`CampaignError`
+        naming the field, and the revived spec must plan.  Typed option
+        values arrive as ``{"__type__": ClassName, ...}`` dicts and are
+        revived through the owning registry's ``make_options`` -- remote
+        workers therefore support exactly the registered workloads
+        (custom in-process registrations do not travel over the wire;
+        run those through the local transport).
         """
-        if payload.get("code") != CODE_VERSION:
-            raise CampaignError(
-                f"campaign code version {payload.get('code')!r} does not match "
-                f"this worker's {CODE_VERSION!r}"
-            )
-        from repro.api.executor import TRIAL_KINDS
-
-        kind = str(payload["kind"])
-        if kind not in TRIAL_KINDS:
+        if not isinstance(payload, Mapping):
+            raise CampaignError(f"campaign spec is a {type(payload).__name__}, not an object")
+        kind = payload.get("kind")
+        if not isinstance(kind, str) or kind not in TRIAL_KINDS:
             raise CampaignError(f"unknown campaign kind {kind!r}")
-        raw = dict(payload.get("params", {}))
-        params = {name: _revive_param(kind, name, value, raw) for name, value in raw.items()}
-        return cls(
+        version = TRIAL_KINDS[kind].version
+        if payload.get("code") != version:
+            raise CampaignError(
+                f"{kind} campaign code version {payload.get('code')!r} does not "
+                f"match this build's {version!r}"
+            )
+        for name, valid in _WIRE_FIELDS.items():
+            if not valid(payload.get(name)):
+                problem = "malformed" if name in payload else "missing"
+                raise CampaignError(f"campaign spec field {name!r} is {problem}")
+        raw = payload["params"]
+        spec = cls(
             kind=kind,
             axis=tuple(float(x) for x in payload["axis"]),
-            trials=int(payload["trials"]),
-            models=tuple(str(m) for m in payload["models"]),
-            params=params,
+            trials=payload["trials"],
+            models=tuple(payload["models"]),
+            params={name: _revive_param(kind, name, value, raw) for name, value in raw.items()},
         )
+        try:
+            spec.plan_check()
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CampaignError(f"{kind} campaign spec does not plan: {exc}") from None
+        return spec
+
+
+#: The canonical spec's fields besides ``kind`` and ``code``, with the
+#: check of their JSON form (``None``, a missing field, fails every one).
+_WIRE_FIELDS = {
+    "axis": lambda v: (
+        isinstance(v, list) and all(type(x) in (int, float) and math.isfinite(x) for x in v)
+    ),
+    "trials": lambda v: type(v) is int,
+    "models": lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
+    "params": lambda v: isinstance(v, Mapping),
+}
 
 
 def _revive_param(kind: str, name: str, value: Any, params: Mapping[str, Any]) -> Any:
@@ -290,11 +313,12 @@ def _revive_param(kind: str, name: str, value: Any, params: Mapping[str, Any]) -
     """
     if not isinstance(value, Mapping) or "__type__" not in value:
         return value
-    from repro.api.executor import KEY_FIELDS, TRIAL_KINDS, resolve_key
-
     fields = {k: v for k, v in value.items() if k != "__type__"}
     owner = name[: -len("_options")]
     if name.endswith("_options") and owner in KEY_FIELDS:
         key = params.get(owner, TRIAL_KINDS[kind].defaults().get(owner))
-        return resolve_key(owner, str(key))[1].make_options(None, fields)
+        try:
+            return resolve_key(owner, str(key))[1].make_options(None, fields)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CampaignError(f"campaign param {name!r} does not revive: {exc}") from None
     raise CampaignError(f"cannot revive campaign param {name!r} of type {value['__type__']!r}")

@@ -20,9 +20,11 @@ an intact chunk can only be the final record (the fsync order says so)
 and is dropped like a torn line.
 
 The header pins the campaign fingerprint, canonical spec, dtype and
-code version.  Re-opening verifies the fingerprint, which is what makes
-``resume`` safe: a store can only ever continue the campaign that
-created it.
+the kind's code version.  Re-opening verifies the fingerprint and the
+row layout, which is what makes ``resume`` safe: a store can only ever
+continue the campaign that created it.  A header or chunk record that is
+missing a field or holds a malformed one raises ``CampaignError`` naming
+it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Union
 
 import numpy as np
 
-from repro.campaign.spec import CODE_VERSION, CampaignError, CampaignSpec
+from repro.api.executor import TRIAL_KINDS
+from repro.campaign.spec import CampaignError, CampaignSpec
 from repro.serve.protocol import encode, read_records
 
 SCHEMA = "repro.campaign.store/v1"
@@ -41,10 +44,6 @@ SCHEMA = "repro.campaign.store/v1"
 
 def _dtype_to_wire(dtype: np.dtype) -> List[List[str]]:
     return [[name, dtype.fields[name][0].str] for name in dtype.names]
-
-
-def _dtype_from_wire(fields: Any) -> np.dtype:
-    return np.dtype([(str(name), str(fmt)) for name, fmt in fields])
 
 
 class CampaignStore:
@@ -85,7 +84,7 @@ class CampaignStore:
         header = {
             "t": "header",
             "schema": SCHEMA,
-            "code": CODE_VERSION,
+            "code": TRIAL_KINDS[campaign.kind].version,
             "fingerprint": campaign.fingerprint(),
             "spec": campaign.canonical(),
             "dtype": _dtype_to_wire(dtype),
@@ -116,27 +115,41 @@ class CampaignStore:
         header = records[0]
         if header.get("t") != "header" or header.get("schema") != SCHEMA:
             raise CampaignError(f"{manifest_path} does not start with a store header")
+        for name in ("fingerprint", "spec", "dtype"):
+            if name not in header:
+                raise CampaignError(f"{manifest_path} header has no {name!r} field")
         if campaign is None:
             campaign = CampaignSpec.from_canonical(header["spec"])
-        if header.get("fingerprint") != campaign.fingerprint():
+        if header["fingerprint"] != campaign.fingerprint():
             raise CampaignError(
                 f"campaign store at {directory} belongs to fingerprint "
-                f"{header.get('fingerprint')!r}, not {campaign.fingerprint()!r} "
+                f"{header['fingerprint']!r}, not {campaign.fingerprint()!r} "
                 "-- refusing to mix results"
             )
-        dtype = _dtype_from_wire(header["dtype"])
+        dtype = campaign.codec().dtype
+        if header["dtype"] != _dtype_to_wire(dtype):
+            raise CampaignError(
+                f"{manifest_path} header field 'dtype' is not the {campaign.kind} "
+                "campaign's row layout"
+            )
         chunk_records = [r for r in records[1:] if r.get("t") == "chunk"]
+        for record in chunk_records:
+            if not isinstance(record.get("file"), str) or type(record.get("rows")) is not int:
+                raise CampaignError(
+                    f"{manifest_path} chunk record {record.get('seq')!r} needs a "
+                    "'file' name and a 'rows' count"
+                )
         # Validate the chunk tail: the fsync ordering guarantees every
         # recorded chunk is intact on disk except possibly the last one.
         while chunk_records:
             last = chunk_records[-1]
-            path = directory / str(last["file"])
-            if _chunk_intact(path, dtype, int(last["rows"])):
+            path = directory / last["file"]
+            if _chunk_intact(path, dtype, last["rows"]):
                 break
             chunk_records.pop()
         for record in chunk_records:
-            path = directory / str(record["file"])
-            if not _chunk_intact(path, dtype, int(record["rows"])):
+            path = directory / record["file"]
+            if not _chunk_intact(path, dtype, record["rows"]):
                 raise CampaignError(
                     f"campaign chunk {record['file']!r} is missing or corrupt "
                     f"mid-store at {directory}"

@@ -50,6 +50,12 @@ command resolves its fault-region models through the construction registry
     request, ``--retries`` retries transient failures with backoff (all
     three ride :class:`repro.serve.retry.RetryPolicy`).
 
+``repro-mesh campaign``
+    Run, resume, inspect and reduce resumable trial campaigns
+    (:mod:`repro.campaign`).  An unusable store (missing, foreign code
+    version, malformed manifest) prints one ``campaign error:`` line on
+    stderr and exits 2; exit 1 means an incomplete campaign.
+
 ``repro-mesh verify``
     Run the construction verification suite on a generated fault pattern.
 
@@ -80,6 +86,7 @@ from repro.api import (
     router_keys,
     traffic_keys,
 )
+from repro.campaign import CampaignError
 from repro.core.verify import (
     compare_constructions_report,
     verify_faulty_blocks,
@@ -1128,7 +1135,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CampaignError as exc:
+        print(f"campaign error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,10 +15,10 @@ every unique endpoint pair once through the scalar router, replay the paths
 against per-channel occupancy, and fold the outcome into a
 :class:`~repro.netsim.stats.NetSimStats`.
 
-Routed paths are memoised per ``(router, construction, router options)``
-key and session version -- a latency-vs-load sweep replays largely the
-same pair population at every load point, so only the first point pays
-the routing cost.
+Routed paths are memoised per ``(router, construction)`` key and session
+version -- a latency-vs-load sweep replays largely the same pair
+population at every load point, so only the first point pays the routing
+cost.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class NetSimSession:
         # Weak, like the routing facade's reference to its session: the
         # routing facade owns this one.
         self._routing = weakref.ref(routing)
-        # (router key, construction key, construction opts, router opts)
+        # (router key, construction key)
         #   -> (session version, {(sx, sy, dx, dy) -> path entry})
         self._paths: Dict[Tuple, Tuple[int, Dict]] = {}
         info = routing.session.cache_info
@@ -104,7 +104,6 @@ class NetSimSession:
         drain_factor: int = 8,
         traffic_options=None,
         arrival_options=None,
-        router_options=None,
         **traffic_overrides: Any,
     ) -> NetSimStats:
         """Run one open-loop contention simulation and return its statistics.
@@ -149,9 +148,8 @@ class NetSimSession:
             )
         backend_key = _array_ops.active_backend_key()
         sim_spec = resolve_simulator(sim)
-        router_spec, result, router_obj, context = self.routing._resolve(
-            router, construction, router_options
-        )
+        router_spec, result, entry = self.routing._resolve(router, construction)
+        router_obj, context = entry.router, entry.context
         rate = load * context.num_enabled
         if messages is None:
             messages = int(round(rate * cycles))
@@ -172,12 +170,8 @@ class NetSimSession:
             rng=np.random.default_rng(seed),
             options=arrival_opts,
         )
-        cache_key = (
-            router_spec.key,
-            result.key,
-            router_spec.make_options(router_options, None),
-        )
-        plan = build_plan(router_obj, batch, path_cache=self._path_cache(cache_key))
+        path_cache = self._path_cache((router_spec.key, result.key))
+        plan = build_plan(router_obj, batch, path_cache=path_cache)
         max_cycles = cycles * drain_factor
         outcome = sim_spec.runner(plan, max_cycles)
 

@@ -48,10 +48,7 @@ from repro.routing.channels import (
     has_cyclic_dependency,
 )
 from repro.routing.registry import (
-    ECubeOptions,
     ECubeRouter,
-    ExtendedECubeOptions,
-    RouterOptions,
     RouterSpec,
     available_routers,
     get_router,
@@ -88,9 +85,6 @@ __all__ = [
     "has_cyclic_dependency",
     # router registry
     "RouterSpec",
-    "RouterOptions",
-    "ECubeOptions",
-    "ExtendedECubeOptions",
     "get_router",
     "register_router",
     "router_keys",

@@ -21,9 +21,10 @@ key                label  router
 regions and -- when the mask kernel produced one -- the cell-to-region
 index grid are all reused, so instantiation is O(1) in region membership
 work) or explicit ``regions=``/``topology=`` keywords for ad-hoc region
-sets.  Per-router knobs are typed frozen option dataclasses, so option
-sets are hashable and can key the per-session router cache of
-:class:`repro.api.RoutingSession`.
+sets.  Routers take no options: a spec's builder is any callable
+``(topology, regions, *, region_index=None)``, and the built-ins register
+their router classes.  The hop budget ``max_hops`` is an argument of the
+router constructor only.
 
 The registry is open: :func:`register_router` plugs a custom router into
 :meth:`repro.api.MeshSession.route`, the routing sweeps and the CLI at
@@ -43,43 +44,14 @@ can be plugged in through this registry.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._registry import SpecRegistry, make_spec_options
+from repro._registry import SpecRegistry
 from repro.mesh.topology import Topology
 from repro.routing.extended_ecube import ExtendedECubeRouter
-
-
-# -- typed options ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RouterOptions:
-    """Base class for per-router options (frozen, hashable, picklable)."""
-
-    def replace(self, **changes: Any) -> "RouterOptions":
-        """Return a copy with *changes* applied."""
-        return dataclasses.replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class ECubeOptions(RouterOptions):
-    """Options of the base e-cube router (none yet)."""
-
-
-@dataclass(frozen=True)
-class ExtendedECubeOptions(RouterOptions):
-    """Options of the extended e-cube router.
-
-    ``max_hops`` caps the per-message hop budget; ``None`` keeps the
-    router's default of ``8 * (width + height)``.
-    """
-
-    max_hops: Optional[int] = None
 
 
 # -- the base e-cube router ---------------------------------------------------------
@@ -102,8 +74,8 @@ class ECubeRouter(ExtendedECubeRouter):
 
 # -- the spec -----------------------------------------------------------------------
 
-#: A builder instantiates the router: ``(topology, regions, region_index, options)``.
-Builder = Callable[[Topology, Sequence, Optional[np.ndarray], RouterOptions], Any]
+#: A builder instantiates the router: ``(topology, regions, *, region_index=None)``.
+Builder = Callable[..., Any]
 
 
 @dataclass(frozen=True)
@@ -114,16 +86,7 @@ class RouterSpec:
     label: str
     description: str
     builder: Builder
-    options_type: type = RouterOptions
     aliases: Tuple[str, ...] = ()
-
-    def make_options(
-        self,
-        options: Optional[RouterOptions] = None,
-        overrides: Optional[Mapping[str, Any]] = None,
-    ) -> RouterOptions:
-        """Validate/construct the option set for one build call."""
-        return make_spec_options("router", self, options, overrides)
 
     def build(
         self,
@@ -132,21 +95,19 @@ class RouterSpec:
         *,
         regions: Optional[Sequence] = None,
         region_index: Optional[np.ndarray] = None,
-        options: Optional[RouterOptions] = None,
-        **overrides: Any,
     ):
         """Instantiate the router with the uniform signature.
 
         *construction* is a :class:`repro.api.ConstructionResult` (or any
         legacy construction object exposing ``grid`` and ``regions``);
-        its topology and -- when present and shape-compatible -- its
-        region-index grid are reused, and the router then reads node sets
-        from the grid, so the build looks inside no region (its lazy
-        region list builds no ``FaultRegion``).  Alternatively pass explicit
-        ``regions=`` (any iterable of coordinate sets) with ``topology=``
-        and, optionally, a precomputed ``region_index=`` grid.
+        its topology and -- when present -- its region-index grid are
+        reused, and the router then reads node sets from the grid, so the
+        build looks inside no region (its lazy region list builds no
+        ``FaultRegion``; the router ignores a grid of the wrong shape).
+        Alternatively pass explicit ``regions=`` (any iterable of
+        coordinate sets) with ``topology=`` and, optionally, a precomputed
+        ``region_index=`` grid.
         """
-        opts = self.make_options(options, overrides)
         if construction is not None:
             if topology is None:
                 topology = construction.grid.topology
@@ -154,17 +115,12 @@ class RouterSpec:
                 regions = construction.regions
             if region_index is None:
                 region_index = getattr(construction, "region_index", None)
-            if region_index is not None and region_index.shape != (
-                topology.width,
-                topology.height,
-            ):
-                region_index = None
         if topology is None or regions is None:
             raise ValueError(
                 "RouterSpec.build needs a construction result or explicit "
                 "regions= and topology= keywords"
             )
-        return self.builder(topology, regions, region_index, opts)
+        return self.builder(topology, regions, region_index=region_index)
 
 
 # -- the registry -------------------------------------------------------------------
@@ -201,23 +157,12 @@ def router_keys() -> Tuple[str, ...]:
 # -- built-in routers ---------------------------------------------------------------
 
 
-def _build_ecube(topology, regions, region_index, options):
-    return ECubeRouter(topology, regions, region_index=region_index)
-
-
-def _build_extended_ecube(topology, regions, region_index, options):
-    return ExtendedECubeRouter(
-        topology, regions, max_hops=options.max_hops, region_index=region_index
-    )
-
-
 register_router(
     RouterSpec(
         key="ecube",
         label="EC",
         description="base dimension-ordered x-y routing (no detours)",
-        builder=_build_ecube,
-        options_type=ECubeOptions,
+        builder=ECubeRouter,
         aliases=("e-cube", "xy"),
     )
 )
@@ -226,8 +171,7 @@ register_router(
         key="extended-ecube",
         label="XEC",
         description="e-cube with boundary-ring traversals around convex regions",
-        builder=_build_extended_ecube,
-        options_type=ExtendedECubeOptions,
+        builder=ExtendedECubeRouter,
         aliases=("extended", "extended-e-cube"),
     )
 )

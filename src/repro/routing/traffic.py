@@ -61,7 +61,7 @@ from typing import (
 
 import numpy as np
 
-from repro._registry import SpecRegistry, make_spec_options
+from repro._registry import SpecRegistry
 from repro.geometry import masks
 from repro.mesh.topology import Topology
 from repro.types import Coord
@@ -285,8 +285,23 @@ class TrafficSpec:
         options: Optional[TrafficOptions] = None,
         overrides: Optional[Mapping[str, Any]] = None,
     ) -> TrafficOptions:
-        """Validate/construct the option set for one generation call."""
-        return make_spec_options("traffic", self, options, overrides)
+        """Validate/construct the option set for one generation call.
+
+        Builds ``options_type`` from keyword *overrides*, or checks an
+        explicit *options* instance's type and applies the overrides on
+        top.
+        """
+        overrides = dict(overrides or {})
+        if options is None:
+            return self.options_type(**overrides)
+        if not isinstance(options, self.options_type):
+            raise TypeError(
+                f"traffic {self.key!r} expects "
+                f"{self.options_type.__name__}, got {type(options).__name__}"
+            )
+        if overrides:
+            options = dataclasses.replace(options, **overrides)
+        return options
 
     def generate(
         self,

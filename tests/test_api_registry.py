@@ -22,7 +22,6 @@ from repro.distributed.dmfp import build_minimum_polygons_distributed
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D
-from repro.routing.registry import RouterOptions
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +110,7 @@ class TestUniformBuild:
 
     def test_wrong_options_type_rejected(self, scenario):
         with pytest.raises(TypeError):
-            get_construction("fb").build(scenario, options=RouterOptions())
+            get_construction("fb").build(scenario, options=object())
 
     @pytest.mark.parametrize(
         "key, faults, bad",

@@ -20,7 +20,7 @@ from repro.api import (
 from repro.faults.scenario import generate_scenario
 from repro.mesh.topology import Mesh2D
 from repro.routing.engine import route_scalar
-from repro.routing.registry import ECubeRouter, ExtendedECubeOptions
+from repro.routing.registry import ECubeRouter, ExtendedECubeRouter
 from repro.sim.figures import routing_series
 
 
@@ -80,11 +80,21 @@ class TestRouterRegistry:
             get_router("ecube").build(topology=Mesh2D(5, 5))
 
     def test_option_overrides(self, clustered_session):
+        # The hop budget is a constructor argument; the registry's build
+        # and the session's router cache take no options.
         result = clustered_session.build("mfp")
-        router = get_router("extended-ecube").build(result, max_hops=3)
+        router = ExtendedECubeRouter(
+            result.grid.topology, result.regions, max_hops=3,
+            region_index=result.region_index,
+        )
         assert router.max_hops == 3
-        with pytest.raises(TypeError, match="ExtendedECubeOptions"):
-            get_router("ecube").build(result, options=ExtendedECubeOptions())
+        assert get_router("extended-ecube").build(result).max_hops > 3
+        with pytest.raises(TypeError):
+            get_router("extended-ecube").build(result, max_hops=3)
+        with pytest.raises(TypeError):
+            clustered_session.routing.router("extended-ecube", "mfp", max_hops=3)
+        with pytest.raises(TypeError):
+            clustered_session.route("mfp", messages=10, router_options=None)
 
     def test_duplicate_registration_rejected(self):
         spec = get_router("ecube")
@@ -122,6 +132,30 @@ class TestRoutingSession:
         assert hits >= 1
         clustered_session.add_faults([(0, 0)])
         assert clustered_session.router() is not first
+
+    def test_traffic_context_built_on_first_read(self, clustered_session, monkeypatch):
+        # A rebuilt router builds no traffic context until a caller reads
+        # it; each call still resolves the router once.
+        built = []
+        from_router = TrafficContext.from_router
+        monkeypatch.setattr(
+            TrafficContext, "from_router",
+            classmethod(lambda cls, router: built.append(router) or from_router(router)),
+        )
+        clustered_session.route("mfp", messages=10, seed=1)
+        clustered_session.add_faults([(0, 0)])
+        built.clear()
+        info = clustered_session.cache_info
+        counts = (info["router_hits"], info["router_misses"], info["result_hits"])
+        router = clustered_session.routing.router()
+        assert built == []
+        clustered_session.route("mfp", messages=10, seed=1)
+        assert built == [router]
+        clustered_session.route("mfp", messages=10, seed=1)
+        assert built == [router]
+        assert (info["router_hits"], info["router_misses"], info["result_hits"]) == (
+            counts[0] + 2, counts[1] + 1, counts[2] + 2,
+        )
 
     def test_route_reflects_fault_updates(self, clustered_session):
         before = clustered_session.route("mfp", messages=100, seed=1)

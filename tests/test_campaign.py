@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -122,13 +123,13 @@ PINNED_IDENTITY = {
         ("FB", "FP", "MFP"),
     ),
     "routing": (
-        "c2b4acccc79f29b67e133c76207f2326c5fd9f74d4bc88b9822c5c9ad8d46f00",
-        "b84f5348c4bb8b768907807e9cc198da6450b7a38ab1a1bd2f8356b0aabad9ef",
+        "618db867fb5eaa1ca7532e88d1cdd4c8c767e9d3c69a59e83817b95029ea75be",
+        "b41d16afef9e729a919288de79e0cd6e8fa6005e42aecb2311baa0ea797da634",
         ("FB", "FP", "MFP"),
     ),
     "latency": (
-        "c2cdab8eb1a85a9de26549cf3e60e8342440258f128643b7738b6a925b023f98",
-        "034eb7729d1fcb9eaa383bf53b1db754afc905d52fc26c88bbe7882a44e1b04f",
+        "7b8bc8e252c4887d0890f77d9c02c4996f778d4114ada833df2e0bd1e46f5018",
+        "8bc5e8d1e48b6fcd770ff81ac54f4485565b20467ec449d3c47f8a101de3d85d",
         ("FB", "MFP"),
     ),
 }
@@ -157,8 +158,8 @@ def test_pinned_campaign_identity(kind):
 #: campaign=dir)``, which spells out every parameter plus ``base_seed``.
 PINNED_EXECUTOR_FINGERPRINTS = {
     "construction": "cb29d1d159066667383a6a047b65c770cbdc95e569c4a7caafc822e2dd4f8072",
-    "routing": "2ccfcd14f37a4701db2213d6e37608e16fbae82b8029277e5f2d637a0c84b634",
-    "latency": "cce63bb3f5ee0dbde295b304e35ca284321594a234488d96835006daa97962fd",
+    "routing": "eea486e551cb0d3f76f7eed2acfadd9b869e338b954d93d5ab6bb11bf89a14c4",
+    "latency": "01e39d0987e10d2804112d8c2c0ed4c200642a326d8b43496a6867efe52133e1",
 }
 
 
@@ -171,13 +172,74 @@ EXECUTOR_CAMPAIGNS = {
 }
 
 
+@pytest.fixture(scope="module")
+def executor_stores(tmp_path_factory):
+    """The store of each EXECUTOR_CAMPAIGNS run, by kind."""
+    stores = {}
+    for kind, (models, axis, params) in EXECUTOR_CAMPAIGNS.items():
+        stores[kind] = tmp_path_factory.mktemp(kind) / "store"
+        SweepExecutor(models).run(axis, 1, kind=kind, campaign=stores[kind], **params)
+    return stores
+
+
 @pytest.mark.parametrize("kind", sorted(PINNED_EXECUTOR_FINGERPRINTS))
-def test_pinned_executor_campaign_fingerprints(tmp_path, kind):
-    models, axis, params = EXECUTOR_CAMPAIGNS[kind]
-    store = tmp_path / "store"
-    SweepExecutor(models).run(axis, 1, kind=kind, campaign=store, **params)
-    header = json.loads((store / "manifest.jsonl").read_text().splitlines()[0])
+def test_pinned_executor_campaign_fingerprints(executor_stores, kind):
+    manifest = executor_stores[kind] / "manifest.jsonl"
+    header = json.loads(manifest.read_text().splitlines()[0])
     assert header["fingerprint"] == PINNED_EXECUTOR_FINGERPRINTS[kind]
+
+
+#: Per kind, ``(TRIAL_KINDS[kind].version, digest of the rows its
+#: EXECUTOR_CAMPAIGNS run stores)``.  The digest leaves out the ``key``
+#: column, which hashes the version, so a bump alone does not move it.  A
+#: change that moves a kind's rows bumps that kind's version and re-pins
+#: both here, with a CHANGES.md line.
+PINNED_KIND_ROWS = {
+    "construction": (
+        "repro-1.1.0+campaign.1",
+        "fb2218d887bf3ffee5f1e2bd5a1197276519c798ffdfd0be79f6952f6659d36d",
+    ),
+    "routing": (
+        "repro-1.1.0+routing.2",
+        "194c932db855a10eae3cf7d831b72c1a1dbb35dd01a67e1f54ed96ea9bb670ad",
+    ),
+    "latency": (
+        "repro-1.1.0+latency.2",
+        "235772aa3173c187d81ccd1a9134937f76205685c1f6688b57f5abbb5ed7400e",
+    ),
+}
+
+
+def _rows_digest(store_dir):
+    """sha256 of a store's rows, column by column, ``key`` left out.
+
+    Column by column: a multi-field view of a structured array would
+    still carry the dropped column's bytes.
+    """
+    with CampaignStore.open(store_dir) as store:
+        rows = np.concatenate(list(store.iter_chunks()))
+    digest = hashlib.sha256()
+    for name in rows.dtype.names:
+        if name != "key":
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(rows[name]).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_KIND_ROWS))
+def test_kind_version_moves_with_its_rows(executor_stores, kind):
+    """A kind's rows change only together with its code version, so a
+    resumed store never mixes rows of two behaviours under one key."""
+    pinned_version, pinned_digest = PINNED_KIND_ROWS[kind]
+    version, digest = TRIAL_KINDS[kind].version, _rows_digest(executor_stores[kind])
+    assert digest == pinned_digest or version != pinned_version, (
+        f"the {kind} rows moved but TRIAL_KINDS[{kind!r}].version is still "
+        f"{version!r}: bump it, then re-pin PINNED_KIND_ROWS[{kind!r}]"
+    )
+    assert (version, digest) == (pinned_version, pinned_digest), (
+        f"TRIAL_KINDS[{kind!r}].version moved: re-pin PINNED_KIND_ROWS[{kind!r}] "
+        "and the kind's identity pins"
+    )
 
 
 def test_committed_100k_header_rederives():
@@ -319,6 +381,73 @@ def test_store_midfile_corruption_is_fatal(tmp_path):
     manifest.write_bytes(b"".join(lines))
     with pytest.raises(CampaignError, match="corrupt"):
         CampaignStore.open(tmp_path / "store")
+
+
+@pytest.fixture(scope="module")
+def routing_store(tmp_path_factory):
+    """A finished one-chunk routing campaign store."""
+    store = tmp_path_factory.mktemp("routing") / "store"
+    spec = CampaignSpec.create("routing", [4], 1, models=("mfp",), width=8, messages=10)
+    runner = CampaignRunner(spec, store)
+    runner.run()
+    runner.close()
+    return store
+
+
+def _rewrite_manifest(store, edit):
+    """Apply ``edit(header, chunk_records)`` to a store's manifest in place."""
+    manifest = Path(store) / "manifest.jsonl"
+    header, *chunks = [json.loads(line) for line in manifest.read_text().splitlines()]
+    edit(header, chunks)
+    manifest.write_text("".join(json.dumps(record) + "\n" for record in [header, *chunks]))
+
+
+#: Manifest edits no store of this build can hold, and the text the
+#: CampaignError they raise must hold (the field it names).
+MALFORMED_MANIFESTS = {
+    "header-without-dtype": (lambda h, c: h.pop("dtype"), "'dtype'"),
+    "header-without-spec": (lambda h, c: h.pop("spec"), "'spec'"),
+    "chunk-without-rows": (lambda h, c: c[0].pop("rows"), "'rows'"),
+    "axis-not-a-list": (lambda h, c: h["spec"].update(axis=5), "'axis'"),
+    "axis-not-finite": (lambda h, c: h["spec"].update(axis=[4, float("inf")]), "'axis'"),
+    "trials-not-an-int": (lambda h, c: h["spec"].update(trials="x"), "'trials'"),
+    "spec-is-a-list": (lambda h, c: h.update(spec=[1, 2]), "spec is a list"),
+    "params-not-an-object": (lambda h, c: h["spec"].update(params=[1, 2]), "'params'"),
+    "option-with-unknown-field": (
+        lambda h, c: h["spec"]["params"].update(
+            traffic_options={"__type__": "UniformOptions", "bogus": 1}
+        ),
+        "'traffic_options'",
+    ),
+    "spec-without-kind": (lambda h, c: h["spec"].pop("kind"), "campaign kind None"),
+    "foreign-code-version": (
+        lambda h, c: h["spec"].update(code="repro-1.1.0+campaign.1"),
+        "routing campaign code version 'repro-1.1.0\\+campaign.1' does not match "
+        "this build's 'repro-1.1.0\\+routing.2'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_raises_campaign_error(routing_store, tmp_path, case):
+    """The manifest parse is total: every malformed header, spec or chunk
+    record raises CampaignError naming the field, from the spec parse and
+    from every command that opens the store."""
+    edit, names = MALFORMED_MANIFESTS[case]
+    store = tmp_path / "store"
+    shutil.copytree(routing_store, store)
+    _rewrite_manifest(store, edit)
+    original, header = (
+        json.loads((path / "manifest.jsonl").read_text().splitlines()[0])
+        for path in (routing_store, store)
+    )
+    if "spec" in header and header["spec"] != original["spec"]:
+        with pytest.raises(CampaignError, match=names):
+            CampaignSpec.from_canonical(header["spec"])
+    with pytest.raises(CampaignError, match=names):
+        campaign_status(store)
+    with pytest.raises(CampaignError, match=names):
+        CampaignRunner(None, store)
 
 
 def test_store_drops_chunk_recorded_but_not_intact(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
 import os
 
 import pytest
@@ -280,6 +281,44 @@ class TestCommands:
         assert captured.err.startswith("journal error: ")
         assert str(journal) in captured.err
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("verb", ["status", "resume", "reduce"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("missing-store", "no campaign store at "),
+            (
+                "foreign-version",
+                "routing campaign code version 'repro-1.1.0+campaign.1' does not "
+                "match this build's 'repro-1.1.0+routing.2'",
+            ),
+            ("malformed-header", "header has no 'dtype' field"),
+        ],
+    )
+    def test_campaign_reports_an_unusable_store_in_one_line(
+        self, tmp_path, capsys, verb, case, message
+    ):
+        store = tmp_path / "store"
+        if case != "missing-store":
+            assert main(["campaign", "run", str(store), "--kind", "routing",
+                         "--fault-counts", "4", "--trials", "1", "--width", "8",
+                         "--messages", "10", "--quiet"]) == 0
+            manifest = store / "manifest.jsonl"
+            header, *chunks = manifest.read_text().splitlines()
+            header = json.loads(header)
+            if case == "foreign-version":
+                header["spec"]["code"] = "repro-1.1.0+campaign.1"
+            else:
+                del header["dtype"]
+            manifest.write_text("\n".join([json.dumps(header), *chunks]) + "\n")
+            capsys.readouterr()
+        assert main(["campaign", verb, str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("campaign error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_verify_reports_ok(self, capsys):

@@ -1,12 +1,19 @@
 """Property-based tests (hypothesis) for the core invariants."""
 
+import asyncio
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import get_construction
+from repro.api import MeshSession, get_construction
 from repro.core import reference
 from repro.core.components import find_components
 from repro.core.faulty_block import build_faulty_blocks
 from repro.core.mfp import build_minimum_polygons, component_minimum_polygon
+from repro.core.raster import FaultRaster
 from repro.core.regions import convexify_regions, extract_regions, mean_region_size
 from repro.core.sub_minimum import build_sub_minimum_polygons
 from repro.distributed.dmfp import build_minimum_polygons_distributed
@@ -17,6 +24,8 @@ from repro.geometry.rectangle import bounding_rectangle
 from repro.geometry.sections import concave_sections, section_nodes
 from repro.mesh.status import StatusGrid
 from repro.mesh.topology import Mesh2D, Torus2D
+from repro.serve import RouteDaemon
+from repro.serve.protocol import E_BAD_LINKS, E_BAD_NODES, E_BAD_PAIR
 
 #: Strategy: a small set of distinct fault coordinates on a 12x12 grid.
 fault_sets = st.sets(
@@ -164,3 +173,93 @@ def test_construction_regions_partition_disabled_and_faulty_nodes(
         assert mean_region_size(grid, regions) == sizes / len(regions), key
         if kernel:
             assert result.mean_region_size == result.raw.mean_region_size, key
+
+
+# -- one coordinate contract across entry points -------------------------------------
+
+_in_mesh = st.integers(0, 7)
+_numpy_floats = st.floats(-8, 8).map(np.float64)
+
+#: Strategy: a coordinate that is not an ``(x, y)`` pair of integers: a pair
+#: holding a float, bool, string, ``None``, numpy float or list; a 1- or
+#: 3-tuple; a pair of nested lists; or no sequence at all.
+_not_integers = st.one_of(
+    st.floats(), st.booleans(), st.text(max_size=2), st.none(), _numpy_floats,
+    st.lists(_in_mesh, max_size=2),
+)
+malformed_coords = st.one_of(
+    st.tuples(_not_integers, _in_mesh),
+    st.tuples(_in_mesh, _not_integers),
+    st.tuples(_in_mesh),
+    st.tuples(_in_mesh, _in_mesh, _in_mesh),
+    st.tuples(st.lists(_in_mesh, min_size=2, max_size=2), st.lists(_in_mesh, min_size=2, max_size=2)),
+    st.one_of(st.floats(), st.booleans(), st.text(), st.none(), _in_mesh, _numpy_floats),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(malformed_coords)
+def test_every_entry_point_refuses_the_same_malformed_coordinates(bad):
+    # ValueError in the library, the matching error code from the daemon,
+    # and a refusal changes neither the session nor its journal.
+    topology = Mesh2D(8, 8)
+    with pytest.raises(ValueError):
+        FaultRaster([(1, 1), bad], topology)
+    with pytest.raises(ValueError):
+        MeshSession.from_state({"width": 8, "height": 8, "faults": [[1, 1], bad], "version": 0})
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "daemon.journal"
+        session = MeshSession(width=8, faults=[(3, 3)])
+        daemon = RouteDaemon(session, journal=journal)
+        before = (session.version, session.fingerprint(), journal.stat().st_size)
+        for mutate in (
+            lambda: session.add_faults([(1, 1), bad]),
+            lambda: session.remove_faults([(3, 3), bad]),
+            lambda: session.add_link_faults([((1, 1), (1, 2)), (bad, (0, 0))]),
+            lambda: session.add_link_faults([((0, 0), bad)]),
+        ):
+            with pytest.raises(ValueError):
+                mutate()
+        requests = [
+            ({"op": "add_faults", "nodes": [[1, 1], bad]}, E_BAD_NODES),
+            ({"op": "repair", "nodes": [[3, 3], bad]}, E_BAD_NODES),
+            ({"op": "route", "src": bad, "dst": [0, 0]}, E_BAD_PAIR),
+            ({"op": "route", "src": [0, 0], "dst": bad}, E_BAD_PAIR),
+            ({"op": "add_link_faults", "links": [[bad, [0, 0]]]}, E_BAD_LINKS),
+        ]
+
+        async def answers():
+            return [await daemon.handle(request) for request, _ in requests]
+
+        for response, (request, code) in zip(asyncio.run(answers()), requests):
+            assert not response["ok"] and response["error"]["code"] == code, request
+        assert (session.version, session.fingerprint(), journal.stat().st_size) == before
+        daemon.journal.close()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 6), _in_mesh, st.sampled_from([np.int64, np.int32, np.int16, np.uint8]))
+def test_numpy_integer_coordinates_are_accepted_everywhere(x, y, integer):
+    node, plain = (integer(x), integer(y)), (x, y)
+    neighbour = (node[0] + 1, node[1])
+    topology = Mesh2D(8, 8)
+    assert FaultRaster([node], topology).mask[plain]
+    restored = MeshSession.from_state({"width": 8, "height": 8, "faults": [node], "version": 0})
+    assert restored.faults == (plain,)
+    session = MeshSession(width=8)
+    assert session.add_faults([node]) == [plain]
+    assert session.remove_faults([node]) == [plain]
+    assert session.add_link_faults([(node, neighbour)]) == [plain]
+    daemon = RouteDaemon(MeshSession(width=8))
+    requests = [
+        {"op": "add_faults", "nodes": [node]},
+        {"op": "route", "src": neighbour, "dst": [0, 0]},
+        {"op": "repair", "nodes": [node]},
+        {"op": "add_link_faults", "links": [[node, neighbour]]},
+    ]
+
+    async def answers():
+        return [await daemon.handle(request) for request in requests]
+
+    assert all(response["ok"] for response in asyncio.run(answers()))
+    assert daemon.session.faults == (plain,)

@@ -178,9 +178,7 @@ class TestEngineSelection:
             key="custom-engine-test",
             label="CT",
             description="subclassed router for engine fallback test",
-            builder=lambda topology, regions, region_index, options: Custom(
-                topology, regions, region_index=region_index
-            ),
+            builder=Custom,
         )
         register_router(spec, replace=True)
         stats = session.route("mfp", messages=20, router="custom-engine-test")
@@ -238,14 +236,18 @@ class TestBatchDifferential:
     @settings(max_examples=10, deadline=None)
     @given(fault_sets, st.integers(1, 40), st.integers(0, 2**31 - 1))
     def test_tight_hop_budgets(self, faults, max_hops, seed):
-        # Both routers share one walk and one budget rule.  The registry
-        # passes base e-cube no max_hops, so its budget is set through the
-        # constructor; a budget under the path length must then fail the
+        # Both routers share one walk and one budget rule, set through
+        # the constructor; a budget under the path length must fail the
         # message the same way in the kernel and in the scalar walk.
         construction = build_minimum_polygons(sorted(faults), topology=Mesh2D(12, 12))
-        routers = (
-            get_router("extended-ecube").build(construction, max_hops=max_hops),
-            ECubeRouter(construction.grid.topology, construction.regions, max_hops=max_hops),
+        routers = tuple(
+            router_type(
+                construction.grid.topology,
+                construction.regions,
+                max_hops=max_hops,
+                region_index=construction.region_index,
+            )
+            for router_type in (ExtendedECubeRouter, ECubeRouter)
         )
         for router in routers:
             context = TrafficContext.from_router(router)
@@ -366,8 +368,13 @@ class TestStragglerContinuation:
     @pytest.mark.parametrize("finish", [0, 1, 8, 64, "all-but-one", "all"])
     def test_every_finish_size_equals_route_scalar(self, construction, router_key, finish):
         # A tight hop budget makes some stragglers fail on it.
-        overrides = {"max_hops": 60} if router_key == "extended-ecube" else {}
-        router = get_router(router_key).build(construction, **overrides)
+        max_hops = 60 if router_key == "extended-ecube" else None
+        router = get_router(router_key).builder(
+            construction.grid.topology,
+            construction.regions,
+            max_hops=max_hops,
+            region_index=construction.region_index,
+        )
         batch = get_traffic("uniform").generate(
             TrafficContext.from_router(router), 300, seed=4
         )

@@ -490,9 +490,7 @@ class TestDaemonVerbs:
                 key="serve-scalar-test",
                 label="ST",
                 description="subclassed router the batch kernel does not serve",
-                builder=lambda topology, regions, region_index, options: Subclassed(
-                    topology, regions, region_index=region_index
-                ),
+                builder=Subclassed,
             ),
             replace=True,
         )
