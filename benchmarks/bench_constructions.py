@@ -4,8 +4,11 @@ These time one construction on a fixed 100x100 scenario with 400 clustered
 faults (the middle of the paper's sweep), using pytest-benchmark's normal
 repetition so the timing statistics are meaningful.  They are not part of
 the paper's evaluation but document the cost of each building block and
-guard against performance regressions.
+guard against performance regressions.  The two draw benchmarks time the
+fault models themselves: 800 faults on 100x100, as at the top of the sweep.
 """
+
+import hashlib
 
 import pytest
 
@@ -74,3 +77,23 @@ def test_bench_orthogonal_convex_hull(benchmark, scenario):
     largest = max(components, key=lambda c: c.size)
     hull = benchmark(orthogonal_convex_hull, largest.nodes)
     assert set(largest.nodes) <= hull
+
+
+#: sha256 of the ``repr`` of each model's 800 faults on 100x100 at seed 42.
+DRAW_DIGESTS = {
+    "clustered": "0017f480749cbe058e0a78eeebecb832110128d907339d3a03e8e9782c99bf70",
+    "random": "9217d22f8694e9aa02f6c5c8262a86a9cc1200e9edb5cd04fb7c50d84bd6dd41",
+}
+
+
+def _draw_digest(benchmark, model):
+    scenario = benchmark(generate_scenario, num_faults=800, width=100, model=model, seed=42)
+    return hashlib.sha256(repr(scenario.faults).encode()).hexdigest()
+
+
+def test_bench_clustered_draw(benchmark):
+    assert _draw_digest(benchmark, "clustered") == DRAW_DIGESTS["clustered"]
+
+
+def test_bench_random_draw(benchmark):
+    assert _draw_digest(benchmark, "random") == DRAW_DIGESTS["random"]

@@ -17,7 +17,8 @@ flushed and fsynced *before* their manifest line, so crash recovery is
 trivial: a chunk without a manifest line is an orphan (ignored and
 overwritten by the next append at that index); a manifest line without
 an intact chunk can only be the final record (the fsync order says so)
-and is dropped like a torn line.
+and is dropped like a torn line, and the record the next append writes
+under its file name supersedes it.
 
 The header pins the campaign fingerprint, canonical spec, dtype and
 the kind's code version.  Re-opening verifies the fingerprint and the
@@ -103,9 +104,10 @@ class CampaignStore:
         """Open an existing store, verifying it belongs to *campaign*.
 
         With ``campaign=None`` the spec is rebuilt from the manifest
-        header (status/reduce tooling).  Recorded chunks whose file is
-        missing or unreadable are dropped if they are the final record
-        (crash tail), fatal otherwise.
+        header (status/reduce tooling).  A later record for a chunk file
+        supersedes an earlier one.  A chunk whose file is missing or
+        unreadable is dropped if it is the final record (crash tail), and
+        fatal anywhere else.
         """
         directory = Path(directory)
         manifest_path = directory / "manifest.jsonl"
@@ -139,21 +141,20 @@ class CampaignStore:
                     f"{manifest_path} chunk record {record.get('seq')!r} needs a "
                     "'file' name and a 'rows' count"
                 )
-        # Validate the chunk tail: the fsync ordering guarantees every
-        # recorded chunk is intact on disk except possibly the last one.
-        while chunk_records:
-            last = chunk_records[-1]
-            path = directory / last["file"]
-            if _chunk_intact(path, dtype, last["rows"]):
-                break
+        # A resume appends under the file name of a dropped crash tail, so
+        # the later record for a file replaces the earlier one in place.
+        chunk_records = list({record["file"]: record for record in chunk_records}.values())
+        intact = [_chunk_intact(directory / r["file"], dtype, r["rows"]) for r in chunk_records]
+        # The fsync ordering guarantees every recorded chunk is intact on
+        # disk except possibly the last one.
+        if intact and not intact[-1]:
             chunk_records.pop()
-        for record in chunk_records:
-            path = directory / record["file"]
-            if not _chunk_intact(path, dtype, record["rows"]):
-                raise CampaignError(
-                    f"campaign chunk {record['file']!r} is missing or corrupt "
-                    f"mid-store at {directory}"
-                )
+            intact.pop()
+        if not all(intact):
+            raise CampaignError(
+                f"campaign chunk {chunk_records[intact.index(False)]['file']!r} is "
+                f"missing or corrupt mid-store at {directory}"
+            )
         return cls(directory, campaign, dtype, chunk_records=chunk_records)
 
     def close(self) -> None:

@@ -489,6 +489,76 @@ def test_store_orphan_chunk_overwritten(tmp_path):
     assert points == baseline
 
 
+@pytest.fixture(scope="module")
+def six_chunk_store(tmp_path_factory):
+    """A finished construction store of six two-trial chunks, and its points."""
+    store = tmp_path_factory.mktemp("six-chunks") / "store"
+    spec = CampaignSpec.create("construction", [4, 8], 6, width=8)
+    runner = CampaignRunner(spec, store, chunk_trials=2)
+    assert runner.run()["complete"]
+    points = runner.sweep_points()
+    runner.close()
+    assert len(list((store / "chunks").iterdir())) == 6
+    return store, points
+
+
+def _copy_losing_chunks(source, target, lost):
+    """Copy a store and delete its last *lost* chunk files."""
+    shutil.copytree(source, target)
+    chunks = sorted((target / "chunks").iterdir())
+    for path in chunks[len(chunks) - lost :]:
+        path.unlink()
+    return [f"chunks/{path.name}" for path in chunks]
+
+
+@pytest.mark.parametrize("chunk_trials", [2, 1])
+def test_lost_final_chunk_resumes_to_one_record_per_file(six_chunk_store, tmp_path, chunk_trials):
+    """Only the final chunk is the crash tail: open keeps the others, resume
+    re-runs exactly its trials, and the record the resume writes under the
+    same file name replaces the dropped one, whatever its chunk size."""
+    source, points = six_chunk_store
+    store_dir = tmp_path / "store"
+    files = _copy_losing_chunks(source, store_dir, 1)
+    store = CampaignStore.open(store_dir)
+    assert [record["file"] for record in store.chunk_records] == files[:-1]
+    store.close()
+
+    resumed = CampaignRunner(None, store_dir, chunk_trials=chunk_trials)
+    summary = resumed.run()
+    resumed.close()
+    assert summary["executed"] == 2 and summary["complete"]
+
+    status = campaign_status(store_dir)
+    assert status["complete"]
+    assert status["rows"] == status["total_trials"] == 12
+    assert status["chunks"] == (6 if chunk_trials == 2 else 7)
+    reopened = CampaignStore.open(store_dir)
+    chunk_files = [record["file"] for record in reopened.chunk_records]
+    reopened.close()
+    assert len(chunk_files) == len(set(chunk_files)) == status["chunks"]
+    assert CampaignRunner(None, store_dir).sweep_points() == points
+
+
+def test_lost_chunks_before_the_tail_are_refused(six_chunk_store, tmp_path, capsys):
+    """Two lost chunks cannot both be the crash tail: open, and every
+    command, name the second-to-last instead of dropping it."""
+    from repro.cli import main
+
+    store_dir = tmp_path / "store"
+    files = _copy_losing_chunks(six_chunk_store[0], store_dir, 2)
+    with pytest.raises(CampaignError, match=f"'{files[-2]}' is missing or corrupt mid-store"):
+        CampaignStore.open(store_dir)
+    with pytest.raises(CampaignError, match="mid-store"):
+        CampaignRunner(None, store_dir)
+    assert main(["campaign", "status", str(store_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("campaign error: ")
+    assert files[-2] in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # -- bit-identity --------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults.models import ClusteredFaultModel, RandomFaultModel, make_fault_model
 from repro.faults.scenario import generate_scenario, sweep_scenarios
@@ -42,6 +43,15 @@ class TestRandomFaultModel:
         a = RandomFaultModel(mesh20, np.random.default_rng(7)).draw_faults(30)
         b = RandomFaultModel(mesh20, np.random.default_rng(7)).draw_faults(30)
         assert a == b
+
+    @pytest.mark.parametrize("topology", [Mesh2D(13, 7), Torus2D(1, 9), Mesh2D(9, 1)], ids=repr)
+    def test_positions_are_the_divmod_of_each_chosen_index(self, topology):
+        count = topology.num_nodes // 2
+        faults = RandomFaultModel(topology, np.random.default_rng(5)).draw_faults(count)
+        chosen = np.random.default_rng(5).choice(topology.num_nodes, size=count, replace=False)
+        height = topology.height
+        assert faults == [(int(idx) // height, int(idx) % height) for idx in chosen]
+        assert all(type(c) is int for fault in faults for c in fault)
 
 
 class TestClusteredFaultModel:
@@ -168,6 +178,59 @@ class TestClusteredSampler:
         for seed in range(20):
             expected = choice_loop(topology, np.random.default_rng(seed), factor, count)
             assert tree_draw(topology, np.random.default_rng(seed), factor, count) == expected
+
+    @pytest.mark.parametrize(
+        "topology",
+        [Mesh2D(3, 5), Torus2D(5, 3), Mesh2D(17, 2), Torus2D(2, 9), Mesh2D(7, 1), Torus2D(5, 1)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("factor", [0.3, 0.5, 1.0, 1.5, 2.0, 3.7, 8.0])
+    def test_padded_shapes_equal_choice_loop_until_full(self, topology, factor):
+        # Sides just off a power of two pad every column tree and the top
+        # tree; a side of 1 or 2 leaves one tree a single leaf or lists
+        # a torus neighbour twice.
+        count = topology.num_nodes
+        for seed in range(20):
+            expected = choice_loop(topology, np.random.default_rng(seed), factor, count)
+            assert tree_draw(topology, np.random.default_rng(seed), factor, count) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.integers(1, 12),
+        height=st.integers(1, 12),
+        torus=st.booleans(),
+        factor=st.sampled_from([0.3, 0.5, 1.5, 2.0, 3.7, 8.0]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_any_small_shape_equals_choice_loop(self, width, height, torus, factor, seed, data):
+        topology = (Torus2D if torus else Mesh2D)(width, height)
+        count = data.draw(st.integers(0, topology.num_nodes), label="count")
+        expected = choice_loop(topology, np.random.default_rng(seed), factor, count)
+        assert tree_draw(topology, np.random.default_rng(seed), factor, count) == expected
+
+    @pytest.mark.parametrize("topology", [Mesh2D(30, 20), Torus2D(30, 20)], ids=repr)
+    def test_second_draw_reuses_the_shape_layout(self, topology, monkeypatch):
+        first = tree_draw(topology, np.random.default_rng(0), 2.0, 100)
+        calls = Counter()
+        method = type(topology).normalise
+
+        def counted(self, node):
+            calls["normalise"] += 1
+            return method(self, node)
+
+        monkeypatch.setattr(type(topology), "normalise", counted)
+        assert tree_draw(topology, np.random.default_rng(0), 2.0, 100) == first
+        assert calls["normalise"] == 0
+
+    def test_mesh_and_torus_of_one_size_keep_their_own_layouts(self):
+        # Interleaved draws: a layout keyed by size alone would hand the
+        # torus the mesh's neighbour lists, or the reverse.
+        mesh, torus = Mesh2D(5, 5), Torus2D(5, 5)
+        for seed in range(5):
+            for topology in (mesh, torus, mesh, torus):
+                expected = choice_loop(topology, np.random.default_rng(seed), 2.0, 25)
+                assert tree_draw(topology, np.random.default_rng(seed), 2.0, 25) == expected
 
     def test_leaves_the_rng_where_choice_does(self, mesh20):
         tree_rng, choice_rng = np.random.default_rng(11), np.random.default_rng(11)
