@@ -109,6 +109,8 @@ class RoutingSession:
         session.cache_info.setdefault("jump_rebuilds", 0)
         session.cache_info.setdefault("ring_rebuilds", 0)
         session.cache_info.setdefault("delta_applies", 0)
+        # Scalar walks that fast-forwarded a livelock cycle.
+        session.cache_info.setdefault("livelock_skips", 0)
         # Session-level boundary-ring geometry, keyed by region identity
         # (the frozen node set): survives add_faults, so a region an update
         # changed finds its rings here when it had that node set before.

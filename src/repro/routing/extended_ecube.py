@@ -258,7 +258,8 @@ class ExtendedECubeRouter:
         bump ``jump_rebuilds`` and fresh
         :class:`~repro.routing.engine.PackedRings` bump ``ring_rebuilds``
         in ``session.cache_info``, so the win of the fault-delta path
-        (``delta_applies``) is observable rather than inferred.
+        (``delta_applies``) is observable rather than inferred.  A walk
+        that fast-forwards a livelock cycle bumps ``livelock_skips``.
         """
         self._counters = counters
 
@@ -414,6 +415,21 @@ class ExtendedECubeRouter:
         is ``(current, hops, abnormal_hops)``: *hops* and *abnormal_hops*
         start it at a walk that has already taken that many hops to
         *source*.  Returns ``(delivered, hops, abnormal_hops, reason)``.
+
+        A walk whose loop head comes back to a position is livelocked:
+        the next step depends only on ``current`` and the destination until
+        the hop budget truncates a straight run or ends the loop, so from
+        there it repeats one cycle of ``c`` hops until the budget runs out.
+        Every cycle holds a ring detour (straight runs only ever approach
+        the destination), so a walk past an eighth of its budget records
+        where its detours land, and the first landing it comes back to
+        skips every whole cycle but the last one or two, appending their
+        hops to *path*; ``livelock_skips`` counts the skips.  The cycles
+        left and the budget stop run as they would have, so the outcome,
+        the counts and the path are the unskipped walk's.  An eighth of
+        the default budget, ``width + height`` hops, is longer than any
+        minimal path, so a walk that arrives seldom gets there and pays
+        one comparison per detour.
         """
         self.topology.validate(source)
         self.topology.validate(destination)
@@ -425,8 +441,13 @@ class ExtendedECubeRouter:
         tables = self.jump_tables()
         current = source
         dx, dy = destination
+        max_hops = self.max_hops
+        # Detour landings past an eighth of the budget -> (hops, abnormal
+        # hops) there; the watch ends at the first landing seen twice.
+        watch_from = max_hops // 8
+        landings: Dict[Coord, Tuple[int, int]] = {}
 
-        while current != destination and hops < self.max_hops:
+        while current != destination and hops < max_hops:
             x, y = current
             # Normal mode: advance a whole straight run at once.  The jump
             # tables bound the run by the next blocked cell; the e-cube
@@ -446,7 +467,7 @@ class ExtendedECubeRouter:
                     sign, free = -1, y - int(tables.south[x, y]) - 1
                 distance = abs(dy - y)
             if free:
-                run = min(distance, free, self.max_hops - hops)
+                run = min(distance, free, max_hops - hops)
                 if x != dx:
                     if path is not None:
                         path.extend((x + sign * i, y) for i in range(1, run + 1))
@@ -499,8 +520,25 @@ class ExtendedECubeRouter:
             hops += len(detour)
             abnormal_hops += len(detour)
             current = detour[-1]
-            if hops >= self.max_hops:
+            if hops >= max_hops:
                 break
+            if hops > watch_from:
+                hops_then, abnormal_then = landings.setdefault(
+                    current, (hops, abnormal_hops)
+                )
+                if hops_then == hops:
+                    continue
+                cycle = hops - hops_then
+                # Every skipped cycle ends at least one cycle and one hop
+                # short of the budget.
+                skip = (max_hops - hops - 1) // cycle - 1
+                if skip > 0:
+                    if path is not None:
+                        path.extend(path[-cycle:] * skip)
+                    hops += skip * cycle
+                    abnormal_hops += skip * (abnormal_hops - abnormal_then)
+                    self._count("livelock_skips")
+                watch_from = max_hops
 
         if current == destination:
             return True, hops, abnormal_hops, ""
@@ -527,12 +565,15 @@ class ExtendedECubeRouter:
         Same loop as :meth:`route` (shared :meth:`_walk`), so the
         delivered flag, hop count, abnormal-hop count and failure reason
         are bit-identical by construction -- it merely skips
-        materialising the hop-by-hop path, which dominates the cost of
-        long budget-bounded walks.  *hops* and *abnormal_hops* continue a
-        walk that already took that many hops (that many of them
-        abnormal) to reach *source*: the batch engine of
+        materialising the hop-by-hop path.  A livelocked walk jumps its
+        whole cycles towards the budget in both (see :meth:`_walk`).
+        *hops* and *abnormal_hops* continue a walk that already took that
+        many hops (that many of them abnormal) to reach *source*, a loop
+        head of that walk: the batch engine of
         :mod:`repro.routing.engine` finishes each straggler this way from
-        where its lockstep rounds stopped.  Returns ``(delivered, hops,
-        abnormal_hops, reason)``, the counts including the start state.
+        where its lockstep rounds stopped, and a straggler handed over
+        mid-cycle finds its cycle from there.  Returns ``(delivered,
+        hops, abnormal_hops, reason)``, the counts including the start
+        state.
         """
         return self._walk(source, destination, None, hops, abnormal_hops)

@@ -403,6 +403,141 @@ class TestStragglerContinuation:
             ), "no straggler walked a ring in the scalar tail"
 
 
+def pure_lockstep_counts(router, quads):
+    """``route_counts`` tuples of ``(sx, sy, dx, dy)`` rows from a pure
+    lockstep batch route, which never enters the scalar walk (and so is
+    an oracle independent of its cycle fast-forward)."""
+    columns = np.asarray(quads, dtype=np.int64).reshape(-1, 4).T
+    outcome = route_batch(router, TrafficBatch(*columns), scalar_finish=0)
+    return [
+        (bool(code == DELIVERED), int(taken), int(abnormal), REASONS[int(code)])
+        for code, taken, abnormal in zip(
+            outcome.status.tolist(), outcome.hops.tolist(), outcome.abnormal_hops.tolist()
+        )
+    ]
+
+
+def budget_router(construction, max_hops):
+    return ExtendedECubeRouter(
+        construction.grid.topology,
+        construction.regions,
+        max_hops=max_hops,
+        region_index=construction.region_index,
+    )
+
+
+class TestLivelockFastForward:
+    """A walk that revisits a loop head skips whole cycles, exactly.
+
+    The fixture is the smallest livelock found: on this 12x12 mesh the
+    message (6, 10) -> (4, 8) circles the one 4-node region {(4, 9),
+    (5, 8), (5, 9), (6, 9)} in a 14-hop cycle (12 hops abnormal) from
+    (4, 10), loop head 1 after 2 hops, until the 192-hop budget runs out.
+    """
+
+    SOURCE, DESTINATION = (6, 10), (4, 8)
+    #: Loop heads ``(position, hops, abnormal hops)`` of the unskipped
+    #: walk: the cycle's start, its mid-cycle heads, and one later lap.
+    LOOP_HEADS = [
+        ((4, 10), 2, 0),
+        ((7, 8), 7, 5),
+        ((6, 8), 8, 5),
+        ((3, 10), 15, 12),
+        ((4, 10), 16, 12),
+        ((6, 8), 36, 29),
+    ]
+
+    @pytest.fixture
+    def session(self):
+        return MeshSession.from_scenario(
+            generate_scenario(11, width=12, model="random", seed=11)
+        )
+
+    def test_fixture_circles_one_region(self, session):
+        router = session.router()
+        region = router.region_of((5, 9))
+        assert router.region_nodes(region) == {(4, 9), (5, 8), (5, 9), (6, 9)}
+        assert router.max_hops == 192
+        quad = (*self.SOURCE, *self.DESTINATION)
+        assert pure_lockstep_counts(router, [quad]) == [
+            (False, 197, 168, "hop budget exhausted")
+        ]
+
+    def test_route_and_counts_equal_pure_lockstep(self, session):
+        router = session.router()
+        skips = session.cache_info["livelock_skips"]
+        (expected,) = pure_lockstep_counts(router, [(*self.SOURCE, *self.DESTINATION)])
+        result = router.route(self.SOURCE, self.DESTINATION)
+        assert (result.delivered, result.hops, result.abnormal_hops, result.reason) == expected
+        assert router.route_counts(self.SOURCE, self.DESTINATION) == expected
+        assert session.cache_info["livelock_skips"] == skips + 2
+        path = result.path
+        assert len(path) == result.hops + 1 and path[0] == self.SOURCE
+        for a, b in zip(path, path[1:]):
+            assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+        assert not any(router.is_disabled(node) for node in path)
+        # The path laps the cycle: from (4, 10) after 2 hops, every 14th
+        # node is (4, 10) again.
+        assert {path[hop] for hop in range(2, len(path), 14)} == {(4, 10)}
+
+    def test_every_budget_equals_pure_lockstep(self, session):
+        # Budgets one hop before, at and after every multiple of the cycle
+        # past each loop head: the skip arithmetic's edges.
+        construction = session.build("mfp")
+        quad = (*self.SOURCE, *self.DESTINATION)
+        for max_hops in range(1, 231):
+            router = budget_router(construction, max_hops)
+            (expected,) = pure_lockstep_counts(router, [quad])
+            assert router.route_counts(self.SOURCE, self.DESTINATION) == expected, max_hops
+            result = router.route(self.SOURCE, self.DESTINATION)
+            got = (result.delivered, result.hops, result.abnormal_hops, result.reason)
+            assert got == expected, max_hops
+            assert len(result.path) == result.hops + 1, max_hops
+
+    @pytest.mark.parametrize("head", LOOP_HEADS, ids=str)
+    def test_straggler_starting_mid_cycle(self, session, head):
+        # The batch kernel hands a straggler over at a loop head of its
+        # walk.  From there, the walk only sees the budget left, so a pure
+        # lockstep route from that head under the rest of the budget is
+        # the oracle.
+        position, taken, abnormal_taken = head
+        construction = session.build("mfp")
+        for max_hops in (60, 191, 192, 193, 400):
+            router = budget_router(construction, max_hops)
+            counts = router.route_counts(
+                position, self.DESTINATION, hops=taken, abnormal_hops=abnormal_taken
+            )
+            assert counts == router.route_counts(self.SOURCE, self.DESTINATION), max_hops
+            (rest,) = pure_lockstep_counts(
+                budget_router(construction, max_hops - taken), [(*position, *self.DESTINATION)]
+            )
+            assert counts == (rest[0], rest[1] + taken, rest[2] + abnormal_taken, rest[3])
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(4, 30),
+        st.sampled_from(["random", "clustered"]),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 300),
+    )
+    def test_every_pair_equals_pure_lockstep(self, num_faults, model, torus, seed, max_hops):
+        # Every ordered pair of enabled nodes, so the rare livelocked pairs
+        # are in; budgets from 1 to 300 put the budget stop at every offset
+        # within a cycle across examples.
+        scenario = generate_scenario(num_faults, width=12, model=model, seed=seed, torus=torus)
+        router = budget_router(MeshSession.from_scenario(scenario).build("mfp"), max_hops)
+        xs, ys = router.enabled_arrays()
+        first, second = np.meshgrid(np.arange(xs.size), np.arange(xs.size), indexing="ij")
+        quads = np.stack(
+            [xs[first.ravel()], ys[first.ravel()], xs[second.ravel()], ys[second.ravel()]],
+            axis=1,
+        )
+        expected = pure_lockstep_counts(router, quads)
+        for (sx, sy, dx, dy), counts in zip(quads.tolist(), expected):
+            assert router.route_counts((sx, sy), (dx, dy)) == counts, (sx, sy, dx, dy)
+
+
 class TestRegionRingCache:
     def test_rings_reused_across_rebuilds(self):
         # The scalar engine (per-route results) resolves the ring of every
